@@ -21,7 +21,9 @@ of the same step are implemented and cross-checked against each other:
 
 Stationarity is certified by fixed_point_residual: at an optimum the
 natural parameter equals the natural gradient of the expected negative
-loss evaluated at itself.
+loss evaluated at itself. The estimate at an iterate (iterate_natgrad)
+serves both that certificate and the step taken from the iterate, so a
+loop computes it once and passes it to both.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import DomainError, LeftDomain, NonPDHessian, SolverFailure
 from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
-from .natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
-                      natgrad_via_dual)
+from .natgrad import (EstimatorSpec, NatGradEstimate, estimate_natgrad,
+                      expected_loss, natgrad_via_dual)
 from .seeding import make_rng
 
 
@@ -79,18 +81,32 @@ def blr_init(family: ExpFamily, lam0) -> BLRState:
     return BLRState(family, 0, lam, family.natural_to_dual(lam))
 
 
+def iterate_natgrad(state: BLRState, loss: LossModel, spec: EstimatorSpec,
+                    batch=None) -> NatGradEstimate:
+    """The natural gradient at an iterate, on the stream of step state.t.
+
+    This is the estimate blr_step takes from state, and the one
+    fixed_point_residual certifies state.lam with; a loop that needs both
+    computes it once and passes it to each.
+    """
+    return estimate_natgrad(state.family, state.lam, loss, spec,
+                            step=state.t, batch=batch)
+
+
 def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
-             batch=None) -> BLRState:
+             batch=None, estimate: NatGradEstimate | None = None) -> BLRState:
     """One convex-combination update in natural coordinates.
 
+    estimate, if given, must be iterate_natgrad(state, loss, cfg.estimator,
+    batch); it does not depend on the rate, so retries reuse it.
     Raises LeftDomain with the offending iterate if the combination exits
     the family's domain; retry policy (e.g. halving rho) belongs to the
     caller, not here.
     """
     family = state.family
     rho = cfg.rho_at(state.t)
-    estimate = estimate_natgrad(family, state.lam, loss, cfg.estimator,
-                                step=state.t, batch=batch)
+    if estimate is None:
+        estimate = iterate_natgrad(state, loss, cfg.estimator, batch)
     new_lam = (1.0 - rho) * state.lam.coords + rho * estimate.tilde_lambda
     if not family.contains_natural(new_lam):
         raise LeftDomain(
@@ -152,26 +168,27 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
     family = state_t.family
     rng = make_rng(probe_seed)
     probes = family.sample(state_t.lam, n_probes, rng)
-    gaps = []
-    for theta in probes:
-        stats = family.sufficient_stats(theta)
-        gap = (family.log_density(state_t1.lam, theta)
-               - (1.0 - rho) * family.log_density(state_t.lam, theta)
-               - rho * float(state_t1.tilde_lambda @ stats))
-        gaps.append(gap)
+    # one gap per probe: log q_{t+1} - (1-rho) log q_t - rho <tilde_lam, T>
+    gaps = (family.log_density(state_t1.lam, probes)
+            - (1.0 - rho) * family.log_density(state_t.lam, probes)
+            - rho * (family.sufficient_stats_batch(probes) @ state_t1.tilde_lambda))
     spread = float(np.max(gaps) - np.min(gaps))
     return MultiplicativeFormReport(spread <= tol, spread, tol, n_probes)
 
 
 def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
-                         spec: EstimatorSpec, step: int = 0) -> float:
+                         spec: EstimatorSpec, step: int = 0,
+                         estimate: NatGradEstimate | None = None) -> float:
     """|| lam - tilde_lam(lam) || / max(1, ||lam||); ~0 certifies stationarity.
 
     Also cross-checks the inverse-Fisher form of the optimality condition
     (solving F x = grad_lam must reproduce the dual-coordinate gradient).
+    estimate, if given, must be the estimate at (lam, step) under spec; it
+    is then used instead of being recomputed.
     """
     lam = family._check_natural(lam)
-    estimate = estimate_natgrad(family, lam, loss, spec, step=step)
+    if estimate is None:
+        estimate = estimate_natgrad(family, lam, loss, spec, step=step)
     tilde = estimate.tilde_lambda
     natgrad_via_dual(family, lam, tilde)
     return float(np.linalg.norm(lam - tilde)) / max(1.0, float(np.linalg.norm(lam)))

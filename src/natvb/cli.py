@@ -10,8 +10,14 @@ Subcommands:
 
 The output directory comes from the NATVB_OUTDIR environment variable
 (default: the working directory); everything else lives in the config.
-Exit codes: 0 success, 1 check failures, 2 config/schema errors,
-3 domain errors during a run (partial trace flushed).
+Several configs given to one `run` share that directory unless two would
+write the same artifact; then each writes into a subdirectory named after
+its config file. Such a `run` never overwrites an existing artifact.
+Exit codes: 0 success, 1 check failures, 2 config/schema errors (also a
+multi-config run that would overwrite), 3 domain errors during a run,
+4 a failed per-step certificate during a run (the Bayes-filter check or
+the residual's inverse-Fisher cross-check). Codes 3 and 4 flush the
+partial trace.
 """
 
 from __future__ import annotations
@@ -20,31 +26,36 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
-from .errors import DomainError, LeftDomain
+from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .harness import (ConfigError, compare_runs, load_config, output_dir,
-                      ridge_oracle, run_experiment)
+                      ridge_oracle, run_dirs, run_experiment)
 from .verify import run_verify
-
-
-def _run_one(path_str: str) -> dict:
-    cfg = load_config(path_str)
-    return run_experiment(cfg, output_dir())
 
 
 def _cmd_run(args) -> int:
     try:
-        if args.jobs > 1 and len(args.config) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(pool.map(_run_one, args.config))
+        configs = [load_config(path) for path in args.config]
+        if len(configs) == 1:
+            dirs = [output_dir()]
         else:
-            summaries = [_run_one(path) for path in args.config]
+            dirs = run_dirs([(Path(path).stem, cfg)
+                             for path, cfg in zip(args.config, configs)], output_dir())
+        if args.jobs > 1 and len(configs) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                summaries = list(pool.map(run_experiment, configs, dirs))
+        else:
+            summaries = list(map(run_experiment, configs, dirs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, LeftDomain) as exc:
         print(f"domain error during run: {exc}", file=sys.stderr)
         return 3
+    except CERTIFICATE_ERRORS as exc:
+        print(f"certificate failure during run: {exc}", file=sys.stderr)
+        return 4
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return 0
@@ -69,6 +80,9 @@ def _cmd_compare(args) -> int:
     except (DomainError, LeftDomain) as exc:
         print(f"domain error during run: {exc}", file=sys.stderr)
         return 3
+    except CERTIFICATE_ERRORS as exc:
+        print(f"certificate failure during run: {exc}", file=sys.stderr)
+        return 4
     print(joint)
     return 0
 

@@ -49,3 +49,16 @@ class SolverFailure(RuntimeError):
 
 class SingularSystem(RuntimeError):
     """A dense linear solve encountered a singular system."""
+
+
+class BayesFilterViolation(RuntimeError):
+    """A BLR step failed its multiplicative (Bayes-filter) form check.
+
+    log q_{t+1} - (1-rho) log q_t - rho <tilde_lam, T> was not constant
+    over the probe grid to within the check's tolerance.
+    """
+
+
+#: failures of a run's per-step certificates: the Bayes-filter check and
+#: the residual's inverse-Fisher cross-check
+CERTIFICATE_ERRORS = (BayesFilterViolation, SingularFisher, SolverFailure)

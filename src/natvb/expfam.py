@@ -155,6 +155,10 @@ class ExpFamily(abc.ABC):
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         """size i.i.d. draws, shape (size, theta_dim)."""
 
+    @abc.abstractmethod
+    def sufficient_stats_batch(self, thetas) -> np.ndarray:
+        """T(theta) for each row of an (n, theta_dim) array; shape (n, param_dim)."""
+
     # -- validated wrappers ------------------------------------------
 
     def natural(self, coords) -> NaturalParams:
@@ -192,11 +196,23 @@ class ExpFamily(abc.ABC):
             raise DomainError(f"expectation parameters not realizable in {self.name!r}")
         return coords
 
+    def _theta_rows(self, thetas) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.theta_dim:
+            raise ValueError(f"thetas must have shape (n, {self.theta_dim})")
+        return thetas
+
     # -- derived operations ------------------------------------------
 
-    def log_density(self, lam, theta) -> float:
-        """log q(theta) = <lam, T(theta)> - A(lam)  (h = 1)."""
+    def log_density(self, lam, theta):
+        """log q(theta) = <lam, T(theta)> - A(lam)  (h = 1).
+
+        theta is one point (returns a float) or an (n, theta_dim) array of
+        points, one per row (returns n values); lam is validated once.
+        """
         lam = self._check_natural(lam)
+        if np.ndim(theta) == 2:
+            return self.sufficient_stats_batch(theta) @ lam - self.cumulant(lam)
         t = self.sufficient_stats(theta)
         return float(lam @ t - self.cumulant(lam))
 

@@ -27,6 +27,7 @@ nudged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -36,48 +37,60 @@ from .expfam import ExpFamily, NaturalParams
 from .seeding import RNG_ALGORITHM, make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+#: rows of the Fisher's quadratic block computed per strip
+_FISHER_ROWS = 64
 
 
 # -- symmetric-matrix flattening -------------------------------------
 
-def triu_pairs(dim: int) -> list[tuple[int, int]]:
-    """Upper-triangular index pairs in row-major order."""
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
+@dataclass(frozen=True)
+class _TriuIndex:
+    """Upper-triangular pairs (rows[a], cols[a]) in row-major order, plus
+    the per-pair factors between the coefficient and moment layouts."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    #: 1 on the diagonal, 2 off it (moment -> coefficient)
+    double: np.ndarray
+    #: 1 on the diagonal, 1/2 off it (coefficient -> moment)
+    half: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _triu_index(dim: int) -> _TriuIndex:
+    rows, cols = np.triu_indices(dim)
+    diag = rows == cols
+    index = _TriuIndex(rows, cols, np.where(diag, 1.0, 2.0), np.where(diag, 1.0, 0.5))
+    for arr in vars(index).values():
+        arr.setflags(write=False)
+    return index
 
 
 def sym_to_coeff(mat: np.ndarray) -> np.ndarray:
     """Coefficient layout of a symmetric matrix (off-diagonals doubled)."""
     mat = np.asarray(mat, dtype=float)
-    dim = mat.shape[0]
-    out = np.empty(dim * (dim + 1) // 2)
-    for a, (i, j) in enumerate(triu_pairs(dim)):
-        out[a] = mat[i, j] if i == j else 2.0 * mat[i, j]
-    return out
+    index = _triu_index(mat.shape[0])
+    return index.double * mat[index.rows, index.cols]
 
 
 def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of sym_to_coeff."""
-    mat = np.zeros((dim, dim))
-    for a, (i, j) in enumerate(triu_pairs(dim)):
-        if i == j:
-            mat[i, i] = vec[a]
-        else:
-            mat[i, j] = mat[j, i] = 0.5 * vec[a]
-    return mat
+    return moment_to_sym(_triu_index(dim).half * np.asarray(vec, dtype=float), dim)
 
 
 def sym_to_moment(mat: np.ndarray) -> np.ndarray:
     """Moment layout of a symmetric matrix (plain upper triangle)."""
     mat = np.asarray(mat, dtype=float)
-    dim = mat.shape[0]
-    return np.array([mat[i, j] for i, j in triu_pairs(dim)])
+    index = _triu_index(mat.shape[0])
+    return mat[index.rows, index.cols]
 
 
 def moment_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of sym_to_moment."""
+    index = _triu_index(dim)
     mat = np.zeros((dim, dim))
-    for a, (i, j) in enumerate(triu_pairs(dim)):
-        mat[i, j] = mat[j, i] = vec[a]
+    mat[index.rows, index.cols] = vec
+    mat[index.cols, index.rows] = vec
     return mat
 
 
@@ -105,7 +118,7 @@ class FullGaussian(ExpFamily):
         self.theta_dim = int(theta_dim)
         self.param_dim = self.theta_dim + self.theta_dim * (self.theta_dim + 1) // 2
         self.name = f"gaussian_full_{self.theta_dim}"
-        self._pairs = triu_pairs(self.theta_dim)
+        self._triu = _triu_index(self.theta_dim)
 
     def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(linear block, precision matrix S); raises if S is not PD."""
@@ -198,34 +211,43 @@ class FullGaussian(ExpFamily):
         #   Cov(th_i th_j, th_k th_l) = C_ik C_jl + C_il C_jk
         #                             + m_i m_k C_jl + m_i m_l C_jk
         #                             + m_j m_k C_il + m_j m_l C_ik
+        # The quadratic block is computed for pairs (i, j) <= (k, l), a strip
+        # of _FISHER_ROWS rows at a time to bound the temporaries, and then
+        # mirrored, so the result is exactly symmetric.
         mean, cov = self.to_mean_cov(lam)
         p = self.theta_dim
-        pairs = self._pairs
-        n_quad = len(pairs)
-        fish = np.zeros((p + n_quad, p + n_quad))
+        rows, cols = self._triu.rows, self._triu.cols
+        n_quad = rows.size
+        fish = np.empty((p + n_quad, p + n_quad))
         fish[:p, :p] = cov
-        for a, (j, k) in enumerate(pairs):
-            cross = mean[j] * cov[:, k] + mean[k] * cov[:, j]
-            fish[:p, p + a] = cross
-            fish[p + a, :p] = cross
-        for a, (i, j) in enumerate(pairs):
-            for b, (k, l) in enumerate(pairs):
-                if b < a:
-                    continue
-                val = (cov[i, k] * cov[j, l] + cov[i, l] * cov[j, k]
-                       + mean[i] * mean[k] * cov[j, l]
-                       + mean[i] * mean[l] * cov[j, k]
-                       + mean[j] * mean[k] * cov[i, l]
-                       + mean[j] * mean[l] * cov[i, k])
-                fish[p + a, p + b] = val
-                fish[p + b, p + a] = val
+        cross = mean[rows] * cov[:, cols] + mean[cols] * cov[:, rows]
+        fish[:p, p:] = cross
+        fish[p:, :p] = cross.T
+        quad = fish[p:, p:]
+        for start in range(0, n_quad, _FISHER_ROWS):
+            i = rows[start:start + _FISHER_ROWS, None]
+            j = cols[start:start + _FISHER_ROWS, None]
+            k, l = rows[start:], cols[start:]
+            c_ik, c_jl, c_il, c_jk = cov[i, k], cov[j, l], cov[i, l], cov[j, k]
+            m_i, m_j, m_k, m_l = mean[i], mean[j], mean[k], mean[l]
+            quad[start:start + _FISHER_ROWS, start:] = (
+                c_ik * c_jl + c_il * c_jk
+                + m_i * m_k * c_jl + m_i * m_l * c_jk
+                + m_j * m_k * c_il + m_j * m_l * c_ik)
+        lower = np.tril_indices(n_quad, -1)
+        quad[lower] = quad.T[lower]
         return fish
 
     def sufficient_stats(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.theta_dim:
             raise ValueError(f"theta must have length {self.theta_dim}")
-        return np.concatenate([theta, [theta[i] * theta[j] for i, j in self._pairs]])
+        return np.concatenate([theta, theta[self._triu.rows] * theta[self._triu.cols]])
+
+    def sufficient_stats_batch(self, thetas) -> np.ndarray:
+        thetas = self._theta_rows(thetas)
+        quad = thetas[:, self._triu.rows] * thetas[:, self._triu.cols]
+        return np.concatenate([thetas, quad], axis=1)
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _, _, low, mean = self._mean_prec_chol(lam)
@@ -325,6 +347,10 @@ class DiagGaussian(ExpFamily):
             raise ValueError(f"theta must have length {self.theta_dim}")
         return np.concatenate([theta, theta ** 2])
 
+    def sufficient_stats_batch(self, thetas) -> np.ndarray:
+        thetas = self._theta_rows(thetas)
+        return np.concatenate([thetas, thetas ** 2], axis=1)
+
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         mean, var = self.to_mean_var(lam)
         z = rng.standard_normal((size, self.theta_dim))
@@ -410,7 +436,7 @@ class ExpFamDistribution:
     def coords(self) -> np.ndarray:
         return self.natural.coords
 
-    def log_density(self, theta) -> float:
+    def log_density(self, theta):
         return self.family.log_density(self.natural, theta)
 
     def entropy(self) -> float:

@@ -2,7 +2,7 @@
 
 A config fully determines a run; the harness writes three artifacts into
 the output directory (the NATVB_OUTDIR environment variable, else the
-working directory):
+working directory; see run_dirs for several configs run together):
 
   * trace.csv    - per-iteration rows, every float in shortest
                    round-trip decimal form so replays are byte-identical;
@@ -12,13 +12,16 @@ working directory):
                    `run` reproduces the trace byte for byte.
 
 The schema is versioned and strict: unknown keys are rejected, because
-silently ignored knobs are how replays drift. Domain errors mid-run
-flush the partial trace before propagating. Timing is reported in the
-summary only, never in the trace, so traces stay deterministic.
+silently ignored knobs are how replays drift. Domain errors and failed
+certificates mid-run flush the partial trace before propagating. Timing
+is reported in the summary only, never in the trace, so traces stay
+deterministic.
 
 The BLR retry policy lives here, not in the core: when a step leaves the
 family's domain the harness halves the rate for that step, up to 20
-times.
+times. Each BLR iterate's natural-gradient estimate is computed once and
+shared by the iterate's residual, the step taken from it and that step's
+retries.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .blr import (BLRConfig, blr_init, blr_step, fixed_point_residual,
-                  multiplicative_form_check, vb_objective)
+                  iterate_natgrad, multiplicative_form_check, vb_objective)
 from .deep import (adam_init, config_hash, ivon_init, rmsprop_init, train,
                    VONState)
-from .errors import DomainError, LeftDomain
+from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
+                     LeftDomain)
 from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
@@ -248,6 +252,9 @@ def _blr_runner(resolved: dict, loss, out: dict):
     deterministic = spec.kind in ("exact", "delta")
     converged = False
     residual = np.inf
+    # the estimate at the current iterate, shared by its residual, the step
+    # taken from it and that step's rate-halving retries
+    estimate = iterate_natgrad(state, loss, spec)
     for _ in range(cfg.max_iter):
         prev = state
         rho = cfg.rho_at(prev.t)
@@ -255,7 +262,8 @@ def _blr_runner(resolved: dict, loss, out: dict):
         for _ in range(opt["max_rate_halvings"] + 1):
             try:
                 state = blr_step(prev, loss, BLRConfig(rho, 1, cfg.tol, spec,
-                                                       cfg.check_multiplicative))
+                                                       cfg.check_multiplicative),
+                                 estimate=estimate)
                 break
             except LeftDomain:
                 rho *= 0.5
@@ -264,11 +272,14 @@ def _blr_runner(resolved: dict, loss, out: dict):
                              iteration=prev.t)
         report = multiplicative_form_check(prev, state, rho)
         if not report.passed:
-            raise RuntimeError(f"Bayes-filter form violated at step {prev.t}")
+            raise BayesFilterViolation(
+                f"Bayes-filter form violated at step {prev.t} "
+                f"(spread {report.spread:.3e} > {report.tol:.1e})")
         # stationarity certificate at the fresh iterate; a conjugate rate-1
         # jump therefore reports convergence after its single step
+        estimate = iterate_natgrad(state, loss, spec)
         residual = fixed_point_residual(family, state.lam, loss, spec,
-                                        step=state.t)
+                                        step=state.t, estimate=estimate)
         objective = vb_objective(family, state.lam, loss, spec)
         rows.append((state.t, rho, objective, residual))
         rel_change = (float(np.linalg.norm(state.lam.coords - prev.lam.coords))
@@ -337,7 +348,8 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     """Execute one config; returns the summary written to summary.json.
 
     Raises ConfigError for schema problems (nothing written) and lets
-    domain errors propagate after flushing the partial trace.
+    domain errors and certificate failures (errors.CERTIFICATE_ERRORS)
+    propagate after flushing the partial trace.
     """
     resolved = resolve_config(cfg)
     out_dir = Path(out_dir) if out_dir is not None else output_dir()
@@ -353,7 +365,7 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             summary = _blr_runner(resolved, loss, out)
         else:
             summary = _deep_runner(resolved, loss, out)
-    except (DomainError, LeftDomain):
+    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS):
         write_trace(out_paths["trace"], out["columns"], out["rows"])
         raise
     summary.update({
@@ -368,6 +380,33 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     write_json(out_paths["summary"], summary)
     write_json(out_paths["config"], resolved)
     return summary
+
+
+def run_dirs(named_configs: list[tuple[str, dict]], out_dir: Path) -> list[Path]:
+    """Output directory for each of several (name, config) pairs run together.
+
+    The runs share out_dir unless two of them would write the same
+    artifact there; then each run writes into out_dir/<name>. Raises
+    ConfigError, before anything runs, if that needs two runs with the
+    same name or if any artifact already exists, so that no run's output
+    replaces another's.
+    """
+    out_dir = Path(out_dir)
+    names = [name for name, _ in named_configs]
+    files = [list(resolve_config(cfg)["output"].values()) for _, cfg in named_configs]
+    shared = [out_dir / artifact for run_files in files for artifact in run_files]
+    if len(set(shared)) == len(shared):
+        dirs = [out_dir] * len(names)
+    elif len(set(names)) == len(names):
+        dirs = [out_dir / name for name in names]
+    else:
+        raise ConfigError(f"configs {sorted(names)} would write the same artifacts; "
+                          "give them distinct file names or output names")
+    for run_dir, run_files in zip(dirs, files):
+        for artifact in run_files:
+            if (run_dir / artifact).exists():
+                raise ConfigError(f"refusing to overwrite {run_dir / artifact}")
+    return dirs
 
 
 def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,

@@ -1,23 +1,8 @@
 import numpy as np
 import pytest
 
-from natvb.gaussian import DiagGaussian, FullGaussian, triu_pairs
+from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.seeding import make_rng
-
-
-def suffstats_batch(fam, thetas):
-    """Vectorized T(theta) rows for a batch of draws (test-side speedup)."""
-    thetas = np.atleast_2d(thetas)
-    if isinstance(fam, DiagGaussian):
-        return np.concatenate([thetas, thetas ** 2], axis=1)
-    pairs = triu_pairs(fam.theta_dim)
-    quad = np.stack([thetas[:, i] * thetas[:, j] for i, j in pairs], axis=1)
-    return np.concatenate([thetas, quad], axis=1)
-
-
-def log_density_batch(fam, lam, thetas):
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    return suffstats_batch(fam, thetas) @ lam - fam.cumulant(lam)
 
 
 def random_instance(rng, max_dim=6, kind=None):

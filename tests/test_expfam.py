@@ -10,7 +10,7 @@ from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.numdiff import central_diff_gradient, central_diff_jacobian
 from natvb.seeding import make_rng
 
-from conftest import log_density_batch, random_instance, random_lam, suffstats_batch
+from conftest import random_instance, random_lam
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -144,7 +144,7 @@ def test_fisher_matches_finite_difference_jacobian(rng):
 def test_fisher_matches_monte_carlo_covariance():
     fam, lam = random_instance(make_rng(7), max_dim=2, kind="full")
     draws = fam.sample(lam, 1_000_000, make_rng(8))
-    stats = suffstats_batch(fam, draws)
+    stats = fam.sufficient_stats_batch(draws)
     centered = stats - stats.mean(axis=0)
     fisher = fam.fisher(lam)
     for i in range(fam.param_dim):
@@ -174,7 +174,7 @@ def test_entropy_known_values():
 def test_entropy_matches_monte_carlo():
     fam, lam = random_instance(make_rng(9), max_dim=3)
     draws = fam.sample(lam, 200_000, make_rng(10))
-    logs = log_density_batch(fam, lam, draws)
+    logs = fam.log_density(lam, draws)
     se = logs.std(ddof=1) / np.sqrt(logs.size)
     assert abs(fam.entropy(lam) - (-logs.mean())) < 3.0 * se
 
@@ -260,7 +260,7 @@ def test_kl_matches_monte_carlo():
     fam, lam_a = random_instance(rng, max_dim=3)
     lam_b = random_lam(rng, fam)
     draws = fam.sample(lam_a, 200_000, make_rng(12))
-    diffs = log_density_batch(fam, lam_a, draws) - log_density_batch(fam, lam_b, draws)
+    diffs = fam.log_density(lam_a, draws) - fam.log_density(lam_b, draws)
     se = diffs.std(ddof=1) / np.sqrt(diffs.size)
     assert abs(fam.kl_divergence(lam_a, lam_b) - diffs.mean()) < 3.0 * se
 

@@ -241,3 +241,112 @@ def test_distribution_exposes_dimensions():
     assert dist.theta_dim == 3
     assert dist.param_dim == 9
     assert dist.family.name == "gaussian_full_3"
+
+
+# -- vectorised helpers against their loop definitions ------------------------
+
+def _pairs(dim):
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def loop_sym_to_coeff(mat):
+    return np.array([mat[i, j] if i == j else 2.0 * mat[i, j]
+                     for i, j in _pairs(mat.shape[0])])
+
+
+def loop_coeff_to_sym(vec, dim):
+    mat = np.zeros((dim, dim))
+    for a, (i, j) in enumerate(_pairs(dim)):
+        if i == j:
+            mat[i, i] = vec[a]
+        else:
+            mat[i, j] = mat[j, i] = 0.5 * vec[a]
+    return mat
+
+
+def loop_sym_to_moment(mat):
+    return np.array([mat[i, j] for i, j in _pairs(mat.shape[0])])
+
+
+def loop_moment_to_sym(vec, dim):
+    mat = np.zeros((dim, dim))
+    for a, (i, j) in enumerate(_pairs(dim)):
+        mat[i, j] = mat[j, i] = vec[a]
+    return mat
+
+
+def loop_full_stats(theta):
+    return np.concatenate([theta, [theta[i] * theta[j] for i, j in _pairs(theta.size)]])
+
+
+def loop_full_fisher(mean, cov):
+    """Cov[T] by the Isserlis identities, one entry at a time."""
+    p = mean.size
+    pairs = _pairs(p)
+    fish = np.zeros((p + len(pairs), p + len(pairs)))
+    fish[:p, :p] = cov
+    for a, (j, k) in enumerate(pairs):
+        fish[:p, p + a] = fish[p + a, :p] = mean[j] * cov[:, k] + mean[k] * cov[:, j]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs[a:], start=a):
+            fish[p + a, p + b] = fish[p + b, p + a] = (
+                cov[i, k] * cov[j, l] + cov[i, l] * cov[j, k]
+                + mean[i] * mean[k] * cov[j, l] + mean[i] * mean[l] * cov[j, k]
+                + mean[j] * mean[k] * cov[i, l] + mean[j] * mean[l] * cov[i, k])
+    return fish
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_layout_helpers_bitwise_equal_loops(dim, rng):
+    a = rng.standard_normal((dim, dim))
+    sym = a + a.T
+    vec = rng.standard_normal(dim * (dim + 1) // 2)
+    np.testing.assert_array_equal(sym_to_coeff(sym), loop_sym_to_coeff(sym))
+    np.testing.assert_array_equal(coeff_to_sym(vec, dim), loop_coeff_to_sym(vec, dim))
+    np.testing.assert_array_equal(sym_to_moment(sym), loop_sym_to_moment(sym))
+    np.testing.assert_array_equal(moment_to_sym(vec, dim), loop_moment_to_sym(vec, dim))
+    theta = rng.standard_normal(dim)
+    np.testing.assert_array_equal(FullGaussian(dim).sufficient_stats(theta),
+                                  loop_full_stats(theta))
+
+
+# 12 spans two row strips of the quadratic block
+@pytest.mark.parametrize("dim", [*range(1, 8), 12])
+def test_full_fisher_matches_isserlis_loop(dim, rng):
+    fam = FullGaussian(dim)
+    for _ in range(3):
+        a = rng.standard_normal((dim, dim))
+        lam = fam.from_moment(3.0 * rng.standard_normal(dim), a @ a.T + 0.5 * np.eye(dim))
+        fisher = fam.fisher(lam)
+        reference = loop_full_fisher(*fam.to_mean_cov(lam))
+        # every entry is the loop's expression in the loop's order
+        np.testing.assert_array_equal(fisher, reference)
+        np.testing.assert_array_equal(fisher, fisher.T)
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_batched_stats_and_log_densities_match_single_calls(kind, rng):
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        fam, lam = random_instance(rng, kind=kind)
+        thetas = fam.sample(lam, 7, rng)
+        stats = fam.sufficient_stats_batch(thetas)
+        logs = fam.log_density(lam, thetas)
+        assert stats.shape == (7, fam.param_dim) and logs.shape == (7,)
+        cumulant = fam.cumulant(lam)
+        for theta, row, log in zip(thetas, stats, logs):
+            np.testing.assert_array_equal(row, fam.sufficient_stats(theta))
+            single = fam.log_density(lam, theta)
+            assert isinstance(single, float)
+            # the batch takes one matrix-vector product where the single
+            # call takes a dot, so the sums may round differently
+            bound = 4 * fam.param_dim * eps * (np.abs(lam) @ np.abs(row) + abs(cumulant))
+            assert abs(log - single) <= bound
+
+
+def test_batched_stats_reject_wrong_shape():
+    for fam in (FullGaussian(3), DiagGaussian(3)):
+        with pytest.raises(ValueError):
+            fam.sufficient_stats_batch(np.zeros(3))
+        with pytest.raises(ValueError):
+            fam.sufficient_stats_batch(np.zeros((2, 4)))

@@ -3,10 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from natvb import blr
 from natvb.cli import main
+from natvb.errors import BayesFilterViolation, SingularFisher, SolverFailure
 from natvb.harness import (ConfigError, compare_runs, resolve_config,
                            ridge_oracle, run_experiment)
 from natvb.models import make_ridge_data, ridge_exact_posterior
+
+from test_trace_digests import HALVING_CONFIG
+
+#: the halving config with K=2 fails its Bayes-filter check at step 5
+FILTER_FAIL_CONFIG = {**HALVING_CONFIG,
+                      "optimizer": {**HALVING_CONFIG["optimizer"], "n_samples": 2}}
 
 
 def base_config(**overrides):
@@ -134,6 +142,31 @@ def test_compare_emits_joint_csv(tmp_path):
     assert len(lines) > 2
 
 
+def _count_estimates(monkeypatch):
+    steps = []
+    original = blr.estimate_natgrad
+
+    def counting(*args, **kwargs):
+        steps.append(kwargs["step"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blr, "estimate_natgrad", counting)
+    return steps
+
+
+@pytest.mark.parametrize("config", [
+    base_config(optimizer={"kind": "blr", "family": "full", "learning_rate": 0.5,
+                           "max_iter": 60, "estimator": "exact"}),
+    HALVING_CONFIG,
+], ids=["ridge_converges", "reparam_halvings"])
+def test_blr_run_estimates_once_per_iterate(config, tmp_path, monkeypatch):
+    # the residual at an iterate, the step from it and that step's rate
+    # halvings share one estimate
+    steps = _count_estimates(monkeypatch)
+    summary = run_experiment(config, tmp_path)
+    assert steps == list(range(summary["iterations"] + 1))
+
+
 def test_ridge_oracle_matches_library_oracle():
     cfg = base_config()
     oracle = ridge_oracle(cfg)
@@ -185,6 +218,40 @@ def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_filter_violation_flushes_partial_trace(tmp_path, monkeypatch):
+    with pytest.raises(BayesFilterViolation, match="at step 5"):
+        run_experiment(FILTER_FAIL_CONFIG, tmp_path / "lib")
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    assert main(["run", write_cfg(tmp_path, FILTER_FAIL_CONFIG)]) == 4
+    for out in (tmp_path / "lib", tmp_path / "out"):
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "t,rho,objective,residual"
+        assert [row.split(",")[0] for row in trace[1:]] == ["1", "2", "3", "4", "5"]
+        assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("error", [SolverFailure, SingularFisher])
+def test_cross_check_failure_exit_4_partial_trace(error, tmp_path, monkeypatch):
+    checks = []
+    original = blr.natgrad_via_dual
+
+    def failing_every_third(*args, **kwargs):
+        checks.append(1)
+        if len(checks) % 3 == 0:
+            raise error("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blr, "natgrad_via_dual", failing_every_third)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(optimizer={"kind": "blr", "family": "full", "learning_rate": 0.5,
+                                 "max_iter": 10, "estimator": "exact"})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 4
+    assert main(["compare", write_cfg(tmp_path, cfg), write_cfg(tmp_path, cfg)]) == 4
+    for name in ("trace.csv", "a.trace.csv"):
+        assert len((tmp_path / "out" / name).read_text().splitlines()) == 1 + 2
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--scope", "conjugate"]) == 0
     assert main(["verify", "--scope", "entropy", "--sabotage", "eq4"]) == 1
@@ -216,3 +283,33 @@ def test_cli_run_jobs_parallel(tmp_path, monkeypatch):
     assert main(["run", a, b, "--jobs", "2"]) == 0
     assert (tmp_path / "out" / "a.csv").exists()
     assert (tmp_path / "out" / "b.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_several_configs_keeps_every_artifact(tmp_path, monkeypatch, jobs):
+    out = tmp_path / "out"
+    monkeypatch.setenv("NATVB_OUTDIR", str(out))
+    configs = {"a": base_config(),
+               "b": base_config(seed=43, model={"kind": "ridge", "n": 20, "p": 3,
+                                                "data_seed": 8})}
+    paths = [write_cfg(tmp_path, cfg, f"{name}.json") for name, cfg in configs.items()]
+    assert main(["run", *paths, "--jobs", jobs]) == 0
+    assert not (out / "trace.csv").exists()
+    for name, cfg in configs.items():
+        assert json.loads((out / name / "summary.json").read_text())["seed"] == cfg["seed"]
+        assert json.loads((out / name / "config.used.json").read_text())["seed"] == cfg["seed"]
+    traces = [(out / name / "trace.csv").read_bytes() for name in configs]
+    assert traces[0] != traces[1]
+    # running them again would overwrite: refused before anything runs
+    assert main(["run", *paths]) == 2
+    assert [(out / name / "trace.csv").read_bytes() for name in configs] == traces
+
+
+def test_cli_run_refuses_same_named_colliding_configs(tmp_path, monkeypatch):
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    a = write_cfg(tmp_path / "x", base_config(), "cfg.json")
+    b = write_cfg(tmp_path / "y", base_config(seed=43), "cfg.json")
+    assert main(["run", a, b]) == 2
+    assert not (tmp_path / "out").exists()
