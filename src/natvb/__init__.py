@@ -17,8 +17,7 @@ from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord, VONState,
                    rmsprop_step, train, von_step)
 from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
                      NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
-from .expfam import (ExpectationParams, ExpFamily, FisherMatrix, NaturalParams,
-                     SufficientStats)
+from .expfam import ExpectationParams, ExpFamily, NaturalParams
 from .gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
                        GaussianMoment, GaussianSampleBatch, moment_to_natural)
 from .losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives

@@ -69,42 +69,17 @@ class ExpectationParams:
         object.__setattr__(self, "coords", _as_vector(self.coords))
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """T(theta) evaluated at a point, in the family's moment layout."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    """F(lam) = hess A(lam) = Cov[T(theta)]; symmetric positive definite."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("Fisher matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("Fisher matrix must be finite")
-        sym_err = np.max(np.abs(m - m.T))
-        scale = max(1.0, np.max(np.abs(m)))
-        if sym_err > 1e-12 * scale:
-            raise ValueError(f"Fisher matrix not symmetric (error {sym_err:.3e})")
-        object.__setattr__(self, "matrix", m)
-
-
 class ExpFamily(abc.ABC):
     """A minimal exponential family with h = 1.
 
     Subclasses fix the statistic T and provide the primitives; parameter
     vectors are plain 1-D float arrays in the documented layout. All
-    methods are pure and instances are immutable, so families and
-    parameter vectors can be shared freely across threads.
+    methods are pure. A family may hold a bounded memo of pure results
+    (FullGaussian keeps the factorisation of its last few natural
+    parameters, as read-only arrays); a memo changes no result, so
+    families and parameter vectors can still be shared across threads.
+    `natvb run --jobs` runs configs in separate processes, so no memo is
+    shared between runs.
     """
 
     #: dimension of theta

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -39,6 +40,9 @@ from .seeding import RNG_ALGORITHM, make_rng
 _LOG_2PI = float(np.log(2.0 * np.pi))
 #: rows of the Fisher's quadratic block computed per strip
 _FISHER_ROWS = 64
+#: distinct natural parameters whose factorisation a FullGaussian keeps;
+#: a BLR step touches at most three
+_FACTOR_MEMO = 4
 
 
 # -- symmetric-matrix flattening -------------------------------------
@@ -109,8 +113,25 @@ def _chol_pd(mat: np.ndarray) -> np.ndarray:
 
 # -- families ---------------------------------------------------------
 
+class _Factor(NamedTuple):
+    """One validated natural parameter and its factorisation; all read-only."""
+
+    coords: np.ndarray
+    lin: np.ndarray
+    prec: np.ndarray
+    #: lower Cholesky factor of prec
+    chol: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+
+
 class FullGaussian(ExpFamily):
-    """Full-covariance Gaussians on R^P, T(theta) = (theta, theta theta')."""
+    """Full-covariance Gaussians on R^P, T(theta) = (theta, theta theta').
+
+    Every method that needs the precision's factorisation gets it from
+    _factor, which validates and factors a natural parameter once and
+    memoises the result for the last _FACTOR_MEMO distinct parameters.
+    """
 
     def __init__(self, theta_dim: int):
         if theta_dim < 1:
@@ -119,23 +140,50 @@ class FullGaussian(ExpFamily):
         self.param_dim = self.theta_dim + self.theta_dim * (self.theta_dim + 1) // 2
         self.name = f"gaussian_full_{self.theta_dim}"
         self._triu = _triu_index(self.theta_dim)
+        # keyed by the coordinates' bytes; lru_cache is bounded and
+        # thread-safe, and a raised DomainError is never stored
+        self._factor_memo = lru_cache(maxsize=_FACTOR_MEMO)(self._factor_bytes)
+
+    def __reduce__(self):
+        # the memo is a cache, not state: rebuild the family from its dimension
+        return type(self), (self.theta_dim,)
+
+    def _factor(self, lam) -> _Factor:
+        """Validated coordinates of lam with its precision, the precision's
+        Cholesky factor, mean and covariance, all read-only."""
+        return self._factor_memo(self._coords(lam, "natural").tobytes())
+
+    def _factor_bytes(self, key: bytes) -> _Factor:
+        coords = np.frombuffer(key).copy()
+        p = self.theta_dim
+        prec = -2.0 * coeff_to_sym(coords[p:], p)
+        try:
+            chol = _chol_pd(prec)
+        except DomainError as exc:
+            raise DomainError(
+                f"natural parameters outside the domain of {self.name!r}") from exc
+        lin = coords[:p]
+        mean = cho_solve((chol, True), lin)
+        cov = cho_solve((chol, True), np.eye(p))
+        cov = 0.5 * (cov + cov.T)
+        for arr in (coords, lin, prec, chol, mean, cov):
+            arr.setflags(write=False)
+        return _Factor(coords, lin, prec, chol, mean, cov)
+
+    def _check_natural(self, lam) -> np.ndarray:
+        return self._factor(lam).coords
 
     def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(linear block, precision matrix S); raises if S is not PD."""
-        lam = self._coords(lam, "natural")
-        p = self.theta_dim
-        lin = lam[:p]
-        prec = -2.0 * coeff_to_sym(lam[p:], p)
-        _chol_pd(prec)
-        return lin, prec
+        factor = self._factor(lam)
+        return factor.lin, factor.prec
 
     def contains_natural(self, lam) -> bool:
         lam = np.asarray(lam, dtype=float).reshape(-1)
         if lam.size != self.param_dim or not np.all(np.isfinite(lam)):
             return False
-        p = self.theta_dim
         try:
-            _chol_pd(-2.0 * coeff_to_sym(lam[p:], p))
+            self._factor(lam)
         except DomainError:
             return False
         return True
@@ -153,28 +201,15 @@ class FullGaussian(ExpFamily):
             return False
         return True
 
-    def _mean_prec_chol(self, lam):
-        lam = self._check_natural(lam)
-        p = self.theta_dim
-        lin = lam[:p]
-        prec = -2.0 * coeff_to_sym(lam[p:], p)
-        low = _chol_pd(prec)
-        mean = cho_solve((low, True), lin)
-        return lin, prec, low, mean
-
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(mean, covariance) of q_lam."""
-        _, _, low, mean = self._mean_prec_chol(lam)
-        cov = cho_solve((low, True), np.eye(self.theta_dim))
-        return mean, 0.5 * (cov + cov.T)
+        factor = self._factor(lam)
+        return factor.mean, factor.cov
 
     def to_moment(self, lam) -> "GaussianMoment":
         """(mean, precision) of q_lam."""
-        lam = self._check_natural(lam)
-        p = self.theta_dim
-        prec = -2.0 * coeff_to_sym(lam[p:], p)
-        mean = cho_solve((_chol_pd(prec), True), lam[:p])
-        return GaussianMoment(mean, prec)
+        factor = self._factor(lam)
+        return GaussianMoment(factor.mean, factor.prec)
 
     def from_moment(self, mean, precision) -> np.ndarray:
         """Natural coordinates (Sm, -S/2) for mean m and precision S."""
@@ -186,10 +221,10 @@ class FullGaussian(ExpFamily):
         return np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
 
     def cumulant(self, lam) -> float:
-        lin, _, low, mean = self._mean_prec_chol(lam)
-        p = self.theta_dim
-        logdet = 2.0 * np.sum(np.log(np.diag(low)))
-        return float(0.5 * lin @ mean - 0.5 * logdet + 0.5 * p * _LOG_2PI)
+        factor = self._factor(lam)
+        logdet = 2.0 * np.sum(np.log(np.diag(factor.chol)))
+        return float(0.5 * factor.lin @ factor.mean - 0.5 * logdet
+                     + 0.5 * self.theta_dim * _LOG_2PI)
 
     def natural_to_dual(self, lam) -> np.ndarray:
         mean, cov = self.to_mean_cov(lam)
@@ -250,10 +285,10 @@ class FullGaussian(ExpFamily):
         return np.concatenate([thetas, quad], axis=1)
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
-        _, _, low, mean = self._mean_prec_chol(lam)
+        factor = self._factor(lam)
         z = rng.standard_normal((size, self.theta_dim))
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
-        return mean + solve_triangular(low.T, z.T, lower=False).T
+        return factor.mean + solve_triangular(factor.chol.T, z.T, lower=False).T
 
 
 class DiagGaussian(ExpFamily):

@@ -43,6 +43,30 @@ class LossModel:
     def hessian_full(self, theta, batch=None) -> np.ndarray:
         raise MissingHessian(f"{type(self).__name__} provides no full Hessian")
 
+    # Batched forms over the rows of a (K, dim) array, for the Monte Carlo
+    # estimators. The defaults loop over the per-theta methods; overrides
+    # must agree with them to roundoff, which check_derivatives enforces.
+
+    def gradient_batch(self, thetas, batch=None) -> np.ndarray:
+        """Gradient at each row of thetas, shape (K, dim)."""
+        return np.array([self.gradient(t, batch) for t in np.atleast_2d(thetas)])
+
+    def mean_hessian_full(self, thetas, batch=None) -> np.ndarray:
+        """Mean of hessian_full over the rows of thetas."""
+        thetas = np.atleast_2d(thetas)
+        total = np.zeros((self.dim, self.dim))
+        for theta in thetas:
+            total += self.hessian_full(theta, batch)
+        return total / len(thetas)
+
+    def mean_hessian_diag(self, thetas, batch=None) -> np.ndarray:
+        """Mean of hessian_diag over the rows of thetas."""
+        thetas = np.atleast_2d(thetas)
+        total = np.zeros(self.dim)
+        for theta in thetas:
+            total += self.hessian_diag(theta, batch)
+        return total / len(thetas)
+
     # Closed-form Gaussian expectations, for the exact estimator path.
     # Available only when the loss admits them (affine gradient).
 
@@ -82,15 +106,26 @@ class LossModel:
             raise ValueError(f"{type(self).__name__} has no minibatch structure")
 
 
+#: batched methods with the capability each needs (None: always available)
+_BATCHED = (("value_batch", None), ("gradient_batch", None),
+            ("mean_hessian_full", "provides_hessian_full"),
+            ("mean_hessian_diag", "provides_hessian_diag"))
+#: relative gap allowed between a batched override and its per-theta loop
+_BATCH_RTOL = 1e-10
+
+
 def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                       hess_rtol: float = 1e-3) -> dict:
-    """Verify gradient (and provided Hessians) against central differences.
+    """Verify gradient (and provided Hessians) against central differences,
+    and overridden batched methods against their per-theta loops.
 
-    Raises ValueError on the first violation; returns the worst relative
-    errors seen otherwise. Every loss in an experiment goes through this
-    gate first.
+    The batched check runs on all points at once, on the full data and,
+    for minibatchable losses, on every other datum. Raises ValueError on
+    the first violation; returns the worst relative errors seen otherwise.
+    Every loss in an experiment goes through this gate first.
     """
-    worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0}
+    worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
+             "batched": 0.0}
     for theta in points:
         theta = np.asarray(theta, dtype=float)
         fd_grad = central_diff_gradient(lambda x: loss.value(x), theta)
@@ -115,6 +150,21 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
             worst["hessian_diag"] = max(worst["hessian_diag"], err)
             if err > hess_rtol:
                 raise ValueError(f"hessian diagonal mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
+    thetas = np.array([np.asarray(theta, dtype=float).reshape(-1) for theta in points])
+    batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
+    for name, needs in _BATCHED:
+        if getattr(type(loss), name) is getattr(LossModel, name):
+            continue  # the default is the loop itself
+        if needs is not None and not getattr(loss, needs):
+            continue
+        for batch in batches:
+            got = getattr(loss, name)(thetas, batch)
+            ref = getattr(LossModel, name)(loss, thetas, batch)
+            err = float(np.linalg.norm(got - ref)) / max(1.0, float(np.linalg.norm(ref)))
+            worst["batched"] = max(worst["batched"], err)
+            if err > _BATCH_RTOL:
+                raise ValueError(f"batched {name} differs from its per-theta method: "
+                                 f"{err:.3e} > {_BATCH_RTOL:.1e}")
     return worst
 
 

@@ -179,6 +179,31 @@ class LogisticModel(LossModel):
         w = w * (1.0 - w)
         return scale * (w @ x ** 2) + self.prior_precision
 
+    # Batched forms: one (K, N) logit matrix for all samples. The mean
+    # Hessian is linear in the curvature weights w = s(1 - s), so
+    # mean_k H(theta_k) = X' diag(mean_k w_k) X + tau I is one product.
+
+    def gradient_batch(self, thetas, batch=None) -> np.ndarray:
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        x, y, scale = self._design(batch)
+        resid = _sigmoid(thetas @ x.T) - y
+        return scale * (resid @ x) + self.prior_precision * thetas
+
+    def _mean_weights(self, thetas, batch):
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        x, _, scale = self._design(batch)
+        w = _sigmoid(thetas @ x.T)
+        w = w * (1.0 - w)
+        return x, scale, w.sum(axis=0) / thetas.shape[0]
+
+    def mean_hessian_full(self, thetas, batch=None) -> np.ndarray:
+        x, scale, w = self._mean_weights(thetas, batch)
+        return scale * (x.T * w) @ x + self.prior_precision * np.eye(self.dim)
+
+    def mean_hessian_diag(self, thetas, batch=None) -> np.ndarray:
+        x, scale, w = self._mean_weights(thetas, batch)
+        return scale * (w @ x ** 2) + self.prior_precision
+
 
 def make_logistic_data(seed: int, n: int, p: int, scale: float = 3.0,
                        prior_precision: float = 1.0) -> LogisticModel:

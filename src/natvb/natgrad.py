@@ -22,6 +22,13 @@ estimators are provided:
 For Gaussians the assembly uses the gradient/Hessian identity
 
     tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ].
+
+The sampled kinds share one batched core: the K draws reach the loss as
+one (K, P) array, through LossModel.gradient_batch and
+mean_hessian_full / mean_hessian_diag. Only the mean Hessian enters
+the identity, so a loss can return it without forming K matrices; for
+logistic regression it is X' diag(mean_k w_k) X + tau I, one product.
+The objective's Monte Carlo fallback likewise makes one value_batch call.
 """
 
 from __future__ import annotations
@@ -178,43 +185,34 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
 
     Full-covariance families need loss.hessian_full. Diagonal families
     use loss.hessian_diag when curvature="hessian" and the gradient-only
-    reparameterization estimate when curvature="reparam".
+    reparameterization estimate when curvature="reparam". The K samples
+    go to the loss as one (K, P) array.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     family = dist.family
-    rng = make_rng(seed)
-    thetas = family.sample(dist.coords, n_samples, rng)
+    full = isinstance(family, FullGaussian)
+    if not (full or isinstance(family, DiagGaussian)):
+        raise ValueError(f"Gaussian identity needs a Gaussian family, got {family.name!r}")
+    if full and curvature != "hessian":
+        raise ValueError("reparam curvature is only defined for diagonal families")
+    if full and not loss.provides_hessian_full:
+        raise MissingHessian("Gaussian-identity estimator needs hessian_full")
+    if curvature == "hessian" and not full and not loss.provides_hessian_diag:
+        raise MissingHessian("mc estimator on a diagonal family needs hessian_diag")
+    thetas = family.sample(dist.coords, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(dist.coords)
-    if isinstance(family, FullGaussian):
-        if curvature != "hessian":
-            raise ValueError("reparam curvature is only defined for diagonal families")
-        if not loss.provides_hessian_full:
-            raise MissingHessian("Gaussian-identity estimator needs hessian_full")
-        grad_sum = np.zeros(family.theta_dim)
-        hess_sum = np.zeros((family.theta_dim, family.theta_dim))
-        for theta in thetas:
-            grad_sum += loss.gradient(theta, batch)
-            hess_sum += loss.hessian_full(theta, batch)
-        tilde = _assemble_tilde(family, mean, grad_sum / n_samples, hess_sum / n_samples)
-        return NatGradEstimate(tilde, "mc", n_samples, seed)
-    if isinstance(family, DiagGaussian):
-        lin, prec = family.split_natural(dist.coords)
-        grad_sum = np.zeros(family.theta_dim)
-        hdiag_sum = np.zeros(family.theta_dim)
-        for theta in thetas:
-            grad = loss.gradient(theta, batch)
-            grad_sum += grad
-            if curvature == "hessian":
-                if not loss.provides_hessian_diag:
-                    raise MissingHessian("mc estimator on a diagonal family needs hessian_diag")
-                hdiag_sum += loss.hessian_diag(theta, batch)
-            else:
-                hdiag_sum += grad * prec * (theta - mean)
-        kind = "mc" if curvature == "hessian" else "reparam"
-        tilde = _assemble_tilde(family, mean, grad_sum / n_samples, hdiag_sum / n_samples)
-        return NatGradEstimate(tilde, kind, n_samples, seed)
-    raise ValueError(f"Gaussian identity needs a Gaussian family, got {family.name!r}")
+    grads = loss.gradient_batch(thetas, batch)
+    if full:
+        hess = loss.mean_hessian_full(thetas, batch)
+    elif curvature == "hessian":
+        hess = loss.mean_hessian_diag(thetas, batch)
+    else:
+        _, prec = family.split_natural(dist.coords)
+        hess = (grads * prec * (thetas - mean)).sum(axis=0) / n_samples
+    kind = "mc" if curvature == "hessian" else "reparam"
+    tilde = _assemble_tilde(family, mean, grads.sum(axis=0) / n_samples, hess)
+    return NatGradEstimate(tilde, kind, n_samples, seed)
 
 
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
@@ -251,4 +249,4 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)
     rng = make_rng(spec.seed, 0xE)
     thetas = family.sample(lam, max(spec.n_samples, 2), rng)
-    return float(np.mean([loss.value(t) for t in thetas]))
+    return float(np.mean(loss.value_batch(thetas)))

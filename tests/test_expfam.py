@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natvb.errors import DomainError, FamilyMismatch
-from natvb.expfam import (ExpectationParams, FisherMatrix, NaturalParams,
-                          SufficientStats)
+from natvb.expfam import ExpectationParams, NaturalParams
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.numdiff import central_diff_gradient, central_diff_jacobian
 from natvb.seeding import make_rng
@@ -22,8 +21,6 @@ def test_natural_params_reject_nonfinite():
         NaturalParams(np.array([0.0, np.nan]))
     with pytest.raises(DomainError):
         ExpectationParams(np.array([np.inf, 1.0]))
-    with pytest.raises(DomainError):
-        SufficientStats(np.array([np.nan]))
 
 
 def test_family_factories_validate_domain():
@@ -51,13 +48,6 @@ def test_family_mismatch_detected():
 def test_same_family_different_objects_interoperate():
     lam = FullGaussian(2).natural(FullGaussian(2).from_moment([1.0, 0.0], np.eye(2)))
     assert np.isfinite(FullGaussian(2).cumulant(lam))
-
-
-def test_fisher_matrix_type_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        FisherMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    fm = FisherMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert fm.matrix.shape == (2, 2)
 
 
 # -- cumulant -----------------------------------------------------------

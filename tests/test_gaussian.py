@@ -9,7 +9,7 @@ from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
                             moment_to_sym, sym_to_coeff, sym_to_moment)
 from natvb.seeding import make_rng
 
-from conftest import random_instance
+from conftest import random_instance, random_lam
 
 
 # -- flattening ----------------------------------------------------------
@@ -350,3 +350,96 @@ def test_batched_stats_reject_wrong_shape():
             fam.sufficient_stats_batch(np.zeros(3))
         with pytest.raises(ValueError):
             fam.sufficient_stats_batch(np.zeros((2, 4)))
+
+
+# -- the factorisation memo ------------------------------------------------
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Count every Cholesky factorisation the gaussian module runs."""
+    from natvb import gaussian
+    calls = []
+    original = gaussian.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "cholesky", counting)
+    return calls
+
+
+def _memo_outputs(family, lam):
+    """Every memoised route, each on the family that family() returns."""
+    mean = family().to_mean_cov(lam)[0]
+    return [mean, family().to_mean_cov(lam)[1], family().cumulant(lam),
+            family().sample(lam, 5, make_rng(3)), family().log_density(lam, mean),
+            family().log_density(lam, np.vstack([mean, 2 * mean])),
+            family().entropy(lam), family().fisher(lam)]
+
+
+def test_one_cholesky_per_natural_parameter(cholesky_calls, rng):
+    p = 4
+    a = rng.standard_normal((p, p))
+    prec = a @ a.T + np.eye(p)
+    # built without the family, so that building it factors nothing
+    lam = np.concatenate([prec @ rng.standard_normal(p), sym_to_coeff(-0.5 * prec)])
+    fam = FullGaussian(p)
+    outputs = _memo_outputs(lambda: fam, lam)
+    assert len(cholesky_calls) == 1
+    # a fresh instance per call factors every time and agrees bit for bit
+    for got, want in zip(outputs, _memo_outputs(lambda: FullGaussian(p), lam)):
+        np.testing.assert_array_equal(got, want)
+    assert len(cholesky_calls) == 1 + 8
+    # the memoised instance answers every method again without factoring
+    for got, want in zip(_memo_outputs(lambda: fam, lam), outputs):
+        np.testing.assert_array_equal(got, want)
+    assert len(cholesky_calls) == 1 + 8
+
+
+def test_memo_never_stores_domain_errors(cholesky_calls):
+    fam = FullGaussian(2)
+    bad = np.concatenate([np.zeros(2), sym_to_coeff(np.array([[0.5, 0.0], [0.0, -0.5]]))])
+    for attempt in range(1, 4):
+        assert not fam.contains_natural(bad)
+        for method in (fam.cumulant, fam.to_mean_cov, fam.split_natural, fam.fisher,
+                       fam.entropy, fam.natural):
+            with pytest.raises(DomainError):
+                method(bad)
+        assert len(cholesky_calls) == 7 * attempt
+    assert fam._factor_memo.cache_info().currsize == 0
+
+
+def test_memo_outputs_read_only_and_inputs_untouched(rng):
+    fam, lam = random_instance(rng, kind="full")
+    lam = np.array(lam)
+    mean, cov = fam.to_mean_cov(lam)
+    lin, prec = fam.split_natural(lam)
+    coords = fam.natural(lam).coords
+    for arr in (mean, cov, lin, prec, coords, *fam._factor(lam)):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        mean[0] = 1.0
+    # the caller's array is copied, never frozen
+    assert lam.flags.writeable
+
+
+def test_memo_stays_bounded(rng):
+    fam = FullGaussian(3)
+    lams = [random_lam(rng, fam) for _ in range(100)]
+    for lam in lams:
+        fam.cumulant(lam)
+    info = fam._factor_memo.cache_info()
+    assert info.currsize <= info.maxsize <= 4
+    # the most recent parameter is still a hit
+    fam.to_mean_cov(lams[-1])
+    assert fam._factor_memo.cache_info().hits == info.hits + 1
+
+
+def test_full_family_pickles_without_its_memo(rng):
+    import pickle
+    fam, lam = random_instance(rng, kind="full")
+    fam.cumulant(lam)
+    copy = pickle.loads(pickle.dumps(fam))
+    assert copy == fam and copy._factor_memo.cache_info().currsize == 0
+    assert copy.cumulant(lam) == fam.cumulant(lam)

@@ -153,3 +153,47 @@ def test_logistic_value_batch_matches_value():
 def test_logistic_labels_validated():
     with pytest.raises(Exception):
         LogisticModel(np.ones((3, 2)), [0.0, 2.0, 1.0])
+
+
+def _drifting_logistic(method, drift):
+    """A logistic loss whose batched `method` is off by `drift`."""
+    data = make_logistic_data(3, 40, 3)
+
+    class Drifting(LogisticModel):
+        pass
+
+    def drifted(self, thetas, batch=None):
+        return drift(getattr(LogisticModel, method)(self, thetas, batch), batch)
+
+    setattr(Drifting, method, drifted)
+    return Drifting(data.x, data.y)
+
+
+@pytest.mark.parametrize("method,drift", [
+    ("gradient_batch", lambda out, batch: out * (1.0 + 1e-8)),
+    # forgets the N/|batch| rescaling, so only the minibatch check sees it
+    ("gradient_batch", lambda out, batch: out if batch is None else out / 2.0),
+    ("mean_hessian_full", lambda out, batch: out - np.eye(out.shape[0])),
+    ("mean_hessian_diag", lambda out, batch: out + 1e-6),
+])
+def test_check_derivatives_catches_drifting_batched_override(method, drift):
+    loss = _drifting_logistic(method, drift)
+    points = [np.full(3, 0.1), np.array([0.3, -0.2, 0.5])]
+    with pytest.raises(ValueError, match=f"batched {method}"):
+        check_derivatives(loss, points)
+
+
+def test_check_derivatives_catches_drifting_value_batch(rng):
+    class Drifting(QuadraticLoss):
+        def value_batch(self, thetas, batch=None):
+            return super().value_batch(thetas, batch) + 1e-7
+
+    loss = Drifting(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="batched value_batch"):
+        check_derivatives(loss, [np.ones(2)])
+
+
+def test_check_derivatives_reports_batched_error():
+    loss = make_logistic_data(3, 40, 3)
+    worst = check_derivatives(loss, [np.full(3, 0.1), np.array([0.3, -0.2, 0.5])])
+    assert 0.0 <= worst["batched"] < 1e-12

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from natvb.errors import MissingHessian, SolverFailure
-from natvb.gaussian import DiagGaussian, ExpFamDistribution, FullGaussian
+from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
+                            sym_to_coeff)
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
 from natvb.natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
                            linear_loss_natgrad, natgrad_delta_method,
@@ -329,3 +330,119 @@ def test_expected_loss_routes(rng):
     draws = fam5.sample(lam5, 200_000, make_rng(99))
     ref = logi5.value_batch(draws).mean()
     assert abs(mc - ref) / abs(ref) < 0.05
+
+
+# -- batched Monte Carlo core against the per-sample loop -------------------------
+
+def looped_identity(dist, loss, n_samples, seed, batch=None, curvature="hessian"):
+    """The per-sample loop the batched estimator replaced, as a reference."""
+    family = dist.family
+    thetas = family.sample(dist.coords, n_samples, make_rng(seed))
+    mean, _ = family.to_mean_cov(dist.coords)
+    full = isinstance(family, FullGaussian)
+    _, prec = family.split_natural(dist.coords)
+    p = family.theta_dim
+    grad_sum = np.zeros(p)
+    hess_sum = np.zeros((p, p)) if full else np.zeros(p)
+    for theta in thetas:
+        grad = loss.gradient(theta, batch)
+        grad_sum += grad
+        if full:
+            hess_sum += loss.hessian_full(theta, batch)
+        elif curvature == "hessian":
+            hess_sum += loss.hessian_diag(theta, batch)
+        else:
+            hess_sum += grad * prec * (theta - mean)
+    grad, hess = grad_sum / n_samples, hess_sum / n_samples
+    if full:
+        lin = -grad + hess @ mean
+        return np.concatenate([lin, sym_to_coeff(-0.5 * hess)])
+    return np.concatenate([-grad + hess * mean, -0.5 * hess])
+
+
+BATCHED_CASES = [("full", "hessian"), ("diag", "hessian"), ("diag", "reparam")]
+
+
+@pytest.mark.parametrize("kind,curvature", BATCHED_CASES)
+@pytest.mark.parametrize("minibatch", [False, True])
+def test_batched_estimate_matches_per_sample_loop(kind, curvature, minibatch, rng):
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(7, 120, 4)
+    dist = full_dist(rng, 4) if kind == "full" else diag_dist(rng, 4)
+    batch = rng.choice(120, size=30, replace=False) if minibatch else None
+    for seed in range(3):
+        est = natgrad_gaussian_identity(dist, loss, 16, seed, batch=batch,
+                                        curvature=curvature).tilde_lambda
+        ref = looped_identity(dist, loss, 16, seed, batch, curvature)
+        np.testing.assert_allclose(est, ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind,curvature", BATCHED_CASES)
+def test_default_batched_methods_give_the_loop_bitwise(kind, curvature, rng):
+    # QuadraticLoss keeps LossModel's looping defaults, so the estimate is
+    # the per-sample loop's to the last bit
+    p = 3
+    a = rng.standard_normal((p, p))
+    quad = a @ a.T + np.eye(p) if kind == "full" else np.diag(rng.uniform(0.5, 2.0, p))
+    loss = QuadraticLoss(quad, rng.standard_normal(p))
+    dist = full_dist(rng, p) if kind == "full" else diag_dist(rng, p)
+    est = natgrad_gaussian_identity(dist, loss, 9, 4, curvature=curvature)
+    np.testing.assert_array_equal(est.tilde_lambda,
+                                  looped_identity(dist, loss, 9, 4, None, curvature))
+
+
+def test_loss_model_defaults_equal_loops_bitwise(rng):
+    from natvb.models import make_spirals_mlp
+    p = 3
+    a = rng.standard_normal((p, p))
+    quad = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
+    thetas = rng.standard_normal((5, p))
+    np.testing.assert_array_equal(quad.gradient_batch(thetas),
+                                  np.array([quad.gradient(t) for t in thetas]))
+    hess_sum, diag_sum = np.zeros((p, p)), np.zeros(p)
+    for theta in thetas:
+        hess_sum += quad.hessian_full(theta)
+        diag_sum += quad.hessian_diag(theta)
+    np.testing.assert_array_equal(quad.mean_hessian_full(thetas), hess_sum / 5)
+    np.testing.assert_array_equal(quad.mean_hessian_diag(thetas), diag_sum / 5)
+
+    mlp = make_spirals_mlp(2, n=40, hidden=(4,))
+    thetas = rng.standard_normal((3, mlp.dim))
+    batch = np.arange(0, 40, 3)
+    for b in (None, batch):
+        np.testing.assert_array_equal(mlp.gradient_batch(thetas, b),
+                                      np.array([mlp.gradient(t, b) for t in thetas]))
+    with pytest.raises(MissingHessian):
+        mlp.mean_hessian_full(thetas)
+    with pytest.raises(MissingHessian):
+        mlp.mean_hessian_diag(thetas)
+
+
+def test_expected_loss_fallback_is_mean_of_per_sample_values(rng):
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(9, 80, 5)
+    fam = FullGaussian(5)
+    lam = random_lam(rng, fam)
+    spec = EstimatorSpec("mc", 64, seed=3)
+    thetas = fam.sample(lam, 64, make_rng(spec.seed, 0xE))
+    ref = float(np.mean([loss.value(t) for t in thetas]))
+    assert abs(expected_loss(fam, lam, loss, spec) - ref) <= 1e-14 * abs(ref)
+
+
+def test_diag_mc_requires_hessian_diag(rng):
+    class GradOnly(LossModel):
+        dim = 2
+
+        def value(self, theta, batch=None):
+            return 0.0
+
+        def gradient(self, theta, batch=None):
+            return np.zeros(2)
+
+    with pytest.raises(MissingHessian):
+        natgrad_gaussian_identity(diag_dist(rng, 2), GradOnly(), 2, seed=0)
+    # the reparameterization estimate needs gradients only
+    est = natgrad_gaussian_identity(diag_dist(rng, 2), GradOnly(), 2, seed=0,
+                                    curvature="reparam")
+    np.testing.assert_array_equal(est.tilde_lambda, np.zeros(4))

@@ -4,9 +4,18 @@ Criterion 13 only checks that a trace replays within one session, so a
 refactor could change every number and still pass it. These digests pin
 the bytes across versions. A change that alters a stream on purpose
 updates the digest here and says so in CHANGES.md.
+
+The three sampled BLR digests were re-pinned when the Monte Carlo core
+began passing all K samples to the loss as one array: that changes only
+the summation order. LOOPED_ROWS keeps the rows the per-sample loop
+wrote for those configs, and test_batched_core_keeps_looped_rows checks
+the new traces against them value by value.
 """
 
+import csv
 import hashlib
+
+import numpy as np
 
 import pytest
 
@@ -38,14 +47,14 @@ PINNED = {
     "blr_full_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
-        "39fe3df91650719b8b82ffbba1f49ab8c6196802a2e7005a0b488a1bd5779ad7"),
+        "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4"),
     "blr_diag_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "diag", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
-        "9b77f4f04e7a55acca0be5723dc2e0f8d0a276a18a4fee4712e51de8e467cbc6"),
+        "ba3585a9ea86e7a0931bce435e75a3b309d76e5dac3f090eb8906a58f7d524f7"),
     "blr_diag_reparam_halvings": (
         HALVING_CONFIG,
-        "f3d927ad5dc1943798f214ea41be1c913d3b460f4b3c001c9c9258ff78787d20"),
+        "daa945aaf460ca7f3e142944269e01ef6dd49365528532d5264e8bb185c4594e"),
     "von": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 21},
                 {"kind": "von", "learning_rate": 0.1, "steps": 40, "n_samples": 4}),
@@ -71,3 +80,78 @@ def test_trace_digest_pinned(name, tmp_path):
     run_experiment(config, tmp_path)
     blob = (tmp_path / "trace.csv").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+#: (t, rho, objective, residual) rows of the per-sample Monte Carlo loop
+LOOPED_ROWS = {
+    "blr_full_mc": [
+        (1, 0.3, 35.8972489695127, 0.620870740745235),
+        (2, 0.3, 35.026865466952714, 0.8342256381415736),
+        (3, 0.3, 34.53607930529969, 0.5018655717228492),
+        (4, 0.3, 34.348089594295956, 0.2528909349100723),
+        (5, 0.3, 34.33074278892239, 0.4617206211267697),
+        (6, 0.3, 34.17281091933954, 0.11689582406087899),
+        (7, 0.3, 34.17393514804568, 0.1274723308361823),
+        (8, 0.3, 34.15943191912048, 0.21607511096579668),
+    ],
+    "blr_diag_mc": [
+        (1, 0.3, 35.46916813366147, 0.6693858445100983),
+        (2, 0.3, 34.83942135085147, 0.8007599712094611),
+        (3, 0.3, 34.43694937906593, 0.5447843286294615),
+        (4, 0.3, 34.31403790734382, 0.2780975846330744),
+        (5, 0.3, 34.32561906865228, 0.4218828709601266),
+        (6, 0.3, 34.19589211184871, 0.10419898760390423),
+        (7, 0.3, 34.20363199264087, 0.11869576028133211),
+        (8, 0.3, 34.195516773399575, 0.20227991400390397),
+    ],
+    "blr_diag_reparam_halvings": [
+        (1, 1.0, 95.87754504831284, 0.8508558200851006),
+        (2, 0.5, 131.8295784093866, 0.9360442308133037),
+        (3, 0.5, 92.58480165979563, 0.4743299047057799),
+        (4, 1.0, 86.19278393063954, 0.7760197718603309),
+        (5, 0.5, 85.22569202293323, 0.4629524256406789),
+        (6, 1.0, 85.48944609237863, 0.3191636093240305),
+        (7, 0.5, 85.32893598851456, 1.4626588572380608),
+        (8, 1.0, 89.37416507694093, 0.8885472413765146),
+        (9, 1.0, 109.35311405770852, 3.0618114223028776),
+        (10, 1.0, 88.47060929280545, 0.556257894940093),
+        (11, 1.0, 86.21004786645538, 0.8212467184096657),
+        (12, 1.0, 85.64964087234446, 0.565337946757474),
+        (13, 1.0, 87.09250250532364, 1.4789090270214997),
+        (14, 1.0, 87.27481191116931, 0.245710483424294),
+        (15, 1.0, 88.40864659144044, 0.6683748934930931),
+        (16, 1.0, 101.38332912088538, 0.7429731866674907),
+        (17, 1.0, 91.04539159521605, 1.1821505916838793),
+        (18, 1.0, 96.81854262822417, 0.6845998931069728),
+        (19, 1.0, 1717.3844276332497, 13.220499611117488),
+        (20, 0.125, 1431.0586046247167, 0.4180303942513404),
+        (21, 0.5, 900.6496110831057, 3.5916668713664617),
+        (22, 0.125, 1237.814657694289, 3.400549871826633),
+        (23, 0.03125, 1695.7530793409505, 7.965859473056347),
+        (24, 0.125, 7715.143747515927, 6.0811970026774675),
+        (25, 0.03125, 7194.922437741926, 6.969718094514211),
+        (26, 0.015625, 4945.06976784145, 5.40619459497589),
+        (27, 0.00390625, 51470.10430156806, 28.055114745012613),
+        (28, 0.125, 37124.96490281265, 11.057929338373082),
+        (29, 0.125, 32815.75306440602, 17.401365845745783),
+        (30, 0.5, 31099.383891401947, 15.896627247178074),
+    ],
+}
+
+#: objective/residual tolerance; the halving config's terms reach 1e9
+LOOPED_RTOL = {"blr_full_mc": 1e-12, "blr_diag_mc": 1e-12,
+               "blr_diag_reparam_halvings": 1e-5}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED_ROWS))
+def test_batched_core_keeps_looped_rows(name, tmp_path):
+    run_experiment(PINNED[name][0], tmp_path)
+    with open(tmp_path / "trace.csv", encoding="utf-8") as handle:
+        rows = [tuple(map(float, row)) for row in list(csv.reader(handle))[1:]]
+    expected = LOOPED_ROWS[name]
+    assert len(rows) == len(expected)
+    # same steps and rates: every rate halving happens where it did before
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    got = np.array([row[2:] for row in rows])
+    want = np.array([row[2:] for row in expected])
+    np.testing.assert_allclose(got, want, rtol=LOOPED_RTOL[name], atol=0.0)
