@@ -333,8 +333,10 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     """Run the step loop with minibatching; deterministic for a fixed seed.
 
     Rows record the full-data loss and gradient norm at the current
-    evaluation point (theta, or the posterior mean) and the scale
-    vector's range. Step errors propagate with their iteration index.
+    evaluation point (theta, or the posterior mean), both from one
+    `value_and_gradient` call (one fused forward pass for losses that
+    override it), and the scale vector's range. Step errors propagate
+    with their iteration index.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -348,11 +350,9 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     rows: list[tuple] = []
 
     def record(step_index: int, current) -> None:
-        point = _eval_point(current)
+        value, grad = loss.value_and_gradient(_eval_point(current))
         scale = _scale_vector(current)
-        rows.append((step_index,
-                     float(loss.value(point)),
-                     float(np.linalg.norm(loss.gradient(point))),
+        rows.append((step_index, float(value), float(np.linalg.norm(grad)),
                      float(np.min(scale)), float(np.max(scale))))
 
     record(0, state)

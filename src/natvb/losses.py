@@ -37,6 +37,10 @@ class LossModel:
     def gradient(self, theta, batch=None) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
+        """(value, gradient) at theta; override to share one forward pass."""
+        return self.value(theta, batch), self.gradient(theta, batch)
+
     def hessian_diag(self, theta, batch=None) -> np.ndarray:
         raise MissingHessian(f"{type(self).__name__} provides no Hessian diagonal")
 
@@ -117,10 +121,11 @@ _BATCH_RTOL = 1e-10
 def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                       hess_rtol: float = 1e-3) -> dict:
     """Verify gradient (and provided Hessians) against central differences,
-    and overridden batched methods against their per-theta loops.
+    overridden batched methods against their per-theta loops, and an
+    overridden value_and_gradient against value and gradient.
 
-    The batched check runs on all points at once, on the full data and,
-    for minibatchable losses, on every other datum. Raises ValueError on
+    The batched and fused checks run on the full data and, for
+    minibatchable losses, on every other datum. Raises ValueError on
     the first violation; returns the worst relative errors seen otherwise.
     Every loss in an experiment goes through this gate first.
     """
@@ -165,6 +170,18 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
             if err > _BATCH_RTOL:
                 raise ValueError(f"batched {name} differs from its per-theta method: "
                                  f"{err:.3e} > {_BATCH_RTOL:.1e}")
+    if type(loss).value_and_gradient is not LossModel.value_and_gradient:
+        for theta in thetas:
+            for batch in batches:
+                value, grad = loss.value_and_gradient(theta, batch)
+                ref_value, ref_grad = LossModel.value_and_gradient(loss, theta, batch)
+                err = max(abs(value - ref_value) / max(1.0, abs(ref_value)),
+                          float(np.linalg.norm(grad - ref_grad))
+                          / max(1.0, float(np.linalg.norm(ref_grad))))
+                worst["batched"] = max(worst["batched"], err)
+                if err > _BATCH_RTOL:
+                    raise ValueError(f"value_and_gradient differs from value and gradient: "
+                                     f"{err:.3e} > {_BATCH_RTOL:.1e}")
     return worst
 
 

@@ -238,28 +238,34 @@ class MLPModel(LossModel):
             raise DomainError("dataset does not match the input layer")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DomainError("labels must be binary")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("features must be finite")
+        prior_precision = float(prior_precision)
+        if not (np.isfinite(prior_precision) and prior_precision >= 0.0):
+            raise DomainError("prior precision must be finite and nonnegative")
         self.layer_sizes = sizes
         self.activation = activation
         self.x = x
         self.y = y
-        self.prior_precision = float(prior_precision)
+        self.prior_precision = prior_precision
         self.n_data = x.shape[0]
         self.shapes = [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
-        self.dim = sum(o * i + o for o, i in self.shapes)
+        # (w_start, b_start, end, out, in) of each layer in the flat vector
+        spans = []
+        offset = 0
+        for out_n, in_n in self.shapes:
+            b_start = offset + out_n * in_n
+            spans.append((offset, b_start, b_start + out_n, out_n, in_n))
+            offset = b_start + out_n
+        self._spans = tuple(spans)
+        self.dim = offset
 
     def unpack(self, theta) -> list[tuple[np.ndarray, np.ndarray]]:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.dim:
             raise ValueError(f"parameter vector must have length {self.dim}")
-        layers = []
-        offset = 0
-        for out_n, in_n in self.shapes:
-            w = theta[offset:offset + out_n * in_n].reshape(out_n, in_n)
-            offset += out_n * in_n
-            b = theta[offset:offset + out_n]
-            offset += out_n
-            layers.append((w, b))
-        return layers
+        return [(theta[w_start:b_start].reshape(out_n, in_n), theta[b_start:end])
+                for w_start, b_start, end, out_n, in_n in self._spans]
 
     def init_params(self, seed: int) -> np.ndarray:
         """Scaled-normal initialization of the flattened parameter vector."""
@@ -274,10 +280,13 @@ class MLPModel(LossModel):
         layers = self.unpack(theta)
         acts = [x]
         for w, b in layers[:-1]:
-            acts.append(np.tanh(acts[-1] @ w.T + b))
+            h = acts[-1] @ w.T
+            h += b
+            acts.append(np.tanh(h, out=h))
         w, b = layers[-1]
-        logits = (acts[-1] @ w.T + b).reshape(-1)
-        return layers, acts, logits
+        logits = acts[-1] @ w.T
+        logits += b
+        return layers, acts, logits.reshape(-1)
 
     def logits(self, theta, x=None) -> np.ndarray:
         _, _, z = self._forward(theta, self.x if x is None else np.atleast_2d(x))
@@ -289,12 +298,52 @@ class MLPModel(LossModel):
         batch = np.asarray(batch, dtype=int)
         return self.x[batch], self.y[batch], self.n_data / batch.size
 
+    def _value(self, theta, z, y, scale) -> float:
+        data = float(np.sum(_softplus(z) - y * z))
+        return scale * data + 0.5 * self.prior_precision * float(theta @ theta)
+
+    def _backprop(self, theta, layers, acts, z, y, scale) -> np.ndarray:
+        """Gradient from one forward pass, written layer by layer into one vector.
+
+        Overwrites the hidden activations in acts (never acts[0], the input).
+        """
+        flat = np.empty(self.dim)
+        delta = (_sigmoid(z) - y).reshape(-1, 1)
+        last = len(layers) - 1
+        for idx in range(last, -1, -1):
+            w_start, b_start, end, out_n, in_n = self._spans[idx]
+            a = acts[idx]
+            np.matmul(delta.T, a, out=flat[w_start:b_start].reshape(out_n, in_n))
+            delta.sum(axis=0, out=flat[b_start:end])
+            if idx > 0:
+                w, _ = layers[idx]
+                # a k=1 product is exact, so the broadcast equals delta @ w
+                delta = delta * w if idx == last else delta @ w
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta *= a
+        flat *= scale
+        flat += self.prior_precision * theta
+        return flat
+
     def value(self, theta, batch=None) -> float:
         x, y, scale = self._batch(batch)
-        _, _, z = self._forward(theta, x)
-        data = float(np.sum(_softplus(z) - y * z))
         theta = np.asarray(theta, dtype=float).reshape(-1)
-        return scale * data + 0.5 * self.prior_precision * float(theta @ theta)
+        _, _, z = self._forward(theta, x)
+        return self._value(theta, z, y, scale)
+
+    def gradient(self, theta, batch=None) -> np.ndarray:
+        x, y, scale = self._batch(batch)
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        layers, acts, z = self._forward(theta, x)
+        return self._backprop(theta, layers, acts, z, y, scale)
+
+    def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
+        x, y, scale = self._batch(batch)
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        layers, acts, z = self._forward(theta, x)
+        return (self._value(theta, z, y, scale),
+                self._backprop(theta, layers, acts, z, y, scale))
 
     def mean_data_loss(self, theta) -> float:
         """Mean Bernoulli cross-entropy over the full dataset (the training metric)."""
@@ -304,20 +353,6 @@ class MLPModel(LossModel):
     def accuracy(self, theta) -> float:
         _, _, z = self._forward(theta, self.x)
         return float(np.mean((z > 0.0) == (self.y > 0.5)))
-
-    def gradient(self, theta, batch=None) -> np.ndarray:
-        x, y, scale = self._batch(batch)
-        layers, acts, z = self._forward(theta, x)
-        delta = (_sigmoid(z) - y).reshape(-1, 1)
-        grads = [None] * len(layers)
-        for idx in range(len(layers) - 1, -1, -1):
-            w, _ = layers[idx]
-            grads[idx] = (delta.T @ acts[idx], delta.sum(axis=0))
-            if idx > 0:
-                delta = (delta @ w) * (1.0 - acts[idx] ** 2)
-        flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        return scale * flat + self.prior_precision * theta
 
 
 def two_spirals(n: int, seed: int, noise: float = 0.03,

@@ -197,3 +197,42 @@ def test_check_derivatives_reports_batched_error():
     loss = make_logistic_data(3, 40, 3)
     worst = check_derivatives(loss, [np.full(3, 0.1), np.array([0.3, -0.2, 0.5])])
     assert 0.0 <= worst["batched"] < 1e-12
+
+
+@pytest.mark.parametrize("drift", [
+    lambda value, grad, batch: (value * (1.0 + 1e-8), grad),
+    lambda value, grad, batch: (value, grad + 1e-7),
+    # forgets the N/|batch| rescaling, so only the minibatch check sees it
+    lambda value, grad, batch: (value, grad if batch is None else grad / 2.0),
+])
+def test_check_derivatives_catches_drifting_value_and_gradient(drift):
+    data = make_logistic_data(3, 40, 3)
+
+    class Drifting(LogisticModel):
+        def value_and_gradient(self, theta, batch=None):
+            return drift(*super().value_and_gradient(theta, batch), batch)
+
+    loss = Drifting(data.x, data.y)
+    points = [np.full(3, 0.1), np.array([0.3, -0.2, 0.5])]
+    with pytest.raises(ValueError, match="value_and_gradient"):
+        check_derivatives(loss, points)
+
+
+def test_check_derivatives_reports_fused_error():
+    data = make_logistic_data(3, 40, 3)
+
+    class Fused(LogisticModel):
+        def value_and_gradient(self, theta, batch=None):
+            value, grad = super().value_and_gradient(theta, batch)
+            return value * (1.0 + 1e-12), grad
+
+    worst = check_derivatives(Fused(data.x, data.y), [np.full(3, 0.1)])
+    assert 1e-13 < worst["batched"] < 1e-11
+
+
+def test_value_and_gradient_default_is_value_then_gradient(rng):
+    loss = make_quadratic(rng, 3)
+    theta = rng.standard_normal(3)
+    value, grad = loss.value_and_gradient(theta)
+    assert value == loss.value(theta)
+    np.testing.assert_array_equal(grad, loss.gradient(theta))

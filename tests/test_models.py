@@ -187,3 +187,86 @@ def test_mlp_minibatch_gradient_unbiased():
     batches = [np.arange(i, i + 10) for i in range(0, 40, 10)]
     avg = np.mean([mlp.gradient(theta, b) for b in batches], axis=0)
     np.testing.assert_allclose(avg, mlp.gradient(theta), rtol=1e-9, atol=1e-12)
+
+
+def test_mlp_rejects_nonfinite_features_and_bad_prior():
+    x, y = two_spirals(10, seed=1)
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[3, 1] = bad
+        with pytest.raises(DomainError):
+            MLPModel([2, 4, 1], x_bad, y)
+    for prior in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            MLPModel([2, 4, 1], x, y, prior_precision=prior)
+    assert MLPModel([2, 4, 1], x, y, prior_precision=0.0).prior_precision == 0.0
+
+
+# -- the MLP kernel against the per-layer unpack/concatenate reference -------
+
+def _reference_forward(mlp, theta, x):
+    layers = mlp.unpack(theta)
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w.T + b))
+    w, b = layers[-1]
+    return layers, acts, (acts[-1] @ w.T + b).reshape(-1)
+
+
+def _reference_value_and_gradient(mlp, theta, batch=None):
+    if batch is None:
+        x, y, scale = mlp.x, mlp.y, 1.0
+    else:
+        x, y, scale = mlp.x[batch], mlp.y[batch], mlp.n_data / len(batch)
+    layers, acts, z = _reference_forward(mlp, theta, x)
+    data = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    value = scale * data + 0.5 * mlp.prior_precision * float(theta @ theta)
+    delta = (0.5 * (1.0 + np.tanh(0.5 * z)) - y).reshape(-1, 1)
+    grads = [None] * len(layers)
+    for idx in range(len(layers) - 1, -1, -1):
+        w, _ = layers[idx]
+        grads[idx] = (delta.T @ acts[idx], delta.sum(axis=0))
+        if idx > 0:
+            delta = (delta @ w) * (1.0 - acts[idx] ** 2)
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return value, scale * flat + mlp.prior_precision * theta
+
+
+@pytest.mark.parametrize("sizes", [[2, 1], [2, 5, 1], [2, 16, 16, 1], [3, 1, 4, 1]])
+def test_mlp_kernel_bitwise_equals_reference(sizes):
+    rng = make_rng(40, len(sizes), sizes[1])
+    x = rng.standard_normal((37, sizes[0]))
+    y = (rng.uniform(size=37) < 0.5).astype(float)
+    mlp = MLPModel(sizes, x, y, prior_precision=0.3)
+    x_before = mlp.x.copy()
+    for _ in range(3):
+        theta = rng.standard_normal(mlp.dim)
+        np.testing.assert_array_equal(mlp.logits(theta),
+                                      _reference_forward(mlp, theta, x)[2])
+        for batch in (None, rng.choice(37, size=11, replace=False)):
+            value, grad = _reference_value_and_gradient(mlp, theta, batch)
+            fused_value, fused_grad = mlp.value_and_gradient(theta, batch)
+            assert mlp.value(theta, batch) == value == fused_value
+            np.testing.assert_array_equal(mlp.gradient(theta, batch), grad)
+            np.testing.assert_array_equal(fused_grad, grad)
+    np.testing.assert_array_equal(mlp.x, x_before)
+
+
+def test_mlp_outputs_do_not_alias():
+    mlp = make_spirals_mlp(2, n=30, hidden=(4, 3))
+    theta = mlp.init_params(3)
+    first, second = mlp.gradient(theta), mlp.gradient(theta)
+    _, fused = mlp.value_and_gradient(theta)
+    logits = mlp.logits(theta), mlp.logits(theta)
+    for a, b in ((first, second), (first, fused), logits):
+        assert not np.shares_memory(a, b)
+    for out in (first, second, fused, *logits):
+        assert not np.shares_memory(out, mlp.x) and not np.shares_memory(out, theta)
+    first[:] = 0.0
+    np.testing.assert_array_equal(second, fused)
+
+
+def test_mlp_fused_method_passes_the_derivative_gate():
+    mlp = make_spirals_mlp(4, n=40, hidden=(5,))
+    worst = check_derivatives(mlp, [mlp.init_params(1), mlp.init_params(2)])
+    assert worst["batched"] == 0.0

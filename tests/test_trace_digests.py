@@ -27,6 +27,7 @@ def _config(seed, model, optimizer):
 
 
 _LOGISTIC = {"kind": "logistic", "n": 60, "p": 3, "data_seed": 4}
+_SPIRALS = {"kind": "spirals_mlp", "n": 120, "hidden": [8, 8], "data_seed": 7}
 
 #: the diagonal reparam config that leaves the domain 45 times in 30 steps
 HALVING_CONFIG = _config(
@@ -71,6 +72,15 @@ PINNED = {
         _config(6, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 3},
                 {"kind": "rmsprop", "steps": 40, "step_size": 0.05}),
         "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4"),
+    # the MLP forward pass and backprop, under a minibatch and the full-data record
+    "ivon_mlp": (
+        _config(7, _SPIRALS, {"kind": "ivon", "steps": 40, "step_size": 0.3,
+                              "ess": 3e4, "batch_size": 30}),
+        "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271"),
+    "adam_mlp": (
+        _config(8, _SPIRALS, {"kind": "adam", "steps": 40, "step_size": 0.05,
+                              "batch_size": 30}),
+        "7ea7af3af5860fb16fa7cf994b49f40d24b4d7425794101eea5d42cefe949334"),
 }
 
 
