@@ -19,7 +19,7 @@ from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
                      NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
 from .expfam import ExpectationParams, ExpFamily, NaturalParams
 from .gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
-                       GaussianMoment, GaussianSampleBatch, moment_to_natural)
+                       GaussianMoment, moment_to_natural)
 from .losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
 from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      make_ridge_data, make_spirals_mlp, ridge_conjugate_model,

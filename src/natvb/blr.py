@@ -182,9 +182,11 @@ def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
     """|| lam - tilde_lam(lam) || / max(1, ||lam||); ~0 certifies stationarity.
 
     Also cross-checks the inverse-Fisher form of the optimality condition
-    (solving F x = grad_lam must reproduce the dual-coordinate gradient).
-    estimate, if given, must be the estimate at (lam, step) under spec; it
-    is then used instead of being recomputed.
+    with natgrad_via_dual (solving F x = grad_lam must reproduce the
+    dual-coordinate gradient), through Fisher-vector products that never
+    form F; the cross-check does not change the value. estimate, if
+    given, must be the estimate at (lam, step) under spec; it is then
+    used instead of being recomputed.
     """
     lam = family._check_natural(lam)
     if estimate is None:

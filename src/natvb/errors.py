@@ -14,7 +14,7 @@ class FamilyMismatch(ValueError):
 
 
 class SingularFisher(RuntimeError):
-    """Cholesky factorization of the Fisher matrix failed.
+    """A solve against the Fisher matrix gave no finite answer.
 
     For minimal families the Fisher is positive definite on the open
     domain, so this signals an invalid state rather than a numerical

@@ -21,9 +21,13 @@ follows from three identities:
     F(lam)     = hess A(lam) = Cov[T(theta)]          (Fisher matrix)
     grad_lam H = -F(lam) lam                          (entropy gradient)
 
+Since F is the Jacobian of lam -> mu, F v is a directional derivative of
+natural_to_dual and F^-1 w one of dual_to_natural, so a family can apply
+F and its inverse without forming F (fisher_vp, fisher_solve).
+
 Concrete families implement the primitives (cumulant, conversions,
-Fisher, T, sampling); entropy, Fenchel conjugate, KL and its dual
-gradient are derived here once.
+Fisher and its products, T, sampling); entropy, Fenchel conjugate, KL
+and its dual gradient are derived here once.
 """
 
 from __future__ import annotations
@@ -123,12 +127,20 @@ class ExpFamily(abc.ABC):
         """F(lam) = Cov[T(theta)], the Jacobian of natural_to_dual."""
 
     @abc.abstractmethod
+    def fisher_vp(self, lam, v) -> np.ndarray:
+        """F(lam) v without forming F: the JVP of natural_to_dual."""
+
+    @abc.abstractmethod
+    def fisher_solve(self, lam, w) -> np.ndarray:
+        """F(lam)^-1 w without forming F: the JVP of dual_to_natural at mu(lam)."""
+
+    @abc.abstractmethod
     def sufficient_stats(self, theta) -> np.ndarray:
         """T(theta) in the moment layout, so that <lam, T> is a dot product."""
 
     @abc.abstractmethod
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
-        """size i.i.d. draws, shape (size, theta_dim)."""
+        """size i.i.d. draws, shape (size, theta_dim); size must be >= 1."""
 
     @abc.abstractmethod
     def sufficient_stats_batch(self, thetas) -> np.ndarray:
@@ -170,6 +182,13 @@ class ExpFamily(abc.ABC):
         if not self.contains_expectation(coords):
             raise DomainError(f"expectation parameters not realizable in {self.name!r}")
         return coords
+
+    def _tangent(self, v) -> np.ndarray:
+        """A direction in parameter space: a 1-D float array of length param_dim."""
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if v.size != self.param_dim:
+            raise ValueError(f"direction must have length {self.param_dim}")
+        return v
 
     def _theta_rows(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

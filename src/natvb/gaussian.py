@@ -15,7 +15,11 @@ that ordering:
     theta_i theta_j once per (i, j) pair with i <= j.
 
 With these layouts mu = grad A(lam) holds coordinate-wise and the Fisher
-matrix Cov[T] is the exact Jacobian of natural_to_dual.
+matrix Cov[T] is the exact Jacobian of natural_to_dual. fisher_vp and
+fisher_solve differentiate natural_to_dual and dual_to_natural in
+closed form, so F v and F^-1 w cost O(P^3) from the memoised factor
+(elementwise for the diagonal family) against O(P^4) to build the dense
+F and O(P^6) to factor it.
 
 The precision parameterization is primary throughout: sampling runs a
 triangular solve against the Cholesky factor of S, and nothing inverts a
@@ -35,7 +39,6 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import DomainError
 from .expfam import ExpFamily, NaturalParams
-from .seeding import RNG_ALGORITHM, make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 #: rows of the Fisher's quadratic block computed per strip
@@ -109,6 +112,11 @@ def _chol_pd(mat: np.ndarray) -> np.ndarray:
         return cholesky(mat, lower=True)
     except np.linalg.LinAlgError as exc:
         raise DomainError("matrix not positive definite") from exc
+
+
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise ValueError("sample size must be >= 1")
 
 
 # -- families ---------------------------------------------------------
@@ -273,6 +281,32 @@ class FullGaussian(ExpFamily):
         quad[lower] = quad.T[lower]
         return fish
 
+    def fisher_vp(self, lam, v) -> np.ndarray:
+        # JVP of natural_to_dual: perturb S by dS, m = S^-1 lin and
+        # M = Sigma + m m' follow
+        factor = self._factor(lam)
+        v = self._tangent(v)
+        p = self.theta_dim
+        mean, cov = factor.mean, factor.cov
+        d_prec = -2.0 * coeff_to_sym(v[p:], p)
+        d_mean = cov @ (v[:p] - d_prec @ mean)
+        d_outer = np.outer(d_mean, mean)
+        d_second = -(cov @ d_prec @ cov) + d_outer + d_outer.T
+        return np.concatenate([d_mean, sym_to_moment(d_second)])
+
+    def fisher_solve(self, lam, w) -> np.ndarray:
+        # JVP of dual_to_natural at mu(lam): Sigma = M - m m' moves by
+        # W - w_m m' - m w_m', and S = Sigma^-1 by -S dSigma S
+        factor = self._factor(lam)
+        w = self._tangent(w)
+        p = self.theta_dim
+        mean, prec = factor.mean, factor.prec
+        d_outer = np.outer(w[:p], mean)
+        d_cov = moment_to_sym(w[p:], p) - d_outer - d_outer.T
+        d_prec = -(prec @ d_cov @ prec)
+        return np.concatenate([d_prec @ mean + prec @ w[:p],
+                               sym_to_coeff(-0.5 * d_prec)])
+
     def sufficient_stats(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.theta_dim:
@@ -285,6 +319,7 @@ class FullGaussian(ExpFamily):
         return np.concatenate([thetas, quad], axis=1)
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
+        _check_size(size)
         factor = self._factor(lam)
         z = rng.standard_normal((size, self.theta_dim))
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
@@ -376,6 +411,22 @@ class DiagGaussian(ExpFamily):
         fish[p + idx, p + idx] = 2.0 * var ** 2 + 4.0 * mean ** 2 * var
         return fish
 
+    def fisher_vp(self, lam, v) -> np.ndarray:
+        mean, var = self.to_mean_var(lam)
+        v = self._tangent(v)
+        p = self.theta_dim
+        d_prec = -2.0 * v[p:]
+        d_mean = var * (v[:p] - d_prec * mean)
+        return np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean])
+
+    def fisher_solve(self, lam, w) -> np.ndarray:
+        lin, prec = self.split_natural(lam)
+        w = self._tangent(w)
+        p = self.theta_dim
+        mean = lin / prec
+        d_prec = -prec ** 2 * (w[p:] - 2.0 * mean * w[:p])
+        return np.concatenate([d_prec * mean + prec * w[:p], -0.5 * d_prec])
+
     def sufficient_stats(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.theta_dim:
@@ -387,6 +438,7 @@ class DiagGaussian(ExpFamily):
         return np.concatenate([thetas, thetas ** 2], axis=1)
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
+        _check_size(size)
         mean, var = self.to_mean_var(lam)
         z = rng.standard_normal((size, self.theta_dim))
         return mean + np.sqrt(var) * z
@@ -436,17 +488,7 @@ def moment_to_natural(mean, precision) -> NaturalParams:
     return family.natural(family.from_moment(moment.mean, moment.precision))
 
 
-# -- distribution and sampling wrappers --------------------------------
-
-@dataclass(frozen=True)
-class GaussianSampleBatch:
-    """K i.i.d. draws with the seed and RNG algorithm that produced them."""
-
-    samples: np.ndarray
-    seed: int
-    count: int
-    algorithm: str = RNG_ALGORITHM
-
+# -- distribution wrapper ---------------------------------------------
 
 @dataclass(frozen=True)
 class ExpFamDistribution:
@@ -476,10 +518,3 @@ class ExpFamDistribution:
 
     def entropy(self) -> float:
         return self.family.entropy(self.natural)
-
-    def sample(self, count: int, seed: int) -> GaussianSampleBatch:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        rng = make_rng(seed)
-        draws = self.family.sample(self.natural, count, rng)
-        return GaussianSampleBatch(draws, int(seed), int(count))

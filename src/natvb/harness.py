@@ -43,7 +43,7 @@ from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
                      ridge_exact_posterior, ridge_loss)
-from .natgrad import EstimatorSpec
+from .natgrad import SAMPLED_STEP_LIMIT, EstimatorSpec
 from .seeding import RNG_ALGORITHM, make_rng
 
 SCHEMA_VERSION = 1
@@ -124,6 +124,12 @@ def resolve_config(cfg: dict) -> dict:
                              optional={"trace": (str, "trace.csv"),
                                        "summary": (str, "summary.json"),
                                        "config": (str, "config.used.json")})
+    # seeds key SeedSequence, which takes non-negative integers only
+    for where, value in (("config.seed", top["seed"]),
+                         ("model.data_seed", top["model"]["data_seed"]),
+                         ("optimizer.init_seed", top["optimizer"].get("init_seed", 0))):
+        if value < 0:
+            raise ConfigError(f"{where} must be >= 0, got {value}")
     return top
 
 
@@ -185,6 +191,10 @@ def _resolve_optimizer(cfg: dict) -> dict:
             raise ConfigError("optimizer.family must be 'full' or 'diag'")
         if out["estimator"] not in ("exact", "delta", "mc", "reparam"):
             raise ConfigError(f"unknown estimator {out['estimator']!r}")
+        # steps 0..max_iter are estimated, each on its own stream
+        if out["estimator"] in ("mc", "reparam") and out["max_iter"] >= SAMPLED_STEP_LIMIT:
+            raise ConfigError(f"optimizer.max_iter must be below {SAMPLED_STEP_LIMIT} "
+                              "for a sampled estimator, or step streams would collide")
     return out
 
 

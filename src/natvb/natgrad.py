@@ -29,6 +29,12 @@ mean_hessian_full / mean_hessian_diag. Only the mean Hessian enters
 the identity, so a loss can return it without forming K matrices; for
 logistic regression it is X' diag(mean_k w_k) X + tau I, one product.
 The objective's Monte Carlo fallback likewise makes one value_batch call.
+
+natgrad_via_dual certifies the identity behind all of this: mapping a
+dual-coordinate gradient to natural coordinates with F and back with
+F^-1 must reproduce it. Both maps are the families' closed-form
+Jacobian-vector products (fisher_vp, fisher_solve), so the certificate
+never forms the dense Fisher and costs O(P^3) on the full family.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
@@ -46,6 +51,9 @@ from .quadrature import gaussian_expectation
 from .seeding import make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
+#: sampled estimators draw step t's samples on stream (seed << 20) ^ t,
+#: which is distinct for every (seed >= 0, step) pair only while step < 2**20
+SAMPLED_STEP_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,21 +107,21 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
 
     Solves F(lam) x = grad_lam (grad_lam defaults to the chain-rule image
     F(lam) grad_mu) and verifies x matches grad_wrt_mu within rtol before
-    returning it. Raises SingularFisher if the factorization fails and
-    SolverFailure if the identity is violated.
+    returning it. Both products go through family.fisher_vp and
+    family.fisher_solve, the closed-form Jacobians of lam -> mu and
+    mu -> lam, so F is never formed: O(P^3) per call on the full family.
+    Raises SingularFisher if the solve is not finite and SolverFailure if
+    the identity is violated.
     """
     lam = family._check_natural(lam)
     grad_mu = np.asarray(grad_wrt_mu, dtype=float).reshape(-1)
-    fisher = family.fisher(lam)
     if grad_wrt_lambda is None:
-        grad_lam = fisher @ grad_mu
+        grad_lam = family.fisher_vp(lam, grad_mu)
     else:
         grad_lam = np.asarray(grad_wrt_lambda, dtype=float).reshape(-1)
-    try:
-        factor = cho_factor(fisher, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFisher("Cholesky of the Fisher matrix failed") from exc
-    solved = cho_solve(factor, grad_lam)
+    solved = family.fisher_solve(lam, grad_lam)
+    if not np.all(np.isfinite(solved)):
+        raise SingularFisher("the Fisher solve is not finite")
     err = float(np.linalg.norm(solved - grad_mu)) / max(1.0, float(np.linalg.norm(grad_mu)))
     if err > rtol:
         raise SolverFailure(
@@ -218,12 +228,19 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
                      spec: EstimatorSpec, step: int = 0,
                      batch=None) -> NatGradEstimate:
-    """Dispatch on spec.kind; stochastic kinds fold the step into the seed."""
+    """Dispatch on spec.kind; stochastic kinds fold the step into the seed.
+
+    A sampled kind needs 0 <= step < SAMPLED_STEP_LIMIT (ValueError
+    otherwise), so that no two steps or seeds share a stream.
+    """
     dist = ExpFamDistribution.from_coords(family, lam)
     if spec.kind == "exact":
         return natgrad_exact(dist, loss)
     if spec.kind == "delta":
         return natgrad_delta_method(dist, loss)
+    if not 0 <= step < SAMPLED_STEP_LIMIT:
+        raise ValueError(f"a sampled estimate needs 0 <= step < {SAMPLED_STEP_LIMIT}, "
+                         f"got step {step}")
     seed = _fold_seed(spec.seed, step)
     curvature = "hessian" if spec.kind == "mc" else "reparam"
     return natgrad_gaussian_identity(dist, loss, spec.n_samples, seed,

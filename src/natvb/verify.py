@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .blr import (BLRConfig, blr_init, blr_run, blr_step, conjugate_posterior,
                   fixed_point_residual, mirror_descent_step_numeric,
@@ -76,6 +77,24 @@ def check_fisher_finite_diff(sabotage=None):
         worst = max(worst, float(np.max(np.abs(fisher - fd)))
                     / max(1.0, float(np.max(np.abs(fd)))))
     return worst <= 1e-4, f"max_rel_err={worst:.3e} (tol 1e-4)"
+
+
+def check_fisher_products(sabotage=None):
+    # the dense Isserlis build is the oracle for the closed-form products
+    # the per-step cross-check runs on
+    def rel_err(got, want):
+        return float(np.linalg.norm(got - want)) / float(np.linalg.norm(want))
+
+    rng = make_rng(114)
+    worst_vp = worst_solve = 0.0
+    for fam, lam in _random_family_instances(rng, 20):
+        fisher = fam.fisher(lam)
+        v = rng.standard_normal(fam.param_dim)
+        worst_vp = max(worst_vp, rel_err(fam.fisher_vp(lam, v), fisher @ v))
+        worst_solve = max(worst_solve, rel_err(fam.fisher_solve(lam, v),
+                                               cho_solve(cho_factor(fisher, lower=True), v)))
+    ok = worst_vp <= 1e-10 and worst_solve <= 1e-10
+    return ok, f"vp_rel_err={worst_vp:.3e}, solve_rel_err={worst_solve:.3e} (tol 1e-10)"
 
 
 def check_entropy_gradient(sabotage=None):
@@ -304,6 +323,7 @@ def check_rmsprop_correspondence(sabotage=None):
 CHECKS: list[tuple[str, str, Callable]] = [
     ("duality-roundtrip", "duality", check_duality_roundtrip),
     ("fisher-finite-diff", "fisher", check_fisher_finite_diff),
+    ("fisher-products", "fisher", check_fisher_products),
     ("entropy-gradient", "entropy", check_entropy_gradient),
     ("fenchel-duality", "fenchel", check_fenchel_duality),
     ("kl-bregman", "kl", check_kl_bregman),

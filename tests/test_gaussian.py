@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from natvb.errors import DomainError
 from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
                             GaussianMoment, coeff_to_sym, moment_to_natural,
                             moment_to_sym, sym_to_coeff, sym_to_moment)
-from natvb.seeding import make_rng
+from natvb.seeding import RNG_ALGORITHM, make_rng
 
 from conftest import random_instance, random_lam
 
@@ -155,21 +156,19 @@ def test_sufficient_stats_reproduce_quadratic_form(rng):
 # -- sampling ---------------------------------------------------------------
 
 def test_sample_mean_clt_bound():
-    fam = FullGaussian(1)
-    dist = ExpFamDistribution.from_coords(fam, [0.0, -0.5])
-    batch = dist.sample(1_000_000, seed=123)
-    assert abs(batch.samples.mean()) < 4.0 / np.sqrt(batch.count)
+    draws = FullGaussian(1).sample([0.0, -0.5], 1_000_000, make_rng(123))
+    assert abs(draws.mean()) < 4.0 / np.sqrt(draws.shape[0])
 
 
 def test_sample_determinism_contract():
     fam, lam = random_instance(make_rng(33), max_dim=3)
-    dist = ExpFamDistribution.from_coords(fam, lam)
-    a = dist.sample(1000, seed=9)
-    b = dist.sample(1000, seed=9)
-    np.testing.assert_array_equal(a.samples, b.samples)
-    c = dist.sample(1000, seed=10)
-    assert not np.array_equal(a.samples, c.samples)
-    assert a.algorithm == "philox4x64"
+    a = fam.sample(lam, 1000, make_rng(9))
+    b = fam.sample(lam, 1000, make_rng(9))
+    np.testing.assert_array_equal(a, b)
+    c = fam.sample(lam, 1000, make_rng(10))
+    assert not np.array_equal(a, c)
+    assert RNG_ALGORITHM == "philox4x64"
+    assert isinstance(make_rng(9).bit_generator, np.random.Philox)
 
 
 def test_sample_recovers_strong_correlation():
@@ -190,9 +189,9 @@ def test_sample_covariance_matches_precision_inverse(rng):
 
 
 def test_sample_count_validation():
-    dist = ExpFamDistribution.from_coords(FullGaussian(1), [0.0, -0.5])
-    with pytest.raises(ValueError):
-        dist.sample(0, seed=1)
+    for family in (FullGaussian, DiagGaussian):
+        with pytest.raises(ValueError):
+            family(1).sample([0.0, -0.5], 0, make_rng(1))
 
 
 # -- log density -------------------------------------------------------------
@@ -322,6 +321,50 @@ def test_full_fisher_matches_isserlis_loop(dim, rng):
         # every entry is the loop's expression in the loop's order
         np.testing.assert_array_equal(fisher, reference)
         np.testing.assert_array_equal(fisher, fisher.T)
+
+
+def conditioned_lam(rng, fam, cond):
+    """Random lam whose precision has condition number cond."""
+    p = fam.theta_dim
+    eigs = np.logspace(0.0, np.log10(cond), p) * rng.uniform(0.3, 3.0)
+    mean = 3.0 * rng.standard_normal(p)
+    if isinstance(fam, DiagGaussian):
+        return fam.from_moment(mean, rng.permutation(eigs))
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    prec = basis @ np.diag(eigs) @ basis.T
+    return fam.from_moment(mean, 0.5 * (prec + prec.T))
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want)) / float(np.linalg.norm(want))
+
+
+# cond(S) up to 1e2: beyond that the dense Cholesky reference itself loses
+# digits, since cond(F) grows like cond(S)^2
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+@pytest.mark.parametrize("dim", [*range(1, 8), 12])
+def test_fisher_products_match_dense_fisher(family, dim, rng):
+    fam = family(dim)
+    for cond in (1.0, 10.0, 100.0):
+        for _ in range(3):
+            lam = conditioned_lam(rng, fam, cond)
+            fisher = fam.fisher(lam)
+            v = rng.standard_normal(fam.param_dim)
+            assert rel_err(fam.fisher_vp(lam, v), fisher @ v) <= 1e-10
+            assert rel_err(fam.fisher_solve(lam, v),
+                           cho_solve(cho_factor(fisher, lower=True), v)) <= 1e-10
+
+
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+def test_fisher_products_validate_inputs(family):
+    fam = family(2)
+    lam = fam.from_moment(np.zeros(2), np.ones(2) if family is DiagGaussian
+                          else np.eye(2))
+    for method in (fam.fisher_vp, fam.fisher_solve):
+        with pytest.raises(ValueError):
+            method(lam, np.ones(fam.param_dim + 1))
+        with pytest.raises(DomainError):
+            method(np.zeros(fam.param_dim), np.ones(fam.param_dim))
 
 
 @pytest.mark.parametrize("kind", ["full", "diag"])

@@ -69,6 +69,39 @@ def test_defaults_filled():
     assert resolved["output"]["trace"] == "trace.csv"
 
 
+def _logistic_mc(**optimizer):
+    return base_config(model={"kind": "logistic", "n": 30, "p": 2, "data_seed": 3},
+                       optimizer={"kind": "blr", "estimator": "mc", "n_samples": 4,
+                                  **optimizer})
+
+
+def test_negative_seeds_rejected():
+    for bad in (_logistic_mc() | {"seed": -1},
+                base_config(model={"kind": "ridge", "data_seed": -1}),
+                base_config(optimizer={"kind": "ivon", "init_seed": -1})):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            resolve_config(bad)
+
+
+def test_sampled_blr_budget_keeps_step_streams_distinct():
+    # steps 0..max_iter are estimated, and step 2**20 would reuse the
+    # stream of step 0 under seed ^ 1
+    with pytest.raises(ConfigError, match="max_iter"):
+        resolve_config(_logistic_mc(max_iter=2 ** 20))
+    with pytest.raises(ConfigError, match="max_iter"):
+        resolve_config(_logistic_mc(estimator="reparam", family="diag", max_iter=2 ** 21))
+    assert resolve_config(_logistic_mc(max_iter=2 ** 20 - 1))["optimizer"]["max_iter"] \
+        == 2 ** 20 - 1
+    exact = base_config(optimizer={"kind": "blr", "max_iter": 2 ** 21})
+    assert resolve_config(exact)["optimizer"]["max_iter"] == 2 ** 21
+
+
+def test_cli_run_negative_seed_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    assert main(["run", write_cfg(tmp_path, _logistic_mc() | {"seed": -1})]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # -- run_experiment --------------------------------------------------------------
 
 def test_ridge_blr_run_artifacts(tmp_path):

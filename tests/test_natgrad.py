@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_factor, cho_solve
+
+from natvb.blr import fixed_point_residual
 from natvb.errors import MissingHessian, SolverFailure
+from natvb.harness import run_experiment
 from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
                             sym_to_coeff)
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
-from natvb.natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
-                           linear_loss_natgrad, natgrad_delta_method,
+from natvb.natgrad import (SAMPLED_STEP_LIMIT, EstimatorSpec, estimate_natgrad,
+                           expected_loss, linear_loss_natgrad, natgrad_delta_method,
                            natgrad_exact, natgrad_gaussian_identity,
                            natgrad_via_dual, reparam_hessian_diag_estimate)
 from natvb.numdiff import central_diff_gradient
@@ -109,6 +113,94 @@ def test_natgrad_via_dual_detects_inconsistent_gradient():
     with pytest.raises(SolverFailure):
         natgrad_via_dual(fam, [0.0, -0.5], np.array([1.0, 1.0]),
                          np.array([5.0, 5.0]), rtol=1e-6)
+
+
+def test_natgrad_via_dual_rejects_ill_conditioned_iterate():
+    # cond(S) = 1e8: the round trip through F loses far more than rtol
+    rng = make_rng(3)
+    fam = FullGaussian(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    prec = basis @ np.diag([1.0, 1e4, 1e8]) @ basis.T
+    lam = fam.from_moment(np.ones(3), 0.5 * (prec + prec.T))
+    with pytest.raises(SolverFailure):
+        natgrad_via_dual(fam, lam, rng.standard_normal(fam.param_dim))
+
+
+def _forbid_dense_fisher(monkeypatch):
+    def refuse(self, lam):
+        raise AssertionError("dense Fisher formed")
+
+    for family in (FullGaussian, DiagGaussian):
+        monkeypatch.setattr(family, "fisher", refuse)
+
+
+def test_dual_check_never_forms_the_fisher(monkeypatch, rng):
+    _forbid_dense_fisher(monkeypatch)
+    for kind in ("full", "diag"):
+        fam, lam = random_instance(rng, max_dim=5, kind=kind)
+        grad_mu = rng.standard_normal(fam.param_dim)
+        natgrad_via_dual(fam, lam, grad_mu)
+        natgrad_via_dual(fam, lam, grad_mu, fam.fisher_vp(lam, grad_mu))
+        p = fam.theta_dim
+        a = rng.standard_normal((p, p))
+        loss = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
+        for spec in (EstimatorSpec("exact"), EstimatorSpec("mc", 4, seed=2)):
+            assert fixed_point_residual(fam, lam, loss, spec, step=3) >= 0.0
+
+
+def test_blr_run_never_forms_the_fisher(monkeypatch, tmp_path):
+    _forbid_dense_fisher(monkeypatch)
+    config = {"schema_version": 1, "seed": 1,
+              "model": {"kind": "logistic", "n": 40, "p": 3, "data_seed": 2},
+              "optimizer": {"kind": "blr", "family": "full", "learning_rate": 0.3,
+                            "max_iter": 4, "estimator": "mc", "n_samples": 4}}
+    assert run_experiment(config, tmp_path)["iterations"] == 4
+
+
+def _dense_dual_check(fam, lam, grad_mu, rtol=1e-6):
+    """The cross-check through the dense Fisher and its Cholesky factor."""
+    fisher = fam.fisher(lam)
+    try:
+        factor = cho_factor(fisher, lower=True)
+    except np.linalg.LinAlgError:
+        return "fail", np.nan
+    solved = cho_solve(factor, fisher @ grad_mu)
+    err = float(np.linalg.norm(solved - grad_mu)) / max(1.0, float(np.linalg.norm(grad_mu)))
+    return ("pass" if err <= rtol else "fail"), err
+
+
+def _structured_dual_check(fam, lam, grad_mu, rtol=1e-6):
+    solved = fam.fisher_solve(lam, fam.fisher_vp(lam, grad_mu))
+    err = float(np.linalg.norm(solved - grad_mu)) / max(1.0, float(np.linalg.norm(grad_mu)))
+    try:
+        natgrad_via_dual(fam, lam, grad_mu, rtol=rtol)
+    except SolverFailure:
+        return "fail", err
+    return "pass", err
+
+
+def test_dual_check_conditioning_sweep():
+    # cond(S) in 1e2..1e12 and |m| in {0, 1, 100} at P = 5. Both routes
+    # lose accuracy with cond(F), so where their verdicts differ the error
+    # sits within a decade of rtol on both sides: a roundoff tie
+    fam = FullGaussian(5)
+    for exponent in range(2, 13):
+        for mean_norm in (0.0, 1.0, 100.0):
+            rng = make_rng(500 + exponent, int(mean_norm))
+            basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            prec = basis @ np.diag(np.logspace(0, exponent, 5)) @ basis.T
+            direction = rng.standard_normal(5)
+            lam = fam.from_moment(mean_norm * direction / np.linalg.norm(direction),
+                                  0.5 * (prec + prec.T))
+            grad_mu = rng.standard_normal(fam.param_dim)
+            dense, dense_err = _dense_dual_check(fam, lam, grad_mu)
+            verdict, err = _structured_dual_check(fam, lam, grad_mu)
+            if exponent == 2:
+                assert dense == verdict == "pass"
+            if exponent >= 7:
+                assert dense == verdict == "fail"
+            if dense != verdict:
+                assert 1e-7 <= dense_err <= 1e-5 and 1e-7 <= err <= 1e-5
 
 
 # -- Gaussian identity estimator --------------------------------------------
@@ -295,6 +387,24 @@ def test_estimate_dispatch_matches_direct_calls(rng):
     assert mc.kind == "mc" and mc.n_samples == 8
     rep = estimate_natgrad(fam, lam, loss, EstimatorSpec("reparam", 8, seed=5))
     assert rep.kind == "reparam"
+
+
+def test_sampled_estimates_refuse_colliding_steps(rng):
+    fam = DiagGaussian(2)
+    lam = random_lam(rng, fam)
+    loss = QuadraticLoss(np.diag([1.0, 2.0]), np.ones(2))
+    for kind in ("mc", "reparam"):
+        spec = EstimatorSpec(kind, 4, seed=5)
+        for step in (-1, SAMPLED_STEP_LIMIT, SAMPLED_STEP_LIMIT + 7):
+            with pytest.raises(ValueError, match="step"):
+                estimate_natgrad(fam, lam, loss, spec, step=step)
+        last = estimate_natgrad(fam, lam, loss, spec, step=SAMPLED_STEP_LIMIT - 1)
+        # the stream below the limit is the one (seed << 20) ^ step names
+        assert last.seed == (5 << 20) ^ (SAMPLED_STEP_LIMIT - 1)
+    # deterministic kinds draw nothing, so any step is fine
+    estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"), step=SAMPLED_STEP_LIMIT)
+    with pytest.raises(ValueError, match="seed"):
+        EstimatorSpec("mc", 4, seed=-1)
 
 
 def test_estimate_mc_seed_differs_by_step(rng):

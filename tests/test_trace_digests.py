@@ -41,6 +41,12 @@ PINNED = {
                 {"kind": "blr", "family": "full", "learning_rate": 0.5,
                  "max_iter": 12, "estimator": "exact"}),
         "ac0340c0c35261fbe61febe8e3cb1df7a9b73d2289e9e966a39795adbf9a1f8e"),
+    # P = 40, where the per-step dual-coordinate cross-check dominated the run
+    "blr_full_exact_ridge_p40": (
+        _config(1, {"kind": "ridge", "n": 60, "p": 40, "data_seed": 3},
+                {"kind": "blr", "family": "full", "learning_rate": 0.5,
+                 "max_iter": 8, "estimator": "exact"}),
+        "51fe05a0c45d0ed54601c7ba7a30b96ab5ccd6eb62205a0731ed22bd5ee52201"),
     "blr_full_delta": (
         _config(1, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.5,
                                "max_iter": 8, "estimator": "delta"}),
