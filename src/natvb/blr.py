@@ -40,7 +40,7 @@ from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
 from .natgrad import (EstimatorSpec, NatGradEstimate, estimate_natgrad,
                       expected_loss, natgrad_via_dual)
-from .seeding import make_rng
+from .seeding import fixed_normals
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,17 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
     """Verify the Bayes-filter form of a step.
 
     log q_{t+1}(theta) - [(1-rho) log q_t(theta) + rho <tilde_lam, T(theta)>]
-    must be constant in theta; the probe grid is drawn once from q_t.
+    must be constant in theta on a grid of n_probes points from q_t. The
+    grid is the standard-normal block of make_rng(probe_seed), drawn once
+    per (n_probes, P, probe_seed) by seeding.fixed_normals and transported
+    to q_t, so it is the grid family.sample would draw with that
+    generator, without redrawing it at every step.
     """
     if state_t1.tilde_lambda is None:
         raise ValueError("state_t1 carries no natural-gradient estimate")
     family = state_t.family
-    rng = make_rng(probe_seed)
-    probes = family.sample(state_t.lam, n_probes, rng)
+    z = fixed_normals((n_probes, family.theta_dim), probe_seed)
+    probes = family.transport(state_t.lam, z)
     # one gap per probe: log q_{t+1} - (1-rho) log q_t - rho <tilde_lam, T>
     gaps = (family.log_density(state_t1.lam, probes)
             - (1.0 - rho) * family.log_density(state_t.lam, probes)

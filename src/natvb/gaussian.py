@@ -21,9 +21,9 @@ closed form, so F v and F^-1 w cost O(P^3) from the memoised factor
 (elementwise for the diagonal family) against O(P^4) to build the dense
 F and O(P^6) to factor it.
 
-The precision parameterization is primary throughout: sampling runs a
-triangular solve against the Cholesky factor of S, and nothing inverts a
-covariance on the hot path. Validity is decided by Cholesky success
+The precision parameterization is primary throughout: sampling
+(transport of standard normals) runs a triangular solve against the
+Cholesky factor of S, and nothing inverts a covariance on the hot path. Validity is decided by Cholesky success
 alone; the domain is open, so boundary cases fail rather than being
 nudged.
 """
@@ -117,6 +117,13 @@ def _chol_pd(mat: np.ndarray) -> np.ndarray:
 def _check_size(size: int) -> None:
     if size < 1:
         raise ValueError("sample size must be >= 1")
+
+
+def _normal_rows(z, dim: int) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != dim:
+        raise ValueError(f"standard-normal draws must have shape (n >= 1, {dim})")
+    return z
 
 
 # -- families ---------------------------------------------------------
@@ -318,12 +325,16 @@ class FullGaussian(ExpFamily):
         quad = thetas[:, self._triu.rows] * thetas[:, self._triu.cols]
         return np.concatenate([thetas, quad], axis=1)
 
-    def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
-        _check_size(size)
+    def transport(self, lam, z) -> np.ndarray:
+        """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
         factor = self._factor(lam)
-        z = rng.standard_normal((size, self.theta_dim))
+        z = _normal_rows(z, self.theta_dim)
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
         return factor.mean + solve_triangular(factor.chol.T, z.T, lower=False).T
+
+    def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
+        _check_size(size)
+        return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
 
 
 class DiagGaussian(ExpFamily):
@@ -437,11 +448,14 @@ class DiagGaussian(ExpFamily):
         thetas = self._theta_rows(thetas)
         return np.concatenate([thetas, thetas ** 2], axis=1)
 
+    def transport(self, lam, z) -> np.ndarray:
+        """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
+        mean, var = self.to_mean_var(lam)
+        return mean + np.sqrt(var) * _normal_rows(z, self.theta_dim)
+
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _check_size(size)
-        mean, var = self.to_mean_var(lam)
-        z = rng.standard_normal((size, self.theta_dim))
-        return mean + np.sqrt(var) * z
+        return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
 
 
 # -- moment-side types and conversions --------------------------------

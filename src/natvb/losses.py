@@ -71,6 +71,15 @@ class LossModel:
             total += self.hessian_diag(theta, batch)
         return total / len(thetas)
 
+    def gradient_and_mean_hessian(self, thetas, batch=None, diag: bool = False):
+        """(gradient_batch, mean_hessian_diag if diag else mean_hessian_full).
+
+        The pair a Monte Carlo estimate needs; override to share one pass
+        over the data between its two halves.
+        """
+        hessian = self.mean_hessian_diag if diag else self.mean_hessian_full
+        return self.gradient_batch(thetas, batch), hessian(thetas, batch)
+
     # Closed-form Gaussian expectations, for the exact estimator path.
     # Available only when the loss admits them (affine gradient).
 
@@ -118,11 +127,16 @@ _BATCHED = (("value_batch", None), ("gradient_batch", None),
 _BATCH_RTOL = 1e-10
 
 
+def _relative_gap(got, ref) -> float:
+    return float(np.linalg.norm(got - ref)) / max(1.0, float(np.linalg.norm(ref)))
+
+
 def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                       hess_rtol: float = 1e-3) -> dict:
     """Verify gradient (and provided Hessians) against central differences,
-    overridden batched methods against their per-theta loops, and an
-    overridden value_and_gradient against value and gradient.
+    overridden batched methods against their per-theta loops, and
+    overridden fused methods (value_and_gradient, gradient_and_mean_hessian)
+    against the separate calls they combine.
 
     The batched and fused checks run on the full data and, for
     minibatchable losses, on every other datum. Raises ValueError on
@@ -165,7 +179,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
         for batch in batches:
             got = getattr(loss, name)(thetas, batch)
             ref = getattr(LossModel, name)(loss, thetas, batch)
-            err = float(np.linalg.norm(got - ref)) / max(1.0, float(np.linalg.norm(ref)))
+            err = _relative_gap(got, ref)
             worst["batched"] = max(worst["batched"], err)
             if err > _BATCH_RTOL:
                 raise ValueError(f"batched {name} differs from its per-theta method: "
@@ -176,12 +190,24 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                 value, grad = loss.value_and_gradient(theta, batch)
                 ref_value, ref_grad = LossModel.value_and_gradient(loss, theta, batch)
                 err = max(abs(value - ref_value) / max(1.0, abs(ref_value)),
-                          float(np.linalg.norm(grad - ref_grad))
-                          / max(1.0, float(np.linalg.norm(ref_grad))))
+                          _relative_gap(grad, ref_grad))
                 worst["batched"] = max(worst["batched"], err)
                 if err > _BATCH_RTOL:
                     raise ValueError(f"value_and_gradient differs from value and gradient: "
                                      f"{err:.3e} > {_BATCH_RTOL:.1e}")
+    if type(loss).gradient_and_mean_hessian is not LossModel.gradient_and_mean_hessian:
+        diags = ([False] if loss.provides_hessian_full else []) + (
+            [True] if loss.provides_hessian_diag else [])
+        for diag in diags:
+            for batch in batches:
+                grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag)
+                ref_grads, ref_hess = LossModel.gradient_and_mean_hessian(
+                    loss, thetas, batch, diag)
+                err = max(_relative_gap(grads, ref_grads), _relative_gap(hess, ref_hess))
+                worst["batched"] = max(worst["batched"], err)
+                if err > _BATCH_RTOL:
+                    raise ValueError(f"gradient_and_mean_hessian differs from gradient_batch "
+                                     f"and the mean Hessian: {err:.3e} > {_BATCH_RTOL:.1e}")
     return worst
 
 

@@ -24,11 +24,16 @@ For Gaussians the assembly uses the gradient/Hessian identity
     tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ].
 
 The sampled kinds share one batched core: the K draws reach the loss as
-one (K, P) array, through LossModel.gradient_batch and
-mean_hessian_full / mean_hessian_diag. Only the mean Hessian enters
-the identity, so a loss can return it without forming K matrices; for
-logistic regression it is X' diag(mean_k w_k) X + tau I, one product.
-The objective's Monte Carlo fallback likewise makes one value_batch call.
+one (K, P) array. The mc kind makes one LossModel.gradient_and_mean_hessian
+call, which a loss can serve from one pass over its data; for logistic
+regression that is one logit product and one sigmoid for both halves.
+Only the mean Hessian enters the identity, so a loss can return it
+without forming K matrices; for logistic regression it is
+X' diag(mean_k w_k) X + tau I, one product. The reparam kind needs
+gradient_batch alone. The objective's Monte Carlo fallback likewise
+makes one value_batch call, on a fixed-seed block of standard normals
+that is drawn once (seeding.fixed_normals) and moved to each iterate by
+the family's transport.
 
 natgrad_via_dual certifies the identity behind all of this: mapping a
 dual-coordinate gradient to natural coordinates with F and back with
@@ -48,7 +53,7 @@ from .expfam import ExpFamily
 from .gaussian import DiagGaussian, ExpFamDistribution, FullGaussian, sym_to_coeff
 from .losses import LossModel
 from .quadrature import gaussian_expectation
-from .seeding import make_rng
+from .seeding import fixed_normals, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
 #: sampled estimators draw step t's samples on stream (seed << 20) ^ t,
@@ -196,7 +201,8 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
     Full-covariance families need loss.hessian_full. Diagonal families
     use loss.hessian_diag when curvature="hessian" and the gradient-only
     reparameterization estimate when curvature="reparam". The K samples
-    go to the loss as one (K, P) array.
+    go to the loss as one (K, P) array: one gradient_and_mean_hessian
+    call for curvature="hessian", one gradient_batch call otherwise.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -212,12 +218,10 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
         raise MissingHessian("mc estimator on a diagonal family needs hessian_diag")
     thetas = family.sample(dist.coords, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(dist.coords)
-    grads = loss.gradient_batch(thetas, batch)
-    if full:
-        hess = loss.mean_hessian_full(thetas, batch)
-    elif curvature == "hessian":
-        hess = loss.mean_hessian_diag(thetas, batch)
+    if curvature == "hessian":
+        grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=not full)
     else:
+        grads = loss.gradient_batch(thetas, batch)
         _, prec = family.split_natural(dist.coords)
         hess = (grads * prec * (thetas - mean)).sum(axis=0) / n_samples
     kind = "mc" if curvature == "hessian" else "reparam"
@@ -254,7 +258,15 @@ def _fold_seed(seed: int, step: int) -> int:
 
 def expected_loss(family: ExpFamily, lam, loss: LossModel,
                   spec: EstimatorSpec | None = None) -> float:
-    """E_q[loss]: closed form when available, quadrature for P <= 2, else MC."""
+    """E_q[loss]: closed form when available, quadrature for P <= 2, else MC.
+
+    The Monte Carlo fallback averages value_batch over max(K, 2) draws of
+    stream (spec.seed, 0xE); spec defaults to 10,000 samples at seed 0.
+    The standard normals behind them are drawn once per (K, P, seed)
+    (seeding.fixed_normals) and transported to q_lam, so every iterate of
+    a run reuses the same block: the same draws family.sample would make
+    from make_rng(spec.seed, 0xE), without drawing them again.
+    """
     lam = family._check_natural(lam)
     mean, cov = family.to_mean_cov(lam)
     try:
@@ -264,6 +276,5 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     if family.theta_dim <= 2:
         return gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)
-    rng = make_rng(spec.seed, 0xE)
-    thetas = family.sample(lam, max(spec.n_samples, 2), rng)
-    return float(np.mean(loss.value_batch(thetas)))
+    z = fixed_normals((max(spec.n_samples, 2), family.theta_dim), spec.seed, 0xE)
+    return float(np.mean(loss.value_batch(family.transport(lam, z))))

@@ -7,17 +7,27 @@ elsewhere in the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.special import roots_hermitenorm
 
 
+@lru_cache(maxsize=16)
 def standard_normal_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights w with E[f(Z)] ~ sum_i w_i f(z_i), Z ~ N(0,1)."""
+    """Nodes z and weights w with E[f(Z)] ~ sum_i w_i f(z_i), Z ~ N(0,1).
+
+    Computed once per node count and returned read-only. scipy.special is
+    imported on first use, so runs that never integrate do not load it.
+    """
+    from scipy.special import roots_hermitenorm
+
     z, w = roots_hermitenorm(n_nodes)
-    return z, w / np.sqrt(2.0 * np.pi)
+    w = w / np.sqrt(2.0 * np.pi)
+    for arr in (z, w):
+        arr.setflags(write=False)
+    return z, w
 
 
 def gaussian_expectation(f_batch: Callable[[np.ndarray], np.ndarray],

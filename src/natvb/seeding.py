@@ -9,9 +9,13 @@ algorithm identifier is recorded in output metadata.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
+#: distinct (shape, seed, stream) blocks fixed_normals keeps
+_FIXED_DRAWS = 8
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -22,3 +26,16 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+@lru_cache(maxsize=_FIXED_DRAWS)
+def fixed_normals(shape, seed: int, *stream: int) -> np.ndarray:
+    """make_rng(seed, *stream).standard_normal(shape), drawn once.
+
+    For callers that reuse one fixed-seed block at every iterate (probe
+    grids, the objective's Monte Carlo fallback). The block is read-only
+    and memoised for the last _FIXED_DRAWS distinct arguments.
+    """
+    draws = make_rng(seed, *stream).standard_normal(shape)
+    draws.setflags(write=False)
+    return draws

@@ -162,6 +162,33 @@ def test_multiplicative_form_rate_one_probe_is_linear_in_stats(rng):
     assert max(gaps) - min(gaps) < 1e-8
 
 
+def _multiplicative_spread_by_sampling(state_t, state_t1, rho, n_probes=10,
+                                       probe_seed=1009):
+    """The check's spread with probes drawn by family.sample, as a reference."""
+    family = state_t.family
+    probes = family.sample(state_t.lam, n_probes, make_rng(probe_seed))
+    gaps = (family.log_density(state_t1.lam, probes)
+            - (1.0 - rho) * family.log_density(state_t.lam, probes)
+            - rho * (family.sufficient_stats_batch(probes) @ state_t1.tilde_lambda))
+    return float(np.max(gaps) - np.min(gaps))
+
+
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng):
+    loss = make_logistic_data(5, 40, 3)
+    fam = family(3)
+    spec = EstimatorSpec("mc", 4, seed=2)
+    state = blr_init(fam, random_lam(rng, fam))
+    for rho in (0.3, 0.7, 0.2):
+        nxt = blr_step(state, loss, BLRConfig(rho, 1, estimator=spec))
+        for n_probes, probe_seed in ((10, 1009), (6, 3)):
+            report = multiplicative_form_check(state, nxt, rho, n_probes=n_probes,
+                                               probe_seed=probe_seed)
+            assert report.spread == _multiplicative_spread_by_sampling(
+                state, nxt, rho, n_probes, probe_seed)
+        state = nxt
+
+
 # -- fixed-point residual --------------------------------------------------------
 
 def test_residual_zero_at_conjugate_posterior():

@@ -8,7 +8,7 @@ from natvb.errors import DomainError
 from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
                             GaussianMoment, coeff_to_sym, moment_to_natural,
                             moment_to_sym, sym_to_coeff, sym_to_moment)
-from natvb.seeding import RNG_ALGORITHM, make_rng
+from natvb.seeding import _FIXED_DRAWS, RNG_ALGORITHM, fixed_normals, make_rng
 
 from conftest import random_instance, random_lam
 
@@ -192,6 +192,46 @@ def test_sample_count_validation():
     for family in (FullGaussian, DiagGaussian):
         with pytest.raises(ValueError):
             family(1).sample([0.0, -0.5], 0, make_rng(1))
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_transport_of_generator_draws_is_sample_bitwise(kind):
+    for seed in range(5):
+        fam, lam = random_instance(make_rng(34, seed), kind=kind)
+        for size in (1, 7):
+            z = make_rng(seed).standard_normal((size, fam.theta_dim))
+            np.testing.assert_array_equal(fam.transport(lam, z),
+                                          fam.sample(lam, size, make_rng(seed)))
+
+
+def test_transport_validates_draw_shape():
+    for family in (FullGaussian, DiagGaussian):
+        fam = family(2)
+        lam = fam.from_moment(np.zeros(2), np.ones(2) if family is DiagGaussian
+                              else np.eye(2))
+        for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                fam.transport(lam, bad)
+
+
+def test_fixed_normals_equal_a_fresh_generator_bitwise():
+    for shape, seed, stream in (((10, 3), 1009, ()), ((32, 8), 4, (0xE,)),
+                                (5, 0, (1, 2))):
+        got = fixed_normals(shape, seed, *stream)
+        np.testing.assert_array_equal(
+            got, make_rng(seed, *stream).standard_normal(shape))
+        assert fixed_normals(shape, seed, *stream) is got
+
+
+def test_fixed_normals_read_only_and_bounded():
+    draws = fixed_normals((4, 2), 7, 1)
+    with pytest.raises(ValueError):
+        draws[0, 0] = 1.0
+    for seed in range(3 * _FIXED_DRAWS):
+        fixed_normals((2, 2), 1000 + seed)
+    assert fixed_normals.cache_info().currsize <= _FIXED_DRAWS
+    # an evicted block is drawn again, to the same bits
+    np.testing.assert_array_equal(fixed_normals((4, 2), 7, 1), draws)
 
 
 # -- log density -------------------------------------------------------------

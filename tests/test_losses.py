@@ -230,6 +230,37 @@ def test_check_derivatives_reports_fused_error():
     assert 1e-13 < worst["batched"] < 1e-11
 
 
+@pytest.mark.parametrize("drift", [
+    lambda grads, hess, batch, diag: (grads * (1.0 + 1e-8), hess),
+    lambda grads, hess, batch, diag: (grads, hess + 1e-7),
+    # forgets the N/|batch| rescaling, so only the minibatch check sees it
+    lambda grads, hess, batch, diag: (grads, hess if batch is None else hess / 2.0),
+    # wrong only on the diagonal route
+    lambda grads, hess, batch, diag: (grads, hess * 1.001 if diag else hess),
+])
+def test_check_derivatives_catches_drifting_gradient_and_mean_hessian(drift):
+    data = make_logistic_data(3, 40, 3)
+
+    class Drifting(LogisticModel):
+        def gradient_and_mean_hessian(self, thetas, batch=None, diag=False):
+            return drift(*super().gradient_and_mean_hessian(thetas, batch, diag),
+                         batch, diag)
+
+    loss = Drifting(data.x, data.y)
+    points = [np.full(3, 0.1), np.array([0.3, -0.2, 0.5])]
+    with pytest.raises(ValueError, match="gradient_and_mean_hessian"):
+        check_derivatives(loss, points)
+
+
+def test_gradient_and_mean_hessian_default_is_the_separate_calls(rng):
+    loss = make_quadratic(rng, 3)
+    thetas = rng.standard_normal((4, 3))
+    for diag, hessian in ((False, loss.mean_hessian_full), (True, loss.mean_hessian_diag)):
+        grads, hess = loss.gradient_and_mean_hessian(thetas, diag=diag)
+        np.testing.assert_array_equal(grads, loss.gradient_batch(thetas))
+        np.testing.assert_array_equal(hess, hessian(thetas))
+
+
 def test_value_and_gradient_default_is_value_then_gradient(rng):
     loss = make_quadratic(rng, 3)
     theta = rng.standard_normal(3)

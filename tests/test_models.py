@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from natvb.blr import conjugate_posterior
 from natvb.errors import DomainError
 from natvb.gaussian import FullGaussian
 from natvb.losses import check_derivatives
-from natvb.models import (MLPModel, RidgeModel,
+from natvb.models import (MLPModel, RidgeModel, _softplus,
                           make_logistic_data, make_ridge_data,
                           make_spirals_mlp, ridge_conjugate_model,
                           ridge_exact_posterior, ridge_loss,
@@ -128,6 +130,48 @@ def test_logistic_minibatch_hessians_rescaled():
     np.testing.assert_allclose(avg, loss.hessian_full(theta), rtol=1e-10)
 
 
+# -- the softplus kernel behind every loss value -------------------------------
+
+def _ulps(got, ref):
+    """|got - ref| in units of the float64 spacing at ref."""
+    ref64 = ref.astype(float)
+    return (np.abs(got.astype(np.longdouble) - ref)
+            / np.spacing(np.abs(ref64)).astype(np.longdouble)).astype(float)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.normal(0.0, 3.0, 200_000),
+    lambda rng: rng.normal(0.0, 40.0, 200_000),
+    lambda rng: rng.uniform(-745.0, 745.0, 200_000),
+])
+def test_softplus_within_ulps_of_oracles(draw):
+    z = draw(make_rng(41))
+    got = _softplus(z)
+    assert np.max(_ulps(got, np.logaddexp(0.0, z).astype(np.longdouble))) <= 4.0
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble has no extra precision on this platform")
+    zl = z.astype(np.longdouble)
+    exact = np.maximum(zl, 0.0) + np.log1p(np.exp(-np.abs(zl)))
+    assert np.max(_ulps(got, exact)) <= 2.0
+
+
+def test_softplus_special_values_match_logaddexp():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320,
+                        709.0, -709.0, 750.0, -750.0, 1e308, -1e308])
+    with np.errstate(invalid="ignore"):
+        ref = np.logaddexp(0.0, special)
+    np.testing.assert_array_equal(_softplus(special), ref)
+    assert _softplus(np.array([0.0]))[0] == np.log(2.0)
+
+
+def test_softplus_does_not_warn_on_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            out = _softplus(np.array([np.nan, 1.0, -np.inf]))
+    assert np.isnan(out[0]) and out[2] == 0.0
+
+
 # -- two spirals and the MLP ---------------------------------------------------
 
 def test_two_spirals_shape_and_balance():
@@ -219,7 +263,8 @@ def _reference_value_and_gradient(mlp, theta, batch=None):
     else:
         x, y, scale = mlp.x[batch], mlp.y[batch], mlp.n_data / len(batch)
     layers, acts, z = _reference_forward(mlp, theta, x)
-    data = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    # the value kernel itself is held to its oracle in test_softplus_*
+    data = float(np.sum(_softplus(z) - y * z))
     value = scale * data + 0.5 * mlp.prior_precision * float(theta @ theta)
     delta = (0.5 * (1.0 + np.tanh(0.5 * z)) - y).reshape(-1, 1)
     grads = [None] * len(layers)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -538,6 +543,118 @@ def test_expected_loss_fallback_is_mean_of_per_sample_values(rng):
     thetas = fam.sample(lam, 64, make_rng(spec.seed, 0xE))
     ref = float(np.mean([loss.value(t) for t in thetas]))
     assert abs(expected_loss(fam, lam, loss, spec) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+def test_expected_loss_fixed_draws_equal_sampling_bitwise(family, rng):
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(9, 80, 5)
+    fam = family(5)
+    for n_samples, seed in ((64, 3), (1, 0), (32, 11)):
+        spec = EstimatorSpec("mc", n_samples, seed=seed)
+        for _ in range(3):
+            lam = random_lam(rng, fam)
+            # the route before the block was cached: sample afresh from the stream
+            thetas = fam.sample(lam, max(n_samples, 2), make_rng(seed, 0xE))
+            ref = float(np.mean(loss.value_batch(thetas)))
+            assert expected_loss(fam, lam, loss, spec) == ref
+
+
+# -- one pass over the data per Monte Carlo estimate ------------------------------
+
+def separate_identity(dist, loss, n_samples, seed, batch=None):
+    """The mc estimate from separate gradient_batch and mean-Hessian calls."""
+    family = dist.family
+    full = isinstance(family, FullGaussian)
+    thetas = family.sample(dist.coords, n_samples, make_rng(seed))
+    mean, _ = family.to_mean_cov(dist.coords)
+    grads = loss.gradient_batch(thetas, batch)
+    hess = (loss.mean_hessian_full(thetas, batch) if full
+            else loss.mean_hessian_diag(thetas, batch))
+    grad = grads.sum(axis=0) / n_samples
+    if full:
+        return np.concatenate([-grad + hess @ mean, sym_to_coeff(-0.5 * hess)])
+    return np.concatenate([-grad + hess * mean, -0.5 * hess])
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+@pytest.mark.parametrize("minibatch", [False, True])
+def test_fused_estimate_equals_separate_calls_bitwise(kind, minibatch, rng):
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(7, 120, 4)
+    dist = full_dist(rng, 4) if kind == "full" else diag_dist(rng, 4)
+    batch = rng.choice(120, size=30, replace=False) if minibatch else None
+    for seed in range(3):
+        thetas = dist.family.sample(dist.coords, 16, make_rng(seed))
+        grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=kind == "diag")
+        np.testing.assert_array_equal(grads, loss.gradient_batch(thetas, batch))
+        np.testing.assert_array_equal(
+            hess, loss.mean_hessian_diag(thetas, batch) if kind == "diag"
+            else loss.mean_hessian_full(thetas, batch))
+        est = natgrad_gaussian_identity(dist, loss, 16, seed, batch=batch)
+        np.testing.assert_array_equal(est.tilde_lambda,
+                                      separate_identity(dist, loss, 16, seed, batch))
+
+
+# -- quadrature nodes: memoised, and scipy.special only on first use ---------------
+
+def test_quadrature_nodes_memoised_read_only_and_unchanged(rng):
+    from scipy.special import roots_hermitenorm
+    from natvb.quadrature import standard_normal_nodes
+    z, w = standard_normal_nodes(80)
+    assert standard_normal_nodes(80)[0] is z
+    assert not (z.flags.writeable or w.flags.writeable)
+    ref_z, ref_w = roots_hermitenorm(80)
+    ref_w = ref_w / np.sqrt(2.0 * np.pi)
+    np.testing.assert_array_equal(z, ref_z)
+    np.testing.assert_array_equal(w, ref_w)
+    # gaussian_expectation on the cached nodes, against the nodes computed afresh
+    from natvb.models import make_logistic_data
+    from scipy.linalg import cholesky
+    loss = make_logistic_data(9, 25, 2)
+    for dim in (1, 2):
+        fam = FullGaussian(dim)
+        mean, cov = fam.to_mean_cov(random_lam(rng, fam))
+        chol = cholesky(cov, lower=True)
+        if dim == 1:
+            thetas, weights = (mean[0] + chol[0, 0] * ref_z).reshape(-1, 1), ref_w
+        else:
+            grid = np.stack(np.meshgrid(ref_z, ref_z, indexing="ij"), axis=-1).reshape(-1, 2)
+            thetas, weights = mean + grid @ chol.T, np.outer(ref_w, ref_w).reshape(-1)
+        f = (lambda ts: ts[:, 0] ** 2) if dim == 1 else (lambda ts: loss.value_batch(ts))
+        ref = float(weights @ f(thetas))
+        assert gaussian_expectation(f, mean, cov) == ref
+
+
+def test_runs_without_quadrature_never_import_scipy_special(tmp_path):
+    code = f"""
+import sys
+import natvb.harness
+from natvb.harness import run_experiment
+configs = [
+    {{"kind": "ridge", "n": 20, "p": 3, "data_seed": 1}},
+    {{"kind": "logistic", "n": 40, "p": 3, "data_seed": 2}},
+    {{"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": 3}},
+]
+optimizers = [
+    {{"kind": "blr", "family": "full", "learning_rate": 0.5, "max_iter": 4,
+      "estimator": "exact"}},
+    {{"kind": "blr", "family": "full", "learning_rate": 0.3, "max_iter": 4,
+      "estimator": "mc", "n_samples": 4}},
+    {{"kind": "ivon", "steps": 5, "step_size": 0.1, "ess": 100.0, "batch_size": 10}},
+]
+for i, (model, opt) in enumerate(zip(configs, optimizers)):
+    run_experiment({{"schema_version": 1, "seed": 1, "model": model, "optimizer": opt}},
+                   {str(tmp_path)!r} + f"/run{{i}}")
+print("scipy.special" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_diag_mc_requires_hessian_diag(rng):

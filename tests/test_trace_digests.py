@@ -10,6 +10,13 @@ began passing all K samples to the loss as one array: that changes only
 the summation order. LOOPED_ROWS keeps the rows the per-sample loop
 wrote for those configs, and test_batched_core_keeps_looped_rows checks
 the new traces against them value by value.
+
+Seven digests were re-pinned when the softplus behind every loss value
+changed from np.logaddexp(0, z) to max(z, 0) + log1p(exp(-|z|)), which
+moves values by a few ULP. OLD_DIGESTS keeps the digests of the
+logaddexp kernel: with that kernel patched back in, every config must
+reproduce them exactly, and with the new kernel only the value columns
+may move, within VALUE_RTOL.
 """
 
 import csv
@@ -19,6 +26,7 @@ import numpy as np
 
 import pytest
 
+import natvb.models
 from natvb.harness import run_experiment
 
 
@@ -50,7 +58,7 @@ PINNED = {
     "blr_full_delta": (
         _config(1, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.5,
                                "max_iter": 8, "estimator": "delta"}),
-        "bce4c027a09c3d9e45421ecbf6c9a3853e83c799a464412000f490b033460ba2"),
+        "52854879189bd5bf3b2e44ee7385b140e9609c61b6ddf84737729ef82b4d8bdc"),
     "blr_full_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
@@ -65,37 +73,86 @@ PINNED = {
     "von": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 21},
                 {"kind": "von", "learning_rate": 0.1, "steps": 40, "n_samples": 4}),
-        "2428c76744d921f4426ceda7eb837555d486ac461f749e975c17d7970c1d5404"),
+        "8c4a0a1e92c63db4caea14b13c421dc3e8cc7c50d70bcf33e5ad1fcd63a03316"),
     "ivon": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 5},
                 {"kind": "ivon", "steps": 40, "step_size": 0.1, "ess": 100.0}),
-        "16f00af474f2e3c07097904f0d7f55a825c44aa63437f7d06b90bb231e08371b"),
+        "f94b1bc6d5018f6fccc8c4a3b52055ef7ba4736fcf23da1d1d6505fc2bca76ad"),
     "adam": (
         _config(6, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 3},
                 {"kind": "adam", "steps": 40, "step_size": 0.05, "batch_size": 20}),
-        "1a94f94723d6c1a5a3a67b1d4a1d246a0320680f76008bd09451b3abd6e0653a"),
+        "c7634859ea4c2ebf8c251d2a2cf925555d45050b34b04015a3a5fb8f37c43848"),
     "rmsprop": (
         _config(6, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 3},
                 {"kind": "rmsprop", "steps": 40, "step_size": 0.05}),
-        "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4"),
+        "20e46438ad95c57f2b9678542b269aaf08443121779e27cc5a5487dbb6ab911a"),
     # the MLP forward pass and backprop, under a minibatch and the full-data record
     "ivon_mlp": (
         _config(7, _SPIRALS, {"kind": "ivon", "steps": 40, "step_size": 0.3,
                               "ess": 3e4, "batch_size": 30}),
-        "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271"),
+        "3a44dcf57f5d646752d05c15402bf173355be8ce30b03e1a48e19d1b4d4b9b7c"),
     "adam_mlp": (
         _config(8, _SPIRALS, {"kind": "adam", "steps": 40, "step_size": 0.05,
                               "batch_size": 30}),
-        "7ea7af3af5860fb16fa7cf994b49f40d24b4d7425794101eea5d42cefe949334"),
+        "5b39870946eb153b59d43bd47ee21a8d1e0e4f4886f7380a8a94291005c8c47e"),
 }
+
+
+#: digests of the np.logaddexp(0, z) softplus kernel, for every pinned config
+OLD_DIGESTS = {
+    "adam": "1a94f94723d6c1a5a3a67b1d4a1d246a0320680f76008bd09451b3abd6e0653a",
+    "adam_mlp": "7ea7af3af5860fb16fa7cf994b49f40d24b4d7425794101eea5d42cefe949334",
+    "blr_diag_mc": "ba3585a9ea86e7a0931bce435e75a3b309d76e5dac3f090eb8906a58f7d524f7",
+    "blr_diag_reparam_halvings":
+        "daa945aaf460ca7f3e142944269e01ef6dd49365528532d5264e8bb185c4594e",
+    "blr_full_delta": "bce4c027a09c3d9e45421ecbf6c9a3853e83c799a464412000f490b033460ba2",
+    "blr_full_exact_ridge":
+        "ac0340c0c35261fbe61febe8e3cb1df7a9b73d2289e9e966a39795adbf9a1f8e",
+    "blr_full_exact_ridge_p40":
+        "51fe05a0c45d0ed54601c7ba7a30b96ab5ccd6eb62205a0731ed22bd5ee52201",
+    "blr_full_mc": "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4",
+    "ivon": "16f00af474f2e3c07097904f0d7f55a825c44aa63437f7d06b90bb231e08371b",
+    "ivon_mlp": "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271",
+    "rmsprop": "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4",
+    "von": "2428c76744d921f4426ceda7eb837555d486ac461f749e975c17d7970c1d5404",
+}
+#: the trace columns that hold a loss value, the only ones the kernel may move
+VALUE_COLUMNS = ("objective", "loss")
+VALUE_RTOL = 1e-14
+
+
+def _trace(config, out_dir):
+    run_experiment(config, out_dir)
+    return (out_dir / "trace.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_digest_pinned(name, tmp_path):
     config, digest = PINNED[name]
-    run_experiment(config, tmp_path)
-    blob = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == digest
+    assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch):
+    config, _ = PINNED[name]
+    new = _trace(config, tmp_path / "new")
+    with monkeypatch.context() as patch:
+        patch.setattr(natvb.models, "_softplus", lambda z: np.logaddexp(0.0, z))
+        old = _trace(config, tmp_path / "old")
+    # with the old kernel back, everything else reproduces the old bytes
+    assert hashlib.sha256(old).hexdigest() == OLD_DIGESTS[name]
+    old_rows = list(csv.reader(old.decode().splitlines()))
+    new_rows = list(csv.reader(new.decode().splitlines()))
+    assert new_rows[0] == old_rows[0] and len(new_rows) == len(old_rows)
+    for j, column in enumerate(old_rows[0]):
+        old_col = [row[j] for row in old_rows[1:]]
+        new_col = [row[j] for row in new_rows[1:]]
+        if column in VALUE_COLUMNS:
+            np.testing.assert_allclose(np.array(new_col, dtype=float),
+                                       np.array(old_col, dtype=float),
+                                       rtol=VALUE_RTOL, atol=0.0)
+        else:
+            assert new_col == old_col, column
 
 
 #: (t, rho, objective, residual) rows of the per-sample Monte Carlo loop
