@@ -21,21 +21,21 @@ of the same step are implemented and cross-checked against each other:
 
 Stationarity is certified by fixed_point_residual: at an optimum the
 natural parameter equals the natural gradient of the expected negative
-loss evaluated at itself. The estimate at an iterate (iterate_natgrad)
-serves both that certificate and the step taken from the iterate, so a
-loop computes it once and passes it to both.
+loss evaluated at itself. The estimate at an iterate serves both that
+certificate and the step taken from the iterate, so blr_run, the one
+iteration loop, computes it once and passes it to both.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DomainError, LeftDomain, NonPDHessian, SolverFailure
+from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
+                     LeftDomain, NonPDHessian, SolverFailure)
 from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
 from .natgrad import (EstimatorSpec, NatGradEstimate, estimate_natgrad,
@@ -45,16 +45,16 @@ from .seeding import fixed_normals
 
 @dataclass(frozen=True)
 class BLRConfig:
-    """Loop parameters: rate schedule, budget, tolerance, estimator."""
+    """Loop parameters: rate schedule, budget, tolerance, estimator, retries."""
 
     learning_rate: float | Callable[[int], float] = 1.0
     max_iter: int = 100
-    #: relative natural-parameter change declaring convergence
+    #: residual or relative natural-parameter change declaring convergence
     #: (deterministic estimators only; stochastic runs use the budget)
     tol: float = 1e-9
     estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
-    #: verify the Bayes-filter form of every accepted step
-    check_multiplicative: bool = True
+    #: times blr_run halves a step's rate before a domain exit propagates
+    max_rate_halvings: int = 20
 
     def rho_at(self, t: int) -> float:
         rho = self.learning_rate(t) if callable(self.learning_rate) else self.learning_rate
@@ -73,7 +73,6 @@ class BLRState:
     lam: NaturalParams
     mu: np.ndarray
     tilde_lambda: np.ndarray | None = None
-    objective_trace: tuple[float, ...] = ()
 
 
 def blr_init(family: ExpFamily, lam0) -> BLRState:
@@ -81,32 +80,21 @@ def blr_init(family: ExpFamily, lam0) -> BLRState:
     return BLRState(family, 0, lam, family.natural_to_dual(lam))
 
 
-def iterate_natgrad(state: BLRState, loss: LossModel, spec: EstimatorSpec,
-                    batch=None) -> NatGradEstimate:
-    """The natural gradient at an iterate, on the stream of step state.t.
-
-    This is the estimate blr_step takes from state, and the one
-    fixed_point_residual certifies state.lam with; a loop that needs both
-    computes it once and passes it to each.
-    """
-    return estimate_natgrad(state.family, state.lam, loss, spec,
-                            step=state.t, batch=batch)
-
-
 def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
              batch=None, estimate: NatGradEstimate | None = None) -> BLRState:
     """One convex-combination update in natural coordinates.
 
-    estimate, if given, must be iterate_natgrad(state, loss, cfg.estimator,
-    batch); it does not depend on the rate, so retries reuse it.
+    estimate, if given, must be the estimate at state.lam under
+    cfg.estimator on step state.t's stream; it does not depend on the
+    rate, so retries reuse it.
     Raises LeftDomain with the offending iterate if the combination exits
-    the family's domain; retry policy (e.g. halving rho) belongs to the
-    caller, not here.
+    the family's domain; blr_run retries such a step at half the rate.
     """
     family = state.family
     rho = cfg.rho_at(state.t)
     if estimate is None:
-        estimate = iterate_natgrad(state, loss, cfg.estimator, batch)
+        estimate = estimate_natgrad(family, state.lam, loss, cfg.estimator,
+                                    step=state.t, batch=batch)
     new_lam = (1.0 - rho) * state.lam.coords + rho * estimate.tilde_lambda
     if not family.contains_natural(new_lam):
         raise LeftDomain(
@@ -114,7 +102,7 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
             iterate=new_lam, iteration=state.t)
     wrapped = family.natural(new_lam)
     return BLRState(family, state.t + 1, wrapped, family.natural_to_dual(wrapped),
-                    estimate.tilde_lambda, state.objective_trace)
+                    estimate.tilde_lambda)
 
 
 # -- conjugate path ----------------------------------------------------
@@ -289,8 +277,7 @@ def newton_recovery_step(loss: LossModel, mean_t) -> tuple[np.ndarray, np.ndarra
 
 # -- run loop ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BLRTraceRow:
+class BLRTraceRow(NamedTuple):
     t: int
     rho: float
     objective: float
@@ -303,41 +290,68 @@ class BLRRun:
     trace: list[BLRTraceRow]
     converged: bool
     iterations: int
+    #: the last row's residual: the certificate at the final iterate
     final_residual: float
     multiplicative_reports: list[MultiplicativeFormReport]
-    wall_time_s: float
+
+
+def _step_with_halvings(state: BLRState, loss: LossModel, cfg: BLRConfig,
+                        estimate: NatGradEstimate) -> tuple[BLRState, float]:
+    """blr_step from state, halving the rate while the step leaves the domain."""
+    rho = cfg.rho_at(state.t)
+    for _ in range(cfg.max_rate_halvings + 1):
+        try:
+            return blr_step(state, loss, replace(cfg, learning_rate=rho),
+                            estimate=estimate), rho
+        except LeftDomain:
+            rho *= 0.5
+    raise LeftDomain(f"no valid step after {cfg.max_rate_halvings} halvings",
+                     iteration=state.t)
 
 
 def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
-    """Iterate blr_step to convergence or budget, collecting the trace.
+    """Iterate blr_step to convergence or budget, certifying every step.
 
-    Each row records the step's rate, the objective at the new iterate,
-    and the fixed-point residual at the iterate where the natural
-    gradient was evaluated.
+    Each iterate's estimate serves its residual, the step from it and
+    that step's rate-halving retries. Each row holds the step's rate and
+    the objective and residual at the new iterate. Deterministic kinds
+    stop once the residual or the relative change of lam reaches cfg.tol.
+    A domain error or failed certificate (a step failing
+    multiplicative_form_check raises BayesFilterViolation) propagates
+    with the rows recorded before it as partial_trace.
     """
-    start = time.perf_counter()
-    state = blr_init(family, lam0)
+    if cfg.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    spec = cfg.estimator
     trace: list[BLRTraceRow] = []
     reports: list[MultiplicativeFormReport] = []
     converged = False
-    deterministic = cfg.estimator.kind in ("exact", "delta")
-    for _ in range(cfg.max_iter):
-        prev = state
-        rho = cfg.rho_at(prev.t)
-        state = blr_step(prev, loss, cfg)
-        if cfg.check_multiplicative:
-            reports.append(multiplicative_form_check(prev, state, rho))
-        residual = (float(np.linalg.norm(prev.lam.coords - state.tilde_lambda))
-                    / max(1.0, float(np.linalg.norm(prev.lam.coords))))
-        objective = vb_objective(family, state.lam, loss, cfg.estimator)
-        state = replace(state, objective_trace=state.objective_trace + (objective,))
-        trace.append(BLRTraceRow(state.t, rho, objective, residual))
-        rel_change = (float(np.linalg.norm(state.lam.coords - prev.lam.coords))
-                      / max(1.0, float(np.linalg.norm(prev.lam.coords))))
-        if deterministic and rel_change <= cfg.tol:
-            converged = True
-            break
-    final_residual = fixed_point_residual(family, state.lam, loss, cfg.estimator,
-                                          step=state.t)
-    return BLRRun(state, trace, converged, state.t, final_residual, reports,
-                  time.perf_counter() - start)
+    deterministic = spec.kind in ("exact", "delta")
+    try:
+        state = blr_init(family, lam0)
+        estimate = estimate_natgrad(family, state.lam, loss, spec, step=state.t)
+        for _ in range(cfg.max_iter):
+            prev = state
+            state, rho = _step_with_halvings(prev, loss, cfg, estimate)
+            report = multiplicative_form_check(prev, state, rho)
+            if not report.passed:
+                raise BayesFilterViolation(
+                    f"Bayes-filter form violated at step {prev.t} "
+                    f"(spread {report.spread:.3e} > {report.tol:.1e})")
+            reports.append(report)
+            # stationarity certificate at the fresh iterate; a conjugate
+            # rate-1 jump therefore reports convergence after its one step
+            estimate = estimate_natgrad(family, state.lam, loss, spec, step=state.t)
+            residual = fixed_point_residual(family, state.lam, loss, spec,
+                                            step=state.t, estimate=estimate)
+            objective = vb_objective(family, state.lam, loss, spec)
+            trace.append(BLRTraceRow(state.t, rho, objective, residual))
+            rel_change = (float(np.linalg.norm(state.lam.coords - prev.lam.coords))
+                          / max(1.0, float(np.linalg.norm(prev.lam.coords))))
+            if deterministic and (residual <= cfg.tol or rel_change <= cfg.tol):
+                converged = True
+                break
+    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
+        exc.partial_trace = trace
+        raise
+    return BLRRun(state, trace, converged, state.t, trace[-1].residual, reports)

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import LeftDomain
 from .losses import LossModel
+from .natgrad import sampled_moments
 from .seeding import RNG_ALGORITHM, make_rng
 
 
@@ -173,9 +174,9 @@ def von_step(state: VONState, loss: LossModel, batch=None) -> VONState:
     """One natural-gradient step: scale first, then the Newton-like mean step.
 
     Expectations are closed-form when the loss provides them; otherwise
-    K samples are drawn from the current posterior, with the Hessian
-    diagonal taken from the loss when available and estimated from
-    gradients by the reparameterization identity when not.
+    K samples from the current posterior go as one block to the BLR
+    estimators' core, natgrad.sampled_moments, with the Hessian diagonal
+    from the loss when available and the reparameterization identity when not.
     """
     rho = _rate_at(state.learning_rate, state.t)
     mean, prec = state.mean, state.prec
@@ -184,20 +185,11 @@ def von_step(state: VONState, loss: LossModel, batch=None) -> VONState:
         grad_mean = loss.expected_gradient(mean, cov)
         hess_mean = np.diag(np.atleast_2d(loss.expected_hessian(mean, cov)))
     else:
-        rng = make_rng(state.seed, state.t)
-        sigma = 1.0 / np.sqrt(prec)
-        grad_sum = np.zeros_like(mean)
-        hess_sum = np.zeros_like(mean)
-        for _ in range(state.n_samples):
-            theta = mean + sigma * rng.standard_normal(mean.size)
-            grad = loss.gradient(theta, batch)
-            grad_sum += grad
-            if loss.provides_hessian_diag:
-                hess_sum += loss.hessian_diag(theta, batch)
-            else:
-                hess_sum += grad * prec * (theta - mean)
-        grad_mean = grad_sum / state.n_samples
-        hess_mean = hess_sum / state.n_samples
+        z = make_rng(state.seed, state.t).standard_normal((state.n_samples, mean.size))
+        curvature = "hessian" if loss.provides_hessian_diag else "reparam"
+        grad_mean, hess_mean = sampled_moments(loss, mean + (1.0 / np.sqrt(prec)) * z,
+                                               mean, prec, curvature, diag=True,
+                                               batch=batch)
     new_prec = ema(prec, hess_mean, rho)
     if np.any(new_prec <= state.prec_floor):
         raise LeftDomain(

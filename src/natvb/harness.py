@@ -17,11 +17,8 @@ certificates mid-run flush the partial trace before propagating. Timing
 is reported in the summary only, never in the trace, so traces stay
 deterministic.
 
-The BLR retry policy lives here, not in the core: when a step leaves the
-family's domain the harness halves the rate for that step, up to 20
-times. Each BLR iterate's natural-gradient estimate is computed once and
-shared by the iterate's residual, the step taken from it and that step's
-retries.
+The runners only adapt configs to the library's loops, blr.blr_run and
+deep.train, and the loops' records to trace rows.
 """
 
 from __future__ import annotations
@@ -33,12 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .blr import (BLRConfig, blr_init, blr_step, fixed_point_residual,
-                  iterate_natgrad, multiplicative_form_check, vb_objective)
+from .blr import BLRConfig, blr_run, vb_objective
 from .deep import (adam_init, config_hash, ivon_init, rmsprop_init, train,
                    VONState)
-from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
-                     LeftDomain)
+from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
@@ -73,7 +68,22 @@ def _require(cfg: dict, context: str, required: dict, optional: dict) -> dict:
         out[key] = _coerce(cfg[key], kind, f"{context}.{key}")
     for key, (kind, default) in optional.items():
         out[key] = _coerce(cfg[key], kind, f"{context}.{key}") if key in cfg else default
+    for key, value in out.items():
+        if key in _RANGES and not _RANGES[key][0](value):
+            raise ConfigError(f"{context}.{key} must be {_RANGES[key][1]}, got {value}")
     return out
+
+
+#: the valid range of each numeric key, in every block that has it (seeds
+#: key SeedSequence, which takes non-negative integers only)
+_RANGES = {
+    **dict.fromkeys("seed data_seed init_seed steps batch_size max_rate_halvings".split(),
+                    (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys("n p max_iter n_samples init_precision ess".split(),
+                    (lambda v: v > 0, "> 0")),
+    **dict.fromkeys("learning_rate hess_rate scale_rate".split(),
+                    (lambda v: 0 < v <= 1, "in (0, 1]")),
+}
 
 
 def _coerce(value, kind, where: str):
@@ -124,12 +134,6 @@ def resolve_config(cfg: dict) -> dict:
                              optional={"trace": (str, "trace.csv"),
                                        "summary": (str, "summary.json"),
                                        "config": (str, "config.used.json")})
-    # seeds key SeedSequence, which takes non-negative integers only
-    for where, value in (("config.seed", top["seed"]),
-                         ("model.data_seed", top["model"]["data_seed"]),
-                         ("optimizer.init_seed", top["optimizer"].get("init_seed", 0))):
-        if value < 0:
-            raise ConfigError(f"{where} must be >= 0, got {value}")
     return top
 
 
@@ -246,60 +250,23 @@ def write_json(path: Path, payload: dict) -> None:
 
 def _blr_runner(resolved: dict, loss, out: dict):
     opt = resolved["optimizer"]
-    family = (FullGaussian if opt["family"] == "full" else DiagGaussian)(loss.dim)
-    if opt["family"] == "full":
-        lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]),
-                                  opt["init_precision"] * np.eye(loss.dim))
-    else:
-        lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]),
-                                  np.full(loss.dim, opt["init_precision"]))
+    full = opt["family"] == "full"
+    family = (FullGaussian if full else DiagGaussian)(loss.dim)
+    precision = opt["init_precision"] * (np.eye(loss.dim) if full else np.ones(loss.dim))
+    lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]), precision)
     spec = EstimatorSpec(opt["estimator"], opt["n_samples"], resolved["seed"])
-    cfg = BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec)
-    state = blr_init(family, lam0)
-    rows = []
+    cfg = BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec,
+                    opt["max_rate_halvings"])
     out["columns"] = ("t", "rho", "objective", "residual")
-    out["rows"] = rows
-    deterministic = spec.kind in ("exact", "delta")
-    converged = False
-    residual = np.inf
-    # the estimate at the current iterate, shared by its residual, the step
-    # taken from it and that step's rate-halving retries
-    estimate = iterate_natgrad(state, loss, spec)
-    for _ in range(cfg.max_iter):
-        prev = state
-        rho = cfg.rho_at(prev.t)
-        # retry policy: halve the rate when a step exits the domain
-        for _ in range(opt["max_rate_halvings"] + 1):
-            try:
-                state = blr_step(prev, loss, BLRConfig(rho, 1, cfg.tol, spec,
-                                                       cfg.check_multiplicative),
-                                 estimate=estimate)
-                break
-            except LeftDomain:
-                rho *= 0.5
-        else:
-            raise LeftDomain(f"no valid step after {opt['max_rate_halvings']} halvings",
-                             iteration=prev.t)
-        report = multiplicative_form_check(prev, state, rho)
-        if not report.passed:
-            raise BayesFilterViolation(
-                f"Bayes-filter form violated at step {prev.t} "
-                f"(spread {report.spread:.3e} > {report.tol:.1e})")
-        # stationarity certificate at the fresh iterate; a conjugate rate-1
-        # jump therefore reports convergence after its single step
-        estimate = iterate_natgrad(state, loss, spec)
-        residual = fixed_point_residual(family, state.lam, loss, spec,
-                                        step=state.t, estimate=estimate)
-        objective = vb_objective(family, state.lam, loss, spec)
-        rows.append((state.t, rho, objective, residual))
-        rel_change = (float(np.linalg.norm(state.lam.coords - prev.lam.coords))
-                      / max(1.0, float(np.linalg.norm(prev.lam.coords))))
-        if deterministic and (residual <= cfg.tol or rel_change <= cfg.tol):
-            converged = True
-            break
-    return {"iterations": state.t, "converged": converged,
-            "final_objective": rows[-1][2] if rows else None,
-            "final_residual": residual}
+    try:
+        run = blr_run(family, lam0, loss, cfg)
+    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
+        out["rows"] = exc.partial_trace
+        raise
+    out["rows"] = run.trace
+    return {"iterations": run.iterations, "converged": run.converged,
+            "final_objective": run.trace[-1].objective,
+            "final_residual": run.final_residual}
 
 
 def _deep_runner(resolved: dict, loss, out: dict):
@@ -313,17 +280,15 @@ def _deep_runner(resolved: dict, loss, out: dict):
                          learning_rate=opt["learning_rate"],
                          n_samples=opt["n_samples"], seed=seed,
                          prec_floor=opt["prec_floor"])
-    elif kind == "ivon":
-        theta0 = (loss.init_params(opt["init_seed"]) if hasattr(loss, "init_params")
-                  else np.zeros(loss.dim))
-        state = ivon_init(theta0, step_size=opt["step_size"],
-                          hess_init=opt["hess_init"], hess_rate=opt["hess_rate"],
-                          weight_decay=opt["weight_decay"], beta1=opt["beta1"],
-                          damping=opt["damping"], ess=opt["ess"], seed=seed)
     else:
         theta0 = (loss.init_params(opt["init_seed"]) if hasattr(loss, "init_params")
                   else np.zeros(loss.dim))
-        if kind == "adam":
+        if kind == "ivon":
+            state = ivon_init(theta0, step_size=opt["step_size"],
+                              hess_init=opt["hess_init"], hess_rate=opt["hess_rate"],
+                              weight_decay=opt["weight_decay"], beta1=opt["beta1"],
+                              damping=opt["damping"], ess=opt["ess"], seed=seed)
+        elif kind == "adam":
             state = adam_init(theta0, step_size=opt["step_size"], beta1=opt["beta1"],
                               beta2=opt["beta2"], damping=opt["damping"])
         else:
@@ -334,10 +299,7 @@ def _deep_runner(resolved: dict, loss, out: dict):
                        metadata={"config_hash": config_hash(resolved),
                                  "optimizer": kind})
     except LeftDomain as exc:
-        partial = getattr(exc, "partial_record", None)
-        if partial is not None:
-            out["columns"] = partial.columns
-            out["rows"] = partial.rows
+        out["columns"], out["rows"] = exc.partial_record.columns, exc.partial_record.rows
         raise
     out["columns"] = record.columns
     out["rows"] = record.rows

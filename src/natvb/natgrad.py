@@ -23,10 +23,11 @@ For Gaussians the assembly uses the gradient/Hessian identity
 
     tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ].
 
-The sampled kinds share one batched core: the K draws reach the loss as
-one (K, P) array. The mc kind makes one LossModel.gradient_and_mean_hessian
-call, which a loss can serve from one pass over its data; for logistic
-regression that is one logit product and one sigmoid for both halves.
+The sampled kinds and VON's sampled step share one batched core,
+sampled_moments: the K draws reach the loss as one (K, P) array. The mc
+kind makes one LossModel.gradient_and_mean_hessian call, which a loss
+can serve from one pass over its data; for logistic regression that is
+one logit product and one sigmoid for both halves.
 Only the mean Hessian enters the identity, so a loss can return it
 without forming K matrices; for logistic regression it is
 X' diag(mean_k w_k) X + tau I, one product. The reparam kind needs
@@ -134,8 +135,8 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     return solved
 
 
-def _assemble_tilde(family: ExpFamily, mean: np.ndarray, grad: np.ndarray,
-                    hess) -> np.ndarray:
+def assemble_tilde(family: ExpFamily, mean: np.ndarray, grad: np.ndarray,
+                   hess) -> np.ndarray:
     """Map (E[grad], E[H]) into tilde_lam for a Gaussian family."""
     if isinstance(family, FullGaussian):
         hess = np.atleast_2d(np.asarray(hess, dtype=float))
@@ -160,7 +161,7 @@ def natgrad_exact(dist: ExpFamDistribution, loss: LossModel) -> NatGradEstimate:
         hess = loss.expected_hessian(mean, cov)
         if isinstance(family, DiagGaussian):
             hess = np.diag(np.atleast_2d(hess))
-        return NatGradEstimate(_assemble_tilde(family, mean, grad, hess), "exact")
+        return NatGradEstimate(assemble_tilde(family, mean, grad, hess), "exact")
     raise ValueError(
         f"{type(loss).__name__} supports no exact estimator; use delta, mc, or reparam")
 
@@ -174,7 +175,7 @@ def natgrad_delta_method(dist: ExpFamDistribution, loss: LossModel) -> NatGradEs
         hess = loss.hessian_full(mean)
     else:
         hess = loss.hessian_diag(mean)
-    return NatGradEstimate(_assemble_tilde(family, mean, grad, hess), "delta")
+    return NatGradEstimate(assemble_tilde(family, mean, grad, hess), "delta")
 
 
 def reparam_hessian_diag_estimate(dist: ExpFamDistribution, loss: LossModel,
@@ -189,8 +190,30 @@ def reparam_hessian_diag_estimate(dist: ExpFamDistribution, loss: LossModel,
         raise ValueError("reparameterization estimator needs a diagonal Gaussian")
     theta = np.asarray(theta_sample, dtype=float).reshape(-1)
     lin, prec = family.split_natural(dist.coords)
-    mean = lin / prec
-    return loss.gradient(theta, batch) * prec * (theta - mean)
+    return reparam_hessian_terms(loss.gradient(theta, batch), prec, theta, lin / prec)
+
+
+def reparam_hessian_terms(grads, prec, thetas, mean) -> np.ndarray:
+    """grad(theta) * s * (theta - m) per draw of N(m, diag(s)^-1); each is
+    unbiased for diag(E_q[H]) (the reparameterization identity)."""
+    return grads * prec * (thetas - mean)
+
+
+def sampled_moments(loss: LossModel, thetas: np.ndarray, mean: np.ndarray,
+                    prec=None, curvature: str = "hessian", diag: bool = False,
+                    batch=None) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo (E_q[grad], E_q[H]) over the K rows of thetas, draws from q.
+
+    curvature="hessian" makes one gradient_and_mean_hessian call (diagonal
+    H if diag); "reparam" one gradient_batch call, q = N(mean, diag(prec)^-1).
+    """
+    n_samples = len(thetas)
+    if curvature == "hessian":
+        grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=diag)
+    else:
+        grads = loss.gradient_batch(thetas, batch)
+        hess = reparam_hessian_terms(grads, prec, thetas, mean).sum(axis=0) / n_samples
+    return grads.sum(axis=0) / n_samples, hess
 
 
 def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
@@ -204,8 +227,6 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
     go to the loss as one (K, P) array: one gradient_and_mean_hessian
     call for curvature="hessian", one gradient_batch call otherwise.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     family = dist.family
     full = isinstance(family, FullGaussian)
     if not (full or isinstance(family, DiagGaussian)):
@@ -218,15 +239,10 @@ def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
         raise MissingHessian("mc estimator on a diagonal family needs hessian_diag")
     thetas = family.sample(dist.coords, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(dist.coords)
-    if curvature == "hessian":
-        grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=not full)
-    else:
-        grads = loss.gradient_batch(thetas, batch)
-        _, prec = family.split_natural(dist.coords)
-        hess = (grads * prec * (thetas - mean)).sum(axis=0) / n_samples
+    prec = family.split_natural(dist.coords)[1] if curvature == "reparam" else None
+    grad, hess = sampled_moments(loss, thetas, mean, prec, curvature, not full, batch)
     kind = "mc" if curvature == "hessian" else "reparam"
-    tilde = _assemble_tilde(family, mean, grads.sum(axis=0) / n_samples, hess)
-    return NatGradEstimate(tilde, kind, n_samples, seed)
+    return NatGradEstimate(assemble_tilde(family, mean, grad, hess), kind, n_samples, seed)
 
 
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,

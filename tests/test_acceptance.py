@@ -103,7 +103,7 @@ def test_criterion_04_one_step_bayes():
     start = time.time()
     rng = make_rng(1004)
     worst_err, worst_res = 0.0, 0.0
-    cfg = BLRConfig(1.0, 1, estimator=EXACT, check_multiplicative=False)
+    cfg = BLRConfig(1.0, 1, estimator=EXACT)
     for trial in range(100):
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 7))
         model = make_ridge_data(9000 + trial, n, p,
@@ -188,8 +188,7 @@ def test_criterion_07_newton_recovery():
     quad_loss = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
     optimum = np.linalg.solve(quad_loss.quad, quad_loss.lin)
     fam = FullGaussian(p)
-    cfg = BLRConfig(1.0, 1, estimator=EstimatorSpec("delta"),
-                    check_multiplicative=False)
+    cfg = BLRConfig(1.0, 1, estimator=EstimatorSpec("delta"))
     worst = 0.0
     for scenario, loss, mean0, steps in (
             ("quadratic", quad_loss, rng.standard_normal(p), 10),

@@ -322,8 +322,30 @@ def test_run_objective_trace_recorded():
     model, fam, loss = ridge_setup(15)
     run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
                   BLRConfig(1.0, 5, estimator=EXACT))
-    assert run.iterations <= 2  # jump plus the convergence-confirming step
-    assert len(run.state.objective_trace) == run.iterations
+    assert run.iterations == 1  # the residual at the jump's iterate is zero
+    assert [row.t for row in run.trace] == [1]
+
+
+def test_run_halves_the_rate_until_the_step_stays_in_the_domain():
+    # a negative-curvature target: rates 1 and 1/2 give a non-positive
+    # precision, 1/4 does not
+    fam = DiagGaussian(1)
+    lam0 = fam.from_moment([0.0], [1.0])
+    loss = QuadraticLoss(np.array([[-2.0]]), np.zeros(1))
+    run = blr_run(fam, lam0, loss, BLRConfig(1.0, 1, estimator=EXACT))
+    assert [row.rho for row in run.trace] == [0.25]
+    with pytest.raises(LeftDomain, match="after 1 halvings") as excinfo:
+        blr_run(fam, lam0, loss, BLRConfig(1.0, 1, estimator=EXACT, max_rate_halvings=1))
+    assert excinfo.value.partial_trace == []
+
+
+def test_run_reports_the_last_rows_residual():
+    model, fam, loss = ridge_setup(18)
+    run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
+                  BLRConfig(0.5, 3, estimator=EXACT))
+    assert run.iterations == len(run.trace) == 3 and not run.converged
+    assert run.final_residual == run.trace[-1].residual == fixed_point_residual(
+        fam, run.state.lam, loss, EXACT)
 
 
 def test_run_stochastic_uses_budget():

@@ -10,7 +10,7 @@ from natvb.deep import (IVONState, VONState, adam_init, adam_step, ema,
                         train, von_step)
 from natvb.errors import LeftDomain
 from natvb.gaussian import DiagGaussian
-from natvb.losses import QuadraticLoss, ZeroLoss
+from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
 from natvb.models import make_logistic_data
 from natvb.natgrad import EstimatorSpec
 from natvb.seeding import make_rng
@@ -127,8 +127,7 @@ def test_von_equals_blr_exact_20_steps(rng):
     mean0, prec0 = rng.standard_normal(p), rng.uniform(0.5, 2.0, p)
     von = VONState(mean0, prec0, learning_rate=0.3)
     blr = blr_init(fam, fam.from_moment(mean0, prec0))
-    cfg = BLRConfig(0.3, 1, estimator=EstimatorSpec("exact"),
-                    check_multiplicative=False)
+    cfg = BLRConfig(0.3, 1, estimator=EstimatorSpec("exact"))
     for _ in range(20):
         von = von_step(von, loss)
         blr = blr_step(blr, loss, cfg)
@@ -156,12 +155,8 @@ def test_von_reparam_fallback_when_no_hessian():
     # estimate of the curvature; VON still finds the loss geometry
     loss = QuadraticLoss(np.diag([1.0, 2.0]), np.zeros(2))
 
-    class GradientOnly:
+    class GradientOnly(LossModel):
         dim = 2
-        n_data = None
-        provides_hessian_diag = False
-        provides_hessian_full = False
-        provides_expectations = False
 
         def value(self, theta, batch=None):
             return loss.value(theta, batch)

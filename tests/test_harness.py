@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,16 +6,20 @@ import pytest
 
 from natvb import blr
 from natvb.cli import main
-from natvb.errors import BayesFilterViolation, SingularFisher, SolverFailure
-from natvb.harness import (ConfigError, compare_runs, resolve_config,
-                           ridge_oracle, run_experiment)
+from natvb.errors import BayesFilterViolation, LeftDomain, SingularFisher, SolverFailure
+from natvb.gaussian import DiagGaussian, FullGaussian
+from natvb.harness import (ConfigError, build_model, compare_runs, format_cell,
+                           resolve_config, ridge_oracle, run_experiment)
 from natvb.models import make_ridge_data, ridge_exact_posterior
+from natvb.natgrad import EstimatorSpec
 
 from test_trace_digests import HALVING_CONFIG
 
 #: the halving config with K=2 fails its Bayes-filter check at step 5
 FILTER_FAIL_CONFIG = {**HALVING_CONFIG,
                       "optimizer": {**HALVING_CONFIG["optimizer"], "n_samples": 2}}
+#: its partial trace, rows 1-5, as the harness's own loop wrote it
+FILTER_FAIL_DIGEST = "aa2c2b72c3a1f1cb3f6f6cef69011ee2c44c817780a4df27fceedfb4f50180ef"
 
 
 def base_config(**overrides):
@@ -99,6 +104,38 @@ def test_sampled_blr_budget_keeps_step_streams_distinct():
 def test_cli_run_negative_seed_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     assert main(["run", write_cfg(tmp_path, _logistic_mc() | {"seed": -1})]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+_LOGISTIC_SMALL = {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3}
+
+
+@pytest.mark.parametrize("model,optimizer", [
+    ({}, {"kind": "blr", "max_iter": 0}),
+    ({}, {"kind": "blr", "max_iter": -3}),
+    ({}, {"kind": "blr", "n_samples": 0}),
+    ({}, {"kind": "blr", "learning_rate": 0.0}),
+    ({}, {"kind": "blr", "learning_rate": 2.0}),
+    ({}, {"kind": "blr", "max_rate_halvings": -1}),
+    ({}, {"kind": "blr", "init_precision": -1.0}),
+    ({"n": 0}, {"kind": "blr"}),
+    ({"p": 0}, {"kind": "blr"}),
+    (_LOGISTIC_SMALL, {"kind": "von", "steps": -1}),
+    (_LOGISTIC_SMALL, {"kind": "von", "learning_rate": 2.0}),
+    (_LOGISTIC_SMALL, {"kind": "von", "n_samples": 0}),
+    (_LOGISTIC_SMALL, {"kind": "von", "init_precision": -1.0}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "steps": -1}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "batch_size": -5}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "ess": 0.0}),
+    (_LOGISTIC_SMALL, {"kind": "rmsprop", "scale_rate": 5.0}),
+])
+def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypatch):
+    # rejected with the schema, before the derivative gate or any artifact
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model={"kind": "ridge", "data_seed": 7, **model}, optimizer=optimizer)
+    with pytest.raises(ConfigError, match="must be"):
+        resolve_config(cfg)
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -187,17 +224,78 @@ def _count_estimates(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("config", [
-    base_config(optimizer={"kind": "blr", "family": "full", "learning_rate": 0.5,
-                           "max_iter": 60, "estimator": "exact"}),
-    HALVING_CONFIG,
-], ids=["ridge_converges", "reparam_halvings"])
-def test_blr_run_estimates_once_per_iterate(config, tmp_path, monkeypatch):
+RIDGE_CONVERGES = base_config(optimizer={"kind": "blr", "family": "full",
+                                         "learning_rate": 0.5, "max_iter": 60,
+                                         "estimator": "exact"})
+BLR_CONFIGS = pytest.mark.parametrize("config", [RIDGE_CONVERGES, HALVING_CONFIG],
+                                      ids=["ridge_converges", "reparam_halvings"])
+
+
+def _library_run(config, **overrides):
+    """blr_run on the model, family, start and rate of a harness config."""
+    resolved = resolve_config(config)
+    opt = resolved["optimizer"]
+    _, loss = build_model(resolved["model"])
+    mean0 = np.full(loss.dim, opt["init_mean"])
+    if opt["family"] == "full":
+        family = FullGaussian(loss.dim)
+        lam0 = family.from_moment(mean0, opt["init_precision"] * np.eye(loss.dim))
+    else:
+        family = DiagGaussian(loss.dim)
+        lam0 = family.from_moment(mean0, np.full(loss.dim, opt["init_precision"]))
+    spec = EstimatorSpec(opt["estimator"], opt["n_samples"], resolved["seed"])
+    cfg = blr.BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec,
+                        **overrides)
+    return blr.blr_run(family, lam0, loss, cfg)
+
+
+def _trace_lines(rows):
+    return [",".join(format_cell(cell) for cell in row) for row in rows]
+
+
+@pytest.mark.parametrize("config,via", [
+    (RIDGE_CONVERGES, "run_experiment"), (HALVING_CONFIG, "run_experiment"),
+    (RIDGE_CONVERGES, "blr_run"), (HALVING_CONFIG, "blr_run"),
+], ids=["ridge_converges", "reparam_halvings",
+        "blr_run-ridge_converges", "blr_run-reparam_halvings"])
+def test_blr_run_estimates_once_per_iterate(config, via, tmp_path, monkeypatch):
     # the residual at an iterate, the step from it and that step's rate
     # halvings share one estimate
     steps = _count_estimates(monkeypatch)
+    if via == "blr_run":
+        iterations = _library_run(config).iterations
+    else:
+        iterations = run_experiment(config, tmp_path)["iterations"]
+    assert steps == list(range(iterations + 1))
+
+
+@BLR_CONFIGS
+def test_blr_run_rows_are_the_trace_rows_bitwise(config, tmp_path):
+    run = _library_run(config)
     summary = run_experiment(config, tmp_path)
-    assert steps == list(range(summary["iterations"] + 1))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[1:] == _trace_lines(run.trace)
+    assert (summary["iterations"], summary["converged"], summary["final_residual"]) \
+        == (run.iterations, run.converged, run.final_residual)
+
+
+def test_blr_run_without_halvings_leaves_the_domain():
+    # the halving config's second step needs rate 0.5 (LOOPED_ROWS)
+    with pytest.raises(LeftDomain, match="after 0 halvings") as excinfo:
+        _library_run(HALVING_CONFIG, max_rate_halvings=0)
+    assert [row.t for row in excinfo.value.partial_trace] == [1]
+
+
+def test_blr_run_filter_violation_carries_partial_rows(tmp_path):
+    with pytest.raises(BayesFilterViolation, match="at step 5") as excinfo:
+        _library_run(FILTER_FAIL_CONFIG)
+    rows = excinfo.value.partial_trace
+    assert [row.t for row in rows] == [1, 2, 3, 4, 5]
+    with pytest.raises(BayesFilterViolation, match="at step 5"):
+        run_experiment(FILTER_FAIL_CONFIG, tmp_path)
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert trace.decode().splitlines()[1:] == _trace_lines(rows)
+    assert hashlib.sha256(trace).hexdigest() == FILTER_FAIL_DIGEST
 
 
 def test_ridge_oracle_matches_library_oracle():
@@ -290,6 +388,14 @@ def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--scope", "entropy", "--sabotage", "eq4"]) == 1
     assert main(["verify", "--scope", "nope"]) == 2
     assert main(["verify", "--sabotage", "nope"]) == 2
+
+
+def test_cli_verify_whole_table_passes(capsys):
+    # multiplicative-form and von-blr run blr_run and VON's sampled core
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 15
+    assert lines[-1] == "15 checks, 0 failures"
 
 
 def test_cli_compare_and_oracle(tmp_path, monkeypatch, capsys):

@@ -11,12 +11,19 @@ the summation order. LOOPED_ROWS keeps the rows the per-sample loop
 wrote for those configs, and test_batched_core_keeps_looped_rows checks
 the new traces against them value by value.
 
+The von digest was re-pinned when VON's sampled step dropped its
+per-sample loop for the same batched core; again only the summation
+order changed. LOOPED_ROWS keeps that loop's rows too, and
+LOOPED_DIGESTS its digest, which the rows must reproduce when written
+as a trace.
+
 Seven digests were re-pinned when the softplus behind every loss value
 changed from np.logaddexp(0, z) to max(z, 0) + log1p(exp(-|z|)), which
 moves values by a few ULP. OLD_DIGESTS keeps the digests of the
 logaddexp kernel: with that kernel patched back in, every config must
 reproduce them exactly, and with the new kernel only the value columns
-may move, within VALUE_RTOL.
+may move, within VALUE_RTOL. The von entry there is the batched core's
+digest under the logaddexp kernel.
 """
 
 import csv
@@ -27,7 +34,7 @@ import numpy as np
 import pytest
 
 import natvb.models
-from natvb.harness import run_experiment
+from natvb.harness import run_experiment, write_trace
 
 
 def _config(seed, model, optimizer):
@@ -73,7 +80,7 @@ PINNED = {
     "von": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 21},
                 {"kind": "von", "learning_rate": 0.1, "steps": 40, "n_samples": 4}),
-        "8c4a0a1e92c63db4caea14b13c421dc3e8cc7c50d70bcf33e5ad1fcd63a03316"),
+        "ce37afd10fb98bf57d237111ca9eb3d2e59933556ca50e531f1ba3fccb13960c"),
     "ivon": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 5},
                 {"kind": "ivon", "steps": 40, "step_size": 0.1, "ess": 100.0}),
@@ -114,7 +121,7 @@ OLD_DIGESTS = {
     "ivon": "16f00af474f2e3c07097904f0d7f55a825c44aa63437f7d06b90bb231e08371b",
     "ivon_mlp": "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271",
     "rmsprop": "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4",
-    "von": "2428c76744d921f4426ceda7eb837555d486ac461f749e975c17d7970c1d5404",
+    "von": "f2bdb252be85be24066521f8d5f7aff1864cfd423f5892be1f7b632936f9a5bf",
 }
 #: the trace columns that hold a loss value, the only ones the kernel may move
 VALUE_COLUMNS = ("objective", "loss")
@@ -155,7 +162,8 @@ def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch):
             assert new_col == old_col, column
 
 
-#: (t, rho, objective, residual) rows of the per-sample Monte Carlo loop
+#: rows the per-sample Monte Carlo loops wrote: (t, rho, objective, residual)
+#: for BLR, (step, loss, grad_norm, scale_min, scale_max) for VON
 LOOPED_ROWS = {
     "blr_full_mc": [
         (1, 0.3, 35.8972489695127, 0.620870740745235),
@@ -209,11 +217,91 @@ LOOPED_ROWS = {
         (29, 0.125, 32815.75306440602, 17.401365845745783),
         (30, 0.5, 31099.383891401947, 15.896627247178074),
     ],
+    "von": [
+        (0, 43.42670790000607, 20.8810993586722, 1.0, 1.0),
+        (1, 28.423801989590153, 6.9325553014930765,
+         2.0033972696208955, 2.395738350666801),
+        (2, 26.593516736691914, 4.837314746433906,
+         2.6167206747939806, 3.4967445341483208),
+        (3, 25.806291424138543, 3.7733674193816955,
+         3.0826118363041246, 4.636519798579812),
+        (4, 25.564270083165674, 3.398179415984546, 3.284337875590222, 5.54913013478134),
+        (5, 25.35248694912144, 3.1474812369701173, 3.4977902650467207, 6.449546625651048),
+        (6, 25.10580684727321, 2.5165730527079346, 3.619730173467439, 7.010307718866941),
+        (7, 25.077122207714794, 2.7251381147940226, 3.707792888073153, 7.635477803563521),
+        (8, 25.000165834761358, 2.5732221067540606, 3.781023216197892, 8.181893073425442),
+        (9, 24.865721434114295, 2.297596021654353, 3.9286447284085257, 8.730854193097262),
+        (10, 24.75067579221597, 1.8425335549796182, 3.996522619588508, 9.077157681316638),
+        (11, 24.671553274566932, 1.4863726625318947,
+         4.047899126888318, 9.394541473332445),
+        (12, 24.65217751454214, 1.3497384170398503, 4.011673204544614, 9.5744021375705),
+        (13, 24.537320221496575, 0.7516796185533541,
+         4.2179100128504565, 10.007645177257489),
+        (14, 24.53719490246084, 0.7536720613789203,
+         4.157923062219146, 10.177026259692099),
+        (15, 24.54841407813113, 0.8591804794280059, 4.08402346291929, 10.342010986377844),
+        (16, 24.528439930692276, 0.7428906668005973,
+         4.087045145521096, 10.518149661378967),
+        (17, 24.494958776105918, 0.5165391502232011,
+         4.16519961387022, 10.610967471352504),
+        (18, 24.49143327449592, 0.5379579096792106,
+         4.139813037527137, 10.752707652588366),
+        (19, 24.493418532155115, 0.45199069831069444,
+         4.059933490731344, 10.901529406945992),
+        (20, 24.49877460204328, 0.4993558946303472, 3.9938928199695622, 10.9210979808171),
+        (21, 24.499614325014456, 0.5251304367187056,
+         3.9554599293442987, 10.871541571424821),
+        (22, 24.498604034055127, 0.4940641143318043,
+         3.9192866813274847, 10.97067359535949),
+        (23, 24.48938010353033, 0.4554054549248522, 3.93900935624284, 11.220649077433455),
+        (24, 24.495142113281787, 0.6014969740718663,
+         3.913032370177164, 11.35464502407253),
+        (25, 24.49548149400275, 0.7114242057122734,
+         3.924278615890511, 11.476846876704938),
+        (26, 24.492956811841104, 0.7125281206342551,
+         3.9236722795894354, 11.556336753035925),
+        (27, 24.490984535340473, 0.6666782516767884,
+         3.889892416260545, 11.540065899412705),
+        (28, 24.478603318194036, 0.4204810739541922,
+         3.8792719800680118, 11.462698928329244),
+        (29, 24.477937190741663, 0.35987311741963685,
+         3.840031360388461, 11.422443202757563),
+        (30, 24.5027224799546, 0.8511350492744457,
+         3.8177459402537552, 11.547485971095453),
+        (31, 24.484430290190126, 0.6803287022067703,
+         3.9137049531377137, 11.716437740923784),
+        (32, 24.484723162244087, 0.6694285474290899,
+         3.8649010171013987, 11.67343343215352),
+        (33, 24.49039405212651, 0.7230466601522404,
+         3.8093451974843333, 11.61269302514758),
+        (34, 24.492654680056212, 0.7034968409523508,
+         3.756852328240454, 11.519201289978914),
+        (35, 24.484347346447443, 0.6718956110498613,
+         3.846816628186488, 11.72087983672101),
+        (36, 24.48365657867142, 0.687769909919951,
+         3.8975452074401957, 11.862783113791092),
+        (37, 24.491897201029303, 0.8115940602993266,
+         3.843322181571786, 11.847472169572363),
+        (38, 24.475970978813105, 0.5357855095628361,
+         3.840023098113851, 11.754426009336377),
+        (39, 24.47289311723173, 0.44706329804730155,
+         3.795228636968412, 11.634268624801546),
+        (40, 24.470276503064895, 0.3914603872960449,
+         3.8455878538218675, 11.711864556943633),
+    ],
 }
 
-#: objective/residual tolerance; the halving config's terms reach 1e9
+#: the looped trace's digest, before the batched core re-pinned it
+LOOPED_DIGESTS = {
+    "von": "8c4a0a1e92c63db4caea14b13c421dc3e8cc7c50d70bcf33e5ad1fcd63a03316",
+}
+
+#: value-column tolerance; the halving config's terms reach 1e9
 LOOPED_RTOL = {"blr_full_mc": 1e-12, "blr_diag_mc": 1e-12,
-               "blr_diag_reparam_halvings": 1e-5}
+               "blr_diag_reparam_halvings": 1e-5, "von": 1e-12}
+#: leading columns that must match exactly: the step, and a BLR row's rate
+LOOPED_EXACT = {"blr_full_mc": 2, "blr_diag_mc": 2, "blr_diag_reparam_halvings": 2,
+                "von": 1}
 
 
 @pytest.mark.parametrize("name", sorted(LOOPED_ROWS))
@@ -222,9 +310,19 @@ def test_batched_core_keeps_looped_rows(name, tmp_path):
     with open(tmp_path / "trace.csv", encoding="utf-8") as handle:
         rows = [tuple(map(float, row)) for row in list(csv.reader(handle))[1:]]
     expected = LOOPED_ROWS[name]
+    exact = LOOPED_EXACT[name]
     assert len(rows) == len(expected)
     # same steps and rates: every rate halving happens where it did before
-    assert [row[:2] for row in rows] == [row[:2] for row in expected]
-    got = np.array([row[2:] for row in rows])
-    want = np.array([row[2:] for row in expected])
+    assert [row[:exact] for row in rows] == [row[:exact] for row in expected]
+    got = np.array([row[exact:] for row in rows])
+    want = np.array([row[exact:] for row in expected])
     np.testing.assert_allclose(got, want, rtol=LOOPED_RTOL[name], atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED_DIGESTS))
+def test_looped_rows_reproduce_looped_digest(name, tmp_path):
+    # the literals are the loop's trace, byte for byte
+    columns = ("step", "loss", "grad_norm", "scale_min", "scale_max")
+    write_trace(tmp_path / "trace.csv", columns, LOOPED_ROWS[name])
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == LOOPED_DIGESTS[name]
