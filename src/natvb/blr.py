@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._linalg import cho_factor, cho_solve
 from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
                      LeftDomain, NonPDHessian, SolverFailure)
 from .expfam import ExpFamily, NaturalParams

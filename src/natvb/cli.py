@@ -25,13 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .harness import (ConfigError, compare_runs, load_config, output_dir,
                       ridge_oracle, run_dirs, run_experiment)
-from .verify import run_verify
 
 
 def _cmd_run(args) -> int:
@@ -43,6 +41,9 @@ def _cmd_run(args) -> int:
             dirs = run_dirs([(Path(path).stem, cfg)
                              for path, cfg in zip(args.config, configs)], output_dir())
         if args.jobs > 1 and len(configs) > 1:
+            # imported here: a single-config run needs no worker pool
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 summaries = list(pool.map(run_experiment, configs, dirs))
         else:
@@ -62,6 +63,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: verify loads every check's dependencies, scipy.linalg included
+    from .verify import run_verify
+
     try:
         results = run_verify(scope=args.scope, sabotage=args.sabotage)
     except ValueError as exc:

@@ -35,8 +35,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from ._linalg import cho_solve, cholesky, solve_triangular
 from .errors import DomainError
 from .expfam import ExpFamily, NaturalParams
 

@@ -148,9 +148,15 @@ def _resolve_model(cfg: dict) -> dict:
                         {"n": (int, 100), "p": (int, 2), "data_seed": (int, 0),
                          "scale": (float, 3.0), "prior_precision": (float, 1.0)})
     if kind == "spirals_mlp":
-        return _require(cfg, "model(spirals_mlp)", {"kind": str},
-                        {"n": (int, 500), "hidden": (list, [16, 16]),
-                         "noise": (float, 0.05), "data_seed": (int, 0)})
+        out = _require(cfg, "model(spirals_mlp)", {"kind": str},
+                       {"n": (int, 500), "hidden": (list, [16, 16]),
+                        "noise": (float, 0.05), "data_seed": (int, 0)})
+        # one width per hidden layer; [] is a network with no hidden layer
+        for i, width in enumerate(out["hidden"]):
+            where = f"model(spirals_mlp).hidden[{i}]"
+            if not _coerce(width, int, where) > 0:
+                raise ConfigError(f"{where} must be > 0, got {width}")
+        return out
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -199,6 +205,10 @@ def _resolve_optimizer(cfg: dict) -> dict:
         if out["estimator"] in ("mc", "reparam") and out["max_iter"] >= SAMPLED_STEP_LIMIT:
             raise ConfigError(f"optimizer.max_iter must be below {SAMPLED_STEP_LIMIT} "
                               "for a sampled estimator, or step streams would collide")
+    # IVON samples with precision ess * (h + delta0), h starting at hess_init
+    if kind == "ivon" and not out["hess_init"] + out["weight_decay"] > 0:
+        raise ConfigError("optimizer(ivon).hess_init + weight_decay must be > 0, got "
+                          f"{out['hess_init']} + {out['weight_decay']}")
     return out
 
 

@@ -153,17 +153,17 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
         worst["gradient"] = max(worst["gradient"], err)
         if err > grad_rtol:
             raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
+        if loss.provides_hessian_full or loss.provides_hessian_diag:
+            fd_jac = central_diff_jacobian(lambda x: loss.gradient(x), theta)
         if loss.provides_hessian_full:
-            fd_hess = central_diff_jacobian(lambda x: loss.gradient(x), theta)
-            fd_hess = 0.5 * (fd_hess + fd_hess.T)
+            fd_hess = 0.5 * (fd_jac + fd_jac.T)
             scale = max(1.0, float(np.linalg.norm(fd_hess)))
             err = float(np.linalg.norm(loss.hessian_full(theta) - fd_hess)) / scale
             worst["hessian_full"] = max(worst["hessian_full"], err)
             if err > hess_rtol:
                 raise ValueError(f"hessian mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
         if loss.provides_hessian_diag:
-            fd_hess = central_diff_jacobian(lambda x: loss.gradient(x), theta)
-            fd_diag = np.diag(fd_hess)
+            fd_diag = np.diag(fd_jac)
             scale = max(1.0, float(np.linalg.norm(fd_diag)))
             err = float(np.linalg.norm(loss.hessian_diag(theta) - fd_diag)) / scale
             worst["hessian_diag"] = max(worst["hessian_diag"], err)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._linalg import cho_factor, cho_solve
 from .blr import ConjugateModel
 from .errors import DomainError, SingularSystem
 from .gaussian import FullGaussian, GaussianMoment, sym_to_coeff

@@ -11,7 +11,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky
+
+from ._linalg import cholesky
 
 
 @lru_cache(maxsize=16)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._linalg import cho_factor, cho_solve
 from .blr import (BLRConfig, blr_init, blr_run, blr_step, conjugate_posterior,
                   fixed_point_residual, mirror_descent_step_numeric,
                   multiplicative_form_check, newton_recovery_step)

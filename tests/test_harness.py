@@ -108,6 +108,7 @@ def test_cli_run_negative_seed_exit_2(tmp_path, monkeypatch):
 
 
 _LOGISTIC_SMALL = {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3}
+_SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 20, "data_seed": 3}
 
 
 @pytest.mark.parametrize("model,optimizer", [
@@ -128,6 +129,11 @@ _LOGISTIC_SMALL = {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3}
     (_LOGISTIC_SMALL, {"kind": "ivon", "batch_size": -5}),
     (_LOGISTIC_SMALL, {"kind": "ivon", "ess": 0.0}),
     (_LOGISTIC_SMALL, {"kind": "rmsprop", "scale_rate": 5.0}),
+    # IVON's sampling precision is ess * (hess_init + weight_decay) at step 1
+    (_LOGISTIC_SMALL, {"kind": "ivon", "hess_init": -1.0}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "weight_decay": -1.0}),
+    (_SPIRALS_SMALL | {"hidden": ["a"]}, {"kind": "ivon", "steps": 2}),
+    (_SPIRALS_SMALL | {"hidden": [0]}, {"kind": "ivon", "steps": 2}),
 ])
 def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypatch):
     # rejected with the schema, before the derivative gate or any artifact
@@ -137,6 +143,14 @@ def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypa
         resolve_config(cfg)
     assert main(["run", write_cfg(tmp_path, cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_spirals_without_hidden_layers_is_valid(tmp_path):
+    cfg = base_config(model=_SPIRALS_SMALL | {"hidden": []},
+                      optimizer={"kind": "ivon", "steps": 2})
+    summary = run_experiment(cfg, tmp_path)
+    assert summary["iterations"] == 2
+    assert build_model(resolve_config(cfg)["model"])[1].layer_sizes == [2, 1]
 
 
 # -- run_experiment --------------------------------------------------------------

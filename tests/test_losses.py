@@ -106,6 +106,35 @@ def test_check_derivatives_catches_wrong_hessian():
         check_derivatives(loss, [np.ones(2)])
 
 
+def test_check_derivatives_catches_wrong_hessian_diag():
+    class Broken(QuadraticLoss):
+        def hessian_diag(self, theta, batch=None):
+            return super().hessian_diag(theta, batch) + 0.05
+
+    loss = Broken(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="hessian diagonal mismatch"):
+        check_derivatives(loss, [np.ones(2)])
+
+
+def test_check_derivatives_one_jacobian_per_probe(rng):
+    # both Hessian checks read the same finite-difference Jacobian: per
+    # probe one gradient call plus 2P for the Jacobian (1 + 4P before)
+    class Counting(QuadraticLoss):
+        calls = 0
+
+        def gradient(self, theta, batch=None):
+            Counting.calls += 1
+            return super().gradient(theta, batch)
+
+    p = 3
+    a = rng.standard_normal((p, p))
+    loss = Counting(a @ a.T + np.eye(p), rng.standard_normal(p))
+    assert loss.provides_hessian_full and loss.provides_hessian_diag
+    worst = check_derivatives(loss, [rng.standard_normal(p) for _ in range(2)])
+    assert Counting.calls == 2 * (1 + 2 * p)
+    assert worst["hessian_full"] < 1e-6 and worst["hessian_diag"] < 1e-6
+
+
 def test_missing_hessian_signalled():
     class GradOnly(LossModel):
         dim = 2

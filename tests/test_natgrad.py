@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -626,35 +627,83 @@ def test_quadrature_nodes_memoised_read_only_and_unchanged(rng):
         assert gaussian_expectation(f, mean, cov) == ref
 
 
-def test_runs_without_quadrature_never_import_scipy_special(tmp_path):
+_SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": 3}
+
+
+def _importers(importtime: str, module: str) -> str:
+    """The -X importtime line of `module`, then the line of each module that
+    was importing when it loaded (in that output a module follows, one
+    level less indented, everything it imported)."""
+    lines = [line for line in importtime.splitlines()
+             if line.startswith("import time:") and "|" in line]
+    names = [line.rsplit("|", 1)[1] for line in lines]
+    depth = [len(name) - len(name.lstrip()) for name in names]
+    hit = next((i for i, name in enumerate(names) if name.strip() == module), None)
+    if hit is None:
+        return f"{module} not in the -X importtime output"
+    chain = [lines[hit]]
+    for i in range(hit + 1, len(lines)):
+        if depth[i] < depth[hit]:
+            chain.append(lines[i])
+            hit = i
+    return "\n".join(chain)
+
+
+def _modules_after_runs(tmp_path, runs, modules) -> dict:
+    """Which of `modules` a fresh process has loaded after `natvb run` of each
+    (model, optimizer) pair; -X importtime lines of each loaded one ride along."""
+    paths = []
+    for i, (model, optimizer) in enumerate(runs):
+        path = tmp_path / f"run{i}.json"
+        path.write_text(json.dumps({"schema_version": 1, "seed": 1, "model": model,
+                                    "optimizer": optimizer}))
+        paths.append(str(path))
     code = f"""
-import sys
-import natvb.harness
-from natvb.harness import run_experiment
-configs = [
-    {{"kind": "ridge", "n": 20, "p": 3, "data_seed": 1}},
-    {{"kind": "logistic", "n": 40, "p": 3, "data_seed": 2}},
-    {{"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": 3}},
-]
-optimizers = [
-    {{"kind": "blr", "family": "full", "learning_rate": 0.5, "max_iter": 4,
-      "estimator": "exact"}},
-    {{"kind": "blr", "family": "full", "learning_rate": 0.3, "max_iter": 4,
-      "estimator": "mc", "n_samples": 4}},
-    {{"kind": "ivon", "steps": 5, "step_size": 0.1, "ess": 100.0, "batch_size": 10}},
-]
-for i, (model, opt) in enumerate(zip(configs, optimizers)):
-    run_experiment({{"schema_version": 1, "seed": 1, "model": model, "optimizer": opt}},
-                   {str(tmp_path)!r} + f"/run{{i}}")
-print("scipy.special" in sys.modules)
+import json, os, sys
+from natvb.cli import main
+for i, path in enumerate({paths!r}):
+    os.environ["NATVB_OUTDIR"] = {str(tmp_path)!r} + f"/out{{i}}"
+    assert main(["run", path]) == 0
+print(json.dumps({{m: m in sys.modules for m in {list(modules)!r}}}))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    return {m: _importers(done.stderr, m) if is_loaded else None
+            for m, is_loaded in loaded.items()}
+
+
+def test_runs_without_quadrature_never_import_scipy_special(tmp_path):
+    # BLR factors matrices, so it loads scipy.linalg, but never integrates
+    runs = [({"kind": "ridge", "n": 20, "p": 3, "data_seed": 1},
+             {"kind": "blr", "family": "full", "learning_rate": 0.5, "max_iter": 4,
+              "estimator": "exact"}),
+            ({"kind": "logistic", "n": 40, "p": 3, "data_seed": 2},
+             {"kind": "blr", "family": "full", "learning_rate": 0.3, "max_iter": 4,
+              "estimator": "mc", "n_samples": 4})]
+    loaded = _modules_after_runs(tmp_path, runs, ["scipy.linalg", "scipy.special"])
+    assert loaded["scipy.linalg"] is not None
+    assert loaded["scipy.special"] is None, loaded["scipy.special"]
+
+
+@pytest.mark.parametrize("model,optimizer", [
+    (_SPIRALS_SMALL, {"kind": "ivon", "steps": 5, "step_size": 0.1, "ess": 100.0,
+                      "batch_size": 10}),
+    (_SPIRALS_SMALL, {"kind": "adam", "steps": 5, "batch_size": 10}),
+    (_SPIRALS_SMALL, {"kind": "rmsprop", "steps": 5, "batch_size": 10}),
+    ({"kind": "logistic", "n": 40, "p": 3, "data_seed": 2},
+     {"kind": "von", "steps": 5, "n_samples": 2}),
+], ids=["ivon", "adam", "rmsprop", "von_p3"])
+def test_runs_that_factor_nothing_never_import_scipy(model, optimizer, tmp_path):
+    # numpy alone runs these; a single-config run needs neither verify nor a pool
+    unloaded = ["scipy", "natvb.verify", "concurrent.futures.process"]
+    loaded = _modules_after_runs(tmp_path, [(model, optimizer)], unloaded)
+    for module in unloaded:
+        assert loaded[module] is None, loaded[module]
 
 
 def test_diag_mc_requires_hessian_diag(rng):
