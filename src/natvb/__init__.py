@@ -18,17 +18,15 @@ from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord, VONState,
 from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
                      NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
 from .expfam import ExpectationParams, ExpFamily, NaturalParams
-from .gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
-                       GaussianMoment, moment_to_natural)
+from .gaussian import DiagGaussian, FullGaussian, GaussianMoment, moment_to_natural
 from .losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
 from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      make_ridge_data, make_spirals_mlp, ridge_conjugate_model,
                      ridge_exact_posterior, ridge_loss,
                      ridge_natural_coefficients, two_spirals)
-from .natgrad import (EstimatorSpec, NatGradEstimate, estimate_natgrad,
+from .natgrad import (EstimatorSpec, check_support, estimate_natgrad,
                       expected_loss, linear_loss_natgrad, natgrad_delta_method,
-                      natgrad_exact, natgrad_gaussian_identity, natgrad_via_dual,
-                      reparam_hessian_diag_estimate)
+                      natgrad_exact, natgrad_gaussian_identity, natgrad_via_dual)
 from .seeding import RNG_ALGORITHM, make_rng
 
 __version__ = "0.1.0"

@@ -38,8 +38,8 @@ from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
                      LeftDomain, NonPDHessian, SolverFailure)
 from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
-from .natgrad import (EstimatorSpec, NatGradEstimate, estimate_natgrad,
-                      expected_loss, natgrad_via_dual)
+from .natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
+                      natgrad_via_dual)
 from .seeding import fixed_normals
 
 
@@ -66,25 +66,23 @@ class BLRConfig:
 
 @dataclass(frozen=True)
 class BLRState:
-    """One iterate: natural/dual coordinates plus the last natural gradient."""
+    """One iterate: natural coordinates plus the natural gradient that made it."""
 
     family: ExpFamily
     t: int
     lam: NaturalParams
-    mu: np.ndarray
     tilde_lambda: np.ndarray | None = None
 
 
 def blr_init(family: ExpFamily, lam0) -> BLRState:
-    lam = family.natural(lam0)
-    return BLRState(family, 0, lam, family.natural_to_dual(lam))
+    return BLRState(family, 0, family.natural(lam0))
 
 
 def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
-             batch=None, estimate: NatGradEstimate | None = None) -> BLRState:
+             batch=None, estimate: np.ndarray | None = None) -> BLRState:
     """One convex-combination update in natural coordinates.
 
-    estimate, if given, must be the estimate at state.lam under
+    estimate, if given, must be tilde_lam at state.lam under
     cfg.estimator on step state.t's stream; it does not depend on the
     rate, so retries reuse it.
     Raises LeftDomain with the offending iterate if the combination exits
@@ -95,14 +93,12 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
     if estimate is None:
         estimate = estimate_natgrad(family, state.lam, loss, cfg.estimator,
                                     step=state.t, batch=batch)
-    new_lam = (1.0 - rho) * state.lam.coords + rho * estimate.tilde_lambda
+    new_lam = (1.0 - rho) * state.lam.coords + rho * estimate
     if not family.contains_natural(new_lam):
         raise LeftDomain(
             f"BLR step {state.t} left the domain of {family.name!r}",
             iterate=new_lam, iteration=state.t)
-    wrapped = family.natural(new_lam)
-    return BLRState(family, state.t + 1, wrapped, family.natural_to_dual(wrapped),
-                    estimate.tilde_lambda)
+    return BLRState(family, state.t + 1, family.natural(new_lam), estimate)
 
 
 # -- conjugate path ----------------------------------------------------
@@ -170,22 +166,21 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
 
 def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
                          spec: EstimatorSpec, step: int = 0,
-                         estimate: NatGradEstimate | None = None) -> float:
+                         estimate: np.ndarray | None = None) -> float:
     """|| lam - tilde_lam(lam) || / max(1, ||lam||); ~0 certifies stationarity.
 
     Also cross-checks the inverse-Fisher form of the optimality condition
     with natgrad_via_dual (solving F x = grad_lam must reproduce the
     dual-coordinate gradient), through Fisher-vector products that never
     form F; the cross-check does not change the value. estimate, if
-    given, must be the estimate at (lam, step) under spec; it is then
-    used instead of being recomputed.
+    given, must be tilde_lam at (lam, step) under spec; it is then used
+    instead of being recomputed.
     """
     lam = family._check_natural(lam)
     if estimate is None:
         estimate = estimate_natgrad(family, lam, loss, spec, step=step)
-    tilde = estimate.tilde_lambda
-    natgrad_via_dual(family, lam, tilde)
-    return float(np.linalg.norm(lam - tilde)) / max(1.0, float(np.linalg.norm(lam)))
+    natgrad_via_dual(family, lam, estimate)
+    return float(np.linalg.norm(lam - estimate)) / max(1.0, float(np.linalg.norm(lam)))
 
 
 def vb_objective(family: ExpFamily, lam, loss: LossModel,
@@ -296,7 +291,7 @@ class BLRRun:
 
 
 def _step_with_halvings(state: BLRState, loss: LossModel, cfg: BLRConfig,
-                        estimate: NatGradEstimate) -> tuple[BLRState, float]:
+                        estimate: np.ndarray) -> tuple[BLRState, float]:
     """blr_step from state, halving the rate while the step leaves the domain."""
     rho = cfg.rho_at(state.t)
     for _ in range(cfg.max_rate_halvings + 1):

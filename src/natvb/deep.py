@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import LeftDomain
 from .losses import LossModel
-from .natgrad import sampled_moments
+from .natgrad import reparam_hessian_terms, sampled_moments
 from .seeding import RNG_ALGORITHM, make_rng
 
 
@@ -256,8 +256,7 @@ def ivon_sample_and_estimate(state: IVONState, loss: LossModel,
     else:
         theta = _vec(theta_sample, state.mean.size)
     grad = loss.gradient(theta, batch)
-    hess_est = grad * prec * (theta - state.mean)
-    return theta, grad, hess_est
+    return theta, grad, reparam_hessian_terms(grad, prec, theta, state.mean)
 
 
 def ivon_step(state: IVONState, loss: LossModel, batch=None,

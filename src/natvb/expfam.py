@@ -84,6 +84,10 @@ class ExpFamily(abc.ABC):
     families and parameter vectors can still be shared across threads.
     `natvb run --jobs` runs configs in separate processes, so no memo is
     shared between runs.
+
+    The Gaussian identity the natural-gradient estimators assemble with
+    is a method of the Gaussian families, gaussian_identity, which the
+    families that have it announce through hessian_kind.
     """
 
     #: dimension of theta
@@ -92,6 +96,9 @@ class ExpFamily(abc.ABC):
     param_dim: int
     #: short identifier used in configs and error messages
     name: str
+    #: the loss Hessian the family's gaussian_identity takes: "full" (the
+    #: (P, P) matrix) or "diag" (its diagonal); None if it has no such identity
+    hessian_kind: str | None = None
 
     # families are stateless: equal name means the same family
     def __eq__(self, other):

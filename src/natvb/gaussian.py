@@ -21,6 +21,10 @@ closed form, so F v and F^-1 w cost O(P^3) from the memoised factor
 (elementwise for the diagonal family) against O(P^4) to build the dense
 F and O(P^6) to factor it.
 
+gaussian_identity maps a loss's expected gradient and Hessian at q to
+the natural gradient; hessian_kind says whether a family takes the
+(P, P) Hessian ("full") or its diagonal ("diag").
+
 The precision parameterization is primary throughout: sampling
 (transport of standard normals) runs a triangular solve against the
 Cholesky factor of S, and nothing inverts a covariance on the hot path. Validity is decided by Cholesky success
@@ -147,6 +151,8 @@ class FullGaussian(ExpFamily):
     _factor, which validates and factors a natural parameter once and
     memoises the result for the last _FACTOR_MEMO distinct parameters.
     """
+
+    hessian_kind = "full"
 
     def __init__(self, theta_dim: int):
         if theta_dim < 1:
@@ -336,6 +342,12 @@ class FullGaussian(ExpFamily):
         _check_size(size)
         return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
 
+    def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
+        """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for a (P, P) E[H]."""
+        hess = np.atleast_2d(np.asarray(hess, dtype=float))
+        lin = -grad + hess @ mean
+        return np.concatenate([lin, sym_to_coeff(-0.5 * hess)])
+
 
 class DiagGaussian(ExpFamily):
     """Diagonal-covariance Gaussians, T(theta) = (theta, theta^2) elementwise.
@@ -343,6 +355,8 @@ class DiagGaussian(ExpFamily):
     The restriction of the full family to diagonal precisions; every
     quantity agrees with FullGaussian on the shared coordinates.
     """
+
+    hessian_kind = "diag"
 
     def __init__(self, theta_dim: int):
         if theta_dim < 1:
@@ -457,6 +471,12 @@ class DiagGaussian(ExpFamily):
         _check_size(size)
         return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
 
+    def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
+        """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for the diagonal of E[H]."""
+        hdiag = np.asarray(hess, dtype=float).reshape(-1)
+        lin = -grad + hdiag * mean
+        return np.concatenate([lin, -0.5 * hdiag])
+
 
 # -- moment-side types and conversions --------------------------------
 
@@ -501,34 +521,3 @@ def moment_to_natural(mean, precision) -> NaturalParams:
     family = moment.family()
     return family.natural(family.from_moment(moment.mean, moment.precision))
 
-
-# -- distribution wrapper ---------------------------------------------
-
-@dataclass(frozen=True)
-class ExpFamDistribution:
-    """A family member q_lam: family plus validated natural parameters."""
-
-    family: ExpFamily
-    natural: NaturalParams
-
-    @classmethod
-    def from_coords(cls, family: ExpFamily, coords) -> "ExpFamDistribution":
-        return cls(family, family.natural(coords))
-
-    @property
-    def theta_dim(self) -> int:
-        return self.family.theta_dim
-
-    @property
-    def param_dim(self) -> int:
-        return self.family.param_dim
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.natural.coords
-
-    def log_density(self, theta):
-        return self.family.log_density(self.natural, theta)
-
-    def entropy(self) -> float:
-        return self.family.entropy(self.natural)

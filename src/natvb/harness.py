@@ -33,12 +33,12 @@ import numpy as np
 from .blr import BLRConfig, blr_run, vb_objective
 from .deep import (adam_init, config_hash, ivon_init, rmsprop_init, train,
                    VONState)
-from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
+from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain, MissingHessian
 from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
                      ridge_exact_posterior, ridge_loss)
-from .natgrad import SAMPLED_STEP_LIMIT, EstimatorSpec
+from .natgrad import SAMPLED_STEP_LIMIT, EstimatorSpec, check_support
 from .seeding import RNG_ALGORITHM, make_rng
 
 SCHEMA_VERSION = 1
@@ -258,10 +258,14 @@ def write_json(path: Path, payload: dict) -> None:
 
 # -- runners ------------------------------------------------------------
 
+def _blr_family(opt: dict, dim: int):
+    return (FullGaussian if opt["family"] == "full" else DiagGaussian)(dim)
+
+
 def _blr_runner(resolved: dict, loss, out: dict):
     opt = resolved["optimizer"]
+    family = _blr_family(opt, loss.dim)
     full = opt["family"] == "full"
-    family = (FullGaussian if full else DiagGaussian)(loss.dim)
     precision = opt["init_precision"] * (np.eye(loss.dim) if full else np.ones(loss.dim))
     lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]), precision)
     spec = EstimatorSpec(opt["estimator"], opt["n_samples"], resolved["seed"])
@@ -329,14 +333,21 @@ def _deep_runner(resolved: dict, loss, out: dict):
 def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     """Execute one config; returns the summary written to summary.json.
 
-    Raises ConfigError for schema problems (nothing written) and lets
-    domain errors and certificate failures (errors.CERTIFICATE_ERRORS)
-    propagate after flushing the partial trace.
+    Raises ConfigError for schema problems and for a BLR estimator that
+    cannot serve the model on the chosen family (natgrad.check_support),
+    with nothing written, and lets domain errors and certificate failures
+    (errors.CERTIFICATE_ERRORS) propagate after flushing the partial trace.
     """
     resolved = resolve_config(cfg)
     out_dir = Path(out_dir) if out_dir is not None else output_dir()
     out_paths = {key: out_dir / name for key, name in resolved["output"].items()}
     _, loss = build_model(resolved["model"])
+    opt = resolved["optimizer"]
+    if opt["kind"] == "blr":
+        try:
+            check_support(_blr_family(opt, loss.dim), loss, opt["estimator"])
+        except (ValueError, MissingHessian) as exc:
+            raise ConfigError(f"optimizer(blr): {exc}") from exc
     rng = make_rng(resolved["seed"], 0xC)
     probe = [rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
     check_derivatives(loss, probe)

@@ -19,9 +19,14 @@ estimators are provided:
             gradients alone via grad(theta) * s * (theta - m), the
             reparameterization-trick identity (diagonal families).
 
-For Gaussians the assembly uses the gradient/Hessian identity
+Every estimator takes (family, lam, loss, ...) and returns tilde_lam as
+a 1-D array. For Gaussians the assembly uses the gradient/Hessian identity
 
-    tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ].
+    tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ],
+
+a method of the family (gaussian_identity), whose hessian_kind picks the
+full Hessian or its diagonal. check_support, which the estimators and
+the harness both call, decides which (family, loss, kind) are served.
 
 The sampled kinds and VON's sampled step share one batched core,
 sampled_moments: the K draws reach the loss as one (K, P) array. The mc
@@ -49,9 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingHessian, SingularFisher, SolverFailure
+from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
-from .gaussian import DiagGaussian, ExpFamDistribution, FullGaussian, sym_to_coeff
 from .losses import LossModel
 from .quadrature import gaussian_expectation
 from .seeding import fixed_normals, make_rng
@@ -77,22 +81,6 @@ class EstimatorSpec:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class NatGradEstimate:
-    """tilde_lam with provenance: estimator kind, sample count, seed."""
-
-    tilde_lambda: np.ndarray
-    kind: str
-    n_samples: int = 0
-    seed: int | None = None
-
-    def __post_init__(self):
-        vec = np.asarray(self.tilde_lambda, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("natural-gradient estimate must be finite")
-        object.__setattr__(self, "tilde_lambda", vec)
 
 
 def linear_loss_natgrad(family: ExpFamily, coeff) -> np.ndarray:
@@ -135,62 +123,56 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     return solved
 
 
-def assemble_tilde(family: ExpFamily, mean: np.ndarray, grad: np.ndarray,
-                   hess) -> np.ndarray:
-    """Map (E[grad], E[H]) into tilde_lam for a Gaussian family."""
-    if isinstance(family, FullGaussian):
-        hess = np.atleast_2d(np.asarray(hess, dtype=float))
-        lin = -grad + hess @ mean
-        return np.concatenate([lin, sym_to_coeff(-0.5 * hess)])
-    if isinstance(family, DiagGaussian):
-        hdiag = np.asarray(hess, dtype=float).reshape(-1)
-        lin = -grad + hdiag * mean
-        return np.concatenate([lin, -0.5 * hdiag])
-    raise ValueError(f"Gaussian identity needs a Gaussian family, got {family.name!r}")
+def check_support(family: ExpFamily, loss: LossModel, kind: str) -> None:
+    """Raise unless estimator kind can serve (family, loss); else return None.
+
+    The one support decision: the harness calls it before a run starts,
+    each estimator before it estimates. exact needs a loss linear in
+    T(theta) or closed-form expectations; every other kind needs the
+    family's Gaussian identity (family.hessian_kind), delta and mc the
+    loss Hessian of that kind, and reparam a diagonal family. A missing
+    loss Hessian raises MissingHessian, anything else ValueError.
+    """
+    hessian = family.hessian_kind
+    if kind == "exact":
+        if loss.natural_coefficients(family) is None and not (
+                loss.provides_expectations and hessian):
+            raise ValueError(f"{type(loss).__name__} supports no exact estimator "
+                             f"on {family.name!r}; use delta, mc, or reparam")
+    elif hessian is None:
+        raise ValueError(f"Gaussian identity needs a Gaussian family, got {family.name!r}")
+    elif kind == "reparam":
+        if hessian != "diag":
+            raise ValueError("reparam curvature is only defined for diagonal families")
+    elif not (loss.provides_hessian_full if hessian == "full"
+              else loss.provides_hessian_diag):
+        raise MissingHessian(f"{kind} estimator on {family.name!r} needs hessian_{hessian}")
 
 
-def natgrad_exact(dist: ExpFamDistribution, loss: LossModel) -> NatGradEstimate:
+def natgrad_exact(family: ExpFamily, lam, loss: LossModel) -> np.ndarray:
     """Closed-form tilde_lam; available for linear-in-T and affine-gradient losses."""
-    family = dist.family
     coeff = loss.natural_coefficients(family)
     if coeff is not None:
-        return NatGradEstimate(-linear_loss_natgrad(family, coeff), "exact")
-    if loss.provides_expectations:
-        mean, cov = family.to_mean_cov(dist.coords)
-        grad = loss.expected_gradient(mean, cov)
-        hess = loss.expected_hessian(mean, cov)
-        if isinstance(family, DiagGaussian):
-            hess = np.diag(np.atleast_2d(hess))
-        return NatGradEstimate(assemble_tilde(family, mean, grad, hess), "exact")
-    raise ValueError(
-        f"{type(loss).__name__} supports no exact estimator; use delta, mc, or reparam")
+        return -linear_loss_natgrad(family, coeff)
+    check_support(family, loss, "exact")
+    mean, cov = family.to_mean_cov(lam)
+    grad = loss.expected_gradient(mean, cov)
+    hess = loss.expected_hessian(mean, cov)
+    if family.hessian_kind == "diag":
+        hess = np.diag(np.atleast_2d(hess))
+    return family.gaussian_identity(mean, grad, hess)
 
 
-def natgrad_delta_method(dist: ExpFamDistribution, loss: LossModel) -> NatGradEstimate:
+def natgrad_delta_method(family: ExpFamily, lam, loss: LossModel) -> np.ndarray:
     """Gaussian identity with expectations replaced by evaluation at the mean."""
-    family = dist.family
-    mean, _ = family.to_mean_cov(dist.coords)
+    check_support(family, loss, "delta")
+    mean, _ = family.to_mean_cov(lam)
     grad = loss.gradient(mean)
-    if isinstance(family, FullGaussian):
-        hess = loss.hessian_full(mean)
-    else:
+    if family.hessian_kind == "diag":
         hess = loss.hessian_diag(mean)
-    return NatGradEstimate(assemble_tilde(family, mean, grad, hess), "delta")
-
-
-def reparam_hessian_diag_estimate(dist: ExpFamDistribution, loss: LossModel,
-                                  theta_sample, batch=None) -> np.ndarray:
-    """Hessian-diagonal estimate grad(theta) * s * (theta - m) at one sample.
-
-    Unbiased for diag(E_q[H]) when theta_sample ~ q and q is the diagonal
-    Gaussian with mean m and precision s.
-    """
-    family = dist.family
-    if not isinstance(family, DiagGaussian):
-        raise ValueError("reparameterization estimator needs a diagonal Gaussian")
-    theta = np.asarray(theta_sample, dtype=float).reshape(-1)
-    lin, prec = family.split_natural(dist.coords)
-    return reparam_hessian_terms(loss.gradient(theta, batch), prec, theta, lin / prec)
+    else:
+        hess = loss.hessian_full(mean)
+    return family.gaussian_identity(mean, grad, hess)
 
 
 def reparam_hessian_terms(grads, prec, thetas, mean) -> np.ndarray:
@@ -216,55 +198,52 @@ def sampled_moments(loss: LossModel, thetas: np.ndarray, mean: np.ndarray,
     return grads.sum(axis=0) / n_samples, hess
 
 
-def natgrad_gaussian_identity(dist: ExpFamDistribution, loss: LossModel,
+def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
                               n_samples: int, seed: int, batch=None,
-                              curvature: str = "hessian") -> NatGradEstimate:
+                              curvature: str = "hessian") -> np.ndarray:
     """Monte Carlo tilde_lam over K samples from q.
 
-    Full-covariance families need loss.hessian_full. Diagonal families
-    use loss.hessian_diag when curvature="hessian" and the gradient-only
-    reparameterization estimate when curvature="reparam". The K samples
-    go to the loss as one (K, P) array: one gradient_and_mean_hessian
-    call for curvature="hessian", one gradient_batch call otherwise.
+    curvature="hessian" takes the loss Hessian of the family's
+    hessian_kind; curvature="reparam" (diagonal families) the
+    gradient-only reparameterization estimate of its diagonal. The K
+    samples go to the loss as one (K, P) array: one
+    gradient_and_mean_hessian call for curvature="hessian", one
+    gradient_batch call otherwise.
     """
-    family = dist.family
-    full = isinstance(family, FullGaussian)
-    if not (full or isinstance(family, DiagGaussian)):
-        raise ValueError(f"Gaussian identity needs a Gaussian family, got {family.name!r}")
-    if full and curvature != "hessian":
-        raise ValueError("reparam curvature is only defined for diagonal families")
-    if full and not loss.provides_hessian_full:
-        raise MissingHessian("Gaussian-identity estimator needs hessian_full")
-    if curvature == "hessian" and not full and not loss.provides_hessian_diag:
-        raise MissingHessian("mc estimator on a diagonal family needs hessian_diag")
-    thetas = family.sample(dist.coords, n_samples, make_rng(seed))
-    mean, _ = family.to_mean_cov(dist.coords)
-    prec = family.split_natural(dist.coords)[1] if curvature == "reparam" else None
-    grad, hess = sampled_moments(loss, thetas, mean, prec, curvature, not full, batch)
-    kind = "mc" if curvature == "hessian" else "reparam"
-    return NatGradEstimate(assemble_tilde(family, mean, grad, hess), kind, n_samples, seed)
+    check_support(family, loss, "mc" if curvature == "hessian" else "reparam")
+    thetas = family.sample(lam, n_samples, make_rng(seed))
+    mean, _ = family.to_mean_cov(lam)
+    prec = family.split_natural(lam)[1] if curvature == "reparam" else None
+    diag = family.hessian_kind == "diag"
+    grad, hess = sampled_moments(loss, thetas, mean, prec, curvature, diag, batch)
+    return family.gaussian_identity(mean, grad, hess)
 
 
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
                      spec: EstimatorSpec, step: int = 0,
-                     batch=None) -> NatGradEstimate:
-    """Dispatch on spec.kind; stochastic kinds fold the step into the seed.
+                     batch=None) -> np.ndarray:
+    """tilde_lam at lam under spec; stochastic kinds fold the step into the seed.
 
     A sampled kind needs 0 <= step < SAMPLED_STEP_LIMIT (ValueError
-    otherwise), so that no two steps or seeds share a stream.
+    otherwise), so that no two steps or seeds share a stream. A
+    non-finite estimate raises DomainError.
     """
-    dist = ExpFamDistribution.from_coords(family, lam)
     if spec.kind == "exact":
-        return natgrad_exact(dist, loss)
-    if spec.kind == "delta":
-        return natgrad_delta_method(dist, loss)
-    if not 0 <= step < SAMPLED_STEP_LIMIT:
-        raise ValueError(f"a sampled estimate needs 0 <= step < {SAMPLED_STEP_LIMIT}, "
-                         f"got step {step}")
-    seed = _fold_seed(spec.seed, step)
-    curvature = "hessian" if spec.kind == "mc" else "reparam"
-    return natgrad_gaussian_identity(dist, loss, spec.n_samples, seed,
-                                     batch=batch, curvature=curvature)
+        tilde = natgrad_exact(family, lam, loss)
+    elif spec.kind == "delta":
+        tilde = natgrad_delta_method(family, lam, loss)
+    else:
+        if not 0 <= step < SAMPLED_STEP_LIMIT:
+            raise ValueError(f"a sampled estimate needs 0 <= step < {SAMPLED_STEP_LIMIT}, "
+                             f"got step {step}")
+        curvature = "hessian" if spec.kind == "mc" else "reparam"
+        tilde = natgrad_gaussian_identity(family, lam, loss, spec.n_samples,
+                                          _fold_seed(spec.seed, step), batch=batch,
+                                          curvature=curvature)
+    if not np.all(np.isfinite(tilde)):
+        raise DomainError(f"{spec.kind} natural-gradient estimate at step {step} "
+                          "is not finite")
+    return tilde
 
 
 def _fold_seed(seed: int, step: int) -> int:

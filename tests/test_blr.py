@@ -59,14 +59,6 @@ def test_step_half_rate_is_midpoint():
                                0.5 * lam0 + 0.5 * state1.tilde_lambda, atol=1e-15)
 
 
-def test_step_recomputes_dual_coordinates(rng):
-    model, fam, loss = ridge_setup(3)
-    state = blr_step(blr_init(fam, fam.from_moment(np.zeros(3), np.eye(3))),
-                     loss, BLRConfig(0.7, 1, estimator=EXACT))
-    np.testing.assert_allclose(state.mu, fam.natural_to_dual(state.lam),
-                               rtol=1e-10, atol=1e-10)
-
-
 def test_step_left_domain_reported():
     # a rate-1 jump toward an invalid target (negative curvature coefficient)
     fam = DiagGaussian(1)
@@ -146,7 +138,7 @@ def test_multiplicative_form_detects_corruption(rng):
     state1 = blr_step(state0, loss, BLRConfig(0.3, 1, estimator=EXACT))
     bad = state1.lam.coords.copy()
     bad[1] += 1e-3
-    corrupted = replace(state1, lam=fam.natural(bad), mu=fam.natural_to_dual(bad))
+    corrupted = replace(state1, lam=fam.natural(bad))
     assert not multiplicative_form_check(state0, corrupted, 0.3).passed
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from natvb.errors import DomainError
-from natvb.gaussian import (DiagGaussian, ExpFamDistribution, FullGaussian,
-                            GaussianMoment, coeff_to_sym, moment_to_natural,
-                            moment_to_sym, sym_to_coeff, sym_to_moment)
+from natvb.gaussian import (DiagGaussian, FullGaussian, GaussianMoment,
+                            coeff_to_sym, moment_to_natural, moment_to_sym,
+                            sym_to_coeff, sym_to_moment)
 from natvb.seeding import _FIXED_DRAWS, RNG_ALGORITHM, fixed_normals, make_rng
 
 from conftest import random_instance, random_lam
@@ -237,9 +237,8 @@ def test_fixed_normals_read_only_and_bounded():
 # -- log density -------------------------------------------------------------
 
 def test_log_density_standard_normal_at_zero():
-    dist = ExpFamDistribution.from_coords(FullGaussian(1), [0.0, -0.5])
-    assert np.isclose(dist.log_density([0.0]), -0.5 * np.log(2.0 * np.pi),
-                      atol=1e-12)
+    assert np.isclose(FullGaussian(1).log_density([0.0, -0.5], [0.0]),
+                      -0.5 * np.log(2.0 * np.pi), atol=1e-12)
 
 
 def test_log_density_at_mean():
@@ -273,13 +272,34 @@ def test_density_normalizes_on_quadrature_grid(rng):
         assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-6
 
 
-def test_distribution_exposes_dimensions():
-    dist = ExpFamDistribution.from_coords(FullGaussian(3),
-                                          FullGaussian(3).from_moment(
-                                              np.zeros(3), np.eye(3)))
-    assert dist.theta_dim == 3
-    assert dist.param_dim == 9
-    assert dist.family.name == "gaussian_full_3"
+# -- Gaussian identity ---------------------------------------------------------
+
+def test_gaussian_identity_of_a_quadratic_is_its_coefficient(rng):
+    # for loss theta'A theta/2 - b'theta the moments are (A m - b, A) at any
+    # m, and the identity returns the loss's natural coefficients (b, -A/2)
+    for p in (1, 3):
+        a = rng.standard_normal((p, p))
+        quad, lin, mean = a @ a.T + np.eye(p), rng.standard_normal(p), rng.standard_normal(p)
+        full = FullGaussian(p).gaussian_identity(mean, quad @ mean - lin, quad)
+        np.testing.assert_allclose(full, np.concatenate([lin, sym_to_coeff(-0.5 * quad)]),
+                                   rtol=1e-12, atol=1e-12)
+        hdiag = np.diag(quad)
+        diag = DiagGaussian(p).gaussian_identity(mean, hdiag * mean - lin, hdiag)
+        np.testing.assert_allclose(diag, np.concatenate([lin, -0.5 * hdiag]),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_gaussian_identity_diag_is_full_restricted(rng):
+    # on a diagonal Hessian the full family's identity, read on the shared
+    # coordinates (linear block and the quadratic block's diagonal), is the
+    # diagonal family's, bit for bit; the off-diagonal entries are zero
+    p = 4
+    mean, grad, hdiag = rng.standard_normal(p), rng.standard_normal(p), rng.uniform(0.1, 2.0, p)
+    full = FullGaussian(p).gaussian_identity(mean, grad, np.diag(hdiag))
+    diag = DiagGaussian(p).gaussian_identity(mean, grad, hdiag)
+    quad = coeff_to_sym(full[p:], p)
+    np.testing.assert_array_equal(np.concatenate([full[:p], np.diag(quad)]), diag)
+    assert not np.any(quad - np.diag(np.diag(quad)))
 
 
 # -- vectorised helpers against their loop definitions ------------------------

@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from natvb import blr
+from natvb import blr, harness
 from natvb.cli import main
 from natvb.errors import BayesFilterViolation, LeftDomain, SingularFisher, SolverFailure
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.harness import (ConfigError, build_model, compare_runs, format_cell,
                            resolve_config, ridge_oracle, run_experiment)
+from natvb.losses import check_derivatives
 from natvb.models import make_ridge_data, ridge_exact_posterior
 from natvb.natgrad import EstimatorSpec
 
@@ -360,6 +361,58 @@ def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch):
     assert main(["run", write_cfg(tmp_path, cfg)]) == 3
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("step,")  # partial trace flushed
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+_TABLE_MODELS = {"ridge": {"kind": "ridge", "n": 12, "p": 2, "data_seed": 3},
+                 "logistic": {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3},
+                 "spirals_mlp": {"kind": "spirals_mlp", "n": 20, "hidden": [2],
+                                 "data_seed": 3}}
+#: (model, family, estimator) configs no BLR run can serve: reparam needs a
+#: diagonal family, exact needs a loss linear in T or closed-form
+#: expectations, delta and mc the family's Hessian, and the MLP has none
+_UNSUPPORTED = {("ridge", "full", "reparam"),
+                ("logistic", "full", "exact"), ("logistic", "diag", "exact"),
+                ("logistic", "full", "reparam"),
+                *(("spirals_mlp", family, estimator)
+                  for family in ("full", "diag")
+                  for estimator in ("exact", "delta", "mc", "reparam")
+                  if (family, estimator) != ("diag", "reparam"))}
+
+
+@pytest.mark.parametrize("estimator", ["exact", "delta", "mc", "reparam"])
+@pytest.mark.parametrize("family", ["full", "diag"])
+@pytest.mark.parametrize("model", sorted(_TABLE_MODELS))
+def test_cli_run_blr_support_table(model, family, estimator, tmp_path, monkeypatch):
+    # a combination no run can serve exits 2 before the derivative gate, with
+    # nothing written; every other one runs
+    gates = []
+
+    def counted_gate(loss, points):
+        gates.append(1)
+        return check_derivatives(loss, points)
+
+    monkeypatch.setattr(harness, "check_derivatives", counted_gate)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model=_TABLE_MODELS[model],
+                      optimizer={"kind": "blr", "family": family, "max_iter": 3,
+                                 "estimator": estimator, "n_samples": 2})
+    unsupported = (model, family, estimator) in _UNSUPPORTED
+    assert main(["run", write_cfg(tmp_path, cfg)]) == (2 if unsupported else 0)
+    assert (tmp_path / "out").exists() != unsupported
+    assert len(gates) == (0 if unsupported else 1)
+
+
+def test_cli_run_non_finite_estimate_exit_3_partial_trace(tmp_path, monkeypatch):
+    # precision 1e-320 makes q's variance overflow, so the first sampled
+    # estimate is not finite: a domain error, with the trace header flushed
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model={"kind": "logistic", "n": 40, "p": 3, "data_seed": 3},
+                      optimizer={"kind": "blr", "family": "diag", "estimator": "mc",
+                                 "n_samples": 2, "init_precision": 1e-320})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert trace == ["t,rho,objective,residual"]
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
