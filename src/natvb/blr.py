@@ -85,8 +85,8 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
     estimate, if given, must be tilde_lam at state.lam under
     cfg.estimator on step state.t's stream; it does not depend on the
     rate, so retries reuse it.
-    Raises LeftDomain with the offending iterate if the combination exits
-    the family's domain; blr_run retries such a step at half the rate.
+    Raises LeftDomain with the offending iterate if family.natural
+    rejects the combination; blr_run retries such a step at half the rate.
     """
     family = state.family
     rho = cfg.rho_at(state.t)
@@ -94,11 +94,13 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
         estimate = estimate_natgrad(family, state.lam, loss, cfg.estimator,
                                     step=state.t, batch=batch)
     new_lam = (1.0 - rho) * state.lam.coords + rho * estimate
-    if not family.contains_natural(new_lam):
+    try:
+        lam = family.natural(new_lam)
+    except DomainError as exc:
         raise LeftDomain(
             f"BLR step {state.t} left the domain of {family.name!r}",
-            iterate=new_lam, iteration=state.t)
-    return BLRState(family, state.t + 1, family.natural(new_lam), estimate)
+            iterate=new_lam, iteration=state.t) from exc
+    return BLRState(family, state.t + 1, lam, estimate)
 
 
 # -- conjugate path ----------------------------------------------------
@@ -176,17 +178,18 @@ def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
     given, must be tilde_lam at (lam, step) under spec; it is then used
     instead of being recomputed.
     """
-    lam = family._check_natural(lam)
+    lam = family.natural(lam)
     if estimate is None:
         estimate = estimate_natgrad(family, lam, loss, spec, step=step)
     natgrad_via_dual(family, lam, estimate)
-    return float(np.linalg.norm(lam - estimate)) / max(1.0, float(np.linalg.norm(lam)))
+    return (float(np.linalg.norm(lam.coords - estimate))
+            / max(1.0, float(np.linalg.norm(lam.coords))))
 
 
 def vb_objective(family: ExpFamily, lam, loss: LossModel,
                  spec: EstimatorSpec | None = None) -> float:
     """L(q_lam) = E_q[loss] - H(q_lam)."""
-    lam = family._check_natural(lam)
+    lam = family.natural(lam)
     return expected_loss(family, lam, loss, spec) - family.entropy(lam)
 
 
@@ -205,25 +208,25 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
     agree with the closed-form convex combination. Raises SolverFailure
     if the gradient norm does not reach grad_tol.
     """
-    lam_t = family._check_natural(lam_t)
+    lam_t = family.natural(lam_t)
     tilde = np.asarray(tilde_lam, dtype=float).reshape(-1)
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
-    slope = lam_t - tilde
+    slope = lam_t.coords - tilde
     cum_t = family.cumulant(lam_t)
 
-    def objective(mu: np.ndarray) -> tuple[float, np.ndarray]:
-        lam = family.dual_to_natural(mu)
-        kl = cum_t - family.cumulant(lam) - float((lam_t - lam) @ mu)
+    def objective(mu: np.ndarray) -> tuple[float, NaturalParams]:
+        lam = family.natural(family.dual_to_natural(mu))
+        kl = cum_t - family.cumulant(lam) - float((lam_t.coords - lam.coords) @ mu)
         return float(slope @ mu) + kl / rho, lam
 
     mu = family.natural_to_dual(lam_t)
     value, lam = objective(mu)
     for _ in range(max_iter):
-        grad = slope + (lam - lam_t) / rho
+        grad = slope + (lam.coords - lam_t.coords) / rho
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= grad_tol:
-            return lam
+            return lam.coords
         direction = -rho * (family.fisher(lam) @ grad)
         step_size = 1.0
         while step_size > 1e-12:
@@ -233,7 +236,8 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
             except DomainError:
                 step_size *= 0.5
                 continue
-            new_grad_norm = float(np.linalg.norm(slope + (new_lam - lam_t) / rho))
+            new_grad = slope + (new_lam.coords - lam_t.coords) / rho
+            new_grad_norm = float(np.linalg.norm(new_grad))
             # Armijo decrease, or gradient contraction once objective
             # differences fall below roundoff near the optimum
             if (new_value <= value + 1e-4 * step_size * float(grad @ direction)
@@ -243,9 +247,9 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
             step_size *= 0.5
         else:
             raise SolverFailure("mirror-descent line search stalled")
-    grad = slope + (lam - lam_t) / rho
+    grad = slope + (lam.coords - lam_t.coords) / rho
     if np.linalg.norm(grad) <= grad_tol:
-        return lam
+        return lam.coords
     raise SolverFailure(
         f"mirror-descent solve stopped at gradient norm {np.linalg.norm(grad):.3e}")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -219,7 +220,6 @@ class IVONState:
     #: effective sample size scaling the sampling precision
     ess: float = 1.0
     seed: int = 0
-    bias_correction: bool = True
     t: int = 0
 
     def __post_init__(self):
@@ -234,12 +234,11 @@ class IVONState:
 def ivon_init(theta0, *, step_size: float, hess_init: float = 1.0,
               beta1: float = 0.9, hess_rate: float = 1e-3,
               weight_decay: float = 1e-4, damping: float = 0.0,
-              ess: float = 1.0, seed: int = 0,
-              bias_correction: bool = True) -> IVONState:
+              ess: float = 1.0, seed: int = 0) -> IVONState:
     theta0 = _vec(theta0)
     return IVONState(theta0, np.full_like(theta0, float(hess_init)),
                      np.zeros_like(theta0), step_size, beta1, hess_rate,
-                     weight_decay, damping, ess, seed, bias_correction)
+                     weight_decay, damping, ess, seed)
 
 
 def ivon_sample_and_estimate(state: IVONState, loss: LossModel,
@@ -280,8 +279,8 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
             f"IVON posterior precision left the domain at step {state.t}",
             iterate=hess, iteration=state.t)
     t = state.t + 1
-    numerator = momentum / (1.0 - state.beta1 ** t) if state.bias_correction else momentum
-    mean = preconditioned_step(state.mean, numerator + delta0 * state.mean,
+    mean = preconditioned_step(state.mean,
+                               momentum / (1.0 - state.beta1 ** t) + delta0 * state.mean,
                                hess + delta0, state.step_size, state.damping,
                                sqrt_scale=False)
     return replace(state, mean=mean, hess=hess, grad_momentum=momentum, t=t)
@@ -326,8 +325,9 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     Rows record the full-data loss and gradient norm at the current
     evaluation point (theta, or the posterior mean), both from one
     `value_and_gradient` call (one fused forward pass for losses that
-    override it), and the scale vector's range. Step errors propagate
-    with their iteration index.
+    override it), and the scale vector's range. A step that leaves its
+    domain, or a row that would hold a non-finite value, raises
+    LeftDomain carrying the rows recorded before it as partial_record.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -343,17 +343,21 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     def record(step_index: int, current) -> None:
         value, grad = loss.value_and_gradient(_eval_point(current))
         scale = _scale_vector(current)
-        rows.append((step_index, float(value), float(np.linalg.norm(grad)),
-                     float(np.min(scale)), float(np.max(scale))))
+        row = (step_index, float(value), float(np.linalg.norm(grad)),
+               float(np.min(scale)), float(np.max(scale)))
+        if not all(map(math.isfinite, row[1:])):
+            raise LeftDomain(f"non-finite trace row at step {step_index}: {row}",
+                             iteration=step_index)
+        rows.append(row)
 
-    record(0, state)
-    for t in range(steps):
-        batch = None
-        if batch_size is not None:
-            rng = make_rng(seed, 0xBA7C, t)
-            batch = rng.choice(loss.n_data, size=min(batch_size, loss.n_data),
-                               replace=False)
-        try:
+    try:
+        record(0, state)
+        for t in range(steps):
+            batch = None
+            if batch_size is not None:
+                rng = make_rng(seed, 0xBA7C, t)
+                batch = rng.choice(loss.n_data, size=min(batch_size, loss.n_data),
+                                   replace=False)
             if isinstance(state, VONState):
                 state = von_step(state, loss, batch)
             elif isinstance(state, IVONState):
@@ -364,10 +368,10 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
                 state = adam_step(state, loss.gradient(state.theta, batch))
             else:
                 raise TypeError(f"unknown optimizer state {type(state).__name__}")
-        except LeftDomain as exc:
-            # let callers flush what was recorded before the failing step
-            exc.partial_record = TrainRunRecord(columns, rows, meta, state,
-                                                time.perf_counter() - start)
-            raise
-        record(t + 1, state)
+            record(t + 1, state)
+    except LeftDomain as exc:
+        # let callers flush what was recorded before the failure
+        exc.partial_record = TrainRunRecord(columns, rows, meta, state,
+                                            time.perf_counter() - start)
+        raise
     return TrainRunRecord(columns, rows, meta, state, time.perf_counter() - start)

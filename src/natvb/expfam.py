@@ -25,9 +25,15 @@ Since F is the Jacobian of lam -> mu, F v is a directional derivative of
 natural_to_dual and F^-1 w one of dual_to_natural, so a family can apply
 F and its inverse without forming F (fisher_vp, fisher_solve).
 
-Concrete families implement the primitives (cumulant, conversions,
-Fisher and its products, T, sampling); entropy, Fenchel conjugate, KL
-and its dual gradient are derived here once.
+natural() and expectation() are each coordinate system's one domain
+check: a per-family primitive (_derive, _derive_expectation) raises
+DomainError outside the domain or returns what checking computed, which
+the validated parameters carry as `derived` for every later method.
+
+Concrete families implement the primitives (the two derivations,
+cumulant, conversions, Fisher and its products, T, sampling); the domain
+predicates, entropy, Fenchel conjugate, KL and its dual gradient are
+derived here once.
 """
 
 from __future__ import annotations
@@ -40,50 +46,45 @@ import numpy as np
 from .errors import DomainError, FamilyMismatch
 
 
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("coordinates must be finite")
-    return v
-
-
 @dataclass(frozen=True)
-class NaturalParams:
+class _Params:
+    coords: np.ndarray
+    family: "ExpFamily | None" = field(default=None, compare=False)
+    #: what the family's check derived from coords; None if unchecked
+    derived: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(coords)):
+            raise DomainError("coordinates must be finite")
+        object.__setattr__(self, "coords", coords)
+
+
+class NaturalParams(_Params):
     """Natural coordinates lam, validated against a family's open domain.
 
-    Construct through `family.natural(coords)`; direct construction skips
-    the domain check.
+    Construct through `family.natural(coords)`, which freezes a copy of
+    the coordinates and stores what _derive computed from them. Direct
+    construction leaves `derived` None: such parameters are checked
+    whenever a family uses them.
     """
 
-    coords: np.ndarray
-    family: "ExpFamily | None" = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
+class ExpectationParams(_Params):
+    """Dual coordinates mu = E[T(theta)]; realizable iff some lam maps to them.
 
-
-@dataclass(frozen=True)
-class ExpectationParams:
-    """Dual coordinates mu = E[T(theta)]; realizable iff some lam maps to them."""
-
-    coords: np.ndarray
-    family: "ExpFamily | None" = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
+    Construct through `family.expectation(coords)`, as for NaturalParams.
+    """
 
 
 class ExpFamily(abc.ABC):
     """A minimal exponential family with h = 1.
 
-    Subclasses fix the statistic T and provide the primitives; parameter
-    vectors are plain 1-D float arrays in the documented layout. All
-    methods are pure. A family may hold a bounded memo of pure results
-    (FullGaussian keeps the factorisation of its last few natural
-    parameters, as read-only arrays); a memo changes no result, so
-    families and parameter vectors can still be shared across threads.
-    `natvb run --jobs` runs configs in separate processes, so no memo is
-    shared between runs.
+    Subclasses fix the statistic T and provide the primitives. Methods
+    take NaturalParams/ExpectationParams or plain 1-D float arrays in the
+    documented layout. All methods are pure and families hold no state,
+    so families and validated parameters (whose arrays are read-only)
+    can be shared across threads.
 
     The Gaussian identity the natural-gradient estimators assemble with
     is a method of the Gaussian families, gaussian_identity, which the
@@ -110,12 +111,12 @@ class ExpFamily(abc.ABC):
     # -- primitives -------------------------------------------------
 
     @abc.abstractmethod
-    def contains_natural(self, lam) -> bool:
-        """Whether lam lies in the family's open domain."""
+    def _derive(self, coords: np.ndarray):
+        """What natural() stores for finite lam = coords, or DomainError."""
 
     @abc.abstractmethod
-    def contains_expectation(self, mu) -> bool:
-        """Whether mu is realizable (interior of the moment range)."""
+    def _derive_expectation(self, coords: np.ndarray):
+        """What expectation() stores for finite mu = coords, or DomainError."""
 
     @abc.abstractmethod
     def cumulant(self, lam) -> float:
@@ -153,42 +154,56 @@ class ExpFamily(abc.ABC):
     def sufficient_stats_batch(self, thetas) -> np.ndarray:
         """T(theta) for each row of an (n, theta_dim) array; shape (n, param_dim)."""
 
-    # -- validated wrappers ------------------------------------------
+    # -- the domain checks --------------------------------------------
 
-    def natural(self, coords) -> NaturalParams:
-        coords = self._check_natural(coords)
-        return NaturalParams(coords, self)
+    def natural(self, lam) -> NaturalParams:
+        """lam as validated NaturalParams: the family's one natural-side check.
 
-    def expectation(self, coords) -> ExpectationParams:
-        coords = self._check_expectation(coords)
-        return ExpectationParams(coords, self)
+        Parameters that this family, or an equal one, validated are
+        returned as they are. Anything else is copied, frozen and checked
+        by _derive. Raises DomainError outside the domain and
+        FamilyMismatch for another family's parameters or a wrong length.
+        """
+        return self._validated(lam, NaturalParams, self._derive)
 
-    def _coords(self, params, kind: str) -> np.ndarray:
-        if isinstance(params, (NaturalParams, ExpectationParams)):
+    def expectation(self, mu) -> ExpectationParams:
+        """mu as validated ExpectationParams; the dual-side twin of natural()."""
+        return self._validated(mu, ExpectationParams, self._derive_expectation)
+
+    def contains_natural(self, lam) -> bool:
+        """Whether lam lies in the family's open domain."""
+        return self._accepts(self.natural, lam)
+
+    def contains_expectation(self, mu) -> bool:
+        """Whether mu is realizable (interior of the moment range)."""
+        return self._accepts(self.expectation, mu)
+
+    @staticmethod
+    def _accepts(check, params) -> bool:
+        try:
+            check(params)
+        except (DomainError, FamilyMismatch):
+            return False
+        return True
+
+    def _validated(self, params, kind: type, derive):
+        if isinstance(params, kind) and params.derived is not None and params.family == self:
+            return params
+        if isinstance(params, _Params):
             if params.family is not None and params.family != self:
                 raise FamilyMismatch(
                     f"parameters built for family {params.family.name!r}, "
                     f"used with {self.name!r}")
-            coords = params.coords
-        else:
-            coords = _as_vector(params)
+            params = params.coords
+        coords = np.array(params, dtype=float).reshape(-1)
         if coords.size != self.param_dim:
             raise FamilyMismatch(
-                f"{kind} coordinates have length {coords.size}, "
+                f"{kind.__name__} have length {coords.size}, "
                 f"family {self.name!r} needs {self.param_dim}")
-        return coords
-
-    def _check_natural(self, lam) -> np.ndarray:
-        coords = self._coords(lam, "natural")
-        if not self.contains_natural(coords):
-            raise DomainError(f"natural parameters outside the domain of {self.name!r}")
-        return coords
-
-    def _check_expectation(self, mu) -> np.ndarray:
-        coords = self._coords(mu, "expectation")
-        if not self.contains_expectation(coords):
-            raise DomainError(f"expectation parameters not realizable in {self.name!r}")
-        return coords
+        if not np.all(np.isfinite(coords)):
+            raise DomainError("coordinates must be finite")
+        coords.setflags(write=False)
+        return kind(coords, self, derive(coords))
 
     def _tangent(self, v) -> np.ndarray:
         """A direction in parameter space: a 1-D float array of length param_dim."""
@@ -211,42 +226,40 @@ class ExpFamily(abc.ABC):
         theta is one point (returns a float) or an (n, theta_dim) array of
         points, one per row (returns n values); lam is validated once.
         """
-        lam = self._check_natural(lam)
+        lam = self.natural(lam)
         if np.ndim(theta) == 2:
-            return self.sufficient_stats_batch(theta) @ lam - self.cumulant(lam)
+            return self.sufficient_stats_batch(theta) @ lam.coords - self.cumulant(lam)
         t = self.sufficient_stats(theta)
-        return float(lam @ t - self.cumulant(lam))
+        return float(lam.coords @ t - self.cumulant(lam))
 
     def entropy(self, lam) -> float:
         """H(q) = A(lam) - <lam, grad A(lam)>."""
-        lam = self._check_natural(lam)
+        lam = self.natural(lam)
         mu = self.natural_to_dual(lam)
-        return float(self.cumulant(lam) - lam @ mu)
+        return float(self.cumulant(lam) - lam.coords @ mu)
 
     def entropy_gradient(self, lam) -> np.ndarray:
         """grad_lam H(q_lam) = -F(lam) lam."""
-        lam = self._check_natural(lam)
-        return -(self.fisher(lam) @ lam)
+        lam = self.natural(lam)
+        return -(self.fisher(lam) @ lam.coords)
 
     def fenchel_conjugate(self, mu) -> float:
         """A*(mu) = <lam(mu), mu> - A(lam(mu)); equals the negative entropy."""
-        mu = self._check_expectation(mu)
-        lam = self.dual_to_natural(mu)
-        return float(lam @ mu - self.cumulant(lam))
+        mu = self.expectation(mu)
+        lam = self.natural(self.dual_to_natural(mu))
+        return float(lam.coords @ mu.coords - self.cumulant(lam))
 
     def kl_divergence(self, lam_a, lam_b) -> float:
         """KL(q_a || q_b), the Bregman divergence of A:
 
         KL = A(lam_b) - A(lam_a) - <lam_b - lam_a, mu_a>.
         """
-        lam_a = self._check_natural(lam_a)
-        lam_b = self._check_natural(lam_b)
+        lam_a = self.natural(lam_a)
+        lam_b = self.natural(lam_b)
         mu_a = self.natural_to_dual(lam_a)
         return float(self.cumulant(lam_b) - self.cumulant(lam_a)
-                     - (lam_b - lam_a) @ mu_a)
+                     - (lam_b.coords - lam_a.coords) @ mu_a)
 
     def kl_gradient_wrt_dual(self, lam, lam_ref) -> np.ndarray:
         """grad_mu KL(q_lam || q_ref) = lam - lam_ref."""
-        lam = self._check_natural(lam)
-        lam_ref = self._check_natural(lam_ref)
-        return lam - lam_ref
+        return self.natural(lam).coords - self.natural(lam_ref).coords

@@ -17,9 +17,9 @@ that ordering:
 With these layouts mu = grad A(lam) holds coordinate-wise and the Fisher
 matrix Cov[T] is the exact Jacobian of natural_to_dual. fisher_vp and
 fisher_solve differentiate natural_to_dual and dual_to_natural in
-closed form, so F v and F^-1 w cost O(P^3) from the memoised factor
-(elementwise for the diagonal family) against O(P^4) to build the dense
-F and O(P^6) to factor it.
+closed form, so F v and F^-1 w cost O(P^3) from the parameter's stored
+factor (elementwise for the diagonal family) against O(P^4) to build
+the dense F and O(P^6) to factor it.
 
 gaussian_identity maps a loss's expected gradient and Hessian at q to
 the natural gradient; hessian_kind says whether a family takes the
@@ -27,9 +27,14 @@ the natural gradient; hessian_kind says whether a family takes the
 
 The precision parameterization is primary throughout: sampling
 (transport of standard normals) runs a triangular solve against the
-Cholesky factor of S, and nothing inverts a covariance on the hot path. Validity is decided by Cholesky success
-alone; the domain is open, so boundary cases fail rather than being
-nudged.
+Cholesky factor of S, and nothing inverts a covariance on the hot path.
+Each family's _derive is its one natural-side domain check: S must be
+positive definite (for the full family, Cholesky must succeed) and the
+mean and covariance must be finite. Its result (the full family's
+_Factor: precision, its Cholesky factor, mean and covariance) rides on
+the NaturalParams that natural() returns, so a parameter is factored
+once however many methods read it. The domain is open, so boundary
+cases fail rather than being nudged.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ from .expfam import ExpFamily, NaturalParams
 _LOG_2PI = float(np.log(2.0 * np.pi))
 #: rows of the Fisher's quadratic block computed per strip
 _FISHER_ROWS = 64
-#: distinct natural parameters whose factorisation a FullGaussian keeps;
-#: a BLR step touches at most three
-_FACTOR_MEMO = 4
 
 
 # -- symmetric-matrix flattening -------------------------------------
@@ -133,9 +135,8 @@ def _normal_rows(z, dim: int) -> np.ndarray:
 # -- families ---------------------------------------------------------
 
 class _Factor(NamedTuple):
-    """One validated natural parameter and its factorisation; all read-only."""
+    """FullGaussian's derived natural parameter: its factorisation, all read-only."""
 
-    coords: np.ndarray
     lin: np.ndarray
     prec: np.ndarray
     #: lower Cholesky factor of prec
@@ -147,9 +148,8 @@ class _Factor(NamedTuple):
 class FullGaussian(ExpFamily):
     """Full-covariance Gaussians on R^P, T(theta) = (theta, theta theta').
 
-    Every method that needs the precision's factorisation gets it from
-    _factor, which validates and factors a natural parameter once and
-    memoises the result for the last _FACTOR_MEMO distinct parameters.
+    Every method that needs the precision's factorisation reads it from
+    natural(lam).derived, which _derive computes once per parameter.
     """
 
     hessian_kind = "full"
@@ -161,21 +161,8 @@ class FullGaussian(ExpFamily):
         self.param_dim = self.theta_dim + self.theta_dim * (self.theta_dim + 1) // 2
         self.name = f"gaussian_full_{self.theta_dim}"
         self._triu = _triu_index(self.theta_dim)
-        # keyed by the coordinates' bytes; lru_cache is bounded and
-        # thread-safe, and a raised DomainError is never stored
-        self._factor_memo = lru_cache(maxsize=_FACTOR_MEMO)(self._factor_bytes)
 
-    def __reduce__(self):
-        # the memo is a cache, not state: rebuild the family from its dimension
-        return type(self), (self.theta_dim,)
-
-    def _factor(self, lam) -> _Factor:
-        """Validated coordinates of lam with its precision, the precision's
-        Cholesky factor, mean and covariance, all read-only."""
-        return self._factor_memo(self._coords(lam, "natural").tobytes())
-
-    def _factor_bytes(self, key: bytes) -> _Factor:
-        coords = np.frombuffer(key).copy()
+    def _derive(self, coords) -> _Factor:
         p = self.theta_dim
         prec = -2.0 * coeff_to_sym(coords[p:], p)
         try:
@@ -187,49 +174,33 @@ class FullGaussian(ExpFamily):
         mean = cho_solve((chol, True), lin)
         cov = cho_solve((chol, True), np.eye(p))
         cov = 0.5 * (cov + cov.T)
-        for arr in (coords, lin, prec, chol, mean, cov):
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
+        for arr in (prec, chol, mean, cov):
             arr.setflags(write=False)
-        return _Factor(coords, lin, prec, chol, mean, cov)
+        return _Factor(lin, prec, chol, mean, cov)
 
-    def _check_natural(self, lam) -> np.ndarray:
-        return self._factor(lam).coords
+    def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, lower Cholesky factor of the covariance) of mu = coords, read-only."""
+        p = self.theta_dim
+        mean = coords[:p]
+        low = _chol_pd(moment_to_sym(coords[p:], p) - np.outer(mean, mean))
+        low.setflags(write=False)
+        return mean, low
 
     def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(linear block, precision matrix S); raises if S is not PD."""
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         return factor.lin, factor.prec
-
-    def contains_natural(self, lam) -> bool:
-        lam = np.asarray(lam, dtype=float).reshape(-1)
-        if lam.size != self.param_dim or not np.all(np.isfinite(lam)):
-            return False
-        try:
-            self._factor(lam)
-        except DomainError:
-            return False
-        return True
-
-    def contains_expectation(self, mu) -> bool:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.size != self.param_dim or not np.all(np.isfinite(mu)):
-            return False
-        p = self.theta_dim
-        mean = mu[:p]
-        second = moment_to_sym(mu[p:], p)
-        try:
-            _chol_pd(second - np.outer(mean, mean))
-        except DomainError:
-            return False
-        return True
 
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(mean, covariance) of q_lam."""
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         return factor.mean, factor.cov
 
     def to_moment(self, lam) -> "GaussianMoment":
         """(mean, precision) of q_lam."""
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         return GaussianMoment(factor.mean, factor.prec)
 
     def from_moment(self, mean, precision) -> np.ndarray:
@@ -242,7 +213,7 @@ class FullGaussian(ExpFamily):
         return np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
 
     def cumulant(self, lam) -> float:
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         logdet = 2.0 * np.sum(np.log(np.diag(factor.chol)))
         return float(0.5 * factor.lin @ factor.mean - 0.5 * logdet
                      + 0.5 * self.theta_dim * _LOG_2PI)
@@ -252,12 +223,8 @@ class FullGaussian(ExpFamily):
         return np.concatenate([mean, sym_to_moment(cov + np.outer(mean, mean))])
 
     def dual_to_natural(self, mu) -> np.ndarray:
-        mu = self._check_expectation(mu)
-        p = self.theta_dim
-        mean = mu[:p]
-        cov = moment_to_sym(mu[p:], p) - np.outer(mean, mean)
-        low = _chol_pd(cov)
-        prec = cho_solve((low, True), np.eye(p))
+        mean, low = self.expectation(mu).derived
+        prec = cho_solve((low, True), np.eye(self.theta_dim))
         prec = 0.5 * (prec + prec.T)
         return np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
 
@@ -297,7 +264,7 @@ class FullGaussian(ExpFamily):
     def fisher_vp(self, lam, v) -> np.ndarray:
         # JVP of natural_to_dual: perturb S by dS, m = S^-1 lin and
         # M = Sigma + m m' follow
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         v = self._tangent(v)
         p = self.theta_dim
         mean, cov = factor.mean, factor.cov
@@ -310,7 +277,7 @@ class FullGaussian(ExpFamily):
     def fisher_solve(self, lam, w) -> np.ndarray:
         # JVP of dual_to_natural at mu(lam): Sigma = M - m m' moves by
         # W - w_m m' - m w_m', and S = Sigma^-1 by -S dSigma S
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         w = self._tangent(w)
         p = self.theta_dim
         mean, prec = factor.mean, factor.prec
@@ -333,7 +300,7 @@ class FullGaussian(ExpFamily):
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
-        factor = self._factor(lam)
+        factor = self.natural(lam).derived
         z = _normal_rows(z, self.theta_dim)
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
         return factor.mean + solve_triangular(factor.chol.T, z.T, lower=False).T
@@ -365,29 +332,34 @@ class DiagGaussian(ExpFamily):
         self.param_dim = 2 * self.theta_dim
         self.name = f"gaussian_diag_{self.theta_dim}"
 
-    def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """(linear block, precision diagonal s)."""
-        lam = self._coords(lam, "natural")
+    def _derive(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(linear block, precision diagonal s), both read-only."""
         p = self.theta_dim
-        lin, prec = lam[:p], -2.0 * lam[p:]
+        lin, prec = coords[:p], -2.0 * coords[p:]
         if not np.all(prec > 0.0):
             raise DomainError("precision diagonal must be positive")
+        with np.errstate(over="ignore"):
+            if not (np.all(np.isfinite(lin / prec)) and np.all(np.isfinite(1.0 / prec))):
+                raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
+        prec.setflags(write=False)
         return lin, prec
 
-    def contains_natural(self, lam) -> bool:
-        lam = np.asarray(lam, dtype=float).reshape(-1)
-        return (lam.size == self.param_dim and np.all(np.isfinite(lam))
-                and np.all(lam[self.theta_dim:] < 0.0))
-
-    def contains_expectation(self, mu) -> bool:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.size != self.param_dim or not np.all(np.isfinite(mu)):
-            return False
+    def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, variance) of mu = coords, read-only."""
         p = self.theta_dim
-        return bool(np.all(mu[p:] - mu[:p] ** 2 > 0.0))
+        mean = coords[:p]
+        var = coords[p:] - mean ** 2
+        if not np.all(var > 0.0):
+            raise DomainError(f"expectation parameters not realizable in {self.name!r}")
+        var.setflags(write=False)
+        return mean, var
+
+    def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """(linear block, precision diagonal s)."""
+        return self.natural(lam).derived
 
     def to_mean_var(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        lin, prec = self.split_natural(self._check_natural(lam))
+        lin, prec = self.split_natural(lam)
         return lin / prec, 1.0 / prec
 
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +367,7 @@ class DiagGaussian(ExpFamily):
         return mean, np.diag(var)
 
     def to_moment(self, lam) -> "GaussianMoment":
-        lin, prec = self.split_natural(self._check_natural(lam))
+        lin, prec = self.split_natural(lam)
         return GaussianMoment(lin / prec, prec)
 
     def from_moment(self, mean, precision) -> np.ndarray:
@@ -408,7 +380,6 @@ class DiagGaussian(ExpFamily):
         return np.concatenate([prec * mean, -0.5 * prec])
 
     def cumulant(self, lam) -> float:
-        lam = self._check_natural(lam)
         lin, prec = self.split_natural(lam)
         return float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
                             + 0.5 * _LOG_2PI))
@@ -418,15 +389,12 @@ class DiagGaussian(ExpFamily):
         return np.concatenate([mean, var + mean ** 2])
 
     def dual_to_natural(self, mu) -> np.ndarray:
-        mu = self._check_expectation(mu)
-        p = self.theta_dim
-        mean = mu[:p]
-        var = mu[p:] - mean ** 2
+        mean, var = self.expectation(mu).derived
         prec = 1.0 / var
         return np.concatenate([prec * mean, -0.5 * prec])
 
     def fisher(self, lam) -> np.ndarray:
-        mean, var = self.to_mean_var(self._check_natural(lam))
+        mean, var = self.to_mean_var(lam)
         p = self.theta_dim
         fish = np.zeros((2 * p, 2 * p))
         idx = np.arange(p)

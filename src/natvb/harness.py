@@ -77,12 +77,15 @@ def _require(cfg: dict, context: str, required: dict, optional: dict) -> dict:
 #: the valid range of each numeric key, in every block that has it (seeds
 #: key SeedSequence, which takes non-negative integers only)
 _RANGES = {
-    **dict.fromkeys("seed data_seed init_seed steps batch_size max_rate_halvings".split(),
+    **dict.fromkeys("seed data_seed init_seed steps batch_size max_rate_halvings "
+                    "prec_floor damping".split(),
                     (lambda v: v >= 0, ">= 0")),
-    **dict.fromkeys("n p max_iter n_samples init_precision ess".split(),
+    **dict.fromkeys("n p max_iter n_samples init_precision ess step_size "
+                    "prior_precision".split(),
                     (lambda v: v > 0, "> 0")),
     **dict.fromkeys("learning_rate hess_rate scale_rate".split(),
                     (lambda v: 0 < v <= 1, "in (0, 1]")),
+    **dict.fromkeys("beta1 beta2".split(), (lambda v: 0 <= v < 1, "in [0, 1)")),
 }
 
 
@@ -404,7 +407,12 @@ def run_dirs(named_configs: list[tuple[str, dict]], out_dir: Path) -> list[Path]
 
 def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,
                  joint_name: str = "compare.csv") -> Path:
-    """Run two configs side by side and emit a joint CSV keyed on step."""
+    """Run two configs side by side and emit a joint CSV keyed on step.
+
+    Each trace's first column is its step (BLR's t starts at 1, the deep
+    optimizers' step at 0); a joint row holds each run's row of that
+    step, or empty cells where the run has none.
+    """
     out_dir = Path(out_dir) if out_dir is not None else output_dir()
     results = []
     for tag, cfg in (("a", cfg_a), ("b", cfg_b)):
@@ -424,12 +432,11 @@ def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,
         for tag, cols, _ in tables:
             header.extend(f"{tag}_{c}" for c in cols[1:])
         handle.write(",".join(header) + "\n")
-        depth = max(len(rows) for _, _, rows in tables)
-        for i in range(depth):
-            cells = [str(i)]
-            for _, cols, rows in tables:
-                row = rows[i] if i < len(rows) else [""] * len(cols)
-                cells.extend(row[1:])
+        by_step = [{row[0]: row[1:] for row in rows} for _, _, rows in tables]
+        for step in sorted(set().union(*by_step), key=int):
+            cells = [step]
+            for (_, cols, _), rows in zip(tables, by_step):
+                cells.extend(rows.get(step, [""] * (len(cols) - 1)))
             handle.write(",".join(cells) + "\n")
     return joint
 

@@ -252,10 +252,7 @@ class MLPModel(LossModel):
     the sampled-curvature optimizers estimate them from gradients.
     """
 
-    def __init__(self, layer_sizes, x, y, prior_precision: float = 0.0,
-                 activation: str = "tanh"):
-        if activation != "tanh":
-            raise ValueError(f"unsupported activation {activation!r}")
+    def __init__(self, layer_sizes, x, y, prior_precision: float = 0.0):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or sizes[-1] != 1:
             raise ValueError("layer sizes must end in a single logit output")
@@ -271,7 +268,6 @@ class MLPModel(LossModel):
         if not (np.isfinite(prior_precision) and prior_precision >= 0.0):
             raise DomainError("prior precision must be finite and nonnegative")
         self.layer_sizes = sizes
-        self.activation = activation
         self.x = x
         self.y = y
         self.prior_precision = prior_precision

@@ -107,7 +107,7 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     Raises SingularFisher if the solve is not finite and SolverFailure if
     the identity is violated.
     """
-    lam = family._check_natural(lam)
+    lam = family.natural(lam)
     grad_mu = np.asarray(grad_wrt_mu, dtype=float).reshape(-1)
     if grad_wrt_lambda is None:
         grad_lam = family.fisher_vp(lam, grad_mu)
@@ -211,6 +211,7 @@ def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
     gradient_batch call otherwise.
     """
     check_support(family, loss, "mc" if curvature == "hessian" else "reparam")
+    lam = family.natural(lam)
     thetas = family.sample(lam, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(lam)
     prec = family.split_natural(lam)[1] if curvature == "reparam" else None
@@ -262,7 +263,7 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     a run reuses the same block: the same draws family.sample would make
     from make_rng(spec.seed, 0xE), without drawing them again.
     """
-    lam = family._check_natural(lam)
+    lam = family.natural(lam)
     mean, cov = family.to_mean_cov(lam)
     try:
         return loss.expected_value(mean, cov)

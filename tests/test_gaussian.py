@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from natvb.errors import DomainError
+from natvb.blr import BLRConfig, blr_run
+from natvb.errors import DomainError, FamilyMismatch
+from natvb.expfam import NaturalParams
 from natvb.gaussian import (DiagGaussian, FullGaussian, GaussianMoment,
                             coeff_to_sym, moment_to_natural, moment_to_sym,
                             sym_to_coeff, sym_to_moment)
+from natvb.models import make_ridge_data, ridge_loss
+from natvb.natgrad import EstimatorSpec
 from natvb.seeding import _FIXED_DRAWS, RNG_ALGORITHM, fixed_normals, make_rng
 
 from conftest import random_instance, random_lam
@@ -472,8 +476,8 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
-def _memo_outputs(family, lam):
-    """Every memoised route, each on the family that family() returns."""
+def _derived_outputs(family, lam):
+    """Every route that reads the factorisation, each on the family that family() returns."""
     mean = family().to_mean_cov(lam)[0]
     return [mean, family().to_mean_cov(lam)[1], family().cumulant(lam),
             family().sample(lam, 5, make_rng(3)), family().log_density(lam, mean),
@@ -487,20 +491,40 @@ def test_one_cholesky_per_natural_parameter(cholesky_calls, rng):
     prec = a @ a.T + np.eye(p)
     # built without the family, so that building it factors nothing
     lam = np.concatenate([prec @ rng.standard_normal(p), sym_to_coeff(-0.5 * prec)])
-    fam = FullGaussian(p)
-    outputs = _memo_outputs(lambda: fam, lam)
+    validated = FullGaussian(p).natural(lam)
     assert len(cholesky_calls) == 1
-    # a fresh instance per call factors every time and agrees bit for bit
-    for got, want in zip(outputs, _memo_outputs(lambda: FullGaussian(p), lam)):
+    # every route, on any equal family, reads the validated parameter's factor
+    outputs = _derived_outputs(lambda: FullGaussian(p), validated)
+    assert len(cholesky_calls) == 1
+    assert FullGaussian(p).natural(validated) is validated
+    # raw coordinates are checked on every use and agree bit for bit
+    for got, want in zip(outputs, _derived_outputs(lambda: FullGaussian(p), lam)):
         np.testing.assert_array_equal(got, want)
     assert len(cholesky_calls) == 1 + 8
-    # the memoised instance answers every method again without factoring
-    for got, want in zip(_memo_outputs(lambda: fam, lam), outputs):
-        np.testing.assert_array_equal(got, want)
-    assert len(cholesky_calls) == 1 + 8
+
+
+def test_blr_run_factors_each_iterate_once(cholesky_calls):
+    model = make_ridge_data(5, 30, 3)
+    fam = FullGaussian(3)
+    lam0 = fam.from_moment(np.zeros(3), np.eye(3))
+    before = len(cholesky_calls)
+    run = blr_run(fam, lam0, ridge_loss(model),
+                  BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
+    # no step was halved, so each iterate is validated once, lam0 included
+    assert [row.rho for row in run.trace] == [0.5] * run.iterations
+    assert len(cholesky_calls) - before == run.iterations + 1
+
+
+def test_full_dual_to_natural_factors_once(cholesky_calls, rng):
+    fam, lam = random_instance(rng, kind="full")
+    mu = fam.natural_to_dual(lam)
+    before = len(cholesky_calls)
+    fam.dual_to_natural(mu)
+    assert len(cholesky_calls) - before == 1
 
 
 def test_memo_never_stores_domain_errors(cholesky_calls):
+    # every route rejects an out-of-domain parameter, each time it is used
     fam = FullGaussian(2)
     bad = np.concatenate([np.zeros(2), sym_to_coeff(np.array([[0.5, 0.0], [0.0, -0.5]]))])
     for attempt in range(1, 4):
@@ -510,7 +534,6 @@ def test_memo_never_stores_domain_errors(cholesky_calls):
             with pytest.raises(DomainError):
                 method(bad)
         assert len(cholesky_calls) == 7 * attempt
-    assert fam._factor_memo.cache_info().currsize == 0
 
 
 def test_memo_outputs_read_only_and_inputs_untouched(rng):
@@ -518,31 +541,56 @@ def test_memo_outputs_read_only_and_inputs_untouched(rng):
     lam = np.array(lam)
     mean, cov = fam.to_mean_cov(lam)
     lin, prec = fam.split_natural(lam)
-    coords = fam.natural(lam).coords
-    for arr in (mean, cov, lin, prec, coords, *fam._factor(lam)):
+    validated = fam.natural(lam)
+    for arr in (mean, cov, lin, prec, validated.coords, *validated.derived):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         mean[0] = 1.0
     # the caller's array is copied, never frozen
     assert lam.flags.writeable
+    diag, lam = random_instance(rng, kind="diag")
+    assert not any(arr.flags.writeable for arr in diag.natural(lam).derived)
 
 
-def test_memo_stays_bounded(rng):
-    fam = FullGaussian(3)
-    lams = [random_lam(rng, fam) for _ in range(100)]
-    for lam in lams:
-        fam.cumulant(lam)
-    info = fam._factor_memo.cache_info()
-    assert info.currsize <= info.maxsize <= 4
-    # the most recent parameter is still a hit
-    fam.to_mean_cov(lams[-1])
-    assert fam._factor_memo.cache_info().hits == info.hits + 1
+def test_trust_rules_of_validated_parameters(rng):
+    fam, lam = random_instance(rng, kind="full")
+    bad = np.array(lam)
+    bad[fam.theta_dim] = 1.0  # a positive diagonal coefficient: S is not PD
+    # a directly built NaturalParams carries nothing and is checked on use
+    direct = NaturalParams(bad, fam)
+    assert direct.derived is None and not fam.contains_natural(direct)
+    for method in (fam.cumulant, fam.to_mean_cov, fam.natural, fam.entropy):
+        with pytest.raises(DomainError):
+            method(direct)
+    # natural() freezes a copy and leaves the caller's array writable
+    validated = fam.natural(lam)
+    assert not validated.coords.flags.writeable and lam.flags.writeable
+    # another family's parameters are refused, validated or not
+    other = DiagGaussian(fam.theta_dim)
+    for params in (other.natural(random_lam(rng, other)), NaturalParams(lam, other)):
+        for method in (fam.cumulant, fam.natural):
+            with pytest.raises(FamilyMismatch):
+                method(params)
+
+
+def test_moments_that_overflow_leave_the_domain():
+    for fam, prec in ((FullGaussian(3), 1e-320 * np.eye(3)),
+                      (DiagGaussian(3), np.full(3, 1e-320))):
+        lam = fam.from_moment(np.zeros(3), prec)
+        assert not fam.contains_natural(lam)
+        with pytest.raises(DomainError):
+            fam.natural(lam)
+        with pytest.raises(DomainError):
+            fam.to_mean_cov(lam)
+    # a finite covariance with a mean that overflows is refused too
+    fam = DiagGaussian(1)
+    with pytest.raises(DomainError):
+        fam.natural([1e300, -0.5e-10])
 
 
 def test_full_family_pickles_without_its_memo(rng):
     import pickle
     fam, lam = random_instance(rng, kind="full")
-    fam.cumulant(lam)
     copy = pickle.loads(pickle.dumps(fam))
-    assert copy == fam and copy._factor_memo.cache_info().currsize == 0
+    assert copy == fam
     assert copy.cumulant(lam) == fam.cumulant(lam)

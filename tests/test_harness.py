@@ -135,6 +135,17 @@ _SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 20, "data_seed": 3}
     (_LOGISTIC_SMALL, {"kind": "ivon", "weight_decay": -1.0}),
     (_SPIRALS_SMALL | {"hidden": ["a"]}, {"kind": "ivon", "steps": 2}),
     (_SPIRALS_SMALL | {"hidden": [0]}, {"kind": "ivon", "steps": 2}),
+    (_LOGISTIC_SMALL, {"kind": "von", "prec_floor": -1e9}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "beta1": 1.0}),
+    (_LOGISTIC_SMALL, {"kind": "adam", "beta1": 1.0}),
+    (_LOGISTIC_SMALL, {"kind": "adam", "beta1": -0.1}),
+    (_LOGISTIC_SMALL, {"kind": "adam", "beta2": 1.0}),
+    (_LOGISTIC_SMALL, {"kind": "adam", "step_size": 0.0}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "step_size": -0.3}),
+    (_LOGISTIC_SMALL, {"kind": "rmsprop", "damping": -1e-8}),
+    (_LOGISTIC_SMALL, {"kind": "ivon", "damping": -1.0}),
+    ({"prior_precision": 0.0}, {"kind": "blr"}),
+    (_LOGISTIC_SMALL | {"prior_precision": -1.0}, {"kind": "von"}),
 ])
 def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypatch):
     # rejected with the schema, before the derivative gate or any artifact
@@ -144,6 +155,11 @@ def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypa
         resolve_config(cfg)
     assert main(["run", write_cfg(tmp_path, cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_oracle_ridge_rejects_out_of_range_prior(tmp_path):
+    cfg = base_config(model={"kind": "ridge", "data_seed": 7, "prior_precision": 0.0})
+    assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 2
 
 
 def test_spirals_without_hidden_layers_is_valid(tmp_path):
@@ -225,6 +241,23 @@ def test_compare_emits_joint_csv(tmp_path):
     assert lines[0].startswith("step,a_rho")
     assert "b_rho" in lines[0]
     assert len(lines) > 2
+
+
+def test_compare_joins_rows_on_each_trace_step(tmp_path):
+    # BLR's trace starts at t = 1, Adam's at step 0
+    joint = compare_runs(base_config(), base_config(optimizer={"kind": "adam", "steps": 3}),
+                         tmp_path)
+    lines = [line.split(",") for line in joint.read_text().splitlines()]
+
+    def by_step(name):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        return {row.split(",")[0]: row.split(",")[1:] for row in rows}
+
+    blr_rows, adam_rows = by_step("a.trace.csv"), by_step("b.trace.csv")
+    assert "0" not in blr_rows and "0" in adam_rows
+    assert [line[0] for line in lines[1:]] == sorted({*blr_rows, *adam_rows}, key=int)
+    for step, *cells in lines[1:]:
+        assert cells == blr_rows.get(step, [""] * 3) + adam_rows.get(step, [""] * 4)
 
 
 def _count_estimates(monkeypatch):
@@ -361,6 +394,18 @@ def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch):
     assert main(["run", write_cfg(tmp_path, cfg)]) == 3
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("step,")  # partial trace flushed
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
+    # a precision of 1e-320 samples at scale 1e160: the loss overflows at step 1
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model={"kind": "logistic", "n": 40, "p": 3},
+                      optimizer={"kind": "von", "steps": 3, "n_samples": 2,
+                                 "init_precision": 1e-320})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 2 and trace[0].startswith("step,") and trace[1].startswith("0,")
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

@@ -204,8 +204,6 @@ def test_mlp_validation():
         MLPModel([2, 4, 2], np.zeros((5, 2)), np.zeros(5))  # output must be 1
     with pytest.raises(DomainError):
         MLPModel([3, 4, 1], np.zeros((5, 2)), np.zeros(5))  # input mismatch
-    with pytest.raises(ValueError):
-        MLPModel([2, 4, 1], np.zeros((5, 2)), np.zeros(5), activation="relu")
 
 
 def test_mlp_mean_data_loss_at_chance():
