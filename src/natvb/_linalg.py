@@ -1,31 +1,102 @@
-"""The scipy.linalg routines natvb uses, each importing scipy.linalg on first call.
+"""The four LAPACK calls natvb factors and solves with.
 
-scipy.linalg loads only when something factors a matrix: every BLR run,
-`natvb verify`, `natvb oracle ridge`, and VON at P <= 2, whose objective
-goes through quadrature. IVON, Adam, RMSprop and VON at P > 2 run on
-numpy alone and never load scipy. Each function passes its arguments to
-the scipy.linalg routine of the same name unchanged, so the same LAPACK
-calls see the same inputs.
+Each function is named after, and returns bitwise what, its scipy.linalg
+namesake returns for 2-D float64 factors, but calls the LAPACK routine
+behind it directly, without scipy.linalg's per-call wrapper layers:
+
+- cholesky          dpotrf(a, lower, clean=1, overwrite_a=0)
+- cho_factor        dpotrf(a, lower, clean=0, overwrite_a=0)
+- cho_solve         dpotrs(c, b, lower, overwrite_b=0)
+- solve_triangular  dtrtrs(a, b, lower, trans=0, unitdiag=0, overwrite_b=0);
+                    a C-ordered `a` goes in as the Fortran-ordered a.T with
+                    `lower` flipped and trans=1, as scipy does
+
+They keep scipy's checks: every argument must be finite (else
+ValueError), matrices square and right-hand sides (n,) or (n, k) with
+matching n (else ValueError), dpotrf's info > 0 raises LinAlgError (not
+positive definite), dtrtrs's info > 0 raises LinAlgError (singular) and
+any info < 0 raises ValueError. They do not batch, take complex input,
+or overwrite their arguments.
+
+The routines are resolved at the first call, so scipy.linalg loads only
+when something factors a matrix: every BLR run, `natvb verify`, `natvb
+oracle ridge`, and VON at P <= 2, whose objective goes through
+quadrature. IVON, Adam, RMSprop and VON at P > 2 run on numpy alone and
+never load scipy. This is the one module in natvb that imports
+scipy.linalg.
 """
 
 from __future__ import annotations
 
+import functools
 
-def cholesky(*args, **kwargs):
-    from scipy.linalg import cholesky
-    return cholesky(*args, **kwargs)
-
-
-def cho_factor(*args, **kwargs):
-    from scipy.linalg import cho_factor
-    return cho_factor(*args, **kwargs)
+import numpy as np
 
 
-def cho_solve(*args, **kwargs):
-    from scipy.linalg import cho_solve
-    return cho_solve(*args, **kwargs)
+@functools.cache
+def _lapack():
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+    return dpotrf, dpotrs, dtrtrs
 
 
-def solve_triangular(*args, **kwargs):
-    from scipy.linalg import solve_triangular
-    return solve_triangular(*args, **kwargs)
+def _square(a) -> np.ndarray:
+    a = np.asarray_chkfinite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _rhs(b, a: np.ndarray) -> np.ndarray:
+    b = np.asarray_chkfinite(b)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    return b
+
+
+def _potrf(a, lower, clean) -> np.ndarray:
+    c, info = _lapack()[0](_square(a), lower=lower, clean=clean, overwrite_a=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return c
+
+
+def cholesky(a, lower=False) -> np.ndarray:
+    """Cholesky factor of a symmetric PD `a`, the other triangle zeroed."""
+    return _potrf(a, lower, clean=True)
+
+
+def cho_factor(a, lower=False) -> tuple[np.ndarray, bool]:
+    """(c, lower) for cho_solve; c's other triangle is not zeroed."""
+    return _potrf(a, lower, clean=False), lower
+
+
+def cho_solve(c_and_lower, b) -> np.ndarray:
+    """x with a x = b, from cho_factor's (c, lower) for a."""
+    c, lower = c_and_lower
+    c = _square(c)
+    x, info = _lapack()[1](c, _rhs(b, c), lower=lower, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
+
+
+def solve_triangular(a, b, lower=False) -> np.ndarray:
+    """x with a x = b for a lower (or upper) triangular `a`."""
+    a = _square(a)
+    b = _rhs(b, a)
+    trtrs = _lapack()[2]
+    if a.flags.f_contiguous:
+        x, info = trtrs(a, b, lower=lower, trans=0, unitdiag=0, overwrite_b=False)
+    else:
+        # trtrs reads Fortran order, in which a C-ordered a is stored as a.T
+        x, info = trtrs(a.T, b, lower=not lower, trans=1, unitdiag=0,
+                        overwrite_b=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x

@@ -46,18 +46,29 @@ import numpy as np
 from .errors import DomainError, FamilyMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Params:
+    """Equal when of one class, with equal families (or both None) and
+    equal coordinates; whether and what a family derived plays no part."""
+
     coords: np.ndarray
-    family: "ExpFamily | None" = field(default=None, compare=False)
+    family: "ExpFamily | None" = None
     #: what the family's check derived from coords; None if unchecked
-    derived: object = field(default=None, compare=False, repr=False)
+    derived: object = field(default=None, repr=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float).reshape(-1)
         if not np.all(np.isfinite(coords)):
             raise DomainError("coordinates must be finite")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.family == other.family
+                and np.array_equal(self.coords, other.coords))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((type(self), self.family, (self.coords + 0.0).tobytes()))
 
 
 class NaturalParams(_Params):

@@ -69,13 +69,15 @@ def _require(cfg: dict, context: str, required: dict, optional: dict) -> dict:
     for key, (kind, default) in optional.items():
         out[key] = _coerce(cfg[key], kind, f"{context}.{key}") if key in cfg else default
     for key, value in out.items():
-        if key in _RANGES and not _RANGES[key][0](value):
-            raise ConfigError(f"{context}.{key} must be {_RANGES[key][1]}, got {value}")
+        valid = _RANGES.get(f"{context}.{key}") or _RANGES.get(key)
+        if valid and not valid[0](value):
+            raise ConfigError(f"{context}.{key} must be {valid[1]}, got {value}")
     return out
 
 
-#: the valid range of each numeric key, in every block that has it (seeds
-#: key SeedSequence, which takes non-negative integers only)
+#: the valid range of each numeric key, in every block that has it unless a
+#: "block.key" entry says otherwise (seeds key SeedSequence, which takes
+#: non-negative integers only)
 _RANGES = {
     **dict.fromkeys("seed data_seed init_seed steps batch_size max_rate_halvings "
                     "prec_floor damping".split(),
@@ -86,6 +88,8 @@ _RANGES = {
     **dict.fromkeys("learning_rate hess_rate scale_rate".split(),
                     (lambda v: 0 < v <= 1, "in (0, 1]")),
     **dict.fromkeys("beta1 beta2".split(), (lambda v: 0 <= v < 1, "in [0, 1)")),
+    # no prior suits IVON/Adam/RMSprop; BLR and VON need one (resolve_config)
+    "model(spirals_mlp).prior_precision": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -133,6 +137,11 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"unsupported schema_version {top['schema_version']}")
     top["model"] = _resolve_model(top["model"])
     top["optimizer"] = _resolve_optimizer(top["optimizer"])
+    # without a prior the MLP's VB objective is unbounded below: precisions
+    # collapse and the entropy grows without limit
+    if top["optimizer"]["kind"] in ("blr", "von") and top["model"]["prior_precision"] == 0:
+        raise ConfigError(f"optimizer({top['optimizer']['kind']}) needs "
+                          f"model({top['model']['kind']}).prior_precision > 0")
     top["output"] = _require(top["output"], "output", required={},
                              optional={"trace": (str, "trace.csv"),
                                        "summary": (str, "summary.json"),
@@ -153,7 +162,8 @@ def _resolve_model(cfg: dict) -> dict:
     if kind == "spirals_mlp":
         out = _require(cfg, "model(spirals_mlp)", {"kind": str},
                        {"n": (int, 500), "hidden": (list, [16, 16]),
-                        "noise": (float, 0.05), "data_seed": (int, 0)})
+                        "noise": (float, 0.05), "data_seed": (int, 0),
+                        "prior_precision": (float, 0.0)})
         # one width per hidden layer; [] is a network with no hidden layer
         for i, width in enumerate(out["hidden"]):
             where = f"model(spirals_mlp).hidden[{i}]"
@@ -229,7 +239,8 @@ def build_model(model_cfg: dict):
         return loss, loss
     loss = make_spirals_mlp(model_cfg["data_seed"], n=model_cfg["n"],
                             hidden=tuple(model_cfg["hidden"]),
-                            noise=model_cfg["noise"])
+                            noise=model_cfg["noise"],
+                            prior_precision=model_cfg["prior_precision"])
     return loss, loss
 
 

@@ -45,6 +45,41 @@ def test_family_mismatch_detected():
         full.cumulant(np.zeros(3))
 
 
+@pytest.mark.parametrize("fam", [FullGaussian(2), DiagGaussian(3)], ids=lambda f: f.name)
+def test_params_equality_and_hash(fam, rng):
+    x = random_lam(rng, fam)
+    lam = fam.natural(x)
+    same = [fam.natural(x.copy()), type(fam)(fam.theta_dim).natural(x),
+            NaturalParams(x, fam)]  # derived plays no part
+    for other in same:
+        assert lam == other and not lam != other
+        assert hash(lam) == hash(other)
+    assert len({lam, *same}) == 1
+    moved = x.copy()
+    moved[-1] *= 1.5
+    assert lam != fam.natural(moved)
+    assert lam != NaturalParams(x)  # no family
+    assert NaturalParams(x) == NaturalParams(x.copy())
+    assert lam != ExpectationParams(x, fam)
+    assert lam != x  # an array is not a parameter
+    # array_equal counts -0.0 and 0.0 equal, so the hashes agree too
+    zeroed = x.copy()
+    zeroed[0] = 0.0
+    signed = zeroed.copy()
+    signed[0] = -0.0
+    assert NaturalParams(zeroed, fam) == NaturalParams(signed, fam)
+    assert hash(NaturalParams(zeroed, fam)) == hash(NaturalParams(signed, fam))
+
+
+def test_params_of_different_families_with_equal_coords_differ():
+    # both families of dimension 1 take (m s, -s/2): same length, same density
+    coords = [0.3, -0.5]
+    full, diag = FullGaussian(1).natural(coords), DiagGaussian(1).natural(coords)
+    assert full != diag
+    assert len({full, diag}) == 2
+    assert FullGaussian(1).expectation([0.0, 1.0]) != DiagGaussian(1).expectation([0.0, 1.0])
+
+
 def test_same_family_different_objects_interoperate():
     lam = FullGaussian(2).natural(FullGaussian(2).from_moment([1.0, 0.0], np.eye(2)))
     assert np.isfinite(FullGaussian(2).cumulant(lam))

@@ -146,6 +146,7 @@ _SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 20, "data_seed": 3}
     (_LOGISTIC_SMALL, {"kind": "ivon", "damping": -1.0}),
     ({"prior_precision": 0.0}, {"kind": "blr"}),
     (_LOGISTIC_SMALL | {"prior_precision": -1.0}, {"kind": "von"}),
+    (_SPIRALS_SMALL | {"prior_precision": -1.0}, {"kind": "ivon", "steps": 2}),
 ])
 def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypatch):
     # rejected with the schema, before the derivative gate or any artifact
@@ -160,6 +161,24 @@ def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypa
 def test_cli_oracle_ridge_rejects_out_of_range_prior(tmp_path):
     cfg = base_config(model={"kind": "ridge", "data_seed": 7, "prior_precision": 0.0})
     assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 2
+
+
+@pytest.mark.parametrize("optimizer", [{"kind": "blr", "family": "diag",
+                                        "estimator": "reparam", "max_iter": 3},
+                                       {"kind": "von", "steps": 3}])
+def test_cli_run_blr_and_von_need_a_prior_on_the_mlp(optimizer, tmp_path, monkeypatch):
+    # the MLP's default prior precision is 0, under which the VB objective is
+    # unbounded below; rejected with the schema, before the derivative gate
+    gates = []
+    monkeypatch.setattr(harness, "check_derivatives", lambda *args: gates.append(1))
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model=_SPIRALS_SMALL, optimizer=optimizer)
+    with pytest.raises(ConfigError, match="prior_precision > 0"):
+        resolve_config(cfg)
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "out").exists() and not gates
+    cfg["model"] = _SPIRALS_SMALL | {"prior_precision": 0.5}
+    assert build_model(resolve_config(cfg)["model"])[1].prior_precision == 0.5
 
 
 def test_spirals_without_hidden_layers_is_valid(tmp_path):
@@ -412,7 +431,7 @@ def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
 _TABLE_MODELS = {"ridge": {"kind": "ridge", "n": 12, "p": 2, "data_seed": 3},
                  "logistic": {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3},
                  "spirals_mlp": {"kind": "spirals_mlp", "n": 20, "hidden": [2],
-                                 "data_seed": 3}}
+                                 "data_seed": 3, "prior_precision": 1.0}}
 #: (model, family, estimator) configs no BLR run can serve: reparam needs a
 #: diagonal family, exact needs a loss linear in T or closed-form
 #: expectations, delta and mc the family's Hessian, and the MLP has none
