@@ -18,7 +18,7 @@ from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord, VONState,
 from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
                      NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
 from .expfam import ExpectationParams, ExpFamily, NaturalParams
-from .gaussian import DiagGaussian, FullGaussian, GaussianMoment, moment_to_natural
+from .gaussian import DiagGaussian, FullGaussian
 from .losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
 from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      make_ridge_data, make_spirals_mlp, ridge_conjugate_model,

@@ -14,12 +14,13 @@ Several configs given to one `run` share that directory unless two would
 write the same artifact; then each writes into a subdirectory named after
 its config file. Such a `run` never overwrites an existing artifact.
 Exit codes: 0 success, 1 check failures, 2 config/schema errors (also a
-multi-config run that would overwrite, or a BLR estimator that cannot
-serve the model on the chosen family), 3 domain errors during a run
-(also a non-finite natural-gradient estimate, or a deep-optimizer trace
-row that would hold a non-finite value), 4 a failed per-step
-certificate during a run (the Bayes-filter check or the residual's
-inverse-Fisher cross-check). Codes 3 and 4 flush the partial trace.
+non-finite number in a config, a multi-config run that would overwrite,
+or a BLR estimator that cannot serve the model on the chosen family),
+3 domain errors during a run (also a non-finite natural-gradient
+estimate, or a deep-optimizer trace row that would hold a non-finite
+value), 4 a failed per-step certificate during a run (the Bayes-filter
+check or the residual's inverse-Fisher cross-check). Codes 3 and 4
+flush the partial trace.
 """
 
 from __future__ import annotations
@@ -35,30 +36,20 @@ from .harness import (ConfigError, compare_runs, load_config, output_dir,
 
 
 def _cmd_run(args) -> int:
-    try:
-        configs = [load_config(path) for path in args.config]
-        if len(configs) == 1:
-            dirs = [output_dir()]
-        else:
-            dirs = run_dirs([(Path(path).stem, cfg)
-                             for path, cfg in zip(args.config, configs)], output_dir())
-        if args.jobs > 1 and len(configs) > 1:
-            # imported here: a single-config run needs no worker pool
-            from concurrent.futures import ProcessPoolExecutor
+    configs = [load_config(path) for path in args.config]
+    if len(configs) == 1:
+        dirs = [output_dir()]
+    else:
+        dirs = run_dirs([(Path(path).stem, cfg)
+                         for path, cfg in zip(args.config, configs)], output_dir())
+    if args.jobs > 1 and len(configs) > 1:
+        # imported here: a single-config run needs no worker pool
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(pool.map(run_experiment, configs, dirs))
-        else:
-            summaries = list(map(run_experiment, configs, dirs))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, LeftDomain) as exc:
-        print(f"domain error during run: {exc}", file=sys.stderr)
-        return 3
-    except CERTIFICATE_ERRORS as exc:
-        print(f"certificate failure during run: {exc}", file=sys.stderr)
-        return 4
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            summaries = list(pool.map(run_experiment, configs, dirs))
+    else:
+        summaries = list(map(run_experiment, configs, dirs))
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return 0
@@ -77,18 +68,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        joint = compare_runs(load_config(args.config_a), load_config(args.config_b),
-                             output_dir())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, LeftDomain) as exc:
-        print(f"domain error during run: {exc}", file=sys.stderr)
-        return 3
-    except CERTIFICATE_ERRORS as exc:
-        print(f"certificate failure during run: {exc}", file=sys.stderr)
-        return 4
+    joint = compare_runs(load_config(args.config_a), load_config(args.config_b),
+                         output_dir())
     print(joint)
     return 0
 
@@ -97,12 +78,7 @@ def _cmd_oracle(args) -> int:
     if args.target != "ridge":
         print(f"unknown oracle target {args.target!r}", file=sys.stderr)
         return 2
-    try:
-        posterior = ridge_oracle(load_config(args.config))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(posterior, indent=2))
+    print(json.dumps(ridge_oracle(load_config(args.config)), indent=2))
     return 0
 
 
@@ -138,8 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand; the failures every subcommand shares map to exit codes here."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, LeftDomain) as exc:
+        print(f"domain error during run: {exc}", file=sys.stderr)
+        return 3
+    except CERTIFICATE_ERRORS as exc:
+        print(f"certificate failure during run: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

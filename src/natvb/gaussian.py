@@ -35,6 +35,13 @@ _Factor: precision, its Cholesky factor, mean and covariance) rides on
 the NaturalParams that natural() returns, so a parameter is factored
 once however many methods read it. The domain is open, so boundary
 cases fail rather than being nudged.
+
+from_moment(mean, precision) is the one route from moments to a
+Gaussian: it checks the shapes (and, for the full family, that S is
+symmetric, since _derive builds its S symmetric from the upper
+triangle) and returns natural((Sm, -S/2)), validated and factored once.
+The other way, to_mean_cov and split_natural read the mean, covariance
+and precision off the stored factorisation.
 """
 
 from __future__ import annotations
@@ -108,12 +115,9 @@ def moment_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _chol_pd(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, or DomainError if not symmetric PD."""
-    mat = np.asarray(mat, dtype=float)
+    """Lower Cholesky factor of a symmetric mat, or DomainError if not PD."""
     if not np.all(np.isfinite(mat)):
         raise DomainError("matrix must be finite")
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-        raise DomainError("matrix must be symmetric")
     try:
         return cholesky(mat, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -198,19 +202,23 @@ class FullGaussian(ExpFamily):
         factor = self.natural(lam).derived
         return factor.mean, factor.cov
 
-    def to_moment(self, lam) -> "GaussianMoment":
-        """(mean, precision) of q_lam."""
-        factor = self.natural(lam).derived
-        return GaussianMoment(factor.mean, factor.prec)
+    def from_moment(self, mean, precision) -> NaturalParams:
+        """natural((Sm, -S/2)) for mean m and a symmetric (P, P) precision S.
 
-    def from_moment(self, mean, precision) -> np.ndarray:
-        """Natural coordinates (Sm, -S/2) for mean m and precision S."""
+        Raises DomainError for the wrong shapes or an asymmetric S here,
+        and, from natural(), for an S that is not positive definite or
+        moments that are not finite.
+        """
         mean = np.asarray(mean, dtype=float).reshape(-1)
         prec = np.asarray(precision, dtype=float)
         if mean.size != self.theta_dim or prec.shape != (self.theta_dim,) * 2:
             raise DomainError("moment parameters have the wrong shape")
-        _chol_pd(prec)
-        return np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
+        # inf - inf and inf * 0 give NaN, which natural() rejects
+        with np.errstate(invalid="ignore"):
+            if np.max(np.abs(prec - prec.T)) > 1e-12 * max(1.0, np.max(np.abs(prec))):
+                raise DomainError("precision must be symmetric")
+            coords = np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
+        return self.natural(coords)
 
     def cumulant(self, lam) -> float:
         factor = self.natural(lam).derived
@@ -366,18 +374,19 @@ class DiagGaussian(ExpFamily):
         mean, var = self.to_mean_var(lam)
         return mean, np.diag(var)
 
-    def to_moment(self, lam) -> "GaussianMoment":
-        lin, prec = self.split_natural(lam)
-        return GaussianMoment(lin / prec, prec)
+    def from_moment(self, mean, precision) -> NaturalParams:
+        """natural((s m, -s/2)) for mean m and precision diagonal s.
 
-    def from_moment(self, mean, precision) -> np.ndarray:
+        Raises DomainError for the wrong shapes here, and, from natural(),
+        for an s that is not positive or moments that are not finite.
+        """
         mean = np.asarray(mean, dtype=float).reshape(-1)
         prec = np.asarray(precision, dtype=float).reshape(-1)
         if mean.size != self.theta_dim or prec.size != self.theta_dim:
             raise DomainError("moment parameters have the wrong shape")
-        if not np.all(np.isfinite(prec)) or not np.all(prec > 0.0):
-            raise DomainError("precision diagonal must be positive")
-        return np.concatenate([prec * mean, -0.5 * prec])
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which natural() rejects
+            coords = np.concatenate([prec * mean, -0.5 * prec])
+        return self.natural(coords)
 
     def cumulant(self, lam) -> float:
         lin, prec = self.split_natural(lam)
@@ -444,48 +453,4 @@ class DiagGaussian(ExpFamily):
         hdiag = np.asarray(hess, dtype=float).reshape(-1)
         lin = -grad + hdiag * mean
         return np.concatenate([lin, -0.5 * hdiag])
-
-
-# -- moment-side types and conversions --------------------------------
-
-@dataclass(frozen=True)
-class GaussianMoment:
-    """Mean/precision pair: precision is a PD matrix (full) or positive vector (diag)."""
-
-    mean: np.ndarray
-    precision: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        prec = np.asarray(self.precision, dtype=float)
-        if prec.ndim == 1:
-            if prec.size != mean.size:
-                raise DomainError("mean and precision sizes differ")
-            if not np.all(np.isfinite(prec)) or not np.all(prec > 0.0):
-                raise DomainError("precision diagonal must be positive")
-        elif prec.ndim == 2:
-            if prec.shape != (mean.size, mean.size):
-                raise DomainError("mean and precision sizes differ")
-            _chol_pd(prec)
-        else:
-            raise DomainError("precision must be a vector or a square matrix")
-        if not np.all(np.isfinite(mean)):
-            raise DomainError("mean must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "precision", prec)
-
-    @property
-    def diagonal(self) -> bool:
-        return self.precision.ndim == 1
-
-    def family(self) -> ExpFamily:
-        cls = DiagGaussian if self.diagonal else FullGaussian
-        return cls(self.mean.size)
-
-
-def moment_to_natural(mean, precision) -> NaturalParams:
-    """Natural parameters (Sm, -S/2) for N(m, S^-1); family from precision shape."""
-    moment = GaussianMoment(mean, precision)
-    family = moment.family()
-    return family.natural(family.from_moment(moment.mean, moment.precision))
 

@@ -24,6 +24,7 @@ deep.train, and the loops' records to trace rows.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -38,7 +39,8 @@ from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
                      ridge_exact_posterior, ridge_loss)
-from .natgrad import SAMPLED_STEP_LIMIT, EstimatorSpec, check_support
+from .natgrad import (ESTIMATOR_KINDS, SAMPLED_STEP_LIMIT, EstimatorSpec,
+                      check_support)
 from .seeding import RNG_ALGORITHM, make_rng
 
 SCHEMA_VERSION = 1
@@ -97,7 +99,14 @@ def _coerce(value, kind, where: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where} must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        # json reads NaN and Infinity; no key has a use for them
+        if not math.isfinite(number):
+            raise ConfigError(f"{where} must be a finite number, got {value}")
+        return number
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where} must be an integer")
@@ -121,7 +130,8 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, or an integer beyond int()'s digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
@@ -212,7 +222,7 @@ def _resolve_optimizer(cfg: dict) -> dict:
     if kind == "blr":
         if out["family"] not in ("full", "diag"):
             raise ConfigError("optimizer.family must be 'full' or 'diag'")
-        if out["estimator"] not in ("exact", "delta", "mc", "reparam"):
+        if out["estimator"] not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {out['estimator']!r}")
         # steps 0..max_iter are estimated, each on its own stream
         if out["estimator"] in ("mc", "reparam") and out["max_iter"] >= SAMPLED_STEP_LIMIT:
@@ -280,12 +290,14 @@ def _blr_runner(resolved: dict, loss, out: dict):
     opt = resolved["optimizer"]
     family = _blr_family(opt, loss.dim)
     full = opt["family"] == "full"
+    # columns first: an initial iterate that from_moment rejects still
+    # flushes the header
+    out["columns"] = ("t", "rho", "objective", "residual")
     precision = opt["init_precision"] * (np.eye(loss.dim) if full else np.ones(loss.dim))
     lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]), precision)
     spec = EstimatorSpec(opt["estimator"], opt["n_samples"], resolved["seed"])
     cfg = BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec,
                     opt["max_rate_halvings"])
-    out["columns"] = ("t", "rho", "objective", "residual")
     try:
         run = blr_run(family, lam0, loss, cfg)
     except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
@@ -323,9 +335,7 @@ def _deep_runner(resolved: dict, loss, out: dict):
             state = rmsprop_init(theta0, step_size=opt["step_size"],
                                  scale_rate=opt["scale_rate"], damping=opt["damping"])
     try:
-        record = train(state, loss, opt["steps"], batch_size=batch, seed=seed,
-                       metadata={"config_hash": config_hash(resolved),
-                                 "optimizer": kind})
+        record = train(state, loss, opt["steps"], batch_size=batch, seed=seed)
     except LeftDomain as exc:
         out["columns"], out["rows"] = exc.partial_record.columns, exc.partial_record.rows
         raise
@@ -334,9 +344,9 @@ def _deep_runner(resolved: dict, loss, out: dict):
     summary = {"iterations": opt["steps"], "final_loss": record.rows[-1][1]}
     final = record.final_state
     if kind == "von":
+        family = DiagGaussian(loss.dim)
         summary["final_objective"] = vb_objective(
-            DiagGaussian(loss.dim),
-            DiagGaussian(loss.dim).from_moment(final.mean, final.prec), loss)
+            family, family.from_moment(final.mean, final.prec), loss)
         summary["min_scale"] = min(row[3] for row in record.rows)
     if hasattr(loss, "mean_data_loss"):
         point = final.mean if hasattr(final, "mean") else final.theta
@@ -458,7 +468,6 @@ def ridge_oracle(cfg: dict) -> dict:
     if resolved_model["kind"] != "ridge":
         raise ConfigError("oracle ridge needs a ridge model block")
     model, _ = build_model(resolved_model)
-    posterior = ridge_exact_posterior(model)
-    return {"mean": posterior.mean.tolist(),
-            "precision": posterior.precision.tolist(),
-            "covariance": np.linalg.inv(posterior.precision).tolist()}
+    mean, precision = ridge_exact_posterior(model)
+    return {"mean": mean.tolist(), "precision": precision.tolist(),
+            "covariance": np.linalg.inv(precision).tolist()}

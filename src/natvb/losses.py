@@ -140,7 +140,8 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
 
     The batched and fused checks run on the full data and, for
     minibatchable losses, on every other datum. Raises ValueError on
-    the first violation; returns the worst relative errors seen otherwise.
+    the first violation, a NaN error included; returns the worst relative
+    errors seen otherwise.
     Every loss in an experiment goes through this gate first.
     """
     worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
@@ -151,7 +152,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
         scale = max(1.0, float(np.linalg.norm(fd_grad)))
         err = float(np.linalg.norm(loss.gradient(theta) - fd_grad)) / scale
         worst["gradient"] = max(worst["gradient"], err)
-        if err > grad_rtol:
+        if not err <= grad_rtol:
             raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
         if loss.provides_hessian_full or loss.provides_hessian_diag:
             fd_jac = central_diff_jacobian(lambda x: loss.gradient(x), theta)
@@ -160,14 +161,14 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
             scale = max(1.0, float(np.linalg.norm(fd_hess)))
             err = float(np.linalg.norm(loss.hessian_full(theta) - fd_hess)) / scale
             worst["hessian_full"] = max(worst["hessian_full"], err)
-            if err > hess_rtol:
+            if not err <= hess_rtol:
                 raise ValueError(f"hessian mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
         if loss.provides_hessian_diag:
             fd_diag = np.diag(fd_jac)
             scale = max(1.0, float(np.linalg.norm(fd_diag)))
             err = float(np.linalg.norm(loss.hessian_diag(theta) - fd_diag)) / scale
             worst["hessian_diag"] = max(worst["hessian_diag"], err)
-            if err > hess_rtol:
+            if not err <= hess_rtol:
                 raise ValueError(f"hessian diagonal mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
     thetas = np.array([np.asarray(theta, dtype=float).reshape(-1) for theta in points])
     batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
@@ -181,7 +182,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
             ref = getattr(LossModel, name)(loss, thetas, batch)
             err = _relative_gap(got, ref)
             worst["batched"] = max(worst["batched"], err)
-            if err > _BATCH_RTOL:
+            if not err <= _BATCH_RTOL:
                 raise ValueError(f"batched {name} differs from its per-theta method: "
                                  f"{err:.3e} > {_BATCH_RTOL:.1e}")
     if type(loss).value_and_gradient is not LossModel.value_and_gradient:
@@ -192,7 +193,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                 err = max(abs(value - ref_value) / max(1.0, abs(ref_value)),
                           _relative_gap(grad, ref_grad))
                 worst["batched"] = max(worst["batched"], err)
-                if err > _BATCH_RTOL:
+                if not err <= _BATCH_RTOL:
                     raise ValueError(f"value_and_gradient differs from value and gradient: "
                                      f"{err:.3e} > {_BATCH_RTOL:.1e}")
     if type(loss).gradient_and_mean_hessian is not LossModel.gradient_and_mean_hessian:
@@ -205,7 +206,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                     loss, thetas, batch, diag)
                 err = max(_relative_gap(grads, ref_grads), _relative_gap(hess, ref_hess))
                 worst["batched"] = max(worst["batched"], err)
-                if err > _BATCH_RTOL:
+                if not err <= _BATCH_RTOL:
                     raise ValueError(f"gradient_and_mean_hessian differs from gradient_batch "
                                      f"and the mean Hessian: {err:.3e} > {_BATCH_RTOL:.1e}")
     return worst

@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import cho_factor, cho_solve
 from .blr import ConjugateModel
 from .errors import DomainError, SingularSystem
-from .gaussian import FullGaussian, GaussianMoment, sym_to_coeff
+from .gaussian import FullGaussian, sym_to_coeff
 from .losses import LossModel, QuadraticLoss
 from .seeding import make_rng
 
@@ -71,15 +71,19 @@ def ridge_loss(model: RidgeModel) -> QuadraticLoss:
     return QuadraticLoss(quad, x.T @ y, const)
 
 
-def ridge_exact_posterior(model: RidgeModel) -> GaussianMoment:
-    """Posterior by a direct dense solve: S* = X'X + tau I, m* = S*^-1 X'y."""
+def ridge_exact_posterior(model: RidgeModel) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior (m*, S*) by a direct dense solve: S* = X'X + tau I, m* = S*^-1 X'y.
+
+    The oracle that the natural-parameter route is checked against, so
+    it returns plain arrays and never goes through a family.
+    """
     prec = model.x.T @ model.x + model.prior_precision * np.eye(model.p)
     try:
         factor = cho_factor(prec, lower=True)
     except np.linalg.LinAlgError as exc:
         # unreachable for tau > 0, which RidgeModel guarantees
         raise SingularSystem("ridge posterior precision is singular") from exc
-    return GaussianMoment(cho_solve(factor, model.x.T @ model.y), prec)
+    return cho_solve(factor, model.x.T @ model.y), prec
 
 
 def ridge_natural_coefficients(model: RidgeModel) -> tuple[np.ndarray, np.ndarray]:

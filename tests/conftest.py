@@ -6,17 +6,18 @@ from natvb.seeding import make_rng
 
 
 def random_instance(rng, max_dim=6, kind=None):
-    """One random (family, lam) pair with well-conditioned parameters."""
+    """One random (family, lam) pair with well-conditioned parameters;
+    lam is a plain coordinate vector."""
     p = int(rng.integers(1, max_dim + 1))
     mean = rng.standard_normal(p)
     if kind is None:
         kind = "diag" if rng.uniform() < 0.5 else "full"
     if kind == "diag":
         fam = DiagGaussian(p)
-        return fam, fam.from_moment(mean, rng.uniform(0.3, 3.0, p))
+        return fam, fam.from_moment(mean, rng.uniform(0.3, 3.0, p)).coords
     fam = FullGaussian(p)
     a = rng.standard_normal((p, p))
-    return fam, fam.from_moment(mean, a @ a.T + (0.5 + 0.3 * p) * np.eye(p))
+    return fam, fam.from_moment(mean, a @ a.T + (0.5 + 0.3 * p) * np.eye(p)).coords
 
 
 def random_lam(rng, fam):
@@ -24,9 +25,9 @@ def random_lam(rng, fam):
     p = fam.theta_dim
     mean = rng.standard_normal(p)
     if isinstance(fam, DiagGaussian):
-        return fam.from_moment(mean, rng.uniform(0.3, 3.0, p))
+        return fam.from_moment(mean, rng.uniform(0.3, 3.0, p)).coords
     a = rng.standard_normal((p, p))
-    return fam.from_moment(mean, a @ a.T + (0.5 + 0.3 * p) * np.eye(p))
+    return fam.from_moment(mean, a @ a.T + (0.5 + 0.3 * p) * np.eye(p)).coords
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ def test_step_half_rate_is_midpoint():
     state0 = blr_init(fam, lam0)
     state1 = blr_step(state0, loss, BLRConfig(0.5, 1, estimator=EXACT))
     np.testing.assert_allclose(state1.lam.coords,
-                               0.5 * lam0 + 0.5 * state1.tilde_lambda, atol=1e-15)
+                               0.5 * lam0.coords + 0.5 * state1.tilde_lambda, atol=1e-15)
 
 
 def test_step_left_domain_reported():
@@ -85,21 +85,20 @@ def test_conjugate_posterior_identity_ridge():
     model, fam, _ = ridge_setup(0)
     post = conjugate_posterior(ridge_conjugate_model(model))
     oracle = ridge_exact_posterior(model)
-    np.testing.assert_allclose(post.coords,
-                               fam.from_moment(oracle.mean, oracle.precision),
+    np.testing.assert_allclose(post.coords, fam.from_moment(*oracle).coords,
                                rtol=1e-10, atol=1e-10)
 
 
 def test_conjugate_posterior_no_data_is_prior():
     fam = FullGaussian(2)
-    prior = np.asarray(fam.from_moment(np.zeros(2), np.eye(2)))
+    prior = fam.from_moment(np.zeros(2), np.eye(2)).coords
     model = ConjugateModel(fam, np.zeros(5), prior)
     np.testing.assert_array_equal(conjugate_posterior(model).coords, prior)
 
 
 def test_conjugate_model_rejects_improper_posterior():
     fam = FullGaussian(1)
-    prior = np.asarray(fam.from_moment([0.0], [[1.0]]))
+    prior = fam.from_moment([0.0], [[1.0]]).coords
     with pytest.raises(DomainError):
         ConjugateModel(fam, np.array([0.0, 1.0]), prior)  # flips curvature sign
 
@@ -238,7 +237,7 @@ def test_vb_objective_zero_loss_is_negative_entropy(rng):
 def test_vb_objective_posterior_beats_prior_strictly():
     model, fam, loss = ridge_setup(12)
     post = ridge_exact_posterior(model)
-    at_post = vb_objective(fam, fam.from_moment(post.mean, post.precision), loss)
+    at_post = vb_objective(fam, fam.from_moment(*post), loss)
     at_prior = vb_objective(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss)
     assert at_post < at_prior
 
@@ -292,9 +291,10 @@ def test_newton_equals_blr_delta_on_logistic_10_steps():
     for _ in range(10):
         mean, prec = newton_recovery_step(loss, mean)
         state = blr_step(state, loss, cfg)
-        moment = fam.to_moment(state.lam)
-        np.testing.assert_allclose(moment.mean, mean, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(moment.precision, prec, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fam.to_mean_cov(state.lam)[0], mean,
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fam.split_natural(state.lam)[1], prec,
+                                   rtol=1e-10, atol=1e-10)
 
 
 # -- run loop ----------------------------------------------------------------------

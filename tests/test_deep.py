@@ -131,7 +131,7 @@ def test_von_equals_blr_exact_20_steps(rng):
     for _ in range(20):
         von = von_step(von, loss)
         blr = blr_step(blr, loss, cfg)
-        lam_von = fam.from_moment(von.mean, von.prec)
+        lam_von = fam.from_moment(von.mean, von.prec).coords
         denom = np.maximum(1.0, np.abs(blr.lam.coords))
         assert np.max(np.abs(lam_von - blr.lam.coords) / denom) < 1e-12
 

@@ -7,9 +7,8 @@ from scipy.linalg import cho_factor, cho_solve
 from natvb.blr import BLRConfig, blr_run
 from natvb.errors import DomainError, FamilyMismatch
 from natvb.expfam import NaturalParams
-from natvb.gaussian import (DiagGaussian, FullGaussian, GaussianMoment,
-                            coeff_to_sym, moment_to_natural, moment_to_sym,
-                            sym_to_coeff, sym_to_moment)
+from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym,
+                            moment_to_sym, sym_to_coeff, sym_to_moment)
 from natvb.models import make_ridge_data, ridge_loss
 from natvb.natgrad import EstimatorSpec
 from natvb.seeding import _FIXED_DRAWS, RNG_ALGORITHM, fixed_normals, make_rng
@@ -42,21 +41,43 @@ def test_coeff_layout_makes_inner_product_a_dot(rng):
 
 # -- moment conversions ----------------------------------------------------
 
-def test_moment_to_natural_standard_normal_2d():
-    lam = moment_to_natural([0.0, 0.0], np.eye(2))
+def test_from_moment_standard_normal_2d():
+    lam = FullGaussian(2).from_moment([0.0, 0.0], np.eye(2))
     np.testing.assert_array_equal(lam.coords, [0.0, 0.0, -0.5, 0.0, -0.5])
 
 
-def test_moment_to_natural_1d():
-    lam = moment_to_natural([1.0], np.array([[2.0]]))
+def test_from_moment_1d():
+    lam = FullGaussian(1).from_moment([1.0], np.array([[2.0]]))
     np.testing.assert_array_equal(lam.coords, [2.0, -1.0])
 
 
-def test_moment_to_natural_rejects_indefinite_precision():
+def test_from_moment_rejects_indefinite_precision():
     with pytest.raises(DomainError):
-        moment_to_natural([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
+        FullGaussian(2).from_moment([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DomainError):
-        GaussianMoment([0.0], np.array([-1.0]))
+        DiagGaussian(1).from_moment([0.0], np.array([-1.0]))
+
+
+def test_from_moment_rejects_asymmetric_precision():
+    # _derive reads only the upper triangle, so an asymmetric S would be
+    # silently replaced by another matrix
+    with pytest.raises(DomainError, match="symmetric"):
+        FullGaussian(2).from_moment([0.0, 0.0], np.array([[2.0, 0.5], [0.0, 2.0]]))
+    # roundoff-level asymmetry, as from a product a @ a.T, is accepted
+    FullGaussian(2).from_moment([0.0, 0.0], np.array([[2.0, 0.5], [0.5 + 1e-15, 2.0]]))
+
+
+@pytest.mark.parametrize("family, prec", [(FullGaussian, np.eye(3)),
+                                          (DiagGaussian, np.ones(3))], ids=["full", "diag"])
+def test_from_moment_returns_validated_params(family, prec, cholesky_calls):
+    fam = family(3)
+    lam = fam.from_moment(np.arange(3.0), prec)
+    assert isinstance(lam, NaturalParams) and lam.family == fam
+    assert fam.natural(lam) is lam
+    # the full family's only factorisation is natural()'s
+    assert len(cholesky_calls) == (1 if family is FullGaussian else 0)
+    with pytest.raises(DomainError, match="shape"):
+        fam.from_moment(np.zeros(2), prec)
 
 
 def test_random_moments_reproduce_gaussian_identities(rng):
@@ -89,9 +110,10 @@ def test_conversion_closure_200_instances_per_family():
                 a = rng.standard_normal((p, p))
                 prec = a @ a.T + (0.5 + 0.3 * p) * np.eye(p)
             lam = fam.from_moment(mean, prec)
-            moment = fam.to_moment(fam.dual_to_natural(fam.natural_to_dual(lam)))
-            np.testing.assert_allclose(moment.mean, mean, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(moment.precision, prec, rtol=1e-10,
+            back = fam.natural(fam.dual_to_natural(fam.natural_to_dual(lam)))
+            np.testing.assert_allclose(fam.to_mean_cov(back)[0], mean, rtol=1e-10,
+                                       atol=1e-10)
+            np.testing.assert_allclose(fam.split_natural(back)[1], prec, rtol=1e-10,
                                        atol=1e-10)
 
 
@@ -109,9 +131,9 @@ def test_conversion_closure_property(seed, diag):
         a = rng.standard_normal((p, p))
         prec = a @ a.T + (0.5 + 0.3 * p) * np.eye(p)
     lam = fam.from_moment(mean, prec)
-    moment = fam.to_moment(fam.dual_to_natural(fam.natural_to_dual(lam)))
-    np.testing.assert_allclose(moment.mean, mean, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(moment.precision, prec, rtol=1e-9, atol=1e-9)
+    back = fam.natural(fam.dual_to_natural(fam.natural_to_dual(lam)))
+    np.testing.assert_allclose(fam.to_mean_cov(back)[0], mean, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(fam.split_natural(back)[1], prec, rtol=1e-9, atol=1e-9)
 
 
 # -- diagonal family is the restriction of the full family ------------------
@@ -152,7 +174,7 @@ def test_sufficient_stats_reproduce_quadratic_form(rng):
         fam = FullGaussian(p)
         lam = fam.from_moment(mean, prec)
         theta = rng.standard_normal(p)
-        lhs = float(lam @ fam.sufficient_stats(theta))
+        lhs = float(lam.coords @ fam.sufficient_stats(theta))
         rhs = float(mean @ prec @ theta - 0.5 * theta @ prec @ theta)
         assert np.isclose(lhs, rhs, atol=1e-12)
 
@@ -506,8 +528,8 @@ def test_one_cholesky_per_natural_parameter(cholesky_calls, rng):
 def test_blr_run_factors_each_iterate_once(cholesky_calls):
     model = make_ridge_data(5, 30, 3)
     fam = FullGaussian(3)
-    lam0 = fam.from_moment(np.zeros(3), np.eye(3))
     before = len(cholesky_calls)
+    lam0 = fam.from_moment(np.zeros(3), np.eye(3))
     run = blr_run(fam, lam0, ridge_loss(model),
                   BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
     # no step was halved, so each iterate is validated once, lam0 included
@@ -554,6 +576,7 @@ def test_memo_outputs_read_only_and_inputs_untouched(rng):
 
 def test_trust_rules_of_validated_parameters(rng):
     fam, lam = random_instance(rng, kind="full")
+    lam = np.array(lam)
     bad = np.array(lam)
     bad[fam.theta_dim] = 1.0  # a positive diagonal coefficient: S is not PD
     # a directly built NaturalParams carries nothing and is checked on use
@@ -576,7 +599,10 @@ def test_trust_rules_of_validated_parameters(rng):
 def test_moments_that_overflow_leave_the_domain():
     for fam, prec in ((FullGaussian(3), 1e-320 * np.eye(3)),
                       (DiagGaussian(3), np.full(3, 1e-320))):
-        lam = fam.from_moment(np.zeros(3), prec)
+        with pytest.raises(DomainError):
+            fam.from_moment(np.zeros(3), prec)
+        quad = sym_to_coeff(-0.5 * prec) if prec.ndim == 2 else -0.5 * prec
+        lam = np.concatenate([np.zeros(3), quad])
         assert not fam.contains_natural(lam)
         with pytest.raises(DomainError):
             fam.natural(lam)

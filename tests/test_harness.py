@@ -147,6 +147,12 @@ _SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 20, "data_seed": 3}
     ({"prior_precision": 0.0}, {"kind": "blr"}),
     (_LOGISTIC_SMALL | {"prior_precision": -1.0}, {"kind": "von"}),
     (_SPIRALS_SMALL | {"prior_precision": -1.0}, {"kind": "ivon", "steps": 2}),
+    # json reads NaN and Infinity, which every float key refuses, as it
+    # does an integer beyond the float range
+    (_LOGISTIC_SMALL | {"prior_precision": float("inf")}, {"kind": "blr"}),
+    ({}, {"kind": "blr", "init_mean": float("nan")}),
+    ({}, {"kind": "blr", "tol": -float("inf")}),
+    ({"noise": 10 ** 400}, {"kind": "blr"}),
 ])
 def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypatch):
     # rejected with the schema, before the derivative gate or any artifact
@@ -369,9 +375,9 @@ def test_ridge_oracle_matches_library_oracle():
     cfg = base_config()
     oracle = ridge_oracle(cfg)
     model = make_ridge_data(7, 20, 3)
-    post = ridge_exact_posterior(model)
-    np.testing.assert_allclose(oracle["mean"], post.mean, rtol=1e-12)
-    np.testing.assert_allclose(oracle["precision"], post.precision, rtol=1e-12)
+    mean, precision = ridge_exact_posterior(model)
+    np.testing.assert_allclose(oracle["mean"], mean, rtol=1e-12)
+    np.testing.assert_allclose(oracle["precision"], precision, rtol=1e-12)
 
 
 # -- CLI exit codes ----------------------------------------------------------------
@@ -401,6 +407,9 @@ def test_cli_run_malformed_json_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    assert main(["run", str(path)]) == 2
+    # more digits than Python's int parsing takes
+    path.write_text('{"schema_version": ' + "9" * 5000 + "}")
     assert main(["run", str(path)]) == 2
 
 
@@ -467,12 +476,13 @@ def test_cli_run_blr_support_table(model, family, estimator, tmp_path, monkeypat
     assert len(gates) == (0 if unsupported else 1)
 
 
-def test_cli_run_non_finite_estimate_exit_3_partial_trace(tmp_path, monkeypatch):
-    # precision 1e-320 makes q's variance overflow, so the first sampled
-    # estimate is not finite: a domain error, with the trace header flushed
+@pytest.mark.parametrize("family", ["diag", "full"])
+def test_cli_run_non_finite_estimate_exit_3_partial_trace(family, tmp_path, monkeypatch):
+    # precision 1e-320 makes q's variance overflow, so from_moment rejects
+    # the initial iterate: a domain error, with the trace header flushed
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     cfg = base_config(model={"kind": "logistic", "n": 40, "p": 3, "data_seed": 3},
-                      optimizer={"kind": "blr", "family": "diag", "estimator": "mc",
+                      optimizer={"kind": "blr", "family": family, "estimator": "mc",
                                  "n_samples": 2, "init_precision": 1e-320})
     assert main(["run", write_cfg(tmp_path, cfg)]) == 3
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()

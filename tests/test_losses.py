@@ -96,6 +96,17 @@ def test_check_derivatives_catches_wrong_gradient():
         check_derivatives(loss, [np.ones(2)])
 
 
+def test_check_derivatives_catches_nan_gradient():
+    # a NaN error compares False with the tolerance either way round
+    class Broken(QuadraticLoss):
+        def gradient(self, theta, batch=None):
+            return np.full(self.dim, np.nan)
+
+    loss = Broken(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="gradient mismatch nan"):
+        check_derivatives(loss, [np.ones(2)])
+
+
 def test_check_derivatives_catches_wrong_hessian():
     class Broken(QuadraticLoss):
         def hessian_full(self, theta, batch=None):

@@ -19,18 +19,18 @@ from natvb.seeding import make_rng
 
 def test_ridge_posterior_identity_design():
     model = RidgeModel(np.eye(2), [1.0, 2.0], 1.0)
-    post = ridge_exact_posterior(model)
-    np.testing.assert_allclose(post.precision, 2.0 * np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(post.mean, [0.5, 1.0], atol=1e-14)
+    mean, precision = ridge_exact_posterior(model)
+    np.testing.assert_allclose(precision, 2.0 * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(mean, [0.5, 1.0], atol=1e-14)
 
 
 def test_ridge_posterior_zero_targets():
     rng = make_rng(1)
     x = rng.standard_normal((10, 3))
     model = RidgeModel(x, np.zeros(10), 2.0)
-    post = ridge_exact_posterior(model)
-    np.testing.assert_array_equal(post.mean, np.zeros(3))
-    np.testing.assert_allclose(post.precision, x.T @ x + 2.0 * np.eye(3))
+    mean, precision = ridge_exact_posterior(model)
+    np.testing.assert_array_equal(mean, np.zeros(3))
+    np.testing.assert_allclose(precision, x.T @ x + 2.0 * np.eye(3))
 
 
 def test_ridge_two_code_paths_agree_100_instances():
@@ -41,8 +41,7 @@ def test_ridge_two_code_paths_agree_100_instances():
         model = make_ridge_data(5000 + trial, n, p,
                                 prior_precision=float(rng.uniform(0.2, 3.0)))
         fam = FullGaussian(p)
-        post = ridge_exact_posterior(model)
-        lam_solve = fam.from_moment(post.mean, post.precision)
+        lam_solve = fam.from_moment(*ridge_exact_posterior(model)).coords
         lam_add = conjugate_posterior(ridge_conjugate_model(model)).coords
         scale = max(1.0, np.max(np.abs(lam_solve)))
         assert np.max(np.abs(lam_solve - lam_add)) / scale < 1e-10
