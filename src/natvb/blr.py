@@ -40,7 +40,7 @@ from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
 from .natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
                       natgrad_via_dual)
-from .seeding import fixed_normals
+from .seeding import StepStreams, fixed_normals
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,9 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     that step's rate-halving retries. Each row holds the step's rate and
     the objective and residual at the new iterate. Deterministic kinds
     stop once the residual or the relative change of lam reaches cfg.tol.
-    A domain error or failed certificate (a step failing
+    Sampled kinds take step t's draws from one seeding.StepStreams: the
+    stream estimate_natgrad would make for step t, without a new
+    SeedSequence and Philox per step. A domain error or failed certificate (a step failing
     multiplicative_form_check raises BayesFilterViolation) propagates
     with the rows recorded before it as partial_trace.
     """
@@ -326,9 +328,15 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     reports: list[MultiplicativeFormReport] = []
     converged = False
     deterministic = spec.kind in ("exact", "delta")
+    streams = None if deterministic else StepStreams(spec.seed, fold=True)
+
+    def estimate_at(state: BLRState) -> np.ndarray:
+        rng = None if streams is None else streams.at(state.t)
+        return estimate_natgrad(family, state.lam, loss, spec, step=state.t, rng=rng)
+
     try:
         state = blr_init(family, lam0)
-        estimate = estimate_natgrad(family, state.lam, loss, spec, step=state.t)
+        estimate = estimate_at(state)
         for _ in range(cfg.max_iter):
             prev = state
             state, rho = _step_with_halvings(prev, loss, cfg, estimate)
@@ -340,7 +348,7 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
             reports.append(report)
             # stationarity certificate at the fresh iterate; a conjugate
             # rate-1 jump therefore reports convergence after its one step
-            estimate = estimate_natgrad(family, state.lam, loss, spec, step=state.t)
+            estimate = estimate_at(state)
             residual = fixed_point_residual(family, state.lam, loss, spec,
                                             step=state.t, estimate=estimate)
             objective = vb_objective(family, state.lam, loss, spec)

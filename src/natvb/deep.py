@@ -41,7 +41,7 @@ import numpy as np
 from .errors import LeftDomain
 from .losses import LossModel
 from .natgrad import reparam_hessian_terms, sampled_moments
-from .seeding import RNG_ALGORITHM, make_rng
+from .seeding import RNG_ALGORITHM, SAMPLE_STREAM, StepStreams, make_rng
 
 
 def _vec(x, dim: int | None = None) -> np.ndarray:
@@ -171,13 +171,20 @@ class VONState:
             raise ValueError("precision diagonal must be positive")
 
 
-def von_step(state: VONState, loss: LossModel, batch=None) -> VONState:
+def _sample_rng(state) -> np.random.Generator:
+    return make_rng(state.seed, *SAMPLE_STREAM, state.t)
+
+
+def von_step(state: VONState, loss: LossModel, batch=None,
+             rng: np.random.Generator | None = None) -> VONState:
     """One natural-gradient step: scale first, then the Newton-like mean step.
 
     Expectations are closed-form when the loss provides them; otherwise
     K samples from the current posterior go as one block to the BLR
     estimators' core, natgrad.sampled_moments, with the Hessian diagonal
     from the loss when available and the reparameterization identity when not.
+    The samples come from rng, step state.t's sample stream
+    make_rng(state.seed, *SAMPLE_STREAM, state.t) when not given.
     """
     rho = _rate_at(state.learning_rate, state.t)
     mean, prec = state.mean, state.prec
@@ -186,7 +193,8 @@ def von_step(state: VONState, loss: LossModel, batch=None) -> VONState:
         grad_mean = loss.expected_gradient(mean, cov)
         hess_mean = np.diag(np.atleast_2d(loss.expected_hessian(mean, cov)))
     else:
-        z = make_rng(state.seed, state.t).standard_normal((state.n_samples, mean.size))
+        rng = _sample_rng(state) if rng is None else rng
+        z = rng.standard_normal((state.n_samples, mean.size))
         curvature = "hessian" if loss.provides_hessian_diag else "reparam"
         grad_mean, hess_mean = sampled_moments(loss, mean + (1.0 / np.sqrt(prec)) * z,
                                                mean, prec, curvature, diag=True,
@@ -259,8 +267,11 @@ def ivon_sample_and_estimate(state: IVONState, loss: LossModel,
 
 
 def ivon_step(state: IVONState, loss: LossModel, batch=None,
-              theta_sample=None) -> IVONState:
+              theta_sample=None, rng: np.random.Generator | None = None) -> IVONState:
     """One single-sample step; the retraction keeps h + delta0 positive.
+
+    The sample comes from rng, step state.t's sample stream
+    make_rng(state.seed, *SAMPLE_STREAM, state.t) when not given.
 
     With u = h + delta0 the scale update gives
     u_new >= min over estimates of (1-rho) u + rho v + rho^2 (u-v)^2 / (2u) = u/2,
@@ -268,7 +279,7 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
     """
     rho = _rate_at(state.hess_rate, state.t)
     delta0 = state.weight_decay
-    rng = make_rng(state.seed, state.t)
+    rng = _sample_rng(state) if rng is None else rng
     _, grad, hess_est = ivon_sample_and_estimate(state, loss, rng, batch,
                                                  theta_sample)
     momentum = state.beta1 * state.grad_momentum + (1.0 - state.beta1) * grad
@@ -328,6 +339,9 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     override it), and the scale vector's range. A step that leaves its
     domain, or a row that would hold a non-finite value, raises
     LeftDomain carrying the rows recorded before it as partial_record.
+    Step t's minibatch is drawn on stream (seed, 0xBA7C, t), and VON's and
+    IVON's samples on their own step streams, each through one
+    seeding.StepStreams.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -350,18 +364,22 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
                              iteration=step_index)
         rows.append(row)
 
+    # one generator per stream, rewound to each step's key
+    batches = StepStreams(seed, 0xBA7C) if batch_size is not None else None
+    samples = (StepStreams(state.seed, *SAMPLE_STREAM)
+               if isinstance(state, (VONState, IVONState)) else None)
     try:
         record(0, state)
         for t in range(steps):
             batch = None
-            if batch_size is not None:
-                rng = make_rng(seed, 0xBA7C, t)
-                batch = rng.choice(loss.n_data, size=min(batch_size, loss.n_data),
-                                   replace=False)
+            if batches is not None:
+                batch = batches.at(t).choice(loss.n_data,
+                                             size=min(batch_size, loss.n_data),
+                                             replace=False)
             if isinstance(state, VONState):
-                state = von_step(state, loss, batch)
+                state = von_step(state, loss, batch, rng=samples.at(state.t))
             elif isinstance(state, IVONState):
-                state = ivon_step(state, loss, batch)
+                state = ivon_step(state, loss, batch, rng=samples.at(state.t))
             elif isinstance(state, RMSpropState):
                 state = rmsprop_step(state, loss.gradient(state.theta, batch))
             elif isinstance(state, AdamState):

@@ -58,12 +58,12 @@ from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
 from .losses import LossModel
 from .quadrature import gaussian_expectation
-from .seeding import fixed_normals, make_rng
+from .seeding import FOLD_BITS, fixed_normals, fold_seed, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
-#: sampled estimators draw step t's samples on stream (seed << 20) ^ t,
+#: sampled estimators draw step t's samples on stream fold_seed(seed, t),
 #: which is distinct for every (seed >= 0, step) pair only while step < 2**20
-SAMPLED_STEP_LIMIT = 1 << 20
+SAMPLED_STEP_LIMIT = 1 << FOLD_BITS
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,12 @@ def sampled_moments(loss: LossModel, thetas: np.ndarray, mean: np.ndarray,
 
 
 def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
-                              n_samples: int, seed: int, batch=None,
-                              curvature: str = "hessian") -> np.ndarray:
+                              n_samples: int, seed: int | np.random.Generator,
+                              batch=None, curvature: str = "hessian") -> np.ndarray:
     """Monte Carlo tilde_lam over K samples from q.
+
+    The samples come from make_rng(seed), or from seed itself when it is
+    a Generator.
 
     curvature="hessian" takes the loss Hessian of the family's
     hessian_kind; curvature="reparam" (diagonal families) the
@@ -212,7 +215,8 @@ def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
     """
     check_support(family, loss, "mc" if curvature == "hessian" else "reparam")
     lam = family.natural(lam)
-    thetas = family.sample(lam, n_samples, make_rng(seed))
+    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+    thetas = family.sample(lam, n_samples, rng)
     mean, _ = family.to_mean_cov(lam)
     prec = family.split_natural(lam)[1] if curvature == "reparam" else None
     diag = family.hessian_kind == "diag"
@@ -222,12 +226,15 @@ def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
 
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
                      spec: EstimatorSpec, step: int = 0,
-                     batch=None) -> np.ndarray:
+                     batch=None, rng: np.random.Generator | None = None) -> np.ndarray:
     """tilde_lam at lam under spec; stochastic kinds fold the step into the seed.
 
     A sampled kind needs 0 <= step < SAMPLED_STEP_LIMIT (ValueError
-    otherwise), so that no two steps or seeds share a stream. A
-    non-finite estimate raises DomainError.
+    otherwise), so that no two steps or seeds share a stream. It draws
+    from rng when given, which must be that step's stream
+    (seeding.StepStreams(spec.seed, fold=True).at(step)), else from
+    make_rng(fold_seed(spec.seed, step)). A non-finite estimate raises
+    DomainError.
     """
     if spec.kind == "exact":
         tilde = natgrad_exact(family, lam, loss)
@@ -238,18 +245,13 @@ def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
             raise ValueError(f"a sampled estimate needs 0 <= step < {SAMPLED_STEP_LIMIT}, "
                              f"got step {step}")
         curvature = "hessian" if spec.kind == "mc" else "reparam"
-        tilde = natgrad_gaussian_identity(family, lam, loss, spec.n_samples,
-                                          _fold_seed(spec.seed, step), batch=batch,
-                                          curvature=curvature)
+        source = fold_seed(spec.seed, step) if rng is None else rng
+        tilde = natgrad_gaussian_identity(family, lam, loss, spec.n_samples, source,
+                                          batch=batch, curvature=curvature)
     if not np.all(np.isfinite(tilde)):
         raise DomainError(f"{spec.kind} natural-gradient estimate at step {step} "
                           "is not finite")
     return tilde
-
-
-def _fold_seed(seed: int, step: int) -> int:
-    # stable per-step stream id; SeedSequence does the real mixing
-    return (int(seed) << 20) ^ int(step)
 
 
 def expected_loss(family: ExpFamily, lam, loss: LossModel,

@@ -29,7 +29,7 @@ from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
 from .natgrad import (EstimatorSpec, linear_loss_natgrad, reparam_hessian_terms,
                       sampled_moments)
 from .numdiff import central_diff_gradient, central_diff_jacobian
-from .seeding import make_rng
+from .seeding import SAMPLE_STREAM, StepStreams, fold_seed, make_rng
 
 SABOTAGE_IDS = ("eq4",)
 
@@ -333,6 +333,29 @@ def check_rmsprop_correspondence(sabotage=None):
     return True, "exact match on 5 random traces"
 
 
+def check_step_streams(sabotage=None):
+    # StepStreams re-implements SeedSequence's mixing; the installed
+    # numpy's own SeedSequence, behind make_rng, must agree with it
+    cases = failures = 0
+    for seed in (0, 1, 2**32, 2**64 + 5):
+        layouts = ((StepStreams(seed, 0xBA7C), lambda t: (seed, 0xBA7C, t)),
+                   (StepStreams(seed, *SAMPLE_STREAM), lambda t: (seed, *SAMPLE_STREAM, t)),
+                   (StepStreams(seed, 3, 2**32 + 1), lambda t: (seed, 3, 2**32 + 1, t)),
+                   (StepStreams(seed, fold=True), lambda t: (fold_seed(seed, t),)))
+        for streams, entropy in layouts:
+            for t in (0, 1, 1023, 1024, 4097, 2**20 - 1):
+                got, want = streams.at(t), make_rng(*entropy(t))
+                same = (np.array_equal(got.bit_generator.state["state"]["key"],
+                                       want.bit_generator.state["state"]["key"])
+                        and np.array_equal(got.standard_normal(3), want.standard_normal(3))
+                        and np.array_equal(got.choice(40, 5, replace=False),
+                                           want.choice(40, 5, replace=False)))
+                cases += 1
+                failures += not same
+    return failures == 0, (f"{failures} of {cases} step streams differ from make_rng "
+                           "in key or draws")
+
+
 CHECKS: list[tuple[str, str, Callable]] = [
     ("duality-roundtrip", "duality", check_duality_roundtrip),
     ("fisher-finite-diff", "fisher", check_fisher_finite_diff),
@@ -349,6 +372,7 @@ CHECKS: list[tuple[str, str, Callable]] = [
     ("von-blr", "von", check_von_blr),
     ("ivon-positivity", "ivon", check_ivon_positivity),
     ("rmsprop-correspondence", "deep", check_rmsprop_correspondence),
+    ("step-streams", "seeding", check_step_streams),
 ]
 
 

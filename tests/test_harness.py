@@ -535,8 +535,9 @@ def test_cli_verify_whole_table_passes(capsys):
     # multiplicative-form and von-blr run blr_run and VON's sampled core
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 15
-    assert lines[-1] == "15 checks, 0 failures"
+    assert sum(line.startswith("PASS") for line in lines) == 16
+    assert any(line.startswith("PASS  step-streams [seeding]") for line in lines)
+    assert lines[-1] == "16 checks, 0 failures"
 
 
 def test_cli_compare_and_oracle(tmp_path, monkeypatch, capsys):
