@@ -10,6 +10,28 @@ A loop that draws on a fresh stream at every step t uses StepStreams:
 its at(t) is make_rng(seed, *prefix, t) bit for bit, but the Philox keys
 of a block of steps come from one vectorised pass of SeedSequence's
 mixing, and each step only loads its key into one Philox.
+
+Stream layout: each consumer draws on its own entropy tuple.
+
+    consumer                                  tuple
+    ridge data (models.make_ridge_data)       (data_seed, 0x51)
+    logistic data (make_logistic_data)        (data_seed, 0x10)
+    spirals data (two_spirals)                (data_seed, 0x599)
+    MLP initial weights (init_params)         (init_seed, 0x111)
+    derivative-gate probe (harness)           (seed, 0xC)
+    objective Monte Carlo fallback            (seed, 0xE)   fixed_normals;
+                                              seed 0 for VON's summary
+    Bayes-filter probe grid                   (probe_seed,) fixed_normals
+    minibatch of step t (deep.train)          (seed, 0xBA7C, t)
+    IVON's and VON's draws at step t          (seed, *SAMPLE_STREAM, t)
+    sampled BLR estimate at step t            (fold_seed(seed, t),)
+
+SeedSequence pads entropy shorter than four words with zero words, so
+(s, a) and (s, a, 0) are one stream: a tag must not be 0, and no tuple
+may be another's zero-extension. IVON and VON drew step t on (seed, t)
+before SAMPLE_STREAM; that tuple is (seed, 0xC) at t = 12, (seed, 0xE)
+at t = 14 and the data and init tuples at t = 16, 81, 273 and 1433, so
+their traces differ from older commits.
 """
 
 from __future__ import annotations
@@ -25,7 +47,7 @@ _FIXED_DRAWS = 8
 #: a folded stream keeps the step in the low FOLD_BITS bits of its entropy
 FOLD_BITS = 20
 #: IVON's and VON's posterior draws at step t: make_rng(seed, *SAMPLE_STREAM, t)
-SAMPLE_STREAM: tuple[int, ...] = ()
+SAMPLE_STREAM = (0x5A4,)
 #: steps whose keys StepStreams derives at once; a power of two dividing
 #: 2**FOLD_BITS, so a step's low entropy word is its block's first plus
 #: its offset, with no carry

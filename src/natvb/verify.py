@@ -286,7 +286,8 @@ def check_von_blr(sabotage=None):
     von = von_step(VONState(mean0, prec0, learning_rate=0.3, n_samples=k, seed=seed),
                    logistic)
     lam0 = fam.from_moment(mean0, prec0)
-    thetas = fam.transport(lam0, make_rng(seed, 0).standard_normal((k, p)))
+    # step 0's draws, on the stream von_step samples from
+    thetas = fam.transport(lam0, make_rng(seed, *SAMPLE_STREAM, 0).standard_normal((k, p)))
     grad, hess = sampled_moments(logistic, thetas, mean0, diag=True)
     blr = blr_step(blr_init(fam, lam0), logistic, cfg,
                    estimate=fam.gaussian_identity(mean0, grad, hess))

@@ -166,13 +166,16 @@ def test_von_reparam_fallback_when_no_hessian():
 
     state = VONState(np.array([2.0, -1.0]), np.ones(2), learning_rate=0.05,
                      n_samples=8, seed=3)
-    tail = []
+    tail, tail_means = [], []
     for t in range(400):
         state = von_step(state, GradientOnly())
         if t >= 200:
             tail.append(state.prec.copy())
+            tail_means.append(state.mean)
     np.testing.assert_allclose(np.mean(tail, axis=0), [1.0, 2.0], atol=0.3)
-    np.testing.assert_allclose(state.mean, np.zeros(2), atol=0.15)
+    # the mean's tail average, whose spread over seeds is about 0.025; one
+    # iterate's is about 0.06, too wide to pin at a fixed seed
+    np.testing.assert_allclose(np.mean(tail_means, axis=0), np.zeros(2), atol=0.1)
 
 
 # -- IVON ------------------------------------------------------------------------

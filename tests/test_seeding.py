@@ -1,9 +1,14 @@
 """StepStreams against make_rng and NumPy's SeedSequence, its oracle."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import natvb.seeding
 from natvb.deep import ivon_init, train
+from natvb.harness import run_experiment
 from natvb.models import make_logistic_data
 from natvb.seeding import (_KEY_BLOCK, FOLD_BITS, StepStreams, _words, fold_seed,
                            make_rng, seed_keys)
@@ -87,3 +92,64 @@ def test_ivon_run_constructs_constant_philox_count(monkeypatch):
     train(state, loss, 200, batch_size=10, seed=4)
     # one for the minibatch stream and one for IVON's draws, not two per step
     assert len(made) == 2
+
+
+def _spy_on_streams(monkeypatch) -> dict:
+    """Philox key -> the call sites that drew a generator with that key.
+
+    Every make_rng a natvb module imported, every fixed_normals block and
+    every StepStreams.at step is recorded under its caller.
+    """
+    drawn: dict[tuple, set] = {}
+
+    def note(key):
+        caller = sys._getframe(2).f_code
+        site = f"{caller.co_name} ({Path(caller.co_filename).name}:{sys._getframe(2).f_lineno})"
+        drawn.setdefault(key, set()).add(site)
+
+    make_rng_, fixed_normals_, at_ = (natvb.seeding.make_rng, natvb.seeding.fixed_normals,
+                                      StepStreams.at)
+
+    def make_rng_spy(seed, *stream):
+        rng = make_rng_(seed, *stream)
+        note(_key(rng))
+        return rng
+
+    def fixed_normals_spy(shape, seed, *stream):
+        note(_seed_sequence_key(seed, *stream))
+        return fixed_normals_(shape, seed, *stream)
+
+    def at_spy(self, t):
+        rng = at_(self, t)
+        note(_key(rng))
+        return rng
+
+    for module in list(sys.modules.values()):
+        if module is natvb.seeding or not module.__name__.startswith("natvb"):
+            continue
+        if getattr(module, "make_rng", None) is make_rng_:
+            monkeypatch.setattr(module, "make_rng", make_rng_spy)
+        if getattr(module, "fixed_normals", None) is fixed_normals_:
+            monkeypatch.setattr(module, "fixed_normals", fixed_normals_spy)
+    monkeypatch.setattr(StepStreams, "at", at_spy)
+    return drawn
+
+
+@pytest.mark.parametrize("seed, optimizer", [
+    # IVON's step 12, 273 and 1433 once fell on the gate probe's, the MLP
+    # init's and the spirals data's streams
+    (1, {"kind": "ivon", "steps": 1434, "step_size": 0.3, "hess_rate": 3e-3,
+         "weight_decay": 1e-2, "ess": 3e4, "batch_size": 10, "init_seed": 1}),
+    # VON's step 12 on the probe's, step 14 on the objective fallback's at seed 0
+    (0, {"kind": "von", "steps": 15, "learning_rate": 0.01, "batch_size": 10}),
+    (1, {"kind": "von", "steps": 15, "learning_rate": 0.01, "batch_size": 10}),
+])
+def test_no_stream_is_drawn_by_two_consumers(seed, optimizer, tmp_path, monkeypatch):
+    drawn = _spy_on_streams(monkeypatch)
+    model = {"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": seed,
+             "prior_precision": 1.0}
+    run_experiment({"schema_version": 1, "seed": seed, "model": model,
+                    "optimizer": optimizer}, tmp_path)
+    shared = {key: sites for key, sites in drawn.items() if len(sites) > 1}
+    assert not shared, sorted(map(sorted, shared.values()))
+    assert len(drawn) > optimizer["steps"]

@@ -24,6 +24,14 @@ logaddexp kernel: with that kernel patched back in, every config must
 reproduce them exactly, and with the new kernel only the value columns
 may move, within VALUE_RTOL. The von entry there is the batched core's
 digest under the logaddexp kernel.
+
+The ivon, ivon_mlp and von digests were re-pinned when IVON's and VON's
+step-t draws moved from stream (seed, t), which other consumers of the
+same seed also draw (the derivative-gate probe (seed, 0xC) at t = 12, for
+one), to their own stream (seed, *SAMPLE_STREAM, t). UNTAGGED_DIGESTS
+keeps the digests of the old stream, which these configs reproduce with
+the prefix patched back to (); the historical proofs above run with it
+patched back too.
 """
 
 import csv
@@ -33,6 +41,7 @@ import numpy as np
 
 import pytest
 
+import natvb.deep
 import natvb.models
 from natvb.harness import run_experiment, write_trace
 
@@ -80,11 +89,11 @@ PINNED = {
     "von": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 21},
                 {"kind": "von", "learning_rate": 0.1, "steps": 40, "n_samples": 4}),
-        "ce37afd10fb98bf57d237111ca9eb3d2e59933556ca50e531f1ba3fccb13960c"),
+        "ffb3e756f0539252182a4456a77fbd765c24daa6d9faac687454374c73036b74"),
     "ivon": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 5},
                 {"kind": "ivon", "steps": 40, "step_size": 0.1, "ess": 100.0}),
-        "f94b1bc6d5018f6fccc8c4a3b52055ef7ba4736fcf23da1d1d6505fc2bca76ad"),
+        "6d91e3f2be2be56226a2ec5aa6f292f114b1c0155f8ab1fa305efc60c62269fd"),
     "adam": (
         _config(6, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 3},
                 {"kind": "adam", "steps": 40, "step_size": 0.05, "batch_size": 20}),
@@ -97,13 +106,20 @@ PINNED = {
     "ivon_mlp": (
         _config(7, _SPIRALS, {"kind": "ivon", "steps": 40, "step_size": 0.3,
                               "ess": 3e4, "batch_size": 30}),
-        "3a44dcf57f5d646752d05c15402bf173355be8ce30b03e1a48e19d1b4d4b9b7c"),
+        "1ca4c0b8c79e1ffa84c3f59741314bf4d0035835462b1d8b823aa4d582d88bd8"),
     "adam_mlp": (
         _config(8, _SPIRALS, {"kind": "adam", "steps": 40, "step_size": 0.05,
                               "batch_size": 30}),
         "5b39870946eb153b59d43bd47ee21a8d1e0e4f4886f7380a8a94291005c8c47e"),
 }
 
+
+#: digests of IVON's and VON's draws on stream (seed, t), before SAMPLE_STREAM
+UNTAGGED_DIGESTS = {
+    "ivon": "f94b1bc6d5018f6fccc8c4a3b52055ef7ba4736fcf23da1d1d6505fc2bca76ad",
+    "ivon_mlp": "3a44dcf57f5d646752d05c15402bf173355be8ce30b03e1a48e19d1b4d4b9b7c",
+    "von": "ce37afd10fb98bf57d237111ca9eb3d2e59933556ca50e531f1ba3fccb13960c",
+}
 
 #: digests of the np.logaddexp(0, z) softplus kernel, for every pinned config
 OLD_DIGESTS = {
@@ -133,14 +149,26 @@ def _trace(config, out_dir):
     return (out_dir / "trace.csv").read_bytes()
 
 
+@pytest.fixture
+def untagged(monkeypatch):
+    """IVON's and VON's draws back on stream (seed, t)."""
+    monkeypatch.setattr(natvb.deep, "SAMPLE_STREAM", ())
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_digest_pinned(name, tmp_path):
     config, digest = PINNED[name]
     assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", sorted(UNTAGGED_DIGESTS))
+def test_untagged_sample_stream_reproduces_old_digest(name, tmp_path, untagged):
+    config, _ = PINNED[name]
+    assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == UNTAGGED_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch):
+def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch, untagged):
     config, _ = PINNED[name]
     new = _trace(config, tmp_path / "new")
     with monkeypatch.context() as patch:
@@ -305,7 +333,7 @@ LOOPED_EXACT = {"blr_full_mc": 2, "blr_diag_mc": 2, "blr_diag_reparam_halvings":
 
 
 @pytest.mark.parametrize("name", sorted(LOOPED_ROWS))
-def test_batched_core_keeps_looped_rows(name, tmp_path):
+def test_batched_core_keeps_looped_rows(name, tmp_path, untagged):
     run_experiment(PINNED[name][0], tmp_path)
     with open(tmp_path / "trace.csv", encoding="utf-8") as handle:
         rows = [tuple(map(float, row)) for row in list(csv.reader(handle))[1:]]
