@@ -317,9 +317,10 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     stop once the residual or the relative change of lam reaches cfg.tol.
     Sampled kinds take step t's draws from one seeding.StepStreams: the
     stream estimate_natgrad would make for step t, without a new
-    SeedSequence and Philox per step. A domain error or failed certificate (a step failing
-    multiplicative_form_check raises BayesFilterViolation) propagates
-    with the rows recorded before it as partial_trace.
+    SeedSequence and Philox per step. A domain error or failed
+    certificate (a step failing multiplicative_form_check raises
+    BayesFilterViolation) propagates with the rows recorded before it as
+    partial_trace.
     """
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be >= 1")

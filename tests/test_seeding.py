@@ -103,8 +103,9 @@ def _spy_on_streams(monkeypatch) -> dict:
     drawn: dict[tuple, set] = {}
 
     def note(key):
-        caller = sys._getframe(2).f_code
-        site = f"{caller.co_name} ({Path(caller.co_filename).name}:{sys._getframe(2).f_lineno})"
+        frame = sys._getframe(2)  # the spy's caller
+        code = frame.f_code
+        site = f"{code.co_name} ({Path(code.co_filename).name}:{frame.f_lineno})"
         drawn.setdefault(key, set()).add(site)
 
     make_rng_, fixed_normals_, at_ = (natvb.seeding.make_rng, natvb.seeding.fixed_normals,
