@@ -12,9 +12,9 @@ from .blr import (BLRConfig, BLRRun, BLRState, ConjugateModel, blr_init,
                   blr_run, blr_step, conjugate_posterior, fixed_point_residual,
                   mirror_descent_step_numeric, multiplicative_form_check,
                   newton_recovery_step, vb_objective)
-from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord, VONState,
-                   adam_init, adam_step, ivon_init, ivon_step, rmsprop_init,
-                   rmsprop_step, train, von_step)
+from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord,
+                   TrainTraceRow, VONState, adam_init, adam_step, ivon_init,
+                   ivon_step, rmsprop_init, rmsprop_step, train, von_step)
 from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
                      NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
 from .expfam import ExpectationParams, ExpFamily, NaturalParams

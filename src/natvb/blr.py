@@ -320,7 +320,8 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     SeedSequence and Philox per step. A domain error or failed
     certificate (a step failing multiplicative_form_check raises
     BayesFilterViolation) propagates with the rows recorded before it as
-    partial_trace.
+    partial_trace, the hand-off deep.train makes too; the harness writes
+    them under BLRTraceRow's fields.
     """
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be >= 1")

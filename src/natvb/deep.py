@@ -29,19 +29,17 @@ sequential and deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import LeftDomain
+from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .losses import LossModel
 from .natgrad import reparam_hessian_terms, sampled_moments
-from .seeding import RNG_ALGORITHM, SAMPLE_STREAM, StepStreams, make_rng
+from .seeding import SAMPLE_STREAM, StepStreams, make_rng
 
 
 def _vec(x, dim: int | None = None) -> np.ndarray:
@@ -299,20 +297,21 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
 
 # -- training loop -----------------------------------------------------
 
+class TrainTraceRow(NamedTuple):
+    step: int
+    loss: float
+    grad_norm: float
+    scale_min: float
+    scale_max: float
+
+
 @dataclass
 class TrainRunRecord:
-    """Append-only per-step metrics plus the configuration that produced them."""
+    """The per-step rows of a training run and the state it ended in."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    metadata: dict
+    rows: list[TrainTraceRow]
     final_state: object = None
     wall_time_s: float = 0.0
-
-
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _eval_point(state) -> np.ndarray:
@@ -330,17 +329,20 @@ def _scale_vector(state) -> np.ndarray:
 
 
 def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
-          seed: int = 0, metadata: dict | None = None) -> TrainRunRecord:
+          seed: int = 0) -> TrainRunRecord:
     """Run the step loop with minibatching; deterministic for a fixed seed.
 
     Rows record the full-data loss and gradient norm at the current
     evaluation point (theta, or the posterior mean), both from one
     `value_and_gradient` call (one fused forward pass for losses that
-    override it), and the scale vector's range. A step that leaves its
-    domain, or a row that would hold a non-finite value, raises
-    LeftDomain carrying the rows recorded before it as partial_record.
-    Step t's minibatch is drawn on stream (seed, 0xBA7C, t), and VON's and
-    IVON's samples on their own step streams, each through one
+    override it), and the scale vector's range, as TrainTraceRow. A step
+    that leaves its domain, or a row that would hold a non-finite value,
+    raises LeftDomain. That and any other domain error or failed
+    certificate (errors.CERTIFICATE_ERRORS) propagate with the rows
+    recorded before it as partial_trace, the hand-off blr.blr_run makes
+    too; the harness writes them under TrainTraceRow's fields. Step t's
+    minibatch is drawn on stream (seed, 0xBA7C, t), and VON's and IVON's
+    samples on their own step streams, each through one
     seeding.StepStreams.
     """
     if steps < 0:
@@ -348,17 +350,13 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     if batch_size is not None and loss.n_data is None:
         raise ValueError("loss has no data to minibatch")
     start = time.perf_counter()
-    meta = dict(metadata or {})
-    meta.setdefault("rng_algorithm", RNG_ALGORITHM)
-    meta.setdefault("seed", int(seed))
-    columns = ("step", "loss", "grad_norm", "scale_min", "scale_max")
-    rows: list[tuple] = []
+    rows: list[TrainTraceRow] = []
 
     def record(step_index: int, current) -> None:
         value, grad = loss.value_and_gradient(_eval_point(current))
         scale = _scale_vector(current)
-        row = (step_index, float(value), float(np.linalg.norm(grad)),
-               float(np.min(scale)), float(np.max(scale)))
+        row = TrainTraceRow(step_index, float(value), float(np.linalg.norm(grad)),
+                            float(np.min(scale)), float(np.max(scale)))
         if not all(map(math.isfinite, row[1:])):
             raise LeftDomain(f"non-finite trace row at step {step_index}: {row}",
                              iteration=step_index)
@@ -387,9 +385,7 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
             else:
                 raise TypeError(f"unknown optimizer state {type(state).__name__}")
             record(t + 1, state)
-    except LeftDomain as exc:
-        # let callers flush what was recorded before the failure
-        exc.partial_record = TrainRunRecord(columns, rows, meta, state,
-                                            time.perf_counter() - start)
+    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
+        exc.partial_trace = rows
         raise
-    return TrainRunRecord(columns, rows, meta, state, time.perf_counter() - start)
+    return TrainRunRecord(rows, state, time.perf_counter() - start)

@@ -12,17 +12,23 @@ working directory; see run_dirs for several configs run together):
                    `run` reproduces the trace byte for byte.
 
 The schema is versioned and strict: unknown keys are rejected, because
-silently ignored knobs are how replays drift. Domain errors and failed
-certificates mid-run flush the partial trace before propagating. Timing
-is reported in the summary only, never in the trace, so traces stay
-deterministic.
+silently ignored knobs are how replays drift. Timing is reported in the
+summary only, never in the trace, so traces stay deterministic.
 
-The runners only adapt configs to the library's loops, blr.blr_run and
-deep.train, and the loops' records to trace rows.
+The runners only adapt a config to one of the library's loops,
+blr.blr_run or deep.train, and return its rows (blr.BLRTraceRow or
+deep.TrainTraceRow, whose fields are the trace header) with a function
+that builds the summary. One contract covers every failure: a domain
+error or failed certificate (exit 3 or 4 under `natvb run`) writes every
+row recorded before it, under the loop's own header, and then
+propagates. The loops hand their rows over as the exception's
+partial_trace; a failure in building the summary, after every step
+succeeded, writes all the rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -31,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blr import BLRConfig, blr_run, vb_objective
-from .deep import (adam_init, config_hash, ivon_init, rmsprop_init, train,
-                   VONState)
+from .blr import BLRConfig, BLRTraceRow, blr_run, vb_objective
+from .deep import (TrainTraceRow, VONState, adam_init, ivon_init, rmsprop_init,
+                   train)
 from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain, MissingHessian
 from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
@@ -152,6 +158,10 @@ def resolve_config(cfg: dict) -> dict:
     if top["optimizer"]["kind"] in ("blr", "von") and top["model"]["prior_precision"] == 0:
         raise ConfigError(f"optimizer({top['optimizer']['kind']}) needs "
                           f"model({top['model']['kind']}).prior_precision > 0")
+    # ridge's loss is one closed-form quadratic, with no data points to draw
+    if top["model"]["kind"] == "ridge" and top["optimizer"].get("batch_size"):
+        raise ConfigError(f"optimizer({top['optimizer']['kind']}).batch_size must be 0 "
+                          "on model(ridge), which has no data to minibatch")
     top["output"] = _require(top["output"], "output", required={},
                              optional={"trace": (str, "trace.csv"),
                                        "summary": (str, "summary.json"),
@@ -170,16 +180,16 @@ def _resolve_model(cfg: dict) -> dict:
                         {"n": (int, 100), "p": (int, 2), "data_seed": (int, 0),
                          "scale": (float, 3.0), "prior_precision": (float, 1.0)})
     if kind == "spirals_mlp":
-        out = _require(cfg, "model(spirals_mlp)", {"kind": str},
+        block = _require(cfg, "model(spirals_mlp)", {"kind": str},
                        {"n": (int, 500), "hidden": (list, [16, 16]),
                         "noise": (float, 0.05), "data_seed": (int, 0),
                         "prior_precision": (float, 0.0)})
         # one width per hidden layer; [] is a network with no hidden layer
-        for i, width in enumerate(out["hidden"]):
+        for i, width in enumerate(block["hidden"]):
             where = f"model(spirals_mlp).hidden[{i}]"
             if not _coerce(width, int, where) > 0:
                 raise ConfigError(f"{where} must be > 0, got {width}")
-        return out
+        return block
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -218,21 +228,21 @@ def _resolve_optimizer(cfg: dict) -> dict:
     if kind not in _OPT_SCHEMAS:
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     required, optional = _OPT_SCHEMAS[kind]
-    out = _require(cfg, f"optimizer({kind})", required, optional)
+    block = _require(cfg, f"optimizer({kind})", required, optional)
     if kind == "blr":
-        if out["family"] not in ("full", "diag"):
+        if block["family"] not in ("full", "diag"):
             raise ConfigError("optimizer.family must be 'full' or 'diag'")
-        if out["estimator"] not in ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator {out['estimator']!r}")
+        if block["estimator"] not in ESTIMATOR_KINDS:
+            raise ConfigError(f"unknown estimator {block['estimator']!r}")
         # steps 0..max_iter are estimated, each on its own stream
-        if out["estimator"] in ("mc", "reparam") and out["max_iter"] >= SAMPLED_STEP_LIMIT:
+        if block["estimator"] in ("mc", "reparam") and block["max_iter"] >= SAMPLED_STEP_LIMIT:
             raise ConfigError(f"optimizer.max_iter must be below {SAMPLED_STEP_LIMIT} "
                               "for a sampled estimator, or step streams would collide")
     # IVON samples with precision ess * (h + delta0), h starting at hess_init
-    if kind == "ivon" and not out["hess_init"] + out["weight_decay"] > 0:
+    if kind == "ivon" and not block["hess_init"] + block["weight_decay"] > 0:
         raise ConfigError("optimizer(ivon).hess_init + weight_decay must be > 0, got "
-                          f"{out['hess_init']} + {out['weight_decay']}")
-    return out
+                          f"{block['hess_init']} + {block['weight_decay']}")
+    return block
 
 
 def build_model(model_cfg: dict):
@@ -286,34 +296,25 @@ def _blr_family(opt: dict, dim: int):
     return (FullGaussian if opt["family"] == "full" else DiagGaussian)(dim)
 
 
-def _blr_runner(resolved: dict, loss, out: dict):
+def _blr_runner(resolved: dict, loss):
     opt = resolved["optimizer"]
     family = _blr_family(opt, loss.dim)
     full = opt["family"] == "full"
-    # columns first: an initial iterate that from_moment rejects still
-    # flushes the header
-    out["columns"] = ("t", "rho", "objective", "residual")
     precision = opt["init_precision"] * (np.eye(loss.dim) if full else np.ones(loss.dim))
     lam0 = family.from_moment(np.full(loss.dim, opt["init_mean"]), precision)
     spec = EstimatorSpec(opt["estimator"], opt["n_samples"], resolved["seed"])
     cfg = BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec,
                     opt["max_rate_halvings"])
-    try:
-        run = blr_run(family, lam0, loss, cfg)
-    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
-        out["rows"] = exc.partial_trace
-        raise
-    out["rows"] = run.trace
-    return {"iterations": run.iterations, "converged": run.converged,
-            "final_objective": run.trace[-1].objective,
-            "final_residual": run.final_residual}
+    run = blr_run(family, lam0, loss, cfg)
+    return run.trace, lambda: {"iterations": run.iterations, "converged": run.converged,
+                               "final_objective": run.trace[-1].objective,
+                               "final_residual": run.final_residual}
 
 
-def _deep_runner(resolved: dict, loss, out: dict):
+def _deep_runner(resolved: dict, loss):
     opt = resolved["optimizer"]
     seed = resolved["seed"]
     kind = opt["kind"]
-    batch = opt["batch_size"] or None
     if kind == "von":
         state = VONState(np.full(loss.dim, opt["init_mean"]),
                          np.full(loss.dim, opt["init_precision"]),
@@ -334,24 +335,28 @@ def _deep_runner(resolved: dict, loss, out: dict):
         else:
             state = rmsprop_init(theta0, step_size=opt["step_size"],
                                  scale_rate=opt["scale_rate"], damping=opt["damping"])
-    try:
-        record = train(state, loss, opt["steps"], batch_size=batch, seed=seed)
-    except LeftDomain as exc:
-        out["columns"], out["rows"] = exc.partial_record.columns, exc.partial_record.rows
-        raise
-    out["columns"] = record.columns
-    out["rows"] = record.rows
-    summary = {"iterations": opt["steps"], "final_loss": record.rows[-1][1]}
-    final = record.final_state
-    if kind == "von":
-        family = DiagGaussian(loss.dim)
-        summary["final_objective"] = vb_objective(
-            family, family.from_moment(final.mean, final.prec), loss)
-        summary["min_scale"] = min(row[3] for row in record.rows)
-    if hasattr(loss, "mean_data_loss"):
-        point = final.mean if hasattr(final, "mean") else final.theta
-        summary["mean_data_loss"] = loss.mean_data_loss(point)
-    return summary
+    record = train(state, loss, opt["steps"], batch_size=opt["batch_size"] or None,
+                   seed=seed)
+    rows, final = record.rows, record.final_state
+
+    def summary() -> dict:
+        values = {"iterations": opt["steps"], "final_loss": rows[-1].loss}
+        if kind == "von":
+            family = DiagGaussian(loss.dim)
+            values["final_objective"] = vb_objective(
+                family, family.from_moment(final.mean, final.prec), loss)
+            values["min_scale"] = min(row.scale_min for row in rows)
+        if hasattr(loss, "mean_data_loss"):
+            point = final.mean if hasattr(final, "mean") else final.theta
+            values["mean_data_loss"] = loss.mean_data_loss(point)
+        return values
+
+    return rows, summary
+
+
+def config_hash(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
@@ -359,8 +364,10 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
     Raises ConfigError for schema problems and for a BLR estimator that
     cannot serve the model on the chosen family (natgrad.check_support),
-    with nothing written, and lets domain errors and certificate failures
-    (errors.CERTIFICATE_ERRORS) propagate after flushing the partial trace.
+    with nothing written. A domain error or certificate failure
+    (errors.CERTIFICATE_ERRORS), in the loop or in building the summary,
+    propagates after trace.csv is written with the loop's header and
+    every row recorded before it, and no summary.json.
     """
     resolved = resolve_config(cfg)
     out_dir = Path(out_dir) if out_dir is not None else output_dir()
@@ -375,25 +382,26 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     rng = make_rng(resolved["seed"], 0xC)
     probe = [rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
     check_derivatives(loss, probe)
+    runner, row_type = ((_blr_runner, BLRTraceRow) if opt["kind"] == "blr"
+                        else (_deep_runner, TrainTraceRow))
     started = time.time()
-    out: dict = {"columns": (), "rows": []}
+    rows: list = []
     try:
-        if resolved["optimizer"]["kind"] == "blr":
-            summary = _blr_runner(resolved, loss, out)
-        else:
-            summary = _deep_runner(resolved, loss, out)
-    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS):
-        write_trace(out_paths["trace"], out["columns"], out["rows"])
+        rows, summarise = runner(resolved, loss)
+        summary = summarise()
+    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
+        write_trace(out_paths["trace"], row_type._fields,
+                    getattr(exc, "partial_trace", rows))
         raise
     summary.update({
         "seed": resolved["seed"],
-        "optimizer": resolved["optimizer"]["kind"],
+        "optimizer": opt["kind"],
         "model": resolved["model"]["kind"],
         "config_hash": config_hash(resolved),
         "rng_algorithm": RNG_ALGORITHM,
         "wall_time_s": time.time() - started,
     })
-    write_trace(out_paths["trace"], out["columns"], out["rows"])
+    write_trace(out_paths["trace"], row_type._fields, rows)
     write_json(out_paths["summary"], summary)
     write_json(out_paths["config"], resolved)
     return summary

@@ -267,10 +267,8 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     """
     lam = family.natural(lam)
     mean, cov = family.to_mean_cov(lam)
-    try:
+    if loss.provides_expectations:
         return loss.expected_value(mean, cov)
-    except NotImplementedError:
-        pass
     if family.theta_dim <= 2:
         return gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from natvb.blr import BLRConfig, blr_init, blr_step
-from natvb.deep import (IVONState, VONState, adam_init, adam_step, ema,
+from natvb.deep import (IVONState, TrainTraceRow, VONState, adam_init, adam_step, ema,
                         ivon_init, ivon_sample_and_estimate, ivon_step,
                         preconditioned_step, rmsprop_init, rmsprop_step,
                         train, von_step)
@@ -290,7 +290,7 @@ def test_train_budget_zero_keeps_initial_row():
     record = train(adam_init(np.zeros(2)), loss, steps=0, seed=1)
     assert len(record.rows) == 1
     assert record.rows[0][0] == 0
-    assert record.columns[0] == "step"
+    assert TrainTraceRow._fields[0] == "step"
 
 
 def test_train_deterministic_given_seed():
@@ -315,15 +315,14 @@ def test_train_records_scale_range():
     state = VONState(np.zeros(2), np.ones(2), learning_rate=0.2, n_samples=2,
                      seed=1)
     record = train(state, loss, steps=10, seed=1)
-    assert record.metadata["rng_algorithm"] == "philox4x64"
     for row in record.rows:
         assert row[3] <= row[4]  # scale_min <= scale_max
         assert row[3] > 0.0
 
 
-def test_train_propagates_left_domain_with_partial_record():
+def test_train_propagates_left_domain_with_partial_trace():
     state = VONState(np.ones(1), np.ones(1), learning_rate=0.9, prec_floor=0.5)
     with pytest.raises(LeftDomain) as excinfo:
         train(state, ZeroLoss(1), steps=10, seed=0)
-    partial = excinfo.value.partial_record
-    assert partial.rows[0][0] == 0
+    partial = excinfo.value.partial_trace
+    assert partial[0][0] == 0

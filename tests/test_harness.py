@@ -1,12 +1,15 @@
+import ast
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from natvb import blr, harness
+from natvb import blr, deep, harness
 from natvb.cli import main
-from natvb.errors import BayesFilterViolation, LeftDomain, SingularFisher, SolverFailure
+from natvb.errors import (BayesFilterViolation, DomainError, LeftDomain, SingularFisher,
+                          SolverFailure)
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.harness import (ConfigError, build_model, compare_runs, format_cell,
                            resolve_config, ridge_oracle, run_experiment)
@@ -185,6 +188,23 @@ def test_cli_run_blr_and_von_need_a_prior_on_the_mlp(optimizer, tmp_path, monkey
     assert not (tmp_path / "out").exists() and not gates
     cfg["model"] = _SPIRALS_SMALL | {"prior_precision": 0.5}
     assert build_model(resolve_config(cfg)["model"])[1].prior_precision == 0.5
+
+
+@pytest.mark.parametrize("kind", ["von", "ivon", "adam", "rmsprop"])
+def test_cli_run_ridge_has_no_data_to_minibatch(kind, tmp_path, monkeypatch):
+    # ridge's loss is one quadratic with no data points: a batch_size is
+    # rejected with the schema, before the derivative gate; 0 runs full-data
+    gates = []
+    monkeypatch.setattr(harness, "check_derivatives", lambda *args: gates.append(1))
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(optimizer={"kind": kind, "steps": 5, "batch_size": 5})
+    with pytest.raises(ConfigError, match="no data to minibatch"):
+        resolve_config(cfg)
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "out").exists() and not gates
+    cfg["optimizer"]["batch_size"] = 0
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def test_spirals_without_hidden_layers_is_valid(tmp_path):
@@ -437,6 +457,20 @@ def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_cli_deep_run_whose_summary_fails_keeps_every_row(tmp_path, monkeypatch):
+    # every step succeeds (there are none), then the summary's from_moment
+    # rejects the precision 1e-320: exit 3 with the initial row still written
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model={"kind": "logistic", "n": 40, "p": 3},
+                      optimizer={"kind": "von", "steps": 0, "init_precision": 1e-320})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 2
+    assert trace[0] == "step,loss,grad_norm,scale_min,scale_max"
+    assert trace[1].startswith("0,")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 _TABLE_MODELS = {"ridge": {"kind": "ridge", "n": 12, "p": 2, "data_seed": 3},
                  "logistic": {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3},
                  "spirals_mlp": {"kind": "spirals_mlp", "n": 20, "hidden": [2],
@@ -524,6 +558,29 @@ def test_cross_check_failure_exit_4_partial_trace(error, tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_deep_domain_error_writes_rows_before_it(tmp_path, monkeypatch):
+    # deep.train hands its rows over as blr_run does: rows 0-2 were recorded
+    # before IVON's step from t = 2 failed
+    original = deep.ivon_step
+
+    def failing_at_two(state, *args, **kwargs):
+        if state.t == 2:
+            raise DomainError("injected")
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(deep, "ivon_step", failing_at_two)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(optimizer={"kind": "ivon", "steps": 5})
+    with pytest.raises(DomainError, match="injected"):
+        run_experiment(cfg, tmp_path / "lib")
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    for out in (tmp_path / "lib", tmp_path / "out"):
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "step,loss,grad_norm,scale_min,scale_max"
+        assert [row.split(",")[0] for row in trace[1:]] == ["0", "1", "2"]
+        assert not (out / "summary.json").exists()
+
+
 def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--scope", "conjugate"]) == 0
     assert main(["verify", "--scope", "entropy", "--sabotage", "eq4"]) == 1
@@ -594,3 +651,37 @@ def test_cli_run_refuses_same_named_colliding_configs(tmp_path, monkeypatch):
     b = write_cfg(tmp_path / "y", base_config(seed=43), "cfg.json")
     assert main(["run", a, b]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# -- the runners only adapt --------------------------------------------------------
+
+_TRY_NODES = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+
+
+def _hand_off_drift(func: ast.FunctionDef) -> list[str]:
+    """What in a runner would take over run_experiment's failure hand-off."""
+    found = [f"try at line {node.lineno}" for node in ast.walk(func)
+             if isinstance(node, _TRY_NODES)]
+    params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    found += [f"parameter {arg.arg}" for arg in params if arg.arg == "out"]
+    return found
+
+
+def test_hand_off_scan_sees_try_and_out():
+    def scan(code):
+        return _hand_off_drift(ast.parse(code).body[0])
+
+    assert scan("def r(resolved, loss, out):\n    pass") == ["parameter out"]
+    assert scan("def r(resolved, loss, *, out=None):\n    pass") == ["parameter out"]
+    nested = ("def r(resolved, loss):\n    def s():\n        try:\n            pass\n"
+              "        finally:\n            pass\n    return [], s")
+    assert scan(nested) == ["try at line 3"]
+    assert scan("def r(resolved, loss):\n    rows = out = []\n    return rows, None") == []
+
+
+@pytest.mark.parametrize("name", ["_blr_runner", "_deep_runner"])
+def test_runners_leave_the_failure_hand_off_to_run_experiment(name):
+    # a runner returns (rows, summary builder); the loops hand over a failed
+    # run's rows as partial_trace, which run_experiment alone writes
+    func = ast.parse(inspect.getsource(getattr(harness, name))).body[0]
+    assert _hand_off_drift(func) == []

@@ -583,6 +583,20 @@ def test_expected_loss_fixed_draws_equal_sampling_bitwise(family, rng):
             assert expected_loss(fam, lam, loss, spec) == ref
 
 
+def test_expected_loss_closed_form_errors_propagate():
+    # the closed form is chosen by capability (provides_expectations), so a
+    # NotImplementedError subclass raised inside it is not read as "no
+    # closed form" and routed to quadrature
+    class FailingQuadratic(QuadraticLoss):
+        def expected_value(self, mean, cov):
+            raise MissingHessian("raised inside the closed form")
+
+    fam = FullGaussian(2)
+    lam = fam.from_moment(np.zeros(2), np.eye(2))
+    with pytest.raises(MissingHessian, match="inside the closed form"):
+        expected_loss(fam, lam, FailingQuadratic(np.eye(2), np.zeros(2)))
+
+
 # -- one pass over the data per Monte Carlo estimate ------------------------------
 
 def separate_identity(family, lam, loss, n_samples, seed, batch=None):
