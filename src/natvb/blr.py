@@ -40,7 +40,7 @@ from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
 from .natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
                       natgrad_via_dual)
-from .seeding import StepStreams, fixed_normals
+from .seeding import ESTIMATE_STREAM, StepStreams, fixed_normals
 
 
 @dataclass(frozen=True)
@@ -315,13 +315,14 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     that step's rate-halving retries. Each row holds the step's rate and
     the objective and residual at the new iterate. Deterministic kinds
     stop once the residual or the relative change of lam reaches cfg.tol.
-    Sampled kinds take step t's draws from one seeding.StepStreams: the
-    stream estimate_natgrad would make for step t, without a new
-    SeedSequence and Philox per step. A domain error or failed
-    certificate (a step failing multiplicative_form_check raises
-    BayesFilterViolation) propagates with the rows recorded before it as
-    partial_trace, the hand-off deep.train makes too; the harness writes
-    them under BLRTraceRow's fields.
+    Sampled kinds take step t's draws from one seeding.StepStreams on
+    (spec.seed, *ESTIMATE_STREAM, t): the stream estimate_natgrad would
+    make for step t, without a new SeedSequence and Philox per step. A
+    domain error or failed certificate (a step failing
+    multiplicative_form_check raises BayesFilterViolation) propagates
+    with the rows recorded before it as partial_trace, the hand-off
+    deep.train makes too; the harness writes them under BLRTraceRow's
+    fields.
     """
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -330,7 +331,7 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     reports: list[MultiplicativeFormReport] = []
     converged = False
     deterministic = spec.kind in ("exact", "delta")
-    streams = None if deterministic else StepStreams(spec.seed, fold=True)
+    streams = None if deterministic else StepStreams(spec.seed, *ESTIMATE_STREAM)
 
     def estimate_at(state: BLRState) -> np.ndarray:
         rng = None if streams is None else streams.at(state.t)

@@ -183,16 +183,8 @@ class ExpFamily(abc.ABC):
 
     def contains_natural(self, lam) -> bool:
         """Whether lam lies in the family's open domain."""
-        return self._accepts(self.natural, lam)
-
-    def contains_expectation(self, mu) -> bool:
-        """Whether mu is realizable (interior of the moment range)."""
-        return self._accepts(self.expectation, mu)
-
-    @staticmethod
-    def _accepts(check, params) -> bool:
         try:
-            check(params)
+            self.natural(lam)
         except (DomainError, FamilyMismatch):
             return False
         return True

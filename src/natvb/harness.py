@@ -45,8 +45,7 @@ from .gaussian import DiagGaussian, FullGaussian
 from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
                      ridge_exact_posterior, ridge_loss)
-from .natgrad import (ESTIMATOR_KINDS, SAMPLED_STEP_LIMIT, EstimatorSpec,
-                      check_support)
+from .natgrad import ESTIMATOR_KINDS, EstimatorSpec, check_support
 from .seeding import RNG_ALGORITHM, make_rng
 
 SCHEMA_VERSION = 1
@@ -234,10 +233,6 @@ def _resolve_optimizer(cfg: dict) -> dict:
             raise ConfigError("optimizer.family must be 'full' or 'diag'")
         if block["estimator"] not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {block['estimator']!r}")
-        # steps 0..max_iter are estimated, each on its own stream
-        if block["estimator"] in ("mc", "reparam") and block["max_iter"] >= SAMPLED_STEP_LIMIT:
-            raise ConfigError(f"optimizer.max_iter must be below {SAMPLED_STEP_LIMIT} "
-                              "for a sampled estimator, or step streams would collide")
     # IVON samples with precision ess * (h + delta0), h starting at hess_init
     if kind == "ivon" and not block["hess_init"] + block["weight_decay"] > 0:
         raise ConfigError("optimizer(ivon).hess_init + weight_decay must be > 0, got "

@@ -377,10 +377,6 @@ class MLPModel(LossModel):
         _, _, z = self._forward(theta, self.x)
         return float(np.mean(_softplus(z) - self.y * z))
 
-    def accuracy(self, theta) -> float:
-        _, _, z = self._forward(theta, self.x)
-        return float(np.mean((z > 0.0) == (self.y > 0.5)))
-
 
 def two_spirals(n: int, seed: int, noise: float = 0.03,
                 turns: float = 1.5) -> tuple[np.ndarray, np.ndarray]:

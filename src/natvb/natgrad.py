@@ -58,12 +58,9 @@ from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
 from .losses import LossModel
 from .quadrature import gaussian_expectation
-from .seeding import FOLD_BITS, fixed_normals, fold_seed, make_rng
+from .seeding import ESTIMATE_STREAM, fixed_normals, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
-#: sampled estimators draw step t's samples on stream fold_seed(seed, t),
-#: which is distinct for every (seed >= 0, step) pair only while step < 2**20
-SAMPLED_STEP_LIMIT = 1 << FOLD_BITS
 
 
 @dataclass(frozen=True)
@@ -227,13 +224,12 @@ def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
                      spec: EstimatorSpec, step: int = 0,
                      batch=None, rng: np.random.Generator | None = None) -> np.ndarray:
-    """tilde_lam at lam under spec; stochastic kinds fold the step into the seed.
+    """tilde_lam at lam under spec; stochastic kinds draw on the step's stream.
 
-    A sampled kind needs 0 <= step < SAMPLED_STEP_LIMIT (ValueError
-    otherwise), so that no two steps or seeds share a stream. It draws
-    from rng when given, which must be that step's stream
-    (seeding.StepStreams(spec.seed, fold=True).at(step)), else from
-    make_rng(fold_seed(spec.seed, step)). A non-finite estimate raises
+    A sampled kind draws from rng when given, which must be that step's
+    stream (seeding.StepStreams(spec.seed, *ESTIMATE_STREAM).at(step)),
+    else from make_rng(spec.seed, *ESTIMATE_STREAM, step); a negative
+    step names no stream (ValueError). A non-finite estimate raises
     DomainError.
     """
     if spec.kind == "exact":
@@ -241,11 +237,8 @@ def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
     elif spec.kind == "delta":
         tilde = natgrad_delta_method(family, lam, loss)
     else:
-        if not 0 <= step < SAMPLED_STEP_LIMIT:
-            raise ValueError(f"a sampled estimate needs 0 <= step < {SAMPLED_STEP_LIMIT}, "
-                             f"got step {step}")
         curvature = "hessian" if spec.kind == "mc" else "reparam"
-        source = fold_seed(spec.seed, step) if rng is None else rng
+        source = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
         tilde = natgrad_gaussian_identity(family, lam, loss, spec.n_samples, source,
                                           batch=batch, curvature=curvature)
     if not np.all(np.isfinite(tilde)):

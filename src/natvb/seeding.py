@@ -24,14 +24,17 @@ Stream layout: each consumer draws on its own entropy tuple.
     Bayes-filter probe grid                   (probe_seed,) fixed_normals
     minibatch of step t (deep.train)          (seed, 0xBA7C, t)
     IVON's and VON's draws at step t          (seed, *SAMPLE_STREAM, t)
-    sampled BLR estimate at step t            (fold_seed(seed, t),)
+    sampled BLR estimate at step t            (seed, *ESTIMATE_STREAM, t)
 
 SeedSequence pads entropy shorter than four words with zero words, so
 (s, a) and (s, a, 0) are one stream: a tag must not be 0, and no tuple
 may be another's zero-extension. IVON and VON drew step t on (seed, t)
 before SAMPLE_STREAM; that tuple is (seed, 0xC) at t = 12, (seed, 0xE)
 at t = 14 and the data and init tuples at t = 16, 81, 273 and 1433, so
-their traces differ from older commits.
+their traces differ from older commits. So do sampled BLR's, which drew
+step t on ((seed << 20) ^ t,) before ESTIMATE_STREAM: SeedSequence
+splits that int into 32-bit words, so at seed s = tag << 12 and t = s
+it was (s, tag), and at seed 0, t = 1009 the probe grid's (1009,).
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ import numpy as np
 RNG_ALGORITHM = "philox4x64"
 #: distinct (shape, seed, stream) blocks fixed_normals keeps
 _FIXED_DRAWS = 8
-#: a folded stream keeps the step in the low FOLD_BITS bits of its entropy
-FOLD_BITS = 20
 #: IVON's and VON's posterior draws at step t: make_rng(seed, *SAMPLE_STREAM, t)
 SAMPLE_STREAM = (0x5A4,)
+#: sampled BLR's estimate at step t: make_rng(seed, *ESTIMATE_STREAM, t)
+ESTIMATE_STREAM = (0xE57,)
 #: steps whose keys StepStreams derives at once; a power of two dividing
-#: 2**FOLD_BITS, so a step's low entropy word is its block's first plus
-#: its offset, with no carry
+#: 2**32, so a step's low entropy word is its block's first plus its
+#: offset, with no carry
 _KEY_BLOCK = 1024
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -70,14 +73,6 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def fold_seed(seed: int, step: int) -> int:
-    """(seed << FOLD_BITS) ^ step, one entropy int per (seed, step).
-
-    Distinct for every (seed >= 0, step) pair while 0 <= step < 2**FOLD_BITS.
-    """
-    return (int(seed) << FOLD_BITS) ^ int(step)
 
 
 @lru_cache(maxsize=_FIXED_DRAWS)
@@ -156,10 +151,6 @@ def seed_keys(words: np.ndarray) -> np.ndarray:
 class StepStreams:
     """Step t's generator make_rng(seed, *prefix, t), for t = 0, 1, 2, ...
 
-    With fold=True (and no prefix) step t's generator is instead
-    make_rng(fold_seed(seed, t)), the sampled BLR estimators' stream, for
-    0 <= t < 2**FOLD_BITS.
-
     at(t) loads step t's key into the one Philox this object owns and
     rewinds it to counter 0 with an empty buffer: the state a fresh
     make_rng generator starts in. The keys of _KEY_BLOCK consecutive
@@ -168,12 +159,8 @@ class StepStreams:
     Generator is the object's own: it is valid until the next at() call.
     """
 
-    def __init__(self, seed: int, *prefix: int, fold: bool = False):
-        if fold and prefix:
-            raise ValueError("a folded stream takes no prefix")
-        self._seed = operator.index(seed)
-        self._fold = fold
-        self._head = [] if fold else _words(seed, *prefix)
+    def __init__(self, seed: int, *prefix: int):
+        self._head = _words(seed, *prefix)
         self._bit_generator = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bit_generator)
         # a fresh Philox: counter 0, empty buffer, no spare uint32
@@ -182,17 +169,15 @@ class StepStreams:
         self._keys = np.empty((0, 2), np.uint64)
 
     def _block_keys(self, block: int) -> np.ndarray:
-        first = block * _KEY_BLOCK
-        tail = _words(fold_seed(self._seed, first) if self._fold else first)
-        words = np.tile(np.array(self._head + tail, dtype=np.uint32), (_KEY_BLOCK, 1))
+        words = np.tile(np.array(self._head + _words(block * _KEY_BLOCK), dtype=np.uint32),
+                        (_KEY_BLOCK, 1))
         words[:, len(self._head)] += np.arange(_KEY_BLOCK, dtype=np.uint32)
         return seed_keys(words)
 
     def at(self, t: int) -> np.random.Generator:
         t = operator.index(t)
-        if t < 0 or (self._fold and t >= 1 << FOLD_BITS):
-            limit = f" < {1 << FOLD_BITS}" if self._fold else ""
-            raise ValueError(f"a step stream needs 0 <= t{limit}, got {t}")
+        if t < 0:
+            raise ValueError(f"a step stream needs t >= 0, got {t}")
         block, offset = divmod(t, _KEY_BLOCK)
         if block != self._block:
             self._keys = self._block_keys(block)

@@ -29,7 +29,7 @@ from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
 from .natgrad import (EstimatorSpec, linear_loss_natgrad, reparam_hessian_terms,
                       sampled_moments)
 from .numdiff import central_diff_gradient, central_diff_jacobian
-from .seeding import SAMPLE_STREAM, StepStreams, fold_seed, make_rng
+from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, StepStreams, make_rng
 
 SABOTAGE_IDS = ("eq4",)
 
@@ -342,7 +342,8 @@ def check_step_streams(sabotage=None):
         layouts = ((StepStreams(seed, 0xBA7C), lambda t: (seed, 0xBA7C, t)),
                    (StepStreams(seed, *SAMPLE_STREAM), lambda t: (seed, *SAMPLE_STREAM, t)),
                    (StepStreams(seed, 3, 2**32 + 1), lambda t: (seed, 3, 2**32 + 1, t)),
-                   (StepStreams(seed, fold=True), lambda t: (fold_seed(seed, t),)))
+                   (StepStreams(seed, *ESTIMATE_STREAM),
+                    lambda t: (seed, *ESTIMATE_STREAM, t)))
         for streams, entropy in layouts:
             for t in (0, 1, 1023, 1024, 4097, 2**20 - 1):
                 got, want = streams.at(t), make_rng(*entropy(t))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import natvb.blr
 from natvb.blr import (BLRConfig, blr_init, blr_run, blr_step,
                        ConjugateModel, conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, multiplicative_form_check,
@@ -13,11 +14,12 @@ from natvb.losses import QuadraticLoss, ZeroLoss
 from natvb.models import (make_logistic_data, make_ridge_data,
                           ridge_conjugate_model, ridge_exact_posterior,
                           ridge_loss)
-from natvb.natgrad import EstimatorSpec
+from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.numdiff import central_diff_gradient
-from natvb.seeding import make_rng
+from natvb.seeding import ESTIMATE_STREAM, make_rng
 
 from conftest import random_instance, random_lam
+from test_trace_digests import folded  # noqa: F401 (fixture)
 
 EXACT = EstimatorSpec("exact")
 
@@ -361,3 +363,45 @@ def test_natgrad_elbo_bridge_matches_finite_differences():
             fam.natural_to_dual(lam))
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(bridge - fd)) / scale < 1e-4
+
+
+# -- stationary law of sampled BLR ---------------------------------------------------
+
+#: full-family mc BLR on ridge: sample count, rate, burn-in and kept steps
+AR1_K, AR1_RHO, AR1_BURN, AR1_T = 4, 0.5, 200, 2000
+
+
+@pytest.mark.parametrize("stream", ["tagged", "folded"])
+def test_sampled_blr_mean_follows_its_ar1_law(stream, request):
+    # On a quadratic loss the mc Hessian is exact, so from the exact
+    # posterior on S stays A and m_{t+1} - m* = (1 - rho)(m_t - m*) - rho e_t
+    # with e_t ~ N(0, Sigma*/K): stationary covariance rho/((2 - rho) K) Sigma*,
+    # lag-1 autocorrelation 1 - rho, and a tail mean whose covariance is
+    # Sigma*/(K T). The law holds on any stream, the folded one included.
+    if stream == "folded":
+        request.getfixturevalue("folded")
+    model, fam, loss = ridge_setup(3, n=200, p=5)
+    mean_star, prec_star = ridge_exact_posterior(model)
+    sigma_star = np.diag(np.linalg.inv(prec_star))
+    spec = EstimatorSpec("mc", AR1_K, seed=7)
+    cfg = BLRConfig(AR1_RHO, estimator=spec)
+    # the streams blr_run draws step t's estimate from
+    streams = natvb.blr.StepStreams(spec.seed, *ESTIMATE_STREAM)
+    state = blr_init(fam, fam.from_moment(mean_star, prec_star))
+    means = []
+    for _ in range(AR1_BURN + AR1_T):
+        estimate = estimate_natgrad(fam, state.lam, loss, spec, step=state.t,
+                                    rng=streams.at(state.t))
+        state = blr_step(state, loss, cfg, estimate=estimate)
+        means.append(fam.to_mean_cov(state.lam)[0])
+    dev = np.array(means[AR1_BURN:]) - mean_star
+    # every bound is 4 SE of its estimator under the law, fixed before running:
+    # an AR(1) with coefficient 1/2 gives the variance ratio a relative SE of
+    # sqrt(3.33/T) and the lag-1 autocorrelation an SE of sqrt(0.75/T)
+    stationary = AR1_RHO / ((2.0 - AR1_RHO) * AR1_K) * sigma_star
+    ratio = np.mean(dev ** 2, axis=0) / stationary
+    assert np.all(np.abs(ratio - 1.0) < 4.0 * np.sqrt(3.33 / AR1_T)), ratio
+    lag1 = np.sum(dev[1:] * dev[:-1], axis=0) / np.sum(dev ** 2, axis=0)
+    assert np.all(np.abs(lag1 - (1.0 - AR1_RHO)) < 4.0 * np.sqrt(0.75 / AR1_T)), lag1
+    tail_se = np.sqrt(sigma_star / (AR1_K * AR1_T))
+    assert np.all(np.abs(dev.mean(axis=0)) < 4.0 * tail_se), dev.mean(axis=0) / tail_se

@@ -17,9 +17,10 @@ from natvb.losses import check_derivatives
 from natvb.models import make_ridge_data, ridge_exact_posterior
 from natvb.natgrad import EstimatorSpec
 
-from test_trace_digests import HALVING_CONFIG
+from test_trace_digests import HALVING_CONFIG, folded  # noqa: F401 (fixture)
 
-#: the halving config with K=2 fails its Bayes-filter check at step 5
+#: the halving config with K=2 fails its Bayes-filter check at step 5 on the
+#: folded estimate stream ((seed << 20) ^ t,), which its tests put back
 FILTER_FAIL_CONFIG = {**HALVING_CONFIG,
                       "optimizer": {**HALVING_CONFIG["optimizer"], "n_samples": 2}}
 #: its partial trace, rows 1-5, as the harness's own loop wrote it
@@ -90,19 +91,6 @@ def test_negative_seeds_rejected():
                 base_config(optimizer={"kind": "ivon", "init_seed": -1})):
         with pytest.raises(ConfigError, match="must be >= 0"):
             resolve_config(bad)
-
-
-def test_sampled_blr_budget_keeps_step_streams_distinct():
-    # steps 0..max_iter are estimated, and step 2**20 would reuse the
-    # stream of step 0 under seed ^ 1
-    with pytest.raises(ConfigError, match="max_iter"):
-        resolve_config(_logistic_mc(max_iter=2 ** 20))
-    with pytest.raises(ConfigError, match="max_iter"):
-        resolve_config(_logistic_mc(estimator="reparam", family="diag", max_iter=2 ** 21))
-    assert resolve_config(_logistic_mc(max_iter=2 ** 20 - 1))["optimizer"]["max_iter"] \
-        == 2 ** 20 - 1
-    exact = base_config(optimizer={"kind": "blr", "max_iter": 2 ** 21})
-    assert resolve_config(exact)["optimizer"]["max_iter"] == 2 ** 21
 
 
 def test_cli_run_negative_seed_exit_2(tmp_path, monkeypatch):
@@ -379,6 +367,7 @@ def test_blr_run_without_halvings_leaves_the_domain():
     assert [row.t for row in excinfo.value.partial_trace] == [1]
 
 
+@pytest.mark.usefixtures("folded")
 def test_blr_run_filter_violation_carries_partial_rows(tmp_path):
     with pytest.raises(BayesFilterViolation, match="at step 5") as excinfo:
         _library_run(FILTER_FAIL_CONFIG)
@@ -524,6 +513,7 @@ def test_cli_run_non_finite_estimate_exit_3_partial_trace(family, tmp_path, monk
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.usefixtures("folded")
 def test_filter_violation_flushes_partial_trace(tmp_path, monkeypatch):
     with pytest.raises(BayesFilterViolation, match="at step 5"):
         run_experiment(FILTER_FAIL_CONFIG, tmp_path / "lib")

@@ -14,14 +14,14 @@ from natvb.errors import DomainError, MissingHessian, SolverFailure
 from natvb.harness import run_experiment
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
-from natvb.natgrad import (SAMPLED_STEP_LIMIT, EstimatorSpec, check_support,
-                           estimate_natgrad, expected_loss, linear_loss_natgrad,
+from natvb.natgrad import (EstimatorSpec, check_support, estimate_natgrad,
+                           expected_loss, linear_loss_natgrad,
                            natgrad_delta_method, natgrad_exact,
                            natgrad_gaussian_identity, natgrad_via_dual,
                            reparam_hessian_terms)
 from natvb.numdiff import central_diff_gradient
 from natvb.quadrature import gaussian_expectation
-from natvb.seeding import make_rng
+from natvb.seeding import ESTIMATE_STREAM, make_rng
 
 from conftest import random_instance, random_lam
 
@@ -384,13 +384,13 @@ def test_estimate_dispatch_matches_direct_calls(rng):
     np.testing.assert_array_equal(exact, natgrad_exact(fam, lam, loss))
     delta = estimate_natgrad(fam, lam, loss, EstimatorSpec("delta"))
     np.testing.assert_array_equal(delta, natgrad_delta_method(fam, lam, loss))
-    # sampled kinds draw on stream (seed << 20) ^ step
+    # sampled kinds draw on stream (seed, *ESTIMATE_STREAM, step)
     mc = estimate_natgrad(fam, lam, loss, EstimatorSpec("mc", 8, seed=5), step=3)
-    np.testing.assert_array_equal(
-        mc, natgrad_gaussian_identity(fam, lam, loss, 8, (5 << 20) ^ 3))
+    np.testing.assert_array_equal(mc, natgrad_gaussian_identity(
+        fam, lam, loss, 8, make_rng(5, *ESTIMATE_STREAM, 3)))
     rep = estimate_natgrad(fam, lam, loss, EstimatorSpec("reparam", 8, seed=5))
-    np.testing.assert_array_equal(
-        rep, natgrad_gaussian_identity(fam, lam, loss, 8, 5 << 20, curvature="reparam"))
+    np.testing.assert_array_equal(rep, natgrad_gaussian_identity(
+        fam, lam, loss, 8, make_rng(5, *ESTIMATE_STREAM, 0), curvature="reparam"))
     for out in (exact, delta, mc, rep):
         assert out.shape == (fam.param_dim,) and out.dtype == float
 
@@ -401,16 +401,19 @@ def test_sampled_estimates_refuse_colliding_steps(rng):
     loss = QuadraticLoss(np.diag([1.0, 2.0]), np.ones(2))
     for kind in ("mc", "reparam"):
         spec = EstimatorSpec(kind, 4, seed=5)
-        for step in (-1, SAMPLED_STEP_LIMIT, SAMPLED_STEP_LIMIT + 7):
-            with pytest.raises(ValueError, match="step"):
-                estimate_natgrad(fam, lam, loss, spec, step=step)
-        last = estimate_natgrad(fam, lam, loss, spec, step=SAMPLED_STEP_LIMIT - 1)
-        # the stream below the limit is the one (seed << 20) ^ step names
+        # a negative step names no stream
+        with pytest.raises(ValueError, match="non-negative"):
+            estimate_natgrad(fam, lam, loss, spec, step=-1)
+        # a step past 2**20 and 2**32 has its own stream, (seed, *ESTIMATE_STREAM, step)
         curvature = "hessian" if kind == "mc" else "reparam"
-        np.testing.assert_array_equal(last, natgrad_gaussian_identity(
-            fam, lam, loss, 4, (5 << 20) ^ (SAMPLED_STEP_LIMIT - 1), curvature=curvature))
+        for step in (2**20, 2**32 + 7):
+            np.testing.assert_array_equal(
+                estimate_natgrad(fam, lam, loss, spec, step=step),
+                natgrad_gaussian_identity(fam, lam, loss, 4,
+                                          make_rng(5, *ESTIMATE_STREAM, step),
+                                          curvature=curvature))
     # deterministic kinds draw nothing, so any step is fine
-    estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"), step=SAMPLED_STEP_LIMIT)
+    estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"), step=-1)
     with pytest.raises(ValueError, match="seed"):
         EstimatorSpec("mc", 4, seed=-1)
 

@@ -6,17 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import natvb.blr
 import natvb.seeding
+from natvb.blr import BLRConfig, blr_run
 from natvb.deep import ivon_init, train
+from natvb.gaussian import DiagGaussian
 from natvb.harness import run_experiment
+from natvb.losses import QuadraticLoss
 from natvb.models import make_logistic_data
-from natvb.seeding import (_KEY_BLOCK, FOLD_BITS, StepStreams, _words, fold_seed,
-                           make_rng, seed_keys)
+from natvb.natgrad import EstimatorSpec
+from natvb.seeding import _KEY_BLOCK, StepStreams, _words, make_rng, seed_keys
 
 SEEDS = (0, 1, 4095, 4096, 2**32 - 1, 2**32, 2**64 + 5)
 PREFIXES = ((), (0xBA7C,), (7, 2**32 + 3), (1, 0, 2))
 STEPS = (0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, _KEY_BLOCK + 1, 3 * _KEY_BLOCK - 1,
-         (1 << FOLD_BITS) - 1)
+         2**20 - 1, 2**32 + 1)
 
 
 def _key(generator):
@@ -33,9 +37,6 @@ def test_step_keys_equal_seed_sequence(seed):
         streams = StepStreams(seed, *prefix)
         for t in STEPS:
             assert _key(streams.at(t)) == _seed_sequence_key(seed, *prefix, t), (prefix, t)
-    folded = StepStreams(seed, fold=True)
-    for t in STEPS:
-        assert _key(folded.at(t)) == _seed_sequence_key(fold_seed(seed, t)), t
 
 
 def test_seed_keys_rows_of_any_length():
@@ -70,10 +71,6 @@ def test_at_restarts_a_partly_used_generator():
 def test_at_rejects_steps_outside_the_stream():
     with pytest.raises(ValueError):
         StepStreams(1, 2).at(-1)
-    with pytest.raises(ValueError):
-        StepStreams(1, fold=True).at(1 << FOLD_BITS)
-    with pytest.raises(ValueError):
-        StepStreams(1, 2, fold=True)
     with pytest.raises(ValueError):
         StepStreams(-1, 2)
 
@@ -136,6 +133,34 @@ def _spy_on_streams(monkeypatch) -> dict:
     return drawn
 
 
+def _sampled_blr_key(seed, t):
+    """Philox key of step t's stream in a sampled BLR run at seed."""
+    made = []
+
+    class Recorded(StepStreams):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    family = DiagGaussian(2)
+    cfg = BLRConfig(0.5, 1, estimator=EstimatorSpec("mc", 2, seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(natvb.blr, "StepStreams", Recorded)
+        blr_run(family, family.from_moment(np.zeros(2), np.ones(2)),
+                QuadraticLoss(np.eye(2), np.ones(2)), cfg)
+    (streams,) = made
+    return _key(streams.at(t))
+
+
+@pytest.mark.parametrize("tag", [0xC, 0xE, 0x10, 0x51])
+def test_sampled_blr_step_stream_is_no_tagged_stream(tag):
+    # ((seed << 20) ^ t,), the older layout, is (s, tag) at seed s = tag << 12
+    # and step s: the gate probe's, the objective fallback's and the logistic
+    # and ridge data's streams when data_seed is the seed
+    seed = tag << 12
+    assert _sampled_blr_key(seed, seed) != _key(make_rng(seed, tag))
+
+
 @pytest.mark.parametrize("seed, optimizer", [
     # IVON's step 12, 273 and 1433 once fell on the gate probe's, the MLP
     # init's and the spirals data's streams
@@ -144,13 +169,20 @@ def _spy_on_streams(monkeypatch) -> dict:
     # VON's step 12 on the probe's, step 14 on the objective fallback's at seed 0
     (0, {"kind": "von", "steps": 15, "learning_rate": 0.01, "batch_size": 10}),
     (1, {"kind": "von", "steps": 15, "learning_rate": 0.01, "batch_size": 10}),
+    # sampled BLR's step 1009 at seed 0 once fell on the Bayes-filter probe grid's
+    (0, {"kind": "blr", "family": "full", "learning_rate": 0.3, "max_iter": 1010,
+         "estimator": "mc", "n_samples": 2}),
 ])
 def test_no_stream_is_drawn_by_two_consumers(seed, optimizer, tmp_path, monkeypatch):
     drawn = _spy_on_streams(monkeypatch)
-    model = {"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": seed,
-             "prior_precision": 1.0}
+    if optimizer["kind"] == "blr":
+        # P = 3, so the objective takes its Monte Carlo fallback
+        model = {"kind": "logistic", "n": 20, "p": 3, "data_seed": seed}
+    else:
+        model = {"kind": "spirals_mlp", "n": 40, "hidden": [4], "data_seed": seed,
+                 "prior_precision": 1.0}
     run_experiment({"schema_version": 1, "seed": seed, "model": model,
                     "optimizer": optimizer}, tmp_path)
     shared = {key: sites for key, sites in drawn.items() if len(sites) > 1}
     assert not shared, sorted(map(sorted, shared.values()))
-    assert len(drawn) > optimizer["steps"]
+    assert len(drawn) > optimizer.get("steps", optimizer.get("max_iter"))

@@ -32,6 +32,15 @@ one), to their own stream (seed, *SAMPLE_STREAM, t). UNTAGGED_DIGESTS
 keeps the digests of the old stream, which these configs reproduce with
 the prefix patched back to (); the historical proofs above run with it
 patched back too.
+
+The blr_full_mc, blr_diag_mc and blr_diag_reparam_halvings digests were
+re-pinned when sampled BLR's step-t estimate moved from stream
+((seed << 20) ^ t,) to (seed, *ESTIMATE_STREAM, t). SeedSequence splits
+the folded int into 32-bit words, so at seed s = tag << 12 and t = s it
+was (s, tag), another consumer's stream. FOLDED_DIGESTS keeps the
+digests of the folded stream, which these configs reproduce when the
+folded fixture puts that stream back in blr_run; the historical proofs
+above run with it put back too.
 """
 
 import csv
@@ -41,9 +50,11 @@ import numpy as np
 
 import pytest
 
+import natvb.blr
 import natvb.deep
 import natvb.models
 from natvb.harness import run_experiment, write_trace
+from natvb.seeding import make_rng
 
 
 def _config(seed, model, optimizer):
@@ -78,14 +89,14 @@ PINNED = {
     "blr_full_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
-        "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4"),
+        "4ff63c5e4ffa487db51a460a6356d9c3f5fa379fa6fae326b319eb31fc2db5a1"),
     "blr_diag_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "diag", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
-        "ba3585a9ea86e7a0931bce435e75a3b309d76e5dac3f090eb8906a58f7d524f7"),
+        "5489bc80dcf4416e9226d284ca1320c560add901eace59982619d03d562447a2"),
     "blr_diag_reparam_halvings": (
         HALVING_CONFIG,
-        "daa945aaf460ca7f3e142944269e01ef6dd49365528532d5264e8bb185c4594e"),
+        "69a9f194a279d6e96452ae6bc878460ad390613a8238d31a2e8160367accd401"),
     "von": (
         _config(5, {"kind": "logistic", "n": 60, "p": 2, "data_seed": 21},
                 {"kind": "von", "learning_rate": 0.1, "steps": 40, "n_samples": 4}),
@@ -119,6 +130,15 @@ UNTAGGED_DIGESTS = {
     "ivon": "f94b1bc6d5018f6fccc8c4a3b52055ef7ba4736fcf23da1d1d6505fc2bca76ad",
     "ivon_mlp": "3a44dcf57f5d646752d05c15402bf173355be8ce30b03e1a48e19d1b4d4b9b7c",
     "von": "ce37afd10fb98bf57d237111ca9eb3d2e59933556ca50e531f1ba3fccb13960c",
+}
+
+#: digests of sampled BLR's estimates on stream ((seed << 20) ^ t,), before
+#: ESTIMATE_STREAM
+FOLDED_DIGESTS = {
+    "blr_full_mc": "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4",
+    "blr_diag_mc": "ba3585a9ea86e7a0931bce435e75a3b309d76e5dac3f090eb8906a58f7d524f7",
+    "blr_diag_reparam_halvings":
+        "daa945aaf460ca7f3e142944269e01ef6dd49365528532d5264e8bb185c4594e",
 }
 
 #: digests of the np.logaddexp(0, z) softplus kernel, for every pinned config
@@ -155,6 +175,22 @@ def untagged(monkeypatch):
     monkeypatch.setattr(natvb.deep, "SAMPLE_STREAM", ())
 
 
+class _FoldedStreams:
+    """Sampled BLR's step streams before ESTIMATE_STREAM: make_rng((seed << 20) ^ t)."""
+
+    def __init__(self, seed, *prefix):
+        self._seed = seed
+
+    def at(self, t):
+        return make_rng((self._seed << 20) ^ t)
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """Sampled BLR's estimates back on stream ((seed << 20) ^ t,)."""
+    monkeypatch.setattr(natvb.blr, "StepStreams", _FoldedStreams)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_digest_pinned(name, tmp_path):
     config, digest = PINNED[name]
@@ -167,8 +203,15 @@ def test_untagged_sample_stream_reproduces_old_digest(name, tmp_path, untagged):
     assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == UNTAGGED_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(FOLDED_DIGESTS))
+def test_folded_estimate_stream_reproduces_old_digest(name, tmp_path, folded):
+    config, _ = PINNED[name]
+    assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == FOLDED_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch, untagged):
+def test_softplus_kernel_moves_value_columns_only(name, tmp_path, monkeypatch, untagged,
+                                                  folded):
     config, _ = PINNED[name]
     new = _trace(config, tmp_path / "new")
     with monkeypatch.context() as patch:
@@ -333,7 +376,7 @@ LOOPED_EXACT = {"blr_full_mc": 2, "blr_diag_mc": 2, "blr_diag_reparam_halvings":
 
 
 @pytest.mark.parametrize("name", sorted(LOOPED_ROWS))
-def test_batched_core_keeps_looped_rows(name, tmp_path, untagged):
+def test_batched_core_keeps_looped_rows(name, tmp_path, untagged, folded):
     run_experiment(PINNED[name][0], tmp_path)
     with open(tmp_path / "trace.csv", encoding="utf-8") as handle:
         rows = [tuple(map(float, row)) for row in list(csv.reader(handle))[1:]]
