@@ -151,17 +151,20 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
     grid is the standard-normal block of make_rng(probe_seed), drawn once
     per (n_probes, P, probe_seed) by seeding.fixed_normals and transported
     to q_t, so it is the grid family.sample would draw with that
-    generator, without redrawing it at every step.
+    generator, without redrawing it at every step. T(probes) is formed
+    once; each log q is log_density's arithmetic, T @ lam - A(lam), on
+    it, with A read off the validated iterate.
     """
     if state_t1.tilde_lambda is None:
         raise ValueError("state_t1 carries no natural-gradient estimate")
     family = state_t.family
     z = fixed_normals((n_probes, family.theta_dim), probe_seed)
-    probes = family.transport(state_t.lam, z)
+    stats = family.sufficient_stats_batch(family.transport(state_t.lam, z))
+    lam_t, lam_t1 = family.natural(state_t.lam), family.natural(state_t1.lam)
     # one gap per probe: log q_{t+1} - (1-rho) log q_t - rho <tilde_lam, T>
-    gaps = (family.log_density(state_t1.lam, probes)
-            - (1.0 - rho) * family.log_density(state_t.lam, probes)
-            - rho * (family.sufficient_stats_batch(probes) @ state_t1.tilde_lambda))
+    gaps = ((stats @ lam_t1.coords - family.cumulant(lam_t1))
+            - (1.0 - rho) * (stats @ lam_t.coords - family.cumulant(lam_t))
+            - rho * (stats @ state_t1.tilde_lambda))
     spread = float(np.max(gaps) - np.min(gaps))
     return MultiplicativeFormReport(spread <= tol, spread, tol, n_probes)
 

@@ -28,12 +28,15 @@ F and its inverse without forming F (fisher_vp, fisher_solve).
 natural() and expectation() are each coordinate system's one domain
 check: a per-family primitive (_derive, _derive_expectation) raises
 DomainError outside the domain or returns what checking computed, which
-the validated parameters carry as `derived` for every later method.
+the validated parameters carry as `derived` for every later method. The
+natural side's `derived` also carries A(lam) as its `cumulant` field, so
+each parameter's log normalizer is computed once, at validation, and
+cumulant() reads it.
 
 Concrete families implement the primitives (the two derivations,
-cumulant, conversions, Fisher and its products, T, sampling); the domain
-predicates, entropy, Fenchel conjugate, KL and its dual gradient are
-derived here once.
+conversions, Fisher and its products, T, sampling); the domain
+predicates, cumulant, entropy, Fenchel conjugate, KL and its dual
+gradient are derived here once.
 """
 
 from __future__ import annotations
@@ -123,15 +126,14 @@ class ExpFamily(abc.ABC):
 
     @abc.abstractmethod
     def _derive(self, coords: np.ndarray):
-        """What natural() stores for finite lam = coords, or DomainError."""
+        """What natural() stores for finite lam = coords, or DomainError.
+
+        The result has a `cumulant` field holding A(lam) as a float.
+        """
 
     @abc.abstractmethod
     def _derive_expectation(self, coords: np.ndarray):
         """What expectation() stores for finite mu = coords, or DomainError."""
-
-    @abc.abstractmethod
-    def cumulant(self, lam) -> float:
-        """Log normalizer A(lam)."""
 
     @abc.abstractmethod
     def natural_to_dual(self, lam) -> np.ndarray:
@@ -222,6 +224,10 @@ class ExpFamily(abc.ABC):
         return thetas
 
     # -- derived operations ------------------------------------------
+
+    def cumulant(self, lam) -> float:
+        """Log normalizer A(lam), as _derive computed it when lam was validated."""
+        return self.natural(lam).derived.cumulant
 
     def log_density(self, lam, theta):
         """log q(theta) = <lam, T(theta)> - A(lam)  (h = 1).

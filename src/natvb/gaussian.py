@@ -31,10 +31,12 @@ Cholesky factor of S, and nothing inverts a covariance on the hot path.
 Each family's _derive is its one natural-side domain check: S must be
 positive definite (for the full family, Cholesky must succeed) and the
 mean and covariance must be finite. Its result (the full family's
-_Factor: precision, its Cholesky factor, mean and covariance) rides on
-the NaturalParams that natural() returns, so a parameter is factored
-once however many methods read it. The domain is open, so boundary
-cases fail rather than being nudged.
+_Factor: precision, its Cholesky factor, mean, covariance and the
+cumulant A(lam); the diagonal family's _DiagFactor: linear block,
+precision diagonal and A(lam)) rides on the NaturalParams that natural()
+returns, so a parameter is factored, and its A computed, once however
+many methods read it. The domain is open, so boundary cases fail rather
+than being nudged.
 
 from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
@@ -139,7 +141,8 @@ def _normal_rows(z, dim: int) -> np.ndarray:
 # -- families ---------------------------------------------------------
 
 class _Factor(NamedTuple):
-    """FullGaussian's derived natural parameter: its factorisation, all read-only."""
+    """FullGaussian's derived natural parameter: its factorisation (arrays
+    all read-only) and the log normalizer A(lam) computed from it."""
 
     lin: np.ndarray
     prec: np.ndarray
@@ -147,6 +150,17 @@ class _Factor(NamedTuple):
     chol: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
+    #: A(lam) = m'lin/2 - log det(S)/2 + P log(2 pi)/2
+    cumulant: float
+
+
+class _DiagFactor(NamedTuple):
+    """DiagGaussian's derived natural parameter: read-only blocks and A(lam)."""
+
+    lin: np.ndarray
+    #: precision diagonal s
+    prec: np.ndarray
+    cumulant: float
 
 
 class FullGaussian(ExpFamily):
@@ -182,7 +196,11 @@ class FullGaussian(ExpFamily):
             raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
         for arr in (prec, chol, mean, cov):
             arr.setflags(write=False)
-        return _Factor(lin, prec, chol, mean, cov)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        # m'lin can overflow at finite moments: A is then inf, stored without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumulant = float(0.5 * lin @ mean - 0.5 * logdet + 0.5 * p * _LOG_2PI)
+        return _Factor(lin, prec, chol, mean, cov, cumulant)
 
     def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """(mean, lower Cholesky factor of the covariance) of mu = coords, read-only."""
@@ -219,12 +237,6 @@ class FullGaussian(ExpFamily):
                 raise DomainError("precision must be symmetric")
             coords = np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
         return self.natural(coords)
-
-    def cumulant(self, lam) -> float:
-        factor = self.natural(lam).derived
-        logdet = 2.0 * np.sum(np.log(np.diag(factor.chol)))
-        return float(0.5 * factor.lin @ factor.mean - 0.5 * logdet
-                     + 0.5 * self.theta_dim * _LOG_2PI)
 
     def natural_to_dual(self, lam) -> np.ndarray:
         mean, cov = self.to_mean_cov(lam)
@@ -340,17 +352,19 @@ class DiagGaussian(ExpFamily):
         self.param_dim = 2 * self.theta_dim
         self.name = f"gaussian_diag_{self.theta_dim}"
 
-    def _derive(self, coords) -> tuple[np.ndarray, np.ndarray]:
-        """(linear block, precision diagonal s), both read-only."""
+    def _derive(self, coords) -> _DiagFactor:
         p = self.theta_dim
         lin, prec = coords[:p], -2.0 * coords[p:]
         if not np.all(prec > 0.0):
             raise DomainError("precision diagonal must be positive")
-        with np.errstate(over="ignore"):
+        # lin^2/s can overflow at finite moments: A is then inf, stored without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             if not (np.all(np.isfinite(lin / prec)) and np.all(np.isfinite(1.0 / prec))):
                 raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
+            cumulant = float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
+                                    + 0.5 * _LOG_2PI))
         prec.setflags(write=False)
-        return lin, prec
+        return _DiagFactor(lin, prec, cumulant)
 
     def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """(mean, variance) of mu = coords, read-only."""
@@ -364,7 +378,8 @@ class DiagGaussian(ExpFamily):
 
     def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(linear block, precision diagonal s)."""
-        return self.natural(lam).derived
+        factor = self.natural(lam).derived
+        return factor.lin, factor.prec
 
     def to_mean_var(self, lam) -> tuple[np.ndarray, np.ndarray]:
         lin, prec = self.split_natural(lam)
@@ -387,11 +402,6 @@ class DiagGaussian(ExpFamily):
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which natural() rejects
             coords = np.concatenate([prec * mean, -0.5 * prec])
         return self.natural(coords)
-
-    def cumulant(self, lam) -> float:
-        lin, prec = self.split_natural(lam)
-        return float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
-                            + 0.5 * _LOG_2PI))
 
     def natural_to_dual(self, lam) -> np.ndarray:
         mean, var = self.to_mean_var(lam)

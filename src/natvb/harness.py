@@ -83,11 +83,14 @@ def _require(cfg: dict, context: str, required: dict, optional: dict) -> dict:
 
 
 #: the valid range of each numeric key, in every block that has it unless a
-#: "block.key" entry says otherwise (seeds key SeedSequence, which takes
-#: non-negative integers only)
+#: "block.key" entry says otherwise. Seeds key SeedSequence, which takes
+#: non-negative integers only and splits one of 2**32 or more into several
+#: 32-bit words: (seed + (tag << 32), t) would then be (seed, tag, t), one
+#: of the per-step stream tuples, so seeds must fit in one word.
 _RANGES = {
-    **dict.fromkeys("seed data_seed init_seed steps batch_size max_rate_halvings "
-                    "prec_floor damping".split(),
+    **dict.fromkeys("seed data_seed init_seed".split(),
+                    (lambda v: 0 <= v < 2**32, ">= 0 and < 2**32")),
+    **dict.fromkeys("steps batch_size max_rate_halvings prec_floor damping".split(),
                     (lambda v: v >= 0, ">= 0")),
     **dict.fromkeys("n p max_iter n_samples init_precision ess step_size "
                     "prior_precision".split(),

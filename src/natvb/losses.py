@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MissingHessian
 from .gaussian import DiagGaussian, FullGaussian, sym_to_coeff, coeff_to_sym
-from .numdiff import central_diff_gradient, central_diff_jacobian
+from .numdiff import central_diff_batch
 
 
 class LossModel:
@@ -120,9 +120,9 @@ class LossModel:
 
 
 #: batched methods with the capability each needs (None: always available)
-_BATCHED = (("value_batch", None), ("gradient_batch", None),
-            ("mean_hessian_full", "provides_hessian_full"),
-            ("mean_hessian_diag", "provides_hessian_diag"))
+_BATCHED = {"value_batch": None, "gradient_batch": None,
+            "mean_hessian_full": "provides_hessian_full",
+            "mean_hessian_diag": "provides_hessian_diag"}
 #: relative gap allowed between a batched override and its per-theta loop
 _BATCH_RTOL = 1e-10
 
@@ -131,50 +131,12 @@ def _relative_gap(got, ref) -> float:
     return float(np.linalg.norm(got - ref)) / max(1.0, float(np.linalg.norm(ref)))
 
 
-def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
-                      hess_rtol: float = 1e-3) -> dict:
-    """Verify gradient (and provided Hessians) against central differences,
-    overridden batched methods against their per-theta loops, and
-    overridden fused methods (value_and_gradient, gradient_and_mean_hessian)
-    against the separate calls they combine.
-
-    The batched and fused checks run on the full data and, for
-    minibatchable losses, on every other datum. Raises ValueError on
-    the first violation, a NaN error included; returns the worst relative
-    errors seen otherwise.
-    Every loss in an experiment goes through this gate first.
-    """
-    worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
-             "batched": 0.0}
-    for theta in points:
-        theta = np.asarray(theta, dtype=float)
-        fd_grad = central_diff_gradient(lambda x: loss.value(x), theta)
-        scale = max(1.0, float(np.linalg.norm(fd_grad)))
-        err = float(np.linalg.norm(loss.gradient(theta) - fd_grad)) / scale
-        worst["gradient"] = max(worst["gradient"], err)
-        if not err <= grad_rtol:
-            raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
-        if loss.provides_hessian_full or loss.provides_hessian_diag:
-            fd_jac = central_diff_jacobian(lambda x: loss.gradient(x), theta)
-        if loss.provides_hessian_full:
-            fd_hess = 0.5 * (fd_jac + fd_jac.T)
-            scale = max(1.0, float(np.linalg.norm(fd_hess)))
-            err = float(np.linalg.norm(loss.hessian_full(theta) - fd_hess)) / scale
-            worst["hessian_full"] = max(worst["hessian_full"], err)
-            if not err <= hess_rtol:
-                raise ValueError(f"hessian mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
-        if loss.provides_hessian_diag:
-            fd_diag = np.diag(fd_jac)
-            scale = max(1.0, float(np.linalg.norm(fd_diag)))
-            err = float(np.linalg.norm(loss.hessian_diag(theta) - fd_diag)) / scale
-            worst["hessian_diag"] = max(worst["hessian_diag"], err)
-            if not err <= hess_rtol:
-                raise ValueError(f"hessian diagonal mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
-    thetas = np.array([np.asarray(theta, dtype=float).reshape(-1) for theta in points])
-    batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
-    for name, needs in _BATCHED:
+def _check_batched(loss: LossModel, names, thetas, batches, worst: dict) -> None:
+    """Hold the overridden batched methods among names to their per-theta loops."""
+    for name in names:
         if getattr(type(loss), name) is getattr(LossModel, name):
             continue  # the default is the loop itself
+        needs = _BATCHED[name]
         if needs is not None and not getattr(loss, needs):
             continue
         for batch in batches:
@@ -185,6 +147,11 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
             if not err <= _BATCH_RTOL:
                 raise ValueError(f"batched {name} differs from its per-theta method: "
                                  f"{err:.3e} > {_BATCH_RTOL:.1e}")
+
+
+def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
+    """Hold overridden value_and_gradient and gradient_and_mean_hessian to
+    the separate calls they combine."""
     if type(loss).value_and_gradient is not LossModel.value_and_gradient:
         for theta in thetas:
             for batch in batches:
@@ -209,6 +176,60 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                 if not err <= _BATCH_RTOL:
                     raise ValueError(f"gradient_and_mean_hessian differs from gradient_batch "
                                      f"and the mean Hessian: {err:.3e} > {_BATCH_RTOL:.1e}")
+
+
+def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
+                      hess_rtol: float = 1e-3) -> dict:
+    """Verify overridden batched methods against their per-theta loops,
+    overridden fused methods (value_and_gradient, gradient_and_mean_hessian)
+    against the separate calls they combine, and the gradient (and
+    provided Hessians) against central differences.
+
+    The central differences go through value_batch (for the gradient) and
+    gradient_batch (for the Hessians), a block of perturbed rows per call
+    (numdiff.central_diff_batch), so each batched override is checked
+    against its loop first: value_batch before any difference is taken,
+    gradient_batch and the rest before the Hessians' differences, so that
+    a wrong gradient is reported as a gradient mismatch. The override
+    checks run on the full data and, for minibatchable losses, on every
+    other datum. Raises ValueError on the first violation, a NaN error
+    included; returns the worst relative errors seen otherwise.
+    Every loss in an experiment goes through this gate first.
+    """
+    worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
+             "batched": 0.0}
+    points = [np.asarray(theta, dtype=float).reshape(-1) for theta in points]
+    thetas = np.array(points)
+    batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
+    _check_batched(loss, ("value_batch",), thetas, batches, worst)
+    for theta in points:
+        fd_grad = central_diff_batch(loss.value_batch, theta)
+        scale = max(1.0, float(np.linalg.norm(fd_grad)))
+        err = float(np.linalg.norm(loss.gradient(theta) - fd_grad)) / scale
+        worst["gradient"] = max(worst["gradient"], err)
+        if not err <= grad_rtol:
+            raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
+    _check_batched(loss, ("gradient_batch", "mean_hessian_full", "mean_hessian_diag"),
+                   thetas, batches, worst)
+    _check_fused(loss, thetas, batches, worst)
+    if not (loss.provides_hessian_full or loss.provides_hessian_diag):
+        return worst
+    for theta in points:
+        fd_jac = central_diff_batch(loss.gradient_batch, theta)
+        if loss.provides_hessian_full:
+            fd_hess = 0.5 * (fd_jac + fd_jac.T)
+            scale = max(1.0, float(np.linalg.norm(fd_hess)))
+            err = float(np.linalg.norm(loss.hessian_full(theta) - fd_hess)) / scale
+            worst["hessian_full"] = max(worst["hessian_full"], err)
+            if not err <= hess_rtol:
+                raise ValueError(f"hessian mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
+        if loss.provides_hessian_diag:
+            fd_diag = np.diag(fd_jac)
+            scale = max(1.0, float(np.linalg.norm(fd_diag)))
+            err = float(np.linalg.norm(loss.hessian_diag(theta) - fd_diag)) / scale
+            worst["hessian_diag"] = max(worst["hessian_diag"], err)
+            if not err <= hess_rtol:
+                raise ValueError(f"hessian diagonal mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
     return worst
 
 
@@ -255,6 +276,22 @@ class QuadraticLoss(LossModel):
         self._no_batch(batch)
         theta = np.asarray(theta, dtype=float).reshape(-1)
         return self.quad @ theta - self.lin
+
+    # Batched forms as stacked products: each row makes the per-theta
+    # call's BLAS calls (gemv, then dot), so it equals value or gradient
+    # bit for bit, which a plain thetas @ quad (one gemm) does not.
+
+    def value_batch(self, thetas, batch=None) -> np.ndarray:
+        self._no_batch(batch)
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        cols = thetas[:, :, None]
+        quad_form = np.matmul(np.matmul(0.5 * thetas[:, None, :], self.quad), cols)
+        return quad_form[:, 0, 0] - np.matmul(self.lin, cols)[:, 0] + self.const
+
+    def gradient_batch(self, thetas, batch=None) -> np.ndarray:
+        self._no_batch(batch)
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        return np.matmul(self.quad, thetas[:, :, None])[:, :, 0] - self.lin
 
     def hessian_diag(self, theta, batch=None) -> np.ndarray:
         self._no_batch(batch)

@@ -35,6 +35,10 @@ their traces differ from older commits. So do sampled BLR's, which drew
 step t on ((seed << 20) ^ t,) before ESTIMATE_STREAM: SeedSequence
 splits that int into 32-bit words, so at seed s = tag << 12 and t = s
 it was (s, tag), and at seed 0, t = 1009 the probe grid's (1009,).
+The same splitting makes the layout collision-free only for seeds below
+2**32: (s + (tag << 32), t) is the stream (s, tag, t). The harness
+therefore rejects config seeds of 2**32 and above; make_rng and
+StepStreams take any seed >= 0.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import natvb.blr
-from natvb.blr import (BLRConfig, blr_init, blr_run, blr_step,
+from natvb.blr import (BLRConfig, BLRState, blr_init, blr_run, blr_step,
                        ConjugateModel, conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, multiplicative_form_check,
                        newton_recovery_step, vb_objective)
@@ -16,7 +16,7 @@ from natvb.models import (make_logistic_data, make_ridge_data,
                           ridge_loss)
 from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.numdiff import central_diff_gradient
-from natvb.seeding import ESTIMATE_STREAM, make_rng
+from natvb.seeding import ESTIMATE_STREAM, fixed_normals, make_rng
 
 from conftest import random_instance, random_lam
 from test_trace_digests import folded  # noqa: F401 (fixture)
@@ -180,6 +180,28 @@ def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng):
             assert report.spread == _multiplicative_spread_by_sampling(
                 state, nxt, rho, n_probes, probe_seed)
         state = nxt
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_multiplicative_form_spread_equals_three_log_densities_bitwise(kind, rng):
+    # one T(probes) and the stored cumulants give log_density's arithmetic
+    for trial in range(30):
+        if trial < 25:
+            fam, lam = random_instance(rng, kind=kind)
+        else:
+            fam = FullGaussian(12) if kind == "full" else DiagGaussian(12)
+            lam = random_lam(rng, fam)
+        tilde = random_lam(rng, fam)
+        rho = float(rng.uniform(0.05, 0.95))
+        state = BLRState(fam, 0, fam.natural(lam))
+        nxt = BLRState(fam, 1, fam.natural((1.0 - rho) * np.asarray(lam) + rho * tilde),
+                       tilde)
+        probes = fam.transport(state.lam, fixed_normals((10, fam.theta_dim), 1009))
+        gaps = (fam.log_density(nxt.lam, probes)
+                - (1.0 - rho) * fam.log_density(state.lam, probes)
+                - rho * (fam.sufficient_stats_batch(probes) @ tilde))
+        spread = float(np.max(gaps) - np.min(gaps))
+        assert multiplicative_form_check(state, nxt, rho).spread == spread
 
 
 # -- fixed-point residual --------------------------------------------------------

@@ -564,14 +564,19 @@ def test_memo_outputs_read_only_and_inputs_untouched(rng):
     mean, cov = fam.to_mean_cov(lam)
     lin, prec = fam.split_natural(lam)
     validated = fam.natural(lam)
-    for arr in (mean, cov, lin, prec, validated.coords, *validated.derived):
+    factor = validated.derived
+    for arr in (mean, cov, lin, prec, validated.coords,
+                factor.lin, factor.prec, factor.chol, factor.mean, factor.cov):
         assert not arr.flags.writeable
+    assert type(factor.cumulant) is float
     with pytest.raises(ValueError):
         mean[0] = 1.0
     # the caller's array is copied, never frozen
     assert lam.flags.writeable
     diag, lam = random_instance(rng, kind="diag")
-    assert not any(arr.flags.writeable for arr in diag.natural(lam).derived)
+    factor = diag.natural(lam).derived
+    assert not any(arr.flags.writeable for arr in (factor.lin, factor.prec))
+    assert type(factor.cumulant) is float
 
 
 def test_trust_rules_of_validated_parameters(rng):
@@ -620,3 +625,40 @@ def test_full_family_pickles_without_its_memo(rng):
     copy = pickle.loads(pickle.dumps(fam))
     assert copy == fam
     assert copy.cumulant(lam) == fam.cumulant(lam)
+
+
+def _cumulant_formula(fam, lam):
+    """A(lam) by the expression cumulant() evaluated on every call before
+    natural() began storing it."""
+    if isinstance(fam, FullGaussian):
+        factor = fam.natural(lam).derived
+        logdet = 2.0 * np.sum(np.log(np.diag(factor.chol)))
+        return float(0.5 * factor.lin @ factor.mean - 0.5 * logdet
+                     + 0.5 * fam.theta_dim * np.log(2.0 * np.pi))
+    lin, prec = fam.split_natural(lam)
+    return float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
+                        + 0.5 * np.log(2.0 * np.pi)))
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_stored_cumulant_equals_its_formula_bitwise(kind, rng):
+    for _ in range(40):
+        fam, lam = random_instance(rng, kind=kind)
+        assert fam.cumulant(lam) == _cumulant_formula(fam, lam)
+    for p in (20, 40):
+        fam = FullGaussian(p) if kind == "full" else DiagGaussian(p)
+        lam = random_lam(rng, fam)
+        assert fam.cumulant(lam) == _cumulant_formula(fam, lam)
+
+
+def test_validation_stores_an_overflowing_cumulant_without_warning():
+    # finite moments whose A overflows validate silently, and cumulant()
+    # returns the inf the formula gives
+    cases = ((FullGaussian(2), np.array([1e200, 0.0, -0.5, 0.0, -0.5])),
+             (DiagGaussian(2), np.array([1e200, 0.0, -0.5, -0.5])))
+    for fam, coords in cases:
+        with np.errstate(all="raise"):
+            lam = fam.natural(coords)
+        assert fam.cumulant(lam) == np.inf
+        with np.errstate(all="ignore"):
+            assert fam.cumulant(lam) == _cumulant_formula(fam, lam)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import inspect
 import json
@@ -6,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from natvb import blr, deep, harness
+from natvb import blr, deep, expfam, harness, losses
 from natvb.cli import main
 from natvb.errors import (BayesFilterViolation, DomainError, LeftDomain, SingularFisher,
                           SolverFailure)
@@ -17,7 +18,7 @@ from natvb.losses import check_derivatives
 from natvb.models import make_ridge_data, ridge_exact_posterior
 from natvb.natgrad import EstimatorSpec
 
-from test_trace_digests import HALVING_CONFIG, folded  # noqa: F401 (fixture)
+from test_trace_digests import HALVING_CONFIG, PINNED, folded  # noqa: F401 (fixture)
 
 #: the halving config with K=2 fails its Bayes-filter check at step 5 on the
 #: folded estimate stream ((seed << 20) ^ t,), which its tests put back
@@ -101,6 +102,34 @@ def test_cli_run_negative_seed_exit_2(tmp_path, monkeypatch):
 
 _LOGISTIC_SMALL = {"kind": "logistic", "n": 30, "p": 2, "data_seed": 3}
 _SPIRALS_SMALL = {"kind": "spirals_mlp", "n": 20, "data_seed": 3}
+
+
+def _seed_configs(seed):
+    """One small config per seed key, that key set to seed."""
+    return {"seed": base_config(seed=seed),
+            "data_seed": base_config(model={"kind": "ridge", "n": 20, "p": 3,
+                                            "data_seed": seed}),
+            "init_seed": base_config(model=_LOGISTIC_SMALL,
+                                     optimizer={"kind": "ivon", "steps": 3,
+                                                "init_seed": seed})}
+
+
+@pytest.mark.parametrize("key", ["seed", "data_seed", "init_seed"])
+def test_cli_run_seed_of_2_32_exit_2(key, tmp_path, monkeypatch):
+    # SeedSequence splits a seed of 2**32 or more into 32-bit words, so
+    # (seed + (tag << 32), t) would draw the per-step stream (seed, tag, t)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=f"{key} must be >= 0 and < 2\\*\\*32"):
+        resolve_config(_seed_configs(2**32)[key])
+    assert main(["run", write_cfg(tmp_path, _seed_configs(2**32)[key])]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "data_seed", "init_seed"])
+def test_cli_run_seed_of_2_32_minus_1_runs(key, tmp_path, monkeypatch):
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    assert main(["run", write_cfg(tmp_path, _seed_configs(2**32 - 1)[key])]) == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("model,optimizer", [
@@ -675,3 +704,56 @@ def test_runners_leave_the_failure_hand_off_to_run_experiment(name):
     # run's rows as partial_trace, which run_experiment alone writes
     func = ast.parse(inspect.getsource(getattr(harness, name))).body[0]
     assert _hand_off_drift(func) == []
+
+
+# -- work counts -----------------------------------------------------------------
+
+def test_pinned_ridge_run_does_each_piece_of_work_once(tmp_path, monkeypatch):
+    # the counts a run of one pinned config makes: a change that brings
+    # back a repeated T(probes), a log density or a per-point loss call
+    # in the finite differences fails here
+    counts = collections.Counter()
+    scopes = []
+
+    def spy(owner, name, scope=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name, scopes[-1] if scopes else None] += 1
+            if scope:
+                scopes.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if scope:
+                    scopes.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(harness, "check_derivatives", scope=True)
+    spy(losses, "central_diff_batch", scope=True)
+    spy(harness, "blr_run", scope=True)
+    spy(blr, "multiplicative_form_check", scope=True)
+    spy(FullGaussian, "sufficient_stats_batch")
+    spy(expfam.ExpFamily, "log_density")
+    for name in ("value", "gradient", "value_batch", "gradient_batch"):
+        spy(losses.QuadraticLoss, name)
+    config, _ = PINNED["blr_full_exact_ridge"]
+    run_experiment(config, tmp_path)
+    checks = counts["multiplicative_form_check", "blr_run"]
+    assert checks >= 10
+    # one T(probes) per Bayes-filter check, and none anywhere else
+    assert counts["sufficient_stats_batch", "multiplicative_form_check"] == checks
+    assert sum(n for (name, _), n in counts.items()
+               if name == "sufficient_stats_batch") == checks
+    # no log density anywhere in the run, the BLR loop included
+    assert sum(n for (name, _), n in counts.items() if name == "log_density") == 0
+    # the gate differences two probes through one batched call each, and
+    # makes per-point calls only in the override checks' reference loops
+    # and for the analytic gradient at each probe
+    assert counts["value_batch", "central_diff_batch"] == 2
+    assert counts["gradient_batch", "central_diff_batch"] == 2
+    assert counts["value", "central_diff_batch"] == 0
+    assert counts["gradient", "central_diff_batch"] == 0
+    assert counts["value", "check_derivatives"] == 2
+    assert counts["gradient", "check_derivatives"] == 2 + 2

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import natvb.losses
+import natvb.numdiff
 from natvb.errors import MissingHessian
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
+from natvb.harness import build_model, resolve_config
 from natvb.models import LogisticModel, make_logistic_data
+from natvb.numdiff import central_diff_batch
 from natvb.seeding import make_rng
 
 
@@ -129,21 +133,135 @@ def test_check_derivatives_catches_wrong_hessian_diag():
 
 def test_check_derivatives_one_jacobian_per_probe(rng):
     # both Hessian checks read the same finite-difference Jacobian: per
-    # probe one gradient call plus 2P for the Jacobian (1 + 4P before)
+    # probe one gradient_batch call on its 2P perturbed rows, and no
+    # per-point gradient call from the differences
     class Counting(QuadraticLoss):
+        batch_rows = []
         calls = 0
 
         def gradient(self, theta, batch=None):
             Counting.calls += 1
             return super().gradient(theta, batch)
 
+        def gradient_batch(self, thetas, batch=None):
+            Counting.batch_rows.append(len(thetas))
+            return super().gradient_batch(thetas, batch)
+
     p = 3
     a = rng.standard_normal((p, p))
     loss = Counting(a @ a.T + np.eye(p), rng.standard_normal(p))
     assert loss.provides_hessian_full and loss.provides_hessian_diag
     worst = check_derivatives(loss, [rng.standard_normal(p) for _ in range(2)])
-    assert Counting.calls == 2 * (1 + 2 * p)
+    # the override check on the two probes, then one Jacobian per probe
+    assert Counting.batch_rows == [2, 2 * p, 2 * p]
+    # the override check's per-theta loop and the analytic gradient per probe
+    assert Counting.calls == 2 + 2
     assert worst["hessian_full"] < 1e-6 and worst["hessian_diag"] < 1e-6
+
+
+@pytest.mark.parametrize("p", [1, 4, 20, 40])
+def test_quadratic_batched_methods_equal_per_theta_loop_bitwise(p, rng):
+    loss = make_quadratic(rng, p)
+    for k in (1, 2, 40):
+        for order in ("C", "F"):
+            thetas = np.asarray(3.0 * rng.standard_normal((k, p)), order=order)
+            np.testing.assert_array_equal(
+                loss.value_batch(thetas), [loss.value(t) for t in thetas])
+            np.testing.assert_array_equal(
+                loss.gradient_batch(thetas), [loss.gradient(t) for t in thetas])
+
+
+#: check_derivatives' worst errors on the ridge_full benchmark workload at
+#: seed 1 (ridge, n=200, P=20) when it differenced one point at a time
+RIDGE_FULL_WORST = {"batched": 0.0, "gradient": float.fromhex("0x1.5bfd6424c3dfbp-35"),
+                    "hessian_diag": float.fromhex("0x1.fd079840c4756p-38"),
+                    "hessian_full": float.fromhex("0x1.0e35227a78d93p-36")}
+
+
+def test_check_derivatives_keeps_the_per_point_worst_errors_on_ridge():
+    config = {"schema_version": 1, "seed": 1,
+              "model": {"kind": "ridge", "n": 200, "p": 20, "data_seed": 1},
+              "optimizer": {"kind": "blr", "family": "full", "learning_rate": 0.5,
+                            "max_iter": 40, "estimator": "exact"}}
+    _, loss = build_model(resolve_config(config)["model"])
+    probe_rng = make_rng(1, 0xC)
+    probe = [probe_rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
+    assert check_derivatives(loss, probe) == RIDGE_FULL_WORST
+
+
+@pytest.mark.parametrize("coord", [0, 23, 39])
+def test_check_derivatives_rejects_one_wrong_gradient_coordinate(coord, rng):
+    # P = 40: every coordinate's difference comes from the same batched call
+    base = make_quadratic(rng, 40)
+
+    def shift(grads):
+        grads = np.array(grads)
+        grads[..., coord] += 1e-2 * (1.0 + np.linalg.norm(grads, axis=-1))
+        return grads
+
+    class OneWrong(QuadraticLoss):
+        def gradient(self, theta, batch=None):
+            return shift(super().gradient(theta, batch))
+
+        def gradient_batch(self, thetas, batch=None):
+            return shift(super().gradient_batch(thetas, batch))
+
+    loss = OneWrong(base.quad, base.lin, base.const)
+    with pytest.raises(ValueError, match="gradient mismatch"):
+        check_derivatives(loss, [0.3 * rng.standard_normal(40) for _ in range(2)])
+
+
+def test_check_derivatives_checks_value_batch_before_differencing(monkeypatch):
+    class Broken(QuadraticLoss):
+        def value_batch(self, thetas, batch=None):
+            return super().value_batch(thetas, batch) + 1e-3
+
+    def no_differences(*args, **kwargs):
+        raise AssertionError("finite differences ran before the override check")
+
+    monkeypatch.setattr(natvb.losses, "central_diff_batch", no_differences)
+    with pytest.raises(ValueError, match="batched value_batch differs from its per-theta"):
+        check_derivatives(Broken(np.eye(3), np.zeros(3)), [np.ones(3)])
+
+
+def _per_coordinate_differences(f, x):
+    """Central differences one coordinate at a time, as they were taken
+    before they were batched: (the +h rows, the -h rows, f's differences)."""
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    plus, minus, cols = [], [], []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        plus.append(x + e)
+        minus.append(x - e)
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h[i]))
+    return np.array(plus), np.array(minus), np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("block", [7, natvb.numdiff.BLOCK_COORDS])
+def test_central_differences_in_blocks_equal_per_coordinate_bitwise(block, monkeypatch,
+                                                                    rng):
+    loss = make_quadratic(rng, 40)
+    theta = rng.standard_normal(40)
+    theta[[3, 30]] = -0.0
+    monkeypatch.setattr(natvb.numdiff, "BLOCK_COORDS", block)
+    for f, f_batch in ((loss.value, loss.value_batch), (loss.gradient, loss.gradient_batch)):
+        plus, minus, want = _per_coordinate_differences(f, theta)
+        rows = []
+
+        def recording(thetas):
+            rows.append(thetas.copy())
+            return f_batch(thetas)
+
+        np.testing.assert_array_equal(central_diff_batch(recording, theta), want)
+        assert [len(r) for r in rows] == [2 * min(block, 40 - start)
+                                          for start in range(0, 40, block)]
+        # the perturbed rows themselves, signed zeros included
+        half = [len(r) // 2 for r in rows]
+        assert (np.concatenate([r[:k] for r, k in zip(rows, half)]).tobytes()
+                == plus.tobytes())
+        assert (np.concatenate([r[k:] for r, k in zip(rows, half)]).tobytes()
+                == minus.tobytes())
 
 
 def test_missing_hessian_signalled():
