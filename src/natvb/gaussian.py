@@ -354,11 +354,15 @@ class DiagGaussian(ExpFamily):
 
     def _derive(self, coords) -> _DiagFactor:
         p = self.theta_dim
-        lin, prec = coords[:p], -2.0 * coords[p:]
-        if not np.all(prec > 0.0):
-            raise DomainError("precision diagonal must be positive")
+        lin = coords[:p]
         # lin^2/s can overflow at finite moments: A is then inf, stored without a warning
         with np.errstate(over="ignore", invalid="ignore"):
+            prec = -2.0 * coords[p:]
+            if not np.all(prec > 0.0):
+                raise DomainError("precision diagonal must be positive")
+            # -2 q overflows to inf for q below about -9e307
+            if not np.all(np.isfinite(prec)):
+                raise DomainError(f"the precision of {self.name!r} overflows at these parameters")
             if not (np.all(np.isfinite(lin / prec)) and np.all(np.isfinite(1.0 / prec))):
                 raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
             cumulant = float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MissingHessian
 from .gaussian import DiagGaussian, FullGaussian, sym_to_coeff, coeff_to_sym
-from .numdiff import central_diff_batch
+from .numdiff import axis_steps, central_diff_batch, central_quotient, perturbed_blocks
 
 
 class LossModel:
@@ -33,6 +33,22 @@ class LossModel:
     def value_batch(self, thetas, batch=None) -> np.ndarray:
         """Loss at each row of thetas; override when vectorizable."""
         return np.array([self.value(t, batch) for t in np.atleast_2d(thetas)])
+
+    def axis_values(self, theta, steps) -> np.ndarray:
+        """Full-data loss at theta + steps_j e_j (row 0) and theta - steps_j e_j
+        (row 1) for every coordinate j, shape (2, dim): the points
+        numdiff.perturbed_blocks forms, from which check_derivatives takes
+        the gradient's central differences.
+
+        The default evaluates value_batch on those blocks of rows. Override
+        when moving one coordinate costs less than a full evaluation; the
+        gate holds an override to the per-row value loop.
+        """
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        out = np.empty((2, theta.size))
+        for coords, rows in perturbed_blocks(theta, np.asarray(steps, dtype=float)):
+            out[:, coords] = np.asarray(self.value_batch(rows)).reshape(2, coords.size)
+        return out
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         raise NotImplementedError
@@ -178,6 +194,38 @@ def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
                                      f"and the mean Hessian: {err:.3e} > {_BATCH_RTOL:.1e}")
 
 
+#: coordinates at which an overridden axis_values is held to the value loop
+_AXIS_SAMPLES = 17
+
+
+def _gradient_differences(loss: LossModel, points, worst: dict) -> list[np.ndarray]:
+    """The gradient's central differences at each point.
+
+    The default axis_values is value_batch on numdiff's blocks of
+    perturbed rows, so its differences are central_diff_batch's on
+    value_batch. An override's values at every point are held to the
+    per-row value loop at _AXIS_SAMPLES evenly spaced coordinates, both
+    signs, before any difference is taken.
+    """
+    if type(loss).axis_values is LossModel.axis_values:
+        return [central_diff_batch(loss.value_batch, theta) for theta in points]
+    steps = [axis_steps(theta) for theta in points]
+    values = [np.asarray(loss.axis_values(theta, step)) for theta, step in zip(points, steps)]
+    dim = points[0].size
+    # evenly spaced from 0 to dim - 1, distinct: consecutive ones are >= 1 apart
+    coords = (np.arange(dim) if dim <= _AXIS_SAMPLES
+              else np.arange(_AXIS_SAMPLES) * (dim - 1) // (_AXIS_SAMPLES - 1))
+    for theta, step, vals in zip(points, steps, values):
+        ref = np.concatenate([LossModel.value_batch(loss, rows).reshape(2, -1) for _, rows
+                              in perturbed_blocks(theta, step, coords)], axis=1)
+        err = _relative_gap(vals[:, coords], ref)
+        worst["axes"] = max(worst["axes"], err)
+        if not err <= _BATCH_RTOL:
+            raise ValueError(f"axis_values differs from value at the perturbed points: "
+                             f"{err:.3e} > {_BATCH_RTOL:.1e}")
+    return [central_quotient(plus, minus, step) for step, (plus, minus) in zip(steps, values)]
+
+
 def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                       hess_rtol: float = 1e-3) -> dict:
     """Verify overridden batched methods against their per-theta loops,
@@ -185,25 +233,29 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
     against the separate calls they combine, and the gradient (and
     provided Hessians) against central differences.
 
-    The central differences go through value_batch (for the gradient) and
-    gradient_batch (for the Hessians), a block of perturbed rows per call
-    (numdiff.central_diff_batch), so each batched override is checked
-    against its loop first: value_batch before any difference is taken,
-    gradient_batch and the rest before the Hessians' differences, so that
-    a wrong gradient is reported as a gradient mismatch. The override
-    checks run on the full data and, for minibatchable losses, on every
-    other datum. Raises ValueError on the first violation, a NaN error
+    The gradient's central differences come from axis_values, the loss
+    at every perturbed point of a probe: by default value_batch on a
+    block of perturbed rows per call (numdiff.central_diff_batch), from
+    an override through numdiff.central_quotient. The Hessians' go
+    through gradient_batch, a block of perturbed rows per call. So each
+    override is checked against its loop first: value_batch, then
+    axis_values (at _AXIS_SAMPLES evenly spaced coordinates of each probe,
+    both signs, against the per-row value loop; the gap is worst["axes"]),
+    before any difference is taken; gradient_batch and the rest before
+    the Hessians' differences, so that a wrong gradient is reported as a
+    gradient mismatch. The batched override checks run on the full data
+    and, for minibatchable losses, on every other datum; axis_values is
+    full-data only. Raises ValueError on the first violation, a NaN error
     included; returns the worst relative errors seen otherwise.
     Every loss in an experiment goes through this gate first.
     """
     worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
-             "batched": 0.0}
+             "batched": 0.0, "axes": 0.0}
     points = [np.asarray(theta, dtype=float).reshape(-1) for theta in points]
     thetas = np.array(points)
     batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
     _check_batched(loss, ("value_batch",), thetas, batches, worst)
-    for theta in points:
-        fd_grad = central_diff_batch(loss.value_batch, theta)
+    for theta, fd_grad in zip(points, _gradient_differences(loss, points, worst)):
         scale = max(1.0, float(np.linalg.norm(fd_grad)))
         err = float(np.linalg.norm(loss.gradient(theta) - fd_grad)) / scale
         worst["gradient"] = max(worst["gradient"], err)

@@ -254,7 +254,24 @@ class MLPModel(LossModel):
     Gradients come from handwritten backpropagation over the flattened
     parameter vector (weights then bias, layer by layer). No Hessians:
     the sampled-curvature optimizers estimate them from gradients.
+
+    axis_values, the losses the derivative gate differences, runs one
+    forward pass and moves only what each perturbed coordinate touches: a
+    weight W[i, k] or bias b[i] of a hidden layer shifts unit i's
+    pre-activation by move * a[:, k] or by move; the unit's new activation
+    reaches the logits through the output weight w_out[i] from the last
+    hidden layer, and as a rank-1 change of the next pre-activations
+    through any layers between; an output-layer coordinate moves the
+    logits directly. A column (one perturbed point) costs n_data
+    activations of one unit, plus n_data times the width of each hidden
+    layer the change passes through whole, where value costs a full
+    forward pass. Columns go in chunks whose largest temporary stays
+    within _AXIS_CHUNK elements, one column at least.
     """
+
+    #: elements a chunk's largest temporary in axis_values may hold (a
+    #: column of a change carried through a hidden layer may exceed it)
+    _AXIS_CHUNK = 2048
 
     def __init__(self, layer_sizes, x, y, prior_precision: float = 0.0):
         sizes = [int(s) for s in layer_sizes]
@@ -303,13 +320,19 @@ class MLPModel(LossModel):
             parts.append(np.zeros(out_n))
         return np.concatenate(parts)
 
-    def _forward(self, theta, x):
+    def _forward(self, theta, x, pre=None):
+        """(layers, activations, logits); with a list pre, also appends each
+        hidden layer's pre-activation to it."""
         layers = self.unpack(theta)
         acts = [x]
         for w, b in layers[:-1]:
             h = acts[-1] @ w.T
             h += b
-            acts.append(np.tanh(h, out=h))
+            if pre is None:
+                acts.append(np.tanh(h, out=h))
+            else:
+                pre.append(h)
+                acts.append(np.tanh(h))
         w, b = layers[-1]
         logits = acts[-1] @ w.T
         logits += b
@@ -371,6 +394,74 @@ class MLPModel(LossModel):
         layers, acts, z = self._forward(theta, x)
         return (self._value(theta, z, y, scale),
                 self._backprop(theta, layers, acts, z, y, scale))
+
+    def axis_values(self, theta, steps) -> np.ndarray:
+        # The loss is _value's data term plus the prior on
+        # |theta|^2 + 2 move theta_j + move^2 of each moved point.
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        steps = np.asarray(steps, dtype=float).reshape(-1)
+        pre = []
+        layers, acts, z = self._forward(theta, self.x, pre)
+        # the moves the perturbed points make, fl(theta_j +- h_j) - theta_j
+        moves = np.stack([theta + steps, theta - steps])
+        moves -= theta
+        prior = 0.5 * self.prior_precision * (
+            float(theta @ theta) + 2.0 * moves * theta + moves ** 2)
+        out = np.empty((2, self.dim))
+        for idx, (w_start, b_start, end, out_n, in_n) in enumerate(self._spans):
+            # a column per perturbed point: n_data rows, times the widest
+            # hidden layer the change passes through whole
+            col_size = self.n_data * max(self.layer_sizes[idx + 2:-1], default=1)
+            chunk = max(1, self._AXIS_CHUNK // col_size)
+            for lo in (*range(w_start, b_start, chunk), *range(b_start, end, chunk)):
+                coords = np.arange(lo, min(lo + chunk, b_start if lo < b_start else end))
+                if lo < b_start:
+                    units, inputs = np.divmod(coords - w_start, in_n)
+                else:
+                    units, inputs = coords - b_start, None
+                for sign in (0, 1):
+                    z_moved = self._moved_logits(layers, pre, acts, z, idx, units, inputs,
+                                                 moves[sign, coords][:, None])
+                    out[sign, coords] = self._data_terms(z_moved)
+        out += prior
+        return out
+
+    def _moved_logits(self, layers, pre, acts, z, idx, units, inputs, move) -> np.ndarray:
+        """Logits, shape (columns, n_data), after column c's coordinate in
+        layer idx moves by move[c]: the weight from input inputs[c] to unit
+        units[c], or that unit's bias when inputs is None. The weight adds
+        move * a[:, k] to the unit's pre-activation, the bias adds move."""
+        last = len(layers) - 1
+        base = z if idx == last else pre[idx].T[units]
+        if inputs is None:
+            moved = base + move
+        else:
+            moved = acts[idx].T[inputs]
+            moved *= move
+            moved += base
+        if idx == last:
+            return moved
+        np.tanh(moved, out=moved)
+        moved -= acts[idx + 1].T[units]
+        # the unit's change moves the next layer's pre-activations by a
+        # rank-1 term (a k = 1 product: exact, and unlike a broadcast
+        # multiply it makes no buffered copy of its output)
+        moved = np.matmul(moved[:, :, None], layers[idx + 1][0].T[units][:, None, :])
+        for k in range(idx + 1, last):
+            moved += pre[k]
+            np.tanh(moved, out=moved)
+            moved -= acts[k + 1]
+            moved = moved @ layers[k + 1][0].T
+        moved = moved[:, :, 0]
+        moved += z
+        return moved
+
+    def _data_terms(self, z) -> np.ndarray:
+        """The full-data term of _value for each row of logits; overwrites z."""
+        terms = _softplus(z)
+        z *= self.y
+        terms -= z
+        return terms.sum(axis=1)
 
     def mean_data_loss(self, theta) -> float:
         """Mean Bernoulli cross-entropy over the full dataset (the training metric)."""

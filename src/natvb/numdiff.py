@@ -9,7 +9,11 @@ of up to BLOCK_COORDS coordinates go to one call of a function over the
 rows of an array, so a vectorised loss evaluates them in one pass and
 the stacked rows stay bounded whatever the dimension. The per-point
 forms, central_diff_gradient and central_diff_jacobian, wrap it with a
-loop over the rows; there is no other implementation.
+loop over the rows. A caller that computes a scalar function's values
+at all 2 * x.size perturbed points without forming the rows
+(LossModel.axis_values) takes the same differences from axis_steps,
+the points perturbed_blocks forms and central_quotient, the one
+quotient (f(x + h) - f(x - h)) / (2h) both routes share.
 """
 
 from __future__ import annotations
@@ -23,26 +27,33 @@ REL_STEP = 1e-5
 BLOCK_COORDS = 32
 
 
-def _steps(x: np.ndarray, rel_step: float) -> np.ndarray:
+def axis_steps(x: np.ndarray, rel_step: float = REL_STEP) -> np.ndarray:
+    """The step h_i = rel_step * max(1, |x_i|) of every coordinate."""
     return rel_step * np.maximum(1.0, np.abs(x))
 
 
-def _perturbed_blocks(x: np.ndarray, rel_step: float
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block of coordinates i: (their steps h_i, the rows x + h_i e_i
-    followed by the rows x - h_i e_i)."""
-    h = _steps(x, rel_step)
-    for start in range(0, x.size, BLOCK_COORDS):
-        coords = np.arange(start, min(start + BLOCK_COORDS, x.size))
-        rows = np.empty((2, coords.size, x.size))
+def perturbed_blocks(x: np.ndarray, steps: np.ndarray, coords=None
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block of up to BLOCK_COORDS of the coordinates i (default: all):
+    (those coordinates, the rows x + steps_i e_i followed by the rows
+    x - steps_i e_i)."""
+    coords = np.arange(x.size) if coords is None else np.asarray(coords)
+    for start in range(0, coords.size, BLOCK_COORDS):
+        block = coords[start:start + BLOCK_COORDS]
+        rows = np.empty((2, block.size, x.size))
         # signed zeros as adding and subtracting a zero step leave them:
         # -0.0 + 0.0 is 0.0, -0.0 - 0.0 is -0.0
         rows[0] = x + 0.0
         rows[1] = x
-        diag = np.arange(coords.size)
-        rows[0, diag, coords] += h[coords]
-        rows[1, diag, coords] -= h[coords]
-        yield h[coords], rows.reshape(2 * coords.size, x.size)
+        diag = np.arange(block.size)
+        rows[0, diag, block] += steps[block]
+        rows[1, diag, block] -= steps[block]
+        yield block, rows.reshape(2 * block.size, x.size)
+
+
+def central_quotient(plus, minus, steps: np.ndarray) -> np.ndarray:
+    """(f(x + h) - f(x - h)) / (2h) from the values at the two points."""
+    return (plus - minus) / (2.0 * steps)
 
 
 def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -51,11 +62,12 @@ def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     array to f's n outputs stacked: the gradient, shape (in,), of a scalar
     f; the Jacobian, shape (out, in), of a vector f."""
     x = np.asarray(x, dtype=float)
+    steps = axis_steps(x, rel_step)
     cols = []
-    for steps, rows in _perturbed_blocks(x, rel_step):
-        outs = np.asarray(f_batch(rows))
-        diff = np.moveaxis(outs[:steps.size] - outs[steps.size:], 0, -1)
-        cols.append(diff / (2.0 * steps))
+    for coords, rows in perturbed_blocks(x, steps):
+        outs = np.moveaxis(np.asarray(f_batch(rows)), 0, -1)
+        cols.append(central_quotient(outs[..., :coords.size], outs[..., coords.size:],
+                                     steps[coords]))
     return np.concatenate(cols, axis=-1)
 
 

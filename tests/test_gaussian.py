@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,6 +619,16 @@ def test_moments_that_overflow_leave_the_domain():
     fam = DiagGaussian(1)
     with pytest.raises(DomainError):
         fam.natural([1e300, -0.5e-10])
+
+
+def test_diag_precision_that_overflows_leaves_the_domain():
+    # -2 q overflows to inf: the moments 0 and 0 would read as finite
+    fam = DiagGaussian(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="precision"):
+            fam.natural([1e200, -1e308])
+        assert not fam.contains_natural(np.array([1e200, -1e308]))
 
 
 def test_full_family_pickles_without_its_memo(rng):

@@ -173,7 +173,7 @@ def test_quadratic_batched_methods_equal_per_theta_loop_bitwise(p, rng):
 
 #: check_derivatives' worst errors on the ridge_full benchmark workload at
 #: seed 1 (ridge, n=200, P=20) when it differenced one point at a time
-RIDGE_FULL_WORST = {"batched": 0.0, "gradient": float.fromhex("0x1.5bfd6424c3dfbp-35"),
+RIDGE_FULL_WORST = {"axes": 0.0, "batched": 0.0, "gradient": float.fromhex("0x1.5bfd6424c3dfbp-35"),
                     "hessian_diag": float.fromhex("0x1.fd079840c4756p-38"),
                     "hessian_full": float.fromhex("0x1.0e35227a78d93p-36")}
 
@@ -262,6 +262,32 @@ def test_central_differences_in_blocks_equal_per_coordinate_bitwise(block, monke
                 == plus.tobytes())
         assert (np.concatenate([r[k:] for r, k in zip(rows, half)]).tobytes()
                 == minus.tobytes())
+
+
+@pytest.mark.parametrize("p", [3, 40, 70])
+def test_default_axis_values_give_central_diff_batch_differences_bitwise(p, rng):
+    # the quotient of the default's values is what the gate took before
+    # axis_values existed, blocks, signed zeros and all
+    theta = 2.0 * rng.standard_normal(p)
+    theta[[0, p - 1]] = [-0.0, 0.0]
+    data = make_logistic_data(4, 30, p)
+    for loss in (make_quadratic(rng, p), data):
+        steps = natvb.numdiff.axis_steps(theta)
+        plus, minus = loss.axis_values(theta, steps)
+        want = central_diff_batch(loss.value_batch, theta)
+        assert natvb.numdiff.central_quotient(plus, minus, steps).tobytes() == want.tobytes()
+
+
+def test_check_derivatives_checks_value_batch_before_axis_values():
+    class Broken(QuadraticLoss):
+        def value_batch(self, thetas, batch=None):
+            return super().value_batch(thetas, batch) + 1e-3
+
+        def axis_values(self, theta, steps):
+            raise AssertionError("axis_values ran before the value_batch check")
+
+    with pytest.raises(ValueError, match="batched value_batch differs"):
+        check_derivatives(Broken(np.eye(3), np.zeros(3)), [np.ones(3)])
 
 
 def test_missing_hessian_signalled():

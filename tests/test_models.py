@@ -1,3 +1,5 @@
+import collections
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,12 +8,14 @@ import pytest
 from natvb.blr import conjugate_posterior
 from natvb.errors import DomainError
 from natvb.gaussian import FullGaussian
-from natvb.losses import check_derivatives
+from natvb.harness import build_model, resolve_config
+from natvb.losses import LossModel, check_derivatives
 from natvb.models import (MLPModel, RidgeModel, _softplus,
                           make_logistic_data, make_ridge_data,
                           make_spirals_mlp, ridge_conjugate_model,
                           ridge_exact_posterior, ridge_loss,
                           ridge_natural_coefficients, two_spirals)
+from natvb.numdiff import axis_steps, perturbed_blocks
 from natvb.seeding import make_rng
 
 
@@ -312,3 +316,157 @@ def test_mlp_fused_method_passes_the_derivative_gate():
     mlp = make_spirals_mlp(4, n=40, hidden=(5,))
     worst = check_derivatives(mlp, [mlp.init_params(1), mlp.init_params(2)])
     assert worst["batched"] == 0.0
+
+
+# -- the MLP's axis values and the derivative gate ----------------------------
+
+def _perturbed_values(loss, theta):
+    """The loss at the points numdiff forms, one per-row value call each."""
+    steps = axis_steps(theta)
+    want = np.empty((2, theta.size))
+    for coords, rows in perturbed_blocks(theta, steps):
+        want[:, coords] = np.reshape([loss.value(row) for row in rows], (2, -1))
+    return steps, want
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 16), (4, 4, 4)])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_mlp_axis_values_equal_the_value_loop(hidden, tau):
+    mlp = make_spirals_mlp(6, n=50, hidden=hidden, prior_precision=tau)
+    rng = make_rng(8)
+    for theta in (mlp.init_params(2), 2.5 * rng.standard_normal(mlp.dim)):
+        theta[[0, mlp.dim // 2, mlp.dim - 1]] = 0.0
+        theta[1] = -0.0
+        theta[2] = 3.0
+        assert np.any(np.abs(theta) > 1.0)
+        steps, want = _perturbed_values(mlp, theta)
+        got = mlp.axis_values(theta, steps)
+        assert got.shape == (2, mlp.dim)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_mlp_axis_values_leave_their_inputs_alone():
+    mlp = make_spirals_mlp(6, n=30, hidden=(4, 3), prior_precision=0.5)
+    theta = mlp.init_params(1)
+    steps = axis_steps(theta)
+    before = theta.copy(), steps.copy(), mlp.x.copy()
+    mlp.axis_values(theta, steps)
+    for after, was in zip((theta, steps, mlp.x), before):
+        np.testing.assert_array_equal(after, was)
+
+
+def _spirals_gate():
+    """The spirals_ivon benchmark workload's model and derivative-gate probes."""
+    config = {"schema_version": 1, "seed": 1,
+              "model": {"kind": "spirals_mlp", "n": 500, "hidden": [16, 16],
+                        "data_seed": 1},
+              "optimizer": {"kind": "ivon", "step_size": 0.3, "steps": 2000,
+                            "hess_rate": 3e-3, "weight_decay": 1e-2, "ess": 3e4,
+                            "batch_size": 100}}
+    _, loss = build_model(resolve_config(config)["model"])
+    rng = make_rng(1, 0xC)
+    return loss, [rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
+
+
+#: coordinates of the (2, 16, 16, 1) net: a first-layer weight, a first-layer
+#: bias, a hidden weight and the output bias
+_SPIRALS_COORDS = {"first weight": 5, "first bias": 40, "hidden weight": 100,
+                   "output bias": 336}
+
+
+@pytest.mark.parametrize("coord", _SPIRALS_COORDS.values(), ids=_SPIRALS_COORDS.keys())
+def test_gate_rejects_an_mlp_gradient_wrong_in_one_coordinate(coord):
+    mlp = make_spirals_mlp(3, n=60, hidden=(16, 16))
+
+    class OneWrong(MLPModel):
+        def gradient(self, theta, batch=None):
+            grad = super().gradient(theta, batch)
+            grad[coord] += 1e-3 * max(1.0, float(np.linalg.norm(grad)))
+            return grad
+
+    loss = OneWrong(mlp.layer_sizes, mlp.x, mlp.y)
+    assert loss.dim == 337
+    rng = make_rng(4)
+    with pytest.raises(ValueError, match="gradient mismatch"):
+        check_derivatives(loss, [0.3 * rng.standard_normal(loss.dim) for _ in range(2)])
+
+
+def _drifting_axes(coord, rel):
+    """A (2, 16, 16, 1) MLP whose axis_values is off by rel at coord (+ side)."""
+    mlp = make_spirals_mlp(3, n=60, hidden=(16, 16))
+
+    class Drifting(MLPModel):
+        def gradient(self, theta, batch=None):
+            Drifting.gradients += 1
+            return super().gradient(theta, batch)
+
+        def axis_values(self, theta, steps):
+            values = super().axis_values(theta, steps)
+            values[0, coord] *= 1.0 + rel
+            return values
+
+    Drifting.gradients = 0
+    return Drifting(mlp.layer_sizes, mlp.x, mlp.y)
+
+
+def test_gate_checks_axis_values_at_sampled_coordinates_first():
+    sampled = np.unique(np.linspace(0, 336, 17).round().astype(int))
+    assert 105 in sampled
+    loss = _drifting_axes(105, 1e-8)
+    rng = make_rng(4)
+    with pytest.raises(ValueError, match="axis_values differs from value"):
+        check_derivatives(loss, [0.3 * rng.standard_normal(loss.dim) for _ in range(2)])
+    assert type(loss).gradients == 0  # no gradient was compared
+
+
+def test_gate_rejects_axis_values_drifting_at_an_unsampled_coordinate():
+    loss = _drifting_axes(100, 1e-6)
+    rng = make_rng(4)
+    with pytest.raises(ValueError, match="gradient mismatch"):
+        check_derivatives(loss, [0.3 * rng.standard_normal(loss.dim) for _ in range(2)])
+
+
+def test_spirals_gate_work_and_memory(monkeypatch):
+    # the benchmark's spirals_ivon gate: its differences make no per-row
+    # call and no value_batch call, and its tracemalloc peak is no higher
+    # than when it differenced one full forward pass per perturbed point
+    # (389480 bytes, the peak the row-by-row gate reached here)
+    loss, probe = _spirals_gate()
+    check_derivatives(loss, probe)
+    tracemalloc.start()
+    try:
+        worst = check_derivatives(loss, probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 389480
+    assert worst["axes"] < 1e-13 and worst["gradient"] < 1e-8
+
+    counts = collections.Counter()
+    inside = []
+
+    def spy(owner, name, scope=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name, bool(inside)] += 1
+            if scope:
+                inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if scope:
+                    inside.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(MLPModel, "axis_values", scope=True)
+    spy(MLPModel, "value")
+    spy(LossModel, "value_batch")
+    check_derivatives(loss, probe)
+    assert counts["axis_values", False] == 2
+    # nothing per row, nothing batched inside the differences
+    assert counts["value", True] == counts["value_batch", True] == 0
+    # 17 coordinates x 2 signs x 2 probes in the axis_values check, then
+    # value_and_gradient's check at 2 probes x (full data, half the data)
+    assert counts["value", False] == 68 + 4
