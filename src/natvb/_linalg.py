@@ -16,7 +16,11 @@ ValueError), matrices square and right-hand sides (n,) or (n, k) with
 matching n (else ValueError), dpotrf's info > 0 raises LinAlgError (not
 positive definite), dtrtrs's info > 0 raises LinAlgError (singular) and
 any info < 0 raises ValueError. They do not batch, take complex input,
-or overwrite their arguments.
+or overwrite their arguments. Each solve is those checks plus a raw core
+(cho_solve_unchecked, solve_triangular_unchecked) keeping only the info
+checks, for a Cholesky factor natvb derived from validated parameters and
+a finite right-hand side: only FullGaussian's _derive and transport use
+them. norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector.
 
 The routines are resolved at the first call, so scipy.linalg loads only
 when something factors a matrix: every BLR run, `natvb verify`, `natvb
@@ -77,7 +81,12 @@ def cho_solve(c_and_lower, b) -> np.ndarray:
     """x with a x = b, from cho_factor's (c, lower) for a."""
     c, lower = c_and_lower
     c = _square(c)
-    x, info = _lapack()[1](c, _rhs(b, c), lower=lower, overwrite_b=False)
+    return cho_solve_unchecked(c, _rhs(b, c), lower)
+
+
+def cho_solve_unchecked(c: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """cho_solve's LAPACK core: a validated factor c, a finite b of matching rows."""
+    x, info = _lapack()[1](c, b, lower=lower, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
     return x
@@ -86,7 +95,11 @@ def cho_solve(c_and_lower, b) -> np.ndarray:
 def solve_triangular(a, b, lower=False) -> np.ndarray:
     """x with a x = b for a lower (or upper) triangular `a`."""
     a = _square(a)
-    b = _rhs(b, a)
+    return solve_triangular_unchecked(a, _rhs(b, a), lower)
+
+
+def solve_triangular_unchecked(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """solve_triangular's LAPACK core: a validated factor a, a finite b of matching rows."""
     trtrs = _lapack()[2]
     if a.flags.f_contiguous:
         x, info = trtrs(a, b, lower=lower, trans=0, unitdiag=0, overwrite_b=False)
@@ -100,3 +113,8 @@ def solve_triangular(a, b, lower=False) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
+
+
+def norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, bitwise np.linalg.norm(x)."""
+    return float(np.sqrt(x.dot(x)))

@@ -28,12 +28,12 @@ iteration loop, computes it once and passes it to both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import cho_factor, cho_solve
+from ._linalg import cho_factor, cho_solve, norm
 from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
                      LeftDomain, NonPDHessian, SolverFailure)
 from .expfam import ExpFamily, NaturalParams
@@ -88,19 +88,22 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
     Raises LeftDomain with the offending iterate if family.natural
     rejects the combination; blr_run retries such a step at half the rate.
     """
-    family = state.family
-    rho = cfg.rho_at(state.t)
     if estimate is None:
-        estimate = estimate_natgrad(family, state.lam, loss, cfg.estimator,
+        estimate = estimate_natgrad(state.family, state.lam, loss, cfg.estimator,
                                     step=state.t, batch=batch)
+    return _step_at_rate(state, cfg.rho_at(state.t), estimate)
+
+
+def _step_at_rate(state: BLRState, rho: float, estimate: np.ndarray) -> BLRState:
+    """blr_step's update at a given rate rho in (0, 1]."""
     new_lam = (1.0 - rho) * state.lam.coords + rho * estimate
     try:
-        lam = family.natural(new_lam)
+        lam = state.family.natural(new_lam)
     except DomainError as exc:
         raise LeftDomain(
-            f"BLR step {state.t} left the domain of {family.name!r}",
+            f"BLR step {state.t} left the domain of {state.family.name!r}",
             iterate=new_lam, iteration=state.t) from exc
-    return BLRState(family, state.t + 1, lam, estimate)
+    return BLRState(state.family, state.t + 1, lam, estimate)
 
 
 # -- conjugate path ----------------------------------------------------
@@ -185,8 +188,7 @@ def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
     if estimate is None:
         estimate = estimate_natgrad(family, lam, loss, spec, step=step)
     natgrad_via_dual(family, lam, estimate)
-    return (float(np.linalg.norm(lam.coords - estimate))
-            / max(1.0, float(np.linalg.norm(lam.coords))))
+    return norm(lam.coords - estimate) / max(1.0, norm(lam.coords))
 
 
 def vb_objective(family: ExpFamily, lam, loss: LossModel,
@@ -297,14 +299,13 @@ class BLRRun:
     multiplicative_reports: list[MultiplicativeFormReport]
 
 
-def _step_with_halvings(state: BLRState, loss: LossModel, cfg: BLRConfig,
+def _step_with_halvings(state: BLRState, cfg: BLRConfig,
                         estimate: np.ndarray) -> tuple[BLRState, float]:
     """blr_step from state, halving the rate while the step leaves the domain."""
     rho = cfg.rho_at(state.t)
     for _ in range(cfg.max_rate_halvings + 1):
         try:
-            return blr_step(state, loss, replace(cfg, learning_rate=rho),
-                            estimate=estimate), rho
+            return _step_at_rate(state, rho, estimate), rho
         except LeftDomain:
             rho *= 0.5
     raise LeftDomain(f"no valid step after {cfg.max_rate_halvings} halvings",
@@ -345,7 +346,7 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
         estimate = estimate_at(state)
         for _ in range(cfg.max_iter):
             prev = state
-            state, rho = _step_with_halvings(prev, loss, cfg, estimate)
+            state, rho = _step_with_halvings(prev, cfg, estimate)
             report = multiplicative_form_check(prev, state, rho)
             if not report.passed:
                 raise BayesFilterViolation(
@@ -359,8 +360,8 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
                                             step=state.t, estimate=estimate)
             objective = vb_objective(family, state.lam, loss, spec)
             trace.append(BLRTraceRow(state.t, rho, objective, residual))
-            rel_change = (float(np.linalg.norm(state.lam.coords - prev.lam.coords))
-                          / max(1.0, float(np.linalg.norm(prev.lam.coords))))
+            rel_change = (norm(state.lam.coords - prev.lam.coords)
+                          / max(1.0, norm(prev.lam.coords)))
             if deterministic and (residual <= cfg.tol or rel_change <= cfg.tol):
                 converged = True
                 break

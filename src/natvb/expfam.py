@@ -65,6 +65,13 @@ class _Params:
             raise DomainError("coordinates must be finite")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _checked(cls, coords: np.ndarray, family: "ExpFamily", derived) -> "_Params":
+        """cls(coords, family, derived) minus __post_init__, for coords a family scanned."""
+        params = object.__new__(cls)
+        vars(params).update(coords=coords, family=family, derived=derived)
+        return params
+
     def __eq__(self, other):
         return (type(other) is type(self) and self.family == other.family
                 and np.array_equal(self.coords, other.coords))
@@ -173,9 +180,9 @@ class ExpFamily(abc.ABC):
         """lam as validated NaturalParams: the family's one natural-side check.
 
         Parameters that this family, or an equal one, validated are
-        returned as they are. Anything else is copied, frozen and checked
-        by _derive. Raises DomainError outside the domain and
-        FamilyMismatch for another family's parameters or a wrong length.
+        returned as they are. Anything else is copied, frozen, scanned
+        once and checked by _derive. Raises DomainError outside the domain
+        and FamilyMismatch for ExpectationParams, another family's, or a wrong length.
         """
         return self._validated(lam, NaturalParams, self._derive)
 
@@ -192,9 +199,14 @@ class ExpFamily(abc.ABC):
         return True
 
     def _validated(self, params, kind: type, derive):
-        if isinstance(params, kind) and params.derived is not None and params.family == self:
+        if type(params) is kind and params.family is self and params.derived is not None:
             return params
         if isinstance(params, _Params):
+            if not isinstance(params, kind):
+                raise FamilyMismatch(f"{type(params).__name__} given to {self.name!r} "
+                                     f"where {kind.__name__} are needed")
+            if params.derived is not None and params.family == self:
+                return params
             if params.family is not None and params.family != self:
                 raise FamilyMismatch(
                     f"parameters built for family {params.family.name!r}, "
@@ -205,10 +217,10 @@ class ExpFamily(abc.ABC):
             raise FamilyMismatch(
                 f"{kind.__name__} have length {coords.size}, "
                 f"family {self.name!r} needs {self.param_dim}")
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise DomainError("coordinates must be finite")
         coords.setflags(write=False)
-        return kind(coords, self, derive(coords))
+        return kind._checked(coords, self, derive(coords))
 
     def _tangent(self, v) -> np.ndarray:
         """A direction in parameter space: a 1-D float array of length param_dim."""

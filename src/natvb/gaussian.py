@@ -30,13 +30,15 @@ The precision parameterization is primary throughout: sampling
 Cholesky factor of S, and nothing inverts a covariance on the hot path.
 Each family's _derive is its one natural-side domain check: S must be
 positive definite (for the full family, Cholesky must succeed) and the
-mean and covariance must be finite. Its result (the full family's
-_Factor: precision, its Cholesky factor, mean, covariance and the
-cumulant A(lam); the diagonal family's _DiagFactor: linear block,
-precision diagonal and A(lam)) rides on the NaturalParams that natural()
-returns, so a parameter is factored, and its A computed, once however
-many methods read it. The domain is open, so boundary cases fail rather
-than being nudged.
+mean and covariance must be finite; the full family scans S once, in
+cholesky, and the moments once, from one dpotrs on [lin | I]. That
+solve and transport's (which scans the caller's z) use _linalg's
+unchecked cores. Its result (the full family's _Factor: precision, its
+Cholesky factor, mean, covariance and the cumulant A(lam); the diagonal
+family's _DiagFactor: linear block, precision diagonal and A(lam))
+rides on the NaturalParams that natural() returns, so a parameter is
+factored, and its A computed, once however many methods read it. The
+domain is open, so boundary cases fail rather than being nudged.
 
 from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
@@ -54,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import cho_solve, cholesky, solve_triangular
+from ._linalg import (cho_solve, cho_solve_unchecked, cholesky,
+                      solve_triangular_unchecked)
 from .errors import DomainError
 from .expfam import ExpFamily, NaturalParams
 
@@ -72,6 +75,9 @@ class _TriuIndex:
 
     rows: np.ndarray
     cols: np.ndarray
+    #: flat positions of (rows, cols) and (cols, rows) in a C-ordered matrix
+    flat: np.ndarray
+    flat_t: np.ndarray
     #: 1 on the diagonal, 2 off it (moment -> coefficient)
     double: np.ndarray
     #: 1 on the diagonal, 1/2 off it (coefficient -> moment)
@@ -82,7 +88,8 @@ class _TriuIndex:
 def _triu_index(dim: int) -> _TriuIndex:
     rows, cols = np.triu_indices(dim)
     diag = rows == cols
-    index = _TriuIndex(rows, cols, np.where(diag, 1.0, 2.0), np.where(diag, 1.0, 0.5))
+    index = _TriuIndex(rows, cols, rows * dim + cols, cols * dim + rows,
+                       np.where(diag, 1.0, 2.0), np.where(diag, 1.0, 0.5))
     for arr in vars(index).values():
         arr.setflags(write=False)
     return index
@@ -92,7 +99,7 @@ def sym_to_coeff(mat: np.ndarray) -> np.ndarray:
     """Coefficient layout of a symmetric matrix (off-diagonals doubled)."""
     mat = np.asarray(mat, dtype=float)
     index = _triu_index(mat.shape[0])
-    return index.double * mat[index.rows, index.cols]
+    return index.double * np.take(mat, index.flat)
 
 
 def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -103,27 +110,26 @@ def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
 def sym_to_moment(mat: np.ndarray) -> np.ndarray:
     """Moment layout of a symmetric matrix (plain upper triangle)."""
     mat = np.asarray(mat, dtype=float)
-    index = _triu_index(mat.shape[0])
-    return mat[index.rows, index.cols]
+    return np.take(mat, _triu_index(mat.shape[0]).flat)
 
 
 def moment_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of sym_to_moment."""
     index = _triu_index(dim)
-    mat = np.zeros((dim, dim))
-    mat[index.rows, index.cols] = vec
-    mat[index.cols, index.rows] = vec
-    return mat
+    flat = np.zeros(dim * dim)
+    flat[index.flat] = vec
+    flat[index.flat_t] = vec
+    return flat.reshape(dim, dim)
 
 
 def _chol_pd(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric mat, or DomainError if not PD."""
-    if not np.all(np.isfinite(mat)):
-        raise DomainError("matrix must be finite")
+    """Lower Cholesky factor of a symmetric mat, or DomainError if not finite or PD."""
     try:
         return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError too, so caught first
         raise DomainError("matrix not positive definite") from exc
+    except ValueError as exc:
+        raise DomainError("matrix must be finite") from exc
 
 
 def _check_size(size: int) -> None:
@@ -189,13 +195,18 @@ class FullGaussian(ExpFamily):
             raise DomainError(
                 f"natural parameters outside the domain of {self.name!r}") from exc
         lin = coords[:p]
-        mean = cho_solve((chol, True), lin)
-        cov = cho_solve((chol, True), np.eye(p))
-        cov = 0.5 * (cov + cov.T)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        # (mean | raw covariance) in one solve, column for column the bits of
+        # two; the covariance is the symmetrised block's C-ordered transpose
+        rhs = np.eye(p, p + 1, 1, order="F")
+        rhs[:, 0] = lin
+        moments = cho_solve_unchecked(chol, rhs, lower=True)
+        block = moments[:, 1:]
+        block[...] = 0.5 * (block + block.T)
+        if not np.isfinite(moments).all():  # after symmetrising, which can overflow
             raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
-        for arr in (prec, chol, mean, cov):
+        for arr in (prec, chol, moments):
             arr.setflags(write=False)
+        mean, cov = moments[:, 0], moments[:, 1:].T
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         # m'lin can overflow at finite moments: A is then inf, stored without a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -321,9 +332,9 @@ class FullGaussian(ExpFamily):
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
         factor = self.natural(lam).derived
-        z = _normal_rows(z, self.theta_dim)
+        z = np.asarray_chkfinite(_normal_rows(z, self.theta_dim))  # scan the caller's z
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
-        return factor.mean + solve_triangular(factor.chol.T, z.T, lower=False).T
+        return factor.mean + solve_triangular_unchecked(factor.chol.T, z.T, lower=False).T
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _check_size(size)

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import norm
 from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
 from .losses import LossModel
@@ -113,7 +114,7 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     solved = family.fisher_solve(lam, grad_lam)
     if not np.all(np.isfinite(solved)):
         raise SingularFisher("the Fisher solve is not finite")
-    err = float(np.linalg.norm(solved - grad_mu)) / max(1.0, float(np.linalg.norm(grad_mu)))
+    err = norm(solved - grad_mu) / max(1.0, norm(grad_mu))
     if err > rtol:
         raise SolverFailure(
             f"dual-coordinate identity violated: relative error {err:.3e} > {rtol:.1e}")

@@ -1,0 +1,281 @@
+"""Each new natural parameter is validated once, and every boundary check stays.
+
+A new FullGaussian iterate costs one finiteness scan of its coordinates,
+one of S (inside cholesky) and one of its moments, one dpotrf and one
+dpotrs; drawing from it costs one dtrtrs. The tests here pin that work,
+pin the rewritten arithmetic bit for bit against the forms it replaced,
+and check that every input from outside still raises as before.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from natvb import _linalg
+from natvb.blr import BLRConfig, blr_run
+from natvb.errors import DomainError, FamilyMismatch
+from natvb.expfam import ExpectationParams, ExpFamily, NaturalParams
+from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym, moment_to_sym,
+                            sym_to_coeff, sym_to_moment)
+from natvb.losses import LossModel
+from natvb.models import make_ridge_data, ridge_loss
+from natvb.natgrad import EstimatorSpec, natgrad_exact
+from natvb.seeding import make_rng
+
+
+def _full_coords(rng, p):
+    a = rng.standard_normal((p, p))
+    prec = a @ a.T + p * np.eye(p)
+    return np.concatenate([prec @ rng.standard_normal(p), sym_to_coeff(-0.5 * prec)])
+
+
+# -- work counts -----------------------------------------------------------
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of finiteness scans ("scan") and of each LAPACK routine."""
+    counts = Counter()
+    isfinite = np.isfinite
+
+    def counting_isfinite(*args, **kwargs):
+        counts["scan"] += 1
+        return isfinite(*args, **kwargs)
+
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    routines = _linalg._lapack()
+    lapack = tuple(counted(name, r) for name, r in zip(("potrf", "potrs", "trtrs"), routines))
+    # np.asarray_chkfinite scans through np.isfinite, so both kinds of scan count
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    monkeypatch.setattr(_linalg, "_lapack", lambda: lapack)
+    return counts
+
+
+def test_a_new_full_parameter_costs_three_scans_one_factor_one_solve(work):
+    fam = FullGaussian(6)
+    coords = _full_coords(make_rng(4), 6)
+    lam = fam.natural(coords)
+    # coordinates, S, moments
+    assert work == Counter(scan=3, potrf=1, potrs=1)
+    work.clear()
+    assert fam.natural(lam) is lam
+    fam.to_mean_cov(lam), fam.cumulant(lam)
+    assert work == Counter()
+
+
+def test_ridge_run_work_per_iterate(work, monkeypatch):
+    fam = FullGaussian(3)
+    lam0 = fam.from_moment(np.zeros(3), np.eye(3))
+    new_params = []
+    natural = ExpFamily.natural
+
+    def recording(self, lam):
+        before = work["scan"]
+        out = natural(self, lam)
+        if out is not lam:
+            new_params.append(work["scan"] - before)
+        return out
+
+    monkeypatch.setattr(ExpFamily, "natural", recording)
+    work.clear()
+    run = blr_run(fam, lam0, ridge_loss(make_ridge_data(5, 30, 3)),
+                  BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
+    steps = run.iterations
+    assert [row.rho for row in run.trace] == [0.5] * steps
+    # one new parameter per iterate, three scans each
+    assert new_params == [3] * steps
+    # per iterate: its factor and its fused solve, and one transport (the
+    # Bayes-filter check's probes) of the iterate it stepped from
+    assert (work["potrf"], work["potrs"], work["trtrs"]) == (steps, steps, steps)
+
+
+# -- bitwise pins ----------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 20, 40])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fused_solve_equals_two_solves(p, order):
+    rng = make_rng(100 + p)
+    a = rng.standard_normal((p, p))
+    chol = _linalg.cholesky(a @ a.T + 0.5 * np.eye(p), lower=True)
+    lin = rng.standard_normal(p)
+    rhs = np.eye(p, p + 1, 1, order="F")
+    rhs[:, 0] = lin
+    fused = _linalg.cho_solve_unchecked(np.asarray(chol, order=order), rhs, True)
+    np.testing.assert_array_equal(fused[:, 0], _linalg.cho_solve((chol, True), lin))
+    np.testing.assert_array_equal(fused[:, 1:], _linalg.cho_solve((chol, True), np.eye(p)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 20])
+def test_derived_moments_keep_the_two_solve_bits_and_layout(p):
+    fam = FullGaussian(p)
+    factor = fam.natural(_full_coords(make_rng(p), p)).derived
+    mean = _linalg.cho_solve((factor.chol, True), factor.lin)
+    cov = _linalg.cho_solve((factor.chol, True), np.eye(p))
+    cov = 0.5 * (cov + cov.T)
+    np.testing.assert_array_equal(factor.mean, mean)
+    np.testing.assert_array_equal(factor.cov, cov)
+    # the layout decides BLAS's summation order downstream
+    assert factor.cov.flags.c_contiguous == cov.flags.c_contiguous
+    assert factor.cov.flags.f_contiguous == cov.flags.f_contiguous
+    assert not any(arr.flags.writeable for arr in factor if isinstance(arr, np.ndarray))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_flat_index_layout_helpers_equal_fancy_indexing():
+    rng = make_rng(8)
+    for dim in range(1, 41):
+        rows, cols = np.triu_indices(dim)
+        double = np.where(rows == cols, 1.0, 2.0)
+        half = np.where(rows == cols, 1.0, 0.5)
+        a = rng.standard_normal((dim, dim))
+        # signed zeros must survive every gather and scatter
+        a[rng.uniform(size=(dim, dim)) < 0.3] = -0.0
+        mat = a + a.T
+        mat[a == 0.0] = -0.0
+        vec = rng.standard_normal(rows.size)
+        vec[rng.uniform(size=rows.size) < 0.3] = -0.0
+
+        def to_sym(v):
+            out = np.zeros((dim, dim))
+            out[rows, cols] = v
+            out[cols, rows] = v
+            return out
+
+        for m in (mat, np.asfortranarray(mat)):
+            assert _same_bits(sym_to_moment(m), m[rows, cols])
+            assert _same_bits(sym_to_coeff(m), double * m[rows, cols])
+        assert _same_bits(moment_to_sym(vec, dim), to_sym(vec))
+        assert _same_bits(coeff_to_sym(vec, dim), to_sym(half * vec))
+        assert moment_to_sym(vec, dim).flags.c_contiguous
+
+
+def test_dot_norm_equals_numpy_norm():
+    rng = make_rng(9)
+    for n in range(1, 301):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+        want = float(np.linalg.norm(x))
+        got = _linalg.norm(x)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+# -- boundary checks stay --------------------------------------------------
+
+def _full_with(prec, lin):
+    return np.concatenate([lin, sym_to_coeff(-0.5 * np.asarray(prec, dtype=float))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_full_natural_rejects_non_finite_coordinates(bad):
+    fam = FullGaussian(2)
+    for i in range(fam.param_dim):
+        coords = _full_coords(make_rng(1), 2)
+        coords[i] = bad
+        with pytest.raises(DomainError):
+            fam.natural(coords)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_full_natural_rejects_an_overflowing_quadratic_block():
+    # -2 q overflows to inf for q below about -9e307; cholesky's scan rejects it
+    fam = FullGaussian(2)
+    coords = _full_with(np.eye(2), np.zeros(2))
+    coords[2] = -1e308
+    with pytest.raises(DomainError, match="outside the domain"):
+        fam.natural(coords)
+
+
+def test_full_natural_rejects_a_non_pd_precision():
+    with pytest.raises(DomainError, match="outside the domain"):
+        FullGaussian(2).natural(_full_with([[1.0, 2.0], [2.0, 1.0]], np.zeros(2)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("prec, lin", [
+    ([[1e-300]], [1e10]),      # the mean overflows
+    ([[1e-308]], [0.0]),       # the covariance overflows once symmetrised
+])
+def test_full_natural_rejects_overflowing_moments(prec, lin):
+    with pytest.raises(DomainError, match="moments"):
+        FullGaussian(1).natural(_full_with(prec, lin))
+
+
+def test_direct_natural_params_scan_their_coordinates():
+    with pytest.raises(DomainError):
+        NaturalParams([np.nan])
+    with pytest.raises(DomainError):
+        NaturalParams(np.array([1.0, np.inf]), FullGaussian(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_full_transport_scans_the_callers_draws(bad):
+    fam = FullGaussian(3)
+    lam = fam.natural(_full_coords(make_rng(2), 3))
+    z = np.zeros((4, 3))
+    z[2, 1] = bad
+    with pytest.raises(ValueError):
+        fam.transport(lam, z)
+
+
+def test_natgrad_exact_rejects_wrong_length_natural_coefficients():
+    class Linear(LossModel):
+        dim = 2
+
+        def natural_coefficients(self, family):
+            return np.zeros(family.param_dim + 1)
+
+    fam = FullGaussian(2)
+    with pytest.raises(ValueError, match="coefficient length"):
+        natgrad_exact(fam, fam.natural(_full_coords(make_rng(3), 2)), Linear())
+
+
+@pytest.mark.parametrize("coords, match", [
+    ([0.0, 1.0], "positive"),                 # negative precision
+    ([0.0, 0.0], "positive"),                 # zero precision
+    ([0.0, -1e308], "overflows"),             # -2 q overflows
+    ([1e300, -1e-300], "moments"),            # the mean overflows
+    ([np.nan, -0.5], "finite"),
+    ([0.0, np.inf], "finite"),
+])
+def test_diag_natural_rejects_bad_inputs(coords, match):
+    with pytest.raises(DomainError, match=match):
+        DiagGaussian(1).natural(coords)
+
+
+# -- the two coordinate systems are not interchangeable ---------------------
+
+def _instance(kind):
+    rng = make_rng(6)
+    if kind == "full":
+        fam = FullGaussian(3)
+        return fam, fam.natural(_full_coords(rng, 3))
+    fam = DiagGaussian(2)
+    return fam, fam.from_moment(rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_dual_coordinates_are_not_natural_ones(kind, monkeypatch):
+    from natvb import gaussian
+    fam, lam = _instance(kind)
+    mu = fam.expectation(fam.natural_to_dual(lam))
+    calls = []
+    original = gaussian.cholesky
+    monkeypatch.setattr(gaussian, "cholesky",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    with pytest.raises(FamilyMismatch, match="ExpectationParams.*NaturalParams"):
+        fam.natural(mu)
+    with pytest.raises(FamilyMismatch, match="NaturalParams.*ExpectationParams"):
+        fam.expectation(lam)
+    # rejected before anything is derived
+    assert calls == []
+    assert not fam.contains_natural(mu)
+    # unvalidated parameters of the wrong kind are refused alike
+    with pytest.raises(FamilyMismatch):
+        fam.natural(ExpectationParams(mu.coords))
