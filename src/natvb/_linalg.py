@@ -20,7 +20,8 @@ or overwrite their arguments. Each solve is those checks plus a raw core
 (cho_solve_unchecked, solve_triangular_unchecked) keeping only the info
 checks, for a Cholesky factor natvb derived from validated parameters and
 a finite right-hand side: only FullGaussian's _derive and transport use
-them. norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector.
+them. norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector, and
+row_norms the same for each row of a 2-D one.
 
 The routines are resolved at the first call, so scipy.linalg loads only
 when something factors a matrix: every BLR run, `natvb verify`, `natvb
@@ -43,15 +44,24 @@ def _lapack():
     return dpotrf, dpotrs, dtrtrs
 
 
+def _finite(a) -> np.ndarray:
+    """a as an array, scanned once; np.asarray_chkfinite's check and
+    message at half its per-call cost."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
 def _square(a) -> np.ndarray:
-    a = np.asarray_chkfinite(a)
+    a = _finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def _rhs(b, a: np.ndarray) -> np.ndarray:
-    b = np.asarray_chkfinite(b)
+    b = _finite(b)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"shapes of a {a.shape} and b {b.shape} are incompatible")
     return b
@@ -118,3 +128,9 @@ def solve_triangular_unchecked(a: np.ndarray, b: np.ndarray, lower: bool) -> np.
 def norm(x: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, bitwise np.linalg.norm(x)."""
     return float(np.sqrt(x.dot(x)))
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """norm of each row of a 2-D float array, bitwise: one stacked matmul
+    whose (1, n) @ (n, 1) products are each the dot that norm takes."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])

@@ -24,6 +24,15 @@ natural parameter equals the natural gradient of the expected negative
 loss evaluated at itself. The estimate at an iterate serves both that
 certificate and the step taken from the iterate, so blr_run, the one
 iteration loop, computes it once and passes it to both.
+
+blr_run certifies every step with both checks, but a block of steps at
+a time: it records each residual's value as it goes and queues the
+Bayes-filter check (its probes' T, formed per step by probe_stats) and
+the residual's inverse-Fisher cross-check. A block is checked by one
+stacked filter_spreads and one stacked natgrad_via_dual, in step order,
+so the first failure raised is the one checking step by step would
+raise. multiplicative_form_check and fixed_point_residual are the same
+code at one step.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._linalg import cho_factor, cho_solve, norm
-from .errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
-                     LeftDomain, NonPDHessian, SolverFailure)
+from .errors import (BayesFilterViolation, DomainError, LeftDomain, NonPDHessian,
+                     SingularFisher, SolverFailure)
 from .expfam import ExpFamily, NaturalParams
 from .losses import LossModel
 from .natgrad import (EstimatorSpec, estimate_natgrad, expected_loss,
@@ -136,6 +145,10 @@ def conjugate_posterior(model: ConjugateModel) -> NaturalParams:
 
 # -- step verifiers ----------------------------------------------------
 
+#: the Bayes-filter check's defaults, which blr_run applies to every step
+FILTER_TOL, FILTER_PROBES, PROBE_SEED = 1e-8, 10, 1009
+
+
 @dataclass(frozen=True)
 class MultiplicativeFormReport:
     passed: bool
@@ -145,8 +158,8 @@ class MultiplicativeFormReport:
 
 
 def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
-                              tol: float = 1e-8, n_probes: int = 10,
-                              probe_seed: int = 1009) -> MultiplicativeFormReport:
+                              tol: float = FILTER_TOL, n_probes: int = FILTER_PROBES,
+                              probe_seed: int = PROBE_SEED) -> MultiplicativeFormReport:
     """Verify the Bayes-filter form of a step.
 
     log q_{t+1}(theta) - [(1-rho) log q_t(theta) + rho <tilde_lam, T(theta)>]
@@ -155,21 +168,51 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
     per (n_probes, P, probe_seed) by seeding.fixed_normals and transported
     to q_t, so it is the grid family.sample would draw with that
     generator, without redrawing it at every step. T(probes) is formed
-    once; each log q is log_density's arithmetic, T @ lam - A(lam), on
-    it, with A read off the validated iterate.
+    once (probe_stats); each log q is log_density's arithmetic, T @ lam -
+    A(lam), on it, with A read off the validated iterate (filter_spreads,
+    here for a block of one step).
     """
     if state_t1.tilde_lambda is None:
         raise ValueError("state_t1 carries no natural-gradient estimate")
+    stats = probe_stats(state_t, n_probes, probe_seed)
+    spread = float(filter_spreads([(state_t, state_t1, rho)], stats[None])[0])
+    return MultiplicativeFormReport(spread <= tol, spread, tol, n_probes)
+
+
+def probe_stats(state_t: BLRState, n_probes: int = FILTER_PROBES,
+                probe_seed: int = PROBE_SEED) -> np.ndarray:
+    """T at the Bayes-filter check's probe grid on q_t, shape (n_probes, param_dim)."""
     family = state_t.family
     z = fixed_normals((n_probes, family.theta_dim), probe_seed)
-    stats = family.sufficient_stats_batch(family.transport(state_t.lam, z))
-    lam_t, lam_t1 = family.natural(state_t.lam), family.natural(state_t1.lam)
+    return family.sufficient_stats_batch(family.transport(state_t.lam, z))
+
+
+def filter_spreads(steps, stats: np.ndarray) -> np.ndarray:
+    """The Bayes-filter gaps' spread for each of a block of B steps.
+
+    steps holds B (state_t, state_t1, rho) and stats their probe_stats,
+    shape (B, n_probes, param_dim). The 3B products of T(probes) with
+    lam_{t+1}, lam_t and tilde_lam are one stacked matmul whose every
+    product is the gemv a single step would take, so each spread is
+    bitwise the one-step value.
+    """
+    family = steps[0][0].family
+    lams = [(family.natural(s_t.lam), family.natural(s_t1.lam)) for s_t, s_t1, _ in steps]
+    coeffs = np.array([(lam_t1.coords, lam_t.coords, s_t1.tilde_lambda)
+                       for (lam_t, lam_t1), (_, s_t1, _) in zip(lams, steps)])
+    cumulants = np.array([(lam_t1.derived.cumulant, lam_t.derived.cumulant)
+                          for lam_t, lam_t1 in lams])
+    rho = np.array([r for _, _, r in steps])[:, None]
+    next_, prev, tilde = np.moveaxis(np.matmul(stats[:, None], coeffs[..., None])[..., 0],
+                                     1, 0)
     # one gap per probe: log q_{t+1} - (1-rho) log q_t - rho <tilde_lam, T>
-    gaps = ((stats @ lam_t1.coords - family.cumulant(lam_t1))
-            - (1.0 - rho) * (stats @ lam_t.coords - family.cumulant(lam_t))
-            - rho * (stats @ state_t1.tilde_lambda))
-    spread = float(np.max(gaps) - np.min(gaps))
-    return MultiplicativeFormReport(spread <= tol, spread, tol, n_probes)
+    gaps = ((next_ - cumulants[:, :1]) - (1.0 - rho) * (prev - cumulants[:, 1:])
+            - rho * tilde)
+    return np.max(gaps, axis=1) - np.min(gaps, axis=1)
+
+
+def _residual(lam: NaturalParams, estimate: np.ndarray) -> float:
+    return norm(lam.coords - estimate) / max(1.0, norm(lam.coords))
 
 
 def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
@@ -188,7 +231,7 @@ def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
     if estimate is None:
         estimate = estimate_natgrad(family, lam, loss, spec, step=step)
     natgrad_via_dual(family, lam, estimate)
-    return norm(lam.coords - estimate) / max(1.0, norm(lam.coords))
+    return _residual(lam, estimate)
 
 
 def vb_objective(family: ExpFamily, lam, loss: LossModel,
@@ -281,6 +324,12 @@ def newton_recovery_step(loss: LossModel, mean_t) -> tuple[np.ndarray, np.ndarra
 
 # -- run loop ----------------------------------------------------------
 
+#: elements the queued probe statistics of one block of certificates may
+#: hold, FILTER_PROBES x param_dim per step (8 bytes each); the block's
+#: other temporaries, the cross-check's stacked P x P matrices, are each smaller
+_CHECK_ELEMENTS = 1 << 16
+
+
 class BLRTraceRow(NamedTuple):
     t: int
     rho: float
@@ -312,6 +361,39 @@ def _step_with_halvings(state: BLRState, cfg: BLRConfig,
                      iteration=state.t)
 
 
+def _certify(steps: list, stats: list, estimates: list,
+             trace: list) -> list[MultiplicativeFormReport]:
+    """Check a block of queued steps' certificates, in the order blr_run takes
+    them: step j's Bayes-filter check, then the cross-check at the iterate
+    it made. steps holds (state_t, state_t1, rho), stats their
+    probe_stats, and estimates the estimates at the new iterates, which
+    may lack the last.
+
+    The first failure raises, with the rows recorded before its step as
+    partial_trace; else returns the steps' reports.
+    """
+    spreads = filter_spreads(steps, np.array(stats))
+    passed = spreads <= FILTER_TOL
+    n_filter = len(steps) if passed.all() else int(np.argmin(passed))
+    # the cross-checks that come before the first failed filter check
+    n_cross = min(n_filter, len(estimates))
+    if n_cross:
+        try:
+            natgrad_via_dual(steps[0][0].family, [step[1].lam for step in steps[:n_cross]],
+                             np.array(estimates[:n_cross]))
+        except (SingularFisher, SolverFailure) as exc:
+            exc.partial_trace = trace[:steps[exc.row][0].t]
+            raise
+    if n_filter < len(steps):
+        t = steps[n_filter][0].t
+        exc = BayesFilterViolation(f"Bayes-filter form violated at step {t} "
+                                   f"(spread {spreads[n_filter]:.3e} > {FILTER_TOL:.1e})")
+        exc.partial_trace = trace[:t]
+        raise exc
+    return [MultiplicativeFormReport(True, float(spread), FILTER_TOL, FILTER_PROBES)
+            for spread in spreads]
+
+
 def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     """Iterate blr_step to convergence or budget, certifying every step.
 
@@ -321,12 +403,22 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     stop once the residual or the relative change of lam reaches cfg.tol.
     Sampled kinds take step t's draws from one seeding.StepStreams on
     (spec.seed, *ESTIMATE_STREAM, t): the stream estimate_natgrad would
-    make for step t, without a new SeedSequence and Philox per step. A
-    domain error or failed certificate (a step failing
-    multiplicative_form_check raises BayesFilterViolation) propagates
-    with the rows recorded before it as partial_trace, the hand-off
-    deep.train makes too; the harness writes them under BLRTraceRow's
-    fields.
+    make for step t, without a new SeedSequence and Philox per step.
+
+    Every step's two certificates are checked: multiplicative_form_check
+    (a failure raises BayesFilterViolation) and fixed_point_residual's
+    inverse-Fisher cross-check (SolverFailure, SingularFisher). They are
+    queued and checked a block of steps at a time: one stacked
+    filter_spreads and one stacked natgrad_via_dual per block, whose
+    size keeps the queued probe statistics within _CHECK_ELEMENTS
+    elements. A block is checked when it fills, when the loop ends and
+    before any exception leaves the loop, in step order (step t's filter
+    check, then the cross-check at the iterate it made), so the first
+    failure raised is the one a step-by-step check would raise. A
+    failure, or a domain error that no earlier certificate failure
+    precedes, propagates with the rows recorded before its step as
+    partial_trace, the hand-off deep.train makes too; the harness writes
+    them under BLRTraceRow's fields.
     """
     if cfg.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -336,10 +428,23 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     converged = False
     deterministic = spec.kind in ("exact", "delta")
     streams = None if deterministic else StepStreams(spec.seed, *ESTIMATE_STREAM)
+    block = max(1, _CHECK_ELEMENTS // (FILTER_PROBES * family.param_dim))
+    # queued certificates: steps, their probe statistics, and the estimates
+    # at the iterates they made
+    queue: list[tuple[BLRState, BLRState, float]] = []
+    stats: list[np.ndarray] = []
+    estimates: list[np.ndarray] = []
 
     def estimate_at(state: BLRState) -> np.ndarray:
         rng = None if streams is None else streams.at(state.t)
         return estimate_natgrad(family, state.lam, loss, spec, step=state.t, rng=rng)
+
+    def certify() -> None:
+        pending = queue[:], stats[:], estimates[:]
+        for part in (queue, stats, estimates):
+            part.clear()
+        if pending[0]:
+            reports.extend(_certify(*pending, trace))
 
     try:
         state = blr_init(family, lam0)
@@ -347,25 +452,28 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
         for _ in range(cfg.max_iter):
             prev = state
             state, rho = _step_with_halvings(prev, cfg, estimate)
-            report = multiplicative_form_check(prev, state, rho)
-            if not report.passed:
-                raise BayesFilterViolation(
-                    f"Bayes-filter form violated at step {prev.t} "
-                    f"(spread {report.spread:.3e} > {report.tol:.1e})")
-            reports.append(report)
+            queue.append((prev, state, rho))
+            stats.append(probe_stats(prev))
             # stationarity certificate at the fresh iterate; a conjugate
             # rate-1 jump therefore reports convergence after its one step
             estimate = estimate_at(state)
-            residual = fixed_point_residual(family, state.lam, loss, spec,
-                                            step=state.t, estimate=estimate)
+            estimates.append(estimate)
+            residual = _residual(state.lam, estimate)
             objective = vb_objective(family, state.lam, loss, spec)
             trace.append(BLRTraceRow(state.t, rho, objective, residual))
+            if len(queue) == block:
+                certify()
             rel_change = (norm(state.lam.coords - prev.lam.coords)
                           / max(1.0, norm(prev.lam.coords)))
             if deterministic and (residual <= cfg.tol or rel_change <= cfg.tol):
                 converged = True
                 break
-    except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
+    except (DomainError, LeftDomain) as exc:
         exc.partial_trace = trace
         raise
+    finally:
+        # the certificates still queued when the loop ends or an exception
+        # leaves it come first in step order: a failed one is raised
+        # (and replaces any exception in flight)
+        certify()
     return BLRRun(state, trace, converged, state.t, trace[-1].residual, reports)

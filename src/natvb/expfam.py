@@ -23,7 +23,8 @@ follows from three identities:
 
 Since F is the Jacobian of lam -> mu, F v is a directional derivative of
 natural_to_dual and F^-1 w one of dual_to_natural, so a family can apply
-F and its inverse without forming F (fisher_vp, fisher_solve).
+F and its inverse without forming F (fisher_vp, fisher_solve), to one
+parameter or to a block of them at once.
 
 natural() and expectation() are each coordinate system's one domain
 check: a per-family primitive (_derive, _derive_expectation) raises
@@ -156,11 +157,18 @@ class ExpFamily(abc.ABC):
 
     @abc.abstractmethod
     def fisher_vp(self, lam, v) -> np.ndarray:
-        """F(lam) v without forming F: the JVP of natural_to_dual."""
+        """F(lam) v without forming F: the JVP of natural_to_dual.
+
+        A block of B parameters lam with directions v of shape (B,
+        param_dim) gives the B products as rows, from stacked arithmetic.
+        """
 
     @abc.abstractmethod
     def fisher_solve(self, lam, w) -> np.ndarray:
-        """F(lam)^-1 w without forming F: the JVP of dual_to_natural at mu(lam)."""
+        """F(lam)^-1 w without forming F: the JVP of dual_to_natural at mu(lam).
+
+        Takes a block of B parameters and (B, param_dim) rows as fisher_vp does.
+        """
 
     @abc.abstractmethod
     def sufficient_stats(self, theta) -> np.ndarray:
@@ -222,12 +230,22 @@ class ExpFamily(abc.ABC):
         coords.setflags(write=False)
         return kind._checked(coords, self, derive(coords))
 
-    def _tangent(self, v) -> np.ndarray:
-        """A direction in parameter space: a 1-D float array of length param_dim."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.size != self.param_dim:
+    def _tangent_block(self, lam, v) -> tuple[list, np.ndarray, bool]:
+        """(derived factors, directions as (B, param_dim) rows, whether one).
+
+        A 2-D v holds B directions, one at each parameter of the sequence
+        lam; anything else is one direction of length param_dim at the one
+        parameter lam. Each parameter is validated by natural().
+        """
+        v = np.asarray(v, dtype=float)
+        one = v.ndim != 2
+        lams = [lam] if one else list(lam)
+        v = v.reshape(len(lams), -1) if one else v
+        if v.shape[1] != self.param_dim:
             raise ValueError(f"direction must have length {self.param_dim}")
-        return v
+        if v.shape[0] != len(lams):
+            raise ValueError(f"{v.shape[0]} directions given for {len(lams)} parameters")
+        return [self.natural(x).derived for x in lams], v, one
 
     def _theta_rows(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

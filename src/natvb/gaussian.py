@@ -19,7 +19,9 @@ matrix Cov[T] is the exact Jacobian of natural_to_dual. fisher_vp and
 fisher_solve differentiate natural_to_dual and dual_to_natural in
 closed form, so F v and F^-1 w cost O(P^3) from the parameter's stored
 factor (elementwise for the diagonal family) against O(P^4) to build
-the dense F and O(P^6) to factor it.
+the dense F and O(P^6) to factor it. Given a block of B parameters, both
+stack the B products into one set of batched numpy calls; one parameter
+is the block B = 1.
 
 gaussian_identity maps a loss's expected gradient and Hessian at q to
 the natural gradient; hessian_kind says whether a family takes the
@@ -75,9 +77,11 @@ class _TriuIndex:
 
     rows: np.ndarray
     cols: np.ndarray
-    #: flat positions of (rows, cols) and (cols, rows) in a C-ordered matrix
+    #: flat positions of (rows, cols) in a C-ordered matrix
     flat: np.ndarray
-    flat_t: np.ndarray
+    #: for each flat position of a C-ordered matrix, the index a of its
+    #: pair: (i, j) and (j, i) both map to the a with (rows[a], cols[a]) = (i, j)
+    pair: np.ndarray
     #: 1 on the diagonal, 2 off it (moment -> coefficient)
     double: np.ndarray
     #: 1 on the diagonal, 1/2 off it (coefficient -> moment)
@@ -88,7 +92,9 @@ class _TriuIndex:
 def _triu_index(dim: int) -> _TriuIndex:
     rows, cols = np.triu_indices(dim)
     diag = rows == cols
-    index = _TriuIndex(rows, cols, rows * dim + cols, cols * dim + rows,
+    pair = np.empty((dim, dim), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    index = _TriuIndex(rows, cols, rows * dim + cols, pair.reshape(-1),
                        np.where(diag, 1.0, 2.0), np.where(diag, 1.0, 0.5))
     for arr in vars(index).values():
         arr.setflags(write=False)
@@ -96,10 +102,10 @@ def _triu_index(dim: int) -> _TriuIndex:
 
 
 def sym_to_coeff(mat: np.ndarray) -> np.ndarray:
-    """Coefficient layout of a symmetric matrix (off-diagonals doubled)."""
+    """Coefficient layout of a symmetric matrix (off-diagonals doubled);
+    leading axes of a stack of matrices are kept."""
     mat = np.asarray(mat, dtype=float)
-    index = _triu_index(mat.shape[0])
-    return index.double * np.take(mat, index.flat)
+    return _triu_index(mat.shape[-1]).double * sym_to_moment(mat)
 
 
 def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -108,18 +114,18 @@ def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def sym_to_moment(mat: np.ndarray) -> np.ndarray:
-    """Moment layout of a symmetric matrix (plain upper triangle)."""
+    """Moment layout of a symmetric matrix (plain upper triangle); leading
+    axes of a stack of matrices are kept."""
     mat = np.asarray(mat, dtype=float)
-    return np.take(mat, _triu_index(mat.shape[0]).flat)
+    flat = mat.reshape(*mat.shape[:-2], -1)
+    return np.take(flat, _triu_index(mat.shape[-1]).flat, axis=-1)
 
 
 def moment_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of sym_to_moment."""
-    index = _triu_index(dim)
-    flat = np.zeros(dim * dim)
-    flat[index.flat] = vec
-    flat[index.flat_t] = vec
-    return flat.reshape(dim, dim)
+    """Inverse of sym_to_moment: one gather of each entry's pair."""
+    vec = np.asarray(vec, dtype=float)
+    flat = np.take(vec, _triu_index(dim).pair, axis=-1)
+    return flat.reshape(*vec.shape[:-1], dim, dim)
 
 
 def _chol_pd(mat: np.ndarray) -> np.ndarray:
@@ -138,10 +144,18 @@ def _check_size(size: int) -> None:
 
 
 def _normal_rows(z, dim: int) -> np.ndarray:
+    """The caller's standard-normal draws, checked once: shape (n >= 1, dim), finite."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != dim:
         raise ValueError(f"standard-normal draws must have shape (n >= 1, {dim})")
+    if not np.isfinite(z).all():
+        raise ValueError("standard-normal draws must be finite")
     return z
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row b is mats[b] @ vecs[b]: one stacked matmul, each product a gemv."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 # -- families ---------------------------------------------------------
@@ -294,29 +308,36 @@ class FullGaussian(ExpFamily):
 
     def fisher_vp(self, lam, v) -> np.ndarray:
         # JVP of natural_to_dual: perturb S by dS, m = S^-1 lin and
-        # M = Sigma + m m' follow
-        factor = self.natural(lam).derived
-        v = self._tangent(v)
+        # M = Sigma + m m' follow; stacked over a block of parameters
+        factors, v, one = self._tangent_block(lam, v)
         p = self.theta_dim
-        mean, cov = factor.mean, factor.cov
-        d_prec = -2.0 * coeff_to_sym(v[p:], p)
-        d_mean = cov @ (v[:p] - d_prec @ mean)
-        d_outer = np.outer(d_mean, mean)
-        d_second = -(cov @ d_prec @ cov) + d_outer + d_outer.T
-        return np.concatenate([d_mean, sym_to_moment(d_second)])
+        mean = np.array([f.mean for f in factors])
+        cov = np.array([f.cov for f in factors])
+        rows, cols = self._triu.rows, self._triu.cols
+        d_prec = -2.0 * coeff_to_sym(v[:, p:], p)
+        d_mean = _matvec(cov, v[:, :p] - _matvec(d_prec, mean))
+        # the upper triangle of -Sigma dS Sigma + dm m' + m dm'
+        d_second = (-sym_to_moment(cov @ d_prec @ cov) + d_mean[:, rows] * mean[:, cols]
+                    + d_mean[:, cols] * mean[:, rows])
+        out = np.concatenate([d_mean, d_second], axis=1)
+        return out[0] if one else out
 
     def fisher_solve(self, lam, w) -> np.ndarray:
         # JVP of dual_to_natural at mu(lam): Sigma = M - m m' moves by
         # W - w_m m' - m w_m', and S = Sigma^-1 by -S dSigma S
-        factor = self.natural(lam).derived
-        w = self._tangent(w)
+        factors, w, one = self._tangent_block(lam, w)
         p = self.theta_dim
-        mean, prec = factor.mean, factor.prec
-        d_outer = np.outer(w[:p], mean)
-        d_cov = moment_to_sym(w[p:], p) - d_outer - d_outer.T
+        mean = np.array([f.mean for f in factors])
+        prec = np.array([f.prec for f in factors])
+        rows, cols = self._triu.rows, self._triu.cols
+        w_mean = w[:, :p]
+        # dSigma from its upper triangle, W - w_m m' - m w_m'
+        d_cov = moment_to_sym(w[:, p:] - w_mean[:, rows] * mean[:, cols]
+                              - w_mean[:, cols] * mean[:, rows], p)
         d_prec = -(prec @ d_cov @ prec)
-        return np.concatenate([d_prec @ mean + prec @ w[:p],
-                               sym_to_coeff(-0.5 * d_prec)])
+        out = np.concatenate([_matvec(d_prec, mean) + _matvec(prec, w_mean),
+                              self._triu.double * (-0.5 * sym_to_moment(d_prec))], axis=1)
+        return out[0] if one else out
 
     def sufficient_stats(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -326,13 +347,16 @@ class FullGaussian(ExpFamily):
 
     def sufficient_stats_batch(self, thetas) -> np.ndarray:
         thetas = self._theta_rows(thetas)
-        quad = thetas[:, self._triu.rows] * thetas[:, self._triu.cols]
-        return np.concatenate([thetas, quad], axis=1)
+        out = np.empty((len(thetas), self.param_dim))
+        out[:, :self.theta_dim] = thetas
+        np.multiply(thetas.take(self._triu.rows, axis=1), thetas.take(self._triu.cols, axis=1),
+                    out=out[:, self.theta_dim:])
+        return out
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
         factor = self.natural(lam).derived
-        z = np.asarray_chkfinite(_normal_rows(z, self.theta_dim))  # scan the caller's z
+        z = _normal_rows(z, self.theta_dim)
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
         return factor.mean + solve_triangular_unchecked(factor.chol.T, z.T, lower=False).T
 
@@ -439,20 +463,23 @@ class DiagGaussian(ExpFamily):
         return fish
 
     def fisher_vp(self, lam, v) -> np.ndarray:
-        mean, var = self.to_mean_var(lam)
-        v = self._tangent(v)
+        factors, v, one = self._tangent_block(lam, v)
         p = self.theta_dim
-        d_prec = -2.0 * v[p:]
-        d_mean = var * (v[:p] - d_prec * mean)
-        return np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean])
+        prec = np.array([f.prec for f in factors])
+        mean, var = np.array([f.lin for f in factors]) / prec, 1.0 / prec
+        d_prec = -2.0 * v[:, p:]
+        d_mean = var * (v[:, :p] - d_prec * mean)
+        out = np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean], axis=1)
+        return out[0] if one else out
 
     def fisher_solve(self, lam, w) -> np.ndarray:
-        lin, prec = self.split_natural(lam)
-        w = self._tangent(w)
+        factors, w, one = self._tangent_block(lam, w)
         p = self.theta_dim
-        mean = lin / prec
-        d_prec = -prec ** 2 * (w[p:] - 2.0 * mean * w[:p])
-        return np.concatenate([d_prec * mean + prec * w[:p], -0.5 * d_prec])
+        prec = np.array([f.prec for f in factors])
+        mean = np.array([f.lin for f in factors]) / prec
+        d_prec = -prec ** 2 * (w[:, p:] - 2.0 * mean * w[:, :p])
+        out = np.concatenate([d_prec * mean + prec * w[:, :p], -0.5 * d_prec], axis=1)
+        return out[0] if one else out
 
     def sufficient_stats(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)

@@ -45,7 +45,9 @@ natgrad_via_dual certifies the identity behind all of this: mapping a
 dual-coordinate gradient to natural coordinates with F and back with
 F^-1 must reproduce it. Both maps are the families' closed-form
 Jacobian-vector products (fisher_vp, fisher_solve), so the certificate
-never forms the dense Fisher and costs O(P^3) on the full family.
+never forms the dense Fisher and costs O(P^3) per parameter on the full
+family. It takes a block of parameters at once, as blr_run checks its
+iterates, and stacks the products.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import norm
+from ._linalg import row_norms
 from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
 from .losses import LossModel
@@ -101,24 +103,40 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     F(lam) grad_mu) and verifies x matches grad_wrt_mu within rtol before
     returning it. Both products go through family.fisher_vp and
     family.fisher_solve, the closed-form Jacobians of lam -> mu and
-    mu -> lam, so F is never formed: O(P^3) per call on the full family.
-    Raises SingularFisher if the solve is not finite and SolverFailure if
-    the identity is violated.
+    mu -> lam, so F is never formed: O(P^3) per parameter on the full
+    family. Raises SingularFisher if the solve is not finite and
+    SolverFailure if the identity is violated.
+
+    Given a block, a sequence of B parameters lam with (B, param_dim)
+    gradients, it checks the B identities with one stacked fisher_vp and
+    one stacked fisher_solve and returns the solutions as rows; the error
+    raised is the first failing row's, with that row's index as its
+    `row` attribute. One parameter is the block B = 1.
     """
-    lam = family.natural(lam)
-    grad_mu = np.asarray(grad_wrt_mu, dtype=float).reshape(-1)
+    grad_mu = np.asarray(grad_wrt_mu, dtype=float)
+    one = grad_mu.ndim != 2
+    lams = [family.natural(lam)] if one else [family.natural(x) for x in lam]
+    grad_mu = grad_mu.reshape(len(lams), -1)
     if grad_wrt_lambda is None:
-        grad_lam = family.fisher_vp(lam, grad_mu)
+        grad_lam = family.fisher_vp(lams, grad_mu)
     else:
-        grad_lam = np.asarray(grad_wrt_lambda, dtype=float).reshape(-1)
-    solved = family.fisher_solve(lam, grad_lam)
-    if not np.all(np.isfinite(solved)):
-        raise SingularFisher("the Fisher solve is not finite")
-    err = norm(solved - grad_mu) / max(1.0, norm(grad_mu))
-    if err > rtol:
-        raise SolverFailure(
-            f"dual-coordinate identity violated: relative error {err:.3e} > {rtol:.1e}")
-    return solved
+        grad_lam = np.asarray(grad_wrt_lambda, dtype=float).reshape(grad_mu.shape)
+    solved = family.fisher_solve(lams, grad_lam)
+    finite = np.isfinite(solved).all(axis=1)
+    # a row that is not finite fails on that alone; its error is not read
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = row_norms(solved - grad_mu) / np.maximum(1.0, row_norms(grad_mu))
+    failed = ~finite | (err > rtol)
+    if failed.any():
+        row = int(np.argmax(failed))
+        if not finite[row]:
+            exc = SingularFisher("the Fisher solve is not finite")
+        else:
+            exc = SolverFailure(f"dual-coordinate identity violated: relative error "
+                                f"{err[row]:.3e} > {rtol:.1e}")
+        exc.row = row
+        raise exc
+    return solved[0] if one else solved
 
 
 def check_support(family: ExpFamily, loss: LossModel, kind: str) -> None:

@@ -557,19 +557,36 @@ def test_filter_violation_flushes_partial_trace(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [SolverFailure, SingularFisher])
 def test_cross_check_failure_exit_4_partial_trace(error, tmp_path, monkeypatch):
-    checks = []
-    original = blr.natgrad_via_dual
+    # the Fisher solve at the third iterate of every run is corrupted, off
+    # by one (SolverFailure) or not finite (SingularFisher); the cross-check
+    # at that third checked iterate fails, after two rows
+    corruption = 1.0 if error is SolverFailure else np.nan
+    third = []
+    step_at_rate = blr._step_at_rate
 
-    def failing_every_third(*args, **kwargs):
-        checks.append(1)
-        if len(checks) % 3 == 0:
-            raise error("injected")
-        return original(*args, **kwargs)
+    def tagging(state, *args):
+        new = step_at_rate(state, *args)
+        if new.t == 3:
+            third.append(new.lam)
+        return new
 
-    monkeypatch.setattr(blr, "natgrad_via_dual", failing_every_third)
+    fisher_solve = FullGaussian.fisher_solve
+
+    def corrupting(self, lam, w):
+        solved = fisher_solve(self, lam, w)
+        for row, x in zip(solved, lam):
+            if any(x is y for y in third):
+                row += corruption
+        return solved
+
+    monkeypatch.setattr(blr, "_step_at_rate", tagging)
+    monkeypatch.setattr(FullGaussian, "fisher_solve", corrupting)
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     cfg = base_config(optimizer={"kind": "blr", "family": "full", "learning_rate": 0.5,
                                  "max_iter": 10, "estimator": "exact"})
+    with pytest.raises(error) as excinfo:
+        run_experiment(cfg, tmp_path / "lib")
+    assert [row.t for row in excinfo.value.partial_trace] == [1, 2]
     assert main(["run", write_cfg(tmp_path, cfg)]) == 4
     assert main(["compare", write_cfg(tmp_path, cfg), write_cfg(tmp_path, cfg)]) == 4
     for name in ("trace.csv", "a.trace.csv"):
@@ -733,17 +750,23 @@ def test_pinned_ridge_run_does_each_piece_of_work_once(tmp_path, monkeypatch):
     spy(harness, "check_derivatives", scope=True)
     spy(losses, "central_diff_batch", scope=True)
     spy(harness, "blr_run", scope=True)
-    spy(blr, "multiplicative_form_check", scope=True)
+    spy(blr, "probe_stats", scope=True)
+    spy(blr, "filter_spreads")
+    spy(blr, "natgrad_via_dual")
     spy(FullGaussian, "sufficient_stats_batch")
     spy(expfam.ExpFamily, "log_density")
     for name in ("value", "gradient", "value_batch", "gradient_batch"):
         spy(losses.QuadraticLoss, name)
     config, _ = PINNED["blr_full_exact_ridge"]
     run_experiment(config, tmp_path)
-    checks = counts["multiplicative_form_check", "blr_run"]
+    checks = counts["probe_stats", "blr_run"]
     assert checks >= 10
     # one T(probes) per Bayes-filter check, and none anywhere else
-    assert counts["sufficient_stats_batch", "multiplicative_form_check"] == checks
+    assert counts["sufficient_stats_batch", "probe_stats"] == checks
+    # the run's steps fit one block: one stacked gap and one stacked
+    # cross-check for all of them
+    assert counts["filter_spreads", "blr_run"] == 1
+    assert counts["natgrad_via_dual", "blr_run"] == 1
     assert sum(n for (name, _), n in counts.items()
                if name == "sufficient_stats_batch") == checks
     # no log density anywhere in the run, the BLR loop included

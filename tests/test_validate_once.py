@@ -214,14 +214,23 @@ def test_direct_natural_params_scan_their_coordinates():
         NaturalParams(np.array([1.0, np.inf]), FullGaussian(1))
 
 
+@pytest.mark.parametrize("kind", ["full", "diag"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_full_transport_scans_the_callers_draws(bad):
-    fam = FullGaussian(3)
-    lam = fam.natural(_full_coords(make_rng(2), 3))
-    z = np.zeros((4, 3))
+def test_transport_scans_the_callers_draws(bad, kind):
+    fam, lam = _instance(kind)
+    z = np.zeros((4, fam.theta_dim))
     z[2, 1] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite"):
         fam.transport(lam, z)
+
+
+def test_transport_scans_the_draws_once(work):
+    for kind in ("full", "diag"):
+        fam, lam = _instance(kind)
+        z = np.ones((4, fam.theta_dim))
+        work.clear()
+        fam.transport(lam, z)
+        assert work["scan"] == 1
 
 
 def test_natgrad_exact_rejects_wrong_length_natural_coefficients():
