@@ -25,6 +25,15 @@ update as a weight-decay term and completes the denominator h + delta0.
 
 All step functions are pure (state in, state out); the training loop is
 sequential and deterministic for a fixed seed.
+
+A state is validated once, when a caller (or an *_init function) builds
+it: its arrays are copied into 1-D float vectors of one length and its
+scale checked. VON's and IVON's steps return states built without that
+pass, because their arrays are the step's own fresh vectors and the step
+has just checked the scale itself: VON against its positivity floor,
+IVON's h + delta0 in the LeftDomain check. A step's result is trusted
+from there on. The train loop picks the step function and the row's
+accessors once per run.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +57,17 @@ def _vec(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"expected vector of length {dim}, got {v.size}")
     return v
+
+
+def _advanced(state, **changes):
+    """dataclasses.replace(state, **changes) without __post_init__.
+
+    For a step's next state only: the changed arrays must be the step's
+    own fresh 1-D vectors of the state's length, already checked.
+    """
+    new = object.__new__(type(state))
+    vars(new).update(vars(state), **changes)
+    return new
 
 
 def ema(old: np.ndarray, new: np.ndarray, rate: float) -> np.ndarray:
@@ -167,6 +188,9 @@ class VONState:
         object.__setattr__(self, "prec", _vec(self.prec, self.mean.size))
         if np.any(self.prec <= 0.0):
             raise ValueError("precision diagonal must be positive")
+        # so that a step's floor check also keeps the precision positive
+        if not self.prec_floor >= 0.0:
+            raise ValueError(f"prec_floor must be >= 0, got {self.prec_floor}")
 
 
 def _sample_rng(state) -> np.random.Generator:
@@ -203,14 +227,25 @@ def von_step(state: VONState, loss: LossModel, batch=None,
             f"VON precision crossed the positivity floor at step {state.t}",
             iterate=new_prec, iteration=state.t)
     new_mean = preconditioned_step(mean, grad_mean, new_prec, rho, sqrt_scale=False)
-    return replace(state, mean=new_mean, prec=new_prec, t=state.t + 1)
+    # VONState's length check is skipped: a moment of another shape would
+    # broadcast the mean out of shape
+    if new_mean.shape != mean.shape:
+        raise ValueError(f"expected moments of shape {mean.shape}, got gradient "
+                         f"{np.shape(grad_mean)} and Hessian {np.shape(hess_mean)}")
+    return _advanced(state, mean=new_mean, prec=new_prec, t=state.t + 1)
 
 
 # -- IVON --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IVONState:
-    """Mean, Hessian estimate, and gradient momentum of the improved VON."""
+    """Mean, Hessian estimate, and gradient momentum of the improved VON.
+
+    Validated once, at construction: the arrays are copied into 1-D float
+    vectors of one length and h + delta0 must be positive. A state that
+    ivon_step returns skips that pass: its arrays are the step's own fresh
+    vectors, and the step has just made the positivity check itself.
+    """
 
     mean: np.ndarray
     hess: np.ndarray
@@ -256,8 +291,15 @@ def ivon_sample_and_estimate(state: IVONState, loss: LossModel,
     for prec = ess * (h + delta0), the precision theta was sampled with.
     """
     prec = state.ess * (state.hess + state.weight_decay)
+    return _sample_and_estimate(state, prec, loss, rng, batch, theta_sample)
+
+
+def _sample_and_estimate(state: IVONState, prec: np.ndarray, loss: LossModel,
+                         rng: np.random.Generator, batch, theta_sample):
     if theta_sample is None:
-        theta = state.mean + rng.standard_normal(state.mean.size) / np.sqrt(prec)
+        theta = rng.standard_normal(state.mean.size)
+        theta /= np.sqrt(prec)
+        theta += state.mean
     else:
         theta = _vec(theta_sample, state.mean.size)
     grad = loss.gradient(theta, batch)
@@ -274,25 +316,52 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
     With u = h + delta0 the scale update gives
     u_new >= min over estimates of (1-rho) u + rho v + rho^2 (u-v)^2 / (2u) = u/2,
     so LeftDomain below indicates a bug, not a reachable state.
+
+    u is formed once and serves the sampling precision ess * u and the
+    retraction's denominator; u_new serves the LeftDomain check and the
+    mean step's denominator. Every vector is a fresh temporary updated in
+    place, in the order of the update's formulas, so the bits are those of
+    the formulas as written; an update in place also keeps each vector
+    the state's shape, so a gradient of another shape raises ValueError.
+    The returned state is built without IVONState's validation: its
+    arrays are these fresh 1-D vectors, and the LeftDomain check is the
+    positivity check it would repeat.
     """
     rho = _rate_at(state.hess_rate, state.t)
     delta0 = state.weight_decay
+    beta1 = state.beta1
+    old_hess = state.hess
     rng = _sample_rng(state) if rng is None else rng
-    _, grad, hess_est = ivon_sample_and_estimate(state, loss, rng, batch,
-                                                 theta_sample)
-    momentum = state.beta1 * state.grad_momentum + (1.0 - state.beta1) * grad
-    hess = (ema(state.hess, hess_est, rho)
-            + 0.5 * rho ** 2 * (state.hess - hess_est) ** 2 / (state.hess + delta0))
-    if np.any(hess + delta0 <= 0.0):
+    u = old_hess + delta0
+    _, grad, hess_est = _sample_and_estimate(state, u * state.ess, loss, rng, batch,
+                                             theta_sample)
+    # beta1 m + (1 - beta1) g
+    momentum = state.grad_momentum * beta1
+    momentum += grad * (1.0 - beta1)
+    # ema(h, h_est, rho) + 0.5 rho^2 (h - h_est)^2 / u
+    retraction = old_hess - hess_est
+    np.square(retraction, out=retraction)
+    retraction *= 0.5 * rho ** 2
+    retraction /= u
+    hess = old_hess * (1.0 - rho)
+    hess_est *= rho
+    hess += hess_est
+    hess += retraction
+    u_new = hess + delta0
+    if np.any(u_new <= 0.0):
         raise LeftDomain(
             f"IVON posterior precision left the domain at step {state.t}",
             iterate=hess, iteration=state.t)
     t = state.t + 1
-    mean = preconditioned_step(state.mean,
-                               momentum / (1.0 - state.beta1 ** t) + delta0 * state.mean,
-                               hess + delta0, state.step_size, state.damping,
-                               sqrt_scale=False)
-    return replace(state, mean=mean, hess=hess, grad_momentum=momentum, t=t)
+    # preconditioned_step(m, momentum / (1 - beta1^t) + delta0 m, u_new,
+    # step_size, damping) with sqrt_scale=False
+    mean = state.mean
+    move = momentum / (1.0 - beta1 ** t)
+    move += mean * delta0
+    move *= state.step_size
+    u_new += state.damping
+    move /= u_new
+    return _advanced(state, mean=mean - move, hess=hess, grad_momentum=momentum, t=t)
 
 
 # -- training loop -----------------------------------------------------
@@ -314,18 +383,26 @@ class TrainRunRecord:
     wall_time_s: float = 0.0
 
 
-def _eval_point(state) -> np.ndarray:
-    return state.mean if isinstance(state, (VONState, IVONState)) else state.theta
+def _optimizer(state, loss: LossModel, samples: StepStreams | None):
+    """(step, eval_point, scale) of the state's optimizer, chosen once per run.
 
-
-def _scale_vector(state) -> np.ndarray:
+    step(state, batch) makes one step; eval_point(state) is where a row
+    is recorded (theta, or the posterior mean) and scale(state) the
+    vector whose range it records.
+    """
     if isinstance(state, VONState):
-        return state.prec
+        return (lambda s, batch: von_step(s, loss, batch, rng=samples.at(s.t)),
+                attrgetter("mean"), attrgetter("prec"))
     if isinstance(state, IVONState):
-        return state.hess + state.weight_decay
+        return (lambda s, batch: ivon_step(s, loss, batch, rng=samples.at(s.t)),
+                attrgetter("mean"), lambda s: s.hess + s.weight_decay)
+    if isinstance(state, RMSpropState):
+        return (lambda s, batch: rmsprop_step(s, loss.gradient(s.theta, batch)),
+                attrgetter("theta"), attrgetter("scale"))
     if isinstance(state, AdamState):
-        return state.m2
-    return state.scale
+        return (lambda s, batch: adam_step(s, loss.gradient(s.theta, batch)),
+                attrgetter("theta"), attrgetter("m2"))
+    raise TypeError(f"unknown optimizer state {type(state).__name__}")
 
 
 def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
@@ -351,39 +428,30 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
         raise ValueError("loss has no data to minibatch")
     start = time.perf_counter()
     rows: list[TrainTraceRow] = []
+    # one generator per stream, rewound to each step's key
+    batches = StepStreams(seed, 0xBA7C) if batch_size is not None else None
+    samples = (StepStreams(state.seed, *SAMPLE_STREAM)
+               if isinstance(state, (VONState, IVONState)) else None)
+    step, eval_point, scale_vector = _optimizer(state, loss, samples)
+    size = min(batch_size, loss.n_data) if batches is not None else None
 
     def record(step_index: int, current) -> None:
-        value, grad = loss.value_and_gradient(_eval_point(current))
-        scale = _scale_vector(current)
+        value, grad = loss.value_and_gradient(eval_point(current))
+        scale = scale_vector(current)
         row = TrainTraceRow(step_index, float(value), float(np.linalg.norm(grad)),
-                            float(np.min(scale)), float(np.max(scale)))
+                            float(scale.min()), float(scale.max()))
         if not all(map(math.isfinite, row[1:])):
             raise LeftDomain(f"non-finite trace row at step {step_index}: {row}",
                              iteration=step_index)
         rows.append(row)
 
-    # one generator per stream, rewound to each step's key
-    batches = StepStreams(seed, 0xBA7C) if batch_size is not None else None
-    samples = (StepStreams(state.seed, *SAMPLE_STREAM)
-               if isinstance(state, (VONState, IVONState)) else None)
     try:
         record(0, state)
         for t in range(steps):
             batch = None
             if batches is not None:
-                batch = batches.at(t).choice(loss.n_data,
-                                             size=min(batch_size, loss.n_data),
-                                             replace=False)
-            if isinstance(state, VONState):
-                state = von_step(state, loss, batch, rng=samples.at(state.t))
-            elif isinstance(state, IVONState):
-                state = ivon_step(state, loss, batch, rng=samples.at(state.t))
-            elif isinstance(state, RMSpropState):
-                state = rmsprop_step(state, loss.gradient(state.theta, batch))
-            elif isinstance(state, AdamState):
-                state = adam_step(state, loss.gradient(state.theta, batch))
-            else:
-                raise TypeError(f"unknown optimizer state {type(state).__name__}")
+                batch = batches.at(t).choice(loss.n_data, size=size, replace=False)
+            state = step(state, batch)
             record(t + 1, state)
     except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
         exc.partial_trace = rows

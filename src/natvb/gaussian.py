@@ -265,7 +265,9 @@ class FullGaussian(ExpFamily):
 
     def natural_to_dual(self, lam) -> np.ndarray:
         mean, cov = self.to_mean_cov(lam)
-        return np.concatenate([mean, sym_to_moment(cov + np.outer(mean, mean))])
+        # E[th_i th_j] = C_ij + m_i m_j, on the upper triangle alone
+        rows, cols = self._triu.rows, self._triu.cols
+        return np.concatenate([mean, sym_to_moment(cov) + mean[rows] * mean[cols]])
 
     def dual_to_natural(self, mu) -> np.ndarray:
         mean, low = self.expectation(mu).derived

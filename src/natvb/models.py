@@ -364,7 +364,12 @@ class MLPModel(LossModel):
             w_start, b_start, end, out_n, in_n = self._spans[idx]
             a = acts[idx]
             np.matmul(delta.T, a, out=flat[w_start:b_start].reshape(out_n, in_n))
-            delta.sum(axis=0, out=flat[b_start:end])
+            if delta.shape[1] > 1:
+                # adds the rows in order, as sum does, at a third of its cost
+                np.einsum("ij->j", delta, out=flat[b_start:end])
+            else:
+                # a pairwise sum: einsum would give other bits
+                delta.sum(axis=0, out=flat[b_start:end])
             if idx > 0:
                 w, _ = layers[idx]
                 # a k=1 product is exact, so the broadcast equals delta @ w

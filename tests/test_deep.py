@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,11 @@ from natvb.deep import (IVONState, TrainTraceRow, VONState, adam_init, adam_step
 from natvb.errors import LeftDomain
 from natvb.gaussian import DiagGaussian
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
-from natvb.models import make_logistic_data
-from natvb.natgrad import EstimatorSpec
-from natvb.seeding import make_rng
+from natvb.models import make_logistic_data, make_spirals_mlp
+from natvb.natgrad import EstimatorSpec, reparam_hessian_terms
+from natvb.seeding import SAMPLE_STREAM, make_rng
+
+from test_validate_once import _same_bits
 
 
 # -- RMSprop -----------------------------------------------------------------
@@ -178,6 +180,41 @@ def test_von_reparam_fallback_when_no_hessian():
     np.testing.assert_allclose(np.mean(tail_means, axis=0), np.zeros(2), atol=0.1)
 
 
+def test_von_step_returns_fresh_vectors_and_leaves_its_input():
+    loss = make_logistic_data(22, 50, 3)
+    state = VONState(np.array([0.1, -0.2, 0.3]), np.array([1.0, 2.0, 0.5]),
+                     learning_rate=0.2, n_samples=3, seed=4, t=7)
+    mean, prec = state.mean.copy(), state.prec.copy()
+    new = von_step(state, loss)
+    np.testing.assert_array_equal(state.mean, mean)
+    np.testing.assert_array_equal(state.prec, prec)
+    assert type(new) is VONState and new.t == 8 and new.seed == 4
+    for out in (new.mean, new.prec):
+        assert out.shape == (3,) and out.dtype == np.float64
+        for arr in (state.mean, state.prec):
+            assert not np.shares_memory(out, arr)
+    assert not np.shares_memory(new.mean, new.prec)
+
+
+def test_von_state_rejects_a_floor_below_zero():
+    # a step checks only the floor, so the floor must keep the precision positive
+    for floor in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="prec_floor"):
+            VONState(np.zeros(2), np.ones(2), learning_rate=0.5, prec_floor=floor)
+
+
+def test_von_step_rejects_moments_of_the_wrong_shape():
+    base = QuadraticLoss(np.eye(3), np.zeros(3))
+
+    class ColumnMoments(QuadraticLoss):
+        def expected_gradient(self, mean, cov):
+            return base.expected_gradient(mean, cov).reshape(-1, 1)
+
+    state = VONState(np.zeros(3), np.ones(3), learning_rate=0.5)
+    with pytest.raises(ValueError, match="shape"):
+        von_step(state, ColumnMoments(np.eye(3), np.zeros(3)))
+
+
 # -- IVON ------------------------------------------------------------------------
 
 def test_ivon_zero_signal_step_algebra():
@@ -259,6 +296,115 @@ def test_ivon_bias_correction_flag():
                           theta_sample=np.zeros(1))
     # first step: momentum = (1-beta1) g; the correction divides by (1-beta1)
     assert abs(corrected.mean[0]) == pytest.approx(0.5, rel=1e-8)
+
+
+def _reference_ivon_step(state, loss, batch=None, theta_sample=None, rng=None):
+    """The step as the update's formulas read, each vector a new temporary:
+    (mean, hess, grad_momentum, t) of the next state."""
+    rho = state.hess_rate
+    delta0 = state.weight_decay
+    rng = make_rng(state.seed, *SAMPLE_STREAM, state.t) if rng is None else rng
+    prec = state.ess * (state.hess + state.weight_decay)
+    if theta_sample is None:
+        theta = state.mean + rng.standard_normal(state.mean.size) / np.sqrt(prec)
+    else:
+        theta = np.asarray(theta_sample, dtype=float).reshape(-1).copy()
+    grad = loss.gradient(theta, batch)
+    hess_est = reparam_hessian_terms(grad, prec, theta, state.mean)
+    momentum = state.beta1 * state.grad_momentum + (1.0 - state.beta1) * grad
+    hess = (ema(state.hess, hess_est, rho)
+            + 0.5 * rho ** 2 * (state.hess - hess_est) ** 2 / (state.hess + delta0))
+    t = state.t + 1
+    mean = preconditioned_step(state.mean,
+                               momentum / (1.0 - state.beta1 ** t) + delta0 * state.mean,
+                               hess + delta0, state.step_size, state.damping,
+                               sqrt_scale=False)
+    return mean, hess, momentum, t
+
+
+_IVON_ARRAYS = ("mean", "hess", "grad_momentum")
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.05])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("sampled", [True, False])
+@pytest.mark.parametrize("minibatch", [False, True])
+def test_ivon_step_bitwise_equals_reference(damping, weight_decay, sampled, minibatch):
+    rng = make_rng(70, int(damping > 0), int(weight_decay > 0), int(sampled),
+                   int(minibatch))
+    loss = make_spirals_mlp(3, n=60, hidden=(5, 4))
+    p = loss.dim
+    for k in range(6):
+        # h may be negative where delta0 > 0 keeps h + delta0 positive
+        low = -0.5 * weight_decay if k % 2 else 0.05
+        state = IVONState(rng.standard_normal(p), rng.uniform(low, 3.0, p),
+                          rng.standard_normal(p), step_size=rng.uniform(0.01, 1.0),
+                          beta1=rng.uniform(0.0, 0.99), hess_rate=rng.uniform(1e-4, 1.0),
+                          weight_decay=weight_decay, damping=damping,
+                          ess=10.0 ** rng.uniform(0.0, 4.0),
+                          seed=int(rng.integers(2 ** 32)), t=int(rng.integers(0, 100)))
+        theta_sample = None if sampled else state.mean + 0.1 * rng.standard_normal(p)
+        batch = rng.choice(60, size=20, replace=False) if minibatch else None
+        before = {name: getattr(state, name).copy() for name in _IVON_ARRAYS}
+        sample_before = None if sampled else theta_sample.copy()
+        # the step's own stream, and a generator the caller hands over
+        given = k % 3 == 2
+        new = ivon_step(state, loss, batch, theta_sample,
+                        rng=make_rng(k, 9) if given else None)
+        mean, hess, momentum, t = _reference_ivon_step(
+            state, loss, batch, theta_sample, rng=make_rng(k, 9) if given else None)
+        assert _same_bits(new.mean, mean)
+        assert _same_bits(new.hess, hess)
+        assert _same_bits(new.grad_momentum, momentum)
+        assert new.t == t and type(new) is IVONState
+        for field in fields(IVONState):
+            if field.name not in (*_IVON_ARRAYS, "t"):
+                assert getattr(new, field.name) == getattr(state, field.name)
+        # pure: the inputs are untouched and nothing returned aliases them
+        for name in _IVON_ARRAYS:
+            assert _same_bits(getattr(state, name), before[name])
+        if not sampled:
+            assert _same_bits(theta_sample, sample_before)
+        inputs = [getattr(state, name) for name in _IVON_ARRAYS]
+        inputs += [] if sampled else [theta_sample]
+        outputs = [getattr(new, name) for name in _IVON_ARRAYS]
+        for i, out in enumerate(outputs):
+            assert out.ndim == 1 and out.size == p and out.dtype == np.float64
+            for other in inputs + outputs[i + 1:]:
+                assert not np.shares_memory(out, other)
+
+
+def test_ivon_state_is_validated_at_construction():
+    # a state a caller builds, or ivon_init builds, is checked and copied once
+    mean = np.zeros(3)
+    state = IVONState(mean, np.ones(3), np.zeros(3), step_size=0.1)
+    mean[0] = 5.0
+    assert state.mean[0] == 0.0
+    assert IVONState([[1.0], [2.0]], [1.0, 1.0], [0.0, 0.0], step_size=0.1).mean.shape == (2,)
+    with pytest.raises(ValueError, match="length 3"):
+        IVONState(np.zeros(3), np.ones(2), np.zeros(3), step_size=0.1)
+    with pytest.raises(ValueError, match="length 3"):
+        IVONState(np.zeros(3), np.ones(3), np.zeros(4), step_size=0.1)
+    with pytest.raises(ValueError, match="h \\+ delta0"):
+        IVONState(np.zeros(2), np.array([1.0, -0.5]), np.zeros(2), step_size=0.1,
+                  weight_decay=0.5)
+    with pytest.raises(ValueError, match="h \\+ delta0"):
+        ivon_init(np.zeros(2), step_size=0.1, hess_init=-1.0, weight_decay=0.5)
+
+
+def test_ivon_step_rejects_a_gradient_of_the_wrong_shape():
+    class ColumnGradient(LossModel):
+        dim = 3
+
+        def value(self, theta, batch=None):
+            return 0.0
+
+        def gradient(self, theta, batch=None):
+            return np.ones((3, 1))
+
+    state = ivon_init(np.zeros(3), step_size=0.1, seed=2)
+    with pytest.raises(ValueError):
+        ivon_step(state, ColumnGradient())
 
 
 # -- structural correspondence -----------------------------------------------------

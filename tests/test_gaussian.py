@@ -674,3 +674,19 @@ def test_validation_stores_an_overflowing_cumulant_without_warning():
         assert fam.cumulant(lam) == np.inf
         with np.errstate(all="ignore"):
             assert fam.cumulant(lam) == _cumulant_formula(fam, lam)
+
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 20])
+def test_full_natural_to_dual_equals_outer_product_form_bitwise(dim, rng):
+    # the second moment is formed on the upper triangle alone; each entry
+    # is the same C_ij + m_i m_j as the full cov + outer(m, m) it replaced
+    fam = FullGaussian(dim)
+    for scale in (1e-3, 1.0, 1e3):
+        a = rng.standard_normal((dim, dim))
+        lam = fam.from_moment(scale * rng.standard_normal(dim),
+                              a @ a.T + (0.5 + 0.3 * dim) * np.eye(dim))
+        mean, cov = fam.to_mean_cov(lam)
+        old = np.concatenate([mean, sym_to_moment(cov + np.outer(mean, mean))])
+        new = fam.natural_to_dual(lam)
+        np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))

@@ -475,6 +475,24 @@ def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_cli_ivon_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
+    # h = 1e-300 with no prior precision: the retraction's (h - h_est)^2 / h
+    # overflows, and the step-2 row's scale range is infinite
+    ivon = {"kind": "ivon", "hess_init": 1e-300, "weight_decay": 0.0, "ess": 1.0}
+    model = {"kind": "logistic", "n": 40, "p": 3}
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "short"))
+    short = base_config(model=model, optimizer={**ivon, "steps": 1})
+    assert main(["run", write_cfg(tmp_path, short, "short.json")]) == 0
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(model=model, optimizer={**ivon, "steps": 4})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    # exactly the rows before it: those of a run that stops one step short
+    assert len(trace) == 3 and trace[2].startswith("1,")
+    assert trace == (tmp_path / "short" / "trace.csv").read_text().splitlines()
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_cli_deep_run_whose_summary_fails_keeps_every_row(tmp_path, monkeypatch):
     # every step succeeds (there are none), then the summary's from_moment
     # rejects the precision 1e-320: exit 3 with the initial row still written

@@ -281,21 +281,26 @@ def _reference_value_and_gradient(mlp, theta, batch=None):
 @pytest.mark.parametrize("sizes", [[2, 1], [2, 5, 1], [2, 16, 16, 1], [3, 1, 4, 1]])
 def test_mlp_kernel_bitwise_equals_reference(sizes):
     rng = make_rng(40, len(sizes), sizes[1])
-    x = rng.standard_normal((37, sizes[0]))
-    y = (rng.uniform(size=37) < 0.5).astype(float)
-    mlp = MLPModel(sizes, x, y, prior_precision=0.3)
-    x_before = mlp.x.copy()
-    for _ in range(3):
-        theta = rng.standard_normal(mlp.dim)
-        np.testing.assert_array_equal(mlp.logits(theta),
-                                      _reference_forward(mlp, theta, x)[2])
-        for batch in (None, rng.choice(37, size=11, replace=False)):
-            value, grad = _reference_value_and_gradient(mlp, theta, batch)
-            fused_value, fused_grad = mlp.value_and_gradient(theta, batch)
-            assert mlp.value(theta, batch) == value == fused_value
-            np.testing.assert_array_equal(mlp.gradient(theta, batch), grad)
-            np.testing.assert_array_equal(fused_grad, grad)
-    np.testing.assert_array_equal(mlp.x, x_before)
+    # n = 500 with batches of 100: the spirals workload's shapes, where a
+    # width-16 hidden layer's delta is (500, 16) or (100, 16)
+    for n, batch_size in ((37, 11), (500, 100)):
+        x = rng.standard_normal((n, sizes[0]))
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        mlp = MLPModel(sizes, x, y, prior_precision=0.3)
+        x_before = mlp.x.copy()
+        for _ in range(3):
+            theta = rng.standard_normal(mlp.dim)
+            np.testing.assert_array_equal(mlp.logits(theta),
+                                          _reference_forward(mlp, theta, x)[2])
+            for batch in (None, rng.choice(n, size=batch_size, replace=False)):
+                value, grad = _reference_value_and_gradient(mlp, theta, batch)
+                fused_value, fused_grad = mlp.value_and_gradient(theta, batch)
+                assert mlp.value(theta, batch) == value == fused_value
+                np.testing.assert_array_equal(mlp.gradient(theta, batch).view(np.int64),
+                                              grad.view(np.int64))
+                np.testing.assert_array_equal(fused_grad.view(np.int64),
+                                              grad.view(np.int64))
+        np.testing.assert_array_equal(mlp.x, x_before)
 
 
 def test_mlp_outputs_do_not_alias():

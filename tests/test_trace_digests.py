@@ -41,6 +41,11 @@ was (s, tag), another consumer's stream. FOLDED_DIGESTS keeps the
 digests of the folded stream, which these configs reproduce when the
 folded fixture puts that stream back in blr_run; the historical proofs
 above run with it put back too.
+
+The ivon_spirals_bench digest, the spirals_ivon benchmark workload's
+first 100 steps, was pinned after all of these changes. Its OLD_DIGESTS
+entry was computed the same way as the rest: with the logaddexp kernel
+and the untagged sample stream patched back in.
 """
 
 import csv
@@ -63,6 +68,8 @@ def _config(seed, model, optimizer):
 
 _LOGISTIC = {"kind": "logistic", "n": 60, "p": 3, "data_seed": 4}
 _SPIRALS = {"kind": "spirals_mlp", "n": 120, "hidden": [8, 8], "data_seed": 7}
+#: the spirals_ivon benchmark workload's model at seed 1
+_SPIRALS_IVON = {"kind": "spirals_mlp", "n": 500, "hidden": [16, 16], "data_seed": 1}
 
 #: the diagonal reparam config that leaves the domain 45 times in 30 steps
 HALVING_CONFIG = _config(
@@ -122,6 +129,13 @@ PINNED = {
         _config(8, _SPIRALS, {"kind": "adam", "steps": 40, "step_size": 0.05,
                               "batch_size": 30}),
         "5b39870946eb153b59d43bd47ee21a8d1e0e4f4886f7380a8a94291005c8c47e"),
+    # the spirals_ivon workload's first 100 steps: (500, 16) hidden deltas in
+    # the full-data record and (100, 16) in the minibatch gradient
+    "ivon_spirals_bench": (
+        _config(1, _SPIRALS_IVON, {"kind": "ivon", "step_size": 0.3, "steps": 100,
+                                   "hess_rate": 3e-3, "weight_decay": 1e-2,
+                                   "ess": 3e4, "batch_size": 100}),
+        "1f57ec9d23f20e46f861665e9d9b41f525b271f413d65c52acebf1251353f404"),
 }
 
 
@@ -156,6 +170,8 @@ OLD_DIGESTS = {
     "blr_full_mc": "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4",
     "ivon": "16f00af474f2e3c07097904f0d7f55a825c44aa63437f7d06b90bb231e08371b",
     "ivon_mlp": "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271",
+    "ivon_spirals_bench":
+        "e717d22f03c18cdce5d0592e7bd5bf387c28ca6b8439c30faf015bc5d14d8e64",
     "rmsprop": "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4",
     "von": "f2bdb252be85be24066521f8d5f7aff1864cfd423f5892be1f7b632936f9a5bf",
 }
