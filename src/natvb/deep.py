@@ -28,12 +28,12 @@ sequential and deterministic for a fixed seed.
 
 A state is validated once, when a caller (or an *_init function) builds
 it: its arrays are copied into 1-D float vectors of one length and its
-scale checked. VON's and IVON's steps return states built without that
-pass, because their arrays are the step's own fresh vectors and the step
-has just checked the scale itself: VON against its positivity floor,
-IVON's h + delta0 in the LeftDomain check. A step's result is trusted
-from there on. The train loop picks the step function and the row's
-accessors once per run.
+scale checked (a NaN fails every scale check). VON's and IVON's steps
+return states built without that pass, because their arrays are the
+step's own fresh vectors and the step has just checked the scale itself:
+VON against its positivity floor, IVON's h + delta0 in the LeftDomain
+check. A step's result is trusted from there on. The train loop picks
+the step function and the row's accessors once per run.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class RMSpropState:
     def __post_init__(self):
         object.__setattr__(self, "theta", _vec(self.theta))
         object.__setattr__(self, "scale", _vec(self.scale, self.theta.size))
-        if np.any(self.scale < 0.0):
+        if not (self.scale >= 0.0).all():
             raise ValueError("scale vector must be nonnegative")
 
 
@@ -186,7 +186,7 @@ class VONState:
     def __post_init__(self):
         object.__setattr__(self, "mean", _vec(self.mean))
         object.__setattr__(self, "prec", _vec(self.prec, self.mean.size))
-        if np.any(self.prec <= 0.0):
+        if not (self.prec > 0.0).all():
             raise ValueError("precision diagonal must be positive")
         # so that a step's floor check also keeps the precision positive
         if not self.prec_floor >= 0.0:
@@ -222,7 +222,7 @@ def von_step(state: VONState, loss: LossModel, batch=None,
                                                mean, prec, curvature, diag=True,
                                                batch=batch)
     new_prec = ema(prec, hess_mean, rho)
-    if np.any(new_prec <= state.prec_floor):
+    if not (new_prec > state.prec_floor).all():
         raise LeftDomain(
             f"VON precision crossed the positivity floor at step {state.t}",
             iterate=new_prec, iteration=state.t)
@@ -268,7 +268,7 @@ class IVONState:
         object.__setattr__(self, "hess", _vec(self.hess, self.mean.size))
         object.__setattr__(self, "grad_momentum",
                            _vec(self.grad_momentum, self.mean.size))
-        if np.any(self.hess + self.weight_decay <= 0.0):
+        if not (self.hess + self.weight_decay > 0.0).all():
             raise ValueError("posterior precision h + delta0 must be positive")
 
 
@@ -348,7 +348,7 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
     hess += hess_est
     hess += retraction
     u_new = hess + delta0
-    if np.any(u_new <= 0.0):
+    if not (u_new > 0.0).all():
         raise LeftDomain(
             f"IVON posterior precision left the domain at step {state.t}",
             iterate=hess, iteration=state.t)

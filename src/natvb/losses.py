@@ -2,7 +2,8 @@
 
 A LossModel exposes value/gradient and, when available, Hessian
 information plus closed-form Gaussian expectations. Data-backed losses
-(ridge, logistic, MLP) live in `models`; here are the interface, the
+(ridge, logistic, MLP) live in `models`; the MLP's loss leaves out the
+prior's normaliser, as its tau may be 0. Here are the interface, the
 quadratic workhorse, and the built-in finite-difference verifier that
 every loss must pass before an experiment uses it.
 

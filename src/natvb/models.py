@@ -11,8 +11,10 @@ The two routes are kept as independent code paths and checked against
 each other.
 
 Logistic regression and a small tanh MLP provide non-conjugate targets
-for the sampled-estimator optimizers. All datasets are generated in-repo
-from seeds; nothing is downloaded.
+for the sampled-estimator optimizers. Both are BernoulliLoss subclasses:
+the base owns the data validation, the minibatch design and the data
+term; each subclass maps theta to logits and adds its Gaussian prior.
+All datasets are generated in-repo from seeds; nothing is downloaded.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class RidgeModel:
             raise DomainError("design matrix and targets have mismatched shapes")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError("data must be finite")
-        if not self.prior_precision > 0.0:
-            raise DomainError("prior precision must be positive")
+        if not 0.0 < self.prior_precision < np.inf:
+            raise DomainError("prior precision must be positive and finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -134,36 +136,58 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticModel(LossModel):
-    """Bernoulli likelihood with logit X theta and Gaussian prior.
+class BernoulliLoss(LossModel):
+    """Bernoulli likelihood of binary labels y at logits z(theta).
 
-    Non-conjugate test loss; exposes the full Hessian and its diagonal,
-    and unbiased minibatch versions via N/|batch| rescaling of the data
-    term.
+    Owns the data validation (tau finite and >= 0), the minibatch design
+    (its data term rescaled by N/|batch|) and the data term
+    sum_i softplus(z_i) - y_i z_i. Subclasses map theta to logits, add
+    their prior, and define value, gradient and any Hessian themselves:
+    perfbench/layers.py hooks only a class's own methods.
     """
 
-    def __init__(self, x, y, prior_precision: float = 1.0):
+    def __init__(self, x, y, prior_precision: float):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.shape[0] != y.size:
-            raise DomainError("design matrix and labels have mismatched shapes")
+            raise DomainError("features and labels have mismatched shapes")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DomainError("labels must be binary")
         if not np.all(np.isfinite(x)):
             raise DomainError("features must be finite")
-        if not prior_precision > 0.0:
-            raise DomainError("prior precision must be positive")
+        prior_precision = float(prior_precision)
+        if not (np.isfinite(prior_precision) and prior_precision >= 0.0):
+            raise DomainError("prior precision must be finite and nonnegative")
         self.x = x
         self.y = y
-        self.prior_precision = float(prior_precision)
-        self.dim = x.shape[1]
+        self.prior_precision = prior_precision
         self.n_data = x.shape[0]
 
     def _design(self, batch):
+        """(features, labels, N/|batch|) of a minibatch, or of all the data."""
         if batch is None:
             return self.x, self.y, 1.0
         batch = np.asarray(batch, dtype=int)
         return self.x[batch], self.y[batch], self.n_data / batch.size
+
+    @staticmethod
+    def _data_terms(z, y) -> np.ndarray:
+        """The data term at each row of logits z (its last axis runs over the data)."""
+        return np.sum(_softplus(z) - y * z, axis=-1)
+
+
+class LogisticModel(BernoulliLoss):
+    """Bernoulli likelihood with logit X theta and Gaussian prior.
+
+    Non-conjugate test loss with the full Hessian and its diagonal. Its
+    value includes the prior's normaliser, so tau must be > 0.
+    """
+
+    def __init__(self, x, y, prior_precision: float = 1.0):
+        super().__init__(x, y, prior_precision)
+        if not self.prior_precision > 0.0:
+            raise DomainError("prior precision must be positive")
+        self.dim = self.x.shape[1]
 
     def value(self, theta, batch=None) -> float:
         return float(self.value_batch(np.atleast_2d(theta), batch)[0])
@@ -175,7 +199,7 @@ class LogisticModel(LossModel):
         tau = self.prior_precision
         prior = (0.5 * tau * np.sum(thetas ** 2, axis=1)
                  + 0.5 * self.dim * (_LOG_2PI - np.log(tau)))
-        return scale * np.sum(_softplus(z) - y * z, axis=1) + prior
+        return scale * self._data_terms(z, y) + prior
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -183,19 +207,16 @@ class LogisticModel(LossModel):
         resid = _sigmoid(x @ theta) - y
         return scale * (x.T @ resid) + self.prior_precision * theta
 
+    # one row's mean Hessian: its sum of one term, divided by 1, keeps every bit
     def hessian_full(self, theta, batch=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         x, _, scale = self._design(batch)
-        w = _sigmoid(x @ theta)
-        w = w * (1.0 - w)
-        return scale * (x.T * w) @ x + self.prior_precision * np.eye(self.dim)
+        return self._mean_hessian(x, scale, _sigmoid(x @ theta)[None], diag=False)
 
     def hessian_diag(self, theta, batch=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         x, _, scale = self._design(batch)
-        w = _sigmoid(x @ theta)
-        w = w * (1.0 - w)
-        return scale * (w @ x ** 2) + self.prior_precision
+        return self._mean_hessian(x, scale, _sigmoid(x @ theta)[None], diag=True)
 
     # Batched forms: one (K, N) logit matrix for all samples. The mean
     # Hessian is linear in the curvature weights w = s(1 - s), so
@@ -248,12 +269,13 @@ def make_logistic_data(seed: int, n: int, p: int, scale: float = 3.0,
 
 # -- small MLP classifier -------------------------------------------------
 
-class MLPModel(LossModel):
+class MLPModel(BernoulliLoss):
     """Tanh MLP with a linear logit output and Bernoulli likelihood.
 
     Gradients come from handwritten backpropagation over the flattened
     parameter vector (weights then bias, layer by layer). No Hessians:
-    the sampled-curvature optimizers estimate them from gradients.
+    the sampled-curvature optimizers estimate them from gradients. The
+    prior term 0.5 tau |theta|^2 has no normaliser, as tau may be 0.
 
     axis_values, the losses the derivative gate differences, runs one
     forward pass and moves only what each perturbed coordinate touches: a
@@ -277,22 +299,10 @@ class MLPModel(LossModel):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or sizes[-1] != 1:
             raise ValueError("layer sizes must end in a single logit output")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if x.shape[1] != sizes[0] or x.shape[0] != y.size:
+        super().__init__(x, y, prior_precision)
+        if self.x.shape[1] != sizes[0]:
             raise DomainError("dataset does not match the input layer")
-        if not np.all(np.isin(y, (0.0, 1.0))):
-            raise DomainError("labels must be binary")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("features must be finite")
-        prior_precision = float(prior_precision)
-        if not (np.isfinite(prior_precision) and prior_precision >= 0.0):
-            raise DomainError("prior precision must be finite and nonnegative")
         self.layer_sizes = sizes
-        self.x = x
-        self.y = y
-        self.prior_precision = prior_precision
-        self.n_data = x.shape[0]
         self.shapes = [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
         # (w_start, b_start, end, out, in) of each layer in the flat vector
         spans = []
@@ -342,15 +352,9 @@ class MLPModel(LossModel):
         _, _, z = self._forward(theta, self.x if x is None else np.atleast_2d(x))
         return z
 
-    def _batch(self, batch):
-        if batch is None:
-            return self.x, self.y, 1.0
-        batch = np.asarray(batch, dtype=int)
-        return self.x[batch], self.y[batch], self.n_data / batch.size
-
     def _value(self, theta, z, y, scale) -> float:
-        data = float(np.sum(_softplus(z) - y * z))
-        return scale * data + 0.5 * self.prior_precision * float(theta @ theta)
+        return (scale * float(self._data_terms(z, y))
+                + 0.5 * self.prior_precision * float(theta @ theta))
 
     def _backprop(self, theta, layers, acts, z, y, scale) -> np.ndarray:
         """Gradient from one forward pass, written layer by layer into one vector.
@@ -382,19 +386,19 @@ class MLPModel(LossModel):
         return flat
 
     def value(self, theta, batch=None) -> float:
-        x, y, scale = self._batch(batch)
+        x, y, scale = self._design(batch)
         theta = np.asarray(theta, dtype=float).reshape(-1)
         _, _, z = self._forward(theta, x)
         return self._value(theta, z, y, scale)
 
     def gradient(self, theta, batch=None) -> np.ndarray:
-        x, y, scale = self._batch(batch)
+        x, y, scale = self._design(batch)
         theta = np.asarray(theta, dtype=float).reshape(-1)
         layers, acts, z = self._forward(theta, x)
         return self._backprop(theta, layers, acts, z, y, scale)
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        x, y, scale = self._batch(batch)
+        x, y, scale = self._design(batch)
         theta = np.asarray(theta, dtype=float).reshape(-1)
         layers, acts, z = self._forward(theta, x)
         return (self._value(theta, z, y, scale),
@@ -427,7 +431,7 @@ class MLPModel(LossModel):
                 for sign in (0, 1):
                     z_moved = self._moved_logits(layers, pre, acts, z, idx, units, inputs,
                                                  moves[sign, coords][:, None])
-                    out[sign, coords] = self._data_terms(z_moved)
+                    out[sign, coords] = self._data_terms(z_moved, self.y)
         out += prior
         return out
 
@@ -461,17 +465,11 @@ class MLPModel(LossModel):
         moved += z
         return moved
 
-    def _data_terms(self, z) -> np.ndarray:
-        """The full-data term of _value for each row of logits; overwrites z."""
-        terms = _softplus(z)
-        z *= self.y
-        terms -= z
-        return terms.sum(axis=1)
-
     def mean_data_loss(self, theta) -> float:
         """Mean Bernoulli cross-entropy over the full dataset (the training metric)."""
         _, _, z = self._forward(theta, self.x)
-        return float(np.mean(_softplus(z) - self.y * z))
+        # np.mean's two steps, a sum and a division by the count, so no bit moves
+        return float(self._data_terms(z, self.y) / self.n_data)
 
 
 def two_spirals(n: int, seed: int, noise: float = 0.03,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from natvb.blr import BLRConfig, blr_init, blr_step
-from natvb.deep import (IVONState, TrainTraceRow, VONState, adam_init, adam_step, ema,
-                        ivon_init, ivon_sample_and_estimate, ivon_step,
+from natvb.deep import (IVONState, RMSpropState, TrainTraceRow, VONState, adam_init,
+                        adam_step, ema, ivon_init, ivon_sample_and_estimate, ivon_step,
                         preconditioned_step, rmsprop_init, rmsprop_step,
                         train, von_step)
 from natvb.errors import LeftDomain
@@ -203,6 +203,29 @@ def test_von_state_rejects_a_floor_below_zero():
             VONState(np.zeros(2), np.ones(2), learning_rate=0.5, prec_floor=floor)
 
 
+def test_states_reject_a_nan_scale():
+    # each check asks every element to lie inside the domain, which NaN does not
+    with pytest.raises(ValueError, match="precision diagonal"):
+        VONState(np.zeros(2), [np.nan, 1.0], learning_rate=0.5)
+    with pytest.raises(ValueError, match="h \\+ delta0"):
+        IVONState(np.zeros(2), [np.nan, 1.0], np.zeros(2), step_size=0.1)
+    with pytest.raises(ValueError, match="h \\+ delta0"):
+        IVONState(np.zeros(2), np.ones(2), np.zeros(2), step_size=0.1, weight_decay=np.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RMSpropState(np.zeros(2), [1.0, np.nan], step_size=0.1, scale_rate=0.1,
+                     damping=1e-8)
+
+
+def test_von_step_rejects_a_nan_precision():
+    class NaNCurvature(QuadraticLoss):
+        def expected_hessian(self, mean, cov):
+            return np.full((2, 2), np.nan)
+
+    state = VONState(np.zeros(2), np.ones(2), learning_rate=0.5)
+    with pytest.raises(LeftDomain, match="floor"):
+        von_step(state, NaNCurvature(np.eye(2), np.zeros(2)))
+
+
 def test_von_step_rejects_moments_of_the_wrong_shape():
     base = QuadraticLoss(np.eye(3), np.zeros(3))
 
@@ -390,6 +413,15 @@ def test_ivon_state_is_validated_at_construction():
                   weight_decay=0.5)
     with pytest.raises(ValueError, match="h \\+ delta0"):
         ivon_init(np.zeros(2), step_size=0.1, hess_init=-1.0, weight_decay=0.5)
+
+
+def test_ivon_step_rejects_a_nan_precision():
+    # ess (h + delta0) underflows to 0, so the sample and everything after it
+    # is NaN; the step must stop there rather than return h = mean = NaN
+    state = ivon_init(np.zeros(3), step_size=0.3, hess_init=1e-315, weight_decay=0.0,
+                      ess=1e-10)
+    with np.errstate(all="ignore"), pytest.raises(LeftDomain, match="left the domain"):
+        ivon_step(state, make_logistic_data(0, 40, 3))
 
 
 def test_ivon_step_rejects_a_gradient_of_the_wrong_shape():

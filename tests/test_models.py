@@ -1,6 +1,8 @@
 import collections
+import importlib.util
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from natvb.blr import conjugate_posterior
 from natvb.errors import DomainError
 from natvb.gaussian import FullGaussian
 from natvb.harness import build_model, resolve_config
-from natvb.losses import LossModel, check_derivatives
-from natvb.models import (MLPModel, RidgeModel, _softplus,
+from natvb.losses import LossModel, QuadraticLoss, check_derivatives
+from natvb.models import (LogisticModel, MLPModel, RidgeModel, _softplus,
                           make_logistic_data, make_ridge_data,
                           make_spirals_mlp, ridge_conjugate_model,
                           ridge_exact_posterior, ridge_loss,
@@ -315,6 +317,75 @@ def test_mlp_outputs_do_not_alias():
         assert not np.shares_memory(out, mlp.x) and not np.shares_memory(out, theta)
     first[:] = 0.0
     np.testing.assert_array_equal(second, fused)
+
+
+# -- the shared Bernoulli likelihood ------------------------------------------
+
+@pytest.mark.parametrize("tau", [np.inf, np.nan])
+def test_data_models_reject_a_nonfinite_prior_precision(tau):
+    x, y = two_spirals(20, seed=2)
+    for build in (lambda: RidgeModel(x, y, tau), lambda: LogisticModel(x, y, tau),
+                  lambda: MLPModel([2, 3, 1], x, y, tau)):
+        with pytest.raises(DomainError):
+            build()
+
+
+def test_bernoulli_models_share_the_data_checks():
+    x, y = two_spirals(20, seed=2)
+    # the logistic value carries the prior's normaliser log(tau); the MLP's does not
+    with pytest.raises(DomainError):
+        LogisticModel(x, y, 0.0)
+    for build in (lambda: LogisticModel(x, y[:-1]), lambda: MLPModel([2, 3, 1], x, y[:-1]),
+                  lambda: LogisticModel(x, 2.0 * y), lambda: MLPModel([2, 3, 1], x, 2.0 * y)):
+        with pytest.raises(DomainError):
+            build()
+
+
+@pytest.mark.parametrize("n, p", [(40, 2), (200, 5), (500, 8)])
+def test_single_layer_mlp_is_logistic_regression(n, p):
+    # MLPModel([p, 1]) with output bias 0 is the logistic model less its
+    # prior normaliser 0.5 p (log 2 pi - log tau)
+    tau = 0.7
+    logistic = make_logistic_data(n + p, n, p, prior_precision=tau)
+    mlp = MLPModel([p, 1], logistic.x, logistic.y, tau)
+    normaliser = 0.5 * p * (np.log(2.0 * np.pi) - np.log(tau))
+    rng = make_rng(n, p)
+    for batch in (None, rng.choice(n, size=n // 4, replace=False)):
+        for _ in range(3):
+            w = rng.standard_normal(p)
+            theta = np.append(w, 0.0)
+            np.testing.assert_allclose(mlp.value(theta, batch),
+                                       logistic.value(w, batch) - normaliser,
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(mlp.gradient(theta, batch)[:p],
+                                       logistic.gradient(w, batch), rtol=1e-13, atol=0.0)
+
+
+def _perfbench_layers():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the methods each hooked class defined itself before BernoulliLoss existed
+_DEFINED_BEFORE_MERGE = {
+    QuadraticLoss: {"value", "gradient", "hessian_diag", "hessian_full", "expected_value",
+                    "expected_gradient", "expected_hessian", "natural_coefficients"},
+    LogisticModel: {"value", "gradient", "hessian_full", "hessian_diag"},
+    MLPModel: {"value", "gradient", "mean_data_loss"},
+}
+
+
+def test_hooked_model_methods_stay_on_their_classes():
+    # perfbench's install patches only names in vars(cls): a hooked method
+    # moved into a base class would silently read zero in the models.* metrics
+    table = _perfbench_layers()._MODEL_METHODS
+    for cls, names in _DEFINED_BEFORE_MERGE.items():
+        hooked = names & set(table)
+        assert hooked, cls.__name__
+        assert hooked <= set(vars(cls)), (cls.__name__, hooked - set(vars(cls)))
 
 
 def test_mlp_fused_method_passes_the_derivative_gate():

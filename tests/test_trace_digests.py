@@ -46,6 +46,14 @@ The ivon_spirals_bench digest, the spirals_ivon benchmark workload's
 first 100 steps, was pinned after all of these changes. Its OLD_DIGESTS
 entry was computed the same way as the rest: with the logaddexp kernel
 and the untagged sample stream patched back in.
+
+The blr_diag_delta digest (the per-theta Hessian diagonal) and the three
+*_mlp_prior digests (the MLP with tau > 0 under VON, IVON and diagonal
+reparam BLR) were pinned later still, before logistic regression and the
+MLP began to share one Bernoulli data term, so that the merge is held to
+the bytes of the two separate copies. Their OLD_DIGESTS entries were
+computed with the logaddexp kernel, the untagged sample stream and the
+folded estimate stream patched back in, as the test runs them.
 """
 
 import csv
@@ -70,6 +78,8 @@ _LOGISTIC = {"kind": "logistic", "n": 60, "p": 3, "data_seed": 4}
 _SPIRALS = {"kind": "spirals_mlp", "n": 120, "hidden": [8, 8], "data_seed": 7}
 #: the spirals_ivon benchmark workload's model at seed 1
 _SPIRALS_IVON = {"kind": "spirals_mlp", "n": 500, "hidden": [16, 16], "data_seed": 1}
+#: the spirals MLP with a Gaussian prior, whose loss and gradient carry a tau term
+_SPIRALS_PRIOR = {**_SPIRALS, "prior_precision": 0.5}
 
 #: the diagonal reparam config that leaves the domain 45 times in 30 steps
 HALVING_CONFIG = _config(
@@ -93,6 +103,11 @@ PINNED = {
         _config(1, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.5,
                                "max_iter": 8, "estimator": "delta"}),
         "52854879189bd5bf3b2e44ee7385b140e9609c61b6ddf84737729ef82b4d8bdc"),
+    # the per-theta Hessian diagonal at the mean
+    "blr_diag_delta": (
+        _config(1, _LOGISTIC, {"kind": "blr", "family": "diag", "learning_rate": 0.5,
+                               "max_iter": 8, "estimator": "delta"}),
+        "1f6bdce698d649187d65d21d1f59b2ecc93dd25226a68abc96a94d99d11bbb7e"),
     "blr_full_mc": (
         _config(2, _LOGISTIC, {"kind": "blr", "family": "full", "learning_rate": 0.3,
                                "max_iter": 8, "estimator": "mc", "n_samples": 8}),
@@ -136,6 +151,22 @@ PINNED = {
                                    "hess_rate": 3e-3, "weight_decay": 1e-2,
                                    "ess": 3e4, "batch_size": 100}),
         "1f57ec9d23f20e46f861665e9d9b41f525b271f413d65c52acebf1251353f404"),
+    # the MLP's prior term in the minibatch gradient, the full-data record,
+    # the batched gradients and the derivative gate's axis values
+    "von_mlp_prior": (
+        _config(3, _SPIRALS_PRIOR, {"kind": "von", "learning_rate": 0.01, "steps": 30,
+                                    "n_samples": 8, "batch_size": 30,
+                                    "init_precision": 10.0}),
+        "b33a3d098f2b8eced11435f5777d4ac248e46dad18fab1ba15cad3978a1d2984"),
+    "ivon_mlp_prior": (
+        _config(5, _SPIRALS_PRIOR, {"kind": "ivon", "steps": 30, "step_size": 0.3,
+                                    "ess": 3e4, "batch_size": 30}),
+        "8cc9dc536d1c75070a515bbbb2b212cec733b59f1e1533bec24a33482151c880"),
+    "blr_diag_reparam_mlp_prior": (
+        _config(4, _SPIRALS_PRIOR, {"kind": "blr", "family": "diag", "learning_rate": 0.05,
+                                    "max_iter": 10, "estimator": "reparam",
+                                    "n_samples": 4}),
+        "a171bfa4640552adbfcf6f4f4f4593c454fb76846c2994e8e30e89bb697fabbe"),
 }
 
 
@@ -159,9 +190,12 @@ FOLDED_DIGESTS = {
 OLD_DIGESTS = {
     "adam": "1a94f94723d6c1a5a3a67b1d4a1d246a0320680f76008bd09451b3abd6e0653a",
     "adam_mlp": "7ea7af3af5860fb16fa7cf994b49f40d24b4d7425794101eea5d42cefe949334",
+    "blr_diag_delta": "a953361754ae4d793d7cae71f0e51f946a6647c1f9e891500fa360edda6c8de7",
     "blr_diag_mc": "ba3585a9ea86e7a0931bce435e75a3b309d76e5dac3f090eb8906a58f7d524f7",
     "blr_diag_reparam_halvings":
         "daa945aaf460ca7f3e142944269e01ef6dd49365528532d5264e8bb185c4594e",
+    "blr_diag_reparam_mlp_prior":
+        "beaed812d0e5005d638cb045ae36ebe97b17a41dc73e7b19c187cab6b6e9d778",
     "blr_full_delta": "bce4c027a09c3d9e45421ecbf6c9a3853e83c799a464412000f490b033460ba2",
     "blr_full_exact_ridge":
         "ac0340c0c35261fbe61febe8e3cb1df7a9b73d2289e9e966a39795adbf9a1f8e",
@@ -170,10 +204,12 @@ OLD_DIGESTS = {
     "blr_full_mc": "83d626128fb0ef127310e88ceb733e54859982137c9cc6438b669501d0eb88b4",
     "ivon": "16f00af474f2e3c07097904f0d7f55a825c44aa63437f7d06b90bb231e08371b",
     "ivon_mlp": "fb2bebaa96d23c872fbf9776ed3c00c5ea633050ebf93c25c573591b7f4e9271",
+    "ivon_mlp_prior": "a7db8c3bf91065024a2b3e8e74da7f87e729a9d6351c0aad6ed18568d47d24fc",
     "ivon_spirals_bench":
         "e717d22f03c18cdce5d0592e7bd5bf387c28ca6b8439c30faf015bc5d14d8e64",
     "rmsprop": "ebdb94570cc94f01d8415fc5e104b5b379cae2898db66ae59296403b21b50cf4",
     "von": "f2bdb252be85be24066521f8d5f7aff1864cfd423f5892be1f7b632936f9a5bf",
+    "von_mlp_prior": "da5ea32506bfc0cd5a9251755584a4e9da21da160ccc2e7b44dc60f056205b26",
 }
 #: the trace columns that hold a loss value, the only ones the kernel may move
 VALUE_COLUMNS = ("objective", "loss")
