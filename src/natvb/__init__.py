@@ -25,8 +25,7 @@ from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      ridge_exact_posterior, ridge_loss,
                      ridge_natural_coefficients, two_spirals)
 from .natgrad import (EstimatorSpec, check_support, estimate_natgrad,
-                      expected_loss, linear_loss_natgrad, natgrad_delta_method,
-                      natgrad_exact, natgrad_gaussian_identity, natgrad_via_dual)
+                      expected_loss, linear_loss_natgrad, natgrad_via_dual)
 from .seeding import RNG_ALGORITHM, make_rng
 
 __version__ = "0.1.0"

@@ -66,11 +66,16 @@ class BLRConfig:
     max_rate_halvings: int = 20
 
     def rho_at(self, t: int) -> float:
-        rho = self.learning_rate(t) if callable(self.learning_rate) else self.learning_rate
-        rho = float(rho)
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"learning rate must be in (0, 1], got {rho} at step {t}")
-        return rho
+        return rate_at(self.learning_rate, t)
+
+
+def rate_at(rate, t: int) -> float:
+    """The rate at step t of a constant or a schedule t -> rate, as a float
+    in (0, 1] (ValueError otherwise); BLR, VON and IVON share this rule."""
+    value = float(rate(t) if callable(rate) else rate)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"rate must be in (0, 1], got {value} at step {t}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .blr import rate_at
 from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .losses import LossModel
-from .natgrad import reparam_hessian_terms, sampled_moments
+from .natgrad import gaussian_moments, reparam_hessian_terms
 from .seeding import SAMPLE_STREAM, StepStreams, make_rng
 
 
@@ -86,13 +87,6 @@ def preconditioned_step(theta: np.ndarray, grad: np.ndarray, scale: np.ndarray,
     """
     denom = (np.sqrt(scale) if sqrt_scale else scale) + damping
     return theta - step_size * grad / denom
-
-
-def _rate_at(rate, t: int) -> float:
-    value = float(rate(t) if callable(rate) else rate)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {value} at step {t}")
-    return value
 
 
 # -- RMSprop -----------------------------------------------------------
@@ -188,6 +182,8 @@ class VONState:
         object.__setattr__(self, "prec", _vec(self.prec, self.mean.size))
         if not (self.prec > 0.0).all():
             raise ValueError("precision diagonal must be positive")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         # so that a step's floor check also keeps the precision positive
         if not self.prec_floor >= 0.0:
             raise ValueError(f"prec_floor must be >= 0, got {self.prec_floor}")
@@ -201,26 +197,27 @@ def von_step(state: VONState, loss: LossModel, batch=None,
              rng: np.random.Generator | None = None) -> VONState:
     """One natural-gradient step: scale first, then the Newton-like mean step.
 
-    Expectations are closed-form when the loss provides them; otherwise
-    K samples from the current posterior go as one block to the BLR
-    estimators' core, natgrad.sampled_moments, with the Hessian diagonal
-    from the loss when available and the reparameterization identity when not.
-    The samples come from rng, step state.t's sample stream
-    make_rng(state.seed, *SAMPLE_STREAM, state.t) when not given.
+    The moments E_q[grad] and E_q[diag H] come from the BLR estimators'
+    core, natgrad.gaussian_moments: exact (closed form at cov =
+    diag(1/prec)) when the loss provides expectations and there is no
+    batch; otherwise mc on K samples from the current posterior when the
+    loss provides its Hessian diagonal, reparam when not. The samples are
+    mean + z / sqrt(prec) for K standard-normal rows z of rng, step
+    state.t's sample stream make_rng(state.seed, *SAMPLE_STREAM, state.t)
+    when not given.
     """
-    rho = _rate_at(state.learning_rate, state.t)
+    rho = rate_at(state.learning_rate, state.t)
     mean, prec = state.mean, state.prec
     if loss.provides_expectations and batch is None:
-        cov = np.diag(1.0 / prec)
-        grad_mean = loss.expected_gradient(mean, cov)
-        hess_mean = np.diag(np.atleast_2d(loss.expected_hessian(mean, cov)))
+        grad_mean, hess_mean = gaussian_moments(loss, "exact", mean, np.diag(1.0 / prec),
+                                                diag=True)
     else:
         rng = _sample_rng(state) if rng is None else rng
         z = rng.standard_normal((state.n_samples, mean.size))
-        curvature = "hessian" if loss.provides_hessian_diag else "reparam"
-        grad_mean, hess_mean = sampled_moments(loss, mean + (1.0 / np.sqrt(prec)) * z,
-                                               mean, prec, curvature, diag=True,
-                                               batch=batch)
+        kind = "mc" if loss.provides_hessian_diag else "reparam"
+        grad_mean, hess_mean = gaussian_moments(
+            loss, kind, mean, thetas=mean + (1.0 / np.sqrt(prec)) * z, prec=prec,
+            diag=True, batch=batch)
     new_prec = ema(prec, hess_mean, rho)
     if not (new_prec > state.prec_floor).all():
         raise LeftDomain(
@@ -327,7 +324,7 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
     arrays are these fresh 1-D vectors, and the LeftDomain check is the
     positivity check it would repeat.
     """
-    rho = _rate_at(state.hess_rate, state.t)
+    rho = rate_at(state.hess_rate, state.t)
     delta0 = state.weight_decay
     beta1 = state.beta1
     old_hess = state.hess

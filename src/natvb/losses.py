@@ -67,35 +67,26 @@ class LossModel:
     # Batched forms over the rows of a (K, dim) array, for the Monte Carlo
     # estimators. The defaults loop over the per-theta methods; overrides
     # must agree with them to roundoff, which check_derivatives enforces.
+    # gradient_and_mean_hessian is a loss's one batched curvature call.
 
     def gradient_batch(self, thetas, batch=None) -> np.ndarray:
         """Gradient at each row of thetas, shape (K, dim)."""
         return np.array([self.gradient(t, batch) for t in np.atleast_2d(thetas)])
 
-    def mean_hessian_full(self, thetas, batch=None) -> np.ndarray:
-        """Mean of hessian_full over the rows of thetas."""
-        thetas = np.atleast_2d(thetas)
-        total = np.zeros((self.dim, self.dim))
-        for theta in thetas:
-            total += self.hessian_full(theta, batch)
-        return total / len(thetas)
-
-    def mean_hessian_diag(self, thetas, batch=None) -> np.ndarray:
-        """Mean of hessian_diag over the rows of thetas."""
-        thetas = np.atleast_2d(thetas)
-        total = np.zeros(self.dim)
-        for theta in thetas:
-            total += self.hessian_diag(theta, batch)
-        return total / len(thetas)
-
     def gradient_and_mean_hessian(self, thetas, batch=None, diag: bool = False):
-        """(gradient_batch, mean_hessian_diag if diag else mean_hessian_full).
+        """(gradient_batch, mean of hessian_diag if diag else of hessian_full
+        over the rows of thetas).
 
         The pair a Monte Carlo estimate needs; override to share one pass
         over the data between its two halves.
         """
-        hessian = self.mean_hessian_diag if diag else self.mean_hessian_full
-        return self.gradient_batch(thetas, batch), hessian(thetas, batch)
+        grads = self.gradient_batch(thetas, batch)
+        thetas = np.atleast_2d(thetas)
+        hessian = self.hessian_diag if diag else self.hessian_full
+        total = np.zeros(self.dim) if diag else np.zeros((self.dim, self.dim))
+        for theta in thetas:
+            total += hessian(theta, batch)
+        return grads, total / len(thetas)
 
     # Closed-form Gaussian expectations, for the exact estimator path.
     # Available only when the loss admits them (affine gradient).
@@ -136,10 +127,6 @@ class LossModel:
             raise ValueError(f"{type(self).__name__} has no minibatch structure")
 
 
-#: batched methods with the capability each needs (None: always available)
-_BATCHED = {"value_batch": None, "gradient_batch": None,
-            "mean_hessian_full": "provides_hessian_full",
-            "mean_hessian_diag": "provides_hessian_diag"}
 #: relative gap allowed between a batched override and its per-theta loop
 _BATCH_RTOL = 1e-10
 
@@ -153,9 +140,6 @@ def _check_batched(loss: LossModel, names, thetas, batches, worst: dict) -> None
     for name in names:
         if getattr(type(loss), name) is getattr(LossModel, name):
             continue  # the default is the loop itself
-        needs = _BATCHED[name]
-        if needs is not None and not getattr(loss, needs):
-            continue
         for batch in batches:
             got = getattr(loss, name)(thetas, batch)
             ref = getattr(LossModel, name)(loss, thetas, batch)
@@ -168,7 +152,8 @@ def _check_batched(loss: LossModel, names, thetas, batches, worst: dict) -> None
 
 def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
     """Hold overridden value_and_gradient and gradient_and_mean_hessian to
-    the separate calls they combine."""
+    the separate calls they combine: value and gradient, gradient_batch and
+    the per-theta Hessian loop."""
     if type(loss).value_and_gradient is not LossModel.value_and_gradient:
         for theta in thetas:
             for batch in batches:
@@ -192,7 +177,7 @@ def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
                 worst["batched"] = max(worst["batched"], err)
                 if not err <= _BATCH_RTOL:
                     raise ValueError(f"gradient_and_mean_hessian differs from gradient_batch "
-                                     f"and the mean Hessian: {err:.3e} > {_BATCH_RTOL:.1e}")
+                                     f"and the per-theta Hessians: {err:.3e} > {_BATCH_RTOL:.1e}")
 
 
 #: coordinates at which an overridden axis_values is held to the value loop
@@ -262,8 +247,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
         worst["gradient"] = max(worst["gradient"], err)
         if not err <= grad_rtol:
             raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
-    _check_batched(loss, ("gradient_batch", "mean_hessian_full", "mean_hessian_diag"),
-                   thetas, batches, worst)
+    _check_batched(loss, ("gradient_batch",), thetas, batches, worst)
     _check_fused(loss, thetas, batches, worst)
     if not (loss.provides_hessian_full or loss.provides_hessian_diag):
         return worst

@@ -151,6 +151,8 @@ class BernoulliLoss(LossModel):
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.shape[0] != y.size:
             raise DomainError("features and labels have mismatched shapes")
+        if y.size < 1:
+            raise DomainError("a Bernoulli loss needs at least one datum")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DomainError("labels must be binary")
         if not np.all(np.isfinite(x)):
@@ -168,6 +170,8 @@ class BernoulliLoss(LossModel):
         if batch is None:
             return self.x, self.y, 1.0
         batch = np.asarray(batch, dtype=int)
+        if batch.size == 0:
+            raise DomainError("a minibatch needs at least one datum")
         return self.x[batch], self.y[batch], self.n_data / batch.size
 
     @staticmethod
@@ -241,14 +245,6 @@ class LogisticModel(BernoulliLoss):
     def gradient_batch(self, thetas, batch=None) -> np.ndarray:
         thetas, x, y, scale, sig = self._sigmoid_batch(thetas, batch)
         return self._gradients(thetas, x, y, scale, sig)
-
-    def mean_hessian_full(self, thetas, batch=None) -> np.ndarray:
-        _, x, _, scale, sig = self._sigmoid_batch(thetas, batch)
-        return self._mean_hessian(x, scale, sig, diag=False)
-
-    def mean_hessian_diag(self, thetas, batch=None) -> np.ndarray:
-        _, x, _, scale, sig = self._sigmoid_batch(thetas, batch)
-        return self._mean_hessian(x, scale, sig, diag=True)
 
     def gradient_and_mean_hessian(self, thetas, batch=None, diag: bool = False):
         # one logit product and one sigmoid serve both halves

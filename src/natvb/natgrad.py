@@ -5,41 +5,36 @@ The central quantity is
     tilde_lam = grad_mu E_q[-loss(theta)],
 
 the gradient of the expected negative loss in dual coordinates, which
-equals the Fisher-preconditioned gradient in natural coordinates. Four
-estimators are provided:
+equals the Fisher-preconditioned gradient in natural coordinates. For
+Gaussians it is built from two expectations under q by the identity
 
-  exact   - closed form: either the loss is linear in T(theta) (the
-            natural-coefficient fast path) or it has affine gradient so
-            the Gaussian moment identities apply with exact expectations;
-  delta   - expectations replaced by point evaluation at the mean;
-  mc      - Monte Carlo over K posterior samples using the loss Hessian
-            (full matrix for full-covariance families, diagonal for
-            diagonal ones);
-  reparam - Monte Carlo with the Hessian diagonal estimated from
-            gradients alone via grad(theta) * s * (theta - m), the
-            reparameterization-trick identity (diagonal families).
-
-Every estimator takes (family, lam, loss, ...) and returns tilde_lam as
-a 1-D array. For Gaussians the assembly uses the gradient/Hessian identity
-
-    tilde_lam = -E_q[ (grad loss(theta) - H(theta) m ;  H(theta)/2) ],
+    tilde_lam = -( E_q[grad loss] - E_q[H] m ;  E_q[H]/2 ),
 
 a method of the family (gaussian_identity), whose hessian_kind picks the
-full Hessian or its diagonal. check_support, which the estimators and
-the harness both call, decides which (family, loss, kind) are served.
+full Hessian or its diagonal. One core, gaussian_moments, defines how
+each estimator kind takes E_q[grad loss] and E_q[H]:
 
-The sampled kinds and VON's sampled step share one batched core,
-sampled_moments: the K draws reach the loss as one (K, P) array. The mc
-kind makes one LossModel.gradient_and_mean_hessian call, which a loss
-can serve from one pass over its data; for logistic regression that is
-one logit product and one sigmoid for both halves.
-Only the mean Hessian enters the identity, so a loss can return it
-without forming K matrices; for logistic regression it is
-X' diag(mean_k w_k) X + tau I, one product. The reparam kind needs
-gradient_batch alone. The objective's Monte Carlo fallback likewise
-makes one value_batch call, on a fixed-seed block of standard normals
-that is drawn once (seeding.fixed_normals) and moved to each iterate by
-the family's transport.
+  exact   - the loss's closed-form Gaussian expectations (affine gradient);
+  delta   - point evaluation at the mean;
+  mc      - Monte Carlo over K draws from q with the loss Hessian, one
+            LossModel.gradient_and_mean_hessian call on the (K, P) block,
+            which a loss can serve from one pass over its data (logistic
+            regression: one logit product and one sigmoid, and the mean
+            Hessian X' diag(mean_k w_k) X + tau I without K matrices);
+  reparam - Monte Carlo with the Hessian diagonal from gradients alone,
+            grad(theta) * s * (theta - m), the reparameterization identity
+            (diagonal families), one gradient_batch call.
+
+One entry point, estimate_natgrad, serves every kind: a loss linear in
+T(theta) takes the natural-coefficient fast path (tilde_lam is minus
+its coefficients, exactly); otherwise it checks support (check_support,
+which the harness calls too), draws a sampled kind's K samples on the
+step's stream, and assembles the identity from the core's moments. VON's
+step (deep.von_step) takes its moments from the same core. The
+objective's Monte Carlo fallback makes one value_batch call, on a
+fixed-seed block of standard normals that is drawn once
+(seeding.fixed_normals) and moved to each iterate by the family's
+transport.
 
 natgrad_via_dual certifies the identity behind all of this: mapping a
 dual-coordinate gradient to natural coordinates with F and back with
@@ -143,7 +138,7 @@ def check_support(family: ExpFamily, loss: LossModel, kind: str) -> None:
     """Raise unless estimator kind can serve (family, loss); else return None.
 
     The one support decision: the harness calls it before a run starts,
-    each estimator before it estimates. exact needs a loss linear in
+    estimate_natgrad before it estimates. exact needs a loss linear in
     T(theta) or closed-form expectations; every other kind needs the
     family's Gaussian identity (family.hessian_kind), delta and mc the
     loss Hessian of that kind, and reparam a diagonal family. A missing
@@ -165,48 +160,31 @@ def check_support(family: ExpFamily, loss: LossModel, kind: str) -> None:
         raise MissingHessian(f"{kind} estimator on {family.name!r} needs hessian_{hessian}")
 
 
-def natgrad_exact(family: ExpFamily, lam, loss: LossModel) -> np.ndarray:
-    """Closed-form tilde_lam; available for linear-in-T and affine-gradient losses."""
-    coeff = loss.natural_coefficients(family)
-    if coeff is not None:
-        return -linear_loss_natgrad(family, coeff)
-    check_support(family, loss, "exact")
-    mean, cov = family.to_mean_cov(lam)
-    grad = loss.expected_gradient(mean, cov)
-    hess = loss.expected_hessian(mean, cov)
-    if family.hessian_kind == "diag":
-        hess = np.diag(np.atleast_2d(hess))
-    return family.gaussian_identity(mean, grad, hess)
-
-
-def natgrad_delta_method(family: ExpFamily, lam, loss: LossModel) -> np.ndarray:
-    """Gaussian identity with expectations replaced by evaluation at the mean."""
-    check_support(family, loss, "delta")
-    mean, _ = family.to_mean_cov(lam)
-    grad = loss.gradient(mean)
-    if family.hessian_kind == "diag":
-        hess = loss.hessian_diag(mean)
-    else:
-        hess = loss.hessian_full(mean)
-    return family.gaussian_identity(mean, grad, hess)
-
-
 def reparam_hessian_terms(grads, prec, thetas, mean) -> np.ndarray:
     """grad(theta) * s * (theta - m) per draw of N(m, diag(s)^-1); each is
     unbiased for diag(E_q[H]) (the reparameterization identity)."""
     return grads * prec * (thetas - mean)
 
 
-def sampled_moments(loss: LossModel, thetas: np.ndarray, mean: np.ndarray,
-                    prec=None, curvature: str = "hessian", diag: bool = False,
-                    batch=None) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo (E_q[grad], E_q[H]) over the K rows of thetas, draws from q.
+def gaussian_moments(loss: LossModel, kind: str, mean, cov=None, thetas=None, prec=None,
+                     diag: bool = False, batch=None) -> tuple[np.ndarray, np.ndarray]:
+    """(E_q[grad loss], E_q[H]) under q = N(mean, cov) as estimator kind takes them.
 
-    curvature="hessian" makes one gradient_and_mean_hessian call (diagonal
-    H if diag); "reparam" one gradient_batch call, q = N(mean, diag(prec)^-1).
+    exact reads the loss's closed forms at (mean, cov); delta evaluates
+    at the mean; mc and reparam average over the K rows of thetas, draws
+    from q, with the minibatch batch: mc by one gradient_and_mean_hessian
+    call, reparam by one gradient_batch call and the reparameterization
+    terms for q = N(mean, diag(prec)^-1). H is the diagonal if diag, else
+    the full matrix.
     """
+    if kind == "exact":
+        grad = loss.expected_gradient(mean, cov)
+        hess = loss.expected_hessian(mean, cov)
+        return grad, np.diag(np.atleast_2d(hess)) if diag else hess
+    if kind == "delta":
+        return loss.gradient(mean), loss.hessian_diag(mean) if diag else loss.hessian_full(mean)
     n_samples = len(thetas)
-    if curvature == "hessian":
+    if kind == "mc":
         grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=diag)
     else:
         grads = loss.gradient_batch(thetas, batch)
@@ -214,54 +192,38 @@ def sampled_moments(loss: LossModel, thetas: np.ndarray, mean: np.ndarray,
     return grads.sum(axis=0) / n_samples, hess
 
 
-def natgrad_gaussian_identity(family: ExpFamily, lam, loss: LossModel,
-                              n_samples: int, seed: int | np.random.Generator,
-                              batch=None, curvature: str = "hessian") -> np.ndarray:
-    """Monte Carlo tilde_lam over K samples from q.
-
-    The samples come from make_rng(seed), or from seed itself when it is
-    a Generator.
-
-    curvature="hessian" takes the loss Hessian of the family's
-    hessian_kind; curvature="reparam" (diagonal families) the
-    gradient-only reparameterization estimate of its diagonal. The K
-    samples go to the loss as one (K, P) array: one
-    gradient_and_mean_hessian call for curvature="hessian", one
-    gradient_batch call otherwise.
-    """
-    check_support(family, loss, "mc" if curvature == "hessian" else "reparam")
-    lam = family.natural(lam)
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    thetas = family.sample(lam, n_samples, rng)
-    mean, _ = family.to_mean_cov(lam)
-    prec = family.split_natural(lam)[1] if curvature == "reparam" else None
-    diag = family.hessian_kind == "diag"
-    grad, hess = sampled_moments(loss, thetas, mean, prec, curvature, diag, batch)
-    return family.gaussian_identity(mean, grad, hess)
-
-
 def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
                      spec: EstimatorSpec, step: int = 0,
                      batch=None, rng: np.random.Generator | None = None) -> np.ndarray:
     """tilde_lam at lam under spec; stochastic kinds draw on the step's stream.
 
-    A sampled kind draws from rng when given, which must be that step's
-    stream (seeding.StepStreams(spec.seed, *ESTIMATE_STREAM).at(step)),
-    else from make_rng(spec.seed, *ESTIMATE_STREAM, step); a negative
-    step names no stream (ValueError). A non-finite estimate raises
-    DomainError.
+    exact takes the natural-coefficient fast path when the loss is linear
+    in T(theta). Every other case checks support, reads lam once, and
+    takes gaussian_moments to the family's Gaussian identity. A sampled
+    kind draws its K samples from family.sample on rng when given, which
+    must be that step's stream (seeding.StepStreams(spec.seed,
+    *ESTIMATE_STREAM).at(step)), else on make_rng(spec.seed,
+    *ESTIMATE_STREAM, step); a negative step names no stream
+    (ValueError). A non-finite estimate raises DomainError.
     """
-    if spec.kind == "exact":
-        tilde = natgrad_exact(family, lam, loss)
-    elif spec.kind == "delta":
-        tilde = natgrad_delta_method(family, lam, loss)
+    kind = spec.kind
+    coeff = loss.natural_coefficients(family) if kind == "exact" else None
+    if coeff is not None:
+        tilde = -linear_loss_natgrad(family, coeff)
     else:
-        curvature = "hessian" if spec.kind == "mc" else "reparam"
-        source = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
-        tilde = natgrad_gaussian_identity(family, lam, loss, spec.n_samples, source,
-                                          batch=batch, curvature=curvature)
+        check_support(family, loss, kind)
+        lam = family.natural(lam)
+        thetas = None
+        if kind in ("mc", "reparam"):
+            rng = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
+            thetas = family.sample(lam, spec.n_samples, rng)
+        mean, cov = family.to_mean_cov(lam)
+        prec = family.split_natural(lam)[1] if kind == "reparam" else None
+        grad, hess = gaussian_moments(loss, kind, mean, cov, thetas, prec,
+                                      family.hessian_kind == "diag", batch)
+        tilde = family.gaussian_identity(mean, grad, hess)
     if not np.all(np.isfinite(tilde)):
-        raise DomainError(f"{spec.kind} natural-gradient estimate at step {step} "
+        raise DomainError(f"{kind} natural-gradient estimate at step {step} "
                           "is not finite")
     return tilde
 

@@ -26,8 +26,8 @@ from .gaussian import DiagGaussian, FullGaussian
 from .losses import QuadraticLoss
 from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
                      ridge_exact_posterior, ridge_loss)
-from .natgrad import (EstimatorSpec, linear_loss_natgrad, reparam_hessian_terms,
-                      sampled_moments)
+from .natgrad import (EstimatorSpec, gaussian_moments, linear_loss_natgrad,
+                      reparam_hessian_terms)
 from .numdiff import central_diff_gradient, central_diff_jacobian
 from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, StepStreams, make_rng
 
@@ -288,7 +288,7 @@ def check_von_blr(sabotage=None):
     lam0 = fam.from_moment(mean0, prec0)
     # step 0's draws, on the stream von_step samples from
     thetas = fam.transport(lam0, make_rng(seed, *SAMPLE_STREAM, 0).standard_normal((k, p)))
-    grad, hess = sampled_moments(logistic, thetas, mean0, diag=True)
+    grad, hess = gaussian_moments(logistic, "mc", mean0, thetas=thetas, diag=True)
     blr = blr_step(blr_init(fam, lam0), logistic, cfg,
                    estimate=fam.gaussian_identity(mean0, grad, hess))
     worst = max(worst, rel_err(von, blr))

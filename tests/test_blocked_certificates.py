@@ -6,12 +6,13 @@ must give its reports bit for bit, and under every injected failure the
 same exception, message, partial trace and `natvb run` exit code.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from natvb import blr, natgrad
+from natvb import blr
 from natvb.blr import BLRConfig, BLRTraceRow
 from natvb.cli import main
 from natvb.errors import (CERTIFICATE_ERRORS, BayesFilterViolation, DomainError,
@@ -175,14 +176,18 @@ class _Injector:
         self.monkeypatch.setattr(FullGaussian, "fisher_solve", corrupting)
 
     def non_finite_estimate(self, step):
-        """The estimate at the iterate step `step` made is not finite."""
-        exact = natgrad.natgrad_exact
+        """The estimate at the iterate step `step` made is not finite: there
+        estimate_natgrad is handed a loss whose natural coefficients are NaN,
+        so its own finiteness check raises."""
+        estimate = blr.estimate_natgrad
 
-        def non_finite(family, lam, loss):
-            tilde = exact(family, lam, loss)
-            return tilde * np.nan if self._is_made(lam, step + 1) else tilde
+        def non_finite(family, lam, loss, *args, **kwargs):
+            if self._is_made(lam, step + 1):
+                loss = copy.copy(loss)
+                loss.natural_coefficients = lambda fam: np.full(fam.param_dim, np.nan)
+            return estimate(family, lam, loss, *args, **kwargs)
 
-        self.monkeypatch.setattr(natgrad, "natgrad_exact", non_finite)
+        self.monkeypatch.setattr(blr, "estimate_natgrad", non_finite)
 
 
 def _outcome(run):

@@ -203,6 +203,25 @@ def test_von_state_rejects_a_floor_below_zero():
             VONState(np.zeros(2), np.ones(2), learning_rate=0.5, prec_floor=floor)
 
 
+def test_von_state_rejects_no_samples():
+    # the estimator core averages over the draws, as EstimatorSpec requires
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            VONState(np.zeros(2), np.ones(2), learning_rate=0.5, n_samples=n_samples)
+
+
+def test_one_rate_rule_for_blr_von_and_ivon():
+    # a constant or a schedule, read as a float in (0, 1] at each step
+    loss = QuadraticLoss(np.eye(2), np.ones(2))
+    von = VONState(np.zeros(2), np.ones(2), learning_rate=lambda t: 1.5)
+    ivon = ivon_init(np.zeros(2), step_size=0.1, hess_rate=0.0)
+    for bad in (lambda: von_step(von, loss), lambda: ivon_step(ivon, loss),
+                lambda: BLRConfig(1.5, 1).rho_at(0)):
+        with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]"):
+            bad()
+    assert BLRConfig(np.float32(0.25), 1).rho_at(3) == 0.25
+
+
 def test_states_reject_a_nan_scale():
     # each check asks every element to lie inside the domain, which NaN does not
     with pytest.raises(ValueError, match="precision diagonal"):

@@ -144,21 +144,25 @@ def _losses():
 
 
 LOSSES = _losses()
+#: (loss, minibatch) pairs: a loss without data takes no minibatch
+DATA = [(name, minibatch) for name, loss in LOSSES.items()
+        for minibatch in ([False] if loss.n_data is None else [False, True])]
 
 
-@pytest.mark.parametrize("minibatch", [False, True])
-@pytest.mark.parametrize("loss_name", list(LOSSES))
+def _batch(rng, loss, minibatch):
+    return rng.choice(loss.n_data, size=loss.n_data // 3, replace=False) if minibatch \
+        else None
+
+
+@pytest.mark.parametrize("loss_name,minibatch", DATA)
 @pytest.mark.parametrize("family_type", [FullGaussian, DiagGaussian])
 @pytest.mark.parametrize("kind", ["exact", "delta", "mc", "reparam"])
 def test_estimate_equals_the_replaced_estimators_bitwise(kind, family_type, loss_name,
                                                           minibatch):
     loss = LOSSES[loss_name]
-    if minibatch and loss.n_data is None:
-        pytest.skip("a loss without data has no minibatch")
     fam = family_type(loss.dim)
     rng = make_rng(241)
-    batch = rng.choice(loss.n_data, size=loss.n_data // 3, replace=False) if minibatch \
-        else None
+    batch = _batch(rng, loss, minibatch)
     served = 0
     for step in range(3):
         lam = random_lam(rng, fam)
@@ -187,28 +191,13 @@ def test_estimate_equals_the_replaced_estimators_bitwise(kind, family_type, loss
     assert served == (3 if (kind, loss_name) in supported else 0)
 
 
-def test_estimate_on_a_natural_parameter_object_equals_coordinates():
-    # the fast path reads no lam, every other kind reads it once
-    fam = FullGaussian(3)
-    lam = fam.natural(random_lam(make_rng(242), fam))
-    for loss in (LOSSES["quad_full"], LOSSES["logistic"]):
-        for kind in ("delta", "mc"):
-            spec = EstimatorSpec(kind, 4, seed=1)
-            assert _same_bits(estimate_natgrad(fam, lam, loss, spec),
-                              estimate_natgrad(fam, lam.coords, loss, spec))
-
-
-@pytest.mark.parametrize("minibatch", [False, True])
-@pytest.mark.parametrize("loss_name,route", [("quad_diag", "exact"),
-                                             ("quad_full", "exact"),
-                                             ("logistic", "mc"), ("mlp", "reparam")])
-def test_von_step_equals_its_replaced_moment_branches_bitwise(loss_name, route, minibatch):
+@pytest.mark.parametrize("loss_name,minibatch", DATA)
+def test_von_step_equals_its_replaced_moment_branches_bitwise(loss_name, minibatch):
+    # quadratics take the exact route, logistic regression mc and the MLP
+    # reparam; every loss with data is sampled on a minibatch too
     loss = LOSSES[loss_name]
-    if minibatch and loss.n_data is None:
-        pytest.skip("a loss without data has no minibatch")
     rng = make_rng(243)
-    batch = rng.choice(loss.n_data, size=loss.n_data // 3, replace=False) if minibatch \
-        else None
+    batch = _batch(rng, loss, minibatch)
     stepped = 0
     for k in range(4):
         state = VONState(rng.standard_normal(loss.dim), rng.uniform(2.0, 4.0, loss.dim),
@@ -222,8 +211,8 @@ def test_von_step_equals_its_replaced_moment_branches_bitwise(loss_name, route, 
             assert _same_bits(excinfo.value.iterate, prec)
             continue
         new = von_step(state, loss, batch, rng=make_rng(k, 7) if given else None)
-        assert _same_bits(new.mean, mean), (route, k)
-        assert _same_bits(new.prec, prec), (route, k)
+        assert _same_bits(new.mean, mean), (loss_name, k)
+        assert _same_bits(new.prec, prec), (loss_name, k)
         assert new.t == state.t + 1
         stepped += 1
     assert stepped >= 2

@@ -357,8 +357,6 @@ def _drifting_logistic(method, drift):
     ("gradient_batch", lambda out, batch: out * (1.0 + 1e-8)),
     # forgets the N/|batch| rescaling, so only the minibatch check sees it
     ("gradient_batch", lambda out, batch: out if batch is None else out / 2.0),
-    ("mean_hessian_full", lambda out, batch: out - np.eye(out.shape[0])),
-    ("mean_hessian_diag", lambda out, batch: out + 1e-6),
 ])
 def test_check_derivatives_catches_drifting_batched_override(method, drift):
     loss = _drifting_logistic(method, drift)
@@ -421,6 +419,9 @@ def test_check_derivatives_reports_fused_error():
     lambda grads, hess, batch, diag: (grads, hess if batch is None else hess / 2.0),
     # wrong only on the diagonal route
     lambda grads, hess, batch, diag: (grads, hess * 1.001 if diag else hess),
+    # wrong only on one route, by a matrix or a small shift
+    lambda grads, hess, batch, diag: (grads, hess if diag else hess - np.eye(hess.shape[0])),
+    lambda grads, hess, batch, diag: (grads, hess + 1e-6 if diag else hess),
 ])
 def test_check_derivatives_catches_drifting_gradient_and_mean_hessian(drift):
     data = make_logistic_data(3, 40, 3)
@@ -439,10 +440,13 @@ def test_check_derivatives_catches_drifting_gradient_and_mean_hessian(drift):
 def test_gradient_and_mean_hessian_default_is_the_separate_calls(rng):
     loss = make_quadratic(rng, 3)
     thetas = rng.standard_normal((4, 3))
-    for diag, hessian in ((False, loss.mean_hessian_full), (True, loss.mean_hessian_diag)):
+    for diag, hessian in ((False, loss.hessian_full), (True, loss.hessian_diag)):
         grads, hess = loss.gradient_and_mean_hessian(thetas, diag=diag)
         np.testing.assert_array_equal(grads, loss.gradient_batch(thetas))
-        np.testing.assert_array_equal(hess, hessian(thetas))
+        total = np.zeros_like(hessian(thetas[0]))
+        for theta in thetas:
+            total += hessian(theta)
+        np.testing.assert_array_equal(hess, total / len(thetas))
 
 
 def test_value_and_gradient_default_is_value_then_gradient(rng):

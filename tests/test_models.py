@@ -341,6 +341,19 @@ def test_bernoulli_models_share_the_data_checks():
             build()
 
 
+def test_bernoulli_models_reject_empty_data_and_empty_batches():
+    for build in (lambda x, y: LogisticModel(x, y), lambda x, y: MLPModel([2, 3, 1], x, y)):
+        with pytest.raises(DomainError, match="at least one datum"):
+            build(np.zeros((0, 2)), np.zeros(0))
+        loss = build(*two_spirals(20, seed=2))
+        theta = np.full(loss.dim, 0.1)
+        empty = np.array([], dtype=int)
+        for evaluate in (loss.value, loss.gradient, loss.value_and_gradient,
+                         loss.value_batch, loss.gradient_batch):
+            with pytest.raises(DomainError, match="minibatch needs at least one datum"):
+                evaluate(theta, empty)
+
+
 @pytest.mark.parametrize("n, p", [(40, 2), (200, 5), (500, 8)])
 def test_single_layer_mlp_is_logistic_regression(n, p):
     # MLPModel([p, 1]) with output bias 0 is the logistic model less its
@@ -386,6 +399,48 @@ def test_hooked_model_methods_stay_on_their_classes():
         hooked = names & set(table)
         assert hooked, cls.__name__
         assert hooked <= set(vars(cls)), (cls.__name__, hooked - set(vars(cls)))
+
+
+#: every perfbench/layers.py target that names nothing: hooks whose metrics
+#: read zero, module names and class methods alike
+_UNHOOKED = {
+    "natvb.harness.blr_init", "natvb.harness.blr_step",
+    "natvb.harness.fixed_point_residual", "natvb.harness.multiplicative_form_check",
+    "natvb.natgrad.cho_factor",
+    "natvb.gaussian.DiagGaussian.contains_expectation",
+    "natvb.gaussian.DiagGaussian.contains_natural", "natvb.gaussian.DiagGaussian.cumulant",
+    "natvb.gaussian.DiagGaussian.to_moment",
+    "natvb.gaussian.FullGaussian.contains_expectation",
+    "natvb.gaussian.FullGaussian.contains_natural", "natvb.gaussian.FullGaussian.cumulant",
+    "natvb.gaussian.FullGaussian.to_mean_var", "natvb.gaussian.FullGaussian.to_moment",
+    "natvb.losses.QuadraticLoss.mean_data_loss",
+    "natvb.models.LogisticModel.expected_gradient",
+    "natvb.models.LogisticModel.expected_hessian",
+    "natvb.models.LogisticModel.expected_value",
+    "natvb.models.LogisticModel.mean_data_loss",
+    "natvb.models.LogisticModel.natural_coefficients",
+    "natvb.models.MLPModel.expected_gradient", "natvb.models.MLPModel.expected_hessian",
+    "natvb.models.MLPModel.expected_value", "natvb.models.MLPModel.hessian_diag",
+    "natvb.models.MLPModel.hessian_full", "natvb.models.MLPModel.natural_coefficients",
+}
+
+
+def test_perfbench_hooks_find_their_targets():
+    # a refactor that moves or deletes a hooked name zeroes its metrics
+    # without an error; the set of targets not found may only shrink
+    import natvb
+    import natvb.harness  # noqa: F401  (the hooks rebind names in it)
+    layers = _perfbench_layers()
+    estimate = natvb.blr.estimate_natgrad
+    saved, missing = layers.install(layers.Tracer(), natvb)
+    assert natvb.blr.estimate_natgrad is not estimate
+    layers.uninstall(saved)
+    assert natvb.blr.estimate_natgrad is estimate
+    unhooked = {(f"{owner.__module__}.{owner.__qualname__}" if isinstance(owner, type)
+                 else owner.__name__) + f".{name}"
+                for owner, name, *_ in layers._targets(natvb) if name not in vars(owner)}
+    assert set(missing) <= unhooked
+    assert unhooked <= _UNHOOKED, sorted(unhooked - _UNHOOKED)
 
 
 def test_mlp_fused_method_passes_the_derivative_gate():

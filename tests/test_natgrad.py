@@ -15,15 +15,22 @@ from natvb.harness import run_experiment
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
 from natvb.natgrad import (EstimatorSpec, check_support, estimate_natgrad,
-                           expected_loss, linear_loss_natgrad,
-                           natgrad_delta_method, natgrad_exact,
-                           natgrad_gaussian_identity, natgrad_via_dual,
-                           reparam_hessian_terms)
+                           expected_loss, gaussian_moments, linear_loss_natgrad,
+                           natgrad_via_dual, reparam_hessian_terms)
 from natvb.numdiff import central_diff_gradient
 from natvb.quadrature import gaussian_expectation
 from natvb.seeding import ESTIMATE_STREAM, make_rng
 
 from conftest import random_instance, random_lam
+
+
+EXACT, DELTA = EstimatorSpec("exact"), EstimatorSpec("delta")
+
+
+def sampled(family, lam, loss, n_samples, seed, batch=None, kind="mc"):
+    """The sampled estimate of kind over n_samples draws of make_rng(seed)."""
+    return estimate_natgrad(family, lam, loss, EstimatorSpec(kind, n_samples), batch=batch,
+                            rng=make_rng(seed))
 
 
 def full_dist(rng, p):
@@ -54,7 +61,7 @@ def test_linear_loss_natgrad_is_minus_coeff_bitwise(rng):
         for _ in range(10):
             lam = random_lam(rng, fam)  # never consulted, by Thm-1 exactness
             loss = QuadraticLoss.from_natural_coeff(fam, coeff)
-            results.append(natgrad_exact(fam, lam, loss))
+            results.append(estimate_natgrad(fam, lam, loss, EXACT))
         for r in results:
             np.testing.assert_array_equal(r, coeff)
         np.testing.assert_array_equal(linear_loss_natgrad(fam, coeff), -coeff)
@@ -64,7 +71,7 @@ def test_linear_loss_natgrad_matches_mc(rng):
     fam = FullGaussian(2)
     coeff = rng.standard_normal(fam.param_dim)
     loss = QuadraticLoss.from_natural_coeff(fam, coeff)
-    mc = natgrad_gaussian_identity(fam, random_lam(rng, fam), loss, 50_000, seed=3)
+    mc = sampled(fam, random_lam(rng, fam), loss, 50_000, seed=3)
     # quadratic block is exact per sample; linear block is unbiased
     np.testing.assert_allclose(mc[2:], coeff[2:], atol=1e-12)
     np.testing.assert_allclose(mc[:2], coeff[:2], atol=0.1)
@@ -83,7 +90,7 @@ def test_natgrad_via_dual_quadratic_1d():
     fam = FullGaussian(1)
     lam = np.array([0.0, -0.5])
     loss = QuadraticLoss(np.array([[1.0]]), np.zeros(1))
-    tilde = natgrad_exact(fam, lam, loss)
+    tilde = estimate_natgrad(fam, lam, loss, EXACT)
     np.testing.assert_allclose(tilde, [0.0, -0.5], atol=1e-12)
 
     def neg_expected(lam_vec):
@@ -101,7 +108,7 @@ def test_natgrad_via_dual_random_instances(rng):
         fam, lam = full_dist(rng, p)
         a = rng.standard_normal((p, p))
         loss = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
-        tilde = natgrad_exact(fam, lam, loss)
+        tilde = estimate_natgrad(fam, lam, loss, EXACT)
 
         def neg_expected(lam_vec):
             mean, cov = fam.to_mean_cov(lam_vec)
@@ -211,7 +218,7 @@ def test_dual_check_conditioning_sweep():
 # -- Gaussian identity estimator --------------------------------------------
 
 def test_gaussian_identity_zero_loss(rng):
-    est = natgrad_gaussian_identity(*full_dist(rng, 2), ZeroLoss(2), 3, seed=1)
+    est = sampled(*full_dist(rng, 2), ZeroLoss(2), 3, seed=1)
     np.testing.assert_array_equal(est, np.zeros(5))
 
 
@@ -222,11 +229,11 @@ def test_gaussian_identity_quadratic_block_exact_per_sample(rng):
     fam, lam = full_dist(rng, p)
     a = rng.standard_normal((p, p))
     loss = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
-    exact = natgrad_exact(fam, lam, loss)
+    exact = estimate_natgrad(fam, lam, loss, EXACT)
     for seed in range(5):
-        single = natgrad_gaussian_identity(fam, lam, loss, 1, seed=seed)
+        single = sampled(fam, lam, loss, 1, seed=seed)
         np.testing.assert_allclose(single[p:], exact[p:], atol=1e-12)
-    many = natgrad_gaussian_identity(fam, lam, loss, 200_000, seed=11)
+    many = sampled(fam, lam, loss, 200_000, seed=11)
     np.testing.assert_allclose(many, exact, atol=0.05)
 
 
@@ -241,7 +248,7 @@ def test_gaussian_identity_requires_hessian(rng):
             return np.zeros(2)
 
     with pytest.raises(MissingHessian):
-        natgrad_gaussian_identity(*full_dist(rng, 2), GradOnly(), 2, seed=0)
+        sampled(*full_dist(rng, 2), GradOnly(), 2, seed=0)
 
 
 def test_gaussian_identity_matches_quadrature_oracle_logistic():
@@ -259,9 +266,9 @@ def test_gaussian_identity_matches_quadrature_oracle_logistic():
 
     oracle = central_diff_gradient(neg_expected_wrt_mu, fam.natural_to_dual(lam))
     n = 100_000
-    est = natgrad_gaussian_identity(fam, lam, loss, n, seed=21)
+    est = sampled(fam, lam, loss, n, seed=21)
     # crude 3-SE gate from a second independent estimate
-    est2 = natgrad_gaussian_identity(fam, lam, loss, n, seed=22)
+    est2 = sampled(fam, lam, loss, n, seed=22)
     spread = np.abs(est - est2) + 1e-4
     assert np.all(np.abs(est - oracle) < 3.0 * spread)
 
@@ -272,12 +279,12 @@ def test_estimator_consistency_mc_rate():
     fam = FullGaussian(1)
     lam = fam.from_moment([0.3], [[0.8]])
     loss = QuadraticLoss(np.array([[2.0]]), np.array([1.0]))
-    exact = natgrad_exact(fam, lam, loss)
+    exact = estimate_natgrad(fam, lam, loss, EXACT)
 
     def rms_error(k, reps=60):
         errs = []
         for r in range(reps):
-            est = natgrad_gaussian_identity(fam, lam, loss, k, seed=1000 + r)
+            est = sampled(fam, lam, loss, k, seed=1000 + r)
             errs.append((est[0] - exact[0]) ** 2)
         return np.sqrt(np.mean(errs))
 
@@ -292,12 +299,12 @@ def test_delta_equals_exact_on_quadratics(rng):
     fam, lam = full_dist(rng, p)
     a = rng.standard_normal((p, p))
     loss = QuadraticLoss(a @ a.T + np.eye(p), rng.standard_normal(p))
-    np.testing.assert_allclose(natgrad_delta_method(fam, lam, loss),
-                               natgrad_exact(fam, lam, loss), atol=1e-12)
+    np.testing.assert_allclose(estimate_natgrad(fam, lam, loss, DELTA),
+                               estimate_natgrad(fam, lam, loss, EXACT), atol=1e-12)
 
 
 def test_delta_zero_loss(rng):
-    np.testing.assert_array_equal(natgrad_delta_method(*diag_dist(rng, 2), ZeroLoss(2)),
+    np.testing.assert_array_equal(estimate_natgrad(*diag_dist(rng, 2), ZeroLoss(2), DELTA),
                                   np.zeros(4))
 
 
@@ -317,9 +324,9 @@ def test_delta_gap_on_cubic_loss():
             return 2.0 * np.asarray(theta, dtype=float).reshape(1, 1)
 
     fam, lam = FullGaussian(1), np.array([0.0, -0.5])
-    delta = natgrad_delta_method(fam, lam, Cubic())
+    delta = estimate_natgrad(fam, lam, Cubic(), DELTA)
     np.testing.assert_allclose(delta, [0.0, 0.0], atol=1e-14)
-    mc = natgrad_gaussian_identity(fam, lam, Cubic(), 400_000, seed=5)
+    mc = sampled(fam, lam, Cubic(), 400_000, seed=5)
     assert abs(mc[0] - (-1.0)) < 0.02   # exact E[grad] = E[theta^2] = 1
     assert abs(mc[1] - 0.0) < 0.02      # E[H] = E[2 theta] = 0
 
@@ -342,8 +349,7 @@ def test_reparam_needs_diagonal_family(rng):
     with pytest.raises(ValueError, match="diagonal"):
         check_support(FullGaussian(2), ZeroLoss(2), "reparam")
     with pytest.raises(ValueError, match="diagonal"):
-        natgrad_gaussian_identity(*full_dist(rng, 2), ZeroLoss(2), 2, seed=0,
-                                  curvature="reparam")
+        sampled(*full_dist(rng, 2), ZeroLoss(2), 2, seed=0, kind="reparam")
 
 
 def test_reparam_unbiased_for_constant_hessian():
@@ -378,19 +384,27 @@ def test_estimator_spec_validation():
 def test_estimate_dispatch_matches_direct_calls(rng):
     p = 2
     fam = DiagGaussian(p)
-    lam = random_lam(rng, fam)
-    loss = QuadraticLoss(np.diag([1.0, 2.0]), np.ones(2))
-    exact = estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"))
-    np.testing.assert_array_equal(exact, natgrad_exact(fam, lam, loss))
-    delta = estimate_natgrad(fam, lam, loss, EstimatorSpec("delta"))
-    np.testing.assert_array_equal(delta, natgrad_delta_method(fam, lam, loss))
+    lam = fam.natural(random_lam(rng, fam))
+    # not linear in T on the diagonal family: exact takes the closed-form moments
+    loss = QuadraticLoss(np.array([[1.0, 0.3], [0.3, 2.0]]), np.ones(2))
+    mean, cov = fam.to_mean_cov(lam)
+    _, prec = fam.split_natural(lam)
+
+    def direct(kind, thetas=None):
+        return fam.gaussian_identity(
+            mean, *gaussian_moments(loss, kind, mean, cov, thetas, prec, diag=True))
+
+    exact = estimate_natgrad(fam, lam, loss, EXACT)
+    np.testing.assert_array_equal(exact, direct("exact"))
+    delta = estimate_natgrad(fam, lam, loss, DELTA)
+    np.testing.assert_array_equal(delta, direct("delta"))
     # sampled kinds draw on stream (seed, *ESTIMATE_STREAM, step)
     mc = estimate_natgrad(fam, lam, loss, EstimatorSpec("mc", 8, seed=5), step=3)
-    np.testing.assert_array_equal(mc, natgrad_gaussian_identity(
-        fam, lam, loss, 8, make_rng(5, *ESTIMATE_STREAM, 3)))
+    np.testing.assert_array_equal(
+        mc, direct("mc", fam.sample(lam, 8, make_rng(5, *ESTIMATE_STREAM, 3))))
     rep = estimate_natgrad(fam, lam, loss, EstimatorSpec("reparam", 8, seed=5))
-    np.testing.assert_array_equal(rep, natgrad_gaussian_identity(
-        fam, lam, loss, 8, make_rng(5, *ESTIMATE_STREAM, 0), curvature="reparam"))
+    np.testing.assert_array_equal(
+        rep, direct("reparam", fam.sample(lam, 8, make_rng(5, *ESTIMATE_STREAM, 0))))
     for out in (exact, delta, mc, rep):
         assert out.shape == (fam.param_dim,) and out.dtype == float
 
@@ -405,13 +419,11 @@ def test_sampled_estimates_refuse_colliding_steps(rng):
         with pytest.raises(ValueError, match="non-negative"):
             estimate_natgrad(fam, lam, loss, spec, step=-1)
         # a step past 2**20 and 2**32 has its own stream, (seed, *ESTIMATE_STREAM, step)
-        curvature = "hessian" if kind == "mc" else "reparam"
         for step in (2**20, 2**32 + 7):
             np.testing.assert_array_equal(
                 estimate_natgrad(fam, lam, loss, spec, step=step),
-                natgrad_gaussian_identity(fam, lam, loss, 4,
-                                          make_rng(5, *ESTIMATE_STREAM, step),
-                                          curvature=curvature))
+                estimate_natgrad(fam, lam, loss, spec,
+                                 rng=make_rng(5, *ESTIMATE_STREAM, step)))
     # deterministic kinds draw nothing, so any step is fine
     estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"), step=-1)
     with pytest.raises(ValueError, match="seed"):
@@ -436,8 +448,9 @@ def test_non_finite_estimate_is_a_domain_error():
     for kind in ("delta", "mc", "reparam"):
         with pytest.raises(DomainError, match="not finite"):
             estimate_natgrad(fam, lam, NaNGradient(), EstimatorSpec(kind, 2))
-    # the check sits in estimate_natgrad alone; an estimator returns the vector
-    assert np.all(np.isnan(natgrad_delta_method(fam, lam, NaNGradient())[:2]))
+    # the check sits in estimate_natgrad alone; the core returns the moments
+    grad, _ = gaussian_moments(NaNGradient(), "delta", np.zeros(2), diag=True)
+    assert np.all(np.isnan(grad))
 
 
 def test_estimate_mc_seed_differs_by_step(rng):
@@ -503,6 +516,8 @@ def looped_identity(family, lam, loss, n_samples, seed, batch=None, curvature="h
 
 
 BATCHED_CASES = [("full", "hessian"), ("diag", "hessian"), ("diag", "reparam")]
+#: the estimator kind of each curvature: the loss Hessian, or gradients alone
+KIND_OF = {"hessian": "mc", "reparam": "reparam"}
 
 
 @pytest.mark.parametrize("kind,curvature", BATCHED_CASES)
@@ -513,8 +528,7 @@ def test_batched_estimate_matches_per_sample_loop(kind, curvature, minibatch, rn
     fam, lam = full_dist(rng, 4) if kind == "full" else diag_dist(rng, 4)
     batch = rng.choice(120, size=30, replace=False) if minibatch else None
     for seed in range(3):
-        est = natgrad_gaussian_identity(fam, lam, loss, 16, seed, batch=batch,
-                                        curvature=curvature)
+        est = sampled(fam, lam, loss, 16, seed, batch=batch, kind=KIND_OF[curvature])
         ref = looped_identity(fam, lam, loss, 16, seed, batch, curvature)
         np.testing.assert_allclose(est, ref, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(ref)))
@@ -529,7 +543,7 @@ def test_default_batched_methods_give_the_loop_bitwise(kind, curvature, rng):
     quad = a @ a.T + np.eye(p) if kind == "full" else np.diag(rng.uniform(0.5, 2.0, p))
     loss = QuadraticLoss(quad, rng.standard_normal(p))
     fam, lam = full_dist(rng, p) if kind == "full" else diag_dist(rng, p)
-    est = natgrad_gaussian_identity(fam, lam, loss, 9, 4, curvature=curvature)
+    est = sampled(fam, lam, loss, 9, 4, kind=KIND_OF[curvature])
     np.testing.assert_array_equal(est, looped_identity(fam, lam, loss, 9, 4, None, curvature))
 
 
@@ -545,8 +559,9 @@ def test_loss_model_defaults_equal_loops_bitwise(rng):
     for theta in thetas:
         hess_sum += quad.hessian_full(theta)
         diag_sum += quad.hessian_diag(theta)
-    np.testing.assert_array_equal(quad.mean_hessian_full(thetas), hess_sum / 5)
-    np.testing.assert_array_equal(quad.mean_hessian_diag(thetas), diag_sum / 5)
+    np.testing.assert_array_equal(quad.gradient_and_mean_hessian(thetas)[1], hess_sum / 5)
+    np.testing.assert_array_equal(quad.gradient_and_mean_hessian(thetas, diag=True)[1],
+                                  diag_sum / 5)
 
     mlp = make_spirals_mlp(2, n=40, hidden=(4,))
     thetas = rng.standard_normal((3, mlp.dim))
@@ -554,10 +569,9 @@ def test_loss_model_defaults_equal_loops_bitwise(rng):
     for b in (None, batch):
         np.testing.assert_array_equal(mlp.gradient_batch(thetas, b),
                                       np.array([mlp.gradient(t, b) for t in thetas]))
-    with pytest.raises(MissingHessian):
-        mlp.mean_hessian_full(thetas)
-    with pytest.raises(MissingHessian):
-        mlp.mean_hessian_diag(thetas)
+    for diag in (False, True):
+        with pytest.raises(MissingHessian):
+            mlp.gradient_and_mean_hessian(thetas, diag=diag)
 
 
 def test_expected_loss_fallback_is_mean_of_per_sample_values(rng):
@@ -602,14 +616,25 @@ def test_expected_loss_closed_form_errors_propagate():
 
 # -- one pass over the data per Monte Carlo estimate ------------------------------
 
+def separate_hessian(loss, thetas, batch, full):
+    """Logistic regression's mean Hessian written out: X' diag(mean_k w_k) X
+    + tau I for the curvature weights w = s(1 - s) of the K rows."""
+    x = loss.x if batch is None else loss.x[batch]
+    scale = 1.0 if batch is None else loss.n_data / len(batch)
+    sig = 0.5 * (1.0 + np.tanh(0.5 * (thetas @ x.T)))
+    w = (sig * (1.0 - sig)).sum(axis=0) / len(thetas)
+    if full:
+        return scale * (x.T * w) @ x + loss.prior_precision * np.eye(loss.dim)
+    return scale * (w @ x ** 2) + loss.prior_precision
+
+
 def separate_identity(family, lam, loss, n_samples, seed, batch=None):
-    """The mc estimate from separate gradient_batch and mean-Hessian calls."""
+    """The mc estimate from gradient_batch and the mean Hessian written out."""
     full = isinstance(family, FullGaussian)
     thetas = family.sample(lam, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(lam)
     grads = loss.gradient_batch(thetas, batch)
-    hess = (loss.mean_hessian_full(thetas, batch) if full
-            else loss.mean_hessian_diag(thetas, batch))
+    hess = separate_hessian(loss, thetas, batch, full)
     grad = grads.sum(axis=0) / n_samples
     if full:
         return np.concatenate([-grad + hess @ mean, sym_to_coeff(-0.5 * hess)])
@@ -627,10 +652,12 @@ def test_fused_estimate_equals_separate_calls_bitwise(kind, minibatch, rng):
         thetas = fam.sample(lam, 16, make_rng(seed))
         grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=kind == "diag")
         np.testing.assert_array_equal(grads, loss.gradient_batch(thetas, batch))
-        np.testing.assert_array_equal(
-            hess, loss.mean_hessian_diag(thetas, batch) if kind == "diag"
-            else loss.mean_hessian_full(thetas, batch))
-        est = natgrad_gaussian_identity(fam, lam, loss, 16, seed, batch=batch)
+        np.testing.assert_array_equal(hess, separate_hessian(loss, thetas, batch,
+                                                             kind == "full"))
+        # the per-theta Hessian loop, the default the derivative gate holds it to
+        _, looped = LossModel.gradient_and_mean_hessian(loss, thetas, batch, kind == "diag")
+        np.testing.assert_allclose(hess, looped, rtol=1e-12, atol=0.0)
+        est = sampled(fam, lam, loss, 16, seed, batch=batch)
         np.testing.assert_array_equal(est, separate_identity(fam, lam, loss, 16, seed, batch))
 
 
@@ -754,8 +781,7 @@ def test_diag_mc_requires_hessian_diag(rng):
             return np.zeros(2)
 
     with pytest.raises(MissingHessian):
-        natgrad_gaussian_identity(*diag_dist(rng, 2), GradOnly(), 2, seed=0)
+        sampled(*diag_dist(rng, 2), GradOnly(), 2, seed=0)
     # the reparameterization estimate needs gradients only
-    est = natgrad_gaussian_identity(*diag_dist(rng, 2), GradOnly(), 2, seed=0,
-                                    curvature="reparam")
+    est = sampled(*diag_dist(rng, 2), GradOnly(), 2, seed=0, kind="reparam")
     np.testing.assert_array_equal(est, np.zeros(4))

@@ -20,7 +20,7 @@ from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym, moment_to_
                             sym_to_coeff, sym_to_moment)
 from natvb.losses import LossModel
 from natvb.models import make_ridge_data, ridge_loss
-from natvb.natgrad import EstimatorSpec, natgrad_exact
+from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.seeding import make_rng
 
 
@@ -233,7 +233,7 @@ def test_transport_scans_the_draws_once(work):
         assert work["scan"] == 1
 
 
-def test_natgrad_exact_rejects_wrong_length_natural_coefficients():
+def test_exact_estimate_rejects_wrong_length_natural_coefficients():
     class Linear(LossModel):
         dim = 2
 
@@ -242,7 +242,8 @@ def test_natgrad_exact_rejects_wrong_length_natural_coefficients():
 
     fam = FullGaussian(2)
     with pytest.raises(ValueError, match="coefficient length"):
-        natgrad_exact(fam, fam.natural(_full_coords(make_rng(3), 2)), Linear())
+        estimate_natgrad(fam, fam.natural(_full_coords(make_rng(3), 2)), Linear(),
+                         EstimatorSpec("exact"))
 
 
 @pytest.mark.parametrize("coords, match", [
