@@ -16,11 +16,20 @@ ValueError), matrices square and right-hand sides (n,) or (n, k) with
 matching n (else ValueError), dpotrf's info > 0 raises LinAlgError (not
 positive definite), dtrtrs's info > 0 raises LinAlgError (singular) and
 any info < 0 raises ValueError. They do not batch, take complex input,
-or overwrite their arguments. Each solve is those checks plus a raw core
-(cho_solve_unchecked, solve_triangular_unchecked) keeping only the info
-checks, for a Cholesky factor natvb derived from validated parameters and
-a finite right-hand side: only FullGaussian's _derive and transport use
-them. norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector, and
+or overwrite their arguments. cholesky, cho_solve and solve_triangular
+are each those checks plus a raw core (cholesky_unchecked,
+cho_solve_unchecked, solve_triangular_unchecked) keeping only the info
+checks, for a square matrix natvb has already scanned and a finite
+right-hand side of matching rows. The Gaussian families call the cores
+behind their own scans: every Cholesky factorisation in `gaussian` is
+cholesky_unchecked after one scan of the matrix (a full natural
+parameter's precision, or the covariance of an expectation parameter),
+a full natural parameter's mean and covariance come from one
+cho_solve_unchecked, and draws take solve_triangular_unchecked, from the
+public transport, which scans the caller's normals, or from the private
+_transport that sample and natvb's fixed-seed blocks go through.
+
+norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector, and
 row_norms the same for each row of a 2-D one.
 
 The routines are resolved at the first call, so scipy.linalg loads only
@@ -68,7 +77,7 @@ def _rhs(b, a: np.ndarray) -> np.ndarray:
 
 
 def _potrf(a, lower, clean) -> np.ndarray:
-    c, info = _lapack()[0](_square(a), lower=lower, clean=clean, overwrite_a=False)
+    c, info = _lapack()[0](a, lower=lower, clean=clean, overwrite_a=False)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
@@ -79,12 +88,17 @@ def _potrf(a, lower, clean) -> np.ndarray:
 
 def cholesky(a, lower=False) -> np.ndarray:
     """Cholesky factor of a symmetric PD `a`, the other triangle zeroed."""
+    return _potrf(_square(a), lower, clean=True)
+
+
+def cholesky_unchecked(a: np.ndarray, lower: bool) -> np.ndarray:
+    """cholesky's LAPACK core: a finite, square float array a."""
     return _potrf(a, lower, clean=True)
 
 
 def cho_factor(a, lower=False) -> tuple[np.ndarray, bool]:
     """(c, lower) for cho_solve; c's other triangle is not zeroed."""
-    return _potrf(a, lower, clean=False), lower
+    return _potrf(_square(a), lower, clean=False), lower
 
 
 def cho_solve(c_and_lower, b) -> np.ndarray:

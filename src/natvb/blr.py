@@ -189,7 +189,7 @@ def probe_stats(state_t: BLRState, n_probes: int = FILTER_PROBES,
     """T at the Bayes-filter check's probe grid on q_t, shape (n_probes, param_dim)."""
     family = state_t.family
     z = fixed_normals((n_probes, family.theta_dim), probe_seed)
-    return family.sufficient_stats_batch(family.transport(state_t.lam, z))
+    return family.sufficient_stats_batch(family._transport(state_t.lam, z))
 
 
 def filter_spreads(steps, stats: np.ndarray) -> np.ndarray:

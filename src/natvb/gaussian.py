@@ -32,15 +32,19 @@ The precision parameterization is primary throughout: sampling
 Cholesky factor of S, and nothing inverts a covariance on the hot path.
 Each family's _derive is its one natural-side domain check: S must be
 positive definite (for the full family, Cholesky must succeed) and the
-mean and covariance must be finite; the full family scans S once, in
-cholesky, and the moments once, from one dpotrs on [lin | I]. That
-solve and transport's (which scans the caller's z) use _linalg's
-unchecked cores. Its result (the full family's _Factor: precision, its
-Cholesky factor, mean, covariance and the cumulant A(lam); the diagonal
-family's _DiagFactor: linear block, precision diagonal and A(lam))
-rides on the NaturalParams that natural() returns, so a parameter is
-factored, and its A computed, once however many methods read it. The
-domain is open, so boundary cases fail rather than being nudged.
+mean and covariance must be finite; the full family scans S once, before
+one dpotrf, and the moments once, from one dpotrs on [lin | I]. The
+factorisation, that solve and every draw's triangular solve use
+_linalg's unchecked cores. transport scans the caller's normals; sample
+and the fixed-seed blocks natvb draws itself (the objective's Monte
+Carlo fallback, the Bayes-filter probes) go through the families'
+private _transport, which does not. _derive's result (the full family's
+_Factor: precision, its Cholesky factor, mean, covariance and the
+cumulant A(lam); the diagonal family's _DiagFactor: linear block,
+precision diagonal and A(lam)) rides on the NaturalParams that
+natural() returns, so a parameter is factored, and its A computed, once
+however many methods read it. The domain is open, so boundary cases
+fail rather than being nudged.
 
 from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
@@ -58,8 +62,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (cho_solve, cho_solve_unchecked, cholesky,
-                      solve_triangular_unchecked)
+from ._linalg import cho_solve, cho_solve_unchecked, solve_triangular_unchecked
+# the module's one factorisation, under the name perfbench/layers.py counts:
+# _chol_pd, its one caller, scans the matrix first
+from ._linalg import cholesky_unchecked as cholesky
 from .errors import DomainError
 from .expfam import ExpFamily, NaturalParams
 
@@ -129,13 +135,14 @@ def moment_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _chol_pd(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric mat, or DomainError if not finite or PD."""
+    """Lower Cholesky factor of a symmetric float mat, or DomainError if not
+    finite or PD: one scan of mat, then dpotrf's core."""
+    if not np.isfinite(mat).all():
+        raise DomainError("matrix must be finite")
     try:
         return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:  # a ValueError too, so caught first
+    except np.linalg.LinAlgError as exc:
         raise DomainError("matrix not positive definite") from exc
-    except ValueError as exc:
-        raise DomainError("matrix must be finite") from exc
 
 
 def _check_size(size: int) -> None:
@@ -199,10 +206,16 @@ class FullGaussian(ExpFamily):
         self.param_dim = self.theta_dim + self.theta_dim * (self.theta_dim + 1) // 2
         self.name = f"gaussian_full_{self.theta_dim}"
         self._triu = _triu_index(self.theta_dim)
+        #: [0 | I], the right-hand side of _derive's solve less its first column
+        self._unit_rhs = np.eye(self.theta_dim, self.theta_dim + 1, 1, order="F")
+        self._unit_rhs.setflags(write=False)
 
     def _derive(self, coords) -> _Factor:
         p = self.theta_dim
-        prec = -2.0 * coeff_to_sym(coords[p:], p)
+        triu = self._triu
+        # -2 coeff_to_sym(q); -2 q overflows to inf for q below about -9e307,
+        # which _chol_pd's scan rejects
+        prec = -2.0 * np.take(triu.half * coords[p:], triu.pair).reshape(p, p)
         try:
             chol = _chol_pd(prec)
         except DomainError as exc:
@@ -211,7 +224,7 @@ class FullGaussian(ExpFamily):
         lin = coords[:p]
         # (mean | raw covariance) in one solve, column for column the bits of
         # two; the covariance is the symmetrised block's C-ordered transpose
-        rhs = np.eye(p, p + 1, 1, order="F")
+        rhs = self._unit_rhs.copy(order="F")
         rhs[:, 0] = lin
         moments = cho_solve_unchecked(chol, rhs, lower=True)
         block = moments[:, 1:]
@@ -221,7 +234,7 @@ class FullGaussian(ExpFamily):
         for arr in (prec, chol, moments):
             arr.setflags(write=False)
         mean, cov = moments[:, 0], moments[:, 1:].T
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        logdet = 2.0 * np.log(chol.diagonal()).sum()
         # m'lin can overflow at finite moments: A is then inf, stored without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             cumulant = float(0.5 * lin @ mean - 0.5 * logdet + 0.5 * p * _LOG_2PI)
@@ -357,14 +370,18 @@ class FullGaussian(ExpFamily):
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
+        lam = self.natural(lam)
+        return self._transport(lam, _normal_rows(z, self.theta_dim))
+
+    def _transport(self, lam, z: np.ndarray) -> np.ndarray:
+        """transport's core, for z natvb drew: a finite (n >= 1, P) float array."""
         factor = self.natural(lam).derived
-        z = _normal_rows(z, self.theta_dim)
         # theta = m + L^-T z  has covariance (L L')^-1 = S^-1
         return factor.mean + solve_triangular_unchecked(factor.chol.T, z.T, lower=False).T
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _check_size(size)
-        return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
+        return self._transport(lam, rng.standard_normal((size, self.theta_dim)))
 
     def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
         """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for a (P, P) E[H]."""
@@ -495,12 +512,17 @@ class DiagGaussian(ExpFamily):
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
+        lam = self.natural(lam)
+        return self._transport(lam, _normal_rows(z, self.theta_dim))
+
+    def _transport(self, lam, z: np.ndarray) -> np.ndarray:
+        """transport's core, for z natvb drew: a finite (n >= 1, P) float array."""
         mean, var = self.to_mean_var(lam)
-        return mean + np.sqrt(var) * _normal_rows(z, self.theta_dim)
+        return mean + np.sqrt(var) * z
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _check_size(size)
-        return self.transport(lam, rng.standard_normal((size, self.theta_dim)))
+        return self._transport(lam, rng.standard_normal((size, self.theta_dim)))
 
     def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
         """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for the diagonal of E[H]."""

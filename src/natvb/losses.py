@@ -278,16 +278,21 @@ class QuadraticLoss(LossModel):
     """
 
     def __init__(self, quad: np.ndarray, lin: np.ndarray, const: float = 0.0):
-        quad = np.atleast_2d(np.asarray(quad, dtype=float))
-        lin = np.asarray(lin, dtype=float).reshape(-1)
+        # read-only copies: the natural coefficients memoised from them stay true
+        quad = np.atleast_2d(np.array(quad, dtype=float))
+        lin = np.array(lin, dtype=float).reshape(-1)
         if quad.shape != (lin.size, lin.size):
             raise ValueError("quadratic and linear terms have mismatched shapes")
         if np.max(np.abs(quad - quad.T)) > 1e-12 * max(1.0, np.max(np.abs(quad))):
             raise ValueError("quadratic term must be symmetric")
+        quad.setflags(write=False)
+        lin.setflags(write=False)
         self.quad = quad
         self.lin = lin
         self.const = float(const)
         self.dim = lin.size
+        #: natural_coefficients per family (families hash by name)
+        self._coefficients = {}
 
     @classmethod
     def from_natural_coeff(cls, family, coeff, const: float = 0.0) -> "QuadraticLoss":
@@ -352,6 +357,16 @@ class QuadraticLoss(LossModel):
         return self.quad.copy()
 
     def natural_coefficients(self, family) -> np.ndarray | None:
+        """The family's coefficients, built once per family and read-only."""
+        try:
+            return self._coefficients[family]
+        except KeyError:
+            coeff = self._coefficients[family] = self._build_coefficients(family)
+        if coeff is not None:
+            coeff.setflags(write=False)
+        return coeff
+
+    def _build_coefficients(self, family) -> np.ndarray | None:
         if family.theta_dim != self.dim:
             return None
         if isinstance(family, FullGaussian):

@@ -26,10 +26,15 @@ each estimator kind takes E_q[grad loss] and E_q[H]:
             (diagonal families), one gradient_batch call.
 
 One entry point, estimate_natgrad, serves every kind: a loss linear in
-T(theta) takes the natural-coefficient fast path (tilde_lam is minus
-its coefficients, exactly); otherwise it checks support (check_support,
-which the harness calls too), draws a sampled kind's K samples on the
-step's stream, and assembles the identity from the core's moments. VON's
+T(theta) takes the natural-coefficient fast path (tilde_lam is its
+coefficient vector c, exactly, at every iterate). QuadraticLoss
+memoises c per family as one read-only array, and the fast path checks
+a read-only vector once and then returns it as it is, so a conjugate
+run builds and scans c once, not once per iterate. Otherwise it checks
+support (check_support, which the harness calls too), draws a sampled
+kind's K samples on the step's stream, and assembles the identity from
+the core's moments. exact is full-data only and rejects a minibatch;
+delta evaluates at the mean on the minibatch it is given. VON's
 step (deep.von_step) takes its moments from the same core. The
 objective's Monte Carlo fallback makes one value_batch call, on a
 fixed-seed block of standard normals that is drawn once
@@ -47,6 +52,7 @@ iterates, and stacks the products.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +65,10 @@ from .quadrature import gaussian_expectation
 from .seeding import ESTIMATE_STREAM, fixed_normals, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
+_FULL_DATA_ONLY = "the exact estimator's closed forms are full-data only; got a minibatch"
+#: read-only natural-coefficient vectors _linear_estimate has checked, by
+#: id; an entry goes when its vector is collected, so no id is read stale
+_CHECKED_COEFFICIENTS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -144,10 +154,16 @@ def check_support(family: ExpFamily, loss: LossModel, kind: str) -> None:
     loss Hessian of that kind, and reparam a diagonal family. A missing
     loss Hessian raises MissingHessian, anything else ValueError.
     """
+    _check_support(family, loss, kind, kind == "exact"
+                   and loss.natural_coefficients(family) is not None)
+
+
+def _check_support(family: ExpFamily, loss: LossModel, kind: str, linear: bool) -> None:
+    """check_support, told whether the loss is linear in the family's T(theta)
+    (read for exact only), which estimate_natgrad has already asked."""
     hessian = family.hessian_kind
     if kind == "exact":
-        if loss.natural_coefficients(family) is None and not (
-                loss.provides_expectations and hessian):
+        if not linear and not (loss.provides_expectations and hessian):
             raise ValueError(f"{type(loss).__name__} supports no exact estimator "
                              f"on {family.name!r}; use delta, mc, or reparam")
     elif hessian is None:
@@ -170,19 +186,23 @@ def gaussian_moments(loss: LossModel, kind: str, mean, cov=None, thetas=None, pr
                      diag: bool = False, batch=None) -> tuple[np.ndarray, np.ndarray]:
     """(E_q[grad loss], E_q[H]) under q = N(mean, cov) as estimator kind takes them.
 
-    exact reads the loss's closed forms at (mean, cov); delta evaluates
-    at the mean; mc and reparam average over the K rows of thetas, draws
-    from q, with the minibatch batch: mc by one gradient_and_mean_hessian
-    call, reparam by one gradient_batch call and the reparameterization
-    terms for q = N(mean, diag(prec)^-1). H is the diagonal if diag, else
-    the full matrix.
+    exact reads the loss's closed forms at (mean, cov), which are full-data
+    only: a minibatch raises ValueError. The other kinds use the minibatch
+    batch: delta evaluates the gradient and Hessian at the mean; mc and
+    reparam average over the K rows of thetas, draws from q, mc by one
+    gradient_and_mean_hessian call, reparam by one gradient_batch call and
+    the reparameterization terms for q = N(mean, diag(prec)^-1). H is the
+    diagonal if diag, else the full matrix.
     """
     if kind == "exact":
+        if batch is not None:
+            raise ValueError(_FULL_DATA_ONLY)
         grad = loss.expected_gradient(mean, cov)
         hess = loss.expected_hessian(mean, cov)
         return grad, np.diag(np.atleast_2d(hess)) if diag else hess
     if kind == "delta":
-        return loss.gradient(mean), loss.hessian_diag(mean) if diag else loss.hessian_full(mean)
+        hessian = loss.hessian_diag if diag else loss.hessian_full
+        return loss.gradient(mean, batch), hessian(mean, batch)
     n_samples = len(thetas)
     if kind == "mc":
         grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag=diag)
@@ -198,33 +218,59 @@ def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
     """tilde_lam at lam under spec; stochastic kinds draw on the step's stream.
 
     exact takes the natural-coefficient fast path when the loss is linear
-    in T(theta). Every other case checks support, reads lam once, and
-    takes gaussian_moments to the family's Gaussian identity. A sampled
-    kind draws its K samples from family.sample on rng when given, which
-    must be that step's stream (seeding.StepStreams(spec.seed,
-    *ESTIMATE_STREAM).at(step)), else on make_rng(spec.seed,
-    *ESTIMATE_STREAM, step); a negative step names no stream
-    (ValueError). A non-finite estimate raises DomainError.
+    in T(theta) (_linear_estimate). Every other case checks support,
+    reads lam once, and takes gaussian_moments to the family's Gaussian
+    identity. exact is full-data only: with a minibatch it raises
+    ValueError. A sampled kind draws its K samples from family.sample on
+    rng when given, which must be that step's stream
+    (seeding.StepStreams(spec.seed, *ESTIMATE_STREAM).at(step)), else on
+    make_rng(spec.seed, *ESTIMATE_STREAM, step); a negative step names no
+    stream (ValueError). A non-finite estimate raises DomainError.
     """
     kind = spec.kind
     coeff = loss.natural_coefficients(family) if kind == "exact" else None
     if coeff is not None:
-        tilde = -linear_loss_natgrad(family, coeff)
-    else:
-        check_support(family, loss, kind)
-        lam = family.natural(lam)
-        thetas = None
-        if kind in ("mc", "reparam"):
-            rng = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
-            thetas = family.sample(lam, spec.n_samples, rng)
-        mean, cov = family.to_mean_cov(lam)
-        prec = family.split_natural(lam)[1] if kind == "reparam" else None
-        grad, hess = gaussian_moments(loss, kind, mean, cov, thetas, prec,
-                                      family.hessian_kind == "diag", batch)
-        tilde = family.gaussian_identity(mean, grad, hess)
-    if not np.all(np.isfinite(tilde)):
+        if batch is not None:
+            raise ValueError(_FULL_DATA_ONLY)
+        return _linear_estimate(family, coeff, step)
+    _check_support(family, loss, kind, linear=False)
+    lam = family.natural(lam)
+    thetas = None
+    if kind in ("mc", "reparam"):
+        rng = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
+        thetas = family.sample(lam, spec.n_samples, rng)
+    mean, cov = family.to_mean_cov(lam)
+    prec = family.split_natural(lam)[1] if kind == "reparam" else None
+    grad, hess = gaussian_moments(loss, kind, mean, cov, thetas, prec,
+                                  family.hessian_kind == "diag", batch)
+    return _finite_estimate(family.gaussian_identity(mean, grad, hess), kind, step)
+
+
+def _finite_estimate(tilde: np.ndarray, kind: str, step: int) -> np.ndarray:
+    if not np.isfinite(tilde).all():
         raise DomainError(f"{kind} natural-gradient estimate at step {step} "
                           "is not finite")
+    return tilde
+
+
+def _linear_estimate(family: ExpFamily, coeff, step: int) -> np.ndarray:
+    """tilde_lam = coeff for a loss linear in T(theta), -linear_loss_natgrad.
+
+    A 1-D float vector that cannot change, read-only and owning its data,
+    is kept in _CHECKED_COEFFICIENTS once it passes the checks (its
+    length, then finiteness) and, handed in again, returned as it is
+    after a length check: a loss that memoises its coefficients, as
+    QuadraticLoss does per family, has them scanned once per run, not
+    once per iterate. Anything else is checked at every call.
+    """
+    if _CHECKED_COEFFICIENTS.get(id(coeff)) is coeff:
+        if coeff.size != family.param_dim:
+            raise ValueError("coefficient length does not match the family")
+        return coeff
+    tilde = _finite_estimate(-linear_loss_natgrad(family, coeff), "exact", step)
+    if (type(coeff) is np.ndarray and coeff.dtype == np.float64 and coeff.ndim == 1
+            and coeff.flags.owndata and not coeff.flags.writeable):
+        _CHECKED_COEFFICIENTS[id(coeff)] = coeff
     return tilde
 
 
@@ -247,4 +293,4 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
         return gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)
     z = fixed_normals((max(spec.n_samples, 2), family.theta_dim), spec.seed, 0xE)
-    return float(np.mean(loss.value_batch(family.transport(lam, z))))
+    return float(np.mean(loss.value_batch(family._transport(lam, z))))

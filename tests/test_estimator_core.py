@@ -36,14 +36,16 @@ def _reference_natgrad_exact(family, lam, loss):
     return family.gaussian_identity(mean, grad, hess)
 
 
-def _reference_natgrad_delta_method(family, lam, loss):
+# the one change: delta now evaluates at the mean on the minibatch it is
+# given, where the replaced function ignored it (batch=None is verbatim)
+def _reference_natgrad_delta_method(family, lam, loss, batch=None):
     check_support(family, loss, "delta")
     mean, _ = family.to_mean_cov(lam)
-    grad = loss.gradient(mean)
+    grad = loss.gradient(mean, batch)
     if family.hessian_kind == "diag":
-        hess = loss.hessian_diag(mean)
+        hess = loss.hessian_diag(mean, batch)
     else:
-        hess = loss.hessian_full(mean)
+        hess = loss.hessian_full(mean, batch)
     return family.gaussian_identity(mean, grad, hess)
 
 
@@ -89,7 +91,7 @@ def _reference_estimate(family, lam, loss, spec, step=0, batch=None):
     if spec.kind == "exact":
         return _reference_natgrad_exact(family, lam, loss)
     if spec.kind == "delta":
-        return _reference_natgrad_delta_method(family, lam, loss)
+        return _reference_natgrad_delta_method(family, lam, loss, batch)
     curvature = "hessian" if spec.kind == "mc" else "reparam"
     return _reference_natgrad_gaussian_identity(
         family, lam, loss, spec.n_samples, make_rng(spec.seed, *ESTIMATE_STREAM, step),

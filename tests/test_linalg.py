@@ -42,6 +42,9 @@ def test_factorisations_match_scipy_bitwise(p, lower, order):
     ours, ref = _linalg.cho_factor(a, lower=lower), scipy.linalg.cho_factor(a, lower=lower)
     np.testing.assert_array_equal(ours[0], ref[0])
     assert ours[1] == ref[1]
+    # the raw core, for a matrix its caller scanned, keeps cholesky's bits
+    np.testing.assert_array_equal(_linalg.cholesky_unchecked(a, lower),
+                                  scipy.linalg.cholesky(a, lower=lower))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -77,6 +80,8 @@ def test_not_positive_definite_raises_like_scipy(name, order):
     for a in (-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((1, 1))):
         for lower in (True, False):
             assert_same_error(name, np.linalg.LinAlgError, frozen(a, order), lower=lower)
+            with pytest.raises(np.linalg.LinAlgError):
+                _linalg.cholesky_unchecked(frozen(a, order), lower)
 
 
 @pytest.mark.parametrize("order", sorted(LAYOUTS))

@@ -785,3 +785,154 @@ def test_diag_mc_requires_hessian_diag(rng):
     # the reparameterization estimate needs gradients only
     est = sampled(*diag_dist(rng, 2), GradOnly(), 2, seed=0, kind="reparam")
     np.testing.assert_array_equal(est, np.zeros(4))
+
+
+# -- one natural_coefficients call per estimate; exact full-data, delta minibatch ----
+
+def test_exact_estimate_asks_for_natural_coefficients_once():
+    class Spy(QuadraticLoss):
+        calls = 0
+
+        def natural_coefficients(self, family):
+            type(self).calls += 1
+            return super().natural_coefficients(family)
+
+    rng = make_rng(31)
+    a = rng.standard_normal((3, 3))
+    # not diagonal, so not linear in the diagonal family's T(theta): the
+    # closed-form route, after the support check
+    loss = Spy(a @ a.T + np.eye(3), rng.standard_normal(3))
+    fam = DiagGaussian(3)
+    for k in range(1, 4):
+        estimate_natgrad(fam, random_lam(rng, fam), loss, EXACT)
+        assert Spy.calls == k
+    # the linear route on the full family asks once too
+    full = FullGaussian(3)
+    estimate_natgrad(full, random_lam(rng, full), loss, EXACT)
+    assert Spy.calls == 4
+
+
+MINIBATCH = np.arange(0, 40, 2)
+
+
+@pytest.mark.parametrize("family_type", [FullGaussian, DiagGaussian])
+def test_delta_estimate_evaluates_the_minibatch_at_the_mean(family_type):
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(1, 40, 2)
+    fam = family_type(2)
+    lam = random_lam(make_rng(32), fam)
+    mean, _ = fam.to_mean_cov(lam)
+    hessian = loss.hessian_diag if family_type is DiagGaussian else loss.hessian_full
+    got = estimate_natgrad(fam, lam, loss, DELTA, batch=MINIBATCH)
+    want = fam.gaussian_identity(mean, loss.gradient(mean, MINIBATCH),
+                                 hessian(mean, MINIBATCH))
+    assert got.tobytes() == want.tobytes()
+    full = estimate_natgrad(fam, lam, loss, DELTA)
+    assert not np.array_equal(got, full)
+    # batch=None keeps the full-data point evaluation, bit for bit
+    want_full = fam.gaussian_identity(mean, loss.gradient(mean), hessian(mean))
+    assert full.tobytes() == want_full.tobytes()
+
+
+def test_blr_step_passes_its_minibatch_to_the_delta_estimate():
+    from natvb.blr import BLRConfig, blr_init, blr_step
+    from natvb.models import make_logistic_data
+    loss = make_logistic_data(1, 40, 2)
+    fam = FullGaussian(2)
+    state = blr_init(fam, fam.from_moment(np.zeros(2), np.eye(2)))
+    cfg = BLRConfig(learning_rate=0.5, estimator=DELTA)
+    stepped = blr_step(state, loss, cfg, batch=MINIBATCH)
+    want = estimate_natgrad(fam, state.lam, loss, DELTA, batch=MINIBATCH)
+    assert stepped.tilde_lambda.tobytes() == want.tobytes()
+    assert not np.array_equal(stepped.tilde_lambda,
+                              blr_step(state, loss, cfg).tilde_lambda)
+
+
+def test_exact_estimate_rejects_a_minibatch():
+    from natvb.models import make_logistic_data, make_ridge_data, ridge_loss
+    logistic = make_logistic_data(1, 40, 2)
+    mean, cov = np.zeros(2), np.eye(2)
+    # the closed forms are full-data only: rejected before any is read
+    with pytest.raises(ValueError, match="full-data only"):
+        gaussian_moments(logistic, "exact", mean, cov, batch=MINIBATCH)
+    # the linear fast path too
+    ridge = ridge_loss(make_ridge_data(1, 40, 2))
+    fam = FullGaussian(2)
+    with pytest.raises(ValueError, match="full-data only"):
+        estimate_natgrad(fam, random_lam(make_rng(33), fam), ridge, EXACT, batch=MINIBATCH)
+    # a loss the kind cannot serve still says so first
+    with pytest.raises(ValueError, match="supports no exact estimator"):
+        estimate_natgrad(fam, random_lam(make_rng(33), fam), logistic, EXACT,
+                         batch=MINIBATCH)
+
+
+# -- the linear fast path checks a read-only coefficient vector once ----------
+
+class _Fixed(LossModel):
+    """A loss returning one given coefficient vector for every family."""
+
+    dim = 2
+
+    def __init__(self, coeff):
+        self.coeff = coeff
+        self.calls = 0
+
+    def natural_coefficients(self, family):
+        self.calls += 1
+        return self.coeff
+
+
+def _read_only(values):
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def test_linear_fast_path_returns_a_checked_read_only_vector_as_it_is():
+    fam = FullGaussian(2)
+    lam = random_lam(make_rng(34), fam)
+    coeff = _read_only(make_rng(35).standard_normal(fam.param_dim))
+    loss = _Fixed(coeff)
+    assert estimate_natgrad(fam, lam, loss, EXACT).tobytes() == coeff.tobytes()
+    # checked once: handed in again, the vector itself is the estimate
+    assert estimate_natgrad(fam, lam, loss, EXACT) is coeff
+    # its length is still held to each family it is used with
+    with pytest.raises(ValueError, match="coefficient length"):
+        estimate_natgrad(FullGaussian(3), random_lam(make_rng(36), FullGaussian(3)), loss,
+                         EXACT)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_fast_path_rechecks_vectors_that_failed(bad):
+    fam = FullGaussian(2)
+    lam = random_lam(make_rng(37), fam)
+    values = np.zeros(fam.param_dim)
+    values[3] = bad
+    for coeff in (_read_only(values), values):  # read-only or not
+        loss = _Fixed(coeff)
+        for step in range(3):
+            with pytest.raises(DomainError, match=f"exact natural-gradient estimate at "
+                                                  f"step {step} is not finite"):
+                estimate_natgrad(fam, lam, loss, EXACT, step=step)
+    loss = _Fixed(_read_only(np.zeros(fam.param_dim + 1)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="coefficient length"):
+            estimate_natgrad(fam, lam, loss, EXACT)
+
+
+def test_linear_fast_path_rechecks_vectors_that_may_change():
+    # a writable vector, or a read-only view of a writable one, may change
+    # between calls, so each call checks it
+    fam = FullGaussian(2)
+    lam = random_lam(make_rng(38), fam)
+    base = np.zeros(fam.param_dim)
+    view = base[:]
+    view.setflags(write=False)
+    for coeff in (base, view):
+        base[0] = 0.0
+        loss = _Fixed(coeff)
+        for _ in range(2):
+            assert estimate_natgrad(fam, lam, loss, EXACT) is not coeff
+        base[0] = np.nan
+        with pytest.raises(DomainError, match="not finite"):
+            estimate_natgrad(fam, lam, loss, EXACT)

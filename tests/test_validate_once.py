@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from natvb import _linalg
+from natvb import blr as blr_module
 from natvb.blr import BLRConfig, blr_run
 from natvb.errors import DomainError, FamilyMismatch
 from natvb.expfam import ExpectationParams, ExpFamily, NaturalParams
 from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym, moment_to_sym,
                             sym_to_coeff, sym_to_moment)
-from natvb.losses import LossModel
+from natvb.losses import LossModel, QuadraticLoss
 from natvb.models import make_ridge_data, ridge_loss
-from natvb.natgrad import EstimatorSpec, estimate_natgrad
+from natvb.natgrad import EstimatorSpec, estimate_natgrad, linear_loss_natgrad
 from natvb.seeding import make_rng
 
 
@@ -183,13 +184,15 @@ def test_full_natural_rejects_non_finite_coordinates(bad):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_full_natural_rejects_an_overflowing_quadratic_block():
-    # -2 q overflows to inf for q below about -9e307; cholesky's scan rejects it
-    fam = FullGaussian(2)
-    coords = _full_with(np.eye(2), np.zeros(2))
-    coords[2] = -1e308
-    with pytest.raises(DomainError, match="outside the domain"):
-        fam.natural(coords)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_full_natural_rejects_an_overflowing_quadratic_block(p):
+    # -2 q overflows to inf for q below about -9e307; the scan of S rejects it
+    fam = FullGaussian(p)
+    for position in (p, fam.param_dim - 1):  # S's first and last diagonal entries
+        coords = _full_with(np.eye(p), np.zeros(p))
+        coords[position] = -1e308
+        with pytest.raises(DomainError, match="outside the domain"):
+            fam.natural(coords)
 
 
 def test_full_natural_rejects_a_non_pd_precision():
@@ -289,3 +292,61 @@ def test_dual_coordinates_are_not_natural_ones(kind, monkeypatch):
     # unvalidated parameters of the wrong kind are refused alike
     with pytest.raises(FamilyMismatch):
         fam.natural(ExpectationParams(mu.coords))
+
+
+# -- the linear loss's estimate: memoised, read-only, the same bits ------------
+
+def test_quadratic_loss_terms_and_memoised_coefficients_are_read_only():
+    quad, lin = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    loss = QuadraticLoss(quad, lin)
+    # the caller's arrays are copied, not frozen
+    assert quad.flags.writeable and lin.flags.writeable
+    quad[0, 0] = lin[0] = 7.0
+    assert loss.quad[0, 0] == 2.0 and loss.lin[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        loss.quad[0, 0] = 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        loss.lin[1] = 3.0
+    for fam in (FullGaussian(2), DiagGaussian(2)):
+        coeff = loss.natural_coefficients(fam)
+        if coeff is None:
+            continue
+        # one array per family, equal families sharing it
+        assert loss.natural_coefficients(type(fam)(2)) is coeff
+        with pytest.raises(ValueError, match="read-only"):
+            coeff[0] = 3.0
+    diag = QuadraticLoss(np.diag([2.0, 3.0]), lin)
+    coeff = diag.natural_coefficients(DiagGaussian(2))
+    with pytest.raises(ValueError, match="read-only"):
+        coeff[-1] = 0.0
+
+
+def test_ridge_run_estimates_equal_fresh_coefficients_bitwise(monkeypatch):
+    model = make_ridge_data(5, 30, 3)
+    loss = ridge_loss(model)
+    fam = FullGaussian(3)
+    # built afresh from the terms, as the fast path built them at every step
+    fresh = np.concatenate([model.x.T @ model.y,
+                            sym_to_coeff(-0.5 * ridge_loss(model).quad)])
+    estimates = []
+
+    def recording(*args, **kwargs):
+        estimates.append(estimate_natgrad(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(blr_module, "estimate_natgrad", recording)
+    run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
+                  BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
+    assert len(estimates) == run.iterations + 1
+    for estimate in estimates:
+        assert estimate.tobytes() == fresh.tobytes()
+        assert estimate.tobytes() == (-linear_loss_natgrad(fam, fresh)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
+def test_transport_rejects_wrongly_shaped_draws(kind):
+    fam, lam = _instance(kind)
+    dim = fam.theta_dim
+    for shape in [(dim,), (0, dim), (4, dim + 1), (4, dim - 1), (2, dim, 1)]:
+        with pytest.raises(ValueError, match="must have shape"):
+            fam.transport(lam, np.zeros(shape))
