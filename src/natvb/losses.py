@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingHessian
+from .errors import DomainError, MissingHessian
 from .gaussian import DiagGaussian, FullGaussian, sym_to_coeff, coeff_to_sym
 from .numdiff import axis_steps, central_diff_batch, central_quotient, perturbed_blocks
 
@@ -283,13 +283,17 @@ class QuadraticLoss(LossModel):
         lin = np.array(lin, dtype=float).reshape(-1)
         if quad.shape != (lin.size, lin.size):
             raise ValueError("quadratic and linear terms have mismatched shapes")
+        const = float(const)
+        # before the symmetry test, which NaN passes and inf warns on
+        if not (np.isfinite(quad).all() and np.isfinite(lin).all() and np.isfinite(const)):
+            raise DomainError("quadratic loss terms must be finite")
         if np.max(np.abs(quad - quad.T)) > 1e-12 * max(1.0, np.max(np.abs(quad))):
             raise ValueError("quadratic term must be symmetric")
         quad.setflags(write=False)
         lin.setflags(write=False)
         self.quad = quad
         self.lin = lin
-        self.const = float(const)
+        self.const = const
         self.dim = lin.size
         #: natural_coefficients per family (families hash by name)
         self._coefficients = {}

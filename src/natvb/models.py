@@ -115,7 +115,12 @@ def make_ridge_data(seed: int, n: int, p: int, noise: float = 1.0,
 # -- logistic regression -------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """0.5 * (1 + tanh(0.5 z)) in z itself, bit for bit; z must be the caller's own."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -125,7 +130,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     It differs from np.logaddexp(0, z) by a few ULP at most, equals it at
     +-0, +-inf, nan and the float range's ends (without logaddexp's
     warning on nan), and costs about a fifth as much. Loss values use it;
-    no gradient does.
+    no gradient does, and each looks it up here by name. It allocates its
+    output and one temporary, max(z, 0).
     """
     z = np.asarray(z, dtype=float)
     out = np.abs(z)
@@ -176,8 +182,12 @@ class BernoulliLoss(LossModel):
 
     @staticmethod
     def _data_terms(z, y) -> np.ndarray:
-        """The data term at each row of logits z (its last axis runs over the data)."""
-        return np.sum(_softplus(z) - y * z, axis=-1)
+        """The data term at each row of logits z (its last axis runs over the data).
+        Overwrites z, the caller's own array; _softplus's output is the one kept."""
+        terms = _softplus(z)
+        z *= y
+        terms -= z
+        return terms.sum(axis=-1)
 
 
 class LogisticModel(BernoulliLoss):
@@ -192,6 +202,9 @@ class LogisticModel(BernoulliLoss):
         if not self.prior_precision > 0.0:
             raise DomainError("prior precision must be positive")
         self.dim = self.x.shape[1]
+        self._prior_norm = 0.5 * self.dim * (_LOG_2PI - np.log(self.prior_precision))
+        self._tau_eye = self.prior_precision * np.eye(self.dim)
+        self._tau_eye.setflags(write=False)
 
     def value(self, theta, batch=None) -> float:
         return float(self.value_batch(np.atleast_2d(theta), batch)[0])
@@ -199,17 +212,13 @@ class LogisticModel(BernoulliLoss):
     def value_batch(self, thetas, batch=None) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         x, y, scale = self._design(batch)
-        z = thetas @ x.T
-        tau = self.prior_precision
-        prior = (0.5 * tau * np.sum(thetas ** 2, axis=1)
-                 + 0.5 * self.dim * (_LOG_2PI - np.log(tau)))
-        return scale * self._data_terms(z, y) + prior
+        return scale * self._data_terms(thetas @ x.T, y) + (
+            0.5 * self.prior_precision * np.sum(thetas ** 2, axis=1) + self._prior_norm)
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         x, y, scale = self._design(batch)
-        resid = _sigmoid(x @ theta) - y
-        return scale * (x.T @ resid) + self.prior_precision * theta
+        return scale * (x.T @ (_sigmoid(x @ theta) - y)) + self.prior_precision * theta
 
     # one row's mean Hessian: its sum of one term, divided by 1, keeps every bit
     def hessian_full(self, theta, batch=None) -> np.ndarray:
@@ -222,35 +231,34 @@ class LogisticModel(BernoulliLoss):
         x, _, scale = self._design(batch)
         return self._mean_hessian(x, scale, _sigmoid(x @ theta)[None], diag=True)
 
-    # Batched forms: one (K, N) logit matrix for all samples. The mean
-    # Hessian is linear in the curvature weights w = s(1 - s), so
-    # mean_k H(theta_k) = X' diag(mean_k w_k) X + tau I is one product.
+    # Batched forms: one (K, N) logit matrix for all samples, overwritten by its
+    # sigmoid s, then (once w = s(1 - s) has the one new buffer) by s - y. The
+    # mean Hessian is linear in w: mean_k H(theta_k) = X' diag(mean_k w_k) X + tau I.
 
-    def _sigmoid_batch(self, thetas, batch):
-        """(thetas, X, y, scale, sigmoid(thetas X')) for a (K, P) array."""
+    def _batch_pass(self, thetas, batch, diag):
+        """(gradient rows, the mean Hessian or None for diag None) of a (K, P) array."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         x, y, scale = self._design(batch)
-        return thetas, x, y, scale, _sigmoid(thetas @ x.T)
-
-    def _gradients(self, thetas, x, y, scale, sig) -> np.ndarray:
-        return scale * ((sig - y) @ x) + self.prior_precision * thetas
+        sig = _sigmoid(thetas @ x.T)
+        hess = None if diag is None else self._mean_hessian(x, scale, sig, diag)
+        sig -= y
+        return scale * (sig @ x) + self.prior_precision * thetas, hess
 
     def _mean_hessian(self, x, scale, sig, diag: bool) -> np.ndarray:
-        w = sig * (1.0 - sig)
+        w = np.subtract(1.0, sig)
+        w *= sig
         w = w.sum(axis=0) / sig.shape[0]
         if diag:
             return scale * (w @ x ** 2) + self.prior_precision
-        return scale * (x.T * w) @ x + self.prior_precision * np.eye(self.dim)
+        xw = x.T * w
+        xw *= scale
+        return xw @ x + self._tau_eye
 
     def gradient_batch(self, thetas, batch=None) -> np.ndarray:
-        thetas, x, y, scale, sig = self._sigmoid_batch(thetas, batch)
-        return self._gradients(thetas, x, y, scale, sig)
+        return self._batch_pass(thetas, batch, None)[0]
 
     def gradient_and_mean_hessian(self, thetas, batch=None, diag: bool = False):
-        # one logit product and one sigmoid serve both halves
-        thetas, x, y, scale, sig = self._sigmoid_batch(thetas, batch)
-        return (self._gradients(thetas, x, y, scale, sig),
-                self._mean_hessian(x, scale, sig, diag))
+        return self._batch_pass(thetas, batch, diag)
 
 
 def make_logistic_data(seed: int, n: int, p: int, scale: float = 3.0,
@@ -332,15 +340,14 @@ class MLPModel(BernoulliLoss):
         layers = self.unpack(theta)
         acts = [x]
         for w, b in layers[:-1]:
-            h = acts[-1] @ w.T
+            # a C-ordered copy of w.T: the same bits, about half the time
+            h = acts[-1] @ np.ascontiguousarray(w.T)
             h += b
-            if pre is None:
-                acts.append(np.tanh(h, out=h))
-            else:
-                pre.append(h)
-                acts.append(np.tanh(h))
+            if pre is not None:
+                pre.append(h.copy())
+            acts.append(np.tanh(h, out=h))
         w, b = layers[-1]
-        logits = acts[-1] @ w.T
+        logits = acts[-1] @ np.ascontiguousarray(w.T)
         logits += b
         return layers, acts, logits.reshape(-1)
 
@@ -355,10 +362,11 @@ class MLPModel(BernoulliLoss):
     def _backprop(self, theta, layers, acts, z, y, scale) -> np.ndarray:
         """Gradient from one forward pass, written layer by layer into one vector.
 
-        Overwrites the hidden activations in acts (never acts[0], the input).
+        Overwrites z and the hidden activations in acts (never acts[0], the input).
         """
         flat = np.empty(self.dim)
-        delta = (_sigmoid(z) - y).reshape(-1, 1)
+        delta = _sigmoid(z).reshape(-1, 1)
+        delta -= y[:, None]
         last = len(layers) - 1
         for idx in range(last, -1, -1):
             w_start, b_start, end, out_n, in_n = self._spans[idx]
@@ -381,24 +389,23 @@ class MLPModel(BernoulliLoss):
         flat += self.prior_precision * theta
         return flat
 
-    def value(self, theta, batch=None) -> float:
+    def _pass(self, theta, batch):
+        """(theta, layers, activations, logits, labels, scale) of one forward pass."""
         x, y, scale = self._design(batch)
         theta = np.asarray(theta, dtype=float).reshape(-1)
-        _, _, z = self._forward(theta, x)
+        return (theta, *self._forward(theta, x), y, scale)
+
+    def value(self, theta, batch=None) -> float:
+        theta, _, _, z, y, scale = self._pass(theta, batch)
         return self._value(theta, z, y, scale)
 
     def gradient(self, theta, batch=None) -> np.ndarray:
-        x, y, scale = self._design(batch)
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        layers, acts, z = self._forward(theta, x)
-        return self._backprop(theta, layers, acts, z, y, scale)
+        return self._backprop(*self._pass(theta, batch))
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        x, y, scale = self._design(batch)
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        layers, acts, z = self._forward(theta, x)
-        return (self._value(theta, z, y, scale),
-                self._backprop(theta, layers, acts, z, y, scale))
+        theta, layers, acts, z, y, scale = self._pass(theta, batch)
+        value = self._value(theta, z.copy(), y, scale)  # each overwrites its logits
+        return value, self._backprop(theta, layers, acts, z, y, scale)
 
     def axis_values(self, theta, steps) -> np.ndarray:
         # The loss is _value's data term plus the prior on

@@ -245,6 +245,17 @@ def test_von_step_rejects_a_nan_precision():
         von_step(state, NaNCurvature(np.eye(2), np.zeros(2)))
 
 
+def test_von_rate_one_onto_zero_curvature_leaves_the_default_floor():
+    # the floor test is strict: a precision of exactly 0, which the mean
+    # step would divide by, leaves the domain at the default floor 0
+    state = VONState(np.zeros(3), np.ones(3), learning_rate=1.0)
+    assert state.prec_floor == 0.0
+    with pytest.raises(LeftDomain, match="floor") as excinfo:
+        von_step(state, QuadraticLoss(np.zeros((3, 3)), np.ones(3)))
+    assert excinfo.value.iteration == 0
+    np.testing.assert_array_equal(excinfo.value.iterate, np.zeros(3))
+
+
 def test_von_step_rejects_moments_of_the_wrong_shape():
     base = QuadraticLoss(np.eye(3), np.zeros(3))
 

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import natvb.losses
 import natvb.numdiff
-from natvb.errors import MissingHessian
+from natvb.errors import DomainError, MissingHessian
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
 from natvb.losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
 from natvb.harness import build_model, resolve_config
@@ -44,6 +46,22 @@ def test_quadratic_expected_moments(rng):
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticLoss(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+
+
+@pytest.mark.parametrize("quad, lin, const", [
+    ([[np.nan]], [0.0], 0.0),  # passes the symmetry test: nan > tol is False
+    ([[1.0, np.inf], [np.inf, 1.0]], [0.0, 0.0], 0.0),  # inf - inf warned there
+    ([[1.0, 0.0], [0.0, -np.inf]], [0.0, 0.0], 0.0),
+    ([[1.0]], [np.nan], 0.0),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.inf], 0.0),
+    ([[1.0]], [0.0], np.nan),
+    ([[1.0]], [0.0], -np.inf),
+])
+def test_quadratic_rejects_non_finite_terms_at_construction(quad, lin, const):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            QuadraticLoss(np.array(quad), np.array(lin), const)
 
 
 def test_natural_coefficients_roundtrip_full(rng):
