@@ -16,10 +16,10 @@ from .deep import (AdamState, IVONState, RMSpropState, TrainRunRecord,
                    TrainTraceRow, VONState, adam_init, adam_step, ivon_init,
                    ivon_step, rmsprop_init, rmsprop_step, train, von_step)
 from .errors import (DomainError, FamilyMismatch, LeftDomain, MissingHessian,
-                     NonPDHessian, SingularFisher, SingularSystem, SolverFailure)
+                     NonPDHessian, SingularFisher, SolverFailure)
 from .expfam import ExpectationParams, ExpFamily, NaturalParams
 from .gaussian import DiagGaussian, FullGaussian
-from .losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
+from .losses import LossModel, QuadraticLoss, check_derivatives
 from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      make_ridge_data, make_spirals_mlp, ridge_conjugate_model,
                      ridge_exact_posterior, ridge_loss,

@@ -7,18 +7,20 @@ behind it directly, without scipy.linalg's per-call wrapper layers:
 - cholesky          dpotrf(a, lower, clean=1, overwrite_a=0)
 - cho_factor        dpotrf(a, lower, clean=0, overwrite_a=0)
 - cho_solve         dpotrs(c, b, lower, overwrite_b=0)
-- solve_triangular  dtrtrs(a, b, lower, trans=0, unitdiag=0, overwrite_b=0);
-                    a C-ordered `a` goes in as the Fortran-ordered a.T with
-                    `lower` flipped and trans=1, as scipy does
+- solve_triangular  dtrtrs(a, b, lower, trans=0, unitdiag=0, overwrite_b=0),
+                    as solve_triangular_unchecked only; a C-ordered `a`
+                    goes in as the Fortran-ordered a.T with `lower`
+                    flipped and trans=1, as scipy does
 
-They keep scipy's checks: every argument must be finite (else
-ValueError), matrices square and right-hand sides (n,) or (n, k) with
-matching n (else ValueError), dpotrf's info > 0 raises LinAlgError (not
+The three checked wrappers, cholesky, cho_factor and cho_solve, keep
+scipy's checks: every argument must be finite (else ValueError),
+matrices square and right-hand sides (n,) or (n, k) with matching n
+(else ValueError), dpotrf's info > 0 raises LinAlgError (not
 positive definite), dtrtrs's info > 0 raises LinAlgError (singular) and
 any info < 0 raises ValueError. They do not batch, take complex input,
-or overwrite their arguments. cholesky, cho_solve and solve_triangular
-are each those checks plus a raw core (cholesky_unchecked,
-cho_solve_unchecked, solve_triangular_unchecked) keeping only the info
+or overwrite their arguments. cholesky and cho_solve are each those
+checks plus a raw core (cholesky_unchecked, cho_solve_unchecked), and
+solve_triangular_unchecked is such a core alone, keeping only the info
 checks, for a square matrix natvb has already scanned and a finite
 right-hand side of matching rows. The Gaussian families call the cores
 behind their own scans: every Cholesky factorisation in `gaussian` is
@@ -116,14 +118,10 @@ def cho_solve_unchecked(c: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray
     return x
 
 
-def solve_triangular(a, b, lower=False) -> np.ndarray:
-    """x with a x = b for a lower (or upper) triangular `a`."""
-    a = _square(a)
-    return solve_triangular_unchecked(a, _rhs(b, a), lower)
-
-
 def solve_triangular_unchecked(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """solve_triangular's LAPACK core: a validated factor a, a finite b of matching rows."""
+    """x with a x = b for a lower (or upper) triangular `a`, bitwise
+    scipy.linalg.solve_triangular's: a validated factor a, a finite b of
+    matching rows."""
     trtrs = _lapack()[2]
     if a.flags.f_contiguous:
         x, info = trtrs(a, b, lower=lower, trans=0, unitdiag=0, overwrite_b=False)

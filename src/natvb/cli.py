@@ -18,7 +18,8 @@ non-finite number in a config, a multi-config run that would overwrite,
 or a BLR estimator that cannot serve the model on the chosen family),
 3 domain errors during a run (also a non-finite natural-gradient
 estimate, or a deep-optimizer trace row that would hold a non-finite
-value), 4 a failed per-step certificate during a run (the Bayes-filter
+value) and an oracle ridge posterior that is not numerically positive
+definite, 4 a failed per-step certificate during a run (the Bayes-filter
 check or the residual's inverse-Fisher cross-check). Codes 3 and 4
 flush the partial trace.
 """

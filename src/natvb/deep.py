@@ -28,19 +28,21 @@ sequential and deterministic for a fixed seed.
 
 A state is validated once, when a caller (or an *_init function) builds
 it: its arrays are copied into 1-D float vectors of one length and its
-scale checked (a NaN fails every scale check). VON's and IVON's steps
-return states built without that pass, because their arrays are the
-step's own fresh vectors and the step has just checked the scale itself:
-VON against its positivity floor, IVON's h + delta0 in the LeftDomain
-check. A step's result is trusted from there on. The train loop picks
-the step function and the row's accessors once per run.
+scale checked (a NaN fails every scale check). Every step returns a
+state built without that pass, because its arrays are the step's own
+fresh vectors and the step has checked what it can break itself:
+RMSprop's scale against zero, VON's precision against its positivity
+floor, IVON's h + delta0 (each raising LeftDomain); Adam's moments have
+no invariant to break. A state a VON, IVON, RMSprop or Adam step returns
+is trusted from there on. The train loop picks the step function and the
+row's accessors once per run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -61,7 +63,7 @@ def _vec(x, dim: int | None = None) -> np.ndarray:
 
 
 def _advanced(state, **changes):
-    """dataclasses.replace(state, **changes) without __post_init__.
+    """A copy of state with changes, built without __post_init__.
 
     For a step's next state only: the changed arrays must be the step's
     own fresh 1-D vectors of the state's length, already checked.
@@ -114,12 +116,19 @@ def rmsprop_init(theta0, step_size: float = 1e-2, scale_rate: float = 0.1,
 
 
 def rmsprop_step(state: RMSpropState, grad) -> RMSpropState:
-    """Scale update first, then the square-root-preconditioned step."""
+    """Scale update first, then the square-root-preconditioned step.
+
+    A scale that fails its nonnegativity check (a NaN gradient leaves a
+    NaN scale) raises LeftDomain.
+    """
     grad = _vec(grad, state.theta.size)
     scale = ema(state.scale, grad ** 2, state.scale_rate)
+    if not (scale >= 0.0).all():
+        raise LeftDomain(f"RMSprop scale left the domain at step {state.t}",
+                         iterate=scale, iteration=state.t)
     theta = preconditioned_step(state.theta, grad, scale, state.step_size,
                                 state.damping, sqrt_scale=True)
-    return replace(state, theta=theta, scale=scale, t=state.t + 1)
+    return _advanced(state, theta=theta, scale=scale, t=state.t + 1)
 
 
 # -- Adam --------------------------------------------------------------
@@ -159,7 +168,7 @@ def adam_step(state: AdamState, grad) -> AdamState:
     m2_hat = m2 / (1.0 - state.beta2 ** t)
     theta = preconditioned_step(state.theta, m1_hat, m2_hat, state.step_size,
                                 state.damping, sqrt_scale=True)
-    return replace(state, theta=theta, m1=m1, m2=m2, t=t)
+    return _advanced(state, theta=theta, m1=m1, m2=m2, t=t)
 
 
 # -- VON ---------------------------------------------------------------
@@ -279,18 +288,6 @@ def ivon_init(theta0, *, step_size: float, hess_init: float = 1.0,
                      weight_decay, damping, ess, seed)
 
 
-def ivon_sample_and_estimate(state: IVONState, loss: LossModel,
-                             rng: np.random.Generator, batch=None,
-                             theta_sample=None):
-    """Lines 1-2 of the step: sample, gradient, reparameterization Hessian.
-
-    Returns (theta, grad, hess_est) with hess_est = grad * prec * (theta - m)
-    for prec = ess * (h + delta0), the precision theta was sampled with.
-    """
-    prec = state.ess * (state.hess + state.weight_decay)
-    return _sample_and_estimate(state, prec, loss, rng, batch, theta_sample)
-
-
 def _sample_and_estimate(state: IVONState, prec: np.ndarray, loss: LossModel,
                          rng: np.random.Generator, batch, theta_sample):
     if theta_sample is None:
@@ -380,17 +377,20 @@ class TrainRunRecord:
     wall_time_s: float = 0.0
 
 
-def _optimizer(state, loss: LossModel, samples: StepStreams | None):
+def _optimizer(state, loss: LossModel):
     """(step, eval_point, scale) of the state's optimizer, chosen once per run.
 
     step(state, batch) makes one step; eval_point(state) is where a row
     is recorded (theta, or the posterior mean) and scale(state) the
-    vector whose range it records.
+    vector whose range it records. VON and IVON draw step t's samples
+    from one seeding.StepStreams on the state's sample stream.
     """
     if isinstance(state, VONState):
+        samples = StepStreams(state.seed, *SAMPLE_STREAM)
         return (lambda s, batch: von_step(s, loss, batch, rng=samples.at(s.t)),
                 attrgetter("mean"), attrgetter("prec"))
     if isinstance(state, IVONState):
+        samples = StepStreams(state.seed, *SAMPLE_STREAM)
         return (lambda s, batch: ivon_step(s, loss, batch, rng=samples.at(s.t)),
                 attrgetter("mean"), lambda s: s.hess + s.weight_decay)
     if isinstance(state, RMSpropState):
@@ -427,9 +427,7 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     rows: list[TrainTraceRow] = []
     # one generator per stream, rewound to each step's key
     batches = StepStreams(seed, 0xBA7C) if batch_size is not None else None
-    samples = (StepStreams(state.seed, *SAMPLE_STREAM)
-               if isinstance(state, (VONState, IVONState)) else None)
-    step, eval_point, scale_vector = _optimizer(state, loss, samples)
+    step, eval_point, scale_vector = _optimizer(state, loss)
     size = min(batch_size, loss.n_data) if batches is not None else None
 
     def record(step_index: int, current) -> None:

@@ -47,10 +47,6 @@ class SolverFailure(RuntimeError):
     """An inner numerical solve did not reach its required tolerance."""
 
 
-class SingularSystem(RuntimeError):
-    """A dense linear solve encountered a singular system."""
-
-
 class BayesFilterViolation(RuntimeError):
     """A BLR step failed its multiplicative (Bayes-filter) form check.
 

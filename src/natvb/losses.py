@@ -381,34 +381,3 @@ class QuadraticLoss(LossModel):
                 return None
             return np.concatenate([self.lin, -0.5 * np.diag(self.quad)])
         return None
-
-
-class ZeroLoss(LossModel):
-    """Identically zero loss; handy degenerate case in tests and checks."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def value(self, theta, batch=None) -> float:
-        return 0.0
-
-    def gradient(self, theta, batch=None) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def hessian_diag(self, theta, batch=None) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def hessian_full(self, theta, batch=None) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
-    def expected_value(self, mean, cov) -> float:
-        return 0.0
-
-    def expected_gradient(self, mean, cov) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def expected_hessian(self, mean, cov) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
-    def natural_coefficients(self, family) -> np.ndarray | None:
-        return np.zeros(family.param_dim)

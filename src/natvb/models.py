@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import cho_factor, cho_solve
 from .blr import ConjugateModel
-from .errors import DomainError, SingularSystem
+from .errors import DomainError
 from .gaussian import FullGaussian, sym_to_coeff
 from .losses import LossModel, QuadraticLoss
 from .seeding import make_rng
@@ -83,8 +83,10 @@ def ridge_exact_posterior(model: RidgeModel) -> tuple[np.ndarray, np.ndarray]:
     try:
         factor = cho_factor(prec, lower=True)
     except np.linalg.LinAlgError as exc:
-        # unreachable for tau > 0, which RidgeModel guarantees
-        raise SingularSystem("ridge posterior precision is singular") from exc
+        # tau > 0 does not keep X'X + tau I numerically positive definite:
+        # a tau far below the scale of X'X rounds away
+        raise DomainError("ridge posterior precision is not numerically "
+                          "positive definite") from exc
     return cho_solve(factor, model.x.T @ model.y), prec
 
 

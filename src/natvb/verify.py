@@ -305,11 +305,16 @@ def check_ivon_positivity(sabotage=None):
     for _ in range(2000):
         state = ivon_step(state, loss)
         min_prec = min(min_prec, float(np.min(state.hess + state.weight_decay)))
-    # no-square-root probe: quadrupling the scale must quarter the step
-    step4 = preconditioned_step(np.zeros(1), np.ones(1), np.array([4.0]), 1.0)
-    step1 = preconditioned_step(np.zeros(1), np.ones(1), np.array([1.0]), 1.0)
-    ratio = float(step4[0] / step1[0])
-    ok = min_prec > 0.0 and abs(ratio - 0.25) < 1e-12
+    # no-square-root probe through ivon_step: sampled at the mean, the
+    # Hessian estimate is 0, so h = 4 quadruples the new scale exactly and
+    # must quarter the mean's move (a square root would halve it)
+    unit = QuadraticLoss(np.eye(1), np.array([-1.0]))
+    moves = []
+    for hess in (1.0, 4.0):
+        probe = ivon_init(np.zeros(1), step_size=1.0, hess_init=hess, weight_decay=0.0)
+        moves.append(float(ivon_step(probe, unit, theta_sample=probe.mean).mean[0]))
+    ratio = moves[1] / moves[0]
+    ok = min_prec > 0.0 and ratio == 0.25
     return ok, f"min(h+delta0)={min_prec:.3e}, scale-4 step ratio={ratio}"
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from natvb.gaussian import DiagGaussian, FullGaussian
+from natvb.losses import QuadraticLoss
 from natvb.seeding import make_rng
+
+
+def zero_loss(dim):
+    """The identically zero loss on R^dim, as a quadratic with zero terms."""
+    return QuadraticLoss(np.zeros((dim, dim)), np.zeros(dim))
 
 
 def random_instance(rng, max_dim=6, kind=None):

@@ -13,8 +13,7 @@ from natvb.blr import (BLRConfig, blr_init, blr_run, blr_step,
                        conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, newton_recovery_step,
                        vb_objective)
-from natvb.deep import (adam_init, ivon_init, ivon_step, preconditioned_step,
-                        train)
+from natvb.deep import adam_init, ivon_init, ivon_step, train
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.harness import run_experiment
 from natvb.losses import QuadraticLoss
@@ -299,10 +298,14 @@ def test_criterion_11_ivon_positivity_and_no_sqrt():
             total_steps += 1
     assert total_steps >= 10_000
     assert min_prec > 0.0
-    # structural probe: scale 4 quarters the step (no square root in the update)
-    step4 = preconditioned_step(np.zeros(1), np.ones(1), np.array([4.0]), 1.0)[0]
-    step1 = preconditioned_step(np.zeros(1), np.ones(1), np.array([1.0]), 1.0)[0]
-    assert step4 / step1 == 0.25
+    # structural probe through ivon_step: sampled at the mean (Hessian
+    # estimate 0), scale 4 quarters the mean's move (no square root)
+    unit = QuadraticLoss(np.eye(1), np.array([-1.0]))
+    moves = []
+    for hess0 in (1.0, 4.0):
+        probe = ivon_init(np.zeros(1), step_size=1.0, hess_init=hess0, weight_decay=0.0)
+        moves.append(ivon_step(probe, unit, theta_sample=probe.mean).mean[0])
+    assert moves[1] / moves[0] == 0.25
     report(11, "posterior precision stays positive through the retraction; "
                "mean update has no square root",
            f"{total_steps} cumulative steps, min(h+delta0) = {min_prec:.2e}")

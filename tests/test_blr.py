@@ -8,9 +8,9 @@ from natvb.blr import (BLRConfig, BLRState, blr_init, blr_run, blr_step,
                        ConjugateModel, conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, multiplicative_form_check,
                        newton_recovery_step, vb_objective)
-from natvb.errors import DomainError, LeftDomain, NonPDHessian
+from natvb.errors import DomainError, LeftDomain, NonPDHessian, SolverFailure
 from natvb.gaussian import DiagGaussian, FullGaussian
-from natvb.losses import QuadraticLoss, ZeroLoss
+from natvb.losses import QuadraticLoss
 from natvb.models import (make_logistic_data, make_ridge_data,
                           ridge_conjugate_model, ridge_exact_posterior,
                           ridge_loss)
@@ -18,7 +18,7 @@ from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.numdiff import central_diff_gradient
 from natvb.seeding import ESTIMATE_STREAM, fixed_normals, make_rng
 
-from conftest import random_instance, random_lam
+from conftest import random_instance, random_lam, zero_loss
 from test_trace_digests import folded  # noqa: F401 (fixture)
 
 EXACT = EstimatorSpec("exact")
@@ -267,11 +267,26 @@ def test_mirror_descent_lands_within_its_default_tolerance(kind):
             assert np.linalg.norm(out - closed) <= rate * 1e-10
 
 
+def test_mirror_descent_raises_when_its_newton_budget_runs_out():
+    # N(0, I) towards a full-covariance target at rate 0.7: zero or one
+    # Newton step leaves the gradient far above grad_tol, the default
+    # budget reaches the closed form
+    fam = FullGaussian(2)
+    lam_t = fam.from_moment(np.zeros(2), np.eye(2)).coords
+    tilde = fam.from_moment(np.array([1.0, -2.0]),
+                            np.array([[2.0, 0.6], [0.6, 0.5]])).coords
+    for max_iter in (0, 1):
+        with pytest.raises(SolverFailure, match="stopped at gradient norm"):
+            mirror_descent_step_numeric(fam, lam_t, tilde, 0.7, max_iter=max_iter)
+    out = mirror_descent_step_numeric(fam, lam_t, tilde, 0.7)
+    assert np.linalg.norm(out - (0.3 * lam_t + 0.7 * tilde)) <= 0.7 * 1e-10
+
+
 # -- objective --------------------------------------------------------------------
 
 def test_vb_objective_zero_loss_is_negative_entropy(rng):
     fam, lam = random_instance(rng, max_dim=3)
-    assert np.isclose(vb_objective(fam, lam, ZeroLoss(fam.theta_dim)),
+    assert np.isclose(vb_objective(fam, lam, zero_loss(fam.theta_dim)),
                       -fam.entropy(lam), atol=1e-12)
 
 

@@ -5,16 +5,17 @@ import pytest
 
 from natvb.blr import BLRConfig, blr_init, blr_step
 from natvb.deep import (IVONState, RMSpropState, TrainTraceRow, VONState, adam_init,
-                        adam_step, ema, ivon_init, ivon_sample_and_estimate, ivon_step,
+                        _sample_and_estimate, adam_step, ema, ivon_init, ivon_step,
                         preconditioned_step, rmsprop_init, rmsprop_step,
                         train, von_step)
 from natvb.errors import LeftDomain
 from natvb.gaussian import DiagGaussian
-from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
+from natvb.losses import LossModel, QuadraticLoss
 from natvb.models import make_logistic_data, make_spirals_mlp
 from natvb.natgrad import EstimatorSpec, reparam_hessian_terms
 from natvb.seeding import SAMPLE_STREAM, make_rng
 
+from conftest import zero_loss
 from test_validate_once import _same_bits
 
 
@@ -60,6 +61,15 @@ def test_rmsprop_scale_updated_before_theta():
     np.testing.assert_allclose(new.theta, [-1.0])  # 2 / sqrt(4), not 2 / sqrt(0)
 
 
+def test_rmsprop_step_rejects_a_nan_gradient():
+    # a NaN gradient leaves a NaN scale, which fails the nonnegativity check
+    state = replace(rmsprop_init(np.zeros(2), step_size=0.1), t=4)
+    with pytest.raises(LeftDomain, match="RMSprop scale") as excinfo:
+        rmsprop_step(state, np.array([1.0, np.nan]))
+    assert excinfo.value.iteration == 4
+    assert np.isnan(excinfo.value.iterate[1]) and excinfo.value.iterate[0] > 0.0
+
+
 # -- Adam --------------------------------------------------------------------
 
 def test_adam_zero_gradient_no_movement():
@@ -94,6 +104,86 @@ def test_adam_golden_trace():
         np.testing.assert_allclose(state.theta, theta_ref, rtol=0, atol=1e-15)
 
 
+# -- the step contract RMSprop and Adam share with VON and IVON ---------------
+
+_SCALE_STEPS = {
+    "rmsprop": (rmsprop_step, lambda p, rng: RMSpropState(
+        rng.standard_normal(p), rng.uniform(0.0, 2.0, p), step_size=rng.uniform(0.01, 1.0),
+        scale_rate=rng.uniform(0.0, 1.0), damping=1e-8, t=int(rng.integers(0, 100))),
+        ("theta", "scale")),
+    "adam": (adam_step, lambda p, rng: adam_init(
+        rng.standard_normal(p), step_size=rng.uniform(0.01, 1.0),
+        beta1=rng.uniform(0.0, 0.99), beta2=rng.uniform(0.9, 0.9999)),
+        ("theta", "m1", "m2")),
+}
+
+
+def _reference_scale_step(kind, state, grad):
+    """The step as it was written with dataclasses.replace, which copies and
+    re-validates the state."""
+    if kind == "rmsprop":
+        scale = ema(state.scale, grad ** 2, state.scale_rate)
+        theta = preconditioned_step(state.theta, grad, scale, state.step_size,
+                                    state.damping, sqrt_scale=True)
+        return replace(state, theta=theta, scale=scale, t=state.t + 1)
+    t = state.t + 1
+    m1 = state.beta1 * state.m1 + (1.0 - state.beta1) * grad
+    m2 = state.beta2 * state.m2 + (1.0 - state.beta2) * grad ** 2
+    theta = preconditioned_step(state.theta, m1 / (1.0 - state.beta1 ** t),
+                                m2 / (1.0 - state.beta2 ** t), state.step_size,
+                                state.damping, sqrt_scale=True)
+    return replace(state, theta=theta, m1=m1, m2=m2, t=t)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALE_STEPS))
+def test_scale_steps_return_trusted_states_with_the_replace_bits(kind):
+    step, make_state, arrays = _SCALE_STEPS[kind]
+    rng = make_rng(71, kind == "adam")
+    for p in (1, 3, 7):
+        state = make_state(p, rng)
+        for _ in range(4):
+            grad = rng.standard_normal(p)
+            before = {name: getattr(state, name).copy() for name in arrays}
+            new = step(state, list(grad))
+            ref = _reference_scale_step(kind, state, grad)
+            assert type(new) is type(state) and new.t == ref.t
+            for field in fields(new):
+                if field.name in arrays:
+                    out = getattr(new, field.name)
+                    assert _same_bits(out, getattr(ref, field.name))
+                    assert out.ndim == 1 and out.dtype == np.float64
+                    # pure: the input is untouched and the output its own array
+                    assert _same_bits(getattr(state, field.name), before[field.name])
+                    assert not any(np.shares_memory(out, getattr(state, name))
+                                   for name in arrays)
+                else:
+                    assert getattr(new, field.name) == getattr(ref, field.name)
+            state = new
+
+
+class _NaNMinibatchGradient(QuadraticLoss):
+    """A quadratic whose full-data terms are finite and whose every
+    minibatch gradient is NaN."""
+
+    n_data = 4
+
+    def gradient(self, theta, batch=None):
+        grad = super().gradient(theta)
+        return grad if batch is None else np.full_like(grad, np.nan)
+
+
+@pytest.mark.parametrize("init, iteration", [(rmsprop_init, 0), (adam_init, 1)])
+def test_train_ends_a_nan_gradient_in_left_domain_with_partial_trace(init, iteration):
+    # RMSprop's step 0 stops at its NaN scale, Adam's row 1 at its NaN theta:
+    # either way the run fails as VON's and IVON's do, with the rows before it
+    loss = _NaNMinibatchGradient(np.eye(2), np.ones(2))
+    with np.errstate(invalid="ignore"), pytest.raises(LeftDomain) as excinfo:
+        train(init(np.zeros(2), step_size=0.1), loss, steps=5, batch_size=2, seed=3)
+    partial = excinfo.value.partial_trace
+    assert [row.step for row in partial] == [0]
+    assert excinfo.value.iteration == iteration
+
+
 # -- VON ----------------------------------------------------------------------
 
 def test_von_exact_rate_one_is_newton_jump(rng):
@@ -110,7 +200,7 @@ def test_von_exact_rate_one_is_newton_jump(rng):
 
 def test_von_zero_loss_decays_to_floor():
     state = VONState(np.ones(2), np.ones(2), learning_rate=0.5, prec_floor=0.05)
-    loss = ZeroLoss(2)
+    loss = zero_loss(2)
     seen = []
     with pytest.raises(LeftDomain) as excinfo:
         for _ in range(20):
@@ -276,7 +366,7 @@ def test_ivon_zero_signal_step_algebra():
     state = IVONState(np.array([1.0, -2.0]), np.array([1.0, 2.0]), np.zeros(2),
                       step_size=0.1, beta1=0.9, hess_rate=0.2, weight_decay=0.0,
                       ess=1.0)
-    new = ivon_step(state, ZeroLoss(2), theta_sample=state.mean)
+    new = ivon_step(state, zero_loss(2), theta_sample=state.mean)
     np.testing.assert_array_equal(new.mean, state.mean)
     expected = 0.8 * state.hess + 0.5 * 0.2 ** 2 * state.hess ** 2 / state.hess
     np.testing.assert_allclose(new.hess, expected, rtol=1e-15)
@@ -304,9 +394,11 @@ def test_ivon_hessian_estimate_unbiased_frozen_state():
                       weight_decay=1e-2, ess=2.0, seed=5)
     total = np.zeros(p)
     total_sq = np.zeros(p)
+    # the precision ivon_step samples with, ess * (h + delta0)
+    prec = state.ess * (state.hess + state.weight_decay)
     reps = 100_000
     for k in range(reps):
-        _, _, est = ivon_sample_and_estimate(state, loss, make_rng(5, k))
+        _, _, est = _sample_and_estimate(state, prec, loss, make_rng(5, k), None, None)
         total += est
         total_sq += est ** 2
     avg = total / reps
@@ -325,20 +417,17 @@ def test_ivon_positivity_under_adversarial_settings():
 
 
 def test_ivon_mean_update_has_no_square_root():
-    # quadrupling the scale must quarter the step (1/s, not 1/sqrt(s))
-    step4 = preconditioned_step(np.zeros(1), np.ones(1), np.array([4.0]), 1.0)
-    step1 = preconditioned_step(np.zeros(1), np.ones(1), np.array([1.0]), 1.0)
-    assert step4[0] / step1[0] == 0.25
-    # and the same probe through a full ivon_step at matched randomness
-    loss = QuadraticLoss(np.zeros((1, 1)), np.array([-1.0]))  # constant gradient 1
+    # through ivon_step itself: sampled at the mean, the Hessian estimate is 0,
+    # so h = 4 quadruples the new scale exactly and must quarter the mean's
+    # move (1/s, not 1/sqrt(s), which would halve it)
+    loss = QuadraticLoss(np.eye(1), np.array([-1.0]))  # gradient 1 at 0
     moves = []
     for hess0 in (1.0, 4.0):
-        state = IVONState(np.zeros(1), np.array([hess0]), np.zeros(1),
-                          step_size=1.0, beta1=0.0, hess_rate=1e-9,
-                          weight_decay=0.0, ess=1.0)
-        new = ivon_step(state, loss, theta_sample=state.mean)  # hess est = 0
-        moves.append(new.mean[0])
-    assert moves[1] / moves[0] == pytest.approx(0.25, rel=1e-9)
+        state = ivon_init(np.zeros(1), step_size=1.0, hess_init=hess0, weight_decay=0.0)
+        new = ivon_step(state, loss, theta_sample=state.mean)
+        moves.append(new.mean[0] - state.mean[0])
+    assert moves[0] != 0.0
+    assert moves[1] / moves[0] == 0.25
 
 
 def test_ivon_bias_correction_flag():
@@ -531,6 +620,6 @@ def test_train_records_scale_range():
 def test_train_propagates_left_domain_with_partial_trace():
     state = VONState(np.ones(1), np.ones(1), learning_rate=0.9, prec_floor=0.5)
     with pytest.raises(LeftDomain) as excinfo:
-        train(state, ZeroLoss(1), steps=10, seed=0)
+        train(state, zero_loss(1), steps=10, seed=0)
     partial = excinfo.value.partial_trace
     assert partial[0][0] == 0

@@ -3,6 +3,10 @@ import collections
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,16 @@ def test_cli_run_out_of_range_values_exit_2(model, optimizer, tmp_path, monkeypa
 def test_cli_oracle_ridge_rejects_out_of_range_prior(tmp_path):
     cfg = base_config(model={"kind": "ridge", "data_seed": 7, "prior_precision": 0.0})
     assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 2
+
+
+def test_cli_oracle_ridge_exits_3_on_a_numerically_singular_posterior(tmp_path, capsys):
+    # tau > 0 passes the config check, but X'X (rank 1 at n = 1) + 1e-300 I
+    # rounds to a singular precision
+    cfg = base_config(model={"kind": "ridge", "n": 1, "p": 3, "data_seed": 7,
+                             "prior_precision": 1e-300})
+    assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "not numerically positive definite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("optimizer", [{"kind": "blr", "family": "diag",
@@ -640,6 +654,17 @@ def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--scope", "entropy", "--sabotage", "eq4"]) == 1
     assert main(["verify", "--scope", "nope"]) == 2
     assert main(["verify", "--sabotage", "nope"]) == 2
+
+
+def test_python_m_natvb_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "natvb", "verify", "--scope", "seeding"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1 checks, 0 failures"
 
 
 def test_cli_verify_whole_table_passes(capsys):

@@ -59,7 +59,7 @@ def test_solves_match_scipy_bitwise(p, lower, order, ndim):
     assert ours.shape == b.shape
     tri = frozen(scipy.linalg.cholesky(a, lower=lower), order)
     for t, low in ((tri, lower), (tri.T, not lower)):
-        np.testing.assert_array_equal(_linalg.solve_triangular(t, b, lower=low),
+        np.testing.assert_array_equal(_linalg.solve_triangular_unchecked(t, b, low),
                                       scipy.linalg.solve_triangular(t, b, lower=low))
 
 
@@ -90,8 +90,10 @@ def test_singular_triangular_raises_like_scipy(order):
     tri[2, 2] = 0.0
     b = rhs(4, 1)
     for t, lower in ((tri, True), (tri.T, False)):
-        assert_same_error("solve_triangular", np.linalg.LinAlgError,
-                          frozen(t, order), b, lower=lower)
+        t = frozen(t, order)
+        assert (raised(_linalg.solve_triangular_unchecked, t, b, lower)
+                is raised(scipy.linalg.solve_triangular, t, b, lower=lower)
+                is np.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -104,15 +106,12 @@ def test_non_finite_arguments_raise_like_scipy(bad):
         assert_same_error(name, ValueError, bad_a, lower=True)
     assert_same_error("cho_solve", ValueError, (bad_c, True), b)
     assert_same_error("cho_solve", ValueError, (c, True), bad_b)
-    assert_same_error("solve_triangular", ValueError, bad_c, b, lower=True)
-    assert_same_error("solve_triangular", ValueError, c, bad_b, lower=True)
 
 
 def test_mismatched_shapes_raise_value_error():
     a, c = spd(3), scipy.linalg.cholesky(spd(3), lower=True)
     for name, args in (("cholesky", (a[:2],)), ("cholesky", (a[0],)),
-                       ("cho_solve", ((c, True), np.ones(2))),
-                       ("solve_triangular", (c, np.ones((4, 2))))):
+                       ("cho_solve", ((c, True), np.ones(2)))):
         assert raised(getattr(_linalg, name), *args) is ValueError
 
 

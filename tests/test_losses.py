@@ -7,11 +7,13 @@ import natvb.losses
 import natvb.numdiff
 from natvb.errors import DomainError, MissingHessian
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
-from natvb.losses import LossModel, QuadraticLoss, ZeroLoss, check_derivatives
+from natvb.losses import LossModel, QuadraticLoss, check_derivatives
 from natvb.harness import build_model, resolve_config
 from natvb.models import LogisticModel, make_logistic_data
 from natvb.numdiff import central_diff_batch
 from natvb.seeding import make_rng
+
+from conftest import zero_loss
 
 
 def make_quadratic(rng, dim):
@@ -95,7 +97,7 @@ def test_natural_coefficients_none_for_offdiagonal_on_diag_family(rng):
 
 
 def test_zero_loss_is_identically_zero():
-    loss = ZeroLoss(3)
+    loss = zero_loss(3)
     assert loss.value(np.ones(3)) == 0.0
     np.testing.assert_array_equal(loss.gradient(np.ones(3)), np.zeros(3))
     np.testing.assert_array_equal(loss.natural_coefficients(DiagGaussian(3)),

@@ -13,7 +13,7 @@ from natvb.blr import fixed_point_residual
 from natvb.errors import DomainError, MissingHessian, SolverFailure
 from natvb.harness import run_experiment
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
-from natvb.losses import LossModel, QuadraticLoss, ZeroLoss
+from natvb.losses import LossModel, QuadraticLoss
 from natvb.natgrad import (EstimatorSpec, check_support, estimate_natgrad,
                            expected_loss, gaussian_moments, linear_loss_natgrad,
                            natgrad_via_dual, reparam_hessian_terms)
@@ -21,7 +21,7 @@ from natvb.numdiff import central_diff_gradient
 from natvb.quadrature import gaussian_expectation
 from natvb.seeding import ESTIMATE_STREAM, make_rng
 
-from conftest import random_instance, random_lam
+from conftest import random_instance, random_lam, zero_loss
 
 
 EXACT, DELTA = EstimatorSpec("exact"), EstimatorSpec("delta")
@@ -218,7 +218,7 @@ def test_dual_check_conditioning_sweep():
 # -- Gaussian identity estimator --------------------------------------------
 
 def test_gaussian_identity_zero_loss(rng):
-    est = sampled(*full_dist(rng, 2), ZeroLoss(2), 3, seed=1)
+    est = sampled(*full_dist(rng, 2), zero_loss(2), 3, seed=1)
     np.testing.assert_array_equal(est, np.zeros(5))
 
 
@@ -304,7 +304,7 @@ def test_delta_equals_exact_on_quadratics(rng):
 
 
 def test_delta_zero_loss(rng):
-    np.testing.assert_array_equal(estimate_natgrad(*diag_dist(rng, 2), ZeroLoss(2), DELTA),
+    np.testing.assert_array_equal(estimate_natgrad(*diag_dist(rng, 2), zero_loss(2), DELTA),
                                   np.zeros(4))
 
 
@@ -339,7 +339,7 @@ def test_reparam_zero_cases(rng):
     mean = lin / prec
     theta = mean + 1.0
     np.testing.assert_array_equal(
-        reparam_hessian_terms(ZeroLoss(3).gradient(theta), prec, theta, mean), np.zeros(3))
+        reparam_hessian_terms(zero_loss(3).gradient(theta), prec, theta, mean), np.zeros(3))
     loss = QuadraticLoss(np.diag([1.0, 2.0, 3.0]), np.zeros(3))
     np.testing.assert_array_equal(
         reparam_hessian_terms(loss.gradient(mean), prec, mean, mean), np.zeros(3))
@@ -347,9 +347,9 @@ def test_reparam_zero_cases(rng):
 
 def test_reparam_needs_diagonal_family(rng):
     with pytest.raises(ValueError, match="diagonal"):
-        check_support(FullGaussian(2), ZeroLoss(2), "reparam")
+        check_support(FullGaussian(2), zero_loss(2), "reparam")
     with pytest.raises(ValueError, match="diagonal"):
-        sampled(*full_dist(rng, 2), ZeroLoss(2), 2, seed=0, kind="reparam")
+        sampled(*full_dist(rng, 2), zero_loss(2), 2, seed=0, kind="reparam")
 
 
 def test_reparam_unbiased_for_constant_hessian():
