@@ -25,14 +25,14 @@ loss evaluated at itself. The estimate at an iterate serves both that
 certificate and the step taken from the iterate, so blr_run, the one
 iteration loop, computes it once and passes it to both.
 
-blr_run certifies every step with both checks, but a block of steps at
-a time: it records each residual's value as it goes and queues the
-Bayes-filter check (its probes' T, formed per step by probe_stats) and
-the residual's inverse-Fisher cross-check. A block is checked by one
-stacked filter_spreads and one stacked natgrad_via_dual, in step order,
-so the first failure raised is the one checking step by step would
-raise. multiplicative_form_check and fixed_point_residual are the same
-code at one step.
+blr_run certifies every step with both checks, which share one
+contract: each returns its number (the spread, the residual) and raises
+its error. It checks a block of steps at a time: it records each
+residual's value as it goes and queues the Bayes-filter check (its
+probes' T, formed per step by probe_stats) and the residual's
+inverse-Fisher cross-check. A block is checked by one stacked
+filter_spreads and one stacked natgrad_via_dual, in step order, so the
+spreads kept and the first failure raised are those of a step-by-step check.
 """
 
 from __future__ import annotations
@@ -154,18 +154,15 @@ def conjugate_posterior(model: ConjugateModel) -> NaturalParams:
 FILTER_TOL, FILTER_PROBES, PROBE_SEED = 1e-8, 10, 1009
 
 
-@dataclass(frozen=True)
-class MultiplicativeFormReport:
-    passed: bool
-    spread: float
-    tol: float
-    n_probes: int
+def _filter_violation(t: int, spread: float, tol: float) -> BayesFilterViolation:
+    return BayesFilterViolation(f"Bayes-filter form violated at step {t} "
+                                f"(spread {spread:.3e} > {tol:.1e})")
 
 
 def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
                               tol: float = FILTER_TOL, n_probes: int = FILTER_PROBES,
-                              probe_seed: int = PROBE_SEED) -> MultiplicativeFormReport:
-    """Verify the Bayes-filter form of a step.
+                              probe_seed: int = PROBE_SEED) -> float:
+    """A step's Bayes-filter spread; BayesFilterViolation if it exceeds tol or is NaN.
 
     log q_{t+1}(theta) - [(1-rho) log q_t(theta) + rho <tilde_lam, T(theta)>]
     must be constant in theta on a grid of n_probes points from q_t. The
@@ -181,7 +178,9 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
         raise ValueError("state_t1 carries no natural-gradient estimate")
     stats = probe_stats(state_t, n_probes, probe_seed)
     spread = float(filter_spreads([(state_t, state_t1, rho)], stats[None])[0])
-    return MultiplicativeFormReport(spread <= tol, spread, tol, n_probes)
+    if not spread <= tol:
+        raise _filter_violation(state_t.t, spread, tol)
+    return spread
 
 
 def probe_stats(state_t: BLRState, n_probes: int = FILTER_PROBES,
@@ -347,10 +346,8 @@ class BLRRun:
     state: BLRState
     trace: list[BLRTraceRow]
     converged: bool
-    iterations: int
-    #: the last row's residual: the certificate at the final iterate
-    final_residual: float
-    multiplicative_reports: list[MultiplicativeFormReport]
+    #: every step's Bayes-filter spread, in step order
+    filter_spreads: np.ndarray
 
 
 def _step_with_halvings(state: BLRState, cfg: BLRConfig,
@@ -366,8 +363,7 @@ def _step_with_halvings(state: BLRState, cfg: BLRConfig,
                      iteration=state.t)
 
 
-def _certify(steps: list, stats: list, estimates: list,
-             trace: list) -> list[MultiplicativeFormReport]:
+def _certify(steps: list, stats: list, estimates: list, trace: list) -> np.ndarray:
     """Check a block of queued steps' certificates, in the order blr_run takes
     them: step j's Bayes-filter check, then the cross-check at the iterate
     it made. steps holds (state_t, state_t1, rho), stats their
@@ -375,7 +371,7 @@ def _certify(steps: list, stats: list, estimates: list,
     may lack the last.
 
     The first failure raises, with the rows recorded before its step as
-    partial_trace; else returns the steps' reports.
+    partial_trace; else returns the steps' Bayes-filter spreads.
     """
     spreads = filter_spreads(steps, np.array(stats))
     passed = spreads <= FILTER_TOL
@@ -391,12 +387,10 @@ def _certify(steps: list, stats: list, estimates: list,
             raise
     if n_filter < len(steps):
         t = steps[n_filter][0].t
-        exc = BayesFilterViolation(f"Bayes-filter form violated at step {t} "
-                                   f"(spread {spreads[n_filter]:.3e} > {FILTER_TOL:.1e})")
+        exc = _filter_violation(t, spreads[n_filter], FILTER_TOL)
         exc.partial_trace = trace[:t]
         raise exc
-    return [MultiplicativeFormReport(True, float(spread), FILTER_TOL, FILTER_PROBES)
-            for spread in spreads]
+    return spreads
 
 
 def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
@@ -429,7 +423,7 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
         raise ValueError("max_iter must be >= 1")
     spec = cfg.estimator
     trace: list[BLRTraceRow] = []
-    reports: list[MultiplicativeFormReport] = []
+    spreads: list[np.ndarray] = []
     converged = False
     deterministic = spec.kind in ("exact", "delta")
     streams = None if deterministic else StepStreams(spec.seed, *ESTIMATE_STREAM)
@@ -449,7 +443,7 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
         for part in (queue, stats, estimates):
             part.clear()
         if pending[0]:
-            reports.extend(_certify(*pending, trace))
+            spreads.append(_certify(*pending, trace))
 
     try:
         state = blr_init(family, lam0)
@@ -481,4 +475,4 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
         # leaves it come first in step order: a failed one is raised
         # (and replaces any exception in flight)
         certify()
-    return BLRRun(state, trace, converged, state.t, trace[-1].residual, reports)
+    return BLRRun(state, trace, converged, np.concatenate(spreads))

@@ -123,10 +123,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, LeftDomain) as exc:
-        print(f"domain error during run: {exc}", file=sys.stderr)
+        print(f"domain error during {args.command}: {exc}", file=sys.stderr)
         return 3
     except CERTIFICATE_ERRORS as exc:
-        print(f"certificate failure during run: {exc}", file=sys.stderr)
+        print(f"certificate failure during {args.command}: {exc}", file=sys.stderr)
         return 4
 
 

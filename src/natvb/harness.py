@@ -304,9 +304,9 @@ def _blr_runner(resolved: dict, loss):
     cfg = BLRConfig(opt["learning_rate"], opt["max_iter"], opt["tol"], spec,
                     opt["max_rate_halvings"])
     run = blr_run(family, lam0, loss, cfg)
-    return run.trace, lambda: {"iterations": run.iterations, "converged": run.converged,
+    return run.trace, lambda: {"iterations": run.state.t, "converged": run.converged,
                                "final_objective": run.trace[-1].objective,
-                               "final_residual": run.final_residual}
+                               "final_residual": run.trace[-1].residual}
 
 
 def _deep_runner(resolved: dict, loss):

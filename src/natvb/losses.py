@@ -185,30 +185,28 @@ _AXIS_SAMPLES = 17
 
 
 def _gradient_differences(loss: LossModel, points, worst: dict) -> list[np.ndarray]:
-    """The gradient's central differences at each point.
+    """The gradient's central differences at each point, from axis_values.
 
-    The default axis_values is value_batch on numdiff's blocks of
-    perturbed rows, so its differences are central_diff_batch's on
-    value_batch. An override's values at every point are held to the
-    per-row value loop at _AXIS_SAMPLES evenly spaced coordinates, both
-    signs, before any difference is taken.
+    An override's values at every point are held to the per-row value
+    loop at _AXIS_SAMPLES evenly spaced coordinates, both signs, before
+    any difference is taken; the default, value_batch on numdiff's blocks
+    of perturbed rows, is not.
     """
-    if type(loss).axis_values is LossModel.axis_values:
-        return [central_diff_batch(loss.value_batch, theta) for theta in points]
     steps = [axis_steps(theta) for theta in points]
     values = [np.asarray(loss.axis_values(theta, step)) for theta, step in zip(points, steps)]
-    dim = points[0].size
-    # evenly spaced from 0 to dim - 1, distinct: consecutive ones are >= 1 apart
-    coords = (np.arange(dim) if dim <= _AXIS_SAMPLES
-              else np.arange(_AXIS_SAMPLES) * (dim - 1) // (_AXIS_SAMPLES - 1))
-    for theta, step, vals in zip(points, steps, values):
-        ref = np.concatenate([LossModel.value_batch(loss, rows).reshape(2, -1) for _, rows
-                              in perturbed_blocks(theta, step, coords)], axis=1)
-        err = _relative_gap(vals[:, coords], ref)
-        worst["axes"] = max(worst["axes"], err)
-        if not err <= _BATCH_RTOL:
-            raise ValueError(f"axis_values differs from value at the perturbed points: "
-                             f"{err:.3e} > {_BATCH_RTOL:.1e}")
+    if type(loss).axis_values is not LossModel.axis_values:
+        dim = points[0].size
+        # evenly spaced from 0 to dim - 1, distinct: consecutive ones are >= 1 apart
+        coords = (np.arange(dim) if dim <= _AXIS_SAMPLES
+                  else np.arange(_AXIS_SAMPLES) * (dim - 1) // (_AXIS_SAMPLES - 1))
+        for theta, step, vals in zip(points, steps, values):
+            ref = np.concatenate([LossModel.value_batch(loss, rows).reshape(2, -1) for _, rows
+                                  in perturbed_blocks(theta, step, coords)], axis=1)
+            err = _relative_gap(vals[:, coords], ref)
+            worst["axes"] = max(worst["axes"], err)
+            if not err <= _BATCH_RTOL:
+                raise ValueError(f"axis_values differs from value at the perturbed points: "
+                                 f"{err:.3e} > {_BATCH_RTOL:.1e}")
     return [central_quotient(plus, minus, step) for step, (plus, minus) in zip(steps, values)]
 
 
@@ -220,14 +218,14 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
     provided Hessians) against central differences.
 
     The gradient's central differences come from axis_values, the loss
-    at every perturbed point of a probe: by default value_batch on a
-    block of perturbed rows per call (numdiff.central_diff_batch), from
-    an override through numdiff.central_quotient. The Hessians' go
-    through gradient_batch, a block of perturbed rows per call. So each
-    override is checked against its loop first: value_batch, then
-    axis_values (at _AXIS_SAMPLES evenly spaced coordinates of each probe,
-    both signs, against the per-row value loop; the gap is worst["axes"]),
-    before any difference is taken; gradient_batch and the rest before
+    at every perturbed point of a probe (by default value_batch on a
+    block of perturbed rows per call), through numdiff.central_quotient.
+    The Hessians' go through gradient_batch, a block of perturbed rows
+    per call. So each override is checked against its loop first:
+    value_batch, then axis_values (at _AXIS_SAMPLES evenly spaced
+    coordinates of each probe, both signs, against the per-row value
+    loop; the gap is worst["axes"]), before any difference is taken;
+    gradient_batch and the rest before
     the Hessians' differences, so that a wrong gradient is reported as a
     gradient mismatch. The batched override checks run on the full data
     and, for minibatchable losses, on every other datum; axis_values is

@@ -9,11 +9,11 @@ of up to BLOCK_COORDS coordinates go to one call of a function over the
 rows of an array, so a vectorised loss evaluates them in one pass and
 the stacked rows stay bounded whatever the dimension. The per-point
 forms, central_diff_gradient and central_diff_jacobian, wrap it with a
-loop over the rows. A caller that computes a scalar function's values
-at all 2 * x.size perturbed points without forming the rows
-(LossModel.axis_values) takes the same differences from axis_steps,
-the points perturbed_blocks forms and central_quotient, the one
-quotient (f(x + h) - f(x - h)) / (2h) both routes share.
+loop over the rows. The derivative gate's gradient differences come
+from LossModel.axis_values, a scalar loss's values at all 2 * x.size
+points perturbed_blocks forms (an override may skip forming the rows),
+through central_quotient, the one quotient (f(x + h) - f(x - h)) / (2h)
+both routes share.
 """
 
 from __future__ import annotations

@@ -133,25 +133,25 @@ def test_criterion_05_multiplicative_form_every_step():
         fam = FullGaussian(3)
         run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)),
                       ridge_loss(model), BLRConfig(rate, 40, estimator=EXACT))
-        assert run.multiplicative_reports, "run produced no checked steps"
-        assert all(r.passed for r in run.multiplicative_reports)
-        worst = max(worst, max(r.spread for r in run.multiplicative_reports))
+        assert run.filter_spreads.size == run.state.t > 0, "a step went unchecked"
+        worst = max(worst, run.filter_spreads.max())
         runs += 1
     # delta estimator on a non-conjugate loss
     logistic = make_logistic_data(1105, 50, 2)
     fam = FullGaussian(2)
     run = blr_run(fam, fam.from_moment(np.zeros(2), np.eye(2)), logistic,
                   BLRConfig(0.5, 25, estimator=EstimatorSpec("delta")))
-    assert all(r.passed for r in run.multiplicative_reports)
-    worst = max(worst, max(r.spread for r in run.multiplicative_reports))
+    assert run.filter_spreads.size == run.state.t
+    worst = max(worst, run.filter_spreads.max())
     runs += 1
     # stochastic estimator on the diagonal family
     fam_d = DiagGaussian(2)
     run = blr_run(fam_d, fam_d.from_moment(np.zeros(2), np.ones(2)), logistic,
                   BLRConfig(0.2, 25, estimator=EstimatorSpec("mc", 4, seed=3)))
-    assert all(r.passed for r in run.multiplicative_reports)
-    worst = max(worst, max(r.spread for r in run.multiplicative_reports))
+    assert run.filter_spreads.size == run.state.t
+    worst = max(worst, run.filter_spreads.max())
     runs += 1
+    assert worst <= 1e-8
     report(5, "the Bayes-filter form holds on every step of every run",
            f"{runs} runs, max probe spread {worst:.2e} (tol 1e-8)")
 

@@ -8,7 +8,8 @@ from natvb.blr import (BLRConfig, BLRState, blr_init, blr_run, blr_step,
                        ConjugateModel, conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, multiplicative_form_check,
                        newton_recovery_step, vb_objective)
-from natvb.errors import DomainError, LeftDomain, NonPDHessian, SolverFailure
+from natvb.errors import (BayesFilterViolation, DomainError, LeftDomain, NonPDHessian,
+                          SolverFailure)
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.losses import QuadraticLoss
 from natvb.models import (make_logistic_data, make_ridge_data,
@@ -129,8 +130,12 @@ def test_multiplicative_form_passes_on_conforming_step(rng):
     model, fam, loss = ridge_setup(7)
     state0 = blr_init(fam, fam.from_moment(np.zeros(3), np.eye(3)))
     state1 = blr_step(state0, loss, BLRConfig(0.3, 1, estimator=EXACT))
-    report = multiplicative_form_check(state0, state1, 0.3)
-    assert report.passed and report.spread <= 1e-8
+    spread = multiplicative_form_check(state0, state1, 0.3)
+    assert 0.0 < spread <= 1e-8
+    # the check raises when the spread exceeds tol, not when it reaches it
+    assert multiplicative_form_check(state0, state1, 0.3, tol=spread) == spread
+    with pytest.raises(BayesFilterViolation, match="at step 0"):
+        multiplicative_form_check(state0, state1, 0.3, tol=np.nextafter(spread, 0.0))
 
 
 def test_multiplicative_form_detects_corruption(rng):
@@ -140,7 +145,8 @@ def test_multiplicative_form_detects_corruption(rng):
     bad = state1.lam.coords.copy()
     bad[1] += 1e-3
     corrupted = replace(state1, lam=fam.natural(bad))
-    assert not multiplicative_form_check(state0, corrupted, 0.3).passed
+    with pytest.raises(BayesFilterViolation, match=r"at step 0 \(spread .* > 1\.0e-08\)"):
+        multiplicative_form_check(state0, corrupted, 0.3)
 
 
 def test_multiplicative_form_rate_one_probe_is_linear_in_stats(rng):
@@ -175,9 +181,9 @@ def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng):
     for rho in (0.3, 0.7, 0.2):
         nxt = blr_step(state, loss, BLRConfig(rho, 1, estimator=spec))
         for n_probes, probe_seed in ((10, 1009), (6, 3)):
-            report = multiplicative_form_check(state, nxt, rho, n_probes=n_probes,
+            spread = multiplicative_form_check(state, nxt, rho, n_probes=n_probes,
                                                probe_seed=probe_seed)
-            assert report.spread == _multiplicative_spread_by_sampling(
+            assert spread == _multiplicative_spread_by_sampling(
                 state, nxt, rho, n_probes, probe_seed)
         state = nxt
 
@@ -201,7 +207,7 @@ def test_multiplicative_form_spread_equals_three_log_densities_bitwise(kind, rng
                 - (1.0 - rho) * fam.log_density(state.lam, probes)
                 - rho * (fam.sufficient_stats_batch(probes) @ tilde))
         spread = float(np.max(gaps) - np.min(gaps))
-        assert multiplicative_form_check(state, nxt, rho).spread == spread
+        assert multiplicative_form_check(state, nxt, rho) == spread
 
 
 # -- fixed-point residual --------------------------------------------------------
@@ -362,15 +368,15 @@ def test_run_monotone_descent_exact_quadratic(rng):
     objectives = [row.objective for row in run.trace]
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
     assert run.converged
-    assert all(report.passed for report in run.multiplicative_reports)
-    assert run.final_residual <= 1e-8
+    assert run.filter_spreads.max() <= 1e-8
+    assert run.trace[-1].residual <= 1e-8
 
 
 def test_run_objective_trace_recorded():
     model, fam, loss = ridge_setup(15)
     run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
                   BLRConfig(1.0, 5, estimator=EXACT))
-    assert run.iterations == 1  # the residual at the jump's iterate is zero
+    assert run.state.t == 1  # the residual at the jump's iterate is zero
     assert [row.t for row in run.trace] == [1]
 
 
@@ -391,8 +397,8 @@ def test_run_reports_the_last_rows_residual():
     model, fam, loss = ridge_setup(18)
     run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
                   BLRConfig(0.5, 3, estimator=EXACT))
-    assert run.iterations == len(run.trace) == 3 and not run.converged
-    assert run.final_residual == run.trace[-1].residual == fixed_point_residual(
+    assert run.state.t == len(run.trace) == 3 and not run.converged
+    assert run.trace[-1].residual == fixed_point_residual(
         fam, run.state.lam, loss, EXACT)
 
 
@@ -400,7 +406,7 @@ def test_run_stochastic_uses_budget():
     model, fam, loss = ridge_setup(16)
     run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
                   BLRConfig(0.3, 12, estimator=EstimatorSpec("mc", 4, seed=2)))
-    assert run.iterations == 12 and not run.converged
+    assert run.state.t == 12 and not run.converged
 
 
 def test_natgrad_elbo_bridge_matches_finite_differences():

@@ -535,8 +535,8 @@ def test_blr_run_factors_each_iterate_once(cholesky_calls):
     run = blr_run(fam, lam0, ridge_loss(model),
                   BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
     # no step was halved, so each iterate is validated once, lam0 included
-    assert [row.rho for row in run.trace] == [0.5] * run.iterations
-    assert len(cholesky_calls) - before == run.iterations + 1
+    assert [row.rho for row in run.trace] == [0.5] * run.state.t
+    assert len(cholesky_calls) - before == run.state.t + 1
 
 
 def test_full_dual_to_natural_factors_once(cholesky_calls, rng):

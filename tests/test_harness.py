@@ -201,6 +201,7 @@ def test_cli_oracle_ridge_exits_3_on_a_numerically_singular_posterior(tmp_path, 
     assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "not numerically positive definite" in err and "Traceback" not in err
+    assert err.startswith("domain error during oracle: ")
 
 
 @pytest.mark.parametrize("optimizer", [{"kind": "blr", "family": "diag",
@@ -387,7 +388,7 @@ def test_blr_run_estimates_once_per_iterate(config, via, tmp_path, monkeypatch):
     # halvings share one estimate
     steps = _count_estimates(monkeypatch)
     if via == "blr_run":
-        iterations = _library_run(config).iterations
+        iterations = _library_run(config).state.t
     else:
         iterations = run_experiment(config, tmp_path)["iterations"]
     assert steps == list(range(iterations + 1))
@@ -400,7 +401,7 @@ def test_blr_run_rows_are_the_trace_rows_bitwise(config, tmp_path):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[1:] == _trace_lines(run.trace)
     assert (summary["iterations"], summary["converged"], summary["final_residual"]) \
-        == (run.iterations, run.converged, run.final_residual)
+        == (run.state.t, run.converged, run.trace[-1].residual)
 
 
 def test_blr_run_without_halvings_leaves_the_domain():
@@ -465,13 +466,14 @@ def test_cli_run_malformed_json_exit_2(tmp_path, monkeypatch):
     assert main(["run", str(path)]) == 2
 
 
-def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch):
+def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     cfg = base_config(
         model={"kind": "logistic", "n": 30, "p": 2, "data_seed": 3},
         optimizer={"kind": "von", "learning_rate": 0.1, "steps": 10,
                    "n_samples": 2, "prec_floor": 100.0})
     assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("domain error during run: ")
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("step,")  # partial trace flushed
     assert not (tmp_path / "out" / "summary.json").exists()
@@ -575,11 +577,13 @@ def test_cli_run_non_finite_estimate_exit_3_partial_trace(family, tmp_path, monk
 
 
 @pytest.mark.usefixtures("folded")
-def test_filter_violation_flushes_partial_trace(tmp_path, monkeypatch):
+def test_filter_violation_flushes_partial_trace(tmp_path, monkeypatch, capsys):
     with pytest.raises(BayesFilterViolation, match="at step 5"):
         run_experiment(FILTER_FAIL_CONFIG, tmp_path / "lib")
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     assert main(["run", write_cfg(tmp_path, FILTER_FAIL_CONFIG)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "certificate failure during run: Bayes-filter form violated at step 5")
     for out in (tmp_path / "lib", tmp_path / "out"):
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "t,rho,objective,residual"
@@ -792,6 +796,7 @@ def test_pinned_ridge_run_does_each_piece_of_work_once(tmp_path, monkeypatch):
 
     spy(harness, "check_derivatives", scope=True)
     spy(losses, "central_diff_batch", scope=True)
+    spy(losses.LossModel, "axis_values", scope=True)
     spy(harness, "blr_run", scope=True)
     spy(blr, "probe_stats", scope=True)
     spy(blr, "filter_spreads")
@@ -814,11 +819,14 @@ def test_pinned_ridge_run_does_each_piece_of_work_once(tmp_path, monkeypatch):
                if name == "sufficient_stats_batch") == checks
     # no log density anywhere in the run, the BLR loop included
     assert sum(n for (name, _), n in counts.items() if name == "log_density") == 0
-    # the gate differences two probes through one batched call each, and
-    # makes per-point calls only in the override checks' reference loops
-    # and for the analytic gradient at each probe
-    assert counts["value_batch", "central_diff_batch"] == 2
+    # the gate differences two probes through one batched call each (the
+    # default axis_values for the gradient, central_diff_batch for the
+    # Hessian), and makes per-point calls only in the override checks'
+    # reference loops and for the analytic gradient at each probe
+    assert counts["value_batch", "axis_values"] == 2
+    assert counts["value_batch", "central_diff_batch"] == 0
     assert counts["gradient_batch", "central_diff_batch"] == 2
+    assert counts["value", "axis_values"] == 0
     assert counts["value", "central_diff_batch"] == 0
     assert counts["gradient", "central_diff_batch"] == 0
     assert counts["value", "check_derivatives"] == 2

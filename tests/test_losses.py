@@ -240,6 +240,7 @@ def test_check_derivatives_checks_value_batch_before_differencing(monkeypatch):
         raise AssertionError("finite differences ran before the override check")
 
     monkeypatch.setattr(natvb.losses, "central_diff_batch", no_differences)
+    monkeypatch.setattr(natvb.losses, "central_quotient", no_differences)
     with pytest.raises(ValueError, match="batched value_batch differs from its per-theta"):
         check_derivatives(Broken(np.eye(3), np.zeros(3)), [np.ones(3)])
 

@@ -14,11 +14,12 @@ _spec.loader.exec_module(same_bytes)
 
 
 def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
-              fail_seed=None) -> Path:
-    """A checkout whose run_experiment writes a trace and a summary named by
-    the workload and seed, with a wall time that differs on every run: at
-    trace_seed its trace gains a byte, at summary_seed its summary a key,
-    and at fail_seed it raises."""
+              config_seed=None, fail_seed=None) -> Path:
+    """A checkout whose run_experiment writes a trace, a summary and a used
+    config named by the workload and seed, with a wall time that differs
+    on every run: at trace_seed its trace gains a byte, at summary_seed
+    its summary a key, at config_seed its used config a key, and at
+    fail_seed it raises."""
     path = root / name
     (path / "src" / "natvb").mkdir(parents=True)
     (path / "perfbench").mkdir()
@@ -39,6 +40,10 @@ def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
             if seed == {summary_seed!r}:
                 summary["objective"] = 1.0
             (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+            used = dict(cfg)
+            if seed == {config_seed!r}:
+                used["tol"] = 1e-9
+            (out_dir / "config.used.json").write_text(json.dumps(used, sort_keys=True))
         """))
     (path / "perfbench" / "workloads.py").write_text(textwrap.dedent("""\
         class W:
@@ -66,7 +71,8 @@ def test_same_outputs_but_the_wall_time_pass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("knob, name", [("trace_seed", "trace.csv"),
-                                        ("summary_seed", "summary.json")])
+                                        ("summary_seed", "summary.json"),
+                                        ("config_seed", "config.used.json")])
 def test_only_the_run_that_differs_is_named(tmp_path, capsys, knob, name):
     parent = _checkout(tmp_path, "parent")
     change = _checkout(tmp_path, "change", **{knob: 7})

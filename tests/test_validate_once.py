@@ -86,7 +86,7 @@ def test_ridge_run_work_per_iterate(work, monkeypatch):
     work.clear()
     run = blr_run(fam, lam0, ridge_loss(make_ridge_data(5, 30, 3)),
                   BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
-    steps = run.iterations
+    steps = run.state.t
     assert [row.rho for row in run.trace] == [0.5] * steps
     # one new parameter per iterate, three scans each
     assert new_params == [3] * steps
@@ -337,7 +337,7 @@ def test_ridge_run_estimates_equal_fresh_coefficients_bitwise(monkeypatch):
     monkeypatch.setattr(blr_module, "estimate_natgrad", recording)
     run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), loss,
                   BLRConfig(learning_rate=0.5, max_iter=12, estimator=EstimatorSpec("exact")))
-    assert len(estimates) == run.iterations + 1
+    assert len(estimates) == run.state.t + 1
     for estimate in estimates:
         assert estimate.tobytes() == fresh.tobytes()
         assert estimate.tobytes() == (-linear_loss_natgrad(fam, fresh)).tobytes()

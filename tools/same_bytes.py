@@ -7,8 +7,9 @@ checkout runs the workload's config, as its own perfbench/workloads.py
 builds it, through its own natvb.harness.run_experiment: one fresh
 process per run, with the checkout as working directory, BLAS pinned to
 one thread as in the benchmark, and a new temporary output directory.
-The two runs must write the same trace.csv, byte for byte, and the same
-summary.json once its wall_time_s line is dropped.
+The two runs must write the same trace.csv and config.used.json (the
+resolved config a replay feeds back to `run`), byte for byte, and the
+same summary.json once its wall_time_s line is dropped.
 
 It prints one line per workload and seed and exits 0 when every pair is
 the same, 1 when a pair differs or a run fails (non-zero exit, or no
@@ -42,7 +43,7 @@ run_experiment(WORKLOADS[sys.argv[1]].config(int(sys.argv[2])), Path(sys.argv[3]
 """
 _ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
         "PYTHONDONTWRITEBYTECODE": "1"}
-COMPARED = ("trace.csv", "summary.json")
+COMPARED = ("trace.csv", "summary.json", "config.used.json")
 
 
 def without_wall_time(blob: bytes) -> bytes:
