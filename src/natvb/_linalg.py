@@ -1,45 +1,42 @@
-"""The four LAPACK calls natvb factors and solves with.
+"""The factorisations and solves natvb runs, and two vector norms.
 
-Each function is named after, and returns bitwise what, its scipy.linalg
-namesake returns for 2-D float64 factors, but calls the LAPACK routine
-behind it directly, without scipy.linalg's per-call wrapper layers:
+cholesky, cho_factor and cho_solve are scipy.linalg's own functions,
+checks included: a non-finite argument, a matrix that is not square or a
+right-hand side of other rows raises ValueError, a matrix that is not
+positive definite LinAlgError. The ridge oracle, the Newton recovery
+step, verify's Fisher solve, quadrature's transport and
+FullGaussian.dual_to_natural call them.
 
-- cholesky          dpotrf(a, lower, clean=1, overwrite_a=0)
-- cho_factor        dpotrf(a, lower, clean=0, overwrite_a=0)
-- cho_solve         dpotrs(c, b, lower, overwrite_b=0)
-- solve_triangular  dtrtrs(a, b, lower, trans=0, unitdiag=0, overwrite_b=0),
-                    as solve_triangular_unchecked only; a C-ordered `a`
-                    goes in as the Fortran-ordered a.T with `lower`
-                    flipped and trans=1, as scipy does
+The Gaussian families' hot path calls the LAPACK routine behind each
+instead, without scipy.linalg's per-call wrapper layers, and returns
+bitwise what the scipy function would:
 
-The three checked wrappers, cholesky, cho_factor and cho_solve, keep
-scipy's checks: every argument must be finite (else ValueError),
-matrices square and right-hand sides (n,) or (n, k) with matching n
-(else ValueError), dpotrf's info > 0 raises LinAlgError (not
-positive definite), dtrtrs's info > 0 raises LinAlgError (singular) and
-any info < 0 raises ValueError. They do not batch, take complex input,
-or overwrite their arguments. cholesky and cho_solve are each those
-checks plus a raw core (cholesky_unchecked, cho_solve_unchecked), and
-solve_triangular_unchecked is such a core alone, keeping only the info
-checks, for a square matrix natvb has already scanned and a finite
-right-hand side of matching rows. The Gaussian families call the cores
-behind their own scans: every Cholesky factorisation in `gaussian` is
-cholesky_unchecked after one scan of the matrix (a full natural
-parameter's precision, or the covariance of an expectation parameter),
-a full natural parameter's mean and covariance come from one
-cho_solve_unchecked, and draws take solve_triangular_unchecked, from the
-public transport, which scans the caller's normals, or from the private
-_transport that sample and natvb's fixed-seed blocks go through.
+- cholesky_unchecked          dpotrf(a, lower, clean=1, overwrite_a=0)
+- cho_solve_unchecked         dpotrs(c, b, lower, overwrite_b=0)
+- solve_triangular_unchecked  dtrtrs(a, b, lower, trans=0, unitdiag=0,
+                              overwrite_b=0); a C-ordered `a` goes in as
+                              the Fortran-ordered a.T with `lower` flipped
+                              and trans=1, as scipy does
+
+These keep only LAPACK's info checks (info > 0 raises LinAlgError, not
+positive definite or singular; info < 0 ValueError), for a square matrix
+natvb has already scanned and a finite right-hand side of matching rows:
+every Cholesky factorisation in `gaussian` is cholesky_unchecked after
+one scan of the matrix (a full natural parameter's precision, or the
+covariance of an expectation parameter), a full natural parameter's mean
+and covariance come from one cho_solve_unchecked, and draws take
+solve_triangular_unchecked, from the public transport, which scans the
+caller's normals, or from the private _transport that sample and natvb's
+fixed-seed blocks go through.
 
 norm is np.linalg.norm's sqrt(x.dot(x)) for a 1-D float vector, and
 row_norms the same for each row of a 2-D one.
 
-The routines are resolved at the first call, so scipy.linalg loads only
-when something factors a matrix: every BLR run, `natvb verify`, `natvb
-oracle ridge`, and VON at P <= 2, whose objective goes through
-quadrature. IVON, Adam, RMSprop and VON at P > 2 run on numpy alone and
-never load scipy. This is the one module in natvb that imports
-scipy.linalg.
+scipy.linalg is imported at the first call, so it loads only when
+something factors a matrix: every BLR run, `natvb verify`, `natvb oracle
+ridge`, and VON at P <= 2, whose objective goes through quadrature.
+IVON, Adam, RMSprop and VON at P > 2 run on numpy alone and never load
+scipy. This is the one module in natvb that imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -55,59 +52,35 @@ def _lapack():
     return dpotrf, dpotrs, dtrtrs
 
 
-def _finite(a) -> np.ndarray:
-    """a as an array, scanned once; np.asarray_chkfinite's check and
-    message at half its per-call cost."""
-    a = np.asarray(a)
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return a
+def cholesky(a, lower=False) -> np.ndarray:
+    """scipy.linalg.cholesky: the factor of a symmetric PD `a`, the other
+    triangle zeroed."""
+    from scipy.linalg import cholesky
+    return cholesky(a, lower=lower)
 
 
-def _square(a) -> np.ndarray:
-    a = _finite(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def cho_factor(a, lower=False) -> tuple[np.ndarray, bool]:
+    """scipy.linalg.cho_factor: (c, lower) for cho_solve; c's other
+    triangle is not zeroed."""
+    from scipy.linalg import cho_factor
+    return cho_factor(a, lower=lower)
 
 
-def _rhs(b, a: np.ndarray) -> np.ndarray:
-    b = _finite(b)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(f"shapes of a {a.shape} and b {b.shape} are incompatible")
-    return b
+def cho_solve(c_and_lower, b) -> np.ndarray:
+    """scipy.linalg.cho_solve: x with a x = b, from cho_factor's (c, lower)."""
+    from scipy.linalg import cho_solve
+    return cho_solve(c_and_lower, b)
 
 
-def _potrf(a, lower, clean) -> np.ndarray:
-    c, info = _lapack()[0](a, lower=lower, clean=clean, overwrite_a=False)
+def cholesky_unchecked(a: np.ndarray, lower: bool) -> np.ndarray:
+    """cholesky's LAPACK core: a finite, square float array a."""
+    c, info = _lapack()[0](a, lower=lower, clean=True, overwrite_a=False)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     return c
-
-
-def cholesky(a, lower=False) -> np.ndarray:
-    """Cholesky factor of a symmetric PD `a`, the other triangle zeroed."""
-    return _potrf(_square(a), lower, clean=True)
-
-
-def cholesky_unchecked(a: np.ndarray, lower: bool) -> np.ndarray:
-    """cholesky's LAPACK core: a finite, square float array a."""
-    return _potrf(a, lower, clean=True)
-
-
-def cho_factor(a, lower=False) -> tuple[np.ndarray, bool]:
-    """(c, lower) for cho_solve; c's other triangle is not zeroed."""
-    return _potrf(_square(a), lower, clean=False), lower
-
-
-def cho_solve(c_and_lower, b) -> np.ndarray:
-    """x with a x = b, from cho_factor's (c, lower) for a."""
-    c, lower = c_and_lower
-    c = _square(c)
-    return cho_solve_unchecked(c, _rhs(b, c), lower)
 
 
 def cho_solve_unchecked(c: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:

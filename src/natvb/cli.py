@@ -15,13 +15,14 @@ write the same artifact; then each writes into a subdirectory named after
 its config file. Such a `run` never overwrites an existing artifact.
 Exit codes: 0 success, 1 check failures, 2 config/schema errors (also a
 non-finite number in a config, a multi-config run that would overwrite,
-or a BLR estimator that cannot serve the model on the chosen family),
-3 domain errors during a run (also a non-finite natural-gradient
-estimate, or a deep-optimizer trace row that would hold a non-finite
-value) and an oracle ridge posterior that is not numerically positive
-definite, 4 a failed per-step certificate during a run (the Bayes-filter
-check or the residual's inverse-Fisher cross-check). Codes 3 and 4
-flush the partial trace.
+an output directory that cannot be created, which a run finds before
+its derivative gate, or a BLR estimator that cannot serve the model on
+the chosen family), 3 domain errors during a run (also a non-finite
+natural-gradient estimate, or a deep-optimizer trace row that would hold
+a non-finite value) and an oracle ridge posterior that is not
+numerically positive definite, 4 a failed per-step certificate during a
+run (the Bayes-filter check or the residual's inverse-Fisher
+cross-check). Codes 3 and 4 flush the partial trace.
 """
 
 from __future__ import annotations

@@ -362,7 +362,9 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
     Raises ConfigError for schema problems and for a BLR estimator that
     cannot serve the model on the chosen family (natgrad.check_support),
-    with nothing written. A domain error or certificate failure
+    with nothing written, and for an output directory that cannot be
+    created (a path through a regular file, say), before the derivative
+    gate runs. A domain error or certificate failure
     (errors.CERTIFICATE_ERRORS), in the loop or in building the summary,
     propagates after trace.csv is written with the loop's header and
     every row recorded before it, and no summary.json.
@@ -377,6 +379,11 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             check_support(_blr_family(opt, loss.dim), loss, opt["estimator"])
         except (ValueError, MissingHessian) as exc:
             raise ConfigError(f"optimizer(blr): {exc}") from exc
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: "
+                          f"{exc.strerror}") from exc
     rng = make_rng(resolved["seed"], 0xC)
     probe = [rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
     check_derivatives(loss, probe)

@@ -112,19 +112,24 @@ class LossModel:
 
     @property
     def provides_hessian_diag(self) -> bool:
-        return type(self).hessian_diag is not LossModel.hessian_diag
+        return _overrides(self, "hessian_diag")
 
     @property
     def provides_hessian_full(self) -> bool:
-        return type(self).hessian_full is not LossModel.hessian_full
+        return _overrides(self, "hessian_full")
 
     @property
     def provides_expectations(self) -> bool:
-        return type(self).expected_gradient is not LossModel.expected_gradient
+        return _overrides(self, "expected_gradient")
 
     def _no_batch(self, batch):
         if batch is not None:
             raise ValueError(f"{type(self).__name__} has no minibatch structure")
+
+
+def _overrides(loss: LossModel, name: str) -> bool:
+    """Whether loss's class replaces LossModel's method name."""
+    return getattr(type(loss), name) is not getattr(LossModel, name)
 
 
 #: relative gap allowed between a batched override and its per-theta loop
@@ -135,37 +140,42 @@ def _relative_gap(got, ref) -> float:
     return float(np.linalg.norm(got - ref)) / max(1.0, float(np.linalg.norm(ref)))
 
 
-def _check_batched(loss: LossModel, names, thetas, batches, worst: dict) -> None:
-    """Hold the overridden batched methods among names to their per-theta loops."""
-    for name in names:
-        if getattr(type(loss), name) is getattr(LossModel, name):
-            continue  # the default is the loop itself
-        for batch in batches:
-            got = getattr(loss, name)(thetas, batch)
-            ref = getattr(LossModel, name)(loss, thetas, batch)
-            err = _relative_gap(got, ref)
-            worst["batched"] = max(worst["batched"], err)
-            if not err <= _BATCH_RTOL:
-                raise ValueError(f"batched {name} differs from its per-theta method: "
-                                 f"{err:.3e} > {_BATCH_RTOL:.1e}")
+def _hold(worst: dict, key: str, err: float, tol: float, what: str, at=None) -> None:
+    """The gate's one comparison: record err under worst[key], then raise
+    ValueError("<what> <err> > <tol>[ at <at>]") unless err <= tol, so a
+    NaN err fails."""
+    worst[key] = max(worst[key], err)
+    if not err <= tol:
+        where = "" if at is None else f" at {at}"
+        raise ValueError(f"{what} {err:.3e} > {tol:.1e}{where}")
+
+
+def _check_batched(loss: LossModel, name, thetas, batches, worst: dict) -> None:
+    """Hold an overridden batched method to its per-theta loop."""
+    if not _overrides(loss, name):
+        return  # the default is the loop itself
+    for batch in batches:
+        got = getattr(loss, name)(thetas, batch)
+        ref = getattr(LossModel, name)(loss, thetas, batch)
+        _hold(worst, "batched", _relative_gap(got, ref), _BATCH_RTOL,
+              f"batched {name} differs from its per-theta method:")
 
 
 def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
     """Hold overridden value_and_gradient and gradient_and_mean_hessian to
     the separate calls they combine: value and gradient, gradient_batch and
     the per-theta Hessian loop."""
-    if type(loss).value_and_gradient is not LossModel.value_and_gradient:
+    if _overrides(loss, "value_and_gradient"):
         for theta in thetas:
             for batch in batches:
                 value, grad = loss.value_and_gradient(theta, batch)
                 ref_value, ref_grad = LossModel.value_and_gradient(loss, theta, batch)
-                err = max(abs(value - ref_value) / max(1.0, abs(ref_value)),
-                          _relative_gap(grad, ref_grad))
-                worst["batched"] = max(worst["batched"], err)
-                if not err <= _BATCH_RTOL:
-                    raise ValueError(f"value_and_gradient differs from value and gradient: "
-                                     f"{err:.3e} > {_BATCH_RTOL:.1e}")
-    if type(loss).gradient_and_mean_hessian is not LossModel.gradient_and_mean_hessian:
+                # np.max, not max: max drops a NaN that comes second
+                err = float(np.max((abs(value - ref_value) / max(1.0, abs(ref_value)),
+                                    _relative_gap(grad, ref_grad))))
+                _hold(worst, "batched", err, _BATCH_RTOL,
+                      "value_and_gradient differs from value and gradient:")
+    if _overrides(loss, "gradient_and_mean_hessian"):
         diags = ([False] if loss.provides_hessian_full else []) + (
             [True] if loss.provides_hessian_diag else [])
         for diag in diags:
@@ -173,11 +183,10 @@ def _check_fused(loss: LossModel, thetas, batches, worst: dict) -> None:
                 grads, hess = loss.gradient_and_mean_hessian(thetas, batch, diag)
                 ref_grads, ref_hess = LossModel.gradient_and_mean_hessian(
                     loss, thetas, batch, diag)
-                err = max(_relative_gap(grads, ref_grads), _relative_gap(hess, ref_hess))
-                worst["batched"] = max(worst["batched"], err)
-                if not err <= _BATCH_RTOL:
-                    raise ValueError(f"gradient_and_mean_hessian differs from gradient_batch "
-                                     f"and the per-theta Hessians: {err:.3e} > {_BATCH_RTOL:.1e}")
+                err = float(np.max((_relative_gap(grads, ref_grads),
+                                    _relative_gap(hess, ref_hess))))
+                _hold(worst, "batched", err, _BATCH_RTOL, "gradient_and_mean_hessian "
+                      "differs from gradient_batch and the per-theta Hessians:")
 
 
 #: coordinates at which an overridden axis_values is held to the value loop
@@ -194,7 +203,7 @@ def _gradient_differences(loss: LossModel, points, worst: dict) -> list[np.ndarr
     """
     steps = [axis_steps(theta) for theta in points]
     values = [np.asarray(loss.axis_values(theta, step)) for theta, step in zip(points, steps)]
-    if type(loss).axis_values is not LossModel.axis_values:
+    if _overrides(loss, "axis_values"):
         dim = points[0].size
         # evenly spaced from 0 to dim - 1, distinct: consecutive ones are >= 1 apart
         coords = (np.arange(dim) if dim <= _AXIS_SAMPLES
@@ -202,69 +211,53 @@ def _gradient_differences(loss: LossModel, points, worst: dict) -> list[np.ndarr
         for theta, step, vals in zip(points, steps, values):
             ref = np.concatenate([LossModel.value_batch(loss, rows).reshape(2, -1) for _, rows
                                   in perturbed_blocks(theta, step, coords)], axis=1)
-            err = _relative_gap(vals[:, coords], ref)
-            worst["axes"] = max(worst["axes"], err)
-            if not err <= _BATCH_RTOL:
-                raise ValueError(f"axis_values differs from value at the perturbed points: "
-                                 f"{err:.3e} > {_BATCH_RTOL:.1e}")
+            _hold(worst, "axes", _relative_gap(vals[:, coords], ref), _BATCH_RTOL,
+                  "axis_values differs from value at the perturbed points:")
     return [central_quotient(plus, minus, step) for step, (plus, minus) in zip(steps, values)]
 
 
 def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
                       hess_rtol: float = 1e-3) -> dict:
-    """Verify overridden batched methods against their per-theta loops,
-    overridden fused methods (value_and_gradient, gradient_and_mean_hessian)
-    against the separate calls they combine, and the gradient (and
-    provided Hessians) against central differences.
+    """The derivative gate every loss in an experiment goes through first.
 
-    The gradient's central differences come from axis_values, the loss
-    at every perturbed point of a probe (by default value_batch on a
-    block of perturbed rows per call), through numdiff.central_quotient.
-    The Hessians' go through gradient_batch, a block of perturbed rows
-    per call. So each override is checked against its loop first:
-    value_batch, then axis_values (at _AXIS_SAMPLES evenly spaced
-    coordinates of each probe, both signs, against the per-row value
-    loop; the gap is worst["axes"]), before any difference is taken;
-    gradient_batch and the rest before
-    the Hessians' differences, so that a wrong gradient is reported as a
-    gradient mismatch. The batched override checks run on the full data
-    and, for minibatchable losses, on every other datum; axis_values is
-    full-data only. Raises ValueError on the first violation, a NaN error
-    included; returns the worst relative errors seen otherwise.
-    Every loss in an experiment goes through this gate first.
+    Holds each overridden batched method to its per-theta loop, each
+    overridden fused method (value_and_gradient, gradient_and_mean_hessian)
+    to the separate calls it combines, and the gradient and the provided
+    Hessians to central differences, all by relative error: the gradient's
+    differences come from axis_values, the Hessians' from gradient_batch.
+    An override is checked before any difference taken through it, so a
+    wrong value_batch or axis_values is not reported as a gradient
+    mismatch, nor a wrong gradient_batch as a Hessian one. The batched
+    checks run on the full data and, for minibatchable losses, on every
+    other datum; axis_values is held to the value loop at _AXIS_SAMPLES
+    coordinates of each probe, on the full data only.
+
+    Returns the worst relative error under each check's key; raises
+    ValueError at the first one above its tolerance or NaN.
     """
     worst = {"gradient": 0.0, "hessian_full": 0.0, "hessian_diag": 0.0,
              "batched": 0.0, "axes": 0.0}
     points = [np.asarray(theta, dtype=float).reshape(-1) for theta in points]
     thetas = np.array(points)
     batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
-    _check_batched(loss, ("value_batch",), thetas, batches, worst)
+    _check_batched(loss, "value_batch", thetas, batches, worst)
     for theta, fd_grad in zip(points, _gradient_differences(loss, points, worst)):
-        scale = max(1.0, float(np.linalg.norm(fd_grad)))
-        err = float(np.linalg.norm(loss.gradient(theta) - fd_grad)) / scale
-        worst["gradient"] = max(worst["gradient"], err)
-        if not err <= grad_rtol:
-            raise ValueError(f"gradient mismatch {err:.3e} > {grad_rtol:.1e} at {theta}")
-    _check_batched(loss, ("gradient_batch",), thetas, batches, worst)
+        _hold(worst, "gradient", _relative_gap(loss.gradient(theta), fd_grad), grad_rtol,
+              "gradient mismatch", theta)
+    _check_batched(loss, "gradient_batch", thetas, batches, worst)
     _check_fused(loss, thetas, batches, worst)
     if not (loss.provides_hessian_full or loss.provides_hessian_diag):
         return worst
     for theta in points:
         fd_jac = central_diff_batch(loss.gradient_batch, theta)
         if loss.provides_hessian_full:
-            fd_hess = 0.5 * (fd_jac + fd_jac.T)
-            scale = max(1.0, float(np.linalg.norm(fd_hess)))
-            err = float(np.linalg.norm(loss.hessian_full(theta) - fd_hess)) / scale
-            worst["hessian_full"] = max(worst["hessian_full"], err)
-            if not err <= hess_rtol:
-                raise ValueError(f"hessian mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
+            _hold(worst, "hessian_full",
+                  _relative_gap(loss.hessian_full(theta), 0.5 * (fd_jac + fd_jac.T)),
+                  hess_rtol, "hessian mismatch", theta)
         if loss.provides_hessian_diag:
-            fd_diag = np.diag(fd_jac)
-            scale = max(1.0, float(np.linalg.norm(fd_diag)))
-            err = float(np.linalg.norm(loss.hessian_diag(theta) - fd_diag)) / scale
-            worst["hessian_diag"] = max(worst["hessian_diag"], err)
-            if not err <= hess_rtol:
-                raise ValueError(f"hessian diagonal mismatch {err:.3e} > {hess_rtol:.1e} at {theta}")
+            _hold(worst, "hessian_diag",
+                  _relative_gap(loss.hessian_diag(theta), np.diag(fd_jac)),
+                  hess_rtol, "hessian diagonal mismatch", theta)
     return worst
 
 

@@ -353,10 +353,6 @@ class MLPModel(BernoulliLoss):
         logits += b
         return layers, acts, logits.reshape(-1)
 
-    def logits(self, theta, x=None) -> np.ndarray:
-        _, _, z = self._forward(theta, self.x if x is None else np.atleast_2d(x))
-        return z
-
     def _value(self, theta, z, y, scale) -> float:
         return (scale * float(self._data_terms(z, y))
                 + 0.5 * self.prior_precision * float(theta @ theta))

@@ -8,12 +8,12 @@ central_diff_batch takes the differences in batches: the +h and -h rows
 of up to BLOCK_COORDS coordinates go to one call of a function over the
 rows of an array, so a vectorised loss evaluates them in one pass and
 the stacked rows stay bounded whatever the dimension. The per-point
-forms, central_diff_gradient and central_diff_jacobian, wrap it with a
-loop over the rows. The derivative gate's gradient differences come
-from LossModel.axis_values, a scalar loss's values at all 2 * x.size
-points perturbed_blocks forms (an override may skip forming the rows),
-through central_quotient, the one quotient (f(x + h) - f(x - h)) / (2h)
-both routes share.
+form, central_diff_jacobian, wraps it with a loop over the rows, for a
+scalar f (its gradient) and a vector f alike. The derivative gate's
+gradient differences come from LossModel.axis_values, a scalar loss's
+values at all 2 * x.size points perturbed_blocks forms (an override may
+skip forming the rows), through central_quotient, the one quotient
+(f(x + h) - f(x - h)) / (2h) both routes share.
 """
 
 from __future__ import annotations
@@ -71,17 +71,9 @@ def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     return np.concatenate(cols, axis=-1)
 
 
-def _row_by_row(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda rows: np.array([f(row) for row in rows])
-
-
-def central_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                          rel_step: float = REL_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    return central_diff_batch(_row_by_row(f), x, rel_step)
-
-
 def central_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                           rel_step: float = REL_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, shape (out, in)."""
-    return central_diff_batch(_row_by_row(f), x, rel_step)
+    """central_diff_batch of a per-point f, evaluated row by row: the
+    gradient, shape (in,), of a scalar f; the Jacobian, shape (out, in),
+    of a vector f."""
+    return central_diff_batch(lambda rows: np.array([f(row) for row in rows]), x, rel_step)

@@ -29,7 +29,7 @@ from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
                      ridge_exact_posterior, ridge_loss)
 from .natgrad import (EstimatorSpec, gaussian_moments, linear_loss_natgrad,
                       reparam_hessian_terms)
-from .numdiff import central_diff_gradient, central_diff_jacobian
+from .numdiff import central_diff_jacobian
 from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, StepStreams, make_rng
 
 SABOTAGE_IDS = ("eq4",)
@@ -41,6 +41,11 @@ class CheckResult:
     scope: str
     passed: bool
     message: str
+
+
+def _max_rel_err(got, ref) -> float:
+    """max|got - ref| / max(1, max|ref|)."""
+    return float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref))))
 
 
 def _random_family_instances(rng, count, max_dim=6):
@@ -65,8 +70,7 @@ def check_duality_roundtrip(sabotage=None):
     worst = 0.0
     for fam, lam in _random_family_instances(rng, 40):
         back = fam.dual_to_natural(fam.natural_to_dual(lam))
-        worst = max(worst, float(np.max(np.abs(back - lam.coords)))
-                    / max(1.0, float(np.max(np.abs(lam.coords)))))
+        worst = max(worst, _max_rel_err(back, lam.coords))
     return worst <= 1e-10, f"max_rel_err={worst:.3e} (tol 1e-10)"
 
 
@@ -76,8 +80,7 @@ def check_fisher_finite_diff(sabotage=None):
     for fam, lam in _random_family_instances(rng, 10, max_dim=4):
         fisher = fam.fisher(lam)
         fd = central_diff_jacobian(fam.natural_to_dual, lam.coords)
-        worst = max(worst, float(np.max(np.abs(fisher - fd)))
-                    / max(1.0, float(np.max(np.abs(fd)))))
+        worst = max(worst, _max_rel_err(fisher, fd))
     return worst <= 1e-4, f"max_rel_err={worst:.3e} (tol 1e-4)"
 
 
@@ -112,9 +115,8 @@ def check_entropy_gradient(sabotage=None):
         exact = -(fam.fisher(lam) @ lam.coords)
         if sabotage != "eq4" and np.max(np.abs(grad - exact)) != 0.0:
             return False, "analytic form is not -F(lam) lam"
-        fd = central_diff_gradient(fam.entropy, lam.coords)
-        worst = max(worst, float(np.max(np.abs(grad - fd)))
-                    / max(1.0, float(np.max(np.abs(fd)))))
+        fd = central_diff_jacobian(fam.entropy, lam.coords)
+        worst = max(worst, _max_rel_err(grad, fd))
     return worst <= 1e-5, f"max_rel_err={worst:.3e} (tol 1e-5)"
 
 
@@ -136,11 +138,10 @@ def check_kl_bregman(sabotage=None):
         kl = fam.kl_divergence(lam_a, lam_b)
         min_kl = min(min_kl, kl)
         grad = fam.kl_gradient_wrt_dual(lam_a, lam_b)
-        fd = central_diff_gradient(
+        fd = central_diff_jacobian(
             lambda mu: fam.kl_divergence(fam.dual_to_natural(mu), lam_b),
             fam.natural_to_dual(lam_a))
-        worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd)))
-                         / max(1.0, float(np.max(np.abs(fd)))))
+        worst_grad = max(worst_grad, _max_rel_err(grad, fd))
     ok = min_kl >= -1e-12 and worst_grad <= 1e-5
     return ok, f"min_kl={min_kl:.3e}, grad_err={worst_grad:.3e}"
 
@@ -183,8 +184,7 @@ def check_one_step_bayes(sabotage=None):
         lam0 = _random_same_family(rng, fam)
         cfg = BLRConfig(learning_rate=1.0, max_iter=1, estimator=EstimatorSpec("exact"))
         state = blr_step(blr_init(fam, lam0), loss, cfg)
-        worst = max(worst, float(np.max(np.abs(state.lam.coords - target)))
-                    / max(1.0, float(np.max(np.abs(target)))))
+        worst = max(worst, _max_rel_err(state.lam.coords, target))
         worst_res = max(worst_res, fixed_point_residual(fam, state.lam, loss,
                                                         cfg.estimator))
     ok = worst <= 1e-10 and worst_res <= 1e-10
@@ -222,8 +222,7 @@ def check_mirror_descent(sabotage=None):
         rho = float(rng.uniform(0.1, 1.0))
         numeric = mirror_descent_step_numeric(fam, lam_t, tilde, rho)
         closed = (1.0 - rho) * lam_t.coords + rho * tilde
-        worst = max(worst, float(np.max(np.abs(numeric - closed)))
-                    / max(1.0, float(np.max(np.abs(closed)))))
+        worst = max(worst, _max_rel_err(numeric, closed))
     return worst <= 1e-6, f"max_rel_err={worst:.3e} (tol 1e-6)"
 
 

@@ -21,7 +21,7 @@ from natvb.models import (make_logistic_data, make_ridge_data,
                           make_spirals_mlp, ridge_conjugate_model,
                           ridge_exact_posterior, ridge_loss)
 from natvb.natgrad import EstimatorSpec, estimate_natgrad, natgrad_via_dual
-from natvb.numdiff import central_diff_gradient
+from natvb.numdiff import central_diff_jacobian
 from natvb.quadrature import gaussian_expectation
 from natvb.seeding import make_rng
 
@@ -42,7 +42,7 @@ def test_criterion_01_entropy_gradient_identity():
         fam, lam = random_instance(rng, max_dim=8)
         grad = fam.entropy_gradient(lam)
         np.testing.assert_array_equal(grad, -(fam.fisher(lam) @ lam))
-        fd = central_diff_gradient(fam.entropy, lam)
+        fd = central_diff_jacobian(fam.entropy, lam)
         err = float(np.max(np.abs(grad - fd))) / max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, err)
         assert err < 1e-5
@@ -67,7 +67,7 @@ def test_criterion_02_dual_coordinate_identity():
             mean, cov = fam.to_mean_cov(lam_vec)
             return -loss.expected_value(mean, cov)
 
-        grad_lam = central_diff_gradient(neg_expected, lam)
+        grad_lam = central_diff_jacobian(neg_expected, lam)
         solved = natgrad_via_dual(fam, lam, tilde, grad_lam, rtol=1e-6)
         err = (float(np.linalg.norm(solved - tilde))
                / max(1.0, float(np.linalg.norm(tilde))))

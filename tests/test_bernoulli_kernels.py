@@ -275,7 +275,7 @@ def test_mlp_kernels_change_no_input_and_alias_none():
         inputs = [mlp.x, mlp.y, theta, steps] + ([] if batch is None else [batch])
         before = _frozen_copies(*inputs)
         value, grad = mlp.value_and_gradient(theta, batch)
-        outs = [grad, mlp.gradient(theta, batch), mlp.logits(theta),
+        outs = [grad, mlp.gradient(theta, batch), mlp._forward(theta, mlp.x)[2],
                 mlp.axis_values(theta, steps)]
         mlp.value(theta, batch)
         mlp.mean_data_loss(theta)

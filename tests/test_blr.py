@@ -16,7 +16,7 @@ from natvb.models import (make_logistic_data, make_ridge_data,
                           ridge_conjugate_model, ridge_exact_posterior,
                           ridge_loss)
 from natvb.natgrad import EstimatorSpec, estimate_natgrad
-from natvb.numdiff import central_diff_gradient
+from natvb.numdiff import central_diff_jacobian
 from natvb.seeding import ESTIMATE_STREAM, fixed_normals, make_rng
 
 from conftest import random_instance, random_lam, zero_loss
@@ -418,7 +418,7 @@ def test_natgrad_elbo_bridge_matches_finite_differences():
         lam = random_lam(rng, fam)
         state = blr_step(blr_init(fam, lam), loss, BLRConfig(0.5, 1, estimator=EXACT))
         bridge = np.asarray(lam) - state.tilde_lambda
-        fd = central_diff_gradient(
+        fd = central_diff_jacobian(
             lambda mu: vb_objective(fam, fam.dual_to_natural(mu), loss),
             fam.natural_to_dual(lam))
         scale = max(1.0, np.max(np.abs(fd)))

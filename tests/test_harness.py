@@ -456,6 +456,30 @@ def test_cli_run_config_error_exit_2(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("outdir", ["a_file", "a_file/sub"])
+def test_cli_unusable_output_directory_exits_2_before_the_gate(command, outdir, tmp_path,
+                                                                monkeypatch, capsys):
+    # a path through a regular file: found before the derivative gate and
+    # the loop, not when the trace is written
+    (tmp_path / "a_file").write_text("")
+    called = []
+
+    def never(*args, **kwargs):
+        called.append(args)
+        raise AssertionError("ran with an unusable output directory")
+
+    for name in ("check_derivatives", "_blr_runner", "_deep_runner"):
+        monkeypatch.setattr(harness, name, never)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / outdir))
+    path = write_cfg(tmp_path, base_config())
+    assert main([command, path] + ([path] if command == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot use output directory {tmp_path / outdir}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert called == []
+
+
 def test_cli_run_malformed_json_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     path = tmp_path / "broken.json"

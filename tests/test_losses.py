@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,42 @@ def test_check_derivatives_catches_nan_gradient():
     loss = Broken(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="gradient mismatch nan"):
         check_derivatives(loss, [np.ones(2)])
+
+
+def _nan(out):
+    return np.full(np.shape(out), np.nan)
+
+
+_FUSED_VG = "value_and_gradient differs from value and gradient: nan > 1.0e-10"
+_FUSED_GH = ("gradient_and_mean_hessian differs from gradient_batch and the per-theta "
+             "Hessians: nan > 1.0e-10")
+
+
+@pytest.mark.parametrize("name, poison, message", [
+    ("value_batch", _nan,
+     "batched value_batch differs from its per-theta method: nan > 1.0e-10"),
+    ("gradient_batch", _nan,
+     "batched gradient_batch differs from its per-theta method: nan > 1.0e-10"),
+    ("value_and_gradient", lambda out: (np.nan, out[1]), _FUSED_VG),
+    ("value_and_gradient", lambda out: (out[0], _nan(out[1])), _FUSED_VG),
+    ("gradient_and_mean_hessian", lambda out: (_nan(out[0]), out[1]), _FUSED_GH),
+    ("gradient_and_mean_hessian", lambda out: (out[0], _nan(out[1])), _FUSED_GH),
+    ("axis_values", _nan,
+     "axis_values differs from value at the perturbed points: nan > 1.0e-10"),
+], ids=["value_batch", "gradient_batch", "value_and_gradient-value",
+        "value_and_gradient-gradient", "gradient_and_mean_hessian-gradients",
+        "gradient_and_mean_hessian-hessian", "axis_values"])
+def test_check_derivatives_fails_an_override_that_returns_nan(name, poison, message):
+    # every comparison of the gate passes only when err <= tol, which a NaN
+    # error fails, whichever half of a fused method's output it is in
+    method = getattr(QuadraticLoss, name)
+
+    class Poisoned(QuadraticLoss):
+        pass
+
+    setattr(Poisoned, name, lambda self, *args: poison(method(self, *args)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_derivatives(Poisoned(np.eye(2), np.zeros(2)), [np.ones(2)])
 
 
 def test_check_derivatives_catches_wrong_hessian():

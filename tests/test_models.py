@@ -292,7 +292,7 @@ def test_mlp_kernel_bitwise_equals_reference(sizes):
         x_before = mlp.x.copy()
         for _ in range(3):
             theta = rng.standard_normal(mlp.dim)
-            np.testing.assert_array_equal(mlp.logits(theta),
+            np.testing.assert_array_equal(mlp._forward(theta, mlp.x)[2],
                                           _reference_forward(mlp, theta, x)[2])
             for batch in (None, rng.choice(n, size=batch_size, replace=False)):
                 value, grad = _reference_value_and_gradient(mlp, theta, batch)
@@ -310,7 +310,7 @@ def test_mlp_outputs_do_not_alias():
     theta = mlp.init_params(3)
     first, second = mlp.gradient(theta), mlp.gradient(theta)
     _, fused = mlp.value_and_gradient(theta)
-    logits = mlp.logits(theta), mlp.logits(theta)
+    logits = mlp._forward(theta, mlp.x)[2], mlp._forward(theta, mlp.x)[2]
     for a, b in ((first, second), (first, fused), logits):
         assert not np.shares_memory(a, b)
     for out in (first, second, fused, *logits):

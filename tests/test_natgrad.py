@@ -17,7 +17,7 @@ from natvb.losses import LossModel, QuadraticLoss
 from natvb.natgrad import (EstimatorSpec, check_support, estimate_natgrad,
                            expected_loss, gaussian_moments, linear_loss_natgrad,
                            natgrad_via_dual, reparam_hessian_terms)
-from natvb.numdiff import central_diff_gradient
+from natvb.numdiff import central_diff_jacobian
 from natvb.quadrature import gaussian_expectation
 from natvb.seeding import ESTIMATE_STREAM, make_rng
 
@@ -97,7 +97,7 @@ def test_natgrad_via_dual_quadratic_1d():
         mean, cov = fam.to_mean_cov(lam_vec)
         return -loss.expected_value(mean, cov)
 
-    grad_lam = central_diff_gradient(neg_expected, lam)
+    grad_lam = central_diff_jacobian(neg_expected, lam)
     solved = natgrad_via_dual(fam, lam, tilde, grad_lam, rtol=1e-8)
     np.testing.assert_allclose(solved, tilde, atol=1e-8)
 
@@ -114,7 +114,7 @@ def test_natgrad_via_dual_random_instances(rng):
             mean, cov = fam.to_mean_cov(lam_vec)
             return -loss.expected_value(mean, cov)
 
-        grad_lam = central_diff_gradient(neg_expected, lam)
+        grad_lam = central_diff_jacobian(neg_expected, lam)
         solved = natgrad_via_dual(fam, lam, tilde, grad_lam, rtol=1e-6)
         scale = max(1.0, np.max(np.abs(tilde)))
         assert np.max(np.abs(solved - tilde)) / scale < 1e-6
@@ -264,7 +264,7 @@ def test_gaussian_identity_matches_quadrature_oracle_logistic():
         mean, cov = fam.to_mean_cov(lam_mu)
         return -gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
 
-    oracle = central_diff_gradient(neg_expected_wrt_mu, fam.natural_to_dual(lam))
+    oracle = central_diff_jacobian(neg_expected_wrt_mu, fam.natural_to_dual(lam))
     n = 100_000
     est = sampled(fam, lam, loss, n, seed=21)
     # crude 3-SE gate from a second independent estimate

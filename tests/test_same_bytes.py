@@ -14,18 +14,29 @@ _spec.loader.exec_module(same_bytes)
 
 
 def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
-              config_seed=None, fail_seed=None) -> Path:
+              config_seed=None, fail_seed=None, verify_line="PASS  a [b]: x=1",
+              verify_exit=0) -> Path:
     """A checkout whose run_experiment writes a trace, a summary and a used
     config named by the workload and seed, with a wall time that differs
     on every run: at trace_seed its trace gains a byte, at summary_seed
     its summary a key, at config_seed its used config a key, and at
-    fail_seed it raises."""
+    fail_seed it raises. Its `python -m natvb verify` prints verify_line
+    and a count line, and exits with verify_exit."""
     path = root / name
     (path / "src" / "natvb").mkdir(parents=True)
     (path / "perfbench").mkdir()
     (path / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": "first"}, {"name": "second"}]}))
     (path / "src" / "natvb" / "__init__.py").write_text("")
+    (path / "src" / "natvb" / "__main__.py").write_text(textwrap.dedent(f"""\
+        import sys
+
+        if sys.argv[1:] == ["verify"]:
+            print({verify_line!r})
+            print("1 checks, {verify_exit} failures")
+            sys.exit({verify_exit})
+        sys.exit(2)
+        """))
     (path / "src" / "natvb" / "harness.py").write_text(textwrap.dedent(f"""\
         import json, time
 
@@ -67,7 +78,8 @@ def test_same_outputs_but_the_wall_time_pass(tmp_path, capsys):
     parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
     assert _main(parent, change) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{w} seed {s}: same bytes" for w in ("first", "second") for s in (1, 7)]
+    assert lines == [f"{w} seed {s}: same bytes"
+                     for w in ("first", "second") for s in (1, 7)] + ["verify: same bytes"]
 
 
 @pytest.mark.parametrize("knob, name", [("trace_seed", "trace.csv"),
@@ -79,7 +91,8 @@ def test_only_the_run_that_differs_is_named(tmp_path, capsys, knob, name):
     assert _main(parent, change) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["first seed 1: same bytes", f"first seed 7: {name} differs",
-                     "second seed 1: same bytes", f"second seed 7: {name} differs"]
+                     "second seed 1: same bytes", f"second seed 7: {name} differs",
+                     "verify: same bytes"]
     assert _main(parent, change, seeds="1") == 0
 
 
@@ -90,6 +103,24 @@ def test_a_failed_run_fails_the_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first seed 7: change run failed (exit 1: ValueError: injected failure)" in out
     assert "first seed 1: same bytes" in out
+
+
+def test_a_verify_table_that_differs_fails_the_check(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change", verify_line="PASS  a [b]: x=2")
+    assert _main(parent, change) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verify: output differs"
+    assert all(line.endswith("same bytes") for line in lines[:-1])
+
+
+def test_a_failing_verify_fails_the_check(tmp_path, capsys):
+    # the same table on both sides does not pass when a check failed
+    parent = _checkout(tmp_path, "parent", verify_exit=1)
+    change = _checkout(tmp_path, "change", verify_exit=1)
+    assert _main(parent, change) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verify: parent run failed (exit 1: 1 checks, 1 failures)"
 
 
 def test_without_wall_time_drops_only_that_line():

@@ -1,4 +1,5 @@
-"""Check that two natvb checkouts write the same bytes on every benchmark workload.
+"""Check that two natvb checkouts write the same bytes on every benchmark workload,
+and print the same `natvb verify` table.
 
     python tools/same_bytes.py --parent DIR --change DIR --seeds 1,2,7
 
@@ -11,9 +12,14 @@ The two runs must write the same trace.csv and config.used.json (the
 resolved config a replay feeds back to `run`), byte for byte, and the
 same summary.json once its wall_time_s line is dropped.
 
-It prints one line per workload and seed and exits 0 when every pair is
-the same, 1 when a pair differs or a run fails (non-zero exit, or no
-result in 600 s).
+Then each checkout runs `python -m natvb verify` the same way; the two
+tables printed must be the same byte for byte. The verify table is where
+the checked linear algebra (the ridge oracle, the Newton step, the Fisher
+solve) reaches output, which no workload's trace shows.
+
+It prints one line per workload and seed, then one for verify, and exits
+0 when every pair is the same, 1 when a pair differs or a run fails
+(non-zero exit, or no result in 600 s).
 
 Only the standard library is used, and natvb is never imported here:
 each checkout's run imports its own sources.
@@ -30,16 +36,24 @@ import tempfile
 from pathlib import Path
 
 # run in the checkout: its sources and its workloads, never an installed natvb
-_RUN = """\
+_IMPORT = """\
 import sys
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import natvb
 if not Path(natvb.__file__).resolve().is_relative_to(Path("src").resolve()):
     sys.exit(f"natvb imported from {natvb.__file__}, not from src")
+"""
+_RUN = _IMPORT + """\
 from natvb.harness import run_experiment
 from workloads import WORKLOADS
 run_experiment(WORKLOADS[sys.argv[1]].config(int(sys.argv[2])), Path(sys.argv[3]))
+"""
+# `python -m natvb verify`, with the checkout's natvb
+_VERIFY = _IMPORT + """\
+import runpy
+sys.argv[1:] = ["verify"]
+runpy.run_module("natvb", run_name="__main__")
 """
 _ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
         "PYTHONDONTWRITEBYTECODE": "1"}
@@ -53,18 +67,21 @@ def without_wall_time(blob: bytes) -> bytes:
                     if not line.lstrip().startswith(b'"wall_time_s":'))
 
 
-def run_once(checkout: Path, workload: str, seed: int, out_dir: Path) -> str | None:
-    """Run one workload config in checkout; None on success, else why it failed."""
-    cmd = [sys.executable, "-c", _RUN, workload, str(seed), str(out_dir)]
+def run_once(checkout: Path, script: str, *args: str) -> tuple[str | None, bytes]:
+    """Run a script in checkout: (None, its stdout) on success, else (why it
+    failed, b"")."""
+    cmd = [sys.executable, "-c", script, *args]
     try:
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                              timeout=600, env={**os.environ, **_ENV})
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, timeout=600,
+                              env={**os.environ, **_ENV})
     except subprocess.TimeoutExpired:
-        return "no result in 600 s"
+        return "no result in 600 s", b""
     if proc.returncode:
-        tail = proc.stderr.strip().splitlines()[-1:] or [""]
-        return f"exit {proc.returncode}: {tail[0]}"
-    return None
+        # a failed verify check prints to stdout
+        text = (proc.stderr.strip() or proc.stdout.strip()).decode(errors="replace")
+        tail = text.splitlines()[-1:] or [""]
+        return f"exit {proc.returncode}: {tail[0]}", b""
+    return None, proc.stdout
 
 
 def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
@@ -73,7 +90,7 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
         outputs = {}
         for side, checkout in (("parent", parent), ("change", change)):
             out_dir = Path(tmp) / side
-            failure = run_once(checkout, workload, seed, out_dir)
+            failure, _ = run_once(checkout, _RUN, workload, str(seed), str(out_dir))
             if failure is not None:
                 return [f"{side} run failed ({failure})"]
             outputs[side] = {}
@@ -86,6 +103,17 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
     outputs["change"]["summary.json"] = without_wall_time(outputs["change"]["summary.json"])
     return [f"{name} differs" for name in COMPARED
             if outputs["parent"][name] != outputs["change"][name]]
+
+
+def compare_verify(parent: Path, change: Path) -> list[str]:
+    """The differences between the two checkouts' verify tables (empty when none)."""
+    tables = []
+    for side, checkout in (("parent", parent), ("change", change)):
+        failure, table = run_once(checkout, _VERIFY)
+        if failure is not None:
+            return [f"{side} run failed ({failure})"]
+        tables.append(table)
+    return [] if tables[0] == tables[1] else ["output differs"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -111,6 +139,9 @@ def main(argv=None) -> int:
             same &= not problems
             print(f"{workload} seed {seed}: {'; '.join(problems) or 'same bytes'}",
                   flush=True)
+    problems = compare_verify(parent, change)
+    same &= not problems
+    print(f"verify: {'; '.join(problems) or 'same bytes'}", flush=True)
     return 0 if same else 1
 
 
