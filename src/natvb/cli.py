@@ -14,7 +14,9 @@ Several configs given to one `run` share that directory unless two would
 write the same artifact; then each writes into a subdirectory named after
 its config file. Such a `run` never overwrites an existing artifact.
 Exit codes: 0 success, 1 check failures, 2 config/schema errors (also a
-non-finite number in a config, a multi-config run that would overwrite,
+non-finite number in a config, a `--jobs` below 1, output names that are
+not relative file paths or that would write one file twice, a
+multi-config run that would overwrite,
 an output directory that cannot be created, which a run finds before
 its derivative gate, or a BLR estimator that cannot serve the model on
 the chosen family), 3 domain errors during a run (also a non-finite
@@ -38,17 +40,21 @@ from .harness import (ConfigError, compare_runs, load_config, output_dir,
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     configs = [load_config(path) for path in args.config]
     if len(configs) == 1:
         dirs = [output_dir()]
     else:
         dirs = run_dirs([(Path(path).stem, cfg)
                          for path, cfg in zip(args.config, configs)], output_dir())
-    if args.jobs > 1 and len(configs) > 1:
+    # the pool forks every worker at its first task, so never more than there are runs
+    workers = min(args.jobs, len(configs))
+    if workers > 1:
         # imported here: a single-config run needs no worker pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run_experiment, configs, dirs))
     else:
         summaries = list(map(run_experiment, configs, dirs))

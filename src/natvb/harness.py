@@ -12,7 +12,8 @@ working directory; see run_dirs for several configs run together):
                    `run` reproduces the trace byte for byte.
 
 The schema is versioned and strict: unknown keys are rejected, because
-silently ignored knobs are how replays drift. Timing is reported in the
+silently ignored knobs are how replays drift. SCHEMA is the one place
+where a key's type, default and range live. Timing is reported in the
 summary only, never in the trace, so traces stay deterministic.
 
 The runners only adapt a config to one of the library's loops,
@@ -28,12 +29,13 @@ succeeded, writes all the rows.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
 import time
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -60,47 +62,118 @@ def output_dir() -> Path:
     return Path(os.environ.get(ENV_OUTDIR, "."))
 
 
-def _require(cfg: dict, context: str, required: dict, optional: dict) -> dict:
-    """Strict key validation with defaults; returns the resolved mapping."""
+def _require(cfg: dict, context: str) -> dict:
+    """Check a block against its SCHEMA entry; returns it with (copied) defaults."""
+    entry = SCHEMA[context]
     if not isinstance(cfg, dict):
         raise ConfigError(f"{context} must be an object")
-    unknown = set(cfg) - set(required) - set(optional)
+    unknown = set(cfg) - set(entry)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    missing = set(required) - set(cfg)
+    missing = {key for key, (_, default, _) in entry.items() if default is _REQUIRED} - set(cfg)
     if missing:
         raise ConfigError(f"missing keys in {context}: {sorted(missing)}")
-    out = {}
-    for key, kind in required.items():
-        out[key] = _coerce(cfg[key], kind, f"{context}.{key}")
-    for key, (kind, default) in optional.items():
-        out[key] = _coerce(cfg[key], kind, f"{context}.{key}") if key in cfg else default
-    for key, value in out.items():
-        valid = _RANGES.get(f"{context}.{key}") or _RANGES.get(key)
-        if valid and not valid[0](value):
-            raise ConfigError(f"{context}.{key} must be {valid[1]}, got {value}")
+    out = {key: _coerce(cfg[key], kind, f"{context}.{key}") if key in cfg else copy.copy(default)
+           for key, (kind, default, _) in entry.items()}
+    for key, (_, _, valid) in entry.items():
+        if valid and not valid[0](out[key]):
+            raise ConfigError(f"{context}.{key} must be {valid[1]}, got {out[key]}")
     return out
 
 
-#: the valid range of each numeric key, in every block that has it unless a
-#: "block.key" entry says otherwise. Seeds key SeedSequence, which takes
+def _kind_block(block: str, cfg) -> dict:
+    """Check a model or optimizer block against the SCHEMA entry its kind picks."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config.{block} must be an object")
+    context = f"{block}({cfg.get('kind')})"
+    if context not in SCHEMA:
+        raise ConfigError(f"unknown {block} kind {cfg.get('kind')!r}")
+    return _require(cfg, context)
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+def _names_a_file(name: str) -> bool:
+    path = PurePath(name)
+    return (not path.is_absolute() and ".." not in path.parts and "\0" not in name
+            and name.rpartition("/")[2] not in ("", "."))
+
+
+def _clashes(paths) -> bool:
+    """Whether two of paths name one file, or one names a directory another needs."""
+    paths = [PurePath(path) for path in paths]
+    parents = {parent for path in paths for parent in path.parents}
+    return len(set(paths)) < len(paths) or not parents.isdisjoint(paths)
+
+
+#: a key with no default
+_REQUIRED = object()
+#: valid ranges, each a (test, text) pair. Seeds key SeedSequence, which takes
 #: non-negative integers only and splits one of 2**32 or more into several
 #: 32-bit words: (seed + (tag << 32), t) would then be (seed, tag, t), one
 #: of the per-step stream tuples, so seeds must fit in one word.
-_RANGES = {
-    **dict.fromkeys("seed data_seed init_seed".split(),
-                    (lambda v: 0 <= v < 2**32, ">= 0 and < 2**32")),
-    **dict.fromkeys("steps batch_size max_rate_halvings prec_floor damping".split(),
-                    (lambda v: v >= 0, ">= 0")),
-    **dict.fromkeys("n p max_iter n_samples init_precision ess step_size "
-                    "prior_precision".split(),
-                    (lambda v: v > 0, "> 0")),
-    **dict.fromkeys("learning_rate hess_rate scale_rate".split(),
-                    (lambda v: 0 < v <= 1, "in (0, 1]")),
-    **dict.fromkeys("beta1 beta2".split(), (lambda v: 0 <= v < 1, "in [0, 1)")),
-    # no prior suits IVON/Adam/RMSprop; BLR and VON need one (resolve_config)
-    "model(spirals_mlp).prior_precision": (lambda v: v >= 0, ">= 0"),
+_SEED = (lambda v: 0 <= v < 2**32, ">= 0 and < 2**32")
+_VERSION = (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
+_NONNEG = (lambda v: v >= 0, ">= 0")
+_POS = (lambda v: v > 0, "> 0")
+_RATE = (lambda v: 0 < v <= 1, "in (0, 1]")
+_DECAY = (lambda v: 0 <= v < 1, "in [0, 1)")
+_WIDTHS = (lambda v: all(type(w) is int and w > 0 for w in v), "a list of integers > 0")
+_FILE = (_names_a_file, "a relative path with no '..' part that names a file")
+_KIND = (str, _REQUIRED, None)
+
+#: every config key, by block: key -> (type, default or _REQUIRED, valid
+#: range or None). This is the one place a key's type, default and range
+#: live; resolve_config adds only the rules that tie keys together. A model
+#: or optimizer block's entry is picked by its kind.
+SCHEMA = {
+    "config": {"schema_version": (int, _REQUIRED, _VERSION),
+               "model": (dict, _REQUIRED, None), "optimizer": (dict, _REQUIRED, None),
+               "seed": (int, 0, _SEED), "output": (dict, {}, None)},
+    "output": {"trace": (str, "trace.csv", _FILE), "summary": (str, "summary.json", _FILE),
+               "config": (str, "config.used.json", _FILE)},
+    "model(ridge)": {"kind": _KIND, "n": (int, 20, _POS), "p": (int, 3, _POS),
+                     "data_seed": (int, 0, _SEED), "noise": (float, 1.0, None),
+                     "prior_precision": (float, 1.0, _POS)},
+    "model(logistic)": {"kind": _KIND, "n": (int, 100, _POS), "p": (int, 2, _POS),
+                        "data_seed": (int, 0, _SEED), "scale": (float, 3.0, None),
+                        "prior_precision": (float, 1.0, _POS)},
+    # one width per hidden layer; [] is a network with no hidden layer. No
+    # prior suits IVON/Adam/RMSprop; BLR and VON need one (resolve_config)
+    "model(spirals_mlp)": {"kind": _KIND, "n": (int, 500, _POS),
+                           "hidden": (list, [16, 16], _WIDTHS), "noise": (float, 0.05, None),
+                           "data_seed": (int, 0, _SEED), "prior_precision": (float, 0.0, _NONNEG)},
+    "optimizer(blr)": {"kind": _KIND, "family": (str, "full", _one_of("full", "diag")),
+                       "learning_rate": (float, 1.0, _RATE), "max_iter": (int, 100, _POS),
+                       "tol": (float, 1e-9, None),
+                       "estimator": (str, "exact", _one_of(*ESTIMATOR_KINDS)),
+                       "n_samples": (int, 1, _POS), "init_mean": (float, 0.0, None),
+                       "init_precision": (float, 1.0, _POS),
+                       "max_rate_halvings": (int, 20, _NONNEG)},
+    "optimizer(von)": {"kind": _KIND, "learning_rate": (float, 0.1, _RATE),
+                       "steps": (int, 500, _NONNEG), "n_samples": (int, 4, _POS),
+                       "init_mean": (float, 0.0, None), "init_precision": (float, 1.0, _POS),
+                       "prec_floor": (float, 0.0, _NONNEG), "batch_size": (int, 0, _NONNEG)},
+    "optimizer(ivon)": {"kind": _KIND, "step_size": (float, 0.3, _POS),
+                        "steps": (int, 5000, _NONNEG), "hess_init": (float, 1.0, None),
+                        "hess_rate": (float, 3e-3, _RATE), "weight_decay": (float, 1e-2, None),
+                        "beta1": (float, 0.9, _DECAY), "ess": (float, 3e4, _POS),
+                        "damping": (float, 0.0, _NONNEG), "init_seed": (int, 0, _SEED),
+                        "batch_size": (int, 0, _NONNEG)},
+    "optimizer(adam)": {"kind": _KIND, "step_size": (float, 1e-3, _POS),
+                        "steps": (int, 1000, _NONNEG), "beta1": (float, 0.9, _DECAY),
+                        "beta2": (float, 0.999, _DECAY), "damping": (float, 1e-8, _NONNEG),
+                        "init_seed": (int, 0, _SEED), "batch_size": (int, 0, _NONNEG)},
+    "optimizer(rmsprop)": {"kind": _KIND, "step_size": (float, 1e-2, _POS),
+                           "steps": (int, 1000, _NONNEG), "scale_rate": (float, 0.1, _RATE),
+                           "damping": (float, 1e-8, _NONNEG), "init_seed": (int, 0, _SEED),
+                           "batch_size": (int, 0, _NONNEG)},
 }
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
 def _coerce(value, kind, where: str):
@@ -115,23 +188,10 @@ def _coerce(value, kind, where: str):
         if not math.isfinite(number):
             raise ConfigError(f"{where} must be a finite number, got {value}")
         return number
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where} must be an integer")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list")
-        return value
-    raise AssertionError(f"unhandled kind {kind}")
+    # bool is an int subclass, and true is not a count
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}")
+    return value
 
 
 def load_config(path) -> dict:
@@ -148,99 +208,28 @@ def load_config(path) -> dict:
 
 def resolve_config(cfg: dict) -> dict:
     """Validate and fill defaults; the result is what the sidecar records."""
-    top = _require(cfg, "config",
-                   required={"schema_version": int, "model": dict, "optimizer": dict},
-                   optional={"seed": (int, 0), "output": (dict, {})})
-    if top["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {top['schema_version']}")
-    top["model"] = _resolve_model(top["model"])
-    top["optimizer"] = _resolve_optimizer(top["optimizer"])
+    top = _require(cfg, "config")
+    model = top["model"] = _kind_block("model", top["model"])
+    opt = top["optimizer"] = _kind_block("optimizer", top["optimizer"])
+    # IVON samples with precision ess * (h + delta0), h starting at hess_init
+    if opt["kind"] == "ivon" and not opt["hess_init"] + opt["weight_decay"] > 0:
+        raise ConfigError("optimizer(ivon).hess_init + weight_decay must be > 0, got "
+                          f"{opt['hess_init']} + {opt['weight_decay']}")
     # without a prior the MLP's VB objective is unbounded below: precisions
     # collapse and the entropy grows without limit
-    if top["optimizer"]["kind"] in ("blr", "von") and top["model"]["prior_precision"] == 0:
-        raise ConfigError(f"optimizer({top['optimizer']['kind']}) needs "
-                          f"model({top['model']['kind']}).prior_precision > 0")
+    if opt["kind"] in ("blr", "von") and model["prior_precision"] == 0:
+        raise ConfigError(f"optimizer({opt['kind']}) needs "
+                          f"model({model['kind']}).prior_precision > 0")
     # ridge's loss is one closed-form quadratic, with no data points to draw
-    if top["model"]["kind"] == "ridge" and top["optimizer"].get("batch_size"):
-        raise ConfigError(f"optimizer({top['optimizer']['kind']}).batch_size must be 0 "
+    if model["kind"] == "ridge" and opt.get("batch_size"):
+        raise ConfigError(f"optimizer({opt['kind']}).batch_size must be 0 "
                           "on model(ridge), which has no data to minibatch")
-    top["output"] = _require(top["output"], "output", required={},
-                             optional={"trace": (str, "trace.csv"),
-                                       "summary": (str, "summary.json"),
-                                       "config": (str, "config.used.json")})
+    names = top["output"] = _require(top["output"], "output")
+    # a file written twice, or where another needs a directory, loses output
+    if _clashes(names.values()):
+        raise ConfigError("output.trace, output.summary and output.config must name "
+                          f"different files, none inside another, got {names}")
     return top
-
-
-def _resolve_model(cfg: dict) -> dict:
-    kind = cfg.get("kind")
-    if kind == "ridge":
-        return _require(cfg, "model(ridge)", {"kind": str},
-                        {"n": (int, 20), "p": (int, 3), "data_seed": (int, 0),
-                         "noise": (float, 1.0), "prior_precision": (float, 1.0)})
-    if kind == "logistic":
-        return _require(cfg, "model(logistic)", {"kind": str},
-                        {"n": (int, 100), "p": (int, 2), "data_seed": (int, 0),
-                         "scale": (float, 3.0), "prior_precision": (float, 1.0)})
-    if kind == "spirals_mlp":
-        block = _require(cfg, "model(spirals_mlp)", {"kind": str},
-                       {"n": (int, 500), "hidden": (list, [16, 16]),
-                        "noise": (float, 0.05), "data_seed": (int, 0),
-                        "prior_precision": (float, 0.0)})
-        # one width per hidden layer; [] is a network with no hidden layer
-        for i, width in enumerate(block["hidden"]):
-            where = f"model(spirals_mlp).hidden[{i}]"
-            if not _coerce(width, int, where) > 0:
-                raise ConfigError(f"{where} must be > 0, got {width}")
-        return block
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-_OPT_SCHEMAS = {
-    "blr": ({"kind": str},
-            {"family": (str, "full"), "learning_rate": (float, 1.0),
-             "max_iter": (int, 100), "tol": (float, 1e-9),
-             "estimator": (str, "exact"), "n_samples": (int, 1),
-             "init_mean": (float, 0.0), "init_precision": (float, 1.0),
-             "max_rate_halvings": (int, 20)}),
-    "von": ({"kind": str},
-            {"learning_rate": (float, 0.1), "steps": (int, 500),
-             "n_samples": (int, 4), "init_mean": (float, 0.0),
-             "init_precision": (float, 1.0), "prec_floor": (float, 0.0),
-             "batch_size": (int, 0)}),
-    "ivon": ({"kind": str},
-             {"step_size": (float, 0.3), "steps": (int, 5000),
-              "hess_init": (float, 1.0), "hess_rate": (float, 3e-3),
-              "weight_decay": (float, 1e-2), "beta1": (float, 0.9),
-              "ess": (float, 3e4), "damping": (float, 0.0),
-              "init_seed": (int, 0), "batch_size": (int, 0)}),
-    "adam": ({"kind": str},
-             {"step_size": (float, 1e-3), "steps": (int, 1000),
-              "beta1": (float, 0.9), "beta2": (float, 0.999),
-              "damping": (float, 1e-8), "init_seed": (int, 0),
-              "batch_size": (int, 0)}),
-    "rmsprop": ({"kind": str},
-                {"step_size": (float, 1e-2), "steps": (int, 1000),
-                 "scale_rate": (float, 0.1), "damping": (float, 1e-8),
-                 "init_seed": (int, 0), "batch_size": (int, 0)}),
-}
-
-
-def _resolve_optimizer(cfg: dict) -> dict:
-    kind = cfg.get("kind")
-    if kind not in _OPT_SCHEMAS:
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
-    required, optional = _OPT_SCHEMAS[kind]
-    block = _require(cfg, f"optimizer({kind})", required, optional)
-    if kind == "blr":
-        if block["family"] not in ("full", "diag"):
-            raise ConfigError("optimizer.family must be 'full' or 'diag'")
-        if block["estimator"] not in ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator {block['estimator']!r}")
-    # IVON samples with precision ess * (h + delta0), h starting at hess_init
-    if kind == "ivon" and not block["hess_init"] + block["weight_decay"] > 0:
-        raise ConfigError("optimizer(ivon).hess_init + weight_decay must be > 0, got "
-                          f"{block['hess_init']} + {block['weight_decay']}")
-    return block
 
 
 def build_model(model_cfg: dict):
@@ -416,7 +405,8 @@ def run_dirs(named_configs: list[tuple[str, dict]], out_dir: Path) -> list[Path]
     """Output directory for each of several (name, config) pairs run together.
 
     The runs share out_dir unless two of them would write the same
-    artifact there; then each run writes into out_dir/<name>. Raises
+    artifact there, or one would need another's artifact as a directory;
+    then each run writes into out_dir/<name>. Raises
     ConfigError, before anything runs, if that needs two runs with the
     same name or if any artifact already exists, so that no run's output
     replaces another's.
@@ -425,7 +415,7 @@ def run_dirs(named_configs: list[tuple[str, dict]], out_dir: Path) -> list[Path]
     names = [name for name, _ in named_configs]
     files = [list(resolve_config(cfg)["output"].values()) for _, cfg in named_configs]
     shared = [out_dir / artifact for run_files in files for artifact in run_files]
-    if len(set(shared)) == len(shared):
+    if not _clashes(shared):
         dirs = [out_dir] * len(names)
     elif len(set(names)) == len(names):
         dirs = [out_dir / name for name in names]
@@ -477,7 +467,7 @@ def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,
 
 def ridge_oracle(cfg: dict) -> dict:
     """Exact ridge posterior for a config's model block, as plain lists."""
-    resolved_model = _resolve_model(cfg.get("model", {}))
+    resolved_model = _kind_block("model", cfg.get("model", {}))
     if resolved_model["kind"] != "ridge":
         raise ConfigError("oracle ridge needs a ridge model block")
     model, _ = build_model(resolved_model)

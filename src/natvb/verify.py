@@ -70,7 +70,7 @@ def check_duality_roundtrip(sabotage=None):
     worst = 0.0
     for fam, lam in _random_family_instances(rng, 40):
         back = fam.dual_to_natural(fam.natural_to_dual(lam))
-        worst = max(worst, _max_rel_err(back, lam.coords))
+        worst = np.maximum(worst, _max_rel_err(back, lam.coords))
     return worst <= 1e-10, f"max_rel_err={worst:.3e} (tol 1e-10)"
 
 
@@ -80,7 +80,7 @@ def check_fisher_finite_diff(sabotage=None):
     for fam, lam in _random_family_instances(rng, 10, max_dim=4):
         fisher = fam.fisher(lam)
         fd = central_diff_jacobian(fam.natural_to_dual, lam.coords)
-        worst = max(worst, _max_rel_err(fisher, fd))
+        worst = np.maximum(worst, _max_rel_err(fisher, fd))
     return worst <= 1e-4, f"max_rel_err={worst:.3e} (tol 1e-4)"
 
 
@@ -95,9 +95,9 @@ def check_fisher_products(sabotage=None):
     for fam, lam in _random_family_instances(rng, 20):
         fisher = fam.fisher(lam)
         v = rng.standard_normal(fam.param_dim)
-        worst_vp = max(worst_vp, rel_err(fam.fisher_vp(lam, v), fisher @ v))
-        worst_solve = max(worst_solve, rel_err(fam.fisher_solve(lam, v),
-                                               cho_solve(cho_factor(fisher, lower=True), v)))
+        worst_vp = np.maximum(worst_vp, rel_err(fam.fisher_vp(lam, v), fisher @ v))
+        worst_solve = np.maximum(worst_solve, rel_err(
+            fam.fisher_solve(lam, v), cho_solve(cho_factor(fisher, lower=True), v)))
     ok = worst_vp <= 1e-10 and worst_solve <= 1e-10
     return ok, f"vp_rel_err={worst_vp:.3e}, solve_rel_err={worst_solve:.3e} (tol 1e-10)"
 
@@ -116,7 +116,7 @@ def check_entropy_gradient(sabotage=None):
         if sabotage != "eq4" and np.max(np.abs(grad - exact)) != 0.0:
             return False, "analytic form is not -F(lam) lam"
         fd = central_diff_jacobian(fam.entropy, lam.coords)
-        worst = max(worst, _max_rel_err(grad, fd))
+        worst = np.maximum(worst, _max_rel_err(grad, fd))
     return worst <= 1e-5, f"max_rel_err={worst:.3e} (tol 1e-5)"
 
 
@@ -125,7 +125,7 @@ def check_fenchel_duality(sabotage=None):
     worst = 0.0
     for fam, lam in _random_family_instances(rng, 20):
         gap = fam.entropy(lam) + fam.fenchel_conjugate(fam.natural_to_dual(lam))
-        worst = max(worst, abs(gap))
+        worst = np.maximum(worst, abs(gap))
     return worst <= 1e-10, f"max_gap={worst:.3e} (tol 1e-10)"
 
 
@@ -136,12 +136,12 @@ def check_kl_bregman(sabotage=None):
     for fam, lam_a in _random_family_instances(rng, 15, max_dim=3):
         lam_b = _random_same_family(rng, fam)
         kl = fam.kl_divergence(lam_a, lam_b)
-        min_kl = min(min_kl, kl)
+        min_kl = np.minimum(min_kl, kl)
         grad = fam.kl_gradient_wrt_dual(lam_a, lam_b)
         fd = central_diff_jacobian(
             lambda mu: fam.kl_divergence(fam.dual_to_natural(mu), lam_b),
             fam.natural_to_dual(lam_a))
-        worst_grad = max(worst_grad, _max_rel_err(grad, fd))
+        worst_grad = np.maximum(worst_grad, _max_rel_err(grad, fd))
     ok = min_kl >= -1e-12 and worst_grad <= 1e-5
     return ok, f"min_kl={min_kl:.3e}, grad_err={worst_grad:.3e}"
 
@@ -184,9 +184,9 @@ def check_one_step_bayes(sabotage=None):
         lam0 = _random_same_family(rng, fam)
         cfg = BLRConfig(learning_rate=1.0, max_iter=1, estimator=EstimatorSpec("exact"))
         state = blr_step(blr_init(fam, lam0), loss, cfg)
-        worst = max(worst, _max_rel_err(state.lam.coords, target))
-        worst_res = max(worst_res, fixed_point_residual(fam, state.lam, loss,
-                                                        cfg.estimator))
+        worst = np.maximum(worst, _max_rel_err(state.lam.coords, target))
+        worst_res = np.maximum(worst_res, fixed_point_residual(fam, state.lam, loss,
+                                                               cfg.estimator))
     ok = worst <= 1e-10 and worst_res <= 1e-10
     return ok, f"max_err={worst:.3e}, max_residual={worst_res:.3e} (tol 1e-10)"
 
@@ -222,7 +222,7 @@ def check_mirror_descent(sabotage=None):
         rho = float(rng.uniform(0.1, 1.0))
         numeric = mirror_descent_step_numeric(fam, lam_t, tilde, rho)
         closed = (1.0 - rho) * lam_t.coords + rho * tilde
-        worst = max(worst, _max_rel_err(numeric, closed))
+        worst = np.maximum(worst, _max_rel_err(numeric, closed))
     return worst <= 1e-6, f"max_rel_err={worst:.3e} (tol 1e-6)"
 
 
@@ -238,8 +238,8 @@ def check_delta_newton(sabotage=None):
         state = blr_step(state, loss, cfg)
         post_mean, _ = fam.to_mean_cov(state.lam)
         _, post_prec = fam.split_natural(state.lam)
-        worst = max(worst, float(np.max(np.abs(post_mean - mean))),
-                    float(np.max(np.abs(post_prec - prec))))
+        worst = np.max([worst, np.max(np.abs(post_mean - mean)),
+                        np.max(np.abs(post_prec - prec))])
     return worst <= 1e-10, f"max_abs_err={worst:.3e} (tol 1e-10)"
 
 
@@ -281,7 +281,7 @@ def check_von_blr(sabotage=None):
     for _ in range(20):
         von = von_step(von, loss)
         blr = blr_step(blr, loss, cfg)
-        worst = max(worst, rel_err(von, blr))
+        worst = np.maximum(worst, rel_err(von, blr))
     # one sampled step: VON's K draws, averaged by the shared core, give the
     # diagonal BLR step built from the core's estimate on the same draws
     logistic, k, seed = make_logistic_data(115, 40, p), 6, 9
@@ -293,7 +293,7 @@ def check_von_blr(sabotage=None):
     grad, hess = gaussian_moments(logistic, "mc", mean0, thetas=thetas, diag=True)
     blr = blr_step(blr_init(fam, lam0), logistic, cfg,
                    estimate=fam.gaussian_identity(mean0, grad, hess))
-    worst = max(worst, rel_err(von, blr))
+    worst = np.maximum(worst, rel_err(von, blr))
     return worst <= 1e-12, (f"max_rel_err={worst:.3e} over 20 exact steps and a "
                             "sampled one (tol 1e-12)")
 
@@ -306,7 +306,7 @@ def check_ivon_positivity(sabotage=None):
     min_prec = np.inf
     for _ in range(2000):
         state = ivon_step(state, loss)
-        min_prec = min(min_prec, float(np.min(state.hess + state.weight_decay)))
+        min_prec = np.minimum(min_prec, np.min(state.hess + state.weight_decay))
     # no-square-root probe through ivon_step: sampled at the mean, the
     # Hessian estimate is 0, so h = 4 quadruples the new scale exactly and
     # must quarter the mean's move (a square root would halve it)

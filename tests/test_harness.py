@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -456,6 +457,134 @@ def test_cli_run_config_error_exit_2(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def _without(key):
+    cfg = base_config()
+    del cfg[key]
+    return cfg
+
+
+@pytest.mark.parametrize("command,cfg,named", [
+    ("run", [base_config()], "config"),
+    ("run", _without("schema_version"), "config: ['schema_version']"),
+    ("run", _without("model"), "config: ['model']"),
+    ("run", _without("optimizer"), "config: ['optimizer']"),
+    ("run", base_config(model=["ridge"]), "config.model"),
+    ("run", base_config(optimizer="blr"), "config.optimizer"),
+    ("run", base_config(output=["trace.csv"]), "config.output"),
+    ("run", base_config(output={"trace": 3}), "output.trace"),
+    ("run", base_config(model=_SPIRALS_SMALL | {"hidden": 16},
+                        optimizer={"kind": "ivon", "steps": 2}), "model(spirals_mlp).hidden"),
+    ("run", base_config(optimizer={"kind": "blr", "family": "dense"}), "family"),
+    ("oracle", base_config(model=_LOGISTIC_SMALL), "ridge model"),
+    ("oracle", base_config(model=[1]), "config.model"),
+])
+def test_cli_malformed_config_exits_2_naming_the_key(command, cfg, named, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    argv = ["oracle", "ridge"] if command == "oracle" else [command]
+    assert main(argv + [write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_DIFFERENT_FILES = "output.trace, output.summary and output.config must name different files"
+
+
+@pytest.mark.parametrize("output,named", [
+    ({"trace": ""}, "output.trace"),
+    ({"trace": "."}, "output.trace"),
+    ({"summary": "sub/"}, "output.summary"),
+    ({"config": "sub/."}, "output.config"),
+    ({"trace": "../trace.csv"}, "output.trace"),
+    ({"trace": "sub/../trace.csv"}, "output.trace"),
+    ({"trace": "{tmp}/trace.csv"}, "output.trace"),
+    ({"trace": "t\0.csv"}, "output.trace"),
+    ({"trace": "same.json", "summary": "same.json"}, _DIFFERENT_FILES),
+    ({"trace": "t.csv", "config": "./t.csv"}, _DIFFERENT_FILES),
+    ({"summary": "x", "config": "x/c.json"}, _DIFFERENT_FILES),
+])
+def test_output_names_that_would_lose_output_are_rejected(output, named, tmp_path,
+                                                          monkeypatch):
+    # found with the schema, before the derivative gate, not after the run
+    gates = []
+    monkeypatch.setattr(harness, "check_derivatives", lambda *args: gates.append(1))
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(output={key: name.format(tmp=tmp_path) for key, name in output.items()})
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        resolve_config(cfg)
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "out").exists() and not gates
+
+
+def test_output_names_may_be_nested_relative_paths(tmp_path, monkeypatch):
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    cfg = base_config(output={"trace": "sub/t.csv", "summary": "./s.json"})
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+    for name in ("sub/t.csv", "s.json", "config.used.json"):
+        assert (tmp_path / "out" / name).is_file()
+
+
+def test_cli_run_refuses_two_configs_sharing_an_absolute_trace(tmp_path, monkeypatch):
+    # each config alone is fine at the parent; together the second run's
+    # trace would replace the first's, outside $NATVB_OUTDIR
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    shared = str(tmp_path / "shared.csv")
+    paths = [write_cfg(tmp_path, base_config(seed=seed, output={"trace": shared}),
+                       f"{name}.json") for name, seed in (("a", 1), ("b", 2))]
+    assert main(["run", *paths]) == 2
+    assert not (tmp_path / "shared.csv").exists() and not (tmp_path / "out").exists()
+
+
+def test_cli_run_separates_configs_whose_artifacts_nest(tmp_path, monkeypatch):
+    # a's trace "x" is a file where b's summary "x/s.json" needs a directory
+    out = tmp_path / "out"
+    monkeypatch.setenv("NATVB_OUTDIR", str(out))
+    configs = {"a": base_config(output={"trace": "x", "summary": "a.json",
+                                        "config": "a.used.json"}),
+               "b": base_config(seed=43, output={"trace": "b.csv", "summary": "x/s.json",
+                                                 "config": "b.used.json"})}
+    paths = [write_cfg(tmp_path, cfg, f"{name}.json") for name, cfg in configs.items()]
+    assert main(["run", *paths]) == 0
+    assert (out / "a" / "x").is_file() and (out / "b" / "x" / "s.json").is_file()
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs,code,workers", [("2", 0, [2]), ("64", 0, [2]), ("1", 0, []),
+                                               ("0", 2, []), ("-3", 2, [])])
+def test_cli_run_jobs_caps_the_pool_at_the_number_of_configs(jobs, code, workers, tmp_path,
+                                                             monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
+    paths = [write_cfg(tmp_path, base_config(seed=seed), f"{name}.json")
+             for name, seed in (("a", 1), ("b", 2))]
+    assert main(["run", *paths, "--jobs", jobs]) == code
+    assert _RecordingPool.sizes == workers
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config error: --jobs must be >= 1")
+    assert (tmp_path / "out" / "b" / "trace.csv").is_file() == (code == 0)
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("outdir", ["a_file", "a_file/sub"])
 def test_cli_unusable_output_directory_exits_2_before_the_gate(command, outdir, tmp_path,
@@ -682,6 +811,17 @@ def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--scope", "entropy", "--sabotage", "eq4"]) == 1
     assert main(["verify", "--scope", "nope"]) == 2
     assert main(["verify", "--sabotage", "nope"]) == 2
+
+
+def test_verify_fails_a_check_whose_error_is_nan(monkeypatch):
+    # Python's max(worst, nan) keeps worst, which would pass the check
+    from natvb import verify
+
+    for family in (DiagGaussian, FullGaussian):
+        monkeypatch.setattr(family, "dual_to_natural",
+                            lambda self, mu: np.full(len(mu), np.nan))
+    passed, message = verify.check_duality_roundtrip()
+    assert not passed and message.startswith("max_rel_err=nan")
 
 
 def test_python_m_natvb_runs_the_cli(tmp_path):
