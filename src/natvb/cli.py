@@ -13,18 +13,9 @@ The output directory comes from the NATVB_OUTDIR environment variable
 Several configs given to one `run` share that directory unless two would
 write the same artifact; then each writes into a subdirectory named after
 its config file. Such a `run` never overwrites an existing artifact.
-Exit codes: 0 success, 1 check failures, 2 config/schema errors (also a
-non-finite number in a config, a `--jobs` below 1, output names that are
-not relative file paths or that would write one file twice, a
-multi-config run that would overwrite,
-an output directory that cannot be created, which a run finds before
-its derivative gate, or a BLR estimator that cannot serve the model on
-the chosen family), 3 domain errors during a run (also a non-finite
-natural-gradient estimate, or a deep-optimizer trace row that would hold
-a non-finite value) and an oracle ridge posterior that is not
-numerically positive definite, 4 a failed per-step certificate during a
-run (the Bayes-filter check or the residual's inverse-Fisher
-cross-check). Codes 3 and 4 flush the partial trace.
+Exit codes: 0 success, 1 a failed check, 2 a config error, 3 a domain
+error, 4 a failed certificate; README.md's CLI section tables each
+code's causes. Codes 3 and 4 flush the partial trace.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from .blr import rate_at
 from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .losses import LossModel
 from .natgrad import gaussian_moments, reparam_hessian_terms
-from .seeding import SAMPLE_STREAM, StepStreams, make_rng
+from .seeding import SAMPLE_STREAM, STREAMS, StepStreams, make_rng
 
 
 def _vec(x, dim: int | None = None) -> np.ndarray:
@@ -415,8 +415,8 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     certificate (errors.CERTIFICATE_ERRORS) propagate with the rows
     recorded before it as partial_trace, the hand-off blr.blr_run makes
     too; the harness writes them under TrainTraceRow's fields. Step t's
-    minibatch is drawn on stream (seed, 0xBA7C, t), and VON's and IVON's
-    samples on their own step streams, each through one
+    minibatch is drawn on stream (seed, STREAMS.minibatch, t), and VON's
+    and IVON's samples on their own step streams, each through one
     seeding.StepStreams.
     """
     if steps < 0:
@@ -426,7 +426,7 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
     start = time.perf_counter()
     rows: list[TrainTraceRow] = []
     # one generator per stream, rewound to each step's key
-    batches = StepStreams(seed, 0xBA7C) if batch_size is not None else None
+    batches = StepStreams(seed, STREAMS.minibatch) if batch_size is not None else None
     step, eval_point, scale_vector = _optimizer(state, loss)
     size = min(batch_size, loss.n_data) if batches is not None else None
 

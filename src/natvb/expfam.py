@@ -108,9 +108,9 @@ class ExpFamily(abc.ABC):
     so families and validated parameters (whose arrays are read-only)
     can be shared across threads.
 
-    The Gaussian identity the natural-gradient estimators assemble with
-    is a method of the Gaussian families, gaussian_identity, which the
-    families that have it announce through hessian_kind.
+    The Gaussian identity the natural-gradient estimators assemble with,
+    gaussian_identity, and the coefficient maps quadratic_to_natural and
+    natural_to_quadratic are methods of the families with a hessian_kind.
     """
 
     #: dimension of theta
@@ -119,8 +119,8 @@ class ExpFamily(abc.ABC):
     param_dim: int
     #: short identifier used in configs and error messages
     name: str
-    #: the loss Hessian the family's gaussian_identity takes: "full" (the
-    #: (P, P) matrix) or "diag" (its diagonal); None if it has no such identity
+    #: the Hessian gaussian_identity and the coefficient maps (quadratic_to_natural)
+    #: take: "full" (the (P, P) matrix) or "diag" (its diagonal); None if neither
     hessian_kind: str | None = None
 
     # families are stateless: equal name means the same family

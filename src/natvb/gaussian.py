@@ -23,9 +23,14 @@ the dense F and O(P^6) to factor it. Given a block of B parameters, both
 stack the B products into one set of batched numpy calls; one parameter
 is the block B = 1.
 
-gaussian_identity maps a loss's expected gradient and Hessian at q to
-the natural gradient; hessian_kind says whether a family takes the
-(P, P) Hessian ("full") or its diagonal ("diag").
+quadratic_to_natural(hess, lin), the coefficients c with <c, T(theta)> =
+lin'theta - theta'hess theta/2 (hess the (P, P) matrix for hessian_kind
+"full", its diagonal for "diag"), and its inverse natural_to_quadratic
+are each family's one place for the coefficient layout: QuadraticLoss and
+every conversion here go through them, gaussian_identity (a loss's expected
+gradient and Hessian at q to the natural gradient) too. The ridge oracle
+(models.ridge_natural_coefficients) writes its own layout on purpose, as
+the independent route the conjugate path is checked against.
 
 The precision parameterization is primary throughout: sampling
 (transport of standard normals) runs a triangular solve against the
@@ -210,18 +215,23 @@ class FullGaussian(ExpFamily):
         self._unit_rhs = np.eye(self.theta_dim, self.theta_dim + 1, 1, order="F")
         self._unit_rhs.setflags(write=False)
 
-    def _derive(self, coords) -> _Factor:
+    def quadratic_to_natural(self, hess, lin) -> np.ndarray:
+        """c with <c, T(theta)> = lin'theta - theta'hess theta/2, hess (..., P, P)."""
+        return np.concatenate([lin, sym_to_coeff(-0.5 * hess)], axis=-1)
+
+    def natural_to_quadratic(self, coeff) -> tuple[np.ndarray, np.ndarray]:
+        """(hess, lin) of the coefficients coeff, the inverse of quadratic_to_natural."""
         p = self.theta_dim
-        triu = self._triu
-        # -2 coeff_to_sym(q); -2 q overflows to inf for q below about -9e307,
-        # which _chol_pd's scan rejects
-        prec = -2.0 * np.take(triu.half * coords[p:], triu.pair).reshape(p, p)
+        return -2.0 * coeff_to_sym(coeff[..., p:], p), coeff[..., :p]
+
+    def _derive(self, coords) -> _Factor:
+        # -2 q overflows to inf for q below about -9e307, which _chol_pd's scan rejects
+        prec, lin = self.natural_to_quadratic(coords)
         try:
             chol = _chol_pd(prec)
         except DomainError as exc:
             raise DomainError(
                 f"natural parameters outside the domain of {self.name!r}") from exc
-        lin = coords[:p]
         # (mean | raw covariance) in one solve, column for column the bits of
         # two; the covariance is the symmetrised block's C-ordered transpose
         rhs = self._unit_rhs.copy(order="F")
@@ -237,7 +247,7 @@ class FullGaussian(ExpFamily):
         logdet = 2.0 * np.log(chol.diagonal()).sum()
         # m'lin can overflow at finite moments: A is then inf, stored without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            cumulant = float(0.5 * lin @ mean - 0.5 * logdet + 0.5 * p * _LOG_2PI)
+            cumulant = float(0.5 * lin @ mean - 0.5 * logdet + 0.5 * self.theta_dim * _LOG_2PI)
         return _Factor(lin, prec, chol, mean, cov, cumulant)
 
     def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +283,7 @@ class FullGaussian(ExpFamily):
         with np.errstate(invalid="ignore"):
             if np.max(np.abs(prec - prec.T)) > 1e-12 * max(1.0, np.max(np.abs(prec))):
                 raise DomainError("precision must be symmetric")
-            coords = np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
+            coords = self.quadratic_to_natural(prec, prec @ mean)
         return self.natural(coords)
 
     def natural_to_dual(self, lam) -> np.ndarray:
@@ -286,7 +296,7 @@ class FullGaussian(ExpFamily):
         mean, low = self.expectation(mu).derived
         prec = cho_solve((low, True), np.eye(self.theta_dim))
         prec = 0.5 * (prec + prec.T)
-        return np.concatenate([prec @ mean, sym_to_coeff(-0.5 * prec)])
+        return self.quadratic_to_natural(prec, prec @ mean)
 
     def fisher(self, lam) -> np.ndarray:
         # Cov[T] from Gaussian moment identities (Isserlis with mean shift):
@@ -325,12 +335,11 @@ class FullGaussian(ExpFamily):
         # JVP of natural_to_dual: perturb S by dS, m = S^-1 lin and
         # M = Sigma + m m' follow; stacked over a block of parameters
         factors, v, one = self._tangent_block(lam, v)
-        p = self.theta_dim
         mean = np.array([f.mean for f in factors])
         cov = np.array([f.cov for f in factors])
         rows, cols = self._triu.rows, self._triu.cols
-        d_prec = -2.0 * coeff_to_sym(v[:, p:], p)
-        d_mean = _matvec(cov, v[:, :p] - _matvec(d_prec, mean))
+        d_prec, d_lin = self.natural_to_quadratic(v)
+        d_mean = _matvec(cov, d_lin - _matvec(d_prec, mean))
         # the upper triangle of -Sigma dS Sigma + dm m' + m dm'
         d_second = (-sym_to_moment(cov @ d_prec @ cov) + d_mean[:, rows] * mean[:, cols]
                     + d_mean[:, cols] * mean[:, rows])
@@ -350,8 +359,7 @@ class FullGaussian(ExpFamily):
         d_cov = moment_to_sym(w[:, p:] - w_mean[:, rows] * mean[:, cols]
                               - w_mean[:, cols] * mean[:, rows], p)
         d_prec = -(prec @ d_cov @ prec)
-        out = np.concatenate([_matvec(d_prec, mean) + _matvec(prec, w_mean),
-                              self._triu.double * (-0.5 * sym_to_moment(d_prec))], axis=1)
+        out = self.quadratic_to_natural(d_prec, _matvec(d_prec, mean) + _matvec(prec, w_mean))
         return out[0] if one else out
 
     def sufficient_stats(self, theta) -> np.ndarray:
@@ -386,8 +394,7 @@ class FullGaussian(ExpFamily):
     def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
         """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for a (P, P) E[H]."""
         hess = np.atleast_2d(np.asarray(hess, dtype=float))
-        lin = -grad + hess @ mean
-        return np.concatenate([lin, sym_to_coeff(-0.5 * hess)])
+        return self.quadratic_to_natural(hess, -grad + hess @ mean)
 
 
 class DiagGaussian(ExpFamily):
@@ -406,12 +413,19 @@ class DiagGaussian(ExpFamily):
         self.param_dim = 2 * self.theta_dim
         self.name = f"gaussian_diag_{self.theta_dim}"
 
-    def _derive(self, coords) -> _DiagFactor:
+    def quadratic_to_natural(self, hess, lin) -> np.ndarray:
+        """c with <c, T(theta)> = lin'theta - sum(hess theta^2)/2, hess (..., P)."""
+        return np.concatenate([lin, -0.5 * hess], axis=-1)
+
+    def natural_to_quadratic(self, coeff) -> tuple[np.ndarray, np.ndarray]:
+        """(hess, lin) of the coefficients coeff, the inverse of quadratic_to_natural."""
         p = self.theta_dim
-        lin = coords[:p]
+        return -2.0 * coeff[..., p:], coeff[..., :p]
+
+    def _derive(self, coords) -> _DiagFactor:
         # lin^2/s can overflow at finite moments: A is then inf, stored without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            prec = -2.0 * coords[p:]
+            prec, lin = self.natural_to_quadratic(coords)
             if not np.all(prec > 0.0):
                 raise DomainError("precision diagonal must be positive")
             # -2 q overflows to inf for q below about -9e307
@@ -458,7 +472,7 @@ class DiagGaussian(ExpFamily):
         if mean.size != self.theta_dim or prec.size != self.theta_dim:
             raise DomainError("moment parameters have the wrong shape")
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which natural() rejects
-            coords = np.concatenate([prec * mean, -0.5 * prec])
+            coords = self.quadratic_to_natural(prec, prec * mean)
         return self.natural(coords)
 
     def natural_to_dual(self, lam) -> np.ndarray:
@@ -468,7 +482,7 @@ class DiagGaussian(ExpFamily):
     def dual_to_natural(self, mu) -> np.ndarray:
         mean, var = self.expectation(mu).derived
         prec = 1.0 / var
-        return np.concatenate([prec * mean, -0.5 * prec])
+        return self.quadratic_to_natural(prec, prec * mean)
 
     def fisher(self, lam) -> np.ndarray:
         mean, var = self.to_mean_var(lam)
@@ -483,11 +497,10 @@ class DiagGaussian(ExpFamily):
 
     def fisher_vp(self, lam, v) -> np.ndarray:
         factors, v, one = self._tangent_block(lam, v)
-        p = self.theta_dim
         prec = np.array([f.prec for f in factors])
         mean, var = np.array([f.lin for f in factors]) / prec, 1.0 / prec
-        d_prec = -2.0 * v[:, p:]
-        d_mean = var * (v[:, :p] - d_prec * mean)
+        d_prec, d_lin = self.natural_to_quadratic(v)
+        d_mean = var * (d_lin - d_prec * mean)
         out = np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean], axis=1)
         return out[0] if one else out
 
@@ -497,7 +510,7 @@ class DiagGaussian(ExpFamily):
         prec = np.array([f.prec for f in factors])
         mean = np.array([f.lin for f in factors]) / prec
         d_prec = -prec ** 2 * (w[:, p:] - 2.0 * mean * w[:, :p])
-        out = np.concatenate([d_prec * mean + prec * w[:, :p], -0.5 * d_prec], axis=1)
+        out = self.quadratic_to_natural(d_prec, d_prec * mean + prec * w[:, :p])
         return out[0] if one else out
 
     def sufficient_stats(self, theta) -> np.ndarray:
@@ -527,6 +540,5 @@ class DiagGaussian(ExpFamily):
     def gaussian_identity(self, mean, grad, hess) -> np.ndarray:
         """tilde_lam = -(E[grad] - E[H] m ; E[H]/2) for the diagonal of E[H]."""
         hdiag = np.asarray(hess, dtype=float).reshape(-1)
-        lin = -grad + hdiag * mean
-        return np.concatenate([lin, -0.5 * hdiag])
+        return self.quadratic_to_natural(hdiag, -grad + hdiag * mean)
 

@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import time
 from pathlib import Path, PurePath
 
@@ -48,7 +49,7 @@ from .losses import check_derivatives
 from .models import (make_logistic_data, make_ridge_data, make_spirals_mlp,
                      ridge_exact_posterior, ridge_loss)
 from .natgrad import ESTIMATOR_KINDS, EstimatorSpec, check_support
-from .seeding import RNG_ALGORITHM, make_rng
+from .seeding import RNG_ALGORITHM, STREAMS, make_rng
 
 SCHEMA_VERSION = 1
 ENV_OUTDIR = "NATVB_OUTDIR"
@@ -255,15 +256,12 @@ def build_model(model_cfg: dict):
 
 def format_cell(value) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
 def write_trace(path: Path, columns, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(columns) + "\n")
         for row in rows:
@@ -271,7 +269,6 @@ def write_trace(path: Path, columns, rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -341,6 +338,20 @@ def _deep_runner(resolved: dict, loss):
     return rows, summary
 
 
+def _check_writable(path: Path) -> None:
+    """Make path's directory and stat path once: ConfigError if path is a
+    directory or cannot be a file there (a name too long, say)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        mode = path.stat().st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from exc
+    if stat.S_ISDIR(mode):
+        raise ConfigError(f"cannot write output {path}: it is a directory")
+
+
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -351,10 +362,11 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
     Raises ConfigError for schema problems and for a BLR estimator that
     cannot serve the model on the chosen family (natgrad.check_support),
-    with nothing written, and for an output directory that cannot be
-    created (a path through a regular file, say), before the derivative
-    gate runs. A domain error or certificate failure
-    (errors.CERTIFICATE_ERRORS), in the loop or in building the summary,
+    with nothing written, and for an output directory or an artifact's
+    directory that cannot be created (a path through a regular file, say)
+    or an artifact that cannot be a file there (a directory, a name too
+    long), before the derivative gate runs. A domain error or certificate
+    failure (errors.CERTIFICATE_ERRORS), in the loop or in building the summary,
     propagates after trace.csv is written with the loop's header and
     every row recorded before it, and no summary.json.
     """
@@ -373,7 +385,9 @@ def run_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {out_dir}: "
                           f"{exc.strerror}") from exc
-    rng = make_rng(resolved["seed"], 0xC)
+    for path in out_paths.values():
+        _check_writable(path)
+    rng = make_rng(resolved["seed"], STREAMS.gate_probe)
     probe = [rng.standard_normal(loss.dim) * 0.3 for _ in range(2)]
     check_derivatives(loss, probe)
     runner, row_type = ((_blr_runner, BLRTraceRow) if opt["kind"] == "blr"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, MissingHessian
-from .gaussian import DiagGaussian, FullGaussian, sym_to_coeff, coeff_to_sym
 from .numdiff import axis_steps, central_diff_batch, central_quotient, perturbed_blocks
 
 
@@ -295,14 +294,10 @@ class QuadraticLoss(LossModel):
         coeff = np.asarray(coeff, dtype=float).reshape(-1)
         if coeff.size != family.param_dim:
             raise ValueError("coefficient length does not match the family")
-        p = family.theta_dim
-        if isinstance(family, FullGaussian):
-            quad = -2.0 * coeff_to_sym(coeff[p:], p)
-        elif isinstance(family, DiagGaussian):
-            quad = np.diag(-2.0 * coeff[p:])
-        else:
+        if family.hessian_kind is None:
             raise ValueError(f"unsupported family {family.name!r}")
-        return cls(quad, coeff[:p], const)
+        quad, lin = family.natural_to_quadratic(coeff)
+        return cls(np.diag(quad) if family.hessian_kind == "diag" else quad, lin, const)
 
     def value(self, theta, batch=None) -> float:
         self._no_batch(batch)
@@ -362,13 +357,12 @@ class QuadraticLoss(LossModel):
         return coeff
 
     def _build_coefficients(self, family) -> np.ndarray | None:
-        if family.theta_dim != self.dim:
+        if family.theta_dim != self.dim or family.hessian_kind is None:
             return None
-        if isinstance(family, FullGaussian):
-            return np.concatenate([self.lin, sym_to_coeff(-0.5 * self.quad)])
-        if isinstance(family, DiagGaussian):
-            off = self.quad - np.diag(np.diag(self.quad))
-            if np.any(off != 0.0):
+        hess = self.quad
+        if family.hessian_kind == "diag":
+            hess = np.diag(hess)
+            # a diagonal family has no coefficient for an off-diagonal term
+            if np.any(self.quad - np.diag(hess) != 0.0):
                 return None
-            return np.concatenate([self.lin, -0.5 * np.diag(self.quad)])
-        return None
+        return family.quadratic_to_natural(hess, self.lin)

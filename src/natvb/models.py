@@ -28,7 +28,7 @@ from .blr import ConjugateModel
 from .errors import DomainError
 from .gaussian import FullGaussian, sym_to_coeff
 from .losses import LossModel, QuadraticLoss
-from .seeding import make_rng
+from .seeding import STREAMS, make_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -107,7 +107,7 @@ def ridge_conjugate_model(model: RidgeModel) -> ConjugateModel:
 
 def make_ridge_data(seed: int, n: int, p: int, noise: float = 1.0,
                     prior_precision: float = 1.0) -> RidgeModel:
-    rng = make_rng(seed, 0x51)
+    rng = make_rng(seed, STREAMS.ridge_data)
     x = rng.standard_normal((n, p))
     theta = rng.standard_normal(p)
     y = x @ theta + noise * rng.standard_normal(n)
@@ -266,7 +266,7 @@ class LogisticModel(BernoulliLoss):
 def make_logistic_data(seed: int, n: int, p: int, scale: float = 3.0,
                        prior_precision: float = 1.0) -> LogisticModel:
     """Linearly-separable-with-noise labels from a random direction."""
-    rng = make_rng(seed, 0x10)
+    rng = make_rng(seed, STREAMS.logistic_data)
     x = rng.standard_normal((n, p))
     theta = scale * rng.standard_normal(p) / np.sqrt(p)
     y = (rng.uniform(size=n) < _sigmoid(x @ theta)).astype(float)
@@ -329,7 +329,7 @@ class MLPModel(BernoulliLoss):
 
     def init_params(self, seed: int) -> np.ndarray:
         """Scaled-normal initialization of the flattened parameter vector."""
-        rng = make_rng(seed, 0x111)
+        rng = make_rng(seed, STREAMS.mlp_init)
         parts = []
         for out_n, in_n in self.shapes:
             parts.append(rng.standard_normal(out_n * in_n) / np.sqrt(in_n))
@@ -476,7 +476,7 @@ class MLPModel(BernoulliLoss):
 def two_spirals(n: int, seed: int, noise: float = 0.03,
                 turns: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
     """The interleaved two-spirals classification set, n points in [-1, 1]^2."""
-    rng = make_rng(seed, 0x599)
+    rng = make_rng(seed, STREAMS.spirals_data)
     n0 = n // 2
     counts = (n0, n - n0)
     points, labels = [], []

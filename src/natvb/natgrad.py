@@ -62,7 +62,7 @@ from .errors import DomainError, MissingHessian, SingularFisher, SolverFailure
 from .expfam import ExpFamily
 from .losses import LossModel
 from .quadrature import gaussian_expectation
-from .seeding import ESTIMATE_STREAM, fixed_normals, make_rng
+from .seeding import ESTIMATE_STREAM, STREAMS, fixed_normals, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
 _FULL_DATA_ONLY = "the exact estimator's closed forms are full-data only; got a minibatch"
@@ -279,11 +279,11 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     """E_q[loss]: closed form when available, quadrature for P <= 2, else MC.
 
     The Monte Carlo fallback averages value_batch over max(K, 2) draws of
-    stream (spec.seed, 0xE); spec defaults to 10,000 samples at seed 0.
-    The standard normals behind them are drawn once per (K, P, seed)
-    (seeding.fixed_normals) and transported to q_lam, so every iterate of
-    a run reuses the same block: the same draws family.sample would make
-    from make_rng(spec.seed, 0xE), without drawing them again.
+    stream (spec.seed, STREAMS.objective_mc); spec defaults to 10,000
+    samples at seed 0. The standard normals behind them are drawn once per
+    (K, P, seed) (seeding.fixed_normals) and transported to q_lam, so every
+    iterate of a run reuses the same block: the draws family.sample would
+    make from that stream, without drawing them again.
     """
     lam = family.natural(lam)
     mean, cov = family.to_mean_cov(lam)
@@ -292,7 +292,7 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     if family.theta_dim <= 2:
         return gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)
-    z = fixed_normals((max(spec.n_samples, 2), family.theta_dim), spec.seed, 0xE)
+    z = fixed_normals((max(spec.n_samples, 2), family.theta_dim), spec.seed, STREAMS.objective_mc)
     values = loss.value_batch(family._transport(lam, z))
     # np.mean's two steps, a sum and a division by the count, without its dispatch
     return float(values.sum() / values.size)

@@ -11,20 +11,9 @@ its at(t) is make_rng(seed, *prefix, t) bit for bit, but the Philox keys
 of a block of steps come from one vectorised pass of SeedSequence's
 mixing, and each step only loads its key into one Philox.
 
-Stream layout: each consumer draws on its own entropy tuple.
-
-    consumer                                  tuple
-    ridge data (models.make_ridge_data)       (data_seed, 0x51)
-    logistic data (make_logistic_data)        (data_seed, 0x10)
-    spirals data (two_spirals)                (data_seed, 0x599)
-    MLP initial weights (init_params)         (init_seed, 0x111)
-    derivative-gate probe (harness)           (seed, 0xC)
-    objective Monte Carlo fallback            (seed, 0xE)   fixed_normals;
-                                              seed 0 for VON's summary
-    Bayes-filter probe grid                   (probe_seed,) fixed_normals
-    minibatch of step t (deep.train)          (seed, 0xBA7C, t)
-    IVON's and VON's draws at step t          (seed, *SAMPLE_STREAM, t)
-    sampled BLR estimate at step t            (seed, *ESTIMATE_STREAM, t)
+Stream layout: each consumer draws on its own entropy tuple, its seed
+followed by its tag in STREAMS (and the step t, for a per-step stream).
+The one untagged tuple is the Bayes-filter probe grid's (probe_seed,).
 
 SeedSequence pads entropy shorter than four words with zero words, so
 (s, a) and (s, a, 0) are one stream: a tag must not be 0, and no tuple
@@ -45,16 +34,32 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
 #: distinct (shape, seed, stream) blocks fixed_normals keeps
 _FIXED_DRAWS = 8
-#: IVON's and VON's posterior draws at step t: make_rng(seed, *SAMPLE_STREAM, t)
-SAMPLE_STREAM = (0x5A4,)
-#: sampled BLR's estimate at step t: make_rng(seed, *ESTIMATE_STREAM, t)
-ESTIMATE_STREAM = (0xE57,)
+
+
+class _Streams(NamedTuple):
+    """The stream layout: each consumer's tag, a distinct nonzero 32-bit word."""
+
+    ridge_data: int = 0x51  # models.make_ridge_data: (data_seed, tag)
+    logistic_data: int = 0x10  # models.make_logistic_data: (data_seed, tag)
+    spirals_data: int = 0x599  # models.two_spirals: (data_seed, tag)
+    mlp_init: int = 0x111  # MLPModel.init_params: (init_seed, tag)
+    gate_probe: int = 0xC  # the harness's derivative-gate probe: (seed, tag)
+    objective_mc: int = 0xE  # natgrad.expected_loss's Monte Carlo fallback: (seed, tag)
+    minibatch: int = 0xBA7C  # deep.train's minibatch of step t: (seed, tag, t)
+    sample: int = 0x5A4  # IVON's and VON's draws at step t: (seed, tag, t)
+    estimate: int = 0xE57  # sampled BLR's estimate at step t: (seed, tag, t)
+
+
+STREAMS = _Streams()
+#: the prefixes of IVON's and VON's and of sampled BLR's per-step streams
+SAMPLE_STREAM, ESTIMATE_STREAM = (STREAMS.sample,), (STREAMS.estimate,)
 #: steps whose keys StepStreams derives at once; a power of two dividing
 #: 2**32, so a step's low entropy word is its block's first plus its
 #: offset, with no carry

@@ -30,7 +30,7 @@ from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
 from .natgrad import (EstimatorSpec, gaussian_moments, linear_loss_natgrad,
                       reparam_hessian_terms)
 from .numdiff import central_diff_jacobian
-from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, StepStreams, make_rng
+from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, STREAMS, StepStreams, make_rng
 
 SABOTAGE_IDS = ("eq4",)
 
@@ -285,11 +285,11 @@ def check_von_blr(sabotage=None):
     # one sampled step: VON's K draws, averaged by the shared core, give the
     # diagonal BLR step built from the core's estimate on the same draws
     logistic, k, seed = make_logistic_data(115, 40, p), 6, 9
-    von = von_step(VONState(mean0, prec0, learning_rate=0.3, n_samples=k, seed=seed),
-                   logistic)
+    state = VONState(mean0, prec0, learning_rate=0.3, n_samples=k, seed=seed)
+    von = von_step(state, logistic)
     lam0 = fam.from_moment(mean0, prec0)
-    # step 0's draws, on the stream von_step samples from
-    thetas = fam.transport(lam0, make_rng(seed, *SAMPLE_STREAM, 0).standard_normal((k, p)))
+    # the step's draws, on the stream von_step samples from
+    thetas = fam.transport(lam0, make_rng(seed, *SAMPLE_STREAM, state.t).standard_normal((k, p)))
     grad, hess = gaussian_moments(logistic, "mc", mean0, thetas=thetas, diag=True)
     blr = blr_step(blr_init(fam, lam0), logistic, cfg,
                    estimate=fam.gaussian_identity(mean0, grad, hess))
@@ -343,17 +343,15 @@ def check_rmsprop_correspondence(sabotage=None):
 
 def check_step_streams(sabotage=None):
     # StepStreams re-implements SeedSequence's mixing; the installed
-    # numpy's own SeedSequence, behind make_rng, must agree with it
+    # numpy's own SeedSequence, behind make_rng, must agree with it, also on
+    # a prefix no consumer uses, whose second int SeedSequence splits in two
+    prefixes = ((STREAMS.minibatch,), SAMPLE_STREAM, (3, 2**32 + 1), ESTIMATE_STREAM)
     cases = failures = 0
     for seed in (0, 1, 2**32, 2**64 + 5):
-        layouts = ((StepStreams(seed, 0xBA7C), lambda t: (seed, 0xBA7C, t)),
-                   (StepStreams(seed, *SAMPLE_STREAM), lambda t: (seed, *SAMPLE_STREAM, t)),
-                   (StepStreams(seed, 3, 2**32 + 1), lambda t: (seed, 3, 2**32 + 1, t)),
-                   (StepStreams(seed, *ESTIMATE_STREAM),
-                    lambda t: (seed, *ESTIMATE_STREAM, t)))
-        for streams, entropy in layouts:
+        for prefix in prefixes:
+            streams = StepStreams(seed, *prefix)
             for t in (0, 1, 1023, 1024, 4097, 2**20 - 1):
-                got, want = streams.at(t), make_rng(*entropy(t))
+                got, want = streams.at(t), make_rng(seed, *prefix, t)
                 same = (np.array_equal(got.bit_generator.state["state"]["key"],
                                        want.bit_generator.state["state"]["key"])
                         and np.array_equal(got.standard_normal(3), want.standard_normal(3))

@@ -330,6 +330,52 @@ def test_gaussian_identity_diag_is_full_restricted(rng):
     assert not np.any(quad - np.diag(np.diag(quad)))
 
 
+# -- the coefficient layout's two maps -----------------------------------------
+
+def _random_quadratic(rng, fam, *stack):
+    """(hess, lin) of random quadratics in fam's hessian_kind layout, with
+    leading axes stack."""
+    p = fam.theta_dim
+    if fam.hessian_kind == "diag":
+        return rng.standard_normal((*stack, p)), rng.standard_normal((*stack, p))
+    a = rng.standard_normal((*stack, p, p))
+    return a + np.swapaxes(a, -1, -2), rng.standard_normal((*stack, p))
+
+
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+@pytest.mark.parametrize("p", [1, 4])
+def test_quadratic_maps_write_the_coefficient_layout(rng, family, p):
+    # <c, T(theta)> = lin'theta - theta'H theta/2, and natural_to_quadratic
+    # undoes quadratic_to_natural bit for bit (its scalings are powers of 2)
+    fam = family(p)
+    hess, lin = _random_quadratic(rng, fam)
+    coeff = fam.quadratic_to_natural(hess, lin)
+    assert coeff.shape == (fam.param_dim,)
+    h_mat = np.diag(hess) if fam.hessian_kind == "diag" else hess
+    for theta in rng.standard_normal((3, p)):
+        assert np.isclose(coeff @ fam.sufficient_stats(theta),
+                          lin @ theta - 0.5 * theta @ h_mat @ theta, rtol=1e-12, atol=1e-12)
+    back_hess, back_lin = fam.natural_to_quadratic(coeff)
+    np.testing.assert_array_equal(back_hess, hess)
+    np.testing.assert_array_equal(back_lin, lin)
+
+
+@pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
+def test_quadratic_maps_keep_leading_axes(rng, family):
+    fam = family(3)
+    hess, lin = _random_quadratic(rng, fam, 2, 5)
+    coeff = fam.quadratic_to_natural(hess, lin)
+    assert coeff.shape == (2, 5, fam.param_dim)
+    back_hess, back_lin = fam.natural_to_quadratic(coeff)
+    for i in range(2):
+        for j in range(5):
+            np.testing.assert_array_equal(coeff[i, j],
+                                          fam.quadratic_to_natural(hess[i, j], lin[i, j]))
+            single_hess, single_lin = fam.natural_to_quadratic(coeff[i, j])
+            np.testing.assert_array_equal(back_hess[i, j], single_hess)
+            np.testing.assert_array_equal(back_lin[i, j], single_lin)
+
+
 # -- vectorised helpers against their loop definitions ------------------------
 
 def _pairs(dim):

@@ -379,6 +379,15 @@ def _trace_lines(rows):
     return [",".join(format_cell(cell) for cell in row) for row in rows]
 
 
+@pytest.mark.parametrize("value, cell", [
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(-1e300), "-1e+300"), (3, "3"), (True, "True"),
+])
+def test_format_cell_writes_every_float_in_shortest_round_trip_form(value, cell):
+    # np.float64 subclasses float, and under numpy 2 its repr names the type
+    assert format_cell(value) == cell
+
+
 @pytest.mark.parametrize("config,via", [
     (RIDGE_CONVERGES, "run_experiment"), (HALVING_CONFIG, "run_experiment"),
     (RIDGE_CONVERGES, "blr_run"), (HALVING_CONFIG, "blr_run"),
@@ -607,6 +616,31 @@ def test_cli_unusable_output_directory_exits_2_before_the_gate(command, outdir, 
     assert err.startswith(f"config error: cannot use output directory {tmp_path / outdir}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert called == []
+
+
+@pytest.mark.parametrize("output, make, why", [
+    # a component longer than the file system's name limit
+    ({"trace": "x" * 300 + ".csv"}, None, "File name too long"),
+    ({"summary": "sub"}, lambda out: (out / "sub").mkdir(), "it is a directory"),
+    ({"summary": "sub/s.json"}, lambda out: (out / "sub").write_text(""), "File exists"),
+])
+def test_cli_unwritable_artifact_exits_2_before_the_gate(output, make, why, tmp_path,
+                                                         monkeypatch, capsys):
+    # found when the run starts, not after the whole run when it is written
+    out = tmp_path / "out"
+    out.mkdir()
+    if make is not None:
+        make(out)
+    before = sorted(out.rglob("*"))
+    gates = []
+    monkeypatch.setattr(harness, "check_derivatives", lambda *args: gates.append(args))
+    monkeypatch.setenv("NATVB_OUTDIR", str(out))
+    assert main(["run", write_cfg(tmp_path, base_config(output=output))]) == 2
+    (name,) = output.values()
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write output {out / name}: {why}\n"
+    assert gates == []
+    assert sorted(out.rglob("*")) == before
 
 
 def test_cli_run_malformed_json_exit_2(tmp_path, monkeypatch):

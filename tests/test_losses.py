@@ -1,5 +1,7 @@
+import ast
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,3 +515,22 @@ def test_value_and_gradient_default_is_value_then_gradient(rng):
     value, grad = loss.value_and_gradient(theta)
     assert value == loss.value(theta)
     np.testing.assert_array_equal(grad, loss.gradient(theta))
+
+
+def test_losses_leave_the_coefficient_layout_to_the_families():
+    # QuadraticLoss asks the family's maps and keys the diagonal refusal on
+    # hessian_kind; no module but gaussian tests a family's class for a layout
+    src = Path(natvb.losses.__file__).parent
+    tree = ast.parse((src / "losses.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").rpartition(".")[2] == "gaussian"]
+    tested = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gaussian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(sub, "id", "").endswith("Gaussian")
+                            for sub in ast.walk(node.args[1]))):
+                tested.append(f"{path.name}:{node.lineno}")
+    assert not tested, tested

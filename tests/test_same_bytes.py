@@ -15,13 +15,14 @@ _spec.loader.exec_module(same_bytes)
 
 def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
               config_seed=None, fail_seed=None, verify_line="PASS  a [b]: x=1",
-              verify_exit=0) -> Path:
+              verify_exit=0, ulp_seed=None) -> Path:
     """A checkout whose run_experiment writes a trace, a summary and a used
     config named by the workload and seed, with a wall time that differs
-    on every run: at trace_seed its trace gains a byte, at summary_seed
-    its summary a key, at config_seed its used config a key, and at
-    fail_seed it raises. Its `python -m natvb verify` prints verify_line
-    and a count line, and exits with verify_exit."""
+    on every run: at trace_seed its trace gains a byte, at ulp_seed its
+    trace's float cell moves up one ULP, at summary_seed its summary a
+    key, at config_seed its used config a key, and at fail_seed it raises.
+    Its `python -m natvb verify` prints verify_line and a count line, and
+    exits with verify_exit."""
     path = root / name
     (path / "src" / "natvb").mkdir(parents=True)
     (path / "perfbench").mkdir()
@@ -38,14 +39,15 @@ def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
         sys.exit(2)
         """))
     (path / "src" / "natvb" / "harness.py").write_text(textwrap.dedent(f"""\
-        import json, time
+        import json, math, time
 
         def run_experiment(cfg, out_dir):
             seed = cfg["seed"]
             if seed == {fail_seed!r}:
                 raise ValueError("injected failure")
             out_dir.mkdir(parents=True)
-            trace = f"{{cfg['w']}},{{seed}}\\n" + ("0" if seed == {trace_seed!r} else "")
+            cell = math.nextafter(0.1, 1.0) if seed == {ulp_seed!r} else 0.1
+            trace = f"{{cfg['w']}},{{seed}},{{cell!r}}\\n" + ("0" if seed == {trace_seed!r} else "")
             (out_dir / "trace.csv").write_text(trace)
             summary = {{"seed": seed, "wall_time_s": time.time()}}
             if seed == {summary_seed!r}:
@@ -90,10 +92,36 @@ def test_only_the_run_that_differs_is_named(tmp_path, capsys, knob, name):
     change = _checkout(tmp_path, "change", **{knob: 7})
     assert _main(parent, change) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["first seed 1: same bytes", f"first seed 7: {name} differs",
-                     "second seed 1: same bytes", f"second seed 7: {name} differs",
+    # a trace names its first differing cell: here the change's extra line
+    differs = {"trace.csv": "trace.csv differs at line 2, column 1: parent (none), "
+                            "change '0'"}.get(name, f"{name} differs")
+    assert lines == ["first seed 1: same bytes", f"first seed 7: {differs}",
+                     "second seed 1: same bytes", f"second seed 7: {differs}",
                      "verify: same bytes"]
     assert _main(parent, change, seeds="1") == 0
+
+
+def test_a_trace_cell_one_ulp_off_is_named_with_its_distance(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change", ulp_seed=7)
+    assert _main(parent, change, seeds="7") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("first seed 7: trace.csv differs at line 1, column 3: "
+                        "parent '0.1', change '0.10000000000000002', 1 ULP apart")
+
+
+@pytest.mark.parametrize("a, b, ulps", [
+    ("0.1", "0.1", 0), ("-0.0", "0.0", 0), ("-5e-324", "5e-324", 2),
+    ("1.0", "1.0000000000000002", 1), ("1", "2", None), ("1.0", "nan", None),
+    ("inf", "1e308", None), ("x", "1.0", None), (None, "1.0", None),
+])
+def test_ulp_distance_counts_doubles_between_float_cells(a, b, ulps):
+    assert same_bytes.ulp_distance(a, b) == ulps
+    assert same_bytes.ulp_distance(b, a) == ulps
+
+
+def test_first_difference_in_line_endings_only():
+    assert same_bytes.first_difference(b"a,1\n", b"a,1\r\n") == "in line endings only"
 
 
 def test_a_failed_run_fails_the_check(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """StepStreams against make_rng and NumPy's SeedSequence, its oracle."""
 
+import ast
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from natvb.harness import run_experiment
 from natvb.losses import QuadraticLoss
 from natvb.models import make_logistic_data
 from natvb.natgrad import EstimatorSpec
-from natvb.seeding import _KEY_BLOCK, StepStreams, _words, make_rng, seed_keys
+from natvb.seeding import _KEY_BLOCK, STREAMS, StepStreams, _words, make_rng, seed_keys
 
 SEEDS = (0, 1, 4095, 4096, 2**32 - 1, 2**32, 2**64 + 5)
 PREFIXES = ((), (0xBA7C,), (7, 2**32 + 3), (1, 0, 2))
@@ -152,11 +153,19 @@ def _sampled_blr_key(seed, t):
     return _key(streams.at(t))
 
 
-@pytest.mark.parametrize("tag", [0xC, 0xE, 0x10, 0x51])
+def test_stream_tags_are_distinct_nonzero_words():
+    # SeedSequence pads a short tuple with zero words, so a 0 tag would
+    # make (seed, tag) the stream (seed,); a tag of 2**32 or more would be
+    # two words, (seed, low, high)
+    assert len(set(STREAMS)) == len(STREAMS._fields)
+    assert all(type(tag) is int and 0 < tag < 2**32 for tag in STREAMS)
+
+
+@pytest.mark.parametrize("tag", STREAMS, ids=STREAMS._fields)
 def test_sampled_blr_step_stream_is_no_tagged_stream(tag):
     # ((seed << 20) ^ t,), the older layout, is (s, tag) at seed s = tag << 12
-    # and step s: the gate probe's, the objective fallback's and the logistic
-    # and ridge data's streams when data_seed is the seed
+    # and step s: the stream of the tag's consumer at seed s (its step 0,
+    # for a per-step stream, as SeedSequence pads (s, tag) to (s, tag, 0))
     seed = tag << 12
     assert _sampled_blr_key(seed, seed) != _key(make_rng(seed, tag))
 
@@ -186,3 +195,24 @@ def test_no_stream_is_drawn_by_two_consumers(seed, optimizer, tmp_path, monkeypa
     shared = {key: sites for key, sites in drawn.items() if len(sites) > 1}
     assert not shared, sorted(map(sorted, shared.values()))
     assert len(drawn) > optimizer.get("steps", optimizer.get("max_iter"))
+
+
+_DRAWERS = {"make_rng": 1, "StepStreams": 1, "fixed_normals": 2}
+
+
+def test_stream_words_are_named_outside_seeding():
+    # every stream word a module passes is a name (a tag of STREAMS, a step,
+    # a prefix tuple), so the layout is written once, in seeding.STREAMS
+    literal = []
+    for path in sorted(Path(natvb.seeding.__file__).parent.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for arg in node.args[_DRAWERS.get(name, len(node.args)):]:
+                if not any(isinstance(sub, (ast.Name, ast.Attribute, ast.Call, ast.Subscript))
+                           for sub in ast.walk(arg)):
+                    literal.append(f"{path.name}:{node.lineno}")
+    assert not literal, literal

@@ -10,7 +10,9 @@ process per run, with the checkout as working directory, BLAS pinned to
 one thread as in the benchmark, and a new temporary output directory.
 The two runs must write the same trace.csv and config.used.json (the
 resolved config a replay feeds back to `run`), byte for byte, and the
-same summary.json once its wall_time_s line is dropped.
+same summary.json once its wall_time_s line is dropped. For a trace that
+differs it names the first line and column that differ and both cells,
+and, when both are floats, how many ULPs apart they are.
 
 Then each checkout runs `python -m natvb verify` the same way; the two
 tables printed must be the same byte for byte. The verify table is where
@@ -28,8 +30,11 @@ each checkout's run imports its own sources.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -67,6 +72,48 @@ def without_wall_time(blob: bytes) -> bytes:
                     if not line.lstrip().startswith(b'"wall_time_s":'))
 
 
+def ulp_distance(a: str | None, b: str | None) -> int | None:
+    """How many doubles lie between two float cells, or None unless both are
+    finite floats (an integer cell, such as a step, is not)."""
+    ordered = []
+    for cell in (a, b):
+        try:
+            int(cell)
+            return None
+        except (TypeError, ValueError):
+            pass
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            return None
+        if not math.isfinite(value):
+            return None
+        (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+        # sign and magnitude to a line where consecutive doubles are one apart
+        magnitude = bits & 0x7FFF_FFFF_FFFF_FFFF
+        ordered.append(-magnitude if bits >> 63 else magnitude)
+    return abs(ordered[0] - ordered[1])
+
+
+def first_difference(parent: bytes, change: bytes) -> str:
+    """Where two traces first differ: the line and column (from 1), both
+    cells, and their ULP distance when both are floats."""
+    lines = (parent.decode(errors="replace").splitlines(),
+             change.decode(errors="replace").splitlines())
+    for number, (old, new) in enumerate(itertools.zip_longest(*lines), start=1):
+        if old == new:
+            continue
+        cells = [[] if line is None else line.split(",") for line in (old, new)]
+        for column, (a, b) in enumerate(itertools.zip_longest(*cells), start=1):
+            if a != b:
+                break
+        shown = ["(none)" if cell is None else repr(cell) for cell in (a, b)]
+        ulps = ulp_distance(a, b)
+        return (f"at line {number}, column {column}: parent {shown[0]}, change {shown[1]}"
+                + ("" if ulps is None else f", {ulps} ULP apart"))
+    return "in line endings only"
+
+
 def run_once(checkout: Path, script: str, *args: str) -> tuple[str | None, bytes]:
     """Run a script in checkout: (None, its stdout) on success, else (why it
     failed, b"")."""
@@ -101,8 +148,13 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
                 outputs[side][name] = path.read_bytes()
     outputs["parent"]["summary.json"] = without_wall_time(outputs["parent"]["summary.json"])
     outputs["change"]["summary.json"] = without_wall_time(outputs["change"]["summary.json"])
-    return [f"{name} differs" for name in COMPARED
-            if outputs["parent"][name] != outputs["change"][name]]
+    differs = []
+    for name in COMPARED:
+        old, new = outputs["parent"][name], outputs["change"][name]
+        if old != new:
+            where = f" {first_difference(old, new)}" if name == "trace.csv" else ""
+            differs.append(f"{name} differs{where}")
+    return differs
 
 
 def compare_verify(parent: Path, change: Path) -> list[str]:
