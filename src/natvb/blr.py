@@ -17,7 +17,11 @@ of the same step are implemented and cross-checked against each other:
     mirror_descent_step_numeric and compared to the closed form);
   * the conjugate special case, where the loss is linear in T(theta) and
     one step with rho = 1 lands exactly on the posterior
-    lam* = tilde_lam_lik + tilde_lam_prior.
+    lam* = tilde_lam_lik + tilde_lam_prior (conjugate_posterior, whose
+    one check is family.natural of the sum).
+
+The rate is a number in (0, 1], checked once when BLRConfig is built;
+rho_t is below it only on a step blr_run retries at a halved rate.
 
 Stationarity is certified by fixed_point_residual: at an optimum the
 natural parameter equals the natural gradient of the expected negative
@@ -38,7 +42,7 @@ spreads kept and the first failure raised are those of a step-by-step check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +58,12 @@ from .seeding import ESTIMATE_STREAM, StepStreams, fixed_normals
 
 @dataclass(frozen=True)
 class BLRConfig:
-    """Loop parameters: rate schedule, budget, tolerance, estimator, retries."""
+    """Loop parameters: rate, budget, tolerance, estimator, retries.
 
-    learning_rate: float | Callable[[int], float] = 1.0
+    The rate (checked_rate, stored as a float) and max_iter >= 1 are
+    checked once, when built."""
+
+    learning_rate: float = 1.0
     max_iter: int = 100
     #: residual or relative natural-parameter change declaring convergence
     #: (deterministic estimators only; stochastic runs use the budget)
@@ -65,16 +72,18 @@ class BLRConfig:
     #: times blr_run halves a step's rate before a domain exit propagates
     max_rate_halvings: int = 20
 
-    def rho_at(self, t: int) -> float:
-        return rate_at(self.learning_rate, t)
+    def __post_init__(self):
+        object.__setattr__(self, "learning_rate", checked_rate(self.learning_rate))
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
-def rate_at(rate, t: int) -> float:
-    """The rate at step t of a constant or a schedule t -> rate, as a float
-    in (0, 1] (ValueError otherwise); BLR, VON and IVON share this rule."""
-    value = float(rate(t) if callable(rate) else rate)
+def checked_rate(rate) -> float:
+    """rate as a float in (0, 1], else ValueError: the rule BLRConfig and
+    VON's and IVON's states apply to their rates when built."""
+    value = float(rate)
     if not 0.0 < value <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {value} at step {t}")
+        raise ValueError(f"rate must be in (0, 1], got {value}")
     return value
 
 
@@ -105,7 +114,7 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
     if estimate is None:
         estimate = estimate_natgrad(state.family, state.lam, loss, cfg.estimator,
                                     step=state.t, batch=batch)
-    return _step_at_rate(state, cfg.rho_at(state.t), estimate)
+    return _step_at_rate(state, cfg.learning_rate, estimate)
 
 
 def _step_at_rate(state: BLRState, rho: float, estimate: np.ndarray) -> BLRState:
@@ -122,30 +131,14 @@ def _step_at_rate(state: BLRState, rho: float, estimate: np.ndarray) -> BLRState
 
 # -- conjugate path ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugateModel:
-    """Likelihood/prior pair that is log-linear in the family's statistic."""
+def conjugate_posterior(family: ExpFamily, lam_lik, lam_prior) -> NaturalParams:
+    """Bayes' rule as addition: lam* = lam_lik + lam_prior.
 
-    family: ExpFamily
-    lam_lik: np.ndarray
-    lam_prior: np.ndarray
-
-    def __post_init__(self):
-        lik = np.asarray(self.lam_lik, dtype=float).reshape(-1)
-        prior = np.asarray(self.lam_prior, dtype=float).reshape(-1)
-        if lik.size != self.family.param_dim or prior.size != self.family.param_dim:
-            raise DomainError("conjugate blocks must match the family's dimension")
-        if not (np.all(np.isfinite(lik)) and np.all(np.isfinite(prior))):
-            raise DomainError("conjugate blocks must be finite")
-        if not self.family.contains_natural(lik + prior):
-            raise DomainError("likelihood + prior is not a proper posterior")
-        object.__setattr__(self, "lam_lik", lik)
-        object.__setattr__(self, "lam_prior", prior)
-
-
-def conjugate_posterior(model: ConjugateModel) -> NaturalParams:
-    """Bayes' rule as addition: lam* = lam_lik + lam_prior."""
-    return model.family.natural(model.lam_lik + model.lam_prior)
+    family.natural is the one check of the sum, and factors it once:
+    DomainError if it is not finite or not a proper posterior,
+    FamilyMismatch if it does not have the family's length.
+    """
+    return family.natural(np.add(lam_lik, lam_prior))
 
 
 # -- step verifiers ----------------------------------------------------
@@ -353,7 +346,7 @@ class BLRRun:
 def _step_with_halvings(state: BLRState, cfg: BLRConfig,
                         estimate: np.ndarray) -> tuple[BLRState, float]:
     """blr_step from state, halving the rate while the step leaves the domain."""
-    rho = cfg.rho_at(state.t)
+    rho = cfg.learning_rate
     for _ in range(cfg.max_rate_halvings + 1):
         try:
             return _step_at_rate(state, rho, estimate), rho
@@ -419,8 +412,6 @@ def blr_run(family: ExpFamily, lam0, loss: LossModel, cfg: BLRConfig) -> BLRRun:
     partial_trace, the hand-off deep.train makes too; the harness writes
     them under BLRTraceRow's fields.
     """
-    if cfg.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     spec = cfg.estimator
     trace: list[BLRTraceRow] = []
     spreads: list[np.ndarray] = []

@@ -27,8 +27,10 @@ All step functions are pure (state in, state out); the training loop is
 sequential and deterministic for a fixed seed.
 
 A state is validated once, when a caller (or an *_init function) builds
-it: its arrays are copied into 1-D float vectors of one length and its
-scale checked (a NaN fails every scale check). Every step returns a
+it: its arrays are copied into 1-D float vectors of one length, its
+scale checked (a NaN fails every scale check), and VON's learning_rate
+and IVON's hess_rate checked by blr.checked_rate and stored as floats,
+which each step reads as they are. Every step returns a
 state built without that pass, because its arrays are the step's own
 fresh vectors and the step has checked what it can break itself:
 RMSprop's scale against zero, VON's precision against its positivity
@@ -44,11 +46,11 @@ import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .blr import rate_at
+from .blr import checked_rate
 from .errors import CERTIFICATE_ERRORS, DomainError, LeftDomain
 from .losses import LossModel
 from .natgrad import gaussian_moments, reparam_hessian_terms
@@ -179,7 +181,7 @@ class VONState:
 
     mean: np.ndarray
     prec: np.ndarray
-    learning_rate: float | Callable[[int], float]
+    learning_rate: float
     n_samples: int = 1
     seed: int = 0
     #: positivity floor; crossing it raises LeftDomain
@@ -193,6 +195,7 @@ class VONState:
             raise ValueError("precision diagonal must be positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        object.__setattr__(self, "learning_rate", checked_rate(self.learning_rate))
         # so that a step's floor check also keeps the precision positive
         if not self.prec_floor >= 0.0:
             raise ValueError(f"prec_floor must be >= 0, got {self.prec_floor}")
@@ -215,7 +218,7 @@ def von_step(state: VONState, loss: LossModel, batch=None,
     state.t's sample stream make_rng(state.seed, *SAMPLE_STREAM, state.t)
     when not given.
     """
-    rho = rate_at(state.learning_rate, state.t)
+    rho = state.learning_rate
     mean, prec = state.mean, state.prec
     if loss.provides_expectations and batch is None:
         grad_mean, hess_mean = gaussian_moments(loss, "exact", mean, np.diag(1.0 / prec),
@@ -248,7 +251,8 @@ class IVONState:
     """Mean, Hessian estimate, and gradient momentum of the improved VON.
 
     Validated once, at construction: the arrays are copied into 1-D float
-    vectors of one length and h + delta0 must be positive. A state that
+    vectors of one length, h + delta0 must be positive and hess_rate lie
+    in (0, 1] (blr.checked_rate; stored as a float). A state that
     ivon_step returns skips that pass: its arrays are the step's own fresh
     vectors, and the step has just made the positivity check itself.
     """
@@ -276,6 +280,7 @@ class IVONState:
                            _vec(self.grad_momentum, self.mean.size))
         if not (self.hess + self.weight_decay > 0.0).all():
             raise ValueError("posterior precision h + delta0 must be positive")
+        object.__setattr__(self, "hess_rate", checked_rate(self.hess_rate))
 
 
 def ivon_init(theta0, *, step_size: float, hess_init: float = 1.0,
@@ -321,7 +326,7 @@ def ivon_step(state: IVONState, loss: LossModel, batch=None,
     arrays are these fresh 1-D vectors, and the LeftDomain check is the
     positivity check it would repeat.
     """
-    rho = rate_at(state.hess_rate, state.t)
+    rho = state.hess_rate
     delta0 = state.weight_decay
     beta1 = state.beta1
     old_hess = state.hess
@@ -440,14 +445,17 @@ def train(state, loss: LossModel, steps: int, *, batch_size: int | None = None,
                              iteration=step_index)
         rows.append(row)
 
+    # a value that overflows to inf or NaN is caught by the row check or a
+    # step's domain check, which raise LeftDomain, so NumPy need not warn
     try:
-        record(0, state)
-        for t in range(steps):
-            batch = None
-            if batches is not None:
-                batch = batches.at(t).choice(loss.n_data, size=size, replace=False)
-            state = step(state, batch)
-            record(t + 1, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record(0, state)
+            for t in range(steps):
+                batch = None
+                if batches is not None:
+                    batch = batches.at(t).choice(loss.n_data, size=size, replace=False)
+                state = step(state, batch)
+                record(t + 1, state)
     except (DomainError, LeftDomain, *CERTIFICATE_ERRORS) as exc:
         exc.partial_trace = rows
         raise

@@ -32,12 +32,13 @@ DomainError outside the domain or returns what checking computed, which
 the validated parameters carry as `derived` for every later method. The
 natural side's `derived` also carries A(lam) as its `cumulant` field, so
 each parameter's log normalizer is computed once, at validation, and
-cumulant() reads it.
+cumulant() reads it. lam lies in the domain when natural(lam) does not
+raise, and a caller keeps what it returned instead of asking twice.
 
 Concrete families implement the primitives (the two derivations,
 conversions, Fisher and its products, T, sampling); the domain
-predicates, cumulant, entropy, Fenchel conjugate, KL and its dual
-gradient are derived here once.
+checks, cumulant, entropy, Fenchel conjugate, KL and its dual gradient
+are derived here once.
 """
 
 from __future__ import annotations
@@ -197,14 +198,6 @@ class ExpFamily(abc.ABC):
     def expectation(self, mu) -> ExpectationParams:
         """mu as validated ExpectationParams; the dual-side twin of natural()."""
         return self._validated(mu, ExpectationParams, self._derive_expectation)
-
-    def contains_natural(self, lam) -> bool:
-        """Whether lam lies in the family's open domain."""
-        try:
-            self.natural(lam)
-        except (DomainError, FamilyMismatch):
-            return False
-        return True
 
     def _validated(self, params, kind: type, derive):
         if type(params) is kind and params.family is self and params.derived is not None:

@@ -443,9 +443,8 @@ def run_dirs(named_configs: list[tuple[str, dict]], out_dir: Path) -> list[Path]
     return dirs
 
 
-def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,
-                 joint_name: str = "compare.csv") -> Path:
-    """Run two configs side by side and emit a joint CSV keyed on step.
+def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None) -> Path:
+    """Run two configs side by side and emit compare.csv, a joint CSV keyed on step.
 
     Each trace's first column is its step (BLR's t starts at 1, the deep
     optimizers' step at 0); a joint row holds each run's row of that
@@ -459,7 +458,7 @@ def compare_runs(cfg_a: dict, cfg_b: dict, out_dir: Path | None = None,
                               in resolved["output"].items()}
         run_experiment(resolved, out_dir)
         results.append(resolved)
-    joint = out_dir / joint_name
+    joint = out_dir / "compare.csv"
     tables = []
     for tag, resolved in zip(("a", "b"), results):
         with open(out_dir / resolved["output"]["trace"], encoding="utf-8") as handle:

@@ -133,6 +133,9 @@ def _overrides(loss: LossModel, name: str) -> bool:
 
 #: relative gap allowed between a batched override and its per-theta loop
 _BATCH_RTOL = 1e-10
+#: relative gap allowed between the gradient, or a provided Hessian, and
+#: its central differences
+_GRAD_RTOL, _HESS_RTOL = 1e-4, 1e-3
 
 
 def _relative_gap(got, ref) -> float:
@@ -215,8 +218,7 @@ def _gradient_differences(loss: LossModel, points, worst: dict) -> list[np.ndarr
     return [central_quotient(plus, minus, step) for step, (plus, minus) in zip(steps, values)]
 
 
-def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
-                      hess_rtol: float = 1e-3) -> dict:
+def check_derivatives(loss: LossModel, points) -> dict:
     """The derivative gate every loss in an experiment goes through first.
 
     Holds each overridden batched method to its per-theta loop, each
@@ -241,7 +243,7 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
     batches = [None] if loss.n_data is None else [None, np.arange(0, loss.n_data, 2)]
     _check_batched(loss, "value_batch", thetas, batches, worst)
     for theta, fd_grad in zip(points, _gradient_differences(loss, points, worst)):
-        _hold(worst, "gradient", _relative_gap(loss.gradient(theta), fd_grad), grad_rtol,
+        _hold(worst, "gradient", _relative_gap(loss.gradient(theta), fd_grad), _GRAD_RTOL,
               "gradient mismatch", theta)
     _check_batched(loss, "gradient_batch", thetas, batches, worst)
     _check_fused(loss, thetas, batches, worst)
@@ -252,11 +254,11 @@ def check_derivatives(loss: LossModel, points, grad_rtol: float = 1e-4,
         if loss.provides_hessian_full:
             _hold(worst, "hessian_full",
                   _relative_gap(loss.hessian_full(theta), 0.5 * (fd_jac + fd_jac.T)),
-                  hess_rtol, "hessian mismatch", theta)
+                  _HESS_RTOL, "hessian mismatch", theta)
         if loss.provides_hessian_diag:
             _hold(worst, "hessian_diag",
                   _relative_gap(loss.hessian_diag(theta), np.diag(fd_jac)),
-                  hess_rtol, "hessian diagonal mismatch", theta)
+                  _HESS_RTOL, "hessian diagonal mismatch", theta)
     return worst
 
 

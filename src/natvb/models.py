@@ -6,7 +6,9 @@ quadratic in theta, so the posterior N(m*, S*^-1) with
     S* = X'X + tau I,   m* = S*^-1 X'y
 
 is available from a dense solve, and the same posterior is reachable as
-an addition of natural-parameter blocks (X'y ; -X'X/2) + (0 ; -tau I/2).
+an addition of natural-parameter blocks (X'y ; -X'X/2) + (0 ; -tau I/2):
+ridge_natural_coefficients writes the blocks, and
+blr.conjugate_posterior(FullGaussian(p), *blocks) adds and checks them.
 The two routes are kept as independent code paths and checked against
 each other.
 
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cho_factor, cho_solve
-from .blr import ConjugateModel
 from .errors import DomainError
-from .gaussian import FullGaussian, sym_to_coeff
+from .gaussian import sym_to_coeff
 from .losses import LossModel, QuadraticLoss
 from .seeding import STREAMS, make_rng
 
@@ -98,11 +99,6 @@ def ridge_natural_coefficients(model: RidgeModel) -> tuple[np.ndarray, np.ndarra
     lam_prior = np.concatenate([np.zeros(p),
                                 sym_to_coeff(-0.5 * model.prior_precision * np.eye(p))])
     return lam_lik, lam_prior
-
-
-def ridge_conjugate_model(model: RidgeModel) -> ConjugateModel:
-    lam_lik, lam_prior = ridge_natural_coefficients(model)
-    return ConjugateModel(FullGaussian(model.p), lam_lik, lam_prior)
 
 
 def make_ridge_data(seed: int, n: int, p: int, noise: float = 1.0,
@@ -473,16 +469,19 @@ class MLPModel(BernoulliLoss):
         return float(self._data_terms(z, self.y) / self.n_data)
 
 
-def two_spirals(n: int, seed: int, noise: float = 0.03,
-                turns: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
+#: how many times each spiral winds around the origin
+_SPIRAL_TURNS = 1.5
+
+
+def two_spirals(n: int, seed: int, noise: float = 0.03) -> tuple[np.ndarray, np.ndarray]:
     """The interleaved two-spirals classification set, n points in [-1, 1]^2."""
     rng = make_rng(seed, STREAMS.spirals_data)
     n0 = n // 2
     counts = (n0, n - n0)
     points, labels = [], []
     for cls, count in enumerate(counts):
-        t = np.sqrt(rng.uniform(0.05, 1.0, size=count)) * turns * 2.0 * np.pi
-        radius = t / (turns * 2.0 * np.pi)
+        t = np.sqrt(rng.uniform(0.05, 1.0, size=count)) * _SPIRAL_TURNS * 2.0 * np.pi
+        radius = t / (_SPIRAL_TURNS * 2.0 * np.pi)
         angle = t + cls * np.pi
         xy = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
         xy += noise * rng.standard_normal(xy.shape)

@@ -1,8 +1,8 @@
 """Finite-difference oracles.
 
 Single home for the finite-difference policy used by every checker in
-the package and its test suite: central differences with relative step
-1e-5, scaled per coordinate by max(1, |x_i|).
+the package and its test suite: central differences with the one
+relative step REL_STEP = 1e-5, scaled per coordinate by max(1, |x_i|).
 
 central_diff_batch takes the differences in batches: the +h and -h rows
 of up to BLOCK_COORDS coordinates go to one call of a function over the
@@ -27,9 +27,9 @@ REL_STEP = 1e-5
 BLOCK_COORDS = 32
 
 
-def axis_steps(x: np.ndarray, rel_step: float = REL_STEP) -> np.ndarray:
-    """The step h_i = rel_step * max(1, |x_i|) of every coordinate."""
-    return rel_step * np.maximum(1.0, np.abs(x))
+def axis_steps(x: np.ndarray) -> np.ndarray:
+    """The step h_i = REL_STEP * max(1, |x_i|) of every coordinate."""
+    return REL_STEP * np.maximum(1.0, np.abs(x))
 
 
 def perturbed_blocks(x: np.ndarray, steps: np.ndarray, coords=None
@@ -56,13 +56,12 @@ def central_quotient(plus, minus, steps: np.ndarray) -> np.ndarray:
     return (plus - minus) / (2.0 * steps)
 
 
-def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                       rel_step: float = REL_STEP) -> np.ndarray:
+def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central differences of f at x, from f_batch, which maps an (n, x.size)
     array to f's n outputs stacked: the gradient, shape (in,), of a scalar
     f; the Jacobian, shape (out, in), of a vector f."""
     x = np.asarray(x, dtype=float)
-    steps = axis_steps(x, rel_step)
+    steps = axis_steps(x)
     cols = []
     for coords, rows in perturbed_blocks(x, steps):
         outs = np.moveaxis(np.asarray(f_batch(rows)), 0, -1)
@@ -71,9 +70,8 @@ def central_diff_batch(f_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     return np.concatenate(cols, axis=-1)
 
 
-def central_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                          rel_step: float = REL_STEP) -> np.ndarray:
+def central_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """central_diff_batch of a per-point f, evaluated row by row: the
     gradient, shape (in,), of a scalar f; the Jacobian, shape (out, in),
     of a vector f."""
-    return central_diff_batch(lambda rows: np.array([f(row) for row in rows]), x, rel_step)
+    return central_diff_batch(lambda rows: np.array([f(row) for row in rows]), x)

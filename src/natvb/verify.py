@@ -25,8 +25,8 @@ from .errors import BayesFilterViolation
 from .expfam import ExpFamily
 from .gaussian import DiagGaussian, FullGaussian
 from .losses import QuadraticLoss
-from .models import (make_logistic_data, make_ridge_data, ridge_conjugate_model,
-                     ridge_exact_posterior, ridge_loss)
+from .models import (make_logistic_data, make_ridge_data, ridge_exact_posterior,
+                     ridge_loss, ridge_natural_coefficients)
 from .natgrad import (EstimatorSpec, gaussian_moments, linear_loss_natgrad,
                       reparam_hessian_terms)
 from .numdiff import central_diff_jacobian
@@ -177,7 +177,7 @@ def check_one_step_bayes(sabotage=None):
         model = make_ridge_data(2000 + trial, n, p)
         fam = FullGaussian(p)
         loss = ridge_loss(model)
-        target = conjugate_posterior(ridge_conjugate_model(model)).coords
+        target = conjugate_posterior(fam, *ridge_natural_coefficients(model)).coords
         oracle = fam.from_moment(*ridge_exact_posterior(model)).coords
         if np.max(np.abs(target - oracle)) > 1e-10 * max(1.0, np.max(np.abs(oracle))):
             return False, "conjugate addition disagrees with the dense solve"
@@ -383,8 +383,7 @@ CHECKS: list[tuple[str, str, Callable]] = [
 ]
 
 
-def run_verify(scope: str | None = None, sabotage: str | None = None,
-               print_fn=print) -> list[CheckResult]:
+def run_verify(scope: str | None = None, sabotage: str | None = None) -> list[CheckResult]:
     """Run (a scope of) the checks and print one PASS/FAIL line per check."""
     if sabotage is not None and sabotage not in SABOTAGE_IDS:
         raise ValueError(f"unknown sabotage id {sabotage!r}; known: {SABOTAGE_IDS}")
@@ -399,7 +398,7 @@ def run_verify(scope: str | None = None, sabotage: str | None = None,
         except Exception as exc:  # a crashed check is a failed check
             passed, message = False, f"error={exc!r}"
         results.append(CheckResult(name, check_scope, passed, message))
-        print_fn(f"{'PASS' if passed else 'FAIL'}  {name} [{check_scope}]: {message}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name} [{check_scope}]: {message}")
     failures = sum(not r.passed for r in results)
-    print_fn(f"{len(results)} checks, {failures} failures")
+    print(f"{len(results)} checks, {failures} failures")
     return results

@@ -5,7 +5,7 @@ import pytest
 
 import natvb.blr
 from natvb.blr import (BLRConfig, BLRState, blr_init, blr_run, blr_step,
-                       ConjugateModel, conjugate_posterior, fixed_point_residual,
+                       conjugate_posterior, fixed_point_residual,
                        mirror_descent_step_numeric, multiplicative_form_check,
                        newton_recovery_step, vb_objective)
 from natvb.errors import (BayesFilterViolation, DomainError, LeftDomain, NonPDHessian,
@@ -13,8 +13,8 @@ from natvb.errors import (BayesFilterViolation, DomainError, LeftDomain, NonPDHe
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.losses import QuadraticLoss
 from natvb.models import (make_logistic_data, make_ridge_data,
-                          ridge_conjugate_model, ridge_exact_posterior,
-                          ridge_loss)
+                          ridge_exact_posterior, ridge_loss,
+                          ridge_natural_coefficients)
 from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.numdiff import central_diff_jacobian
 from natvb.seeding import ESTIMATE_STREAM, fixed_normals, make_rng
@@ -73,20 +73,17 @@ def test_step_left_domain_reported():
     assert excinfo.value.iterate is not None
 
 
-def test_rate_schedule_validation():
-    with pytest.raises(ValueError):
-        BLRConfig(0.0, 1).rho_at(0)
-    with pytest.raises(ValueError):
-        BLRConfig(1.5, 1).rho_at(0)
-    cfg = BLRConfig(lambda t: 1.0 / (t + 1), 3)
-    assert cfg.rho_at(1) == 0.5
+def test_blr_config_checks_its_budget_when_built():
+    # blr_run reads max_iter as it is, so a config without steps is never built
+    with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+        BLRConfig(0.5, 0)
 
 
 # -- conjugate path -----------------------------------------------------------
 
 def test_conjugate_posterior_identity_ridge():
     model, fam, _ = ridge_setup(0)
-    post = conjugate_posterior(ridge_conjugate_model(model))
+    post = conjugate_posterior(fam, *ridge_natural_coefficients(model))
     oracle = ridge_exact_posterior(model)
     np.testing.assert_allclose(post.coords, fam.from_moment(*oracle).coords,
                                rtol=1e-10, atol=1e-10)
@@ -95,15 +92,14 @@ def test_conjugate_posterior_identity_ridge():
 def test_conjugate_posterior_no_data_is_prior():
     fam = FullGaussian(2)
     prior = fam.from_moment(np.zeros(2), np.eye(2)).coords
-    model = ConjugateModel(fam, np.zeros(5), prior)
-    np.testing.assert_array_equal(conjugate_posterior(model).coords, prior)
+    np.testing.assert_array_equal(conjugate_posterior(fam, np.zeros(5), prior).coords, prior)
 
 
-def test_conjugate_model_rejects_improper_posterior():
+def test_conjugate_posterior_rejects_improper_posterior():
     fam = FullGaussian(1)
     prior = fam.from_moment([0.0], [[1.0]]).coords
     with pytest.raises(DomainError):
-        ConjugateModel(fam, np.array([0.0, 1.0]), prior)  # flips curvature sign
+        conjugate_posterior(fam, np.array([0.0, 1.0]), prior)  # flips curvature sign
 
 
 def test_one_step_bayes_thm2(rng):
@@ -112,7 +108,7 @@ def test_one_step_bayes_thm2(rng):
     for trial in range(10):
         model, fam, loss = ridge_setup(100 + trial, n=int(rng.integers(5, 40)),
                                        p=int(rng.integers(1, 5)))
-        target = conjugate_posterior(ridge_conjugate_model(model)).coords
+        target = conjugate_posterior(fam, *ridge_natural_coefficients(model)).coords
         cfg = BLRConfig(1.0, 1, estimator=EXACT)
         for _ in range(3):
             state = blr_init(fam, random_lam(rng, fam))
@@ -214,7 +210,7 @@ def test_multiplicative_form_spread_equals_three_log_densities_bitwise(kind, rng
 
 def test_residual_zero_at_conjugate_posterior():
     model, fam, loss = ridge_setup(10)
-    lam_star = conjugate_posterior(ridge_conjugate_model(model))
+    lam_star = conjugate_posterior(fam, *ridge_natural_coefficients(model))
     assert fixed_point_residual(fam, lam_star, loss, EXACT) <= 1e-10
 
 

@@ -300,16 +300,27 @@ def test_von_state_rejects_no_samples():
             VONState(np.zeros(2), np.ones(2), learning_rate=0.5, n_samples=n_samples)
 
 
-def test_one_rate_rule_for_blr_von_and_ivon():
-    # a constant or a schedule, read as a float in (0, 1] at each step
-    loss = QuadraticLoss(np.eye(2), np.ones(2))
-    von = VONState(np.zeros(2), np.ones(2), learning_rate=lambda t: 1.5)
-    ivon = ivon_init(np.zeros(2), step_size=0.1, hess_rate=0.0)
-    for bad in (lambda: von_step(von, loss), lambda: ivon_step(ivon, loss),
-                lambda: BLRConfig(1.5, 1).rho_at(0)):
-        with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]"):
-            bad()
-    assert BLRConfig(np.float32(0.25), 1).rho_at(3) == 0.25
+_RATED = {
+    "BLRConfig": lambda rate: BLRConfig(rate, 1).learning_rate,
+    "VONState": lambda rate: VONState(np.zeros(2), np.ones(2), learning_rate=rate).learning_rate,
+    "IVONState": lambda rate: IVONState(np.zeros(2), np.ones(2), np.zeros(2), step_size=0.1,
+                                        hess_rate=rate).hess_rate,
+    "ivon_init": lambda rate: ivon_init(np.zeros(2), step_size=0.1, hess_rate=rate).hess_rate,
+}
+
+
+@pytest.mark.parametrize("rate_of", _RATED.values(), ids=_RATED.keys())
+def test_one_rate_rule_for_blr_von_and_ivon(rate_of):
+    # a rate is checked once, when its config or state is built, and stored
+    # as a float, so an int rate of 1 still writes the trace's rho cell as 1.0
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match=rf"^rate must be in \(0, 1\], got {bad}$"):
+            rate_of(bad)
+    with pytest.raises(TypeError):
+        rate_of(lambda t: 0.5)
+    for rate, stored in ((np.float32(0.25), 0.25), (1, 1.0)):
+        value = rate_of(rate)
+        assert type(value) is float and value == stored
 
 
 def test_states_reject_a_nan_scale():

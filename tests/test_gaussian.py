@@ -598,12 +598,11 @@ def test_memo_never_stores_domain_errors(cholesky_calls):
     fam = FullGaussian(2)
     bad = np.concatenate([np.zeros(2), sym_to_coeff(np.array([[0.5, 0.0], [0.0, -0.5]]))])
     for attempt in range(1, 4):
-        assert not fam.contains_natural(bad)
         for method in (fam.cumulant, fam.to_mean_cov, fam.split_natural, fam.fisher,
                        fam.entropy, fam.natural):
             with pytest.raises(DomainError):
                 method(bad)
-        assert len(cholesky_calls) == 7 * attempt
+        assert len(cholesky_calls) == 6 * attempt
 
 
 def test_memo_outputs_read_only_and_inputs_untouched(rng):
@@ -634,7 +633,7 @@ def test_trust_rules_of_validated_parameters(rng):
     bad[fam.theta_dim] = 1.0  # a positive diagonal coefficient: S is not PD
     # a directly built NaturalParams carries nothing and is checked on use
     direct = NaturalParams(bad, fam)
-    assert direct.derived is None and not fam.contains_natural(direct)
+    assert direct.derived is None
     for method in (fam.cumulant, fam.to_mean_cov, fam.natural, fam.entropy):
         with pytest.raises(DomainError):
             method(direct)
@@ -656,7 +655,6 @@ def test_moments_that_overflow_leave_the_domain():
             fam.from_moment(np.zeros(3), prec)
         quad = sym_to_coeff(-0.5 * prec) if prec.ndim == 2 else -0.5 * prec
         lam = np.concatenate([np.zeros(3), quad])
-        assert not fam.contains_natural(lam)
         with pytest.raises(DomainError):
             fam.natural(lam)
         with pytest.raises(DomainError):
@@ -674,7 +672,6 @@ def test_diag_precision_that_overflows_leaves_the_domain():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="precision"):
             fam.natural([1e200, -1e308])
-        assert not fam.contains_natural(np.array([1e200, -1e308]))
 
 
 def test_full_family_pickles_without_its_memo(rng):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -666,19 +667,30 @@ def test_cli_run_domain_error_exit_3_partial_trace(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
+def _domain_exit_alone(capsys, argv) -> None:
+    """main(argv) exits 3 with its one stderr line and no RuntimeWarning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("domain error during run: "), err
+
+
+def test_cli_deep_run_stops_before_a_non_finite_row(tmp_path, monkeypatch, capsys):
     # a precision of 1e-320 samples at scale 1e160: the loss overflows at step 1
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     cfg = base_config(model={"kind": "logistic", "n": 40, "p": 3},
                       optimizer={"kind": "von", "steps": 3, "n_samples": 2,
                                  "init_precision": 1e-320})
-    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    _domain_exit_alone(capsys, ["run", write_cfg(tmp_path, cfg)])
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert len(trace) == 2 and trace[0].startswith("step,") and trace[1].startswith("0,")
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_ivon_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
+def test_cli_ivon_run_stops_before_a_non_finite_row(tmp_path, monkeypatch, capsys):
     # h = 1e-300 with no prior precision: the retraction's (h - h_est)^2 / h
     # overflows, and the step-2 row's scale range is infinite
     ivon = {"kind": "ivon", "hess_init": 1e-300, "weight_decay": 0.0, "ess": 1.0}
@@ -688,7 +700,7 @@ def test_cli_ivon_run_stops_before_a_non_finite_row(tmp_path, monkeypatch):
     assert main(["run", write_cfg(tmp_path, short, "short.json")]) == 0
     monkeypatch.setenv("NATVB_OUTDIR", str(tmp_path / "out"))
     cfg = base_config(model=model, optimizer={**ivon, "steps": 4})
-    assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+    _domain_exit_alone(capsys, ["run", write_cfg(tmp_path, cfg)])
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     # exactly the rows before it: those of a run that stops one step short
     assert len(trace) == 3 and trace[2].startswith("1,")

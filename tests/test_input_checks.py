@@ -9,9 +9,9 @@ import re
 import numpy as np
 import pytest
 
-from natvb.blr import BLRConfig, ConjugateModel, blr_run, mirror_descent_step_numeric
+from natvb.blr import BLRConfig, blr_run, conjugate_posterior, mirror_descent_step_numeric
 from natvb.deep import adam_init, train
-from natvb.errors import DomainError
+from natvb.errors import DomainError, FamilyMismatch
 from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.harness import ConfigError, resolve_config
 from natvb.losses import QuadraticLoss
@@ -34,7 +34,7 @@ def _fisher_vp_three_for_two(family):
 
 def _conjugate(family, lik):
     fam, lam = _standard(family)
-    ConjugateModel(fam, lik(fam), np.asarray(lam.coords))
+    conjugate_posterior(fam, lik(fam), lam.coords)
 
 
 def _mirror_step(rho):
@@ -73,11 +73,11 @@ CASES = {
         lambda family=family: _fisher_vp_three_for_two(family),
         ValueError, "3 directions given for 2 parameters") for family in FAMILIES},
     "conjugate block of the wrong length": (
-        lambda: _conjugate(FullGaussian, lambda fam: np.zeros(fam.param_dim - 1)),
-        DomainError, "conjugate blocks must match the family's dimension"),
+        lambda: conjugate_posterior(FullGaussian(2), np.zeros(4), np.zeros(4)),
+        FamilyMismatch, "NaturalParams have length 4, family 'gaussian_full_2' needs 5"),
     "non-finite conjugate block": (
         lambda: _conjugate(DiagGaussian, lambda fam: np.full(fam.param_dim, np.nan)),
-        DomainError, "conjugate blocks must be finite"),
+        DomainError, "coordinates must be finite"),
     **{f"mirror descent at rho {rho}": (
         lambda rho=rho: _mirror_step(rho), ValueError, "rho must be in (0, 1]")
        for rho in (0.0, 1.5)},

@@ -534,3 +534,17 @@ def test_losses_leave_the_coefficient_layout_to_the_families():
                             for sub in ast.walk(node.args[1]))):
                 tested.append(f"{path.name}:{node.lineno}")
     assert not tested, tested
+
+
+@pytest.mark.parametrize("module", ["models.py", "losses.py"])
+def test_loss_modules_import_no_loop_runner_or_self_check(module):
+    # losses and models sit below the loops that use them (blr, deep), the
+    # harness and verify; a loss or model needs none of them
+    tree = ast.parse((Path(natvb.losses.__file__).parent / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None) or "")
+    names = {name.rpartition(".")[2] for name in names}
+    assert not names & {"blr", "deep", "harness", "verify"}

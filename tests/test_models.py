@@ -14,8 +14,7 @@ from natvb.harness import build_model, resolve_config
 from natvb.losses import LossModel, QuadraticLoss, check_derivatives
 from natvb.models import (LogisticModel, MLPModel, RidgeModel, _softplus,
                           make_logistic_data, make_ridge_data,
-                          make_spirals_mlp, ridge_conjugate_model,
-                          ridge_exact_posterior, ridge_loss,
+                          make_spirals_mlp, ridge_exact_posterior, ridge_loss,
                           ridge_natural_coefficients, two_spirals)
 from natvb.numdiff import axis_steps, perturbed_blocks
 from natvb.seeding import make_rng
@@ -48,7 +47,7 @@ def test_ridge_two_code_paths_agree_100_instances():
                                 prior_precision=float(rng.uniform(0.2, 3.0)))
         fam = FullGaussian(p)
         lam_solve = fam.from_moment(*ridge_exact_posterior(model)).coords
-        lam_add = conjugate_posterior(ridge_conjugate_model(model)).coords
+        lam_add = conjugate_posterior(fam, *ridge_natural_coefficients(model)).coords
         scale = max(1.0, np.max(np.abs(lam_solve)))
         assert np.max(np.abs(lam_solve - lam_add)) / scale < 1e-10
 

@@ -288,7 +288,6 @@ def test_dual_coordinates_are_not_natural_ones(kind, monkeypatch):
         fam.expectation(lam)
     # rejected before anything is derived
     assert calls == []
-    assert not fam.contains_natural(mu)
     # unvalidated parameters of the wrong kind are refused alike
     with pytest.raises(FamilyMismatch):
         fam.natural(ExpectationParams(mu.coords))
