@@ -27,16 +27,19 @@ Stationarity is certified by fixed_point_residual: at an optimum the
 natural parameter equals the natural gradient of the expected negative
 loss evaluated at itself. The estimate at an iterate serves both that
 certificate and the step taken from the iterate, so blr_run, the one
-iteration loop, computes it once and passes it to both.
+iteration loop, computes it once and forms the residual inline.
 
 blr_run certifies every step with both checks, which share one
 contract: each returns its number (the spread, the residual) and raises
-its error. It checks a block of steps at a time: it records each
-residual's value as it goes and queues the Bayes-filter check (its
-probes' T, formed per step by probe_stats) and the residual's
-inverse-Fisher cross-check. A block is checked by one stacked
-filter_spreads and one stacked natgrad_via_dual, in step order, so the
-spreads kept and the first failure raised are those of a step-by-step check.
+its error. Each check's one bound is a module constant read at call
+time (FILTER_TOL on the grid FILTER_PROBES, PROBE_SEED; natgrad.DUAL_RTOL),
+so blr_run and the single-step checks agree. blr_run checks a block of
+steps at a time: it records each residual's value as it goes and queues
+the Bayes-filter check (its probes' T, formed per step by probe_stats)
+and the residual's inverse-Fisher cross-check. A block is checked by one
+stacked filter_spreads and one stacked natgrad_via_dual, in step order,
+so the spreads kept and the first failure raised are those of a
+step-by-step check.
 """
 
 from __future__ import annotations
@@ -89,16 +92,16 @@ def checked_rate(rate) -> float:
 
 @dataclass(frozen=True)
 class BLRState:
-    """One iterate: natural coordinates plus the natural gradient that made it."""
+    """One iterate: natural coordinates lam (its family is lam.family) plus
+    the natural gradient that made it."""
 
-    family: ExpFamily
     t: int
     lam: NaturalParams
     tilde_lambda: np.ndarray | None = None
 
 
 def blr_init(family: ExpFamily, lam0) -> BLRState:
-    return BLRState(family, 0, family.natural(lam0))
+    return BLRState(0, family.natural(lam0))
 
 
 def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
@@ -112,21 +115,22 @@ def blr_step(state: BLRState, loss: LossModel, cfg: BLRConfig,
     rejects the combination; blr_run retries such a step at half the rate.
     """
     if estimate is None:
-        estimate = estimate_natgrad(state.family, state.lam, loss, cfg.estimator,
+        estimate = estimate_natgrad(state.lam.family, state.lam, loss, cfg.estimator,
                                     step=state.t, batch=batch)
     return _step_at_rate(state, cfg.learning_rate, estimate)
 
 
 def _step_at_rate(state: BLRState, rho: float, estimate: np.ndarray) -> BLRState:
     """blr_step's update at a given rate rho in (0, 1]."""
+    family = state.lam.family
     new_lam = (1.0 - rho) * state.lam.coords + rho * estimate
     try:
-        lam = state.family.natural(new_lam)
+        lam = family.natural(new_lam)
     except DomainError as exc:
         raise LeftDomain(
-            f"BLR step {state.t} left the domain of {state.family.name!r}",
+            f"BLR step {state.t} left the domain of {family.name!r}",
             iterate=new_lam, iteration=state.t) from exc
-    return BLRState(state.family, state.t + 1, lam, estimate)
+    return BLRState(state.t + 1, lam, estimate)
 
 
 # -- conjugate path ----------------------------------------------------
@@ -143,24 +147,23 @@ def conjugate_posterior(family: ExpFamily, lam_lik, lam_prior) -> NaturalParams:
 
 # -- step verifiers ----------------------------------------------------
 
-#: the Bayes-filter check's defaults, which blr_run applies to every step
+#: the Bayes-filter check's one bound and probe grid, read at call time by
+#: multiplicative_form_check, probe_stats and blr_run alike
 FILTER_TOL, FILTER_PROBES, PROBE_SEED = 1e-8, 10, 1009
 
 
-def _filter_violation(t: int, spread: float, tol: float) -> BayesFilterViolation:
+def _filter_violation(t: int, spread: float) -> BayesFilterViolation:
     return BayesFilterViolation(f"Bayes-filter form violated at step {t} "
-                                f"(spread {spread:.3e} > {tol:.1e})")
+                                f"(spread {spread:.3e} > {FILTER_TOL:.1e})")
 
 
-def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
-                              tol: float = FILTER_TOL, n_probes: int = FILTER_PROBES,
-                              probe_seed: int = PROBE_SEED) -> float:
-    """A step's Bayes-filter spread; BayesFilterViolation if it exceeds tol or is NaN.
+def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float) -> float:
+    """A step's Bayes-filter spread; BayesFilterViolation if over FILTER_TOL or NaN.
 
     log q_{t+1}(theta) - [(1-rho) log q_t(theta) + rho <tilde_lam, T(theta)>]
-    must be constant in theta on a grid of n_probes points from q_t. The
-    grid is the standard-normal block of make_rng(probe_seed), drawn once
-    per (n_probes, P, probe_seed) by seeding.fixed_normals and transported
+    must be constant in theta on a grid of FILTER_PROBES points from q_t. The
+    grid is the standard-normal block of make_rng(PROBE_SEED), drawn once
+    per (FILTER_PROBES, P, PROBE_SEED) by seeding.fixed_normals and transported
     to q_t, so it is the grid family.sample would draw with that
     generator, without redrawing it at every step. T(probes) is formed
     once (probe_stats); each log q is log_density's arithmetic, T @ lam -
@@ -169,18 +172,17 @@ def multiplicative_form_check(state_t: BLRState, state_t1: BLRState, rho: float,
     """
     if state_t1.tilde_lambda is None:
         raise ValueError("state_t1 carries no natural-gradient estimate")
-    stats = probe_stats(state_t, n_probes, probe_seed)
+    stats = probe_stats(state_t)
     spread = float(filter_spreads([(state_t, state_t1, rho)], stats[None])[0])
-    if not spread <= tol:
-        raise _filter_violation(state_t.t, spread, tol)
+    if not spread <= FILTER_TOL:
+        raise _filter_violation(state_t.t, spread)
     return spread
 
 
-def probe_stats(state_t: BLRState, n_probes: int = FILTER_PROBES,
-                probe_seed: int = PROBE_SEED) -> np.ndarray:
-    """T at the Bayes-filter check's probe grid on q_t, shape (n_probes, param_dim)."""
-    family = state_t.family
-    z = fixed_normals((n_probes, family.theta_dim), probe_seed)
+def probe_stats(state_t: BLRState) -> np.ndarray:
+    """T at the Bayes-filter check's probe grid on q_t, shape (FILTER_PROBES, param_dim)."""
+    family = state_t.lam.family
+    z = fixed_normals((FILTER_PROBES, family.theta_dim), PROBE_SEED)
     return family.sufficient_stats_batch(family._transport(state_t.lam, z))
 
 
@@ -188,12 +190,12 @@ def filter_spreads(steps, stats: np.ndarray) -> np.ndarray:
     """The Bayes-filter gaps' spread for each of a block of B steps.
 
     steps holds B (state_t, state_t1, rho) and stats their probe_stats,
-    shape (B, n_probes, param_dim). The 3B products of T(probes) with
+    shape (B, FILTER_PROBES, param_dim). The 3B products of T(probes) with
     lam_{t+1}, lam_t and tilde_lam are one stacked matmul whose every
     product is the gemv a single step would take, so each spread is
     bitwise the one-step value.
     """
-    family = steps[0][0].family
+    family = steps[0][0].lam.family
     lams = [(family.natural(s_t.lam), family.natural(s_t1.lam)) for s_t, s_t1, _ in steps]
     coeffs = np.array([(lam_t1.coords, lam_t.coords, s_t1.tilde_lambda)
                        for (lam_t, lam_t1), (_, s_t1, _) in zip(lams, steps)])
@@ -213,20 +215,17 @@ def _residual(lam: NaturalParams, estimate: np.ndarray) -> float:
 
 
 def fixed_point_residual(family: ExpFamily, lam, loss: LossModel,
-                         spec: EstimatorSpec, step: int = 0,
-                         estimate: np.ndarray | None = None) -> float:
+                         spec: EstimatorSpec, step: int = 0) -> float:
     """|| lam - tilde_lam(lam) || / max(1, ||lam||); ~0 certifies stationarity.
 
-    Also cross-checks the inverse-Fisher form of the optimality condition
-    with natgrad_via_dual (solving F x = grad_lam must reproduce the
-    dual-coordinate gradient), through Fisher-vector products that never
-    form F; the cross-check does not change the value. estimate, if
-    given, must be tilde_lam at (lam, step) under spec; it is then used
-    instead of being recomputed.
+    Estimates tilde_lam at (lam, step) under spec and cross-checks the
+    inverse-Fisher form of the optimality condition with natgrad_via_dual
+    (solving F x = grad_lam must reproduce the dual-coordinate gradient),
+    through Fisher-vector products that never form F; the cross-check
+    does not change the value.
     """
     lam = family.natural(lam)
-    if estimate is None:
-        estimate = estimate_natgrad(family, lam, loss, spec, step=step)
+    estimate = estimate_natgrad(family, lam, loss, spec, step=step)
     natgrad_via_dual(family, lam, estimate)
     return _residual(lam, estimate)
 
@@ -240,9 +239,11 @@ def vb_objective(family: ExpFamily, lam, loss: LossModel,
 
 # -- mirror descent ----------------------------------------------------
 
-def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
-                                grad_tol: float = 1e-10,
-                                max_iter: int = 200) -> np.ndarray:
+#: the mirror-descent solve's gradient-norm bound and Newton budget
+MIRROR_GRAD_TOL, MIRROR_MAX_ITER = 1e-10, 200
+
+
+def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float) -> np.ndarray:
     """Solve the proximal problem of one step numerically in dual coordinates.
 
         argmin_mu  <mu, lam_t - tilde_lam> + KL(q_mu || q_t) / rho
@@ -250,13 +251,13 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
     by damped Newton on the scalar objective (analytic gradient
     lam_t - tilde_lam + (lam(mu) - lam_t)/rho, curvature from the Fisher
     metric). Returns the natural coordinates of the minimizer, which must
-    agree with the closed-form convex combination. Raises SolverFailure
-    if the gradient norm does not reach grad_tol.
+    agree with the closed-form convex combination. rho passes checked_rate.
+    Raises SolverFailure if the gradient norm does not reach
+    MIRROR_GRAD_TOL within MIRROR_MAX_ITER Newton steps.
     """
     lam_t = family.natural(lam_t)
     tilde = np.asarray(tilde_lam, dtype=float).reshape(-1)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must be in (0, 1]")
+    rho = checked_rate(rho)
     slope = lam_t.coords - tilde
     cum_t = family.cumulant(lam_t)
 
@@ -267,10 +268,10 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
 
     mu = family.natural_to_dual(lam_t)
     value, lam = objective(mu)
-    for _ in range(max_iter):
+    for _ in range(MIRROR_MAX_ITER):
         grad = slope + (lam.coords - lam_t.coords) / rho
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= grad_tol:
+        if grad_norm <= MIRROR_GRAD_TOL:
             return lam.coords
         direction = -rho * (family.fisher(lam) @ grad)
         step_size = 1.0
@@ -293,7 +294,7 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float,
         else:
             raise SolverFailure("mirror-descent line search stalled")
     grad = slope + (lam.coords - lam_t.coords) / rho
-    if np.linalg.norm(grad) <= grad_tol:
+    if np.linalg.norm(grad) <= MIRROR_GRAD_TOL:
         return lam.coords
     raise SolverFailure(
         f"mirror-descent solve stopped at gradient norm {np.linalg.norm(grad):.3e}")
@@ -373,14 +374,14 @@ def _certify(steps: list, stats: list, estimates: list, trace: list) -> np.ndarr
     n_cross = min(n_filter, len(estimates))
     if n_cross:
         try:
-            natgrad_via_dual(steps[0][0].family, [step[1].lam for step in steps[:n_cross]],
+            natgrad_via_dual(steps[0][0].lam.family, [step[1].lam for step in steps[:n_cross]],
                              np.array(estimates[:n_cross]))
         except (SingularFisher, SolverFailure) as exc:
             exc.partial_trace = trace[:steps[exc.row][0].t]
             raise
     if n_filter < len(steps):
         t = steps[n_filter][0].t
-        exc = _filter_violation(t, spreads[n_filter], FILTER_TOL)
+        exc = _filter_violation(t, spreads[n_filter])
         exc.partial_trace = trace[:t]
         raise exc
     return spreads

@@ -47,7 +47,8 @@ F^-1 must reproduce it. Both maps are the families' closed-form
 Jacobian-vector products (fisher_vp, fisher_solve), so the certificate
 never forms the dense Fisher and costs O(P^3) per parameter on the full
 family. It takes a block of parameters at once, as blr_run checks its
-iterates, and stacks the products.
+iterates, and stacks the products. Its one bound is DUAL_RTOL, read at
+call time by every caller.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ from .quadrature import gaussian_expectation
 from .seeding import ESTIMATE_STREAM, STREAMS, fixed_normals, make_rng
 
 ESTIMATOR_KINDS = ("exact", "delta", "mc", "reparam")
+#: the relative error natgrad_via_dual allows in F^-1 (F grad_mu) = grad_mu
+DUAL_RTOL = 1e-6
 _FULL_DATA_ONLY = "the exact estimator's closed forms are full-data only; got a minibatch"
 #: read-only natural-coefficient vectors _linear_estimate has checked, by
 #: id; an entry goes when its vector is collected, so no id is read stale
@@ -100,13 +103,12 @@ def linear_loss_natgrad(family: ExpFamily, coeff) -> np.ndarray:
     return -coeff
 
 
-def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
-                     grad_wrt_lambda=None, rtol: float = 1e-6) -> np.ndarray:
+def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu) -> np.ndarray:
     """Cross-check of the dual-coordinate identity F(lam)^-1 grad_lam = grad_mu.
 
-    Solves F(lam) x = grad_lam (grad_lam defaults to the chain-rule image
-    F(lam) grad_mu) and verifies x matches grad_wrt_mu within rtol before
-    returning it. Both products go through family.fisher_vp and
+    Solves F(lam) x = grad_lam for grad_lam the chain-rule image
+    F(lam) grad_mu and verifies x matches grad_wrt_mu within DUAL_RTOL
+    before returning it. Both products go through family.fisher_vp and
     family.fisher_solve, the closed-form Jacobians of lam -> mu and
     mu -> lam, so F is never formed: O(P^3) per parameter on the full
     family. Raises SingularFisher if the solve is not finite and
@@ -122,23 +124,19 @@ def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu,
     one = grad_mu.ndim != 2
     lams = [family.natural(lam)] if one else [family.natural(x) for x in lam]
     grad_mu = grad_mu.reshape(len(lams), -1)
-    if grad_wrt_lambda is None:
-        grad_lam = family.fisher_vp(lams, grad_mu)
-    else:
-        grad_lam = np.asarray(grad_wrt_lambda, dtype=float).reshape(grad_mu.shape)
-    solved = family.fisher_solve(lams, grad_lam)
+    solved = family.fisher_solve(lams, family.fisher_vp(lams, grad_mu))
     finite = np.isfinite(solved).all(axis=1)
     # a row that is not finite fails on that alone; its error is not read
     with np.errstate(invalid="ignore", over="ignore"):
         err = row_norms(solved - grad_mu) / np.maximum(1.0, row_norms(grad_mu))
-    failed = ~finite | (err > rtol)
+    failed = ~finite | (err > DUAL_RTOL)
     if failed.any():
         row = int(np.argmax(failed))
         if not finite[row]:
             exc = SingularFisher("the Fisher solve is not finite")
         else:
             exc = SolverFailure(f"dual-coordinate identity violated: relative error "
-                                f"{err[row]:.3e} > {rtol:.1e}")
+                                f"{err[row]:.3e} > {DUAL_RTOL:.1e}")
         exc.row = row
         raise exc
     return solved[0] if one else solved

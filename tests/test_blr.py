@@ -122,16 +122,18 @@ def test_one_step_bayes_thm2(rng):
 
 # -- multiplicative form -------------------------------------------------------
 
-def test_multiplicative_form_passes_on_conforming_step(rng):
+def test_multiplicative_form_passes_on_conforming_step(rng, monkeypatch):
     model, fam, loss = ridge_setup(7)
     state0 = blr_init(fam, fam.from_moment(np.zeros(3), np.eye(3)))
     state1 = blr_step(state0, loss, BLRConfig(0.3, 1, estimator=EXACT))
     spread = multiplicative_form_check(state0, state1, 0.3)
     assert 0.0 < spread <= 1e-8
-    # the check raises when the spread exceeds tol, not when it reaches it
-    assert multiplicative_form_check(state0, state1, 0.3, tol=spread) == spread
+    # the check raises when the spread exceeds FILTER_TOL, not when it reaches it
+    monkeypatch.setattr(natvb.blr, "FILTER_TOL", spread)
+    assert multiplicative_form_check(state0, state1, 0.3) == spread
+    monkeypatch.setattr(natvb.blr, "FILTER_TOL", np.nextafter(spread, 0.0))
     with pytest.raises(BayesFilterViolation, match="at step 0"):
-        multiplicative_form_check(state0, state1, 0.3, tol=np.nextafter(spread, 0.0))
+        multiplicative_form_check(state0, state1, 0.3)
 
 
 def test_multiplicative_form_detects_corruption(rng):
@@ -160,7 +162,7 @@ def test_multiplicative_form_rate_one_probe_is_linear_in_stats(rng):
 def _multiplicative_spread_by_sampling(state_t, state_t1, rho, n_probes=10,
                                        probe_seed=1009):
     """The check's spread with probes drawn by family.sample, as a reference."""
-    family = state_t.family
+    family = state_t.lam.family
     probes = family.sample(state_t.lam, n_probes, make_rng(probe_seed))
     gaps = (family.log_density(state_t1.lam, probes)
             - (1.0 - rho) * family.log_density(state_t.lam, probes)
@@ -169,7 +171,8 @@ def _multiplicative_spread_by_sampling(state_t, state_t1, rho, n_probes=10,
 
 
 @pytest.mark.parametrize("family", [FullGaussian, DiagGaussian])
-def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng):
+def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng,
+                                                                monkeypatch):
     loss = make_logistic_data(5, 40, 3)
     fam = family(3)
     spec = EstimatorSpec("mc", 4, seed=2)
@@ -177,8 +180,9 @@ def test_multiplicative_form_fixed_probes_equal_sampling_bitwise(family, rng):
     for rho in (0.3, 0.7, 0.2):
         nxt = blr_step(state, loss, BLRConfig(rho, 1, estimator=spec))
         for n_probes, probe_seed in ((10, 1009), (6, 3)):
-            spread = multiplicative_form_check(state, nxt, rho, n_probes=n_probes,
-                                               probe_seed=probe_seed)
+            monkeypatch.setattr(natvb.blr, "FILTER_PROBES", n_probes)
+            monkeypatch.setattr(natvb.blr, "PROBE_SEED", probe_seed)
+            spread = multiplicative_form_check(state, nxt, rho)
             assert spread == _multiplicative_spread_by_sampling(
                 state, nxt, rho, n_probes, probe_seed)
         state = nxt
@@ -195,9 +199,8 @@ def test_multiplicative_form_spread_equals_three_log_densities_bitwise(kind, rng
             lam = random_lam(rng, fam)
         tilde = random_lam(rng, fam)
         rho = float(rng.uniform(0.05, 0.95))
-        state = BLRState(fam, 0, fam.natural(lam))
-        nxt = BLRState(fam, 1, fam.natural((1.0 - rho) * np.asarray(lam) + rho * tilde),
-                       tilde)
+        state = BLRState(0, fam.natural(lam))
+        nxt = BLRState(1, fam.natural((1.0 - rho) * np.asarray(lam) + rho * tilde), tilde)
         probes = fam.transport(state.lam, fixed_normals((10, fam.theta_dim), 1009))
         gaps = (fam.log_density(nxt.lam, probes)
                 - (1.0 - rho) * fam.log_density(state.lam, probes)
@@ -255,9 +258,9 @@ def test_mirror_descent_matches_closed_form_1d(rng):
 @pytest.mark.parametrize("kind", ["full", "diag"])
 def test_mirror_descent_lands_within_its_default_tolerance(kind):
     # The solver's gradient is (lam - lam*) / rho, lam* = (1 - rho) lam_t
-    # + rho tilde, so stopping at |grad| <= grad_tol puts it within
-    # rho grad_tol of the closed form: 1e-10 is the default, written out
-    # here so that a looser default fails (at 1e-6 it lands up to 2.8e3
+    # + rho tilde, so stopping at |grad| <= MIRROR_GRAD_TOL puts it within
+    # rho MIRROR_GRAD_TOL of the closed form: 1e-10 is the bound, written
+    # out here so that a looser bound fails (at 1e-6 it lands up to 2.8e3
     # times farther on these cases; at 1e-10, 0.6 times the bound at most).
     rng = make_rng(26, 8, kind == "full")
     for _ in range(5):
@@ -269,19 +272,20 @@ def test_mirror_descent_lands_within_its_default_tolerance(kind):
             assert np.linalg.norm(out - closed) <= rate * 1e-10
 
 
-def test_mirror_descent_raises_when_its_newton_budget_runs_out():
+def test_mirror_descent_raises_when_its_newton_budget_runs_out(monkeypatch):
     # N(0, I) towards a full-covariance target at rate 0.7: zero or one
-    # Newton step leaves the gradient far above grad_tol, the default
-    # budget reaches the closed form
+    # Newton step leaves the gradient far above MIRROR_GRAD_TOL, the
+    # budget MIRROR_MAX_ITER reaches the closed form
     fam = FullGaussian(2)
     lam_t = fam.from_moment(np.zeros(2), np.eye(2)).coords
     tilde = fam.from_moment(np.array([1.0, -2.0]),
                             np.array([[2.0, 0.6], [0.6, 0.5]])).coords
-    for max_iter in (0, 1):
-        with pytest.raises(SolverFailure, match="stopped at gradient norm"):
-            mirror_descent_step_numeric(fam, lam_t, tilde, 0.7, max_iter=max_iter)
     out = mirror_descent_step_numeric(fam, lam_t, tilde, 0.7)
     assert np.linalg.norm(out - (0.3 * lam_t + 0.7 * tilde)) <= 0.7 * 1e-10
+    for max_iter in (0, 1):
+        monkeypatch.setattr(natvb.blr, "MIRROR_MAX_ITER", max_iter)
+        with pytest.raises(SolverFailure, match="stopped at gradient norm"):
+            mirror_descent_step_numeric(fam, lam_t, tilde, 0.7)
 
 
 # -- objective --------------------------------------------------------------------

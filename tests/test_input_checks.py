@@ -79,8 +79,8 @@ CASES = {
         lambda: _conjugate(DiagGaussian, lambda fam: np.full(fam.param_dim, np.nan)),
         DomainError, "coordinates must be finite"),
     **{f"mirror descent at rho {rho}": (
-        lambda rho=rho: _mirror_step(rho), ValueError, "rho must be in (0, 1]")
-       for rho in (0.0, 1.5)},
+        lambda rho=rho: _mirror_step(rho), ValueError, f"rate must be in (0, 1], got {rho}")
+       for rho in (0.0, 1.5, float("nan"))},
     "blr_run with max_iter 0": (_blr_without_steps, ValueError, "max_iter must be >= 1"),
     "train for -1 steps": (
         lambda: _train(adam_init(np.zeros(2)), -1), ValueError, "steps must be >= 0"),
