@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import blr as blr_module
 from ._linalg import cho_factor, cho_solve
 from .blr import (BLRConfig, blr_init, blr_run, blr_step, conjugate_posterior,
                   fixed_point_residual, mirror_descent_step_numeric,
@@ -192,24 +193,23 @@ def check_one_step_bayes(sabotage=None):
 
 
 def check_multiplicative_form(sabotage=None):
-    model = make_ridge_data(31, 25, 3)
-    fam = FullGaussian(3)
-    run = blr_run(fam, fam.from_moment(np.zeros(3), np.eye(3)), ridge_loss(model),
-                  BLRConfig(learning_rate=0.4, max_iter=30,
-                            estimator=EstimatorSpec("exact")))
+    fam, loss = FullGaussian(3), ridge_loss(make_ridge_data(31, 25, 3))
+    state0 = blr_init(fam, fam.from_moment(np.zeros(3), np.eye(3)))
+    run = blr_run(fam, state0.lam, loss, BLRConfig(learning_rate=0.4, max_iter=30,
+                                                   estimator=EstimatorSpec("exact")))
     # blr_run raises BayesFilterViolation on the first step that fails
     spread = float(run.filter_spreads.max())
     # sensitivity: a corrupted iterate must fail
-    state0 = blr_init(fam, fam.from_moment(np.zeros(3), np.eye(3)))
     cfg = BLRConfig(learning_rate=0.5, max_iter=1, estimator=EstimatorSpec("exact"))
-    state1 = blr_step(state0, ridge_loss(model), cfg)
+    state1 = blr_step(state0, loss, cfg)
     bad_lam = state1.lam.coords.copy()
     bad_lam[0] += 1e-3
     corrupted = replace(state1, lam=fam.natural(bad_lam))
     try:
         multiplicative_form_check(state0, corrupted, 0.5)
     except BayesFilterViolation:
-        return True, f"max_spread={spread:.3e} (tol 1e-8); corruption detected"
+        tol = np.format_float_scientific(blr_module.FILTER_TOL, trim="-", exp_digits=1)
+        return True, f"max_spread={spread:.3e} (tol {tol}); corruption detected"
     return False, "corrupted iterate passed the check"
 
 

@@ -22,6 +22,7 @@ from natvb.gaussian import DiagGaussian, FullGaussian
 from natvb.harness import build_model, resolve_config, run_experiment
 from natvb.natgrad import EstimatorSpec, natgrad_via_dual
 from natvb.seeding import ESTIMATE_STREAM, StepStreams
+from natvb.verify import check_multiplicative_form
 
 from conftest import random_lam
 from test_trace_digests import HALVING_CONFIG
@@ -328,6 +329,13 @@ def test_blr_run_and_the_filter_check_read_one_bound(monkeypatch):
         blr.multiplicative_form_check(states[t], states[t + 1], rho)
     with pytest.raises(BayesFilterViolation, match=f"at step {step} "):
         blr.multiplicative_form_check(states[step], states[step + 1], rho)
+
+
+def test_verify_row_prints_the_filter_bound_it_applies(monkeypatch):
+    assert check_multiplicative_form()[1].endswith("(tol 1e-8); corruption detected")
+    # a moved bound is the one the row reports, in its shortest form
+    monkeypatch.setattr(blr, "FILTER_TOL", 2.5e-8)
+    assert check_multiplicative_form()[1].endswith("(tol 2.5e-8); corruption detected")
 
 
 def test_blr_run_and_fixed_point_residual_read_one_cross_check_bound(monkeypatch):

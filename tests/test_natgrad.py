@@ -97,9 +97,12 @@ def test_natgrad_via_dual_quadratic_1d():
         mean, cov = fam.to_mean_cov(lam_vec)
         return -loss.expected_value(mean, cov)
 
-    # F^-1 applied to an independent, finite-difference grad_lam
+    # F^-1 applied to an independent, finite-difference grad_lam, held to
+    # a relative norm error of 1e-8
     grad_lam = central_diff_jacobian(neg_expected, lam)
-    np.testing.assert_allclose(fam.fisher_solve(lam, grad_lam), tilde, atol=1e-8)
+    solved = fam.fisher_solve(lam, grad_lam)
+    assert np.linalg.norm(solved - tilde) / max(1.0, np.linalg.norm(tilde)) <= 1e-8
+    np.testing.assert_allclose(solved, tilde, atol=1e-8)
     np.testing.assert_allclose(natgrad_via_dual(fam, lam, tilde), tilde, atol=1e-8)
 
 
@@ -119,8 +122,10 @@ def test_natgrad_via_dual_random_instances(rng):
         # to natgrad_via_dual's own bound, which must pass at the same point
         grad_lam = central_diff_jacobian(neg_expected, lam)
         scale = max(1.0, np.max(np.abs(tilde)))
+        norm_scale = max(1.0, np.linalg.norm(tilde))
         for solved in (fam.fisher_solve(lam, grad_lam), natgrad_via_dual(fam, lam, tilde)):
             assert np.max(np.abs(solved - tilde)) / scale < DUAL_RTOL
+            assert np.linalg.norm(solved - tilde) / norm_scale <= DUAL_RTOL
 
 
 def test_natgrad_via_dual_detects_inconsistent_gradient(monkeypatch):
