@@ -273,7 +273,7 @@ def mirror_descent_step_numeric(family: ExpFamily, lam_t, tilde_lam, rho: float)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= MIRROR_GRAD_TOL:
             return lam.coords
-        direction = -rho * (family.fisher(lam) @ grad)
+        direction = -rho * family.fisher_vp(lam, grad)
         step_size = 1.0
         while step_size > 1e-12:
             candidate = mu + step_size * direction

@@ -36,7 +36,7 @@ cumulant() reads it. lam lies in the domain when natural(lam) does not
 raise, and a caller keeps what it returned instead of asking twice.
 
 Concrete families implement the primitives (the two derivations,
-conversions, Fisher and its products, T, sampling); the domain
+conversions, Fisher-vector products, T, sampling); the domain
 checks, cumulant, entropy, Fenchel conjugate, KL and its dual gradient
 are derived here once.
 """
@@ -153,10 +153,6 @@ class ExpFamily(abc.ABC):
         """Inverse of natural_to_dual."""
 
     @abc.abstractmethod
-    def fisher(self, lam) -> np.ndarray:
-        """F(lam) = Cov[T(theta)], the Jacobian of natural_to_dual."""
-
-    @abc.abstractmethod
     def fisher_vp(self, lam, v) -> np.ndarray:
         """F(lam) v without forming F: the JVP of natural_to_dual.
 
@@ -271,9 +267,9 @@ class ExpFamily(abc.ABC):
         return float(self.cumulant(lam) - lam.coords @ mu)
 
     def entropy_gradient(self, lam) -> np.ndarray:
-        """grad_lam H(q_lam) = -F(lam) lam."""
+        """grad_lam H(q_lam) = -F(lam) lam, computed through fisher_vp."""
         lam = self.natural(lam)
-        return -(self.fisher(lam) @ lam.coords)
+        return -self.fisher_vp(lam, lam.coords)
 
     def fenchel_conjugate(self, mu) -> float:
         """A*(mu) = <lam(mu), mu> - A(lam(mu)); equals the negative entropy."""

@@ -18,10 +18,10 @@ With these layouts mu = grad A(lam) holds coordinate-wise and the Fisher
 matrix Cov[T] is the exact Jacobian of natural_to_dual. fisher_vp and
 fisher_solve differentiate natural_to_dual and dual_to_natural in
 closed form, so F v and F^-1 w cost O(P^3) from the parameter's stored
-factor (elementwise for the diagonal family) against O(P^4) to build
-the dense F and O(P^6) to factor it. Given a block of B parameters, both
-stack the B products into one set of batched numpy calls; one parameter
-is the block B = 1.
+factor (elementwise for the diagonal family), and no family forms the
+dense F, whose O(P^4) entries take 3.3 GB at P = 200. Given a block of
+B parameters, both stack the B products into one set of batched numpy
+calls; one parameter is the block B = 1.
 
 quadratic_to_natural(hess, lin), the coefficients c with <c, T(theta)> =
 lin'theta - theta'hess theta/2 (hess the (P, P) matrix for hessian_kind
@@ -75,8 +75,6 @@ from .errors import DomainError
 from .expfam import ExpFamily, NaturalParams
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-#: rows of the Fisher's quadratic block computed per strip
-_FISHER_ROWS = 64
 
 
 # -- symmetric-matrix flattening -------------------------------------
@@ -298,39 +296,6 @@ class FullGaussian(ExpFamily):
         prec = 0.5 * (prec + prec.T)
         return self.quadratic_to_natural(prec, prec @ mean)
 
-    def fisher(self, lam) -> np.ndarray:
-        # Cov[T] from Gaussian moment identities (Isserlis with mean shift):
-        #   Cov(th_i, th_j th_k)      = m_j C_ik + m_k C_ij
-        #   Cov(th_i th_j, th_k th_l) = C_ik C_jl + C_il C_jk
-        #                             + m_i m_k C_jl + m_i m_l C_jk
-        #                             + m_j m_k C_il + m_j m_l C_ik
-        # The quadratic block is computed for pairs (i, j) <= (k, l), a strip
-        # of _FISHER_ROWS rows at a time to bound the temporaries, and then
-        # mirrored, so the result is exactly symmetric.
-        mean, cov = self.to_mean_cov(lam)
-        p = self.theta_dim
-        rows, cols = self._triu.rows, self._triu.cols
-        n_quad = rows.size
-        fish = np.empty((p + n_quad, p + n_quad))
-        fish[:p, :p] = cov
-        cross = mean[rows] * cov[:, cols] + mean[cols] * cov[:, rows]
-        fish[:p, p:] = cross
-        fish[p:, :p] = cross.T
-        quad = fish[p:, p:]
-        for start in range(0, n_quad, _FISHER_ROWS):
-            i = rows[start:start + _FISHER_ROWS, None]
-            j = cols[start:start + _FISHER_ROWS, None]
-            k, l = rows[start:], cols[start:]
-            c_ik, c_jl, c_il, c_jk = cov[i, k], cov[j, l], cov[i, l], cov[j, k]
-            m_i, m_j, m_k, m_l = mean[i], mean[j], mean[k], mean[l]
-            quad[start:start + _FISHER_ROWS, start:] = (
-                c_ik * c_jl + c_il * c_jk
-                + m_i * m_k * c_jl + m_i * m_l * c_jk
-                + m_j * m_k * c_il + m_j * m_l * c_ik)
-        lower = np.tril_indices(n_quad, -1)
-        quad[lower] = quad.T[lower]
-        return fish
-
     def fisher_vp(self, lam, v) -> np.ndarray:
         # JVP of natural_to_dual: perturb S by dS, m = S^-1 lin and
         # M = Sigma + m m' follow; stacked over a block of parameters
@@ -483,17 +448,6 @@ class DiagGaussian(ExpFamily):
         mean, var = self.expectation(mu).derived
         prec = 1.0 / var
         return self.quadratic_to_natural(prec, prec * mean)
-
-    def fisher(self, lam) -> np.ndarray:
-        mean, var = self.to_mean_var(lam)
-        p = self.theta_dim
-        fish = np.zeros((2 * p, 2 * p))
-        idx = np.arange(p)
-        fish[idx, idx] = var
-        fish[idx, p + idx] = 2.0 * mean * var
-        fish[p + idx, idx] = 2.0 * mean * var
-        fish[p + idx, p + idx] = 2.0 * var ** 2 + 4.0 * mean ** 2 * var
-        return fish
 
     def fisher_vp(self, lam, v) -> np.ndarray:
         factors, v, one = self._tangent_block(lam, v)

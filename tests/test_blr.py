@@ -272,6 +272,28 @@ def test_mirror_descent_lands_within_its_default_tolerance(kind):
             assert np.linalg.norm(out - closed) <= rate * 1e-10
 
 
+def _mirror_step_at_d_495(seed):
+    # FullGaussian(30) has D = 495: each Newton direction is one
+    # Fisher-vector product, with no D x D matrix
+    rng = make_rng(26, seed)
+    fam = FullGaussian(30)
+    lam_t, tilde = random_lam(rng, fam), random_lam(rng, fam)
+    out = mirror_descent_step_numeric(fam, lam_t, tilde, 0.4)
+    return np.max(np.abs(out - (0.6 * lam_t + 0.4 * tilde)))
+
+
+def test_mirror_descent_at_d_495():
+    # 177 Newton steps on this instance
+    assert _mirror_step_at_d_495(1) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=SolverFailure,
+                   reason="ROADMAP item 22: MIRROR_MAX_ITER = 200 is a fixed Newton "
+                          "budget, and this instance at D = 495 needs 229 steps")
+def test_mirror_descent_at_d_495_within_its_newton_budget():
+    assert _mirror_step_at_d_495(2) <= 1e-10
+
+
 def test_mirror_descent_raises_when_its_newton_budget_runs_out(monkeypatch):
     # N(0, I) towards a full-covariance target at rate 0.7: zero or one
     # Newton step leaves the gradient far above MIRROR_GRAD_TOL, the

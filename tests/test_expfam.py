@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natvb.errors import DomainError, FamilyMismatch
-from natvb.expfam import ExpectationParams, NaturalParams
-from natvb.gaussian import DiagGaussian, FullGaussian
+from natvb.expfam import ExpectationParams, ExpFamily, NaturalParams
+from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_moment
 from natvb.numdiff import central_diff_jacobian
 from natvb.seeding import make_rng
+from natvb.verify import dense_fisher
 
 from conftest import random_instance, random_lam
 
@@ -151,16 +154,25 @@ def test_duality_roundtrip_property(seed):
 
 # -- Fisher ---------------------------------------------------------------
 
+def test_families_give_the_fisher_only_as_products():
+    # no family forms the dense D x D Fisher; verify.dense_fisher is its oracle
+    for cls in (ExpFamily, FullGaussian, DiagGaussian):
+        assert not hasattr(cls, "fisher")
+    assert ExpFamily.__abstractmethods__ == {
+        "_derive", "_derive_expectation", "natural_to_dual", "dual_to_natural",
+        "fisher_vp", "fisher_solve", "sufficient_stats", "sample", "sufficient_stats_batch"}
+
+
 def test_fisher_standard_normal():
     fam = FullGaussian(1)
-    np.testing.assert_allclose(fam.fisher([0.0, -0.5]), [[1.0, 0.0], [0.0, 2.0]],
+    np.testing.assert_allclose(dense_fisher(fam, [0.0, -0.5]), [[1.0, 0.0], [0.0, 2.0]],
                                atol=1e-14)
 
 
 def test_fisher_matches_finite_difference_jacobian(rng):
     for _ in range(8):
         fam, lam = random_instance(rng, max_dim=4)
-        fisher = fam.fisher(lam)
+        fisher = dense_fisher(fam, lam)
         fd = central_diff_jacobian(fam.natural_to_dual, lam)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(fisher - fd)) / scale < 1e-4
@@ -171,7 +183,7 @@ def test_fisher_matches_monte_carlo_covariance():
     draws = fam.sample(lam, 1_000_000, make_rng(8))
     stats = fam.sufficient_stats_batch(draws)
     centered = stats - stats.mean(axis=0)
-    fisher = fam.fisher(lam)
+    fisher = dense_fisher(fam, lam)
     for i in range(fam.param_dim):
         for j in range(i, fam.param_dim):
             products = centered[:, i] * centered[:, j]
@@ -182,7 +194,7 @@ def test_fisher_matches_monte_carlo_covariance():
 def test_fisher_positive_definite_everywhere(rng):
     for _ in range(20):
         fam, lam = random_instance(rng)
-        eigvals = np.linalg.eigvalsh(fam.fisher(lam))
+        eigvals = np.linalg.eigvalsh(dense_fisher(fam, lam))
         assert eigvals.min() > 0.0
 
 
@@ -207,8 +219,10 @@ def test_entropy_matches_monte_carlo():
 def test_entropy_gradient_is_exactly_minus_fisher_lambda(rng):
     for _ in range(10):
         fam, lam = random_instance(rng)
-        expected = -(fam.fisher(lam) @ lam)
-        np.testing.assert_array_equal(fam.entropy_gradient(lam), expected)
+        expected = -(dense_fisher(fam, lam) @ lam)
+        # fisher_vp's product against the oracle's: roundoff apart
+        bound = 1e-12 * max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(fam.entropy_gradient(lam) - expected)) <= bound
 
 
 def test_entropy_gradient_standard_normal():
@@ -234,6 +248,26 @@ def test_entropy_gradient_identity_analytic_diag(rng):
         analytic = np.concatenate([np.zeros(3), 1.0 / prec])
         np.testing.assert_allclose(fam.entropy_gradient(lam), analytic,
                                    rtol=1e-10, atol=1e-10)
+
+
+def test_entropy_gradient_at_p200_is_sigma_in_small_memory():
+    # H = -log det(S)/2 + const, so grad_lam H is (0, Sigma) in the moment
+    # layout. At P = 200, D = 20,300, and a dense F would take D^2 * 8 bytes
+    # = 3.3 GB; the Fisher-vector product needs a few (P, P) arrays
+    p = 200
+    fam = FullGaussian(p)
+    rng = make_rng(34)
+    a = rng.standard_normal((p, p)) / np.sqrt(p)
+    lam = fam.from_moment(rng.standard_normal(p), a @ a.T + np.eye(p))
+    tracemalloc.start()
+    try:
+        grad = fam.entropy_gradient(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.concatenate([np.zeros(p), sym_to_moment(fam.to_mean_cov(lam)[1])])
+    assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+    assert peak < 16 * 2 ** 20
 
 
 # -- Fenchel conjugate -----------------------------------------------------

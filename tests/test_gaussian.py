@@ -14,6 +14,7 @@ from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym,
 from natvb.models import make_ridge_data, ridge_loss
 from natvb.natgrad import EstimatorSpec
 from natvb.seeding import _FIXED_DRAWS, RNG_ALGORITHM, fixed_normals, make_rng
+from natvb.verify import dense_fisher
 
 from conftest import random_instance, random_lam
 
@@ -140,6 +141,13 @@ def test_conversion_closure_property(seed, diag):
 
 # -- diagonal family is the restriction of the full family ------------------
 
+def _diag_positions(p):
+    """Where the diagonal family's coordinates sit in the full layout: the
+    linear rows, then the (i, i) pairs."""
+    rows, cols = np.triu_indices(p)
+    return np.concatenate([np.arange(p), p + np.flatnonzero(rows == cols)])
+
+
 def test_diag_agrees_with_full_on_diagonal_instances(rng):
     for _ in range(10):
         p = int(rng.integers(1, 6))
@@ -155,16 +163,27 @@ def test_diag_agrees_with_full_on_diagonal_instances(rng):
         kl_d = diag.kl_divergence(lam_d, diag.from_moment(mean2, prec2))
         kl_f = full.kl_divergence(lam_f, full.from_moment(mean2, np.diag(prec2)))
         assert np.isclose(kl_d, kl_f, atol=1e-12)
-        # Fisher blocks shared with the full family agree entrywise
-        fd = diag.fisher(lam_d)
-        ff = full.fisher(lam_f)
-        quad_index = {pair: p + k for k, pair in enumerate(
-            [(i, j) for i in range(p) for j in range(i, p)])}
-        for i in range(p):
-            assert np.isclose(fd[i, i], ff[i, i], atol=1e-12)
-            assert np.isclose(fd[i, p + i], ff[i, quad_index[(i, i)]], atol=1e-12)
-            assert np.isclose(fd[p + i, p + i],
-                              ff[quad_index[(i, i)], quad_index[(i, i)]], atol=1e-12)
+        # the diagonal product is the full one on a direction that moves
+        # only the diagonal pairs, read at the linear rows and those pairs;
+        # no solve version: off-diagonal pairs couple to the mean
+        shared = _diag_positions(p)
+        v = rng.standard_normal(2 * p)
+        embedded = np.zeros(full.param_dim)
+        embedded[shared] = v
+        np.testing.assert_allclose(full.fisher_vp(lam_f, embedded)[shared],
+                                   diag.fisher_vp(lam_d, v), rtol=0, atol=1e-12)
+
+
+def test_dense_fisher_of_the_diagonal_family_is_the_full_one_restricted(rng):
+    # one oracle serves both families
+    for _ in range(5):
+        p = int(rng.integers(1, 6))
+        mean, prec = rng.standard_normal(p), rng.uniform(0.3, 3.0, p)
+        shared = _diag_positions(p)
+        full = dense_fisher(FullGaussian(p), FullGaussian(p).from_moment(mean, np.diag(prec)))
+        diag = dense_fisher(DiagGaussian(p), DiagGaussian(p).from_moment(mean, prec))
+        # the full covariance comes from a Cholesky solve, the diagonal one from 1/s
+        np.testing.assert_allclose(diag, full[np.ix_(shared, shared)], rtol=1e-13, atol=0)
 
 
 def test_sufficient_stats_reproduce_quadratic_form(rng):
@@ -412,23 +431,6 @@ def loop_full_stats(theta):
     return np.concatenate([theta, [theta[i] * theta[j] for i, j in _pairs(theta.size)]])
 
 
-def loop_full_fisher(mean, cov):
-    """Cov[T] by the Isserlis identities, one entry at a time."""
-    p = mean.size
-    pairs = _pairs(p)
-    fish = np.zeros((p + len(pairs), p + len(pairs)))
-    fish[:p, :p] = cov
-    for a, (j, k) in enumerate(pairs):
-        fish[:p, p + a] = fish[p + a, :p] = mean[j] * cov[:, k] + mean[k] * cov[:, j]
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs[a:], start=a):
-            fish[p + a, p + b] = fish[p + b, p + a] = (
-                cov[i, k] * cov[j, l] + cov[i, l] * cov[j, k]
-                + mean[i] * mean[k] * cov[j, l] + mean[i] * mean[l] * cov[j, k]
-                + mean[j] * mean[k] * cov[i, l] + mean[j] * mean[l] * cov[i, k])
-    return fish
-
-
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_layout_helpers_bitwise_equal_loops(dim, rng):
     a = rng.standard_normal((dim, dim))
@@ -441,20 +443,6 @@ def test_layout_helpers_bitwise_equal_loops(dim, rng):
     theta = rng.standard_normal(dim)
     np.testing.assert_array_equal(FullGaussian(dim).sufficient_stats(theta),
                                   loop_full_stats(theta))
-
-
-# 12 spans two row strips of the quadratic block
-@pytest.mark.parametrize("dim", [*range(1, 8), 12])
-def test_full_fisher_matches_isserlis_loop(dim, rng):
-    fam = FullGaussian(dim)
-    for _ in range(3):
-        a = rng.standard_normal((dim, dim))
-        lam = fam.from_moment(3.0 * rng.standard_normal(dim), a @ a.T + 0.5 * np.eye(dim))
-        fisher = fam.fisher(lam)
-        reference = loop_full_fisher(*fam.to_mean_cov(lam))
-        # every entry is the loop's expression in the loop's order
-        np.testing.assert_array_equal(fisher, reference)
-        np.testing.assert_array_equal(fisher, fisher.T)
 
 
 def conditioned_lam(rng, fam, cond):
@@ -482,7 +470,7 @@ def test_fisher_products_match_dense_fisher(family, dim, rng):
     for cond in (1.0, 10.0, 100.0):
         for _ in range(3):
             lam = conditioned_lam(rng, fam, cond)
-            fisher = fam.fisher(lam)
+            fisher = dense_fisher(fam, lam)
             v = rng.standard_normal(fam.param_dim)
             assert rel_err(fam.fisher_vp(lam, v), fisher @ v) <= 1e-10
             assert rel_err(fam.fisher_solve(lam, v),
@@ -552,7 +540,7 @@ def _derived_outputs(family, lam):
     return [mean, family().to_mean_cov(lam)[1], family().cumulant(lam),
             family().sample(lam, 5, make_rng(3)), family().log_density(lam, mean),
             family().log_density(lam, np.vstack([mean, 2 * mean])),
-            family().entropy(lam), family().fisher(lam)]
+            family().entropy(lam), family().fisher_vp(lam, np.ones(family().param_dim))]
 
 
 def test_one_cholesky_per_natural_parameter(cholesky_calls, rng):
@@ -598,7 +586,7 @@ def test_memo_never_stores_domain_errors(cholesky_calls):
     fam = FullGaussian(2)
     bad = np.concatenate([np.zeros(2), sym_to_coeff(np.array([[0.5, 0.0], [0.0, -0.5]]))])
     for attempt in range(1, 4):
-        for method in (fam.cumulant, fam.to_mean_cov, fam.split_natural, fam.fisher,
+        for method in (fam.cumulant, fam.to_mean_cov, fam.split_natural, fam.entropy_gradient,
                        fam.entropy, fam.natural):
             with pytest.raises(DomainError):
                 method(bad)

@@ -408,10 +408,11 @@ _UNHOOKED = {
     "natvb.natgrad.cho_factor",
     "natvb.gaussian.DiagGaussian.contains_expectation",
     "natvb.gaussian.DiagGaussian.contains_natural", "natvb.gaussian.DiagGaussian.cumulant",
-    "natvb.gaussian.DiagGaussian.to_moment",
+    "natvb.gaussian.DiagGaussian.fisher", "natvb.gaussian.DiagGaussian.to_moment",
     "natvb.gaussian.FullGaussian.contains_expectation",
     "natvb.gaussian.FullGaussian.contains_natural", "natvb.gaussian.FullGaussian.cumulant",
-    "natvb.gaussian.FullGaussian.to_mean_var", "natvb.gaussian.FullGaussian.to_moment",
+    "natvb.gaussian.FullGaussian.fisher", "natvb.gaussian.FullGaussian.to_mean_var",
+    "natvb.gaussian.FullGaussian.to_moment",
     "natvb.losses.QuadraticLoss.mean_data_loss",
     "natvb.models.LogisticModel.expected_gradient",
     "natvb.models.LogisticModel.expected_hessian",

@@ -133,13 +133,27 @@ def test_a_failed_run_fails_the_check(tmp_path, capsys):
     assert "first seed 1: same bytes" in out
 
 
-def test_a_verify_table_that_differs_fails_the_check(tmp_path, capsys):
+@pytest.mark.parametrize("verify_line, named", [
+    # one row moves: its check is named with both rows
+    ("PASS  a [b]: x=2", "a differs: parent 'PASS  a [b]: x=1', change 'PASS  a [b]: x=2'"),
+    # the change adds a check: the parent has no such row
+    ("PASS  a [b]: x=1\nFAIL  c [d]: y=3",
+     "c differs: parent (none), change 'FAIL  c [d]: y=3'"),
+])
+def test_a_verify_table_that_differs_fails_the_check(tmp_path, capsys, verify_line, named):
     parent = _checkout(tmp_path, "parent")
-    change = _checkout(tmp_path, "change", verify_line="PASS  a [b]: x=2")
+    change = _checkout(tmp_path, "change", verify_line=verify_line)
     assert _main(parent, change) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "verify: output differs"
+    assert lines[-1] == f"verify: {named}"
     assert all(line.endswith("same bytes") for line in lines[:-1])
+
+
+def test_verify_rows_name_each_check_and_number_other_lines():
+    table = b"PASS  a [b]: x=1\nFAIL  c [d]: y=2\n2 checks, 1 failures\n"
+    assert same_bytes.verify_rows(table) == {
+        "a": "PASS  a [b]: x=1", "c": "FAIL  c [d]: y=2",
+        "other line 1": "2 checks, 1 failures"}
 
 
 def test_a_failing_verify_fails_the_check(tmp_path, capsys):

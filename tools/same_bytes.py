@@ -15,9 +15,10 @@ differs it names the first line and column that differ and both cells,
 and, when both are floats, how many ULPs apart they are.
 
 Then each checkout runs `python -m natvb verify` the same way; the two
-tables printed must be the same byte for byte. The verify table is where
-the checked linear algebra (the ridge oracle, the Newton step, the Fisher
-solve) reaches output, which no workload's trace shows.
+tables printed must be the same byte for byte; for each check whose row
+differs it prints the check's name and both rows. The verify table is
+where the checked linear algebra (the ridge oracle, the Newton step, the
+Fisher solve) reaches output, which no workload's trace shows.
 
 It prints one line per workload and seed, then one for verify, and exits
 0 when every pair is the same, 1 when a pair differs or a run fails
@@ -157,15 +158,40 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
     return differs
 
 
+def verify_rows(table: bytes) -> dict[str, str]:
+    """A verify table's lines, each under its check's name (the word after
+    PASS or FAIL); the k-th other line, such as the count line, under
+    "other line k"."""
+    rows, others = {}, 0
+    for line in table.decode(errors="replace").splitlines():
+        words = line.split()
+        if len(words) > 1 and words[0] in ("PASS", "FAIL"):
+            rows[words[1]] = line
+        else:
+            others += 1
+            rows[f"other line {others}"] = line
+    return rows
+
+
 def compare_verify(parent: Path, change: Path) -> list[str]:
-    """The differences between the two checkouts' verify tables (empty when none)."""
+    """The differences between the two checkouts' verify tables (empty when
+    none): each row that differs, named by its check, with both lines."""
     tables = []
     for side, checkout in (("parent", parent), ("change", change)):
         failure, table = run_once(checkout, _VERIFY)
         if failure is not None:
             return [f"{side} run failed ({failure})"]
         tables.append(table)
-    return [] if tables[0] == tables[1] else ["output differs"]
+    if tables[0] == tables[1]:
+        return []
+    old, new = verify_rows(tables[0]), verify_rows(tables[1])
+
+    def shown(rows, name):
+        return repr(rows[name]) if name in rows else "(none)"
+
+    # bytes that differ outside the lines (line endings) name no row
+    return [f"{name} differs: parent {shown(old, name)}, change {shown(new, name)}"
+            for name in old | new if old.get(name) != new.get(name)] or ["output differs"]
 
 
 def parse_seeds(text: str) -> list[int]:
