@@ -45,18 +45,18 @@ and the fixed-seed blocks natvb draws itself (the objective's Monte
 Carlo fallback, the Bayes-filter probes) go through the families'
 private _transport, which does not. _derive's result (the full family's
 _Factor: precision, its Cholesky factor, mean, covariance and the
-cumulant A(lam); the diagonal family's _DiagFactor: linear block,
-precision diagonal and A(lam)) rides on the NaturalParams that
-natural() returns, so a parameter is factored, and its A computed, once
-however many methods read it. The domain is open, so boundary cases
-fail rather than being nudged.
+cumulant A(lam); the diagonal family's _DiagFactor: the vectors lin,
+s, mean lin/s and variance 1/s, and A(lam)) rides on the NaturalParams
+that natural() returns, so a parameter is factored, and its moments and
+A computed, once however many methods read it. The domain is open, so
+boundary cases fail rather than being nudged.
 
 from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
 symmetric, since _derive builds its S symmetric from the upper
 triangle) and returns natural((Sm, -S/2)), validated and factored once.
-The other way, to_mean_cov and split_natural read the mean, covariance
-and precision off the stored factorisation.
+The other way, to_mean_cov, to_mean_var and split_natural read the
+moments and precision off that derived view.
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ def sym_to_coeff(mat: np.ndarray) -> np.ndarray:
 
 
 def coeff_to_sym(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of sym_to_coeff."""
-    return moment_to_sym(_triu_index(dim).half * np.asarray(vec, dtype=float), dim)
+    """Inverse of sym_to_coeff: moment_to_sym of the halved entries."""
+    index = _triu_index(dim)
+    vec = index.half * np.asarray(vec, dtype=float)
+    return np.take(vec, index.pair, axis=-1).reshape(*vec.shape[:-1], dim, dim)
 
 
 def sym_to_moment(mat: np.ndarray) -> np.ndarray:
@@ -185,11 +187,12 @@ class _Factor(NamedTuple):
 
 
 class _DiagFactor(NamedTuple):
-    """DiagGaussian's derived natural parameter: read-only blocks and A(lam)."""
+    """DiagGaussian's derived natural parameter: read-only lin, s, lin / s, 1 / s and A(lam)."""
 
     lin: np.ndarray
-    #: precision diagonal s
     prec: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
     cumulant: float
 
 
@@ -343,8 +346,7 @@ class FullGaussian(ExpFamily):
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
-        lam = self.natural(lam)
-        return self._transport(lam, _normal_rows(z, self.theta_dim))
+        return self._transport(self.natural(lam), _normal_rows(z, self.theta_dim))
 
     def _transport(self, lam, z: np.ndarray) -> np.ndarray:
         """transport's core, for z natvb drew: a finite (n >= 1, P) float array."""
@@ -396,12 +398,14 @@ class DiagGaussian(ExpFamily):
             # -2 q overflows to inf for q below about -9e307
             if not np.all(np.isfinite(prec)):
                 raise DomainError(f"the precision of {self.name!r} overflows at these parameters")
-            if not (np.all(np.isfinite(lin / prec)) and np.all(np.isfinite(1.0 / prec))):
+            mean, var = lin / prec, 1.0 / prec
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
                 raise DomainError(f"the moments of {self.name!r} overflow at these parameters")
             cumulant = float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
                                     + 0.5 * _LOG_2PI))
-        prec.setflags(write=False)
-        return _DiagFactor(lin, prec, cumulant)
+        for arr in (prec, mean, var):
+            arr.setflags(write=False)
+        return _DiagFactor(lin, prec, mean, var, cumulant)
 
     def _derive_expectation(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """(mean, variance) of mu = coords, read-only."""
@@ -419,12 +423,12 @@ class DiagGaussian(ExpFamily):
         return factor.lin, factor.prec
 
     def to_mean_var(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        lin, prec = self.split_natural(lam)
-        return lin / prec, 1.0 / prec
+        factor = self.natural(lam).derived
+        return factor.mean, factor.var
 
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        mean, var = self.to_mean_var(lam)
-        return mean, np.diag(var)
+        factor = self.natural(lam).derived
+        return factor.mean, np.diag(factor.var)
 
     def from_moment(self, mean, precision) -> NaturalParams:
         """natural((s m, -s/2)) for mean m and precision diagonal s.
@@ -451,8 +455,7 @@ class DiagGaussian(ExpFamily):
 
     def fisher_vp(self, lam, v) -> np.ndarray:
         factors, v, one = self._tangent_block(lam, v)
-        prec = np.array([f.prec for f in factors])
-        mean, var = np.array([f.lin for f in factors]) / prec, 1.0 / prec
+        mean, var = np.array([f.mean for f in factors]), np.array([f.var for f in factors])
         d_prec, d_lin = self.natural_to_quadratic(v)
         d_mean = var * (d_lin - d_prec * mean)
         out = np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean], axis=1)
@@ -461,8 +464,7 @@ class DiagGaussian(ExpFamily):
     def fisher_solve(self, lam, w) -> np.ndarray:
         factors, w, one = self._tangent_block(lam, w)
         p = self.theta_dim
-        prec = np.array([f.prec for f in factors])
-        mean = np.array([f.lin for f in factors]) / prec
+        prec, mean = np.array([f.prec for f in factors]), np.array([f.mean for f in factors])
         d_prec = -prec ** 2 * (w[:, p:] - 2.0 * mean * w[:, :p])
         out = self.quadratic_to_natural(d_prec, d_prec * mean + prec * w[:, :p])
         return out[0] if one else out
@@ -479,13 +481,12 @@ class DiagGaussian(ExpFamily):
 
     def transport(self, lam, z) -> np.ndarray:
         """Map standard-normal rows z, shape (n, P), to draws from q_lam."""
-        lam = self.natural(lam)
-        return self._transport(lam, _normal_rows(z, self.theta_dim))
+        return self._transport(self.natural(lam), _normal_rows(z, self.theta_dim))
 
     def _transport(self, lam, z: np.ndarray) -> np.ndarray:
         """transport's core, for z natvb drew: a finite (n >= 1, P) float array."""
-        mean, var = self.to_mean_var(lam)
-        return mean + np.sqrt(var) * z
+        factor = self.natural(lam).derived
+        return factor.mean + np.sqrt(factor.var) * z
 
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         _check_size(size)

@@ -34,12 +34,14 @@ run builds and scans c once, not once per iterate. Otherwise it checks
 support (check_support, which the harness calls too), draws a sampled
 kind's K samples on the step's stream, and assembles the identity from
 the core's moments. exact is full-data only and rejects a minibatch;
-delta evaluates at the mean on the minibatch it is given. VON's
-step (deep.von_step) takes its moments from the same core. The
-objective's Monte Carlo fallback makes one value_batch call, on a
-fixed-seed block of standard normals that is drawn once
-(seeding.fixed_normals) and moved to each iterate by the family's
-transport.
+delta evaluates at the mean on the minibatch it is given. Only exact and
+the closed-form or quadrature objective read the covariance; the rest
+read lam's derived mean and precision, so on the diagonal family they
+form no (P, P) array. VON's step (deep.von_step) takes its moments from
+the same core. The objective's Monte Carlo fallback makes one
+value_batch call, on a fixed-seed block of standard normals that is
+drawn once (seeding.fixed_normals) and moved to each iterate by the
+family's transport.
 
 natgrad_via_dual certifies the identity behind all of this: mapping a
 dual-coordinate gradient to natural coordinates with F and back with
@@ -237,11 +239,11 @@ def estimate_natgrad(family: ExpFamily, lam, loss: LossModel,
     if kind in ("mc", "reparam"):
         rng = make_rng(spec.seed, *ESTIMATE_STREAM, step) if rng is None else rng
         thetas = family.sample(lam, spec.n_samples, rng)
-    mean, cov = family.to_mean_cov(lam)
-    prec = family.split_natural(lam)[1] if kind == "reparam" else None
-    grad, hess = gaussian_moments(loss, kind, mean, cov, thetas, prec,
+    factor = lam.derived
+    cov = family.to_mean_cov(lam)[1] if kind == "exact" else None
+    grad, hess = gaussian_moments(loss, kind, factor.mean, cov, thetas, factor.prec,
                                   family.hessian_kind == "diag", batch)
-    return _finite_estimate(family.gaussian_identity(mean, grad, hess), kind, step)
+    return _finite_estimate(family.gaussian_identity(factor.mean, grad, hess), kind, step)
 
 
 def _finite_estimate(tilde: np.ndarray, kind: str, step: int) -> np.ndarray:
@@ -284,11 +286,10 @@ def expected_loss(family: ExpFamily, lam, loss: LossModel,
     make from that stream, without drawing them again.
     """
     lam = family.natural(lam)
-    mean, cov = family.to_mean_cov(lam)
     if loss.provides_expectations:
-        return loss.expected_value(mean, cov)
+        return loss.expected_value(*family.to_mean_cov(lam))
     if family.theta_dim <= 2:
-        return gaussian_expectation(lambda ts: loss.value_batch(ts), mean, cov)
+        return gaussian_expectation(loss.value_batch, *family.to_mean_cov(lam))
     spec = spec or EstimatorSpec(kind="mc", n_samples=10_000, seed=0)
     z = fixed_normals((max(spec.n_samples, 2), family.theta_dim), spec.seed, STREAMS.objective_mc)
     values = loss.value_batch(family._transport(lam, z))

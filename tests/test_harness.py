@@ -859,6 +859,29 @@ def test_cli_verify_scope_and_sabotage():
     assert main(["verify", "--sabotage", "nope"]) == 2
 
 
+def test_verify_passes_a_sabotage_id_to_its_own_check_alone(monkeypatch, capsys):
+    from natvb import verify
+
+    names = [name for name, _, _ in verify.CHECKS]
+    assert set(verify.SABOTAGE_IDS.values()) <= set(names)
+    calls = []
+
+    def spy(name):
+        def check(*args):
+            calls.append((name, args))
+            return True, "spied"
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", [(n, s, spy(n)) for n, s, _ in verify.CHECKS])
+    for sabotage, target in verify.SABOTAGE_IDS.items():
+        calls.clear()
+        verify.run_verify(sabotage=sabotage)
+        assert calls == [(n, (sabotage,) if n == target else ()) for n in names]
+    calls.clear()
+    verify.run_verify()
+    assert calls == [(n, ()) for n in names]
+
+
 def test_verify_fails_a_check_whose_error_is_nan(monkeypatch):
     # Python's max(worst, nan) keeps worst, which would pass the check
     from natvb import verify

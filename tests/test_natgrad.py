@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -965,3 +966,31 @@ def test_linear_fast_path_rechecks_vectors_that_may_change():
         base[0] = np.nan
         with pytest.raises(DomainError, match="not finite"):
             estimate_natgrad(fam, lam, loss, EXACT)
+
+
+# -- the diagonal family forms no (P, P) array off the exact path -----------------
+
+@pytest.mark.parametrize("route", ["mc", "reparam", "delta", "objective"])
+def test_diagonal_estimates_and_objective_form_no_dense_covariance(route):
+    # a (P, P) covariance at P = 2,000 is 32 MB, which these routes formed at
+    # every call (a 32.3 MB peak) when they read it through to_mean_cov
+    from natvb.models import make_logistic_data
+    p = 2000
+    rng = make_rng(41)
+    fam = DiagGaussian(p)
+    lam = fam.from_moment(rng.standard_normal(p), rng.uniform(0.5, 2.0, p))
+    loss = make_logistic_data(0, 10, p)
+    if route == "objective":
+        def call():
+            return expected_loss(fam, lam, loss, EstimatorSpec("mc", 4))
+    else:
+        def call():
+            return estimate_natgrad(fam, lam, loss, EstimatorSpec(route, 4))
+    call()  # the objective's normal block is drawn once, on first use
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -62,10 +62,16 @@ to one scan of the precision, so that those changes are held to the
 bytes of the code they replaced. Their OLD_DIGESTS entries were computed
 as the test runs them: the ridge trace has no softplus and no draws, so
 its entry is its digest; the logistic one has the folded estimate stream.
+
+WIDE_MLP_DIGEST, diagonal reparam BLR on a [64, 64] spirals MLP (P =
+4,417), was pinned while every estimate and objective still formed the
+dense (P, P) covariance, a 158.6 MB tracemalloc peak. The test holds the
+run to those bytes with no such array.
 """
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -273,6 +279,24 @@ def folded(monkeypatch):
 def test_trace_digest_pinned(name, tmp_path):
     config, digest = PINNED[name]
     assert hashlib.sha256(_trace(config, tmp_path)).hexdigest() == digest
+
+
+WIDE_MLP_CONFIG = _config(
+    4, {**_SPIRALS_PRIOR, "hidden": [64, 64]},
+    {"kind": "blr", "family": "diag", "learning_rate": 0.05, "max_iter": 10,
+     "estimator": "reparam", "n_samples": 4})
+WIDE_MLP_DIGEST = "2894a68451d44cded52fa7b214d3731eb0f04a0ad42cbb2b3de659cef39d32c2"
+
+
+def test_wide_diagonal_run_keeps_its_bytes_in_vector_memory(tmp_path):
+    tracemalloc.start()
+    try:
+        trace = _trace(WIDE_MLP_CONFIG, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(trace).hexdigest() == WIDE_MLP_DIGEST
+    assert peak < 16_000_000
 
 
 @pytest.mark.parametrize("name", sorted(UNTAGGED_DIGESTS))

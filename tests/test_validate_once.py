@@ -349,3 +349,49 @@ def test_transport_rejects_wrongly_shaped_draws(kind):
     for shape in [(dim,), (0, dim), (4, dim + 1), (4, dim - 1), (2, dim, 1)]:
         with pytest.raises(ValueError, match="must have shape"):
             fam.transport(lam, np.zeros(shape))
+
+
+# -- the diagonal family's moments are derived once --------------------------
+
+def _diag_coords(rng, p):
+    return np.concatenate([rng.standard_normal(p), -0.5 * rng.uniform(0.2, 5.0, p)])
+
+
+@pytest.mark.parametrize("p", [1, 3, 50])
+def test_diag_derived_moments_are_the_divisions_and_read_only(p):
+    coords = _diag_coords(make_rng(200 + p), p)
+    factor = DiagGaussian(p).natural(coords).derived
+    lin, prec = coords[:p], -2.0 * coords[p:]
+    assert _same_bits(factor.lin, lin) and _same_bits(factor.prec, prec)
+    assert _same_bits(factor.mean, lin / prec)
+    assert _same_bits(factor.var, 1.0 / prec)
+    assert not any(arr.flags.writeable for arr in factor if isinstance(arr, np.ndarray))
+
+
+@pytest.mark.parametrize("p", [1, 3, 50])
+def test_diag_methods_keep_the_bits_of_dividing_at_each_call(p):
+    # each method against the expression it had when it divided lin by s
+    # itself, for one parameter and for a block of four
+    rng = make_rng(300 + p)
+    fam = DiagGaussian(p)
+    lams = [fam.natural(_diag_coords(rng, p)) for _ in range(4)]
+    v, w = rng.standard_normal((4, 2 * p)), rng.standard_normal((4, 2 * p))
+    z = rng.standard_normal((5, p))
+    lin = np.array([lam.coords[:p] for lam in lams])
+    prec = -2.0 * np.array([lam.coords[p:] for lam in lams])
+    mean, var = lin / prec, 1.0 / prec
+    d_prec, d_lin = -2.0 * v[:, p:], v[:, :p]
+    d_mean = var * (d_lin - d_prec * mean)
+    vp = np.concatenate([d_mean, -var ** 2 * d_prec + 2.0 * mean * d_mean], axis=1)
+    s_prec = -prec ** 2 * (w[:, p:] - 2.0 * mean * w[:, :p])
+    solve = np.concatenate([s_prec * mean + prec * w[:, :p], -0.5 * s_prec], axis=1)
+    assert _same_bits(fam.fisher_vp(lams, v), vp)
+    assert _same_bits(fam.fisher_solve(lams, w), solve)
+    for b, lam in enumerate(lams):
+        got_mean, got_var = fam.to_mean_var(lam)
+        assert _same_bits(got_mean, mean[b]) and _same_bits(got_var, var[b])
+        assert _same_bits(fam.natural_to_dual(lam),
+                          np.concatenate([mean[b], var[b] + mean[b] ** 2]))
+        assert _same_bits(fam.transport(lam, z), mean[b] + np.sqrt(var[b]) * z)
+        assert _same_bits(fam.fisher_vp(lam, v[b]), vp[b])
+        assert _same_bits(fam.fisher_solve(lam, w[b]), solve[b])
