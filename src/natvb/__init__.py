@@ -23,8 +23,8 @@ from .losses import LossModel, QuadraticLoss, check_derivatives
 from .models import (LogisticModel, MLPModel, RidgeModel, make_logistic_data,
                      make_ridge_data, make_spirals_mlp, ridge_exact_posterior,
                      ridge_loss, ridge_natural_coefficients, two_spirals)
-from .natgrad import (EstimatorSpec, check_support, estimate_natgrad,
-                      expected_loss, linear_loss_natgrad, natgrad_via_dual)
+from .natgrad import (EstimatorSpec, check_support, estimate_natgrad, expected_loss,
+                      natgrad_via_dual)
 from .seeding import RNG_ALGORITHM, make_rng
 
 __version__ = "0.1.0"

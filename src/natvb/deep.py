@@ -210,8 +210,8 @@ def von_step(state: VONState, loss: LossModel, batch=None,
     """One natural-gradient step: scale first, then the Newton-like mean step.
 
     The moments E_q[grad] and E_q[diag H] come from the BLR estimators'
-    core, natgrad.gaussian_moments: exact (closed form at cov =
-    diag(1/prec)) when the loss provides expectations and there is no
+    core, natgrad.gaussian_moments: exact (closed form at the variance
+    vector 1/prec) when the loss provides expectations and there is no
     batch; otherwise mc on K samples from the current posterior when the
     loss provides its Hessian diagonal, reparam when not. The samples are
     mean + z / sqrt(prec) for K standard-normal rows z of rng, step
@@ -221,8 +221,7 @@ def von_step(state: VONState, loss: LossModel, batch=None,
     rho = state.learning_rate
     mean, prec = state.mean, state.prec
     if loss.provides_expectations and batch is None:
-        grad_mean, hess_mean = gaussian_moments(loss, "exact", mean, np.diag(1.0 / prec),
-                                                diag=True)
+        grad_mean, hess_mean = gaussian_moments(loss, "exact", mean, 1.0 / prec)
     else:
         rng = _sample_rng(state) if rng is None else rng
         z = rng.standard_normal((state.n_samples, mean.size))

@@ -23,9 +23,11 @@ dense F, whose O(P^4) entries take 3.3 GB at P = 200. Given a block of
 B parameters, both stack the B products into one set of batched numpy
 calls; one parameter is the block B = 1.
 
+Each P x P quantity, the precision, the covariance to_mean_cov returns
+and hess below, is a (P, P) matrix on the full family (hessian_kind
+"full") and its diagonal, a (P,) vector, on the diagonal one ("diag").
 quadratic_to_natural(hess, lin), the coefficients c with <c, T(theta)> =
-lin'theta - theta'hess theta/2 (hess the (P, P) matrix for hessian_kind
-"full", its diagonal for "diag"), and its inverse natural_to_quadratic
+lin'theta - theta'hess theta/2, and its inverse natural_to_quadratic
 are each family's one place for the coefficient layout: QuadraticLoss and
 every conversion here go through them, gaussian_identity (a loss's expected
 gradient and Hessian at q to the natural gradient) too. The ridge oracle
@@ -55,8 +57,8 @@ from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
 symmetric, since _derive builds its S symmetric from the upper
 triangle) and returns natural((Sm, -S/2)), validated and factored once.
-The other way, to_mean_cov, to_mean_var and split_natural read the
-moments and precision off that derived view.
+The other way, to_mean_cov and split_natural read the moments and
+precision off that derived view.
 """
 
 from __future__ import annotations
@@ -422,13 +424,10 @@ class DiagGaussian(ExpFamily):
         factor = self.natural(lam).derived
         return factor.lin, factor.prec
 
-    def to_mean_var(self, lam) -> tuple[np.ndarray, np.ndarray]:
+    def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, variance vector) of q_lam: the covariance in the family's layout."""
         factor = self.natural(lam).derived
         return factor.mean, factor.var
-
-    def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        factor = self.natural(lam).derived
-        return factor.mean, np.diag(factor.var)
 
     def from_moment(self, mean, precision) -> NaturalParams:
         """natural((s m, -s/2)) for mean m and precision diagonal s.
@@ -445,7 +444,7 @@ class DiagGaussian(ExpFamily):
         return self.natural(coords)
 
     def natural_to_dual(self, lam) -> np.ndarray:
-        mean, var = self.to_mean_var(lam)
+        mean, var = self.to_mean_cov(lam)
         return np.concatenate([mean, var + mean ** 2])
 
     def dual_to_natural(self, mu) -> np.ndarray:

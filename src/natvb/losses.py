@@ -88,7 +88,8 @@ class LossModel:
         return grads, total / len(thetas)
 
     # Closed-form Gaussian expectations, for the exact estimator path.
-    # Available only when the loss admits them (affine gradient).
+    # Available only when the loss admits them (affine gradient). cov and
+    # E[H] take the family's layout: (P, P), or a diagonal Gaussian's (P,).
 
     def expected_value(self, mean, cov) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no closed-form expectations")
@@ -337,16 +338,17 @@ class QuadraticLoss(LossModel):
 
     def expected_value(self, mean, cov) -> float:
         mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        return float(0.5 * (mean @ self.quad @ mean + np.trace(self.quad @ cov))
-                     - self.lin @ mean + self.const)
+        cov = np.asarray(cov, dtype=float)
+        trace = (np.sum(np.diag(self.quad) * cov) if cov.ndim == 1
+                 else np.trace(self.quad @ np.atleast_2d(cov)))
+        return float(0.5 * (mean @ self.quad @ mean + trace) - self.lin @ mean + self.const)
 
     def expected_gradient(self, mean, cov) -> np.ndarray:
         mean = np.asarray(mean, dtype=float).reshape(-1)
         return self.quad @ mean - self.lin
 
     def expected_hessian(self, mean, cov) -> np.ndarray:
-        return self.quad.copy()
+        return np.diag(self.quad).copy() if np.ndim(cov) == 1 else self.quad.copy()
 
     def natural_coefficients(self, family) -> np.ndarray | None:
         """The family's coefficients, built once per family and read-only."""
@@ -365,6 +367,6 @@ class QuadraticLoss(LossModel):
         if family.hessian_kind == "diag":
             hess = np.diag(hess)
             # a diagonal family has no coefficient for an off-diagonal term
-            if np.any(self.quad - np.diag(hess) != 0.0):
+            if np.count_nonzero(self.quad) != np.count_nonzero(hess):
                 return None
         return family.quadratic_to_natural(hess, self.lin)

@@ -35,13 +35,13 @@ support (check_support, which the harness calls too), draws a sampled
 kind's K samples on the step's stream, and assembles the identity from
 the core's moments. exact is full-data only and rejects a minibatch;
 delta evaluates at the mean on the minibatch it is given. Only exact and
-the closed-form or quadrature objective read the covariance; the rest
-read lam's derived mean and precision, so on the diagonal family they
-form no (P, P) array. VON's step (deep.von_step) takes its moments from
-the same core. The objective's Monte Carlo fallback makes one
-value_batch call, on a fixed-seed block of standard normals that is
-drawn once (seeding.fixed_normals) and moved to each iterate by the
-family's transport.
+the closed-form or quadrature objective read the covariance, in the
+family's layout (gaussian.py); the rest read lam's derived mean and
+precision. On the diagonal family only the P <= 2 quadrature forms a
+(P, P) array. VON's step (deep.von_step) takes its moments from the
+same core. The objective's Monte Carlo fallback makes one value_batch
+call, on a fixed-seed block of standard normals drawn once
+(seeding.fixed_normals) and moved to each iterate by the family's transport.
 
 natgrad_via_dual certifies the identity behind all of this: mapping a
 dual-coordinate gradient to natural coordinates with F and back with
@@ -91,18 +91,6 @@ class EstimatorSpec:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def linear_loss_natgrad(family: ExpFamily, coeff) -> np.ndarray:
-    """grad_mu E_q[loss] for loss = <-coeff, T(theta)> (+ additive constant).
-
-    Equals -coeff exactly, independent of the query distribution:
-    E_q[<-coeff, T>] = <-coeff, mu> is linear in mu.
-    """
-    coeff = np.asarray(coeff, dtype=float).reshape(-1)
-    if coeff.size != family.param_dim:
-        raise ValueError("coefficient length does not match the family")
-    return -coeff
 
 
 def natgrad_via_dual(family: ExpFamily, lam, grad_wrt_mu) -> np.ndarray:
@@ -192,14 +180,12 @@ def gaussian_moments(loss: LossModel, kind: str, mean, cov=None, thetas=None, pr
     reparam average over the K rows of thetas, draws from q, mc by one
     gradient_and_mean_hessian call, reparam by one gradient_batch call and
     the reparameterization terms for q = N(mean, diag(prec)^-1). H is the
-    diagonal if diag, else the full matrix.
+    diagonal if diag (exact: if cov is a variance vector), else the matrix.
     """
     if kind == "exact":
         if batch is not None:
             raise ValueError(_FULL_DATA_ONLY)
-        grad = loss.expected_gradient(mean, cov)
-        hess = loss.expected_hessian(mean, cov)
-        return grad, np.diag(np.atleast_2d(hess)) if diag else hess
+        return loss.expected_gradient(mean, cov), loss.expected_hessian(mean, cov)
     if kind == "delta":
         hessian = loss.hessian_diag if diag else loss.hessian_full
         return loss.gradient(mean, batch), hessian(mean, batch)
@@ -254,7 +240,7 @@ def _finite_estimate(tilde: np.ndarray, kind: str, step: int) -> np.ndarray:
 
 
 def _linear_estimate(family: ExpFamily, coeff, step: int) -> np.ndarray:
-    """tilde_lam = coeff for a loss linear in T(theta), -linear_loss_natgrad.
+    """tilde_lam = coeff, exactly, for a loss <-coeff, T(theta)> + const.
 
     A 1-D float vector that cannot change, read-only and owning its data,
     is kept in _CHECKED_COEFFICIENTS once it passes the checks (its
@@ -263,11 +249,13 @@ def _linear_estimate(family: ExpFamily, coeff, step: int) -> np.ndarray:
     QuadraticLoss does per family, has them scanned once per run, not
     once per iterate. Anything else is checked at every call.
     """
-    if _CHECKED_COEFFICIENTS.get(id(coeff)) is coeff:
-        if coeff.size != family.param_dim:
-            raise ValueError("coefficient length does not match the family")
+    checked = _CHECKED_COEFFICIENTS.get(id(coeff)) is coeff
+    tilde = coeff if checked else np.array(np.ravel(coeff), dtype=float)
+    if tilde.size != family.param_dim:
+        raise ValueError("coefficient length does not match the family")
+    if checked:
         return coeff
-    tilde = _finite_estimate(-linear_loss_natgrad(family, coeff), "exact", step)
+    _finite_estimate(tilde, "exact", step)
     if (type(coeff) is np.ndarray and coeff.dtype == np.float64 and coeff.ndim == 1
             and coeff.flags.owndata and not coeff.flags.writeable):
         _CHECKED_COEFFICIENTS[id(coeff)] = coeff

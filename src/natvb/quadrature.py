@@ -36,17 +36,18 @@ def gaussian_expectation(f_batch: Callable[[np.ndarray], np.ndarray],
                          n_nodes: int = 80) -> float:
     """E[f(theta)] for theta ~ N(mean, cov), mean of length 1 or 2.
 
+    cov is the covariance matrix or a diagonal Gaussian's variance vector.
     `f_batch` maps an array of theta rows, shape (G, P), to G values. A
     tensor-product rule is used in 2-D after a Cholesky transport of the
     standard grid.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    cov = np.asarray(cov, dtype=float)
     dim = mean.size
     if dim > 2:
         raise ValueError(f"quadrature supports dimension <= 2, got {dim}")
     z, w = standard_normal_nodes(n_nodes)
-    chol = cholesky(cov, lower=True)
+    chol = cholesky(np.diag(cov) if cov.ndim == 1 else np.atleast_2d(cov), lower=True)
     if dim == 1:
         thetas = (mean[0] + chol[0, 0] * z).reshape(-1, 1)
         weights = w

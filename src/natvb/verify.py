@@ -28,8 +28,7 @@ from .gaussian import DiagGaussian, FullGaussian
 from .losses import QuadraticLoss
 from .models import (make_logistic_data, make_ridge_data, ridge_exact_posterior,
                      ridge_loss, ridge_natural_coefficients)
-from .natgrad import (EstimatorSpec, gaussian_moments, linear_loss_natgrad,
-                      reparam_hessian_terms)
+from .natgrad import EstimatorSpec, estimate_natgrad, gaussian_moments, reparam_hessian_terms
 from .numdiff import central_diff_jacobian
 from .seeding import ESTIMATE_STREAM, SAMPLE_STREAM, STREAMS, StepStreams, make_rng
 
@@ -63,6 +62,8 @@ def dense_fisher(family: ExpFamily, lam) -> np.ndarray:
     the linear rows and the (i, i) pairs.
     """
     mean, cov = family.to_mean_cov(lam)
+    if family.hessian_kind == "diag":
+        cov = np.diag(cov)  # its variance vector, as the matrix indexed below
     p = mean.size
     pairs = ([(i, i) for i in range(p)] if family.hessian_kind == "diag"
              else [(i, j) for i in range(p) for j in range(i, p)])
@@ -188,16 +189,24 @@ def _random_same_family(rng, fam: ExpFamily):
 
 
 def check_linear_loss_natgrad():
+    # a loss <-coeff, T(theta)> on either family: the exact estimate is coeff
+    # bit for bit at every q, and the Gaussian identity at q agrees to 1e-12
     rng = make_rng(106)
-    for _ in range(10):
-        fam, _ = _random_family_instances(rng, 1, max_dim=3)[0]
+    worst = 0.0
+    for fam, _ in _random_family_instances(rng, 20, max_dim=3):
         coeff = rng.standard_normal(fam.param_dim)
-        base = linear_loss_natgrad(fam, coeff)
+        loss = QuadraticLoss.from_natural_coeff(fam, coeff)
         for _ in range(10):
-            again = linear_loss_natgrad(fam, coeff)
-            if not np.array_equal(base, again) or not np.array_equal(base, -coeff):
-                return False, "natural gradient of a linear-in-T loss is not -coeff"
-    return True, "bitwise -coeff across query distributions"
+            lam = _random_same_family(rng, fam)
+            tilde = estimate_natgrad(fam, lam, loss, EstimatorSpec("exact"))
+            if not np.array_equal(tilde, coeff):
+                return False, "exact natural gradient of a linear-in-T loss is not coeff"
+            mean, cov = fam.to_mean_cov(lam)
+            identity = fam.gaussian_identity(mean, loss.expected_gradient(mean, cov),
+                                             loss.expected_hessian(mean, cov))
+            worst = np.maximum(worst, _max_rel_err(identity, coeff))
+    return worst <= 1e-12, (f"bitwise coeff at 200 query distributions; identity "
+                            f"max_rel_err={worst:.3e} (tol 1e-12)")
 
 
 def check_one_step_bayes():

@@ -339,7 +339,7 @@ def test_states_reject_a_nan_scale():
 def test_von_step_rejects_a_nan_precision():
     class NaNCurvature(QuadraticLoss):
         def expected_hessian(self, mean, cov):
-            return np.full((2, 2), np.nan)
+            return np.full(np.shape(cov), np.nan)  # in cov's layout, a vector here
 
     state = VONState(np.zeros(2), np.ones(2), learning_rate=0.5)
     with pytest.raises(LeftDomain, match="floor"):

@@ -105,7 +105,7 @@ def test_cumulant_matches_quadrature_2d_diag(rng):
     fam = DiagGaussian(2)
     for trial in range(5):
         lam = random_lam(rng, fam)
-        mean, var = fam.to_mean_var(lam)
+        mean, var = fam.to_mean_cov(lam)
         grid = [np.linspace(m - 12 * np.sqrt(v), m + 12 * np.sqrt(v), 4001)
                 for m, v in zip(mean, var)]
         gx, gy = np.meshgrid(grid[0], grid[1], indexing="ij")

@@ -48,6 +48,22 @@ def test_quadratic_expected_moments(rng):
                                loss.quad @ mean - loss.lin)
 
 
+def test_quadratic_expectations_at_a_variance_vector_keep_the_dense_bits():
+    # the diagonal family's layout: at a variance vector, tr(A Sigma) and E[H]
+    # equal bit for bit what the dense diag(var) route gave, E[H] as its diagonal
+    rng = make_rng(61)
+    for p in [1, 2, 3, 600] + [int(n) for n in rng.integers(1, 601, 20)]:
+        loss = make_quadratic(rng, p)
+        mean, var = rng.standard_normal(p), rng.uniform(0.01, 10.0, p)
+        dense = np.diag(var)
+        assert loss.expected_value(mean, var) == loss.expected_value(mean, dense), p
+        hess = loss.expected_hessian(mean, var)
+        assert hess.shape == (p,)
+        assert hess.tobytes() == np.diag(loss.expected_hessian(mean, dense)).tobytes()
+        assert loss.expected_gradient(mean, var).tobytes() == (
+            loss.expected_gradient(mean, dense).tobytes())
+
+
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticLoss(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
@@ -94,6 +110,9 @@ def test_natural_coefficients_roundtrip_diag(rng):
 def test_natural_coefficients_none_for_offdiagonal_on_diag_family(rng):
     loss = make_quadratic(rng, 2)  # dense quadratic term
     assert loss.natural_coefficients(DiagGaussian(2)) is None
+    # also where the diagonal is zero
+    swap = QuadraticLoss([[0.0, 1.0], [1.0, 0.0]], np.zeros(2))
+    assert swap.natural_coefficients(DiagGaussian(2)) is None
     # but the same loss is linear in the full family's statistic
     full_coeff = loss.natural_coefficients(FullGaussian(2))
     np.testing.assert_array_equal(full_coeff[2:], sym_to_coeff(-0.5 * loss.quad))

@@ -17,8 +17,8 @@ from natvb.harness import run_experiment
 from natvb.gaussian import DiagGaussian, FullGaussian, sym_to_coeff
 from natvb.losses import LossModel, QuadraticLoss
 from natvb.natgrad import (DUAL_RTOL, EstimatorSpec, check_support, estimate_natgrad,
-                           expected_loss, gaussian_moments, linear_loss_natgrad,
-                           natgrad_via_dual, reparam_hessian_terms)
+                           expected_loss, gaussian_moments, natgrad_via_dual,
+                           reparam_hessian_terms)
 from natvb.numdiff import central_diff_jacobian
 from natvb.quadrature import gaussian_expectation
 from natvb.seeding import ESTIMATE_STREAM, make_rng
@@ -49,12 +49,14 @@ def diag_dist(rng, p):
 
 # -- Thm-1 fast path: losses linear in T ----------------------------------
 
-def test_linear_loss_natgrad_zero():
+def test_linear_loss_natgrad_zero(rng):
     fam = FullGaussian(2)
-    np.testing.assert_array_equal(linear_loss_natgrad(fam, np.zeros(5)), np.zeros(5))
+    loss = QuadraticLoss.from_natural_coeff(fam, np.zeros(5))
+    np.testing.assert_array_equal(estimate_natgrad(fam, random_lam(rng, fam), loss, EXACT),
+                                  np.zeros(5))
 
 
-def test_linear_loss_natgrad_is_minus_coeff_bitwise(rng):
+def test_linear_loss_natgrad_is_coeff_bitwise(rng):
     # independent of the query distribution, bitwise equal across 10 of them
     for _ in range(10):
         fam, _ = random_instance(rng, max_dim=4)
@@ -66,7 +68,6 @@ def test_linear_loss_natgrad_is_minus_coeff_bitwise(rng):
             results.append(estimate_natgrad(fam, lam, loss, EXACT))
         for r in results:
             np.testing.assert_array_equal(r, coeff)
-        np.testing.assert_array_equal(linear_loss_natgrad(fam, coeff), -coeff)
 
 
 def test_linear_loss_natgrad_matches_mc(rng):
@@ -968,7 +969,37 @@ def test_linear_fast_path_rechecks_vectors_that_may_change():
             estimate_natgrad(fam, lam, loss, EXACT)
 
 
-# -- the diagonal family forms no (P, P) array off the exact path -----------------
+# -- the diagonal family forms no (P, P) array ----------------------------------
+
+@pytest.mark.parametrize("route", ["exact", "objective", "von"])
+def test_diagonal_closed_forms_take_the_variance_vector(route):
+    # the loss's closed forms at the diagonal family's covariance, its
+    # variance vector: a (P, P) covariance at P = 2,000 is 32 MB, and these
+    # routes peaked at 64 MB when they expanded the vector into one
+    from natvb.deep import VONState, von_step
+    p = 2000
+    rng = make_rng(43)
+    fam = DiagGaussian(p)
+    mean, prec = rng.standard_normal(p), rng.uniform(0.5, 2.0, p)
+    lam = fam.from_moment(mean, prec)
+    quad = np.diag(rng.uniform(0.5, 2.0, p))
+    if route == "exact":
+        # an off-diagonal term: no natural coefficients, so the closed forms
+        quad[0, 1] = quad[1, 0] = 0.1
+    loss = QuadraticLoss(quad, rng.standard_normal(p))
+    state = VONState(mean, prec, learning_rate=0.3)
+    call = {"exact": lambda: estimate_natgrad(fam, lam, loss, EXACT),
+            "objective": lambda: expected_loss(fam, lam, loss),
+            "von": lambda: von_step(state, loss)}[route]
+    tracemalloc.start()
+    try:
+        call()  # on the exact route, the first call also builds the loss's coefficients
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
 
 @pytest.mark.parametrize("route", ["mc", "reparam", "delta", "objective"])
 def test_diagonal_estimates_and_objective_form_no_dense_covariance(route):

@@ -17,10 +17,11 @@ def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
               config_seed=None, fail_seed=None, verify_line="PASS  a [b]: x=1",
               verify_exit=0, ulp_seed=None) -> Path:
     """A checkout whose run_experiment writes a trace, a summary and a used
-    config named by the workload and seed, with a wall time that differs
-    on every run: at trace_seed its trace gains a byte, at ulp_seed its
-    trace's float cell moves up one ULP, at summary_seed its summary a
-    key, at config_seed its used config a key, and at fail_seed it raises.
+    config named by the workload (None for one of same_bytes.CONFIGS, all
+    at seed 1) and seed, with a wall time that differs on every run: at
+    trace_seed its trace gains a byte, at ulp_seed its trace's float cell
+    moves up one ULP, at summary_seed its summary a key, at config_seed
+    its used config a key, and at fail_seed it raises.
     Its `python -m natvb verify` prints verify_line and a count line, and
     exits with verify_exit."""
     path = root / name
@@ -47,7 +48,7 @@ def _checkout(root: Path, name: str, trace_seed=None, summary_seed=None,
                 raise ValueError("injected failure")
             out_dir.mkdir(parents=True)
             cell = math.nextafter(0.1, 1.0) if seed == {ulp_seed!r} else 0.1
-            trace = f"{{cfg['w']}},{{seed}},{{cell!r}}\\n" + ("0" if seed == {trace_seed!r} else "")
+            trace = f"{{cfg.get('w')}},{{seed}},{{cell!r}}\\n" + ("0" if seed == {trace_seed!r} else "")
             (out_dir / "trace.csv").write_text(trace)
             summary = {{"seed": seed, "wall_time_s": time.time()}}
             if seed == {summary_seed!r}:
@@ -76,12 +77,21 @@ def _main(parent, change, seeds="1,7"):
                             "--seeds", seeds])
 
 
+#: the line of each of same_bytes.CONFIGS when its runs agree
+_SAME_CONFIGS = [f"{name}: same bytes" for name in same_bytes.CONFIGS]
+
+
+def test_the_fixed_configs_are_the_pinned_unbenched_runs():
+    from test_trace_digests import UNBENCHED
+    assert same_bytes.CONFIGS == {name: config for name, (config, *_) in UNBENCHED.items()}
+
+
 def test_same_outputs_but_the_wall_time_pass(tmp_path, capsys):
     parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
     assert _main(parent, change) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{w} seed {s}: same bytes"
-                     for w in ("first", "second") for s in (1, 7)] + ["verify: same bytes"]
+    assert lines == [f"{w} seed {s}: same bytes" for w in ("first", "second")
+                     for s in (1, 7)] + _SAME_CONFIGS + ["verify: same bytes"]
 
 
 @pytest.mark.parametrize("knob, name", [("trace_seed", "trace.csv"),
@@ -97,8 +107,20 @@ def test_only_the_run_that_differs_is_named(tmp_path, capsys, knob, name):
                             "change '0'"}.get(name, f"{name} differs")
     assert lines == ["first seed 1: same bytes", f"first seed 7: {differs}",
                      "second seed 1: same bytes", f"second seed 7: {differs}",
-                     "verify: same bytes"]
+                     *_SAME_CONFIGS, "verify: same bytes"]
     assert _main(parent, change, seeds="1") == 0
+
+
+def test_a_fixed_config_that_differs_is_named(tmp_path, capsys):
+    # every fixed config runs at seed 1, whatever the workloads' seeds
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change", trace_seed=1)
+    assert _main(parent, change, seeds="7") == 1
+    lines = capsys.readouterr().out.splitlines()
+    differs = "trace.csv differs at line 2, column 1: parent (none), change '0'"
+    assert lines == ["first seed 7: same bytes", "second seed 7: same bytes",
+                     *[f"{name}: {differs}" for name in same_bytes.CONFIGS],
+                     "verify: same bytes"]
 
 
 def test_a_trace_cell_one_ulp_off_is_named_with_its_distance(tmp_path, capsys):

@@ -67,6 +67,14 @@ WIDE_MLP_DIGEST, diagonal reparam BLR on a [64, 64] spirals MLP (P =
 4,417), was pinned while every estimate and objective still formed the
 dense (P, P) covariance, a 158.6 MB tracemalloc peak. The test holds the
 run to those bytes with no such array.
+
+UNBENCHED pins trace.csv and summary.json (less its wall_time_s line) of
+two ridge configs that no benchmark workload runs: diagonal exact BLR,
+whose estimate and objective take the loss's closed forms at the
+diagonal family's covariance, and VON, whose exact step does too. They
+were pinned while both routes still expanded the variance vector into a
+dense (P, P) covariance, so that the vector route is held to its bytes.
+tools/same_bytes.py runs the same two configs.
 """
 
 import csv
@@ -297,6 +305,32 @@ def test_wide_diagonal_run_keeps_its_bytes_in_vector_memory(tmp_path):
         tracemalloc.stop()
     assert hashlib.sha256(trace).hexdigest() == WIDE_MLP_DIGEST
     assert peak < 16_000_000
+
+
+#: configs no workload runs: (config, trace.csv digest, summary.json digest
+#: less its wall_time_s line)
+UNBENCHED = {
+    "blr_diag_exact_ridge": (
+        _config(1, _RIDGE_BENCH, {"kind": "blr", "family": "diag", "learning_rate": 0.5,
+                                  "max_iter": 40, "estimator": "exact"}),
+        "c46f0380e3d3fb70cefa00c9cc9cc4b8e04165dca01ebe61b37b4da144d6f8d5",
+        "b6e4e3faebfb7242ce2e78db8d5eeb6dafe674d4469337eb9d13e4f5a96ab97d"),
+    "von_exact_ridge": (
+        _config(1, _RIDGE_BENCH, {"kind": "von", "learning_rate": 0.3, "steps": 40}),
+        "5caa5fbe737d9d58cfe7a5550a968bcc445dabef0f94ee38e336126c07e83863",
+        "6e763084ebcca633c86ed8021dcfbe68860893a4d6dfdb0da18db0f8c2f2856b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBENCHED))
+def test_unbenched_trace_and_summary_digests_pinned(name, tmp_path):
+    config, trace_digest, summary_digest = UNBENCHED[name]
+    trace = _trace(config, tmp_path)
+    summary = b"".join(line for line in (tmp_path / "summary.json").read_bytes()
+                       .splitlines(keepends=True)
+                       if not line.lstrip().startswith(b'"wall_time_s":'))
+    assert hashlib.sha256(trace).hexdigest() == trace_digest
+    assert hashlib.sha256(summary).hexdigest() == summary_digest
 
 
 @pytest.mark.parametrize("name", sorted(UNTAGGED_DIGESTS))

@@ -21,7 +21,7 @@ from natvb.gaussian import (DiagGaussian, FullGaussian, coeff_to_sym, moment_to_
                             sym_to_coeff, sym_to_moment)
 from natvb.losses import LossModel, QuadraticLoss
 from natvb.models import make_ridge_data, ridge_loss
-from natvb.natgrad import EstimatorSpec, estimate_natgrad, linear_loss_natgrad
+from natvb.natgrad import EstimatorSpec, estimate_natgrad
 from natvb.seeding import make_rng
 
 
@@ -339,7 +339,6 @@ def test_ridge_run_estimates_equal_fresh_coefficients_bitwise(monkeypatch):
     assert len(estimates) == run.state.t + 1
     for estimate in estimates:
         assert estimate.tobytes() == fresh.tobytes()
-        assert estimate.tobytes() == (-linear_loss_natgrad(fam, fresh)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["full", "diag"])
@@ -388,7 +387,7 @@ def test_diag_methods_keep_the_bits_of_dividing_at_each_call(p):
     assert _same_bits(fam.fisher_vp(lams, v), vp)
     assert _same_bits(fam.fisher_solve(lams, w), solve)
     for b, lam in enumerate(lams):
-        got_mean, got_var = fam.to_mean_var(lam)
+        got_mean, got_var = fam.to_mean_cov(lam)
         assert _same_bits(got_mean, mean[b]) and _same_bits(got_var, var[b])
         assert _same_bits(fam.natural_to_dual(lam),
                           np.concatenate([mean[b], var[b] + mean[b] ** 2]))

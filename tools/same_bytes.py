@@ -1,5 +1,5 @@
-"""Check that two natvb checkouts write the same bytes on every benchmark workload,
-and print the same `natvb verify` table.
+"""Check that two natvb checkouts write the same bytes on every benchmark workload
+and on a fixed list of other configs, and print the same `natvb verify` table.
 
     python tools/same_bytes.py --parent DIR --change DIR --seeds 1,2,7
 
@@ -8,11 +8,14 @@ checkout runs the workload's config, as its own perfbench/workloads.py
 builds it, through its own natvb.harness.run_experiment: one fresh
 process per run, with the checkout as working directory, BLAS pinned to
 one thread as in the benchmark, and a new temporary output directory.
-The two runs must write the same trace.csv and config.used.json (the
-resolved config a replay feeds back to `run`), byte for byte, and the
-same summary.json once its wall_time_s line is dropped. For a trace that
-differs it names the first line and column that differ and both cells,
-and, when both are floats, how many ULPs apart they are.
+Then each checkout runs each config of CONFIGS once, the same way: two
+ridge runs that no workload makes, diagonal exact BLR and VON, whose
+closed forms take the diagonal family's variance vector. The two runs
+must write the same trace.csv and config.used.json (the resolved config
+a replay feeds back to `run`), byte for byte, and the same summary.json
+once its wall_time_s line is dropped. For a trace that differs it names
+the first line and column that differ and both cells, and, when both
+are floats, how many ULPs apart they are.
 
 Then each checkout runs `python -m natvb verify` the same way; the two
 tables printed must be the same byte for byte; for each check whose row
@@ -20,9 +23,9 @@ differs it prints the check's name and both rows. The verify table is
 where the checked linear algebra (the ridge oracle, the Newton step, the
 Fisher solve) reaches output, which no workload's trace shows.
 
-It prints one line per workload and seed, then one for verify, and exits
-0 when every pair is the same, 1 when a pair differs or a run fails
-(non-zero exit, or no result in 600 s).
+It prints one line per workload and seed, one per config, then one for
+verify, and exits 0 when every pair is the same, 1 when a pair differs
+or a run fails (non-zero exit, or no result in 600 s).
 
 Only the standard library is used, and natvb is never imported here:
 each checkout's run imports its own sources.
@@ -55,6 +58,12 @@ from natvb.harness import run_experiment
 from workloads import WORKLOADS
 run_experiment(WORKLOADS[sys.argv[1]].config(int(sys.argv[2])), Path(sys.argv[3]))
 """
+# one config given as JSON
+_RUN_CONFIG = _IMPORT + """\
+import json
+from natvb.harness import run_experiment
+run_experiment(json.loads(sys.argv[1]), Path(sys.argv[2]))
+"""
 # `python -m natvb verify`, with the checkout's natvb
 _VERIFY = _IMPORT + """\
 import runpy
@@ -64,6 +73,17 @@ runpy.run_module("natvb", run_name="__main__")
 _ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
         "PYTHONDONTWRITEBYTECODE": "1"}
 COMPARED = ("trace.csv", "summary.json", "config.used.json")
+_RIDGE = {"kind": "ridge", "n": 200, "p": 20, "data_seed": 1}
+#: runs no benchmark workload makes, by name
+CONFIGS = {
+    "blr_diag_exact_ridge": {
+        "schema_version": 1, "seed": 1, "model": _RIDGE,
+        "optimizer": {"kind": "blr", "family": "diag", "learning_rate": 0.5,
+                      "max_iter": 40, "estimator": "exact"}},
+    "von_exact_ridge": {
+        "schema_version": 1, "seed": 1, "model": _RIDGE,
+        "optimizer": {"kind": "von", "learning_rate": 0.3, "steps": 40}},
+}
 
 
 def without_wall_time(blob: bytes) -> bytes:
@@ -132,13 +152,14 @@ def run_once(checkout: Path, script: str, *args: str) -> tuple[str | None, bytes
     return None, proc.stdout
 
 
-def compare(parent: Path, change: Path, workload: str, seed: int) -> list[str]:
-    """The differences between the two checkouts' outputs of one run (empty when none)."""
+def compare(parent: Path, change: Path, script: str, *args: str) -> list[str]:
+    """The differences between the two checkouts' outputs of one run of
+    script, given args and then the output directory (empty when none)."""
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         outputs = {}
         for side, checkout in (("parent", parent), ("change", change)):
             out_dir = Path(tmp) / side
-            failure, _ = run_once(checkout, _RUN, workload, str(seed), str(out_dir))
+            failure, _ = run_once(checkout, script, *args, str(out_dir))
             if failure is not None:
                 return [f"{side} run failed ({failure})"]
             outputs[side] = {}
@@ -213,10 +234,14 @@ def main(argv=None) -> int:
     same = True
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in args.seeds:
-            problems = compare(parent, change, workload, seed)
+            problems = compare(parent, change, _RUN, workload, str(seed))
             same &= not problems
             print(f"{workload} seed {seed}: {'; '.join(problems) or 'same bytes'}",
                   flush=True)
+    for name, config in CONFIGS.items():
+        problems = compare(parent, change, _RUN_CONFIG, json.dumps(config))
+        same &= not problems
+        print(f"{name}: {'; '.join(problems) or 'same bytes'}", flush=True)
     problems = compare_verify(parent, change)
     same &= not problems
     print(f"verify: {'; '.join(problems) or 'same bytes'}", flush=True)
