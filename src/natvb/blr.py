@@ -63,8 +63,8 @@ from .seeding import ESTIMATE_STREAM, StepStreams, fixed_normals
 class BLRConfig:
     """Loop parameters: rate, budget, tolerance, estimator, retries.
 
-    The rate (checked_rate, stored as a float) and max_iter >= 1 are
-    checked once, when built."""
+    The rate (checked_rate, stored as a float), max_iter >= 1 and
+    max_rate_halvings >= 0 are checked once, when built."""
 
     learning_rate: float = 1.0
     max_iter: int = 100
@@ -79,6 +79,8 @@ class BLRConfig:
         object.__setattr__(self, "learning_rate", checked_rate(self.learning_rate))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.max_rate_halvings < 0:
+            raise ValueError("max_rate_halvings must be >= 0")
 
 
 def checked_rate(rate) -> float:

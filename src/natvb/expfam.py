@@ -34,11 +34,13 @@ natural side's `derived` also carries A(lam) as its `cumulant` field, so
 each parameter's log normalizer is computed once, at validation, and
 cumulant() reads it. lam lies in the domain when natural(lam) does not
 raise, and a caller keeps what it returned instead of asking twice.
+These checks are the only way a NaturalParams or ExpectationParams
+comes to exist, so every parameter carries its family and `derived`.
 
 Concrete families implement the primitives (the two derivations,
-conversions, Fisher-vector products, T, sampling); the domain
-checks, cumulant, entropy, Fenchel conjugate, KL and its dual gradient
-are derived here once.
+conversions, Fisher-vector products, T of a block of points, sampling);
+the domain checks, single-point T, cumulant, entropy, Fenchel
+conjugate, KL and its dual gradient are derived here once.
 """
 
 from __future__ import annotations
@@ -53,26 +55,18 @@ from .errors import DomainError, FamilyMismatch
 
 @dataclass(frozen=True, eq=False)
 class _Params:
-    """Equal when of one class, with equal families (or both None) and
-    equal coordinates; whether and what a family derived plays no part."""
+    """Coordinates a family validated, with the family and what its check derived.
+
+    Built only by the family's check, natural() or expectation(), so the
+    coordinates are a read-only, finite copy of the right length. Equal
+    when of one class, with equal families and equal coordinates; what
+    the family derived plays no part.
+    """
 
     coords: np.ndarray
-    family: "ExpFamily | None" = None
-    #: what the family's check derived from coords; None if unchecked
-    derived: object = field(default=None, repr=False)
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def _checked(cls, coords: np.ndarray, family: "ExpFamily", derived) -> "_Params":
-        """cls(coords, family, derived) minus __post_init__, for coords a family scanned."""
-        params = object.__new__(cls)
-        vars(params).update(coords=coords, family=family, derived=derived)
-        return params
+    family: "ExpFamily"
+    #: what the family's check derived from coords
+    derived: object = field(repr=False)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.family == other.family
@@ -84,19 +78,17 @@ class _Params:
 
 
 class NaturalParams(_Params):
-    """Natural coordinates lam, validated against a family's open domain.
+    """Natural coordinates lam in a family's open domain.
 
-    Construct through `family.natural(coords)`, which freezes a copy of
-    the coordinates and stores what _derive computed from them. Direct
-    construction leaves `derived` None: such parameters are checked
-    whenever a family uses them.
+    `family.natural(coords)` builds them: it freezes a copy of the
+    coordinates and stores what _derive computed from them.
     """
 
 
 class ExpectationParams(_Params):
-    """Dual coordinates mu = E[T(theta)]; realizable iff some lam maps to them.
+    """Dual coordinates mu = E[T(theta)] that some lam maps to.
 
-    Construct through `family.expectation(coords)`, as for NaturalParams.
+    `family.expectation(coords)` builds them, as natural() does NaturalParams.
     """
 
 
@@ -168,10 +160,6 @@ class ExpFamily(abc.ABC):
         """
 
     @abc.abstractmethod
-    def sufficient_stats(self, theta) -> np.ndarray:
-        """T(theta) in the moment layout, so that <lam, T> is a dot product."""
-
-    @abc.abstractmethod
     def sample(self, lam, size: int, rng: np.random.Generator) -> np.ndarray:
         """size i.i.d. draws, shape (size, theta_dim); size must be >= 1."""
 
@@ -196,19 +184,16 @@ class ExpFamily(abc.ABC):
         return self._validated(mu, ExpectationParams, self._derive_expectation)
 
     def _validated(self, params, kind: type, derive):
-        if type(params) is kind and params.family is self and params.derived is not None:
+        if type(params) is kind and params.family is self:
             return params
         if isinstance(params, _Params):
             if not isinstance(params, kind):
                 raise FamilyMismatch(f"{type(params).__name__} given to {self.name!r} "
                                      f"where {kind.__name__} are needed")
-            if params.derived is not None and params.family == self:
+            if params.family == self:
                 return params
-            if params.family is not None and params.family != self:
-                raise FamilyMismatch(
-                    f"parameters built for family {params.family.name!r}, "
-                    f"used with {self.name!r}")
-            params = params.coords
+            raise FamilyMismatch(f"parameters built for family {params.family.name!r}, "
+                                 f"used with {self.name!r}")
         coords = np.array(params, dtype=float).reshape(-1)
         if coords.size != self.param_dim:
             raise FamilyMismatch(
@@ -217,7 +202,7 @@ class ExpFamily(abc.ABC):
         if not np.isfinite(coords).all():
             raise DomainError("coordinates must be finite")
         coords.setflags(write=False)
-        return kind._checked(coords, self, derive(coords))
+        return kind(coords, self, derive(coords))
 
     def _tangent_block(self, lam, v) -> tuple[list, np.ndarray, bool]:
         """(derived factors, directions as (B, param_dim) rows, whether one).
@@ -235,6 +220,14 @@ class ExpFamily(abc.ABC):
         if v.shape[0] != len(lams):
             raise ValueError(f"{v.shape[0]} directions given for {len(lams)} parameters")
         return [self.natural(x).derived for x in lams], v, one
+
+    def sufficient_stats(self, theta) -> np.ndarray:
+        """T(theta) in the moment layout, so that <lam, T> is a dot product:
+        the one row of sufficient_stats_batch."""
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        if theta.size != self.theta_dim:
+            raise ValueError(f"theta must have length {self.theta_dim}")
+        return self.sufficient_stats_batch(theta[None])[0]
 
     def _theta_rows(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

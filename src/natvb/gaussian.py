@@ -57,8 +57,10 @@ from_moment(mean, precision) is the one route from moments to a
 Gaussian: it checks the shapes (and, for the full family, that S is
 symmetric, since _derive builds its S symmetric from the upper
 triangle) and returns natural((Sm, -S/2)), validated and factored once.
-The other way, to_mean_cov and split_natural read the moments and
-precision off that derived view.
+The other way, to_mean_cov reads the moments off that derived view, and
+a caller reads the linear block and precision as natural(lam).derived's
+lin and prec. Each family writes T(theta) once, for a block of points
+(sufficient_stats_batch); ExpFamily.sufficient_stats takes its one row.
 """
 
 from __future__ import annotations
@@ -261,11 +263,6 @@ class FullGaussian(ExpFamily):
         low.setflags(write=False)
         return mean, low
 
-    def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """(linear block, precision matrix S); raises if S is not PD."""
-        factor = self.natural(lam).derived
-        return factor.lin, factor.prec
-
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(mean, covariance) of q_lam."""
         factor = self.natural(lam).derived
@@ -331,12 +328,6 @@ class FullGaussian(ExpFamily):
         d_prec = -(prec @ d_cov @ prec)
         out = self.quadratic_to_natural(d_prec, _matvec(d_prec, mean) + _matvec(prec, w_mean))
         return out[0] if one else out
-
-    def sufficient_stats(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != self.theta_dim:
-            raise ValueError(f"theta must have length {self.theta_dim}")
-        return np.concatenate([theta, theta[self._triu.rows] * theta[self._triu.cols]])
 
     def sufficient_stats_batch(self, thetas) -> np.ndarray:
         thetas = self._theta_rows(thetas)
@@ -419,11 +410,6 @@ class DiagGaussian(ExpFamily):
         var.setflags(write=False)
         return mean, var
 
-    def split_natural(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """(linear block, precision diagonal s)."""
-        factor = self.natural(lam).derived
-        return factor.lin, factor.prec
-
     def to_mean_cov(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(mean, variance vector) of q_lam: the covariance in the family's layout."""
         factor = self.natural(lam).derived
@@ -467,12 +453,6 @@ class DiagGaussian(ExpFamily):
         d_prec = -prec ** 2 * (w[:, p:] - 2.0 * mean * w[:, :p])
         out = self.quadratic_to_natural(d_prec, d_prec * mean + prec * w[:, :p])
         return out[0] if one else out
-
-    def sufficient_stats(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != self.theta_dim:
-            raise ValueError(f"theta must have length {self.theta_dim}")
-        return np.concatenate([theta, theta ** 2])
 
     def sufficient_stats_batch(self, thetas) -> np.ndarray:
         thetas = self._theta_rows(thetas)

@@ -367,14 +367,18 @@ def check_rmsprop_correspondence():
         state = replace(state, scale=rng.uniform(0.0, 2.0, p))
         for _ in range(4):
             grad = rng.standard_normal(p)
+            # the RMSprop update written out, without deep's helpers
+            beta, alpha, c = state.scale_rate, state.step_size, state.damping
+            v = (1 - beta) * state.scale + beta * grad ** 2
+            want = state.theta - alpha * grad / (np.sqrt(v) + c)
             # VON arithmetic with squared-gradient curvature, a square root,
-            # and sampling disabled is exactly the RMSprop update
+            # and sampling disabled is exactly that update, as is rmsprop_step
             scale = ema(state.scale, grad ** 2, state.scale_rate)
             theta = preconditioned_step(state.theta, grad, scale, state.step_size,
                                         state.damping, sqrt_scale=True)
             state = rmsprop_step(state, grad)
-            if not (np.array_equal(theta, state.theta)
-                    and np.array_equal(scale, state.scale)):
+            if not all(np.array_equal(got, ref) for got, ref in
+                       ((scale, v), (theta, want), (state.scale, v), (state.theta, want))):
                 return False, "substituted update diverged from rmsprop_step"
     return True, "exact match on 5 random traces"
 

@@ -201,7 +201,7 @@ def test_criterion_07_newton_recovery():
             mean, prec = newton_recovery_step(loss, mean)
             state = blr_step(state, loss, cfg)
             err = max(float(np.max(np.abs(fam_s.to_mean_cov(state.lam)[0] - mean))),
-                      float(np.max(np.abs(fam_s.split_natural(state.lam)[1] - prec))))
+                      float(np.max(np.abs(fam_s.natural(state.lam).derived.prec - prec))))
             worst = max(worst, err)
             assert err <= 1e-10
             if scenario == "quadratic" and k == 0:
@@ -239,7 +239,8 @@ def test_criterion_09_reparam_estimator_unbiased():
     loss = QuadraticLoss(np.diag(curv), rng.standard_normal(p))
     fam = DiagGaussian(p)
     lam = fam.from_moment(rng.standard_normal(p), rng.uniform(0.4, 2.0, p))
-    lin, prec = fam.split_natural(lam)
+    factor = fam.natural(lam).derived
+    lin, prec = factor.lin, factor.prec
     mean = lin / prec
     draws = fam.sample(lam, 1_000_000, make_rng(1010))
     grads = draws * curv - loss.lin

@@ -79,6 +79,13 @@ def test_blr_config_checks_its_budget_when_built():
         BLRConfig(0.5, 0)
 
 
+def test_blr_config_checks_its_halvings_when_built():
+    # a negative count would let every blr_run step raise LeftDomain untried
+    with pytest.raises(ValueError, match="^max_rate_halvings must be >= 0$"):
+        BLRConfig(0.5, 10, max_rate_halvings=-1)
+    assert BLRConfig(0.5, 10, max_rate_halvings=0).max_rate_halvings == 0
+
+
 # -- conjugate path -----------------------------------------------------------
 
 def test_conjugate_posterior_identity_ridge():
@@ -377,7 +384,7 @@ def test_newton_equals_blr_delta_on_logistic_10_steps():
         state = blr_step(state, loss, cfg)
         np.testing.assert_allclose(fam.to_mean_cov(state.lam)[0], mean,
                                    rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(fam.split_natural(state.lam)[1], prec,
+        np.testing.assert_allclose(fam.natural(state.lam).derived.prec, prec,
                                    rtol=1e-10, atol=1e-10)
 
 
@@ -392,6 +399,20 @@ def test_run_monotone_descent_exact_quadratic(rng):
     assert run.converged
     assert run.filter_spreads.max() <= 1e-8
     assert run.trace[-1].residual <= 1e-8
+
+
+def test_full_family_run_at_p_200_reaches_the_exact_posterior():
+    # full-covariance exact BLR at P = 200 (20,300 natural coordinates); its
+    # bytes depend on the BLAS thread count, so no digest is pinned here
+    p = 200
+    model, fam, loss = ridge_setup(1, n=200, p=p)
+    run = blr_run(fam, fam.from_moment(np.zeros(p), np.eye(p)), loss,
+                  BLRConfig(0.5, 40, estimator=EXACT))
+    assert run.converged
+    assert run.trace[-1].residual <= 1e-9
+    want = fam.from_moment(*ridge_exact_posterior(model)).coords
+    err = np.max(np.abs(run.state.lam.coords - want)) / max(1.0, np.max(np.abs(want)))
+    assert err <= 1e-8
 
 
 def test_run_objective_trace_recorded():

@@ -591,6 +591,22 @@ def test_von_arithmetic_reproduces_rmsprop(rng):
             np.testing.assert_array_equal(state.scale, witness_scale)
 
 
+def test_rmsprop_correspondence_row_fails_a_moving_average_both_share(monkeypatch):
+    # verify holds rmsprop_step and VON's helpers to the update written out,
+    # so an ema that both call and that rounds differently fails the row
+    from natvb import deep, verify
+
+    assert verify.check_rmsprop_correspondence() == (True, "exact match on 5 random traces")
+
+    def mutant(old, new, rate):
+        return old + rate * (new - old)
+
+    monkeypatch.setattr(deep, "ema", mutant)
+    monkeypatch.setattr(verify, "ema", mutant)
+    assert verify.check_rmsprop_correspondence() == (
+        False, "substituted update diverged from rmsprop_step")
+
+
 # -- train loop ---------------------------------------------------------------------
 
 def test_train_budget_zero_keeps_initial_row():

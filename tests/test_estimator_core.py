@@ -82,7 +82,7 @@ def _reference_natgrad_gaussian_identity(family, lam, loss, n_samples, seed,
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     thetas = family.sample(lam, n_samples, rng)
     mean, _ = family.to_mean_cov(lam)
-    prec = family.split_natural(lam)[1] if curvature == "reparam" else None
+    prec = family.natural(lam).derived.prec if curvature == "reparam" else None
     diag = family.hessian_kind == "diag"
     grad, hess = _reference_sampled_moments(loss, thetas, mean, prec, curvature, diag,
                                             batch)

@@ -116,7 +116,7 @@ def test_conversion_closure_200_instances_per_family():
             back = fam.natural(fam.dual_to_natural(fam.natural_to_dual(lam)))
             np.testing.assert_allclose(fam.to_mean_cov(back)[0], mean, rtol=1e-10,
                                        atol=1e-10)
-            np.testing.assert_allclose(fam.split_natural(back)[1], prec, rtol=1e-10,
+            np.testing.assert_allclose(fam.natural(back).derived.prec, prec, rtol=1e-10,
                                        atol=1e-10)
 
 
@@ -136,7 +136,7 @@ def test_conversion_closure_property(seed, diag):
     lam = fam.from_moment(mean, prec)
     back = fam.natural(fam.dual_to_natural(fam.natural_to_dual(lam)))
     np.testing.assert_allclose(fam.to_mean_cov(back)[0], mean, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(fam.split_natural(back)[1], prec, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(fam.natural(back).derived.prec, prec, rtol=1e-9, atol=1e-9)
 
 
 # -- diagonal family is the restriction of the full family ------------------
@@ -492,6 +492,26 @@ def test_fisher_products_validate_inputs(family):
 
 
 @pytest.mark.parametrize("kind", ["full", "diag"])
+def test_single_point_stats_are_the_batch_row_at_every_magnitude(kind):
+    # T(theta) is written once per family, for a block; the one-point form
+    # is its row, bit for bit, and equals the per-family form it replaced
+    rng = make_rng(3737)
+    for exponent in range(-150, 151, 10):
+        for _ in range(10):
+            p = int(rng.integers(1, 9))
+            fam = FullGaussian(p) if kind == "full" else DiagGaussian(p)
+            theta = rng.standard_normal(p) * 10.0 ** exponent
+            single = fam.sufficient_stats(theta)
+            np.testing.assert_array_equal(single, fam.sufficient_stats_batch(theta[None])[0])
+            if kind == "full":
+                rows, cols = np.triu_indices(p)
+                replaced = np.concatenate([theta, theta[rows] * theta[cols]])
+            else:
+                replaced = np.concatenate([theta, theta ** 2])
+            np.testing.assert_array_equal(single, replaced)
+
+
+@pytest.mark.parametrize("kind", ["full", "diag"])
 def test_batched_stats_and_log_densities_match_single_calls(kind, rng):
     eps = np.finfo(float).eps
     for _ in range(5):
@@ -588,7 +608,7 @@ def test_memo_never_stores_domain_errors(cholesky_calls):
     fam = FullGaussian(2)
     bad = np.concatenate([np.zeros(2), sym_to_coeff(np.array([[0.5, 0.0], [0.0, -0.5]]))])
     for attempt in range(1, 4):
-        for method in (fam.cumulant, fam.to_mean_cov, fam.split_natural, fam.entropy_gradient,
+        for method in (fam.cumulant, fam.to_mean_cov, fam.natural_to_dual, fam.entropy_gradient,
                        fam.entropy, fam.natural):
             with pytest.raises(DomainError):
                 method(bad)
@@ -599,10 +619,9 @@ def test_memo_outputs_read_only_and_inputs_untouched(rng):
     fam, lam = random_instance(rng, kind="full")
     lam = np.array(lam)
     mean, cov = fam.to_mean_cov(lam)
-    lin, prec = fam.split_natural(lam)
     validated = fam.natural(lam)
     factor = validated.derived
-    for arr in (mean, cov, lin, prec, validated.coords,
+    for arr in (mean, cov, validated.coords,
                 factor.lin, factor.prec, factor.chol, factor.mean, factor.cov):
         assert not arr.flags.writeable
     assert type(factor.cumulant) is float
@@ -621,21 +640,19 @@ def test_trust_rules_of_validated_parameters(rng):
     lam = np.array(lam)
     bad = np.array(lam)
     bad[fam.theta_dim] = 1.0  # a positive diagonal coefficient: S is not PD
-    # a directly built NaturalParams carries nothing and is checked on use
-    direct = NaturalParams(bad, fam)
-    assert direct.derived is None
+    # coordinates outside the domain are refused by every route
     for method in (fam.cumulant, fam.to_mean_cov, fam.natural, fam.entropy):
         with pytest.raises(DomainError):
-            method(direct)
+            method(bad)
     # natural() freezes a copy and leaves the caller's array writable
     validated = fam.natural(lam)
     assert not validated.coords.flags.writeable and lam.flags.writeable
-    # another family's parameters are refused, validated or not
+    # another family's parameters are refused
     other = DiagGaussian(fam.theta_dim)
-    for params in (other.natural(random_lam(rng, other)), NaturalParams(lam, other)):
-        for method in (fam.cumulant, fam.natural):
-            with pytest.raises(FamilyMismatch):
-                method(params)
+    params = other.natural(random_lam(rng, other))
+    for method in (fam.cumulant, fam.natural):
+        with pytest.raises(FamilyMismatch):
+            method(params)
 
 
 def test_moments_that_overflow_leave_the_domain():
@@ -680,7 +697,8 @@ def _cumulant_formula(fam, lam):
         logdet = 2.0 * np.sum(np.log(np.diag(factor.chol)))
         return float(0.5 * factor.lin @ factor.mean - 0.5 * logdet
                      + 0.5 * fam.theta_dim * np.log(2.0 * np.pi))
-    lin, prec = fam.split_natural(lam)
+    factor = fam.natural(lam).derived
+    lin, prec = factor.lin, factor.prec
     return float(np.sum(0.5 * lin ** 2 / prec - 0.5 * np.log(prec)
                         + 0.5 * np.log(2.0 * np.pi)))
 

@@ -409,11 +409,13 @@ _UNHOOKED = {
     "natvb.gaussian.DiagGaussian.contains_expectation",
     "natvb.gaussian.DiagGaussian.contains_natural", "natvb.gaussian.DiagGaussian.cumulant",
     "natvb.gaussian.DiagGaussian.fisher", "natvb.gaussian.DiagGaussian.to_mean_var",
-    "natvb.gaussian.DiagGaussian.to_moment",
+    "natvb.gaussian.DiagGaussian.to_moment", "natvb.gaussian.DiagGaussian.split_natural",
+    "natvb.gaussian.DiagGaussian.sufficient_stats",
     "natvb.gaussian.FullGaussian.contains_expectation",
     "natvb.gaussian.FullGaussian.contains_natural", "natvb.gaussian.FullGaussian.cumulant",
     "natvb.gaussian.FullGaussian.fisher", "natvb.gaussian.FullGaussian.to_mean_var",
-    "natvb.gaussian.FullGaussian.to_moment",
+    "natvb.gaussian.FullGaussian.to_moment", "natvb.gaussian.FullGaussian.split_natural",
+    "natvb.gaussian.FullGaussian.sufficient_stats",
     "natvb.losses.QuadraticLoss.mean_data_loss",
     "natvb.models.LogisticModel.expected_gradient",
     "natvb.models.LogisticModel.expected_hessian",

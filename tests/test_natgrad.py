@@ -366,7 +366,8 @@ def test_delta_gap_on_cubic_loss():
 
 def test_reparam_zero_cases(rng):
     fam, lam = diag_dist(rng, 3)
-    lin, prec = fam.split_natural(lam)
+    factor = fam.natural(lam).derived
+    lin, prec = factor.lin, factor.prec
     mean = lin / prec
     theta = mean + 1.0
     np.testing.assert_array_equal(
@@ -391,7 +392,8 @@ def test_reparam_unbiased_for_constant_hessian():
     fam = DiagGaussian(p)
     lam = fam.from_moment(rng.standard_normal(p), rng.uniform(0.5, 2.0, p))
     draws = fam.sample(lam, 1_000_000, make_rng(42))
-    lin, prec = fam.split_natural(lam)
+    factor = fam.natural(lam).derived
+    lin, prec = factor.lin, factor.prec
     mean = lin / prec
     grads = draws * hess - loss.lin  # diagonal quadratic gradient, vectorized
     estimates = grads * prec * (draws - mean)
@@ -419,7 +421,7 @@ def test_estimate_dispatch_matches_direct_calls(rng):
     # not linear in T on the diagonal family: exact takes the closed-form moments
     loss = QuadraticLoss(np.array([[1.0, 0.3], [0.3, 2.0]]), np.ones(2))
     mean, cov = fam.to_mean_cov(lam)
-    _, prec = fam.split_natural(lam)
+    prec = fam.natural(lam).derived.prec
 
     def direct(kind, thetas=None):
         return fam.gaussian_identity(
@@ -526,7 +528,7 @@ def looped_identity(family, lam, loss, n_samples, seed, batch=None, curvature="h
     thetas = family.sample(lam, n_samples, make_rng(seed))
     mean, _ = family.to_mean_cov(lam)
     full = isinstance(family, FullGaussian)
-    _, prec = family.split_natural(lam)
+    prec = family.natural(lam).derived.prec
     p = family.theta_dim
     grad_sum = np.zeros(p)
     hess_sum = np.zeros((p, p)) if full else np.zeros(p)

@@ -8,10 +8,12 @@ checkout runs the workload's config, as its own perfbench/workloads.py
 builds it, through its own natvb.harness.run_experiment: one fresh
 process per run, with the checkout as working directory, BLAS pinned to
 one thread as in the benchmark, and a new temporary output directory.
-Then each checkout runs each config of CONFIGS once, the same way: two
-ridge runs that no workload makes, diagonal exact BLR and VON, whose
-closed forms take the diagonal family's variance vector. The two runs
-must write the same trace.csv and config.used.json (the resolved config
+Then each checkout runs each config of CONFIGS once, the same way: three
+ridge runs that no workload makes. Diagonal exact BLR and VON take the
+diagonal family's closed forms at its variance vector; full-family exact
+BLR at P = 200 is the large-P run, whose bytes are comparable only
+because BLAS is pinned to one thread. The parent's and the change's
+runs must write the same trace.csv and config.used.json (the resolved config
 a replay feeds back to `run`), byte for byte, and the same summary.json
 once its wall_time_s line is dropped. For a trace that differs it names
 the first line and column that differ and both cells, and, when both
@@ -83,6 +85,10 @@ CONFIGS = {
     "von_exact_ridge": {
         "schema_version": 1, "seed": 1, "model": _RIDGE,
         "optimizer": {"kind": "von", "learning_rate": 0.3, "steps": 40}},
+    "blr_full_exact_ridge_p200": {
+        "schema_version": 1, "seed": 1, "model": {**_RIDGE, "p": 200},
+        "optimizer": {"kind": "blr", "family": "full", "learning_rate": 0.5,
+                      "max_iter": 40, "estimator": "exact"}},
 }
 
 
