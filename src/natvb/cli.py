@@ -74,9 +74,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.target != "ridge":
-        print(f"unknown oracle target {args.target!r}", file=sys.stderr)
-        return 2
     print(json.dumps(ridge_oracle(load_config(args.config)), indent=2))
     return 0
 
@@ -106,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_oracle = sub.add_parser("oracle", help="print an exact-posterior oracle")
-    p_oracle.add_argument("target", help="oracle kind (ridge)")
+    p_oracle.add_argument("target", choices=("ridge",), help="oracle kind")
     p_oracle.add_argument("config", help="config with the model block")
     p_oracle.set_defaults(fn=_cmd_oracle)
     return parser

@@ -344,11 +344,10 @@ class QuadraticLoss(LossModel):
         return float(0.5 * (mean @ self.quad @ mean + trace) - self.lin @ mean + self.const)
 
     def expected_gradient(self, mean, cov) -> np.ndarray:
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        return self.quad @ mean - self.lin
+        return self.gradient(mean)
 
     def expected_hessian(self, mean, cov) -> np.ndarray:
-        return np.diag(self.quad).copy() if np.ndim(cov) == 1 else self.quad.copy()
+        return self.hessian_diag(mean) if np.ndim(cov) == 1 else self.hessian_full(mean)
 
     def natural_coefficients(self, family) -> np.ndarray | None:
         """The family's coefficients, built once per family and read-only."""

@@ -86,15 +86,18 @@ def _random_family_instances(rng, count, max_dim=6):
     for _ in range(count):
         p = int(rng.integers(1, max_dim + 1))
         mean = rng.standard_normal(p)
-        if rng.uniform() < 0.5:
-            fam = DiagGaussian(p)
-            lam = fam.from_moment(mean, rng.uniform(0.3, 3.0, p))
-        else:
-            fam = FullGaussian(p)
-            a = rng.standard_normal((p, p))
-            lam = fam.from_moment(mean, a @ a.T + (0.5 + p * 0.3) * np.eye(p))
-        out.append((fam, lam))
+        fam = DiagGaussian(p) if rng.uniform() < 0.5 else FullGaussian(p)
+        out.append((fam, fam.from_moment(mean, _random_precision(rng, fam))))
     return out
+
+
+def _random_precision(rng, fam: ExpFamily):
+    """A well-conditioned precision in fam's layout: its diagonal, or (P, P)."""
+    p = fam.theta_dim
+    if fam.hessian_kind == "diag":
+        return rng.uniform(0.3, 3.0, p)
+    a = rng.standard_normal((p, p))
+    return a @ a.T + (0.5 + 0.3 * p) * np.eye(p)
 
 
 def check_duality_roundtrip():
@@ -180,12 +183,8 @@ def check_kl_bregman():
 
 
 def _random_same_family(rng, fam: ExpFamily):
-    p = fam.theta_dim
-    mean = rng.standard_normal(p)
-    if fam.hessian_kind == "diag":
-        return fam.from_moment(mean, rng.uniform(0.3, 3.0, p))
-    a = rng.standard_normal((p, p))
-    return fam.from_moment(mean, a @ a.T + (0.5 + 0.3 * p) * np.eye(p))
+    mean = rng.standard_normal(fam.theta_dim)
+    return fam.from_moment(mean, _random_precision(rng, fam))
 
 
 def check_linear_loss_natgrad():
@@ -256,8 +255,13 @@ def check_multiplicative_form():
 def check_mirror_descent():
     rng = make_rng(108)
     worst = 0.0
-    for _ in range(10):
-        fam, lam_t = _random_family_instances(rng, 1, max_dim=2)[0]
+    # ten small instances, then one on FullGaussian(30), D = 495
+    for i in range(11):
+        if i < 10:
+            fam, lam_t = _random_family_instances(rng, 1, max_dim=2)[0]
+        else:
+            fam = FullGaussian(30)
+            lam_t = _random_same_family(rng, fam)
         tilde = _random_same_family(rng, fam).coords
         rho = float(rng.uniform(0.1, 1.0))
         numeric = mirror_descent_step_numeric(fam, lam_t, tilde, rho)

@@ -195,6 +195,15 @@ def test_cli_oracle_ridge_rejects_out_of_range_prior(tmp_path):
     assert main(["oracle", "ridge", write_cfg(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("target", ["nope", "laplace"])
+def test_cli_oracle_of_an_unknown_target_exits_2(tmp_path, capsys, target):
+    # the target is an argparse choice: the command line does not parse
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", target, write_cfg(tmp_path, base_config())])
+    assert info.value.code == 2
+    assert f"invalid choice: '{target}'" in capsys.readouterr().err
+
+
 def test_cli_oracle_ridge_exits_3_on_a_numerically_singular_posterior(tmp_path, capsys):
     # tau > 0 passes the config check, but X'X (rank 1 at n = 1) + 1e-300 I
     # rounds to a singular precision
@@ -922,7 +931,6 @@ def test_cli_compare_and_oracle(tmp_path, monkeypatch, capsys):
     assert main(["oracle", "ridge", a]) == 0
     posterior = json.loads(capsys.readouterr().out)
     assert len(posterior["mean"]) == 3
-    assert main(["oracle", "laplace", a]) == 2
 
 
 def test_cli_run_jobs_parallel(tmp_path, monkeypatch):

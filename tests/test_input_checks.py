@@ -37,9 +37,22 @@ def _conjugate(family, lik):
     conjugate_posterior(fam, lik(fam), lam.coords)
 
 
-def _mirror_step(rho):
-    fam, lam = _standard(FullGaussian)
-    mirror_descent_step_numeric(fam, lam, lam.coords, rho)
+def _mirror_step(rho, family=FullGaussian, tilde=lambda coords: coords):
+    """A mirror-descent step from N(0, I) towards tilde(lam_t's coordinates)."""
+    fam, lam = _standard(family)
+    mirror_descent_step_numeric(fam, lam, tilde(np.array(lam.coords)), rho)
+
+
+def _set(coords, index, value):
+    coords[index] = value
+    return coords
+
+
+#: why (1 - rho) lam_t + rho tilde at rho 0.5 is no natural parameter once
+#: tilde's coordinate 2, a precision diagonal's, is 5
+NOT_PRECISIONS = {FullGaussian: "natural parameters outside the domain of 'gaussian_full_2'",
+                  DiagGaussian: "precision diagonal must be positive"}
+NO_MINIMISER = "mirror-descent proximal problem has no minimiser: (1 - rho) lam_t + rho tilde_lam"
 
 
 def _blr_without_steps():
@@ -81,6 +94,17 @@ CASES = {
     **{f"mirror descent at rho {rho}": (
         lambda rho=rho: _mirror_step(rho), ValueError, f"rate must be in (0, 1], got {rho}")
        for rho in (0.0, 1.5, float("nan"))},
+    "mirror descent towards a tilde_lam of length 1": (
+        lambda: _mirror_step(0.5, tilde=lambda coords: [-0.3]),
+        ValueError, "tilde_lam length does not match the family"),
+    **{f"{family.__name__} mirror descent towards a NaN": (
+        lambda family=family: _mirror_step(0.5, family, lambda c: _set(c, 0, np.nan)),
+        DomainError, f"{NO_MINIMISER} is outside {family(2).name!r} "
+                     "(coordinates must be finite)") for family in FAMILIES},
+    **{f"{family.__name__} mirror descent towards no precision": (
+        lambda family=family: _mirror_step(0.5, family, lambda c: _set(c, 2, 5.0)),
+        DomainError, f"{NO_MINIMISER} is outside {family(2).name!r} "
+                     f"({NOT_PRECISIONS[family]})") for family in FAMILIES},
     "blr_run with max_iter 0": (_blr_without_steps, ValueError, "max_iter must be >= 1"),
     "train for -1 steps": (
         lambda: _train(adam_init(np.zeros(2)), -1), ValueError, "steps must be >= 0"),
